@@ -7,6 +7,7 @@ package emap_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -464,7 +465,11 @@ func BenchmarkExhaustiveFFT(b *testing.B) {
 // speedup sub-benchmark FAILS if the compressed-domain path is slower
 // than scalar, and the footprint sub-benchmark FAILS if the warm
 // tier's resident bytes are not at least 3.5× below the hot store's —
-// CI's bench smoke turns a tier regression into a red job.
+// CI's bench smoke turns a tier regression into a red job. skip-warm
+// and skip-hot time the production path — AlgorithmN's skip walk under
+// the default kernel dispatch — over the same two stores, and
+// skip-ratio FAILS if the compressed-domain skip scan costs more than
+// 1.25× the hot-tier one in the same run.
 func BenchmarkQuantizedScan(b *testing.B) {
 	gen := emap.NewGenerator(1)
 	built, err := emap.BuildMDB(gen.TrainingRecordings(3, 2))
@@ -542,6 +547,47 @@ func BenchmarkQuantizedScan(b *testing.B) {
 		b.ReportMetric(speedup, "speedup")
 		if speedup < 1 {
 			b.Fatalf("compressed-domain scan is SLOWER than float64 scalar: %.2fx", speedup)
+		}
+	})
+	skipWarm := emap.NewSearcher(warm, emap.SearchParams{})
+	skipHot := emap.NewSearcher(hot, emap.SearchParams{})
+	skipScan := func(b *testing.B, s *search.Searcher) (time.Duration, int) {
+		t0 := time.Now()
+		r, err := s.AlgorithmN(windows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(t0), r.Evaluated
+	}
+	b.Run("skip-warm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			skipScan(b, skipWarm)
+		}
+	})
+	b.Run("skip-hot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			skipScan(b, skipHot)
+		}
+	})
+	b.Run("skip-ratio", func(b *testing.B) {
+		// Best of three alternating scans per side and iteration: box
+		// noise only ever slows a scan, and at -benchtime 1x a single
+		// sample per side would gate on it.
+		bestWarm, bestHot := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for i := 0; i < 3*b.N; i++ {
+			dw, ew := skipScan(b, skipWarm)
+			dh, eh := skipScan(b, skipHot)
+			bestWarm, bestHot = min(bestWarm, dw), min(bestHot, dh)
+			// Quantization moves ω by ≤2e-3, so the two trajectories
+			// differ a little; they must still be the same workload.
+			if d := ew - eh; d > eh/20 || -d > eh/20 {
+				b.Fatalf("skip scans are not comparable: %d evaluations warm, %d hot", ew, eh)
+			}
+		}
+		ratio := float64(bestWarm) / float64(max(bestHot, 1))
+		b.ReportMetric(ratio, "warm/hot")
+		if ratio > 1.25 {
+			b.Fatalf("compressed-domain skip scan costs %.2fx the hot-tier one (want <= 1.25x)", ratio)
 		}
 	})
 	b.Run("footprint", func(b *testing.B) {

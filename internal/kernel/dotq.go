@@ -1,14 +1,19 @@
 package kernel
 
-// Quantized kernels: the compressed-domain arithmetic of the tiered
-// MDB store (internal/mdb). Warm/cold records hold int16 counts on a
-// per-record scale; the ω numerator over a window is then
+// Quantized kernels: dot products taken directly over the int16 counts
+// of the tiered MDB store (internal/mdb). Warm/cold records hold int16
+// counts on a per-record scale; the ω numerator over a window is then
 //
 //	Σ q[i]·x[i] = qscale·xscale · Σ qc[i]·xc[i]
 //
-// so the inner loop runs entirely on int16 loads with int64
-// accumulation — a quarter of the memory traffic of the float64 path,
-// which is what the scan is bound by. int64 cannot overflow here:
+// Neither kernel has a production caller: the scan is compute-bound,
+// not memory-traffic bound (bench/baseline.json: DotQF's per-element
+// int16→float64 widening makes it 165 ns against Dot's 90 ns over 256
+// samples), so the compressed-domain walk widens each signal-set once
+// into a scratch segment and runs Dot over it (internal/search/
+// walkquant.go). DotQ and DotQF are exported for the benchmark
+// harness's kernel probes and as the reference the segment walk is
+// tested bit-identical against. int64 cannot overflow in DotQ:
 // |count| ≤ 2^15, so each product is < 2^30 and 2^33 terms would be
 // needed to reach 2^63; windows are a few thousand samples.
 
@@ -34,12 +39,12 @@ func DotQ(a, b []int16) int64 {
 }
 
 // DotQF returns Σ q[i]·float64(c[i]) over len(q) elements (len(c) must
-// be at least len(q)): the mixed-domain dot the quantized search path
-// uses for exact rescoring — the float query against the stored
-// counts, with the record scale folded in by the caller. Multiplying
-// by the scale AFTER the sum keeps the result bit-identical to
-// Dot(q, dequantize(c))·1 only up to reassociation, so the caller
-// treats it as its own kernel, not as a float-path replay.
+// be at least len(q)): the mixed-domain dot — the float query against
+// the stored counts, with the record scale left to the caller. It is
+// bit-identical to Dot(q, w) for w[i] = float64(c[i]) (widening is
+// exact; same products, same four accumulators), which is what lets
+// the search widen once per signal-set instead of once per
+// evaluation.
 func DotQF(q []float64, c []int16) float64 {
 	n := len(q)
 	c = c[:n]

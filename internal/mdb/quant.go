@@ -11,7 +11,10 @@ import (
 // two checkpoint subtractions, while the overhead stays at
 // 16/qBlockLen = 0.25 bytes per sample. Full int64 prefix sums (16
 // bytes per sample) would cost 8× the samples they describe and erase
-// the compressed tier's footprint win.
+// the compressed tier's footprint win — which is why the search
+// builds them only transiently, for the one signal-set a worker is
+// scanning (internal/search/walkquant.go), and why the scan's cost no
+// longer depends on qBlockLen.
 const qBlockLen = 64
 
 // Tier is a record's resident representation: hot records serve the
@@ -119,9 +122,9 @@ func (q *quantPayload) baseResident() *resident {
 }
 
 // QuantView is the compressed-domain scan surface of one record: the
-// int16 counts, the reconstruction step, and O(qBlockLen) integer
-// window sums. The integer arithmetic is exact, so every quantity a
-// scan derives from a QuantView is a deterministic function of
+// int16 counts, the reconstruction step, and exact integer window
+// sums. The integer arithmetic is exact, so every quantity a scan
+// derives from a QuantView is a deterministic function of
 // (counts, scale) — identical whether the counts live in the heap or
 // in a memory map, which is what keeps tier moves invisible to search
 // results.
@@ -133,7 +136,10 @@ type QuantView struct {
 }
 
 // WindowSums returns (Σc, Σc²) over Counts[start:start+n], exactly,
-// from the block checkpoints plus at most 2·qBlockLen edge additions.
+// from the block checkpoints plus at most 2·qBlockLen edge additions
+// — the one-off form. A scan that needs the sums of many windows of
+// one region reads Counts and builds its own transient prefix sums
+// instead (the search's segment scratch is tested equal to this).
 func (qv QuantView) WindowSums(start, n int) (sum, sumSq int64) {
 	end := start + n
 	loBlk := (start + qBlockLen - 1) / qBlockLen // first checkpoint ≥ start

@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -128,7 +129,11 @@ func (s *Searcher) runBatch(inputs [][]float64, exhaustive bool) (*BatchResult, 
 	}
 	if len(uniques) > 0 {
 		groups := groupByLen(uniques)
-		shards := snap.Shards(s.params.Workers)
+		workers := s.params.Workers
+		if workers == 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		shards := snap.Shards(workers)
 		shardAccs := make([][]queryAccum, len(shards))
 		shardPasses := make([]int, len(shards))
 		var wg sync.WaitGroup

@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"emap/internal/dsp"
 	"emap/internal/kernel"
@@ -31,11 +32,12 @@ const (
 	// the precomputed profile).
 	KernelFFT KernelMode = "fft"
 	// KernelQuant forces the compressed-domain kernel for every
-	// quantized record: FFT numerator profile over a transient
-	// scratch dequantization + exact mixed-domain rescore at the
-	// margin (internal/search/walkquant.go), never promoting records
-	// to the hot tier. Float-canonical records, which have no
-	// quantized payload, fall back to the float kernels.
+	// quantized record: each pass widens the set's int16 counts once
+	// into the worker's segment scratch (internal/search/walkquant.go)
+	// and every ω is an exact dot over that scratch with an
+	// integer-exact norm, never promoting records to the hot tier.
+	// Float-canonical records, which have no quantized payload, fall
+	// back to the float kernels.
 	KernelQuant KernelMode = "quant"
 )
 
@@ -71,34 +73,32 @@ func denseBudget(m, n int) int {
 	return int(kernelCrossover * float64(m*lg) / float64(n))
 }
 
-// walkScratch is one shard worker's reusable kernel state: FFT
-// spectra, the profile buffer and the wheel buckets live across every
-// set the worker scans, so the walk allocates nothing per set. Query
-// spectra are cached per (query, transform size) — one forward
-// transform per unique query however many sets its group scans.
+// walkScratch is one shard worker's reusable kernel state: the pass
+// segment, FFT spectra, the profile buffer and the wheel buckets live
+// across every set the worker scans — and, through scratchPool, across
+// scans — so the walk allocates nothing per set. Query spectra are
+// cached per (query, transform size) — one forward transform per
+// unique query however many sets its group scans.
 type walkScratch struct {
-	engine  *kernel.Engine
-	segSpec []complex128
-	work    []complex128
-	profile []float64
+	engine *kernel.Engine
+	// seg is the current (set, length-group) pass; qx/psum/psumSq are
+	// the buffers its quantized form is built into (walkquant.go).
+	seg          segment
+	qx           []float64
+	psum, psumSq []int64
+	segSpec      []complex128
+	work         []complex128
+	profile      []float64
 	// dens[β] holds the centred window norm at every offset of the
 	// current pass — O(1) each from prefix sums, but shared by every
 	// dense cursor instead of recomputed per (cursor, offset).
 	dens  []float64
 	qSpec map[qspecKey][]complex128
-	// qseg holds the current pass's scratch-dequantized segment for
-	// the compressed-domain dense walk: raw int16 counts widened to
-	// float64, transient and reused — the store's records stay
-	// compressed.
-	qseg []float64
-	// segReady/densReady mark segSpec and dens as holding the current
-	// pass's data (qsegReady/qdensReady likewise for the quant walk);
-	// reset at the start of every (set, group) pass.
-	segReady   bool
-	densReady  bool
-	qsegReady  bool
-	qdensReady bool
-	buckets    [][]int32
+	// specReady/densReady mark segSpec and dens as holding the current
+	// pass's data; reset at the start of every (set, group) pass.
+	specReady bool
+	densReady bool
+	buckets   [][]int32
 }
 
 type qspecKey struct {
@@ -106,8 +106,27 @@ type qspecKey struct {
 	m int
 }
 
-func newWalkScratch(engine *kernel.Engine) *walkScratch {
-	return &walkScratch{engine: engine, qSpec: make(map[qspecKey][]complex128)}
+// scratchPool recycles walkScratch values across scans, so the segment
+// scratch costs no steady-state allocation. It is package-level on
+// purpose: a sync.Pool FIELD on Searcher keeps a finished Searcher —
+// and through it a whole float store — reachable from the runtime's
+// pool list for two GC cycles. A pooled scratch references only its
+// own buffers: putScratch drops the engine, the hot-tier signal alias
+// and the per-scan query spectra.
+var scratchPool = sync.Pool{New: func() any {
+	return &walkScratch{qSpec: make(map[qspecKey][]complex128)}
+}}
+
+func getScratch(engine *kernel.Engine) *walkScratch {
+	scr := scratchPool.Get().(*walkScratch)
+	scr.engine = engine
+	return scr
+}
+
+func putScratch(scr *walkScratch) {
+	scr.engine, scr.seg = nil, segment{}
+	clear(scr.qSpec)
+	scratchPool.Put(scr)
 }
 
 // grow ensures the pass buffers fit transform size m.
@@ -139,18 +158,19 @@ func (scr *walkScratch) querySpectrum(p kernel.Profiler, q int, zq []float64) []
 
 // scanShardBatch scans a contiguous run of signal-sets for all unique
 // queries at once. Per signal-set and per length group it performs one
-// merged walk, choosing per cursor between the sparse scalar kernel
-// and the dense FFT profile (see KernelMode): B queries cost one pass
-// of memory traffic, not B, and dense passes cost O(L log L) instead
-// of O(n·L).
+// merged walk over the pass segment, choosing per cursor between the
+// sparse scalar kernel and the dense FFT profile (see KernelMode): B
+// queries cost one pass of memory traffic, not B, and dense passes
+// cost O(L log L) instead of O(n·L).
 func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uniques [][]float64, groups []lenGroup, exhaustive bool) ([]queryAccum, int) {
-	p := s.params
+	p := &s.params
 	accs := make([]queryAccum, len(uniques))
 	for i := range accs {
 		accs[i].top = NewTopK(p.TopK)
 	}
 	passes := 0
-	scr := newWalkScratch(s.engine)
+	scr := getScratch(s.engine)
+	defer putScratch(scr)
 	// One reusable cursor slice per group, reset for every set.
 	cursors := make([][]cursor, len(groups))
 	for gi, g := range groups {
@@ -165,7 +185,7 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 	auto := !exhaustive && p.Kernel == KernelAuto
 	maxAdv := 1
 	if !exhaustive {
-		maxAdv = skipFor(0, p)
+		maxAdv = s.skipFor(0)
 	}
 	for _, set := range shard {
 		rec, ok := snap.Record(set.RecordID)
@@ -210,29 +230,26 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 				c := &cs[ci]
 				c.beta, c.env, c.found, c.evals, c.dense = 0, 0, false, 0, false
 			}
-			switch {
-			case useQuant:
-				scr.qsegReady, scr.qdensReady = false, false
-				for ci := range cs {
-					s.walkQuant(&cs[ci], qv, set.Start, n, maxOff, exhaustive, accs, set.ID, scr)
+			g := &scr.seg
+			if useQuant {
+				scr.loadQuant(qv, set.Start, maxOff+n)
+			} else {
+				*g = segment{x: stats.Signal()[set.Start : set.Start+maxOff+n], scale: 1, stats: stats, start: set.Start}
+			}
+			g.setID, g.n, g.maxOff = set.ID, n, maxOff
+			scr.specReady, scr.densReady = false, false
+			if !denseAll {
+				// The compressed-domain skip walk never flips dense: its
+				// trajectory is the exact per-visit ω, whatever the batch.
+				budget := 0
+				if auto && !useQuant {
+					budget = denseBudget(kernel.PlanSizeFor(maxOff+n), n)
 				}
-			default:
-				scr.segReady, scr.densReady = false, false
-				if denseAll {
-					for ci := range cs {
-						s.walkDense(&cs[ci], stats, set.Start, n, maxOff, exhaustive, accs, set.ID, scr)
-					}
-				} else {
-					budget := 0
-					if auto {
-						budget = denseBudget(kernel.PlanSizeFor(maxOff+n), n)
-					}
-					s.walkSparse(cs, stats, set.Start, n, maxOff, exhaustive, accs, set.ID, budget, maxAdv, scr)
-					for ci := range cs {
-						if cs[ci].dense {
-							s.walkDense(&cs[ci], stats, set.Start, n, maxOff, exhaustive, accs, set.ID, scr)
-						}
-					}
+				s.walkSparse(cs, g, exhaustive, accs, budget, maxAdv, scr)
+			}
+			for ci := range cs {
+				if denseAll || cs[ci].dense {
+					s.walkDense(&cs[ci], g, exhaustive, accs, scr)
 				}
 			}
 			for ci := range cs {
@@ -245,32 +262,34 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 	return accs, passes
 }
 
-// walkDense finishes one cursor's walk of the current set from its
+// walkDense finishes one cursor's walk of the current pass from its
 // FFT ω profile: the sliding-dot numerators for EVERY offset come from
 // one multiply+inverse against the cached segment and query spectra
 // (O(L log L)), and the cursor then visits its offsets — all of them
 // when exhaustive, its skip trajectory otherwise — reading ω as
-// profile[β]/‖window‖ in O(1) each.
-func (s *Searcher) walkDense(c *cursor, stats *dsp.SlidingStats, setStart, n, maxOff int, exhaustive bool, accs []queryAccum, setID int, scr *walkScratch) {
+// profile[β]/‖window‖ in O(1) each. Over a quantized segment the
+// profile is a PREFILTER, never a score: every exhaustive offset inside
+// the δ·‖window‖ margin is rescored by the exact dot over the segment
+// scratch, so candidate decisions and reported ω come from the same
+// arithmetic as the compressed-domain skip walk.
+func (s *Searcher) walkDense(c *cursor, g *segment, exhaustive bool, accs []queryAccum, scr *walkScratch) {
+	maxOff, setID := g.maxOff, g.setID
 	if c.beta > maxOff {
 		return
 	}
-	p := s.params
-	segLen := maxOff + n
-	prof := scr.engine.Profiler(segLen)
+	p := &s.params
+	prof := scr.engine.Profiler(len(g.x))
 	scr.grow(prof.Bins(), prof.M())
-	if !scr.segReady {
-		prof.Spectrum(scr.segSpec, stats.Signal()[setStart:setStart+segLen])
-		scr.segReady = true
+	if !scr.specReady {
+		prof.Spectrum(scr.segSpec, g.x)
+		scr.specReady = true
 	}
 	if !scr.densReady {
 		if cap(scr.dens) < maxOff+1 {
 			scr.dens = make([]float64, maxOff+1)
 		}
 		scr.dens = scr.dens[:maxOff+1]
-		for beta := range scr.dens {
-			scr.dens[beta] = stats.WindowNorm(setStart+beta, n)
-		}
+		g.norms(scr.dens)
 		scr.densReady = true
 	}
 	qs := scr.querySpectrum(prof, c.q, c.zq)
@@ -286,6 +305,7 @@ func (s *Searcher) walkDense(c *cursor, stats *dsp.SlidingStats, setStart, n, ma
 		// test still decides every near-threshold offset, keeping
 		// candidate classification identical to the always-divide
 		// path.
+		rescore := g.stats == nil
 		acc.evaluated += maxOff + 1 - c.beta
 		for beta := c.beta; beta <= maxOff; beta++ {
 			den := dens[beta]
@@ -306,7 +326,11 @@ func (s *Searcher) walkDense(c *cursor, stats *dsp.SlidingStats, setStart, n, ma
 			if profile[beta] <= thresh-1e-9*(math.Abs(thresh)+1) {
 				continue
 			}
-			omega := profile[beta] / den
+			num := profile[beta]
+			if rescore {
+				num = kernel.Dot(c.zq, g.x[beta:beta+g.n])
+			}
+			omega := num / den
 			if omega > p.Delta {
 				acc.candidates++
 				if p.AllOffsets {
@@ -339,48 +363,50 @@ func (s *Searcher) walkDense(c *cursor, stats *dsp.SlidingStats, setStart, n, ma
 		if a := math.Abs(omega); a > c.env {
 			c.env = a
 		}
-		adv := skipFor(c.env, p)
+		adv := s.skipFor(c.env)
 		beta += adv
 		c.env *= decayPow(p.EnvDecay, adv)
 	}
 	c.beta = maxOff + 1
 }
 
-// walkSparse advances every cursor through one signal-set on the
-// scalar kernel. Offsets are visited in ascending order; cursors whose
+// walkSparse advances every cursor through one pass on the scalar
+// kernel. Offsets are visited in ascending order; cursors whose
 // trajectories coincide at an offset share the window load and the
 // normalization denominator. With budget > 0 (auto mode), a cursor
 // whose own evaluations cross the budget is marked dense and left for
 // walkDense to finish — a per-cursor decision, so trajectories never
 // depend on batch composition or sharding.
-func (s *Searcher) walkSparse(cs []cursor, stats *dsp.SlidingStats, setStart, n, maxOff int, exhaustive bool, accs []queryAccum, setID int, budget, maxAdv int, scr *walkScratch) {
+func (s *Searcher) walkSparse(cs []cursor, g *segment, exhaustive bool, accs []queryAccum, budget, maxAdv int, scr *walkScratch) {
 	if len(cs) == 1 {
-		s.walkSparseSingle(&cs[0], stats, setStart, n, maxOff, exhaustive, accs, setID, budget)
+		s.walkSparseSingle(&cs[0], g, exhaustive, accs, budget)
 		return
 	}
 	if maxAdv+1 <= maxWheelSpan {
-		s.walkSparseWheel(cs, stats, setStart, n, maxOff, exhaustive, accs, setID, budget, maxAdv, scr)
+		s.walkSparseWheel(cs, g, exhaustive, accs, budget, maxAdv, scr)
 		return
 	}
-	s.walkSparseScan(cs, stats, setStart, n, maxOff, exhaustive, accs, setID, budget)
+	s.walkSparseScan(cs, g, exhaustive, accs, budget)
 }
 
-// stepSparse evaluates cursor c at its current offset against the
-// shared window slice and advances it, returning false once the
-// cursor is finished with this set (past the end, or flipped dense).
-func (s *Searcher) stepSparse(c *cursor, acc *queryAccum, x []float64, den float64, degenerate, exhaustive bool, setID, maxOff, budget int) bool {
+// stepSparse evaluates cursor c at its current offset — den is the
+// pass's scaled window norm there, shared by every cursor standing at
+// the offset — and advances it, returning false once the cursor is
+// finished with this pass (past the end, or flipped dense).
+func (s *Searcher) stepSparse(c *cursor, acc *queryAccum, g *segment, den float64, exhaustive bool, budget int) bool {
 	p := &s.params
+	beta := c.beta
+	// Degenerate (constant) stored windows correlate as 0.
 	omega := 0.0
-	if !degenerate {
-		omega = kernel.Dot(c.zq, x) / den
+	if den >= 1e-12 {
+		omega = g.scale * kernel.Dot(c.zq, g.x[beta:beta+g.n]) / den
 	}
 	acc.evaluated++
 	c.evals++
-	beta := c.beta
 	if omega > p.Delta {
 		acc.candidates++
 		if p.AllOffsets {
-			acc.top.Push(Match{SetID: setID, Omega: omega, Beta: beta})
+			acc.top.Push(Match{SetID: g.setID, Omega: omega, Beta: beta})
 		} else if !c.found || omega > c.bestOmega {
 			c.bestOmega, c.bestBeta, c.found = omega, beta, true
 		}
@@ -391,11 +417,11 @@ func (s *Searcher) stepSparse(c *cursor, acc *queryAccum, x []float64, den float
 		if a := math.Abs(omega); a > c.env {
 			c.env = a
 		}
-		adv := skipFor(c.env, *p)
+		adv := s.skipFor(c.env)
 		c.beta += adv
 		c.env *= decayPow(p.EnvDecay, adv)
 	}
-	if c.beta > maxOff {
+	if c.beta > g.maxOff {
 		return false
 	}
 	if budget > 0 && c.evals >= budget {
@@ -407,13 +433,10 @@ func (s *Searcher) stepSparse(c *cursor, acc *queryAccum, x []float64, den float
 
 // walkSparseSingle is the one-cursor fast path: no frontier structure
 // at all.
-func (s *Searcher) walkSparseSingle(c *cursor, stats *dsp.SlidingStats, setStart, n, maxOff int, exhaustive bool, accs []queryAccum, setID, budget int) {
-	signal := stats.Signal()
+func (s *Searcher) walkSparseSingle(c *cursor, g *segment, exhaustive bool, accs []queryAccum, budget int) {
 	acc := &accs[c.q]
-	for c.beta <= maxOff {
-		abs := setStart + c.beta
-		den := stats.WindowNorm(abs, n)
-		if !s.stepSparse(c, acc, signal[abs:abs+n], den, den < 1e-12, exhaustive, setID, maxOff, budget) {
+	for c.beta <= g.maxOff {
+		if !s.stepSparse(c, acc, g, g.scale*g.norm(c.beta), exhaustive, budget) {
 			return
 		}
 	}
@@ -426,7 +449,7 @@ func (s *Searcher) walkSparseSingle(c *cursor, stats *dsp.SlidingStats, setStart
 // instead of the O(cursors) min-scan per offset — the batched-walk
 // win at cloud batch sizes. Skips are bounded by maxAdv, so a wheel
 // of maxAdv+1 buckets can never collide.
-func (s *Searcher) walkSparseWheel(cs []cursor, stats *dsp.SlidingStats, setStart, n, maxOff int, exhaustive bool, accs []queryAccum, setID, budget, maxAdv int, scr *walkScratch) {
+func (s *Searcher) walkSparseWheel(cs []cursor, g *segment, exhaustive bool, accs []queryAccum, budget, maxAdv int, scr *walkScratch) {
 	w := maxAdv + 1
 	if cap(scr.buckets) < w {
 		scr.buckets = make([][]int32, w)
@@ -435,6 +458,7 @@ func (s *Searcher) walkSparseWheel(cs []cursor, stats *dsp.SlidingStats, setStar
 	for i := range buckets {
 		buckets[i] = buckets[i][:0]
 	}
+	maxOff := g.maxOff
 	active := 0
 	for ci := range cs {
 		if cs[ci].beta <= maxOff {
@@ -442,21 +466,18 @@ func (s *Searcher) walkSparseWheel(cs []cursor, stats *dsp.SlidingStats, setStar
 			active++
 		}
 	}
-	signal := stats.Signal()
 	for beta := 0; beta <= maxOff && active > 0; beta++ {
 		slot := buckets[beta%w]
 		if len(slot) == 0 {
 			continue
 		}
-		abs := setStart + beta
 		// Shared across all cursors at this offset: the centred norm
-		// (O(1) from prefix sums) and the window data itself.
-		den := stats.WindowNorm(abs, n)
-		degenerate := den < 1e-12
-		x := signal[abs : abs+n]
+		// (O(1) from prefix sums); the window data is hot in cache
+		// after the first cursor's dot.
+		den := g.scale * g.norm(beta)
 		for _, ci := range slot {
 			c := &cs[ci]
-			if s.stepSparse(c, &accs[c.q], x, den, degenerate, exhaustive, setID, maxOff, budget) {
+			if s.stepSparse(c, &accs[c.q], g, den, exhaustive, budget) {
 				buckets[c.beta%w] = append(buckets[c.beta%w], ci)
 			} else {
 				active--
@@ -469,28 +490,24 @@ func (s *Searcher) walkSparseWheel(cs []cursor, stats *dsp.SlidingStats, setStar
 // walkSparseScan is the linear-frontier fallback for parameterizations
 // whose maximum skip exceeds the wheel span: the smallest pending
 // offset is found by scanning every cursor (the pre-wheel behaviour).
-func (s *Searcher) walkSparseScan(cs []cursor, stats *dsp.SlidingStats, setStart, n, maxOff int, exhaustive bool, accs []queryAccum, setID, budget int) {
-	signal := stats.Signal()
+func (s *Searcher) walkSparseScan(cs []cursor, g *segment, exhaustive bool, accs []queryAccum, budget int) {
 	for {
 		beta := -1
 		for i := range cs {
-			if c := &cs[i]; !c.dense && c.beta <= maxOff && (beta < 0 || c.beta < beta) {
+			if c := &cs[i]; !c.dense && c.beta <= g.maxOff && (beta < 0 || c.beta < beta) {
 				beta = c.beta
 			}
 		}
 		if beta < 0 {
 			return
 		}
-		abs := setStart + beta
-		den := stats.WindowNorm(abs, n)
-		degenerate := den < 1e-12
-		x := signal[abs : abs+n]
+		den := g.scale * g.norm(beta)
 		for i := range cs {
 			c := &cs[i]
 			if c.beta != beta || c.dense {
 				continue
 			}
-			s.stepSparse(c, &accs[c.q], x, den, degenerate, exhaustive, setID, maxOff, budget)
+			s.stepSparse(c, &accs[c.q], g, den, exhaustive, budget)
 		}
 	}
 }

@@ -34,7 +34,6 @@ package search
 import (
 	"errors"
 	"math"
-	"runtime"
 	"time"
 
 	"emap/internal/kernel"
@@ -64,7 +63,10 @@ type Params struct {
 	// narrow enough not to leap over a correlation peak, whose
 	// attraction basin for 11–40 Hz content is ≈±4 samples).
 	OmegaFloor float64
-	// Workers bounds the parallel shard scanners (default NumCPU).
+	// Workers bounds the parallel shard scanners. 0 (the default) means
+	// GOMAXPROCS(0), read at each scan: the Ps this process may run on
+	// right now — what cloud.Config.Workers defaults from — which a CPU
+	// quota or a pinned GOMAXPROCS puts below NumCPU.
 	Workers int
 	// AllOffsets retains every offset of a signal-set that clears δ
 	// as its own candidate. The default (false) keeps only the best
@@ -131,8 +133,8 @@ func (p Params) withDefaults() Params {
 	if p.EnvDecay <= 0 || p.EnvDecay >= 1 {
 		p.EnvDecay = d.EnvDecay
 	}
-	if p.Workers <= 0 {
-		p.Workers = runtime.NumCPU()
+	if p.Workers < 0 {
+		p.Workers = 0
 	}
 	if m, ok := ParseKernelMode(string(p.Kernel)); ok {
 		p.Kernel = m
@@ -195,6 +197,9 @@ type Searcher struct {
 	store  *mdb.Store
 	params Params
 	engine *kernel.Engine
+	// skipNum is α·SkipScale, the numerator of the skip rule, hoisted
+	// out of the per-evaluation path.
+	skipNum float64
 }
 
 // NewSearcher returns a Searcher over store with the given parameters
@@ -212,7 +217,8 @@ func NewSearcherWithEngine(store *mdb.Store, params Params, engine *kernel.Engin
 	if engine == nil {
 		engine = kernel.NewEngine()
 	}
-	return &Searcher{store: store, params: params.withDefaults(), engine: engine}
+	params = params.withDefaults()
+	return &Searcher{store: store, params: params, engine: engine, skipNum: params.Alpha * params.SkipScale}
 }
 
 // Engine returns the searcher's kernel-engine plan cache.
@@ -262,14 +268,17 @@ func (s *Searcher) run(input []float64, exhaustive bool) (*Result, error) {
 // takes its longest jumps exactly there and leaps over the peak; the
 // decaying envelope keeps the scan fine anywhere evidence of alignment
 // has been seen recently, which is the behaviour Fig. 6 describes.
-func skipFor(env float64, p Params) int {
+//
+// It runs once per ω evaluation, so it reads the parameters through
+// the Searcher instead of taking a Params copy.
+func (s *Searcher) skipFor(env float64) int {
 	if env < 0 {
 		env = -env
 	}
-	if env < p.OmegaFloor {
-		env = p.OmegaFloor
+	if env < s.params.OmegaFloor {
+		env = s.params.OmegaFloor
 	}
-	adv := int(math.Round(p.Alpha * p.SkipScale / env))
+	adv := int(math.Round(s.skipNum / env))
 	if adv < 1 {
 		adv = 1
 	}

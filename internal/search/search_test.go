@@ -236,25 +236,25 @@ func TestTopKBoundRespected(t *testing.T) {
 }
 
 func TestSkipForBehaviour(t *testing.T) {
-	p := DefaultParams().withDefaults()
+	skipFor := NewSearcher(nil, Params{}).skipFor
 	// High correlation → minimal advance (fine scan).
-	if adv := skipFor(0.95, p); adv != 1 {
+	if adv := skipFor(0.95); adv != 1 {
 		t.Fatalf("skip at ω=0.95 is %d, want 1", adv)
 	}
 	// Low correlation → long jump (the maximum, since 0.02 < floor).
-	lo := skipFor(0.02, p)
+	lo := skipFor(0.02)
 	if lo < 5 {
 		t.Fatalf("skip at ω=0.02 is %d, want ≥5", lo)
 	}
 	// Strong anti-correlation means "next to a peak": fine scan, not
 	// a maximum jump.
-	if adv := skipFor(-0.9, p); adv != skipFor(0.9, p) {
-		t.Fatalf("skip must use |ω|: %d vs %d", adv, skipFor(0.9, p))
+	if adv := skipFor(-0.9); adv != skipFor(0.9) {
+		t.Fatalf("skip must use |ω|: %d vs %d", adv, skipFor(0.9))
 	}
 	// Monotone in |ω|: lower magnitude never advances less.
-	prev := skipFor(1.0, p)
+	prev := skipFor(1.0)
 	for w := 0.9; w >= 0; w -= 0.1 {
-		cur := skipFor(w, p)
+		cur := skipFor(w)
 		if cur < prev {
 			t.Fatalf("skip not monotone at ω=%g: %d < %d", w, cur, prev)
 		}

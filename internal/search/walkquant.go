@@ -3,177 +3,113 @@ package search
 import (
 	"math"
 
-	"emap/internal/kernel"
+	"emap/internal/dsp"
 	"emap/internal/mdb"
 )
 
 // Compressed-domain walk: scans a quantized record's int16 counts
 // (warm heap or cold mmap tier) without ever promoting it to the hot
-// tier. Correctness rests on two facts:
+// tier, at the hot tier's speed. Each (signal-set, length-group) pass
+// dequantizes ONCE: loadQuant widens the pass's counts into the
+// worker's scratch as float64 (raw counts — transient, reused, never
+// resident in the store) and fills int64 prefix sums of Σc and Σc²
+// beside them. Every visited offset is then the float path's own work
+// — kernel.Dot over the scratch plus two subtractions — where a dot
+// taken directly over the counts would widen each stored sample once
+// per evaluation, ≈50 times per query. Correctness rests on two facts:
 //
 //  1. The integer window sums are exact, so the normalization
 //     denominator √(Σc² − (Σc)²/n) is the same mathematical quantity
 //     the float path computes from its prefix sums — and the record
-//     scale cancels between numerator and denominator, so ω needs no
-//     scale at all: ω = Σ zq·c / √(Σc² − (Σc)²/n).
+//     scale cancels between numerator and denominator:
+//     ω = Σ zq·c / √(Σc² − (Σc)²/n). Widening a count is exact too, so
+//     the dot over the scratch has the same products in the same four
+//     accumulators as kernel.DotQF over the counts, and the sums are
+//     the integers QuantView.WindowSums returns (segment_test.go pins
+//     both with ==).
 //
-//  2. The numerator profile is a PREFILTER, never a score. The
-//     exhaustive walk dequantizes the pass's segment into a per-worker
-//     scratch buffer (raw counts as float64 — transient, reused, never
-//     resident in the store) and takes one FFT profile per (set,
-//     query): O(L log L) instead of O(n·L) dot products, the same
-//     economics as the hot-tier dense path. Offsets whose profile
-//     numerator falls clearly below δ·den are certainly not candidates
-//     (the 1e-9-scaled margin dwarfs FFT rounding); every offset at
-//     the margin is rescored EXACTLY by the mixed-domain dot
-//     kernel.DotQF(zq, counts), so candidate decisions and reported ω
-//     come from the same float64 arithmetic class as the scalar
-//     kernel. The skip walk visits few offsets and computes that exact
-//     mixed dot at each, with the denominator from the O(qBlockLen)
-//     checkpointed window sums.
+//  2. The exhaustive walk's FFT numerator profile (one cached-plan
+//     transform of the same scratch per pass, O(L log L) instead of
+//     O(n·L) dot products) is a PREFILTER, never a score — see
+//     walkDense.
 
-// walkQuant drives one cursor through one signal-set pass over the
-// compressed domain.
-func (s *Searcher) walkQuant(c *cursor, qv mdb.QuantView, setStart, n, maxOff int, exhaustive bool, accs []queryAccum, setID int, scr *walkScratch) {
-	if exhaustive {
-		s.walkQuantExhaustive(c, qv, setStart, n, maxOff, accs, setID, scr)
-		return
-	}
-	s.walkQuantSparse(c, qv, setStart, n, maxOff, accs, setID)
+// segment is the stored side of one (signal-set, length-group) pass in
+// the one shape every walker reads: x[β:β+n] is the window at offset
+// β ∈ [0, maxOff], norm(β) its centred norm, and
+// ω = scale·Σzq·x / (scale·norm). A hot record aliases its float64
+// signal and takes norms from the float prefix sums (scale 1); a
+// quantized record is the scratch loadQuant built, with exact integer
+// norms and the record's µV-per-count step as scale.
+type segment struct {
+	setID, n, maxOff int
+	x                []float64
+	scale            float64
+	// Hot tier: the record's sliding stats; the segment starts at
+	// sample start.
+	stats *dsp.SlidingStats
+	start int
+	// Quantized: psum[i] = Σ x[:i] and psumSq[i] = Σ x[:i]², exactly.
+	psum, psumSq []int64
 }
 
-// walkQuantExhaustive visits every offset: one FFT profile against the
-// scratch-dequantized segment supplies the numerator prefilter, the
-// integer window sums slide in O(1) exactly for the denominator, and
-// only offsets inside the δ·den margin pay the exact mixed-domain
-// rescore. The scratch segment, its spectrum and the denominator table
-// are computed once per (set, length-group) pass and shared by every
-// query's cursor.
-func (s *Searcher) walkQuantExhaustive(c *cursor, qv mdb.QuantView, setStart, n, maxOff int, accs []queryAccum, setID int, scr *walkScratch) {
-	if c.beta > maxOff {
-		return
+// loadQuant makes scr.seg the pass over qv.Counts[start:start+segLen]:
+// one loop widens the counts and accumulates both prefix sums. It is
+// the only dequantization a compressed-domain scan performs, shared by
+// every cursor of the batch and by the exhaustive walk's spectrum and
+// denominator table.
+func (scr *walkScratch) loadQuant(qv mdb.QuantView, start, segLen int) {
+	if cap(scr.qx) < segLen {
+		scr.qx = make([]float64, segLen)
+		scr.psum = make([]int64, segLen+1)
+		scr.psumSq = make([]int64, segLen+1)
 	}
-	p := &s.params
-	counts := qv.Counts
-	segLen := maxOff + n
-	prof := scr.engine.Profiler(segLen)
-	scr.grow(prof.Bins(), prof.M())
-	if !scr.qsegReady {
-		if cap(scr.qseg) < segLen {
-			scr.qseg = make([]float64, segLen)
-		}
-		scr.qseg = scr.qseg[:segLen]
-		for i, cnt := range counts[setStart : setStart+segLen] {
-			scr.qseg[i] = float64(cnt)
-		}
-		prof.Spectrum(scr.segSpec, scr.qseg)
-		scr.qsegReady = true
+	src := qv.Counts[start : start+segLen]
+	// Slices cut to len(src) so the loop carries no bounds checks;
+	// psum[0] = psumSq[0] = 0 is never overwritten.
+	x, ps, pq := scr.qx[:len(src)], scr.psum[1:len(src)+1], scr.psumSq[1:len(src)+1]
+	var sum, sumSq int64
+	for i, c := range src {
+		v := int64(c)
+		sum += v
+		sumSq += v * v
+		x[i], ps[i], pq[i] = float64(c), sum, sumSq
 	}
-	if !scr.qdensReady {
-		if cap(scr.dens) < maxOff+1 {
-			scr.dens = make([]float64, maxOff+1)
-		}
-		scr.dens = scr.dens[:maxOff+1]
-		fn := float64(n)
-		sum, sumSq := qv.WindowSums(setStart, n)
-		for beta := 0; beta <= maxOff; beta++ {
-			if beta > 0 {
-				out, in := int64(counts[setStart+beta-1]), int64(counts[setStart+beta-1+n])
-				sum += in - out
-				sumSq += in*in - out*out
-			}
-			// Centred variance from exact integer sums; a constant
-			// window gives exactly 0 (the subtraction cancels
-			// bit-for-bit because the true quotient is representable),
-			// matching the float path's degenerate handling.
-			v := float64(sumSq) - float64(sum)*float64(sum)/fn
-			if v < 0 {
-				v = 0
-			}
-			scr.dens[beta] = math.Sqrt(v)
-		}
-		scr.qdensReady = true
-	}
-	qs := scr.querySpectrum(prof, c.q, c.zq)
-	prof.Correlate(scr.profile, scr.segSpec, qs, scr.work)
-	acc := &accs[c.q]
-	acc.profiled++
-	acc.evaluated += maxOff + 1 - c.beta
-	profile, dens := scr.profile, scr.dens
-	for beta := c.beta; beta <= maxOff; beta++ {
-		den := dens[beta]
-		if den < 1e-12 {
-			if 0 > p.Delta {
-				acc.candidates++
-				if p.AllOffsets {
-					acc.top.Push(Match{SetID: setID, Omega: 0, Beta: beta})
-				} else if !c.found || 0 > c.bestOmega {
-					c.bestOmega, c.bestBeta, c.found = 0, beta, true
-				}
-			}
-			continue
-		}
-		// Profile prefilter: certainly below threshold → skip without
-		// the exact dot. The margin is scaled exactly as in the
-		// hot-tier dense replay and dwarfs FFT rounding.
-		thresh := p.Delta * den
-		if profile[beta] <= thresh-1e-9*(math.Abs(thresh)+1) {
-			continue
-		}
-		// Exact rescore at the margin: float query against the stored
-		// counts; the record scale cancelled against the denominator.
-		abs := setStart + beta
-		omega := kernel.DotQF(c.zq, counts[abs:abs+n]) / den
-		if omega > p.Delta {
-			acc.candidates++
-			if p.AllOffsets {
-				acc.top.Push(Match{SetID: setID, Omega: omega, Beta: beta})
-			} else if !c.found || omega > c.bestOmega {
-				c.bestOmega, c.bestBeta, c.found = omega, beta, true
-			}
-		}
-	}
-	c.beta = maxOff + 1
+	scr.seg = segment{x: x, scale: qv.Scale, psum: scr.psum[:segLen+1], psumSq: scr.psumSq[:segLen+1]}
 }
 
-// walkQuantSparse runs the skip walk over the compressed domain. The
-// envelope trajectory needs the true ω at every visited offset, so
-// each visit computes it exactly (mixed float×int16 dot, O(n), same
-// arithmetic class as the scalar kernel) with the denominator from the
-// O(qBlockLen) integer window sums — no float samples, no prefix-sum
-// arrays, no promotion.
-func (s *Searcher) walkQuantSparse(c *cursor, qv mdb.QuantView, setStart, n, maxOff int, accs []queryAccum, setID int) {
-	p := &s.params
-	counts := qv.Counts
-	xscale := qv.Scale
-	fn := float64(n)
-	acc := &accs[c.q]
-	for c.beta <= maxOff {
-		abs := setStart + c.beta
-		sum, sumSq := qv.WindowSums(abs, n)
-		v := float64(sumSq) - float64(sum)*float64(sum)/fn
-		if v < 0 {
-			v = 0
-		}
-		den := xscale * math.Sqrt(v)
-		omega := 0.0
-		if den >= 1e-12 {
-			omega = xscale * kernel.DotQF(c.zq, counts[abs:abs+n]) / den
-		}
-		acc.evaluated++
-		if omega > p.Delta {
-			acc.candidates++
-			if p.AllOffsets {
-				acc.top.Push(Match{SetID: setID, Omega: omega, Beta: c.beta})
-			} else if !c.found || omega > c.bestOmega {
-				c.bestOmega, c.bestBeta, c.found = omega, c.beta, true
-			}
-		}
-		if a := math.Abs(omega); a > c.env {
-			c.env = a
-		}
-		adv := skipFor(c.env, *p)
-		c.beta += adv
-		c.env *= decayPow(p.EnvDecay, adv)
+// norm returns the centred Euclidean norm √(Σ(x−μ)²) of the window at
+// offset beta, in O(1), in x's own units (callers multiply by scale).
+func (g *segment) norm(beta int) float64 {
+	if g.stats != nil {
+		return g.stats.WindowNorm(g.start+beta, g.n)
 	}
+	return intNorm(g.psum[beta+g.n]-g.psum[beta], g.psumSq[beta+g.n]-g.psumSq[beta], float64(g.n))
+}
+
+// norms fills dst[β] = norm(β) — the dense walk's denominator table,
+// one call-free loop per representation.
+func (g *segment) norms(dst []float64) {
+	if g.stats != nil {
+		for beta := range dst {
+			dst[beta] = g.stats.WindowNorm(g.start+beta, g.n)
+		}
+		return
+	}
+	fn, n, end := float64(g.n), g.n, g.n+len(dst)
+	lo, loSq, hi, hiSq := g.psum[:len(dst)], g.psumSq[:len(dst)], g.psum[n:end], g.psumSq[n:end]
+	for beta := range dst {
+		dst[beta] = intNorm(hi[beta]-lo[beta], hiSq[beta]-loSq[beta], fn)
+	}
+}
+
+// intNorm is the centred norm from exact integer window sums. A
+// constant window gives exactly 0 (the subtraction cancels bit-for-bit
+// because the true quotient is representable), matching the float
+// path's degenerate handling.
+func intNorm(sum, sumSq int64, fn float64) float64 {
+	v := float64(sumSq) - float64(sum)*float64(sum)/fn
+	if v < 0 {
+		v = 0
+	}
+	return math.Sqrt(v)
 }
