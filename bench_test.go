@@ -332,8 +332,8 @@ func BenchmarkCloudSearchMultiTenant(b *testing.B) {
 
 // BenchmarkKernelDot measures the scan's innermost operation — the
 // 256-sample dot product behind every scalar ω — across the kernel
-// variants (naive single-accumulator loop vs the engine's unrolled and
-// pairwise kernels).
+// variants (naive single-accumulator loop vs the engine's unrolled
+// kernel).
 func BenchmarkKernelDot(b *testing.B) {
 	gen := emap.NewGenerator(3)
 	rec := gen.SeizureInput(0, 30, 4)
@@ -349,7 +349,7 @@ func BenchmarkKernelDot(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		k    func(a, b []float64) float64
-	}{{"naive", naive}, {"unroll8", kernel.Dot}, {"pairwise", kernel.DotPairwise}} {
+	}{{"naive", naive}, {"unroll8", kernel.Dot}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sink += bc.k(x, y)
@@ -394,11 +394,9 @@ func BenchmarkKernelProfile(b *testing.B) {
 }
 
 // BenchmarkExhaustiveFFT is the kernel engine's headline number: a
-// batched exhaustive search over the default synthetic store, scalar
-// kernel vs FFT profile path. The speedup sub-benchmark times both
-// paths in one run, reports the ratio, and FAILS if the FFT path is
-// not faster — CI's bench smoke turns a kernel regression into a red
-// job, not a quietly worse BENCH_pr5.json point.
+// batched exhaustive search over the default synthetic store on the
+// scan's one route, the FFT profile (the per-set arithmetic against
+// scalar dots is BenchmarkKernelProfile).
 func BenchmarkExhaustiveFFT(b *testing.B) {
 	gen := emap.NewGenerator(1)
 	store, err := emap.BuildMDB(gen.TrainingRecordings(3, 2))
@@ -410,145 +408,52 @@ func BenchmarkExhaustiveFFT(b *testing.B) {
 	for i := range windows {
 		windows[i] = input.Samples[i*256 : i*256+256]
 	}
-	// One long-lived searcher per mode, as the cloud tier holds one
-	// per tenant: FFT plans and query spectra amortize across scans.
-	searchers := map[emap.KernelMode]*search.Searcher{}
-	for _, mode := range []emap.KernelMode{emap.KernelScalar, emap.KernelFFT} {
-		searchers[mode] = emap.NewSearcher(store, emap.SearchParams{Kernel: mode})
-	}
-	run := func(mode emap.KernelMode) (*emap.BatchSearchResult, error) {
-		return searchers[mode].ExhaustiveN(windows)
-	}
-	for _, mode := range []emap.KernelMode{emap.KernelScalar, emap.KernelFFT} {
-		b.Run(string(mode), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := run(mode); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("speedup", func(b *testing.B) {
-		var scalarNs, fftNs int64
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			rs, err := run(emap.KernelScalar)
-			if err != nil {
-				b.Fatal(err)
-			}
-			t1 := time.Now()
-			rf, err := run(emap.KernelFFT)
-			if err != nil {
-				b.Fatal(err)
-			}
-			scalarNs += t1.Sub(t0).Nanoseconds()
-			fftNs += time.Since(t1).Nanoseconds()
-			if rf.Evaluated != rs.Evaluated {
-				b.Fatalf("paths disagree: fft evaluated %d, scalar %d", rf.Evaluated, rs.Evaluated)
-			}
-			if rf.ProfileSets == 0 {
-				b.Fatal("fft path computed no profiles")
-			}
+	// One long-lived searcher, as the cloud tier holds one per tenant:
+	// FFT plans amortize across scans.
+	s := emap.NewSearcher(store, emap.SearchParams{})
+	for i := 0; i < b.N; i++ {
+		r, err := s.ExhaustiveN(windows)
+		if err != nil {
+			b.Fatal(err)
 		}
-		speedup := float64(scalarNs) / float64(max(fftNs, 1))
-		b.ReportMetric(speedup, "speedup")
-		if speedup < 1 {
-			b.Fatalf("FFT exhaustive path is SLOWER than scalar: %.2fx", speedup)
+		if r.ProfileSets != r.Unique*r.SetPasses {
+			b.Fatalf("exhaustive scan profiled %d of %d (set pass, query) pairs", r.ProfileSets, r.Unique*r.SetPasses)
 		}
-	})
+	}
 }
 
-// BenchmarkQuantizedScan is the tiered store's headline number: a
-// batched exhaustive search over the SAME columnar snapshot loaded
-// twice — once scanned compressed (int16 counts, records pinned warm)
-// and once promoted hot and scanned by the float64 scalar kernel. The
-// speedup sub-benchmark FAILS if the compressed-domain path is slower
-// than scalar, and the footprint sub-benchmark FAILS if the warm
-// tier's resident bytes are not at least 3.5× below the hot store's —
-// CI's bench smoke turns a tier regression into a red job. skip-warm
-// and skip-hot time the production path — AlgorithmN's skip walk under
-// the default kernel dispatch — over the same two stores, and
-// skip-ratio FAILS if the compressed-domain skip scan costs more than
-// 1.25× the hot-tier one in the same run.
+// BenchmarkQuantizedScan is the tiered store's headline number: the
+// production path — AlgorithmN's skip walk — over one float-built
+// store (every record hot) and over its columnar snapshot loaded back
+// quantized (int16 counts, records pinned warm). skip-ratio FAILS if
+// the compressed-domain skip scan costs more than 1.25× the hot-tier
+// one in the same run, and the footprint sub-benchmark FAILS if the
+// warm tier's resident bytes are not at least 3.5× below the hot
+// store's — CI's bench smoke turns a tier regression into a red job.
 func BenchmarkQuantizedScan(b *testing.B) {
 	gen := emap.NewGenerator(1)
-	built, err := emap.BuildMDB(gen.TrainingRecordings(3, 2))
+	hot, err := emap.BuildMDB(gen.TrainingRecordings(3, 2))
 	if err != nil {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "mdb.col")
-	if err := built.Snapshot().SaveFileFormat(path, emap.FormatColumnar); err != nil {
+	if err := hot.Snapshot().SaveFileFormat(path, emap.FormatColumnar); err != nil {
 		b.Fatal(err)
 	}
-	load := func() *emap.Store {
-		f, err := os.Open(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		s, err := mdb.LoadColumnar(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
+	f, err := os.Open(path)
+	if err != nil {
+		b.Fatal(err)
 	}
-	warm, hot := load(), load()
+	warm, err := mdb.LoadColumnar(f)
+	f.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
 	input := gen.SeizureInput(0, 30, 10)
 	windows := make([][]float64, 8)
 	for i := range windows {
 		windows[i] = input.Samples[i*256 : i*256+256]
 	}
-	quant := emap.NewSearcher(warm, emap.SearchParams{Kernel: emap.KernelQuant})
-	scalar := emap.NewSearcher(hot, emap.SearchParams{Kernel: emap.KernelScalar})
-	// One pass each before timing: the scalar pass promotes every hot
-	// store record (the state it benchmarks), the quant pass fills the
-	// per-query quantization caches.
-	if _, err := scalar.ExhaustiveN(windows); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := quant.ExhaustiveN(windows); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("float64-scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := scalar.ExhaustiveN(windows); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("quant", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := quant.ExhaustiveN(windows); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("speedup", func(b *testing.B) {
-		var scalarNs, quantNs int64
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			rs, err := scalar.ExhaustiveN(windows)
-			if err != nil {
-				b.Fatal(err)
-			}
-			t1 := time.Now()
-			rq, err := quant.ExhaustiveN(windows)
-			if err != nil {
-				b.Fatal(err)
-			}
-			scalarNs += t1.Sub(t0).Nanoseconds()
-			quantNs += time.Since(t1).Nanoseconds()
-			if rq.Evaluated != rs.Evaluated {
-				b.Fatalf("paths disagree: quant evaluated %d, scalar %d", rq.Evaluated, rs.Evaluated)
-			}
-		}
-		speedup := float64(scalarNs) / float64(max(quantNs, 1))
-		b.ReportMetric(speedup, "speedup")
-		if speedup < 1 {
-			b.Fatalf("compressed-domain scan is SLOWER than float64 scalar: %.2fx", speedup)
-		}
-	})
 	skipWarm := emap.NewSearcher(warm, emap.SearchParams{})
 	skipHot := emap.NewSearcher(hot, emap.SearchParams{})
 	skipScan := func(b *testing.B, s *search.Searcher) (time.Duration, int) {
@@ -604,7 +509,7 @@ func BenchmarkQuantizedScan(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = warm.Snapshot()
 		}
-		bytesPerSample := float64(st.Size()) / float64(built.Snapshot().TotalSamples())
+		bytesPerSample := float64(st.Size()) / float64(hot.Snapshot().TotalSamples())
 		reduction := float64(hotResident) / float64(max(warmResident, 1))
 		b.ReportMetric(bytesPerSample, "disk-B/sample")
 		b.ReportMetric(reduction, "footprint-reduction")

@@ -17,7 +17,7 @@
 //	           [-workers N] [-drain 10s] [-max-batch 32]
 //	           [-batch-window 0s] [-cache 256]
 //	           [-store-dir DIR] [-max-tenants N] [-tenant default]
-//	           [-empty] [-kernel auto|scalar|fft|quant]
+//	           [-empty]
 //	           [-hot-bytes N] [-store-format gob|columnar]
 //	           [-rate N] [-burst N] [-shed-queue N]
 //	           [-wal-dir DIR] [-wal-sync always|interval|never]
@@ -88,7 +88,6 @@ import (
 	"emap/internal/cluster"
 	"emap/internal/mdb"
 	"emap/internal/obs"
-	"emap/internal/search"
 	"emap/internal/wal"
 )
 
@@ -114,7 +113,6 @@ type options struct {
 	nodeID      string
 	advertise   string
 	empty       bool
-	kernel      string
 	hotBytes    int64
 	storeFormat string
 	walDir      string
@@ -149,7 +147,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.nodeID, "node", "", "cluster node ID: serve as a member of an emap-router cluster instead of a standalone cloud")
 	fs.StringVar(&o.advertise, "advertise", "", "address peers and the router dial to reach this node (default: the listen address)")
 	fs.BoolVar(&o.empty, "empty", false, "build no synthetic default store; the default tenant lazy-loads its -store-dir snapshot if one exists, else starts empty")
-	fs.StringVar(&o.kernel, "kernel", "auto", "correlation kernel dispatch: auto|scalar|fft|quant")
 	fs.Int64Var(&o.hotBytes, "hot-bytes", 0, "per-tenant budget for tier promotions in bytes (0: unbounded)")
 	fs.StringVar(&o.storeFormat, "store-format", "", "tenant snapshot format: gob|columnar (empty: keep each store's format)")
 	fs.StringVar(&o.walDir, "wal-dir", "", "per-tenant write-ahead log directory; ingests are journaled before acknowledgement (empty: no journal)")
@@ -167,9 +164,6 @@ func parseFlags(args []string) (*options, error) {
 
 // validate rejects flag combinations no server should start with.
 func (o *options) validate() error {
-	if _, ok := search.ParseKernelMode(o.kernel); !ok {
-		return fmt.Errorf("-kernel %q invalid (want auto, scalar, fft or quant)", o.kernel)
-	}
 	if o.storeFormat != "" {
 		if _, err := mdb.ParseFormat(o.storeFormat); err != nil {
 			return err
@@ -195,14 +189,12 @@ func (o *options) validate() error {
 
 // cloudConfig maps the flags onto the service configuration.
 func (o *options) cloudConfig(logger *log.Logger) cloud.Config {
-	kernelMode, _ := search.ParseKernelMode(o.kernel)
 	var format mdb.Format
 	if o.storeFormat != "" {
 		format, _ = mdb.ParseFormat(o.storeFormat)
 	}
 	syncPolicy, _ := wal.ParsePolicy(o.walSync) // validated by validate
 	return cloud.Config{
-		Search:          search.Params{Kernel: kernelMode},
 		HotBytes:        o.hotBytes,
 		StoreFormat:     format,
 		HorizonSeconds:  o.horizon,

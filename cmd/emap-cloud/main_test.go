@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"emap/internal/mdb"
-	"emap/internal/search"
 	"emap/internal/wal"
 )
 
@@ -15,7 +14,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.addr != ":7300" || o.kernel != "auto" || o.defTenant != "default" {
+	if o.addr != ":7300" || o.defTenant != "default" {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
 	if o.drain != 10*time.Second || o.httpAddr != "" {
@@ -28,7 +27,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 
 func TestParseFlagsFull(t *testing.T) {
 	o, err := parseFlags([]string{
-		"-addr", ":1234", "-workers", "3", "-kernel", "fft",
+		"-addr", ":1234", "-workers", "3",
 		"-rate", "12.5", "-burst", "20", "-shed-queue", "64",
 		"-http", ":9300", "-tenant", "icu", "-cache", "-1",
 	})
@@ -55,11 +54,17 @@ func TestParseFlagsBadFlag(t *testing.T) {
 	if _, err := parseFlags([]string{"-workers", "many"}); err == nil {
 		t.Fatal("non-numeric -workers accepted")
 	}
+	// Each scan has one kernel route; the flag that chose between
+	// several is gone, not ignored.
+	if _, err := parseFlags([]string{"-kernel", "fft"}); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-kernel not rejected as an unknown flag: %v", err)
+	}
 }
 
 func TestParseFlagsStoreTier(t *testing.T) {
 	o, err := parseFlags([]string{
-		"-hot-bytes", "65536", "-store-format", "columnar", "-kernel", "quant",
+		"-hot-bytes", "65536", "-store-format", "columnar",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,9 +78,6 @@ func TestParseFlagsStoreTier(t *testing.T) {
 	}
 	if cfg.StoreFormat != mdb.FormatColumnar {
 		t.Fatalf("StoreFormat = %v, want columnar", cfg.StoreFormat)
-	}
-	if cfg.Search.Kernel != search.KernelQuant {
-		t.Fatalf("Kernel = %v, want quant", cfg.Search.Kernel)
 	}
 }
 
@@ -106,17 +108,6 @@ func TestValidateRejectsNegativeHotBytes(t *testing.T) {
 	}
 	if err := o.validate(); err == nil || !strings.Contains(err.Error(), "-hot-bytes") {
 		t.Fatalf("negative -hot-bytes not rejected: %v", err)
-	}
-}
-
-func TestValidateRejectsBadKernel(t *testing.T) {
-	o, err := parseFlags([]string{"-kernel", "quantum"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = o.validate()
-	if err == nil || !strings.Contains(err.Error(), "-kernel") {
-		t.Fatalf("bad kernel not rejected: %v", err)
 	}
 }
 

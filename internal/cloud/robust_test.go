@@ -108,7 +108,9 @@ func TestBatchLeaderPanicFailsBatchOnly(t *testing.T) {
 // peer on the same server keeps exchanging frames.
 func TestIdleTimeoutReapsStalledConn(t *testing.T) {
 	store, _ := testStore(t)
-	srv, err := NewServer(store, Config{IdleTimeout: 100 * time.Millisecond})
+	// The active peer pings every 50 ms against a 400 ms idle timeout:
+	// an 8× margin, so a -race run on a loaded box does not reap it.
+	srv, err := NewServer(store, Config{IdleTimeout: 400 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +124,13 @@ func TestIdleTimeoutReapsStalledConn(t *testing.T) {
 	go srv.HandleConn(activeSrv)
 
 	// Keep the active connection chatty past several idle windows.
-	deadline := time.Now().Add(400 * time.Millisecond)
+	deadline := time.Now().Add(1200 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		f := v3Exchange(t, active, proto.TypePing, 7, "", nil)
 		if f.Type != proto.TypePong {
 			t.Fatalf("active ping reply type %d", f.Type)
 		}
-		time.Sleep(40 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond)
 	}
 	// The stalled peer must have been reaped by now: its end of the
 	// pipe reads an error promptly.

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"emap/internal/ml"
+	"emap/internal/experiments/ml"
 	"emap/internal/synth"
 )
 

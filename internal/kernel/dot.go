@@ -5,17 +5,15 @@
 // offset of every stored signal-set — and this package supplies the
 // two ways to compute it fast:
 //
-//   - unrolled scalar dot products (Dot, DotPairwise) for the sparse
-//     skip walk, where Algorithm 1 touches only a fraction of offsets;
+//   - an unrolled scalar dot product (Dot) for the skip walk, where
+//     Algorithm 1 touches only a fraction of offsets;
 //   - an FFT profiler (Engine, Profiler) that computes a signal-set's
 //     FULL ω numerator profile in O(L log L) — one cached-plan real
 //     transform of the stored region, one per unique query, one
-//     multiply + inverse per pair — for the exhaustive baseline and
-//     for dense stretches of the skip walk.
+//     multiply + inverse per pair — for the exhaustive baseline.
 //
-// The search layer (internal/search) decides per set and per query
-// which kernel runs; this package only does arithmetic and caches FFT
-// plans per size.
+// The search layer (internal/search) gives each scan its one kernel;
+// this package only does arithmetic and caches FFT plans per size.
 package kernel
 
 // Dot returns Σ a[i]·b[i] over len(a) elements (len(b) must be at
@@ -38,48 +36,4 @@ func Dot(a, b []float64) float64 {
 		s0 += a[i] * b[i]
 	}
 	return (s0 + s1) + (s2 + s3)
-}
-
-// Dot4 is the 4-way unrolled variant — marginally less register
-// pressure, for short windows where the 8-wide tail dominates.
-func Dot4(a, b []float64) float64 {
-	n := len(a)
-	b = b[:n]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// DotPairwise returns Σ a[i]·b[i] with pairwise (cascade) summation:
-// the products are reduced as a balanced binary tree of block sums, so
-// the rounding error grows as O(log n) instead of the O(n) of a
-// running sum. It is the error-budget reference the faster kernels are
-// tested against, and the right choice when a caller accumulates over
-// very long windows.
-func DotPairwise(a, b []float64) float64 {
-	n := len(a)
-	b = b[:n]
-	return pairwise(a, b, n)
-}
-
-// pairwiseBlock is the base-case size below which a straight unrolled
-// dot is used; 128 doubles keeps the recursion shallow while the
-// per-block error stays tiny.
-const pairwiseBlock = 128
-
-func pairwise(a, b []float64, n int) float64 {
-	if n <= pairwiseBlock {
-		return Dot(a[:n], b)
-	}
-	half := n / 2
-	return pairwise(a[:half], b[:half], half) + pairwise(a[half:n], b[half:n], n-half)
 }

@@ -37,46 +37,34 @@ func randVec(r *rng.Source, n int) []float64 {
 	return out
 }
 
-// TestDotKernelsMatchNaive sweeps lengths across every unroll tail.
+// TestDotKernelsMatchNaive sweeps lengths across every unroll tail,
+// then windows far longer than the scan's.
 func TestDotKernelsMatchNaive(t *testing.T) {
 	r := rng.New(3)
+	lengths := []int{1000, 4096}
 	for n := 0; n <= 70; n++ {
-		a, b := randVec(r, n), randVec(r, n)
-		want := naiveDot(a, b)
-		tol := dotTol(a, b)
-		for name, k := range map[string]func(a, b []float64) float64{
-			"Dot": Dot, "Dot4": Dot4, "DotPairwise": DotPairwise,
-		} {
-			if got := k(a, b); math.Abs(got-want) > tol {
-				t.Fatalf("%s(n=%d) = %g, naive = %g (tol %g)", name, n, got, want, tol)
-			}
-		}
+		lengths = append(lengths, n)
 	}
-	// Long vectors cross the pairwise recursion threshold.
-	for _, n := range []int{pairwiseBlock, pairwiseBlock + 1, 1000, 4096} {
+	for _, n := range lengths {
 		a, b := randVec(r, n), randVec(r, n)
 		want := naiveDot(a, b)
-		if got := DotPairwise(a, b); math.Abs(got-want) > dotTol(a, b) {
-			t.Fatalf("DotPairwise(n=%d) = %g, naive = %g", n, got, want)
+		if got, tol := Dot(a, b), dotTol(a, b); math.Abs(got-want) > tol {
+			t.Fatalf("Dot(n=%d) = %g, naive = %g (tol %g)", n, got, want, tol)
 		}
 	}
 }
 
-// TestDotUsesPrefixOfB: kernels contract over len(a) with a longer b.
+// TestDotUsesPrefixOfB: the kernel contracts over len(a) with a longer b.
 func TestDotUsesPrefixOfB(t *testing.T) {
 	r := rng.New(5)
 	a, b := randVec(r, 13), randVec(r, 40)
 	want := naiveDot(a, b[:13])
-	for name, k := range map[string]func(a, b []float64) float64{
-		"Dot": Dot, "Dot4": Dot4, "DotPairwise": DotPairwise,
-	} {
-		if got := k(a, b); math.Abs(got-want) > dotTol(a, b[:13]) {
-			t.Fatalf("%s over prefix = %g, want %g", name, got, want)
-		}
+	if got := Dot(a, b); math.Abs(got-want) > dotTol(a, b[:13]) {
+		t.Fatalf("Dot over prefix = %g, want %g", got, want)
 	}
 }
 
-// FuzzDot feeds arbitrary float pairs through every kernel and
+// FuzzDot feeds arbitrary float pairs through the kernel and
 // requires agreement with the naive loop within the summation-order
 // error bound. NaN/Inf inputs are skipped — ω is computed over
 // bandpass-filtered finite samples by construction.
@@ -107,12 +95,6 @@ func FuzzDot(f *testing.F) {
 		tol := dotTol(a, b)
 		if got := Dot(a, b); math.Abs(got-want) > tol {
 			t.Fatalf("Dot = %g, naive = %g (n=%d)", got, want, n)
-		}
-		if got := Dot4(a, b); math.Abs(got-want) > tol {
-			t.Fatalf("Dot4 = %g, naive = %g (n=%d)", got, want, n)
-		}
-		if got := DotPairwise(a, b); math.Abs(got-want) > tol {
-			t.Fatalf("DotPairwise = %g, naive = %g (n=%d)", got, want, n)
 		}
 	})
 }
@@ -169,7 +151,7 @@ func BenchmarkDot(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		k    func(a, b []float64) float64
-	}{{"naive", naiveDot}, {"unroll8", Dot}, {"unroll4", Dot4}, {"pairwise", DotPairwise}} {
+	}{{"naive", naiveDot}, {"unroll8", Dot}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sink += bc.k(x, y)

@@ -18,7 +18,7 @@ import (
 const qBlockLen = 64
 
 // Tier is a record's resident representation: hot records serve the
-// float64 scan path (FFT profiles, scalar kernels, O(1) float norms),
+// float64 scan path (their signal read in place, O(1) float norms),
 // warm records hold their int16 counts in the heap and are scanned in
 // the compressed domain, cold records serve their counts straight out
 // of a memory-mapped columnar snapshot (the page cache is the only

@@ -129,8 +129,8 @@ func (t *tierState) touch(rec *Record) {
 	t.mu.Unlock()
 }
 
-// ensureHot forces the record to the hot tier — the float64 scan paths
-// (scalar/FFT kernels, window reads) need the dequantized waveform —
+// ensureHot forces the record to the hot tier — Record.Float and
+// Record.Stats hand out the dequantized waveform and its statistics —
 // charging the promotion even when it overshoots the budget, then
 // demoting colder records to compensate. The just-promoted record is
 // exempt from that demotion pass, so the budget can be exceeded by at

@@ -418,40 +418,3 @@ func Zip[T any](p *Pipe, name string, ins []<-chan T, buffer int) <-chan []T {
 	})
 	return out
 }
-
-// Merge fans several streams into one, in arrival order (no ordering
-// guarantee across inputs). The output closes when every input has.
-func Merge[T any](p *Pipe, name string, ins []<-chan T, buffer int) <-chan T {
-	if buffer < 0 {
-		buffer = 0
-	}
-	out := make(chan T, buffer)
-	p.stage(name, func(m *Metrics) error {
-		defer close(out)
-		var wg sync.WaitGroup
-		errOnce := make(chan error, len(ins))
-		for _, in := range ins {
-			in := in
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for v := range in {
-					m.in.Add(1)
-					if !send(p.ctx, out, v) {
-						errOnce <- p.ctx.Err()
-						return
-					}
-					m.out.Add(1)
-				}
-			}()
-		}
-		wg.Wait()
-		select {
-		case err := <-errOnce:
-			return err
-		default:
-			return nil
-		}
-	})
-	return out
-}

@@ -193,65 +193,6 @@ func TestScatterZipRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMergeDrainsAllInputs(t *testing.T) {
-	p := New(context.Background())
-	a := Emit(p, "a", 0, feedInts(30))
-	b := Emit(p, "b", 0, func(ctx context.Context, emit func(int) bool) error {
-		for i := 100; i < 130; i++ {
-			if !emit(i) {
-				return ctx.Err()
-			}
-		}
-		return nil
-	})
-	merged := Merge(p, "merge", []<-chan int{a, b}, 4)
-	seen := make(map[int]bool)
-	Do(p, "sink", merged, func(_ context.Context, v int) error {
-		seen[v] = true
-		return nil
-	})
-	if err := p.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if len(seen) != 60 {
-		t.Fatalf("merged %d distinct elements, want 60", len(seen))
-	}
-}
-
-func TestMergePriorityPrefersHighLane(t *testing.T) {
-	// Preload both lanes, then let the merger run: every hi element
-	// must be delivered before any lo element.
-	p := New(context.Background())
-	hi := make(chan int, 10)
-	lo := make(chan int, 10)
-	for i := 0; i < 10; i++ {
-		hi <- 1000 + i
-		lo <- i
-	}
-	close(hi)
-	close(lo)
-	out := MergePriority(p, "pri", hi, lo, 0)
-	var got []int
-	Do(p, "sink", out, func(_ context.Context, v int) error {
-		got = append(got, v)
-		return nil
-	})
-	if err := p.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if len(got) != 20 {
-		t.Fatalf("got %d elements, want 20", len(got))
-	}
-	for i := 0; i < 10; i++ {
-		if got[i] != 1000+i {
-			t.Fatalf("got[%d] = %d; the anomaly lane must drain first (%v)", i, got[i], got)
-		}
-		if got[10+i] != i {
-			t.Fatalf("got[%d] = %d; routine lane out of order (%v)", 10+i, got[10+i], got)
-		}
-	}
-}
-
 func TestLanesDeterministicOrder(t *testing.T) {
 	var l Lanes[string]
 	l.Push(Routine, "r1")

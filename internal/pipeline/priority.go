@@ -50,117 +50,3 @@ func (l *Lanes[T]) Pop() (v T, ok bool) {
 
 // Len reports the queued element count across both lanes.
 func (l *Lanes[T]) Len() int { return len(l.hi) + len(l.lo) }
-
-// MergePriority fans two streams into one with strict preference for
-// hi: whenever an element is waiting on hi, it is delivered before any
-// waiting lo element. lo is only consumed while hi is empty, so a
-// burst on the expedited lane preempts (and backpressures) routine
-// traffic. The output closes when both inputs have.
-func MergePriority[T any](p *Pipe, name string, hi, lo <-chan T, buffer int) <-chan T {
-	if buffer < 0 {
-		buffer = 0
-	}
-	out := make(chan T, buffer)
-	p.stage(name, func(m *Metrics) error {
-		defer close(out)
-		for hi != nil || lo != nil {
-			// Drain hi first without touching lo.
-			if hi != nil {
-				select {
-				case v, ok := <-hi:
-					if !ok {
-						hi = nil
-						continue
-					}
-					m.in.Add(1)
-					if !send(p.ctx, out, v) {
-						return p.ctx.Err()
-					}
-					m.out.Add(1)
-					continue
-				default:
-				}
-			}
-			if lo == nil {
-				// Only hi remains: block on it.
-				select {
-				case v, ok := <-hi:
-					if !ok {
-						hi = nil
-						continue
-					}
-					m.in.Add(1)
-					if !send(p.ctx, out, v) {
-						return p.ctx.Err()
-					}
-					m.out.Add(1)
-				case <-p.ctx.Done():
-					return p.ctx.Err()
-				}
-				continue
-			}
-			if hi == nil {
-				select {
-				case v, ok := <-lo:
-					if !ok {
-						lo = nil
-						continue
-					}
-					m.in.Add(1)
-					if !send(p.ctx, out, v) {
-						return p.ctx.Err()
-					}
-					m.out.Add(1)
-				case <-p.ctx.Done():
-					return p.ctx.Err()
-				}
-				continue
-			}
-			select {
-			case v, ok := <-hi:
-				if !ok {
-					hi = nil
-					continue
-				}
-				m.in.Add(1)
-				if !send(p.ctx, out, v) {
-					return p.ctx.Err()
-				}
-				m.out.Add(1)
-			case v, ok := <-lo:
-				if !ok {
-					lo = nil
-					continue
-				}
-				// Re-check hi: an element may have arrived while we
-				// were parked; it still goes first.
-				for hi != nil {
-					select {
-					case hv, hok := <-hi:
-						if !hok {
-							hi = nil
-							continue
-						}
-						m.in.Add(1)
-						if !send(p.ctx, out, hv) {
-							return p.ctx.Err()
-						}
-						m.out.Add(1)
-						continue
-					default:
-					}
-					break
-				}
-				m.in.Add(1)
-				if !send(p.ctx, out, v) {
-					return p.ctx.Err()
-				}
-				m.out.Add(1)
-			case <-p.ctx.Done():
-				return p.ctx.Err()
-			}
-		}
-		return nil
-	})
-	return out
-}

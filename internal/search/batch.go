@@ -29,9 +29,9 @@ type BatchResult struct {
 	// Evaluated is the total number of ω evaluations performed for
 	// the whole batch. With B identical queries it equals the cost of
 	// a single-query search; it never exceeds the sum of B separate
-	// searches. Offsets served from an FFT profile count exactly like
-	// scalar ones: Evaluated is the algorithmic exploration metric of
-	// Fig. 7, independent of which kernel produced each ω.
+	// searches. Offsets an exhaustive scan reads off its FFT profile
+	// count exactly like the skip walk's dot products: Evaluated is the
+	// algorithmic exploration metric of Fig. 7.
 	Evaluated int
 	// SetPasses counts signal-set visits: one per signal-set per
 	// query-length group, however many queries ride on the pass. For
@@ -40,12 +40,9 @@ type BatchResult struct {
 	// is the memory-bandwidth amortization the batched path exists
 	// for.
 	SetPasses int
-	// ProfileSets counts (signal-set × query) ω profiles computed by
-	// the FFT kernel engine instead of scalar dot products — the
-	// kernel-dispatch counter EXPERIMENTS states the speedup with.
-	// Exhaustive scans drive it to Unique × SetPasses; the skip walk
-	// raises it only where its evaluation density crossed the dense
-	// crossover.
+	// ProfileSets counts (signal-set pass × unique query) ω profiles
+	// computed by the FFT kernel engine: every pair of an exhaustive
+	// scan, none of a skip walk.
 	ProfileSets int
 	// Elapsed is the wall-clock duration of the whole batch search.
 	Elapsed time.Duration
@@ -228,11 +225,6 @@ type cursor struct {
 	bestOmega float64
 	bestBeta  int
 	found     bool
-	// evals counts this cursor's ω evaluations within the CURRENT
-	// set pass; in auto kernel mode, crossing the dense budget flips
-	// the cursor onto the FFT profile for the rest of the set.
-	evals int
-	dense bool
 }
 
 // zqKey is the 128-bit FNV-style fingerprint of a z-normalized query:

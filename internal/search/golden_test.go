@@ -9,116 +9,99 @@ import (
 	"emap/internal/synth"
 )
 
-// assertSelectionEquivalent enforces the kernel engine's correctness
-// contract: whatever kernel produced a result, its match SELECTION
-// (set IDs, betas, top-K membership, in order) must be identical to
-// the scalar reference and every ω must agree within 1e-9.
+// assertSelectionEquivalent enforces the float-store correctness
+// contract: the match SELECTION (set IDs, betas, top-K membership, in
+// order) must be identical to the naive reference and every ω must agree
+// within 1e-9.
 func assertSelectionEquivalent(t *testing.T, label string, ref, got *Result) {
 	t.Helper()
 	if len(got.Matches) != len(ref.Matches) {
-		t.Fatalf("%s: %d matches, scalar reference has %d", label, len(got.Matches), len(ref.Matches))
+		t.Fatalf("%s: %d matches, reference has %d", label, len(got.Matches), len(ref.Matches))
 	}
 	for i := range ref.Matches {
 		r, g := ref.Matches[i], got.Matches[i]
 		if g.SetID != r.SetID || g.Beta != r.Beta {
-			t.Fatalf("%s: match %d is (set %d, β %d), scalar reference (set %d, β %d)",
+			t.Fatalf("%s: match %d is (set %d, β %d), reference (set %d, β %d)",
 				label, i, g.SetID, g.Beta, r.SetID, r.Beta)
 		}
 		if d := math.Abs(g.Omega - r.Omega); d > 1e-9 {
-			t.Fatalf("%s: match %d ω diverges by %g (fft %g, scalar %g)", label, i, d, g.Omega, r.Omega)
+			t.Fatalf("%s: match %d ω diverges by %g (got %g, reference %g)", label, i, d, g.Omega, r.Omega)
 		}
 	}
 }
 
 // assertCountersEqual additionally pins the cost counters — valid
-// whenever the two paths visit exactly the same offsets (exhaustive
-// scans; the skip walk's trajectory may round differently at the
-// 1e-9 scale, so only selection is pinned there).
+// whenever the two sides visit exactly the same offsets (exhaustive
+// scans; a float skip trajectory may round differently at the 1e-9
+// scale, so only selection is pinned there).
 func assertCountersEqual(t *testing.T, label string, ref, got *Result) {
 	t.Helper()
 	if got.Evaluated != ref.Evaluated || got.Candidates != ref.Candidates {
-		t.Fatalf("%s: counters (%d eval, %d cand) diverge from scalar (%d, %d)",
+		t.Fatalf("%s: counters (%d eval, %d cand) diverge from the reference (%d, %d)",
 			label, got.Evaluated, got.Candidates, ref.Evaluated, ref.Candidates)
 	}
 }
 
-// goldenCompareStore runs the full scalar-vs-FFT equivalence battery
-// over one store: exhaustive and skip, single-query and mixed-length
-// batch.
-func goldenCompareStore(t *testing.T, store *mdb.Store, inputs [][]float64) {
+// goldenCompareStore runs the equivalence battery over one store
+// against the naive reference: exhaustive and skip, as a mixed-length
+// batch and query by query. Float records are held to identical
+// selection, ω within 1e-9 and (exhaustive) equal counters; with exact
+// set — a store of quantized records, none hot — everything is held to
+// ==.
+func goldenCompareStore(t *testing.T, label string, store *mdb.Store, inputs [][]float64, exact bool) {
 	t.Helper()
-	scalar := NewSearcher(store, Params{Kernel: KernelScalar})
-	fftS := NewSearcher(store, Params{Kernel: KernelFFT})
-	auto := NewSearcher(store, Params{Kernel: KernelAuto})
-
-	// Exhaustive: both paths visit every offset, so counters must
-	// match exactly too, and the FFT path must actually profile.
-	refEx, err := scalar.ExhaustiveN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []struct {
-		name string
-		sr   *Searcher
-	}{{"fft", fftS}, {"auto", auto}} {
-		got, err := s.sr.ExhaustiveN(inputs)
+	s := NewSearcher(store, Params{})
+	for _, exhaustive := range []bool{true, false} {
+		mode := label + "/skip"
+		if exhaustive {
+			mode = label + "/exhaustive"
+		}
+		ref := refSearch(t, store, Params{}, inputs, exhaustive)
+		batch, err := s.runBatch(inputs, exhaustive)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if refEx.ProfileSets != 0 {
-			t.Fatalf("scalar exhaustive computed %d FFT profiles", refEx.ProfileSets)
-		}
-		if got.SetPasses > 0 && got.ProfileSets == 0 {
-			t.Fatalf("%s exhaustive never used the FFT profile", s.name)
-		}
 		for i := range inputs {
-			label := s.name + "/exhaustive"
-			assertSelectionEquivalent(t, label, refEx.Results[i], got.Results[i])
-			assertCountersEqual(t, label, refEx.Results[i], got.Results[i])
+			solo, err := s.run(inputs[i], exhaustive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []*Result{batch.Results[i], solo} {
+				switch {
+				case exact:
+					assertBitIdentical(t, mode, ref[i], got)
+				case exhaustive:
+					assertSelectionEquivalent(t, mode, ref[i], got)
+					assertCountersEqual(t, mode, ref[i], got)
+				default:
+					assertSelectionEquivalent(t, mode, ref[i], got)
+				}
+			}
 		}
-	}
-
-	// Skip walk: selection must survive the kernel swap even when
-	// KernelFFT replays the whole trajectory over profiles.
-	refSkip, err := scalar.AlgorithmN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSkip, err := fftS.AlgorithmN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inputs {
-		assertSelectionEquivalent(t, "fft/skip", refSkip.Results[i], gotSkip.Results[i])
 	}
 }
 
-// TestGoldenScalarVsFFTSynthetic: the equivalence contract over the
-// standard synthetic fixture, including a mixed-length batch so
-// several transform sizes are exercised in one scan.
-func TestGoldenScalarVsFFTSynthetic(t *testing.T) {
-	f := newFixture(t, 2)
+// syntheticInputs is the standard fixture's battery: a mixed-length
+// batch, so several transform sizes are exercised in one scan.
+func syntheticInputs(f *fixture) [][]float64 {
 	long := f.input(synth.Seizure, 0)
-	inputs := [][]float64{
+	return [][]float64{
 		f.input(synth.Normal, 0),
 		long,
 		long[:128], // second length group
 		f.input(synth.Normal, 2),
 	}
-	goldenCompareStore(t, f.store, inputs)
 }
 
-// TestGoldenScalarVsFFTDegenerate: constant (zero-variance) stored
-// regions must correlate as exactly 0 on both kernels — the FFT
-// profile may compute a nonzero numerator there, but the degenerate
-// guard fires before the division, matching the scalar path.
-func TestGoldenScalarVsFFTDegenerate(t *testing.T) {
+// plateauStore holds one recording with a constant plateau spanning
+// several slices: every window inside is degenerate, windows straddling
+// the edges are near-degenerate.
+func plateauStore(t *testing.T) (*mdb.Store, [][]float64) {
+	t.Helper()
 	g := synth.NewGenerator(synth.Config{Seed: 23, ArchetypesPerClass: 1})
 	live := g.Instance(synth.Normal, 0, synth.InstanceOpts{DurSeconds: 12})
 	samples := make([]float64, 0, 5000)
 	samples = append(samples, live.Samples[:1500]...)
-	// A constant plateau spanning several slices: every window inside
-	// is degenerate, windows straddling the edges are near-degenerate.
 	for i := 0; i < 2200; i++ {
 		samples = append(samples, 42.5)
 	}
@@ -128,14 +111,14 @@ func TestGoldenScalarVsFFTDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newFixture(t, 1)
-	inputs := [][]float64{f.input(synth.Normal, 0), f.input(synth.Normal, 0)[:100]}
-	goldenCompareStore(t, store, inputs)
+	return store, [][]float64{f.input(synth.Normal, 0), f.input(synth.Normal, 0)[:100]}
 }
 
-// TestGoldenScalarVsFFTEDFStore: the contract over an EDF-derived
-// store — recordings round-tripped through the EDF-style container
-// (16-bit quantization and all), the ingest path real deployments use.
-func TestGoldenScalarVsFFTEDFStore(t *testing.T) {
+// edfStore holds recordings round-tripped through the EDF-style
+// container (16-bit quantization and all), the ingest path real
+// deployments use.
+func edfStore(t *testing.T) (*mdb.Store, [][]float64) {
+	t.Helper()
 	g := synth.NewGenerator(synth.Config{Seed: 31, ArchetypesPerClass: 2})
 	var recs []*synth.Recording
 	for arch := 0; arch < 2; arch++ {
@@ -161,45 +144,73 @@ func TestGoldenScalarVsFFTEDFStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newFixture(t, 1)
-	inputs := [][]float64{f.input(synth.Normal, 0), f.input(synth.Seizure, 1)}
-	goldenCompareStore(t, store, inputs)
+	return store, [][]float64{f.input(synth.Normal, 0), f.input(synth.Seizure, 1)}
 }
 
-// TestAutoKernelCrossoverDeterministic: the auto crossover is
-// per-cursor pay-as-you-go, so results must stay invariant across
-// worker counts and batch composition even when some sets flip dense
-// mid-pass. AllOffsets with a low δ forces dense evaluation density.
-func TestAutoKernelCrossoverDeterministic(t *testing.T) {
+// TestGoldenScalarVsFFTSynthetic: the float-store contract — the naive
+// scalar reference against the FFT-profile exhaustive scan and the skip
+// walk — over the standard synthetic fixture.
+func TestGoldenScalarVsFFTSynthetic(t *testing.T) {
 	f := newFixture(t, 2)
-	input := f.input(synth.Seizure, 1)
-	params := Params{Kernel: KernelAuto, Delta: 0.05, AllOffsets: true}
-	p1 := params
-	p1.Workers = 1
-	p8 := params
-	p8.Workers = 8
-	r1, err := NewSearcher(f.store, p1).Algorithm1(input)
-	if err != nil {
-		t.Fatal(err)
+	goldenCompareStore(t, "float", f.store, syntheticInputs(f), false)
+}
+
+// TestGoldenScalarVsFFTDegenerate: constant (zero-variance) stored
+// regions must correlate as 0 — the FFT profile may compute a nonzero
+// numerator there, but it never clears δ or moves a skip.
+func TestGoldenScalarVsFFTDegenerate(t *testing.T) {
+	store, inputs := plateauStore(t)
+	goldenCompareStore(t, "float", store, inputs, false)
+}
+
+// TestGoldenScalarVsFFTEDFStore: the contract over an EDF-derived store.
+func TestGoldenScalarVsFFTEDFStore(t *testing.T) {
+	store, inputs := edfStore(t)
+	goldenCompareStore(t, "float", store, inputs, false)
+}
+
+// TestSkipWalkNeverProfiles: each algorithm has one route. The skip walk
+// never computes an FFT profile, whatever tier the records are on; the
+// exhaustive scan profiles every (set pass, unique query) pair the
+// reference walks — it never takes the sparse walk.
+func TestSkipWalkNeverProfiles(t *testing.T) {
+	f := newFixture(t, 1)
+	inputs := syntheticInputs(f)
+	inputs = append(inputs, inputs[0]) // deduplicated: shares inputs[0]'s scan
+	check := func(name string, store *mdb.Store) {
+		s := NewSearcher(store, Params{Workers: 2})
+		skip, err := s.AlgorithmN(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if skip.ProfileSets != 0 || skip.Evaluated == 0 {
+			t.Fatalf("%s: skip walk computed %d profiles over %d evaluations", name, skip.ProfileSets, skip.Evaluated)
+		}
+		for i, r := range skip.Results {
+			if r.ProfileSets != 0 {
+				t.Fatalf("%s: skip walk profiled %d set passes for query %d", name, r.ProfileSets, i)
+			}
+		}
+		ex, err := s.ExhaustiveN(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := refSearch(t, store, Params{}, inputs, true)
+		want := 0
+		for i, r := range ex.Results {
+			if r.ProfileSets != ref[i].ProfileSets {
+				t.Fatalf("%s: exhaustive scan profiled %d set passes for query %d, the reference walks %d",
+					name, r.ProfileSets, i, ref[i].ProfileSets)
+			}
+			if i < ex.Unique {
+				want += ref[i].ProfileSets
+			}
+		}
+		if ex.Unique != len(inputs)-1 || ex.ProfileSets != want {
+			t.Fatalf("%s: exhaustive scan computed %d profiles over %d unique queries, want %d over %d",
+				name, ex.ProfileSets, ex.Unique, want, len(inputs)-1)
+		}
 	}
-	r8, err := NewSearcher(f.store, p8).Algorithm1(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.ProfileSets == 0 {
-		t.Skip("dense crossover never fired; density too low to exercise")
-	}
-	if r1.ProfileSets != r8.ProfileSets || r1.Evaluated != r8.Evaluated {
-		t.Fatalf("kernel dispatch varies with workers: profiles %d vs %d, evals %d vs %d",
-			r1.ProfileSets, r8.ProfileSets, r1.Evaluated, r8.Evaluated)
-	}
-	// The same query inside a batch must take the same per-set
-	// decisions as it does alone.
-	batch, err := NewSearcher(f.store, p8).AlgorithmN([][]float64{f.input(synth.Normal, 0), input})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := batch.Results[1]; got.ProfileSets != r8.ProfileSets || got.Evaluated != r8.Evaluated {
-		t.Fatalf("kernel dispatch varies with batch: profiles %d vs %d, evals %d vs %d",
-			got.ProfileSets, r8.ProfileSets, got.Evaluated, r8.Evaluated)
-	}
+	check("float", f.store)
+	eachQuantizedForm(t, f.store, check)
 }

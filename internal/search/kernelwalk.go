@@ -2,7 +2,6 @@ package search
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 
 	"emap/internal/dsp"
@@ -10,68 +9,10 @@ import (
 	"emap/internal/mdb"
 )
 
-// KernelMode selects how ω is computed during a scan — the dispatch
-// knob of the correlation kernel engine (internal/kernel).
-type KernelMode string
-
-const (
-	// KernelAuto (the default) lets the scan choose per signal-set
-	// and per query: exhaustive scans always take the FFT profile;
-	// the skip walk starts on the scalar kernel and flips a cursor
-	// onto the FFT profile only once the evaluations it has already
-	// spent in the current set exceed the measured dense-profile
-	// cost — a pay-as-you-go crossover, so the decision depends only
-	// on (set, query), never on batch composition or sharding, and
-	// results stay deterministic across worker counts.
-	KernelAuto KernelMode = "auto"
-	// KernelScalar forces unrolled scalar dot products everywhere —
-	// the golden reference path.
-	KernelScalar KernelMode = "scalar"
-	// KernelFFT forces the dense FFT profile for every set pass,
-	// including the skip walk (which then replays its trajectory over
-	// the precomputed profile).
-	KernelFFT KernelMode = "fft"
-	// KernelQuant forces the compressed-domain kernel for every
-	// quantized record: each pass widens the set's int16 counts once
-	// into the worker's segment scratch (internal/search/walkquant.go)
-	// and every ω is an exact dot over that scratch with an
-	// integer-exact norm, never promoting records to the hot tier.
-	// Float-canonical records, which have no quantized payload, fall
-	// back to the float kernels.
-	KernelQuant KernelMode = "quant"
-)
-
-// ParseKernelMode validates a -kernel flag value.
-func ParseKernelMode(s string) (KernelMode, bool) {
-	switch KernelMode(s) {
-	case KernelAuto, KernelScalar, KernelFFT, KernelQuant:
-		return KernelMode(s), true
-	case "":
-		return KernelAuto, true
-	}
-	return KernelAuto, false
-}
-
-// kernelCrossover calibrates the dense budget: the FFT profile of one
-// (set, query) pair costs about kernelCrossover·m·log₂(m) scalar
-// multiply-adds (two cached-plan real transforms, a bin multiply and
-// the inverse, measured on the unrolled dot as the unit). A cursor
-// that has already burned that many dot-product samples in one set
-// pass finishes the set on the profile instead.
-const kernelCrossover = 4.0
-
 // maxWheelSpan bounds the bucket-queue wheel; parameter settings whose
 // maximum skip exceeds it (pathologically small OmegaFloor) fall back
 // to the linear frontier scan.
 const maxWheelSpan = 4096
-
-// denseBudget returns the scalar-evaluation count at which the dense
-// profile becomes the cheaper way to finish a set pass, for transform
-// size m and query length n.
-func denseBudget(m, n int) int {
-	lg := bits.Len(uint(m)) - 1
-	return int(kernelCrossover * float64(m*lg) / float64(n))
-}
 
 // walkScratch is one shard worker's reusable kernel state: the pass
 // segment, FFT spectra, the profile buffer and the wheel buckets live
@@ -91,14 +32,10 @@ type walkScratch struct {
 	profile      []float64
 	// dens[β] holds the centred window norm at every offset of the
 	// current pass — O(1) each from prefix sums, but shared by every
-	// dense cursor instead of recomputed per (cursor, offset).
-	dens  []float64
-	qSpec map[qspecKey][]complex128
-	// specReady/densReady mark segSpec and dens as holding the current
-	// pass's data; reset at the start of every (set, group) pass.
-	specReady bool
-	densReady bool
-	buckets   [][]int32
+	// exhaustive cursor instead of recomputed per (cursor, offset).
+	dens    []float64
+	qSpec   map[qspecKey][]complex128
+	buckets [][]int32
 }
 
 type qspecKey struct {
@@ -157,11 +94,11 @@ func (scr *walkScratch) querySpectrum(p kernel.Profiler, q int, zq []float64) []
 }
 
 // scanShardBatch scans a contiguous run of signal-sets for all unique
-// queries at once. Per signal-set and per length group it performs one
-// merged walk over the pass segment, choosing per cursor between the
-// sparse scalar kernel and the dense FFT profile (see KernelMode): B
-// queries cost one pass of memory traffic, not B, and dense passes
-// cost O(L log L) instead of O(n·L).
+// queries at once. Per signal-set and per length group it builds the
+// pass segment once and walks it by the scan's one route: the skip walk
+// is the sparse merged walk (B queries cost one pass of memory traffic,
+// not B), the exhaustive scan is the dense FFT profile (O(L log L) per
+// pass instead of O(n·L)).
 func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uniques [][]float64, groups []lenGroup, exhaustive bool) ([]queryAccum, int) {
 	p := &s.params
 	accs := make([]queryAccum, len(uniques))
@@ -179,14 +116,6 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 			cursors[gi][ci] = cursor{q: q, zq: uniques[q]}
 		}
 	}
-	// Exhaustive scans always profile (unless forced scalar); the
-	// skip walk profiles per the mode.
-	denseAll := p.Kernel != KernelScalar && (exhaustive || p.Kernel == KernelFFT)
-	auto := !exhaustive && p.Kernel == KernelAuto
-	maxAdv := 1
-	if !exhaustive {
-		maxAdv = s.skipFor(0)
-	}
 	for _, set := range shard {
 		rec, ok := snap.Record(set.RecordID)
 		if !ok {
@@ -195,19 +124,16 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 		// Tier residency: count the scan access (LRU stamp, possible
 		// opportunistic promotion under a byte budget).
 		rec.Touch()
-		// Compressed-domain dispatch: quant mode takes it for every
-		// quantized record; auto mode takes it for records that are
-		// not currently hot — promoting a warm/cold record just to
-		// scan it would defeat the tier budget. Scalar/FFT modes force
-		// hot promotion via rec.Stats() below.
-		var qv mdb.QuantView
-		useQuant := false
-		if p.Kernel == KernelQuant || (p.Kernel == KernelAuto && rec.Tier() != mdb.TierHot) {
-			qv, useQuant = rec.Quant()
-		}
+		// A record that is hot right now is scanned through its float64
+		// signal; any other is scanned in the compressed domain —
+		// promoting a warm/cold record just to scan it would defeat the
+		// tier budget.
 		var stats *dsp.SlidingStats
-		if !useQuant {
+		var qv mdb.QuantView
+		if rec.Tier() == mdb.TierHot {
 			stats = rec.Stats()
+		} else {
+			qv, _ = rec.Quant()
 		}
 		recLen := rec.Len()
 		for gi := range groups {
@@ -228,29 +154,19 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 			cs := cursors[gi]
 			for ci := range cs {
 				c := &cs[ci]
-				c.beta, c.env, c.found, c.evals, c.dense = 0, 0, false, 0, false
+				c.beta, c.env, c.found = 0, 0, false
 			}
 			g := &scr.seg
-			if useQuant {
-				scr.loadQuant(qv, set.Start, maxOff+n)
-			} else {
+			if stats != nil {
 				*g = segment{x: stats.Signal()[set.Start : set.Start+maxOff+n], scale: 1, stats: stats, start: set.Start}
+			} else {
+				scr.loadQuant(qv, set.Start, maxOff+n)
 			}
 			g.setID, g.n, g.maxOff = set.ID, n, maxOff
-			scr.specReady, scr.densReady = false, false
-			if !denseAll {
-				// The compressed-domain skip walk never flips dense: its
-				// trajectory is the exact per-visit ω, whatever the batch.
-				budget := 0
-				if auto && !useQuant {
-					budget = denseBudget(kernel.PlanSizeFor(maxOff+n), n)
-				}
-				s.walkSparse(cs, g, exhaustive, accs, budget, maxAdv, scr)
-			}
-			for ci := range cs {
-				if denseAll || cs[ci].dense {
-					s.walkDense(&cs[ci], g, exhaustive, accs, scr)
-				}
+			if exhaustive {
+				s.walkDense(cs, g, accs, scr)
+			} else {
+				s.walkSparse(cs, g, accs, scr)
 			}
 			for ci := range cs {
 				if c := &cs[ci]; c.found && !p.AllOffsets {
@@ -262,75 +178,53 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 	return accs, passes
 }
 
-// walkDense finishes one cursor's walk of the current pass from its
-// FFT ω profile: the sliding-dot numerators for EVERY offset come from
-// one multiply+inverse against the cached segment and query spectra
-// (O(L log L)), and the cursor then visits its offsets — all of them
-// when exhaustive, its skip trajectory otherwise — reading ω as
-// profile[β]/‖window‖ in O(1) each. Over a quantized segment the
-// profile is a PREFILTER, never a score: every exhaustive offset inside
-// the δ·‖window‖ margin is rescored by the exact dot over the segment
-// scratch, so candidate decisions and reported ω come from the same
-// arithmetic as the compressed-domain skip walk.
-func (s *Searcher) walkDense(c *cursor, g *segment, exhaustive bool, accs []queryAccum, scr *walkScratch) {
-	maxOff, setID := g.maxOff, g.setID
-	if c.beta > maxOff {
-		return
-	}
+// walkDense is the exhaustive scan of one pass: the sliding-dot
+// numerators for EVERY offset come from one multiply+inverse against the
+// segment spectrum (one transform per pass) and the cached query
+// spectrum, O(L log L) per cursor, and each offset then reads ω as
+// profile[β]/‖window‖ in O(1). ω only matters where it clears δ, so most
+// offsets get a multiply-compare against δ·‖window‖ (with a margin far
+// wider than the rounding gap between the two forms) instead of a
+// division; the exact num/norm > δ test still decides every
+// near-threshold offset, keeping candidate classification identical to
+// an always-divide scan. Over a quantized segment the profile is a
+// PREFILTER, never a score: every offset inside the margin is rescored
+// by the exact dot over the segment scratch, so candidate decisions and
+// reported ω come from the same arithmetic as the skip walk.
+func (s *Searcher) walkDense(cs []cursor, g *segment, accs []queryAccum, scr *walkScratch) {
 	p := &s.params
+	maxOff, setID := g.maxOff, g.setID
 	prof := scr.engine.Profiler(len(g.x))
 	scr.grow(prof.Bins(), prof.M())
-	if !scr.specReady {
-		prof.Spectrum(scr.segSpec, g.x)
-		scr.specReady = true
+	prof.Spectrum(scr.segSpec, g.x)
+	if cap(scr.dens) < maxOff+1 {
+		scr.dens = make([]float64, maxOff+1)
 	}
-	if !scr.densReady {
-		if cap(scr.dens) < maxOff+1 {
-			scr.dens = make([]float64, maxOff+1)
-		}
-		scr.dens = scr.dens[:maxOff+1]
-		g.norms(scr.dens)
-		scr.densReady = true
-	}
-	qs := scr.querySpectrum(prof, c.q, c.zq)
-	prof.Correlate(scr.profile, scr.segSpec, qs, scr.work)
-	acc := &accs[c.q]
-	acc.profiled++
+	scr.dens = scr.dens[:maxOff+1]
+	g.norms(scr.dens)
 	profile, dens := scr.profile, scr.dens
-	if exhaustive {
-		// The exhaustive replay only needs ω when it clears δ, so
-		// most offsets get a multiply-compare against δ·‖window‖
-		// (with a margin far wider than the rounding gap between the
-		// two forms) instead of a division; the exact dot/norm > δ
-		// test still decides every near-threshold offset, keeping
-		// candidate classification identical to the always-divide
-		// path.
-		rescore := g.stats == nil
-		acc.evaluated += maxOff + 1 - c.beta
-		for beta := c.beta; beta <= maxOff; beta++ {
-			den := dens[beta]
-			if den < 1e-12 {
-				// Degenerate (constant) stored windows correlate
-				// as 0, matching dsp.SlidingStats.CorrAt.
-				if 0 > p.Delta {
-					acc.candidates++
-					if p.AllOffsets {
-						acc.top.Push(Match{SetID: setID, Omega: 0, Beta: beta})
-					} else if !c.found || 0 > c.bestOmega {
-						c.bestOmega, c.bestBeta, c.found = 0, beta, true
-					}
+	rescore := g.stats == nil
+	for ci := range cs {
+		c := &cs[ci]
+		prof.Correlate(profile, scr.segSpec, scr.querySpectrum(prof, c.q, c.zq), scr.work)
+		acc := &accs[c.q]
+		acc.profiled++
+		acc.evaluated += maxOff + 1
+		for beta, den := range dens {
+			// Degenerate (constant) stored windows correlate as 0,
+			// matching dsp.SlidingStats.CorrAt.
+			omega := 0.0
+			if den >= 1e-12 {
+				thresh := p.Delta * den
+				if profile[beta] <= thresh-1e-9*(math.Abs(thresh)+1) {
+					continue
 				}
-				continue
+				num := profile[beta]
+				if rescore {
+					num = kernel.Dot(c.zq, g.x[beta:beta+g.n])
+				}
+				omega = num / den
 			}
-			thresh := p.Delta * den
-			if profile[beta] <= thresh-1e-9*(math.Abs(thresh)+1) {
-				continue
-			}
-			num := profile[beta]
-			if rescore {
-				num = kernel.Dot(c.zq, g.x[beta:beta+g.n])
-			}
-			omega := num / den
 			if omega > p.Delta {
 				acc.candidates++
 				if p.AllOffsets {
@@ -340,60 +234,34 @@ func (s *Searcher) walkDense(c *cursor, g *segment, exhaustive bool, accs []quer
 				}
 			}
 		}
-		c.beta = maxOff + 1
-		return
 	}
-	for beta := c.beta; beta <= maxOff; {
-		den := dens[beta]
-		// Degenerate (constant) stored windows correlate as 0,
-		// matching dsp.SlidingStats.CorrAt.
-		omega := 0.0
-		if den >= 1e-12 {
-			omega = profile[beta] / den
-		}
-		acc.evaluated++
-		if omega > p.Delta {
-			acc.candidates++
-			if p.AllOffsets {
-				acc.top.Push(Match{SetID: setID, Omega: omega, Beta: beta})
-			} else if !c.found || omega > c.bestOmega {
-				c.bestOmega, c.bestBeta, c.found = omega, beta, true
-			}
-		}
-		if a := math.Abs(omega); a > c.env {
-			c.env = a
-		}
-		adv := s.skipFor(c.env)
-		beta += adv
-		c.env *= decayPow(p.EnvDecay, adv)
-	}
-	c.beta = maxOff + 1
 }
 
-// walkSparse advances every cursor through one pass on the scalar
-// kernel. Offsets are visited in ascending order; cursors whose
-// trajectories coincide at an offset share the window load and the
-// normalization denominator. With budget > 0 (auto mode), a cursor
-// whose own evaluations cross the budget is marked dense and left for
-// walkDense to finish — a per-cursor decision, so trajectories never
-// depend on batch composition or sharding.
-func (s *Searcher) walkSparse(cs []cursor, g *segment, exhaustive bool, accs []queryAccum, budget, maxAdv int, scr *walkScratch) {
+// walkSparse is the skip walk of one pass: every cursor advances along
+// its own exponential-sliding-window trajectory. Offsets are visited in
+// ascending order; cursors whose trajectories coincide at an offset
+// share the window load and the normalization denominator.
+func (s *Searcher) walkSparse(cs []cursor, g *segment, accs []queryAccum, scr *walkScratch) {
 	if len(cs) == 1 {
-		s.walkSparseSingle(&cs[0], g, exhaustive, accs, budget)
+		// One cursor needs no frontier structure at all.
+		c := &cs[0]
+		for s.stepSparse(c, &accs[c.q], g, g.scale*g.norm(c.beta)) {
+		}
 		return
 	}
-	if maxAdv+1 <= maxWheelSpan {
-		s.walkSparseWheel(cs, g, exhaustive, accs, budget, maxAdv, scr)
+	// The floor envelope gives the longest skip any cursor can take.
+	if maxAdv := s.skipFor(0); maxAdv+1 <= maxWheelSpan {
+		s.walkSparseWheel(cs, g, accs, maxAdv, scr)
 		return
 	}
-	s.walkSparseScan(cs, g, exhaustive, accs, budget)
+	s.walkSparseScan(cs, g, accs)
 }
 
 // stepSparse evaluates cursor c at its current offset — den is the
 // pass's scaled window norm there, shared by every cursor standing at
-// the offset — and advances it, returning false once the cursor is
-// finished with this pass (past the end, or flipped dense).
-func (s *Searcher) stepSparse(c *cursor, acc *queryAccum, g *segment, den float64, exhaustive bool, budget int) bool {
+// the offset — and advances it by the skip rule, returning false once
+// the cursor is past the end of the pass.
+func (s *Searcher) stepSparse(c *cursor, acc *queryAccum, g *segment, den float64) bool {
 	p := &s.params
 	beta := c.beta
 	// Degenerate (constant) stored windows correlate as 0.
@@ -402,7 +270,6 @@ func (s *Searcher) stepSparse(c *cursor, acc *queryAccum, g *segment, den float6
 		omega = g.scale * kernel.Dot(c.zq, g.x[beta:beta+g.n]) / den
 	}
 	acc.evaluated++
-	c.evals++
 	if omega > p.Delta {
 		acc.candidates++
 		if p.AllOffsets {
@@ -411,35 +278,13 @@ func (s *Searcher) stepSparse(c *cursor, acc *queryAccum, g *segment, den float6
 			c.bestOmega, c.bestBeta, c.found = omega, beta, true
 		}
 	}
-	if exhaustive {
-		c.beta++
-	} else {
-		if a := math.Abs(omega); a > c.env {
-			c.env = a
-		}
-		adv := s.skipFor(c.env)
-		c.beta += adv
-		c.env *= decayPow(p.EnvDecay, adv)
+	if a := math.Abs(omega); a > c.env {
+		c.env = a
 	}
-	if c.beta > g.maxOff {
-		return false
-	}
-	if budget > 0 && c.evals >= budget {
-		c.dense = true
-		return false
-	}
-	return true
-}
-
-// walkSparseSingle is the one-cursor fast path: no frontier structure
-// at all.
-func (s *Searcher) walkSparseSingle(c *cursor, g *segment, exhaustive bool, accs []queryAccum, budget int) {
-	acc := &accs[c.q]
-	for c.beta <= g.maxOff {
-		if !s.stepSparse(c, acc, g, g.scale*g.norm(c.beta), exhaustive, budget) {
-			return
-		}
-	}
+	adv := s.skipFor(c.env)
+	c.beta += adv
+	c.env *= decayPow(p.EnvDecay, adv)
+	return c.beta <= g.maxOff
 }
 
 // walkSparseWheel drives many cursors with a bucket-queue frontier:
@@ -449,7 +294,7 @@ func (s *Searcher) walkSparseSingle(c *cursor, g *segment, exhaustive bool, accs
 // instead of the O(cursors) min-scan per offset — the batched-walk
 // win at cloud batch sizes. Skips are bounded by maxAdv, so a wheel
 // of maxAdv+1 buckets can never collide.
-func (s *Searcher) walkSparseWheel(cs []cursor, g *segment, exhaustive bool, accs []queryAccum, budget, maxAdv int, scr *walkScratch) {
+func (s *Searcher) walkSparseWheel(cs []cursor, g *segment, accs []queryAccum, maxAdv int, scr *walkScratch) {
 	w := maxAdv + 1
 	if cap(scr.buckets) < w {
 		scr.buckets = make([][]int32, w)
@@ -458,15 +303,11 @@ func (s *Searcher) walkSparseWheel(cs []cursor, g *segment, exhaustive bool, acc
 	for i := range buckets {
 		buckets[i] = buckets[i][:0]
 	}
-	maxOff := g.maxOff
-	active := 0
+	// Every cursor starts the pass at offset 0.
 	for ci := range cs {
-		if cs[ci].beta <= maxOff {
-			buckets[cs[ci].beta%w] = append(buckets[cs[ci].beta%w], int32(ci))
-			active++
-		}
+		buckets[0] = append(buckets[0], int32(ci))
 	}
-	for beta := 0; beta <= maxOff && active > 0; beta++ {
+	for beta, active := 0, len(cs); active > 0; beta++ {
 		slot := buckets[beta%w]
 		if len(slot) == 0 {
 			continue
@@ -477,7 +318,7 @@ func (s *Searcher) walkSparseWheel(cs []cursor, g *segment, exhaustive bool, acc
 		den := g.scale * g.norm(beta)
 		for _, ci := range slot {
 			c := &cs[ci]
-			if s.stepSparse(c, &accs[c.q], g, den, exhaustive, budget) {
+			if s.stepSparse(c, &accs[c.q], g, den) {
 				buckets[c.beta%w] = append(buckets[c.beta%w], ci)
 			} else {
 				active--
@@ -490,11 +331,11 @@ func (s *Searcher) walkSparseWheel(cs []cursor, g *segment, exhaustive bool, acc
 // walkSparseScan is the linear-frontier fallback for parameterizations
 // whose maximum skip exceeds the wheel span: the smallest pending
 // offset is found by scanning every cursor (the pre-wheel behaviour).
-func (s *Searcher) walkSparseScan(cs []cursor, g *segment, exhaustive bool, accs []queryAccum, budget int) {
+func (s *Searcher) walkSparseScan(cs []cursor, g *segment, accs []queryAccum) {
 	for {
 		beta := -1
 		for i := range cs {
-			if c := &cs[i]; !c.dense && c.beta <= g.maxOff && (beta < 0 || c.beta < beta) {
+			if c := &cs[i]; c.beta <= g.maxOff && (beta < 0 || c.beta < beta) {
 				beta = c.beta
 			}
 		}
@@ -503,11 +344,9 @@ func (s *Searcher) walkSparseScan(cs []cursor, g *segment, exhaustive bool, accs
 		}
 		den := g.scale * g.norm(beta)
 		for i := range cs {
-			c := &cs[i]
-			if c.beta != beta || c.dense {
-				continue
+			if c := &cs[i]; c.beta == beta {
+				s.stepSparse(c, &accs[c.q], g, den)
 			}
-			s.stepSparse(c, &accs[c.q], g, den, exhaustive, budget)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"emap/internal/dataset"
 	"emap/internal/mdb"
 	"emap/internal/synth"
 )
@@ -32,94 +31,57 @@ func quantizedCopy(t *testing.T, store *mdb.Store) *mdb.Store {
 	return qs
 }
 
-// goldenQuantCompare runs the quantized-kernel equivalence battery
-// over one store. The reference is the scalar kernel over the SAME
-// quantized data (dequantized hot): the quantized path's exact
-// rescoring must reproduce its selection offset for offset, and the
-// exhaustive counters must match exactly — proof the integer prefilter
-// never dropped a candidate.
-func goldenQuantCompare(t *testing.T, store *mdb.Store, inputs [][]float64) {
+// eachQuantizedForm runs fn over the two quantized forms of a
+// float-built store — a warm heap load and a cold memory map of its
+// columnar snapshot — and fails if the scans in fn moved any record off
+// the tier it loaded on: they did not scan compressed.
+func eachQuantizedForm(t *testing.T, store *mdb.Store, fn func(name string, qs *mdb.Store)) {
 	t.Helper()
-	qs := quantizedCopy(t, store)
-	scalar := NewSearcher(qs, Params{Kernel: KernelScalar})
-	quant := NewSearcher(qs, Params{Kernel: KernelQuant})
-
-	refEx, err := scalar.ExhaustiveN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotEx, err := quant.ExhaustiveN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inputs {
-		assertSelectionEquivalent(t, "quant/exhaustive", refEx.Results[i], gotEx.Results[i])
-		assertCountersEqual(t, "quant/exhaustive", refEx.Results[i], gotEx.Results[i])
-	}
-
-	refSkip, err := scalar.AlgorithmN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSkip, err := quant.AlgorithmN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inputs {
-		assertSelectionEquivalent(t, "quant/skip", refSkip.Results[i], gotSkip.Results[i])
-	}
-
-	// KernelAuto over a fresh warm store must take the compressed-domain
-	// path — visible as the records staying warm (the scalar kernel
-	// would have promoted them hot) — and still reproduce the selection.
-	autoStore := quantizedCopy(t, store)
-	gotAuto, err := NewSearcher(autoStore, Params{Kernel: KernelAuto}).ExhaustiveN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inputs {
-		assertSelectionEquivalent(t, "auto/exhaustive", refEx.Results[i], gotAuto.Results[i])
-	}
-	for _, id := range autoStore.RecordIDs() {
-		rec, _ := autoStore.Record(id)
-		if rec.Tier() != mdb.TierWarm {
-			t.Fatalf("KernelAuto promoted record %q to %v — did not scan compressed", id, rec.Tier())
+	for _, st := range []struct {
+		name  string
+		store *mdb.Store
+		tier  mdb.Tier
+	}{{"warm", quantizedCopy(t, store), mdb.TierWarm}, {"cold", coldCopy(t, store), mdb.TierCold}} {
+		if rec, _ := st.store.Record(st.store.RecordIDs()[0]); rec.Tier() != st.tier {
+			if st.tier == mdb.TierCold {
+				t.Logf("mmap unavailable; %s store loaded %v", st.name, rec.Tier())
+				continue
+			}
+			t.Fatalf("%s store loaded %v", st.name, rec.Tier())
+		}
+		fn(st.name, st.store)
+		for _, id := range st.store.RecordIDs() {
+			if rec, _ := st.store.Record(id); rec.Tier() != st.tier {
+				t.Fatalf("%s scan moved record %q to %v", st.name, id, rec.Tier())
+			}
 		}
 	}
 }
 
-// TestGoldenQuantVsScalarSynthetic: the equivalence contract over the
+// goldenQuantCompare runs the equivalence battery over both quantized
+// forms of one float-built store. The reference is the naive Pearson
+// over the SAME int16 counts, and the compressed-domain walk must
+// reproduce it with == (ω bits, offsets, counters: proof the exhaustive
+// scan's profile prefilter never dropped a candidate).
+func goldenQuantCompare(t *testing.T, store *mdb.Store, inputs [][]float64) {
+	t.Helper()
+	eachQuantizedForm(t, store, func(name string, qs *mdb.Store) {
+		goldenCompareStore(t, name, qs, inputs, true)
+	})
+}
+
+// TestGoldenQuantVsScalarSynthetic: the quantized contract over the
 // standard synthetic fixture, including a mixed-length batch.
 func TestGoldenQuantVsScalarSynthetic(t *testing.T) {
 	f := newFixture(t, 2)
-	long := f.input(synth.Seizure, 0)
-	inputs := [][]float64{
-		f.input(synth.Normal, 0),
-		long,
-		long[:128], // second length group
-		f.input(synth.Normal, 2),
-	}
-	goldenQuantCompare(t, f.store, inputs)
+	goldenQuantCompare(t, f.store, syntheticInputs(f))
 }
 
 // TestGoldenQuantVsScalarDegenerate: constant stored regions quantize
-// to constant counts, the integer variance cancels exactly, and both
-// kernels must agree the correlation there is exactly 0.
+// to constant counts, the integer variance cancels exactly, and the
+// correlation there is exactly 0.
 func TestGoldenQuantVsScalarDegenerate(t *testing.T) {
-	g := synth.NewGenerator(synth.Config{Seed: 23, ArchetypesPerClass: 1})
-	live := g.Instance(synth.Normal, 0, synth.InstanceOpts{DurSeconds: 12})
-	samples := make([]float64, 0, 5000)
-	samples = append(samples, live.Samples[:1500]...)
-	for i := 0; i < 2200; i++ {
-		samples = append(samples, 42.5)
-	}
-	samples = append(samples, live.Samples[1500:2800]...)
-	store := mdb.NewStore()
-	if _, err := store.Insert(&mdb.Record{ID: "plateau", Samples: samples}, 500, nil); err != nil {
-		t.Fatal(err)
-	}
-	f := newFixture(t, 1)
-	inputs := [][]float64{f.input(synth.Normal, 0), f.input(synth.Normal, 0)[:100]}
+	store, inputs := plateauStore(t)
 	goldenQuantCompare(t, store, inputs)
 }
 
@@ -127,51 +89,8 @@ func TestGoldenQuantVsScalarDegenerate(t *testing.T) {
 // store — data that already survived one 16-bit quantization before
 // the columnar conversion applies its own.
 func TestGoldenQuantVsScalarEDFStore(t *testing.T) {
-	g := synth.NewGenerator(synth.Config{Seed: 31, ArchetypesPerClass: 2})
-	var recs []*synth.Recording
-	for arch := 0; arch < 2; arch++ {
-		recs = append(recs,
-			g.Instance(synth.Normal, arch, synth.InstanceOpts{DurSeconds: 25}),
-			g.Instance(synth.Seizure, arch, synth.InstanceOpts{
-				OffsetSamples: (synth.OnsetAt - 15) * 256, DurSeconds: 30}),
-		)
-	}
-	dir := t.TempDir()
-	if _, err := dataset.Export(dir, recs); err != nil {
-		t.Fatal(err)
-	}
-	imported, err := dataset.Import(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := mdb.Build(imported, mdb.DefaultBuildConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := newFixture(t, 1)
-	inputs := [][]float64{f.input(synth.Normal, 0), f.input(synth.Seizure, 1)}
+	store, inputs := edfStore(t)
 	goldenQuantCompare(t, store, inputs)
-}
-
-// TestQuantKernelFloatStoreFallback: KernelQuant over a legacy float
-// store has nothing to scan compressed — it must fall back to the
-// float kernels and stay selection-equivalent to the scalar reference
-// (the standard kernel contract).
-func TestQuantKernelFloatStoreFallback(t *testing.T) {
-	f := newFixture(t, 1)
-	inputs := [][]float64{f.input(synth.Normal, 0), f.input(synth.Seizure, 0)}
-	ref, err := NewSearcher(f.store, Params{Kernel: KernelScalar}).ExhaustiveN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewSearcher(f.store, Params{Kernel: KernelQuant}).ExhaustiveN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inputs {
-		assertSelectionEquivalent(t, "quant/float-fallback", ref.Results[i], got.Results[i])
-		assertCountersEqual(t, "quant/float-fallback", ref.Results[i], got.Results[i])
-	}
 }
 
 // TestQuantOmegaWithinDocumentedTolerance: against the ORIGINAL float
@@ -181,12 +100,12 @@ func TestQuantKernelFloatStoreFallback(t *testing.T) {
 func TestQuantOmegaWithinDocumentedTolerance(t *testing.T) {
 	f := newFixture(t, 2)
 	input := f.input(synth.Seizure, 1)
-	ref, err := NewSearcher(f.store, Params{Kernel: KernelScalar}).Exhaustive(input)
+	ref, err := NewSearcher(f.store, Params{}).Exhaustive(input)
 	if err != nil {
 		t.Fatal(err)
 	}
 	qs := quantizedCopy(t, f.store)
-	got, err := NewSearcher(qs, Params{Kernel: KernelQuant}).Exhaustive(input)
+	got, err := NewSearcher(qs, Params{}).Exhaustive(input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +126,14 @@ func TestQuantOmegaWithinDocumentedTolerance(t *testing.T) {
 	}
 }
 
-// TestBeyondRAMQuantSearch: a memory-mapped columnar store whose file
-// exceeds the promotion budget, scanned with the float-demanding
-// scalar kernel, must page records through the hot tier (promotions
-// AND demotions) while answering exactly like a fully-resident load of
-// the same snapshot.
+// TestBeyondRAMQuantSearch: over a memory-mapped columnar store whose
+// file exceeds the promotion budget, float reads page records through
+// the hot tier (promotions AND demotions) and leave them on mixed
+// tiers. The scan dispatches per record on the tier it observes — hot
+// records through their dequantized float64 samples, the rest
+// compressed — and must answer like the naive reference over a fully
+// resident load of the same snapshot: selection and exhaustive counters
+// identical, ω within 1e-9.
 func TestBeyondRAMQuantSearch(t *testing.T) {
 	f := newFixture(t, 2)
 	path := filepath.Join(t.TempDir(), "big.col")
@@ -234,27 +156,40 @@ func TestBeyondRAMQuantSearch(t *testing.T) {
 		t.Fatalf("fixture snapshot (%d bytes) does not exceed the %d-byte budget", st.Size(), budget)
 	}
 	cold.SetTierBudget(budget)
+	tiers := map[mdb.Tier]int{}
+	for _, id := range cold.RecordIDs() {
+		rec, _ := cold.Record(id)
+		rec.Float()
+	}
+	for _, id := range cold.RecordIDs() {
+		rec, _ := cold.Record(id)
+		tiers[rec.Tier()]++
+	}
+	if tiers[mdb.TierHot] == 0 || tiers[mdb.TierHot] == len(cold.RecordIDs()) {
+		t.Fatalf("float reads left no tier mix to scan: %v", tiers)
+	}
+	if ts := cold.TierStats(); ts.Promotions == 0 || ts.Demotions == 0 {
+		t.Fatalf("beyond-RAM reads moved nothing through the tiers: %+v", ts)
+	}
 
 	eager, err := mdb.LoadColumnar(mustOpen(t, path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := [][]float64{f.input(synth.Normal, 0), f.input(synth.Seizure, 1)}
-	ref, err := NewSearcher(eager, Params{Kernel: KernelScalar}).ExhaustiveN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewSearcher(cold, Params{Kernel: KernelScalar}).ExhaustiveN(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inputs {
-		assertSelectionEquivalent(t, "beyond-ram", ref.Results[i], got.Results[i])
-		assertCountersEqual(t, "beyond-ram", ref.Results[i], got.Results[i])
-	}
-	ts := cold.TierStats()
-	if ts.Promotions == 0 || ts.Demotions == 0 {
-		t.Fatalf("beyond-RAM scan moved nothing through the tiers: %+v", ts)
+	s := NewSearcher(cold, Params{})
+	for _, exhaustive := range []bool{true, false} {
+		ref := refSearch(t, eager, Params{}, inputs, exhaustive)
+		got, err := s.runBatch(inputs, exhaustive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range inputs {
+			assertSelectionEquivalent(t, "beyond-ram", ref[i], got.Results[i])
+			if exhaustive {
+				assertCountersEqual(t, "beyond-ram", ref[i], got.Results[i])
+			}
+		}
 	}
 }
 

@@ -91,14 +91,6 @@ type Params struct {
 	// redundant corpora mask but a precise reproduction should not
 	// inherit.
 	PaperSliceScan bool
-	// Kernel selects the correlation kernel dispatch: KernelAuto
-	// (default) picks per set and per query, KernelScalar forces the
-	// unrolled dot-product reference, KernelFFT forces the dense
-	// O(L log L) profile. Whatever the mode, match selection is
-	// identical to the scalar reference and every reported ω agrees
-	// within 1e-9 (the golden equivalence contract; see
-	// kernelwalk.go).
-	Kernel KernelMode
 }
 
 // DefaultParams returns the paper's search configuration.
@@ -136,11 +128,6 @@ func (p Params) withDefaults() Params {
 	if p.Workers < 0 {
 		p.Workers = 0
 	}
-	if m, ok := ParseKernelMode(string(p.Kernel)); ok {
-		p.Kernel = m
-	} else {
-		p.Kernel = KernelAuto
-	}
 	return p
 }
 
@@ -155,9 +142,9 @@ type Result struct {
 	// Candidates counts offsets that cleared δ before top-K
 	// truncation (the "number of matches" of Fig. 7a / Fig. 8a).
 	Candidates int
-	// ProfileSets counts the signal-set passes whose ω values for
-	// this query came from the FFT kernel engine's dense profile
-	// rather than scalar dot products (see BatchResult.ProfileSets).
+	// ProfileSets counts the signal-set passes this query profiled on
+	// the FFT kernel engine: all of them for an exhaustive scan, none
+	// for the skip walk (see BatchResult.ProfileSets).
 	ProfileSets int
 	// SetsScanned is the number of signal-sets visited.
 	SetsScanned int

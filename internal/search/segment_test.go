@@ -15,13 +15,17 @@ import (
 	"emap/internal/synth"
 )
 
-// refQuantSearch answers every input over a quantized store the way
-// the compressed-domain walk did before the segment scratch, written
-// naively: per signal-set, per query, per visited offset one
-// QuantView.WindowSums and one kernel.DotQF over the stored counts. It
-// shares only the trajectory rule (skipFor, decayPow) and TopK with
-// the code under test.
-func refQuantSearch(t *testing.T, store *mdb.Store, params Params, inputs [][]float64, exhaustive bool) []*Result {
+// refSearch is the one oracle the search is tested against: it answers
+// every input naively — per signal-set, per query, per visited offset a
+// plain-loop Pearson correlation over the record's stored samples — and
+// shares only the trajectory rule (skipFor, decayPow) and TopK with the
+// code under test. A float record is correlated by dsp.Pearson (two
+// passes: means, then centred sums); a quantized one from exact integer
+// window sums over its counts and kernel.DotQF, the arithmetic the
+// segment walk must reproduce with ==. Each Result's ProfileSets is the number of set
+// passes the reference walked for that input: what an exhaustive scan
+// must profile.
+func refSearch(t *testing.T, store *mdb.Store, params Params, inputs [][]float64, exhaustive bool) []*Result {
 	t.Helper()
 	s := NewSearcher(store, params)
 	p := s.Params()
@@ -36,9 +40,10 @@ func refQuantSearch(t *testing.T, store *mdb.Store, params Params, inputs [][]fl
 		res, top := &Result{}, NewTopK(p.TopK)
 		for _, set := range snap.Sets() {
 			rec, _ := snap.Record(set.RecordID)
-			qv, ok := rec.Quant()
-			if !ok {
-				t.Fatalf("record %q has no quantized payload", set.RecordID)
+			qv, quantized := rec.Quant()
+			var samples []float64
+			if !quantized {
+				samples = rec.Float()
 			}
 			maxOff := set.Length - 1
 			if p.PaperSliceScan {
@@ -47,23 +52,35 @@ func refQuantSearch(t *testing.T, store *mdb.Store, params Params, inputs [][]fl
 			if set.Start+maxOff+n > rec.Len() {
 				maxOff = rec.Len() - n - set.Start
 			}
+			if maxOff < 0 {
+				continue
+			}
+			res.ProfileSets++
 			found, bestOmega, bestBeta, env := false, 0.0, 0, 0.0
 			for beta := 0; beta <= maxOff; {
 				abs := set.Start + beta
-				sum, sumSq := qv.WindowSums(abs, n)
-				v := float64(sumSq) - float64(sum)*float64(sum)/fn
-				if v < 0 {
-					v = 0
-				}
-				// The two walks spell the cancelling record scale
-				// differently; both spellings are pinned.
 				omega := 0.0
-				if exhaustive {
-					if den := math.Sqrt(v); den >= 1e-12 {
-						omega = kernel.DotQF(zq, qv.Counts[abs:abs+n]) / den
+				if quantized {
+					var sum, sumSq int64
+					for _, c := range qv.Counts[abs : abs+n] {
+						sum += int64(c)
+						sumSq += int64(c) * int64(c)
 					}
-				} else if den := qv.Scale * math.Sqrt(v); den >= 1e-12 {
-					omega = qv.Scale * kernel.DotQF(zq, qv.Counts[abs:abs+n]) / den
+					v := float64(sumSq) - float64(sum)*float64(sum)/fn
+					if v < 0 {
+						v = 0
+					}
+					// The two walks spell the cancelling record scale
+					// differently; both spellings are pinned.
+					if exhaustive {
+						if den := math.Sqrt(v); den >= 1e-12 {
+							omega = kernel.DotQF(zq, qv.Counts[abs:abs+n]) / den
+						}
+					} else if den := qv.Scale * math.Sqrt(v); den >= 1e-12 {
+						omega = qv.Scale * kernel.DotQF(zq, qv.Counts[abs:abs+n]) / den
+					}
+				} else {
+					omega = dsp.Pearson(zq, samples[abs:abs+n])
 				}
 				res.Evaluated++
 				if omega > p.Delta {
@@ -128,8 +145,8 @@ func coldCopy(t *testing.T, store *mdb.Store) *mdb.Store {
 
 // TestSegmentWalkBitIdentical: the segment-scratch walk must return
 // exactly — == on SetID, Beta and Omega, equal counters — what the
-// per-visit WindowSums + DotQF evaluation returns, on a warm heap store
-// and a cold mapped one, for the skip walk and the exhaustive walk,
+// naive reference's per-visit window sums + DotQF return, on a warm
+// heap store and a cold mapped one, for the skip walk and the exhaustive walk,
 // with the paper's slice bound on and off. The batch mixes two length
 // groups (sharing one scratch), a window shorter than a checkpoint
 // block and lengths that are not multiples of the kernel's 8-way
@@ -145,36 +162,23 @@ func TestSegmentWalkBitIdentical(t *testing.T) {
 		f.input(synth.Normal, 1)[:50], // shorter than one checkpoint block
 		f.input(synth.Seizure, 2),
 	}
-	warm := quantizedCopy(t, f.store)
-	cold := coldCopy(t, f.store)
 	clipped := false
-	for _, set := range warm.Snapshot().Sets() {
-		rec, _ := warm.Record(set.RecordID)
+	for _, set := range f.store.Snapshot().Sets() {
+		rec, _ := f.store.Record(set.RecordID)
 		clipped = clipped || set.Start+set.Length-1+len(long) > rec.Len()
 	}
 	if !clipped {
 		t.Fatal("fixture has no set whose trailing windows are clipped at the record end")
 	}
-	for _, st := range []struct {
-		name  string
-		store *mdb.Store
-		tier  mdb.Tier
-	}{{"warm", warm, mdb.TierWarm}, {"cold", cold, mdb.TierCold}} {
-		if rec, _ := st.store.Record(st.store.RecordIDs()[0]); rec.Tier() != st.tier {
-			if st.tier == mdb.TierCold {
-				t.Logf("mmap unavailable; %s store loaded %v", st.name, rec.Tier())
-				continue
-			}
-			t.Fatalf("%s store loaded %v", st.name, rec.Tier())
-		}
+	eachQuantizedForm(t, f.store, func(name string, qs *mdb.Store) {
 		for _, slice := range []bool{false, true} {
 			// Delta 0.3 keeps the candidate counters busy; the default
 			// δ is covered by the golden suites.
-			params := Params{Kernel: KernelQuant, PaperSliceScan: slice, Delta: 0.3}
+			params := Params{PaperSliceScan: slice, Delta: 0.3}
 			for _, exhaustive := range []bool{false, true} {
-				label := fmt.Sprintf("%s/slice=%v/exhaustive=%v", st.name, slice, exhaustive)
-				ref := refQuantSearch(t, st.store, params, inputs, exhaustive)
-				got, err := NewSearcher(st.store, params).runBatch(inputs, exhaustive)
+				label := fmt.Sprintf("%s/slice=%v/exhaustive=%v", name, slice, exhaustive)
+				ref := refSearch(t, qs, params, inputs, exhaustive)
+				got, err := NewSearcher(qs, params).runBatch(inputs, exhaustive)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +188,7 @@ func TestSegmentWalkBitIdentical(t *testing.T) {
 					assertBitIdentical(t, fmt.Sprintf("%s/query %d", label, i), ref[i], got.Results[i])
 					// A batch of one takes the no-frontier fast path
 					// instead of the wheel: same answer.
-					solo, err := NewSearcher(st.store, params).run(inputs[i], exhaustive)
+					solo, err := NewSearcher(qs, params).run(inputs[i], exhaustive)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -195,12 +199,7 @@ func TestSegmentWalkBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		for _, id := range st.store.RecordIDs() {
-			if rec, _ := st.store.Record(id); rec.Tier() != st.tier {
-				t.Fatalf("%s scan moved record %q to %v", st.name, id, rec.Tier())
-			}
-		}
-	}
+	})
 }
 
 // TestSegmentPrefixSumsMatchWindowSums: for random segments of a
@@ -255,7 +254,7 @@ func TestPooledScratchConcurrent(t *testing.T) {
 	inputs := [][]float64{f.input(synth.Normal, 0), long, long[:128], f.input(synth.Normal, 2)}
 	searchers := []*Searcher{
 		NewSearcher(quantizedCopy(t, f.store), Params{Workers: 2}),
-		NewSearcherWithEngine(f.store, Params{Workers: 3, Kernel: KernelFFT}, kernel.NewEngine()),
+		NewSearcherWithEngine(f.store, Params{Workers: 3}, kernel.NewEngine()),
 	}
 	type call func(s *Searcher) (any, error)
 	strip := func(rs ...*Result) any {

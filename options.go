@@ -39,28 +39,6 @@ func WithSearchParams(p SearchParams) Option {
 	return func(c *Config) { c.Search = p }
 }
 
-// KernelMode selects how the cloud search computes ω: KernelAuto
-// dispatches per signal-set and per query between the unrolled scalar
-// dot kernels and the FFT profile engine, KernelScalar forces the
-// scalar reference, KernelFFT forces the dense O(L log L) profile.
-// Match selection is identical across modes (ω within 1e-9); only the
-// speed changes. See DESIGN.md §11.
-type KernelMode = search.KernelMode
-
-// The kernel dispatch modes.
-const (
-	KernelAuto   = search.KernelAuto
-	KernelScalar = search.KernelScalar
-	KernelFFT    = search.KernelFFT
-	KernelQuant  = search.KernelQuant
-)
-
-// WithKernel selects the correlation kernel dispatch mode without
-// replacing the rest of the search configuration.
-func WithKernel(mode KernelMode) Option {
-	return func(c *Config) { c.Search.Kernel = mode }
-}
-
 // WithTrackParams configures edge tracking (Algorithm 2).
 func WithTrackParams(p TrackParams) Option {
 	return func(c *Config) { c.Track = p }
