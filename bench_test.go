@@ -330,35 +330,6 @@ func BenchmarkCloudSearchMultiTenant(b *testing.B) {
 	b.ReportMetric(float64(srv.Metrics.Evaluations.Load())/float64(max(b.N, 1)), "ω-evals/op")
 }
 
-// BenchmarkKernelDot measures the scan's innermost operation — the
-// 256-sample dot product behind every scalar ω — across the kernel
-// variants (naive single-accumulator loop vs the engine's unrolled
-// kernel).
-func BenchmarkKernelDot(b *testing.B) {
-	gen := emap.NewGenerator(3)
-	rec := gen.SeizureInput(0, 30, 4)
-	x, y := rec.Samples[0:256], rec.Samples[256:512]
-	naive := func(a, b []float64) float64 {
-		var acc float64
-		for i := range a {
-			acc += a[i] * b[i]
-		}
-		return acc
-	}
-	var sink float64
-	for _, bc := range []struct {
-		name string
-		k    func(a, b []float64) float64
-	}{{"naive", naive}, {"unroll8", kernel.Dot}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sink += bc.k(x, y)
-			}
-		})
-	}
-	_ = sink
-}
-
 // BenchmarkKernelProfile compares one signal-set's FULL ω-numerator
 // profile computed the two ways the engine can: scalar dot products at
 // every offset (O(n·L)) vs one cached-plan FFT multiply+inverse

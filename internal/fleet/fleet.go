@@ -90,10 +90,13 @@ type Config struct {
 	// CrashAt hard-restarts the in-process cloud at this offset
 	// (netsim mode only): the transport is torn down without closing
 	// the registry — a process kill — and a fresh server is rebuilt
-	// over the same snapshot and WAL directories. During such a run
-	// devices ingest recordings alongside their uploads, every
-	// acknowledged ingest is tracked, and the report accounts each one
-	// as survived or lost after recovery. Zero disables the crash.
+	// over the same snapshot and WAL directories, once at least one
+	// upload has failed against the dead transport (an outage no device
+	// noticed would test nothing; at fleet rates the wait is one upload
+	// interval at most). During such a run devices ingest recordings
+	// alongside their uploads, every acknowledged ingest is tracked,
+	// and the report accounts each one as survived or lost after
+	// recovery. Zero disables the crash.
 	CrashAt time.Duration
 	// Seed makes runs reproducible (default 1).
 	Seed int64
@@ -275,6 +278,9 @@ type runner struct {
 	shed        atomic.Int64
 	rateLimited atomic.Int64
 	errCount    atomic.Int64
+	// failed holds one token whenever an upload has failed since it was
+	// last drained: what crashRestart waits on during the downtime.
+	failed chan struct{}
 
 	latAll     histogram
 	latAnomaly histogram
@@ -326,7 +332,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	r := &runner{cfg: cfg}
+	r := &runner{cfg: cfg, failed: make(chan struct{}, 1)}
 
 	switch cfg.Mode {
 	case ModeNetsim:
@@ -427,8 +433,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	r.start = time.Now()
+	runCtx, cancel := context.WithDeadline(ctx, r.start.Add(cfg.Duration))
+	defer cancel()
+	var crash *time.Timer
+	restarted := make(chan struct{})
 	if cfg.CrashAt > 0 {
-		crash := time.AfterFunc(cfg.CrashAt, r.crashRestart)
+		crash = time.AfterFunc(cfg.CrashAt, func() {
+			defer close(restarted)
+			r.crashRestart(runCtx)
+		})
 		defer crash.Stop()
 		r.logf("fleet: cloud crash-restart scheduled at %v", cfg.CrashAt)
 	}
@@ -442,9 +455,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	r.logf("fleet: %d devices, %d tenants, %v for %v (%s mode)",
 		cfg.Devices, cfg.Tenants, cfg.Interval, cfg.Duration, cfg.Mode)
-
-	runCtx, cancel := context.WithDeadline(ctx, r.start.Add(cfg.Duration))
-	defer cancel()
 
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Devices; i++ {
@@ -467,6 +477,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}()
 	}
 	wg.Wait()
+	// A restart that fired is waited out: it may have been held to the
+	// end of the run, and the survival check needs the rebuilt server.
+	if crash != nil && !crash.Stop() {
+		<-restarted
+	}
 
 	rep := r.report(time.Since(r.start))
 	if cfg.CrashAt > 0 {
@@ -479,14 +494,27 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // without ever closing the registry (no snapshot persists, no WAL
 // checkpoint — the write-ahead log is the only durable copy of
 // unevicted ingests), then rebuild the server over the same
-// directories the way a restarted process would.
-func (r *runner) crashRestart() {
+// directories the way a restarted process would. The rebuild is held
+// until an upload has failed against the dead transport (or the run
+// ends), so every crash run observes its own outage however fast the
+// server answers.
+func (r *runner) crashRestart(ctx context.Context) {
 	r.srvMu.Lock()
 	old := r.srv
 	r.srv = nil
 	r.srvMu.Unlock()
 	if old != nil {
 		old.Close()
+	}
+	// A token left by a failure from before the kill is not evidence of
+	// the outage; one sent after this drain is.
+	select {
+	case <-r.failed:
+	default:
+	}
+	select {
+	case <-r.failed:
+	case <-ctx.Done():
 	}
 	srv, err := r.mkSrv()
 	if err != nil {
@@ -639,8 +667,7 @@ func (r *runner) uploadOnce(ctx context.Context, d *device) {
 		cl, err := r.dial(d)
 		if err != nil {
 			r.uploads.Add(1)
-			r.errCount.Add(1)
-			d.markFailure()
+			r.uploadFailed(d)
 			return
 		}
 		d.client = cl
@@ -680,8 +707,18 @@ func (r *runner) uploadOnce(ctx context.Context, d *device) {
 			r.uploads.Add(-1)
 			return
 		}
-		r.errCount.Add(1)
-		d.markFailure()
+		r.uploadFailed(d)
+	}
+}
+
+// uploadFailed counts one failed upload, opens the device's degraded
+// span and leaves the token a pending crashRestart waits for.
+func (r *runner) uploadFailed(d *device) {
+	r.errCount.Add(1)
+	d.markFailure()
+	select {
+	case r.failed <- struct{}{}:
+	default:
 	}
 }
 

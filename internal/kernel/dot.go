@@ -5,8 +5,8 @@
 // offset of every stored signal-set — and this package supplies the
 // two ways to compute it fast:
 //
-//   - an unrolled scalar dot product (Dot) for the skip walk, where
-//     Algorithm 1 touches only a fraction of offsets;
+//   - a dot product with one defined summation order (Dot) for the
+//     skip walk, where Algorithm 1 touches only a fraction of offsets;
 //   - an FFT profiler (Engine, Profiler) that computes a signal-set's
 //     FULL ω numerator profile in O(L log L) — one cached-plan real
 //     transform of the stored region, one per unique query, one
@@ -16,24 +16,62 @@
 // this package only does arithmetic and caches FFT plans per size.
 package kernel
 
+// dot is the route Dot runs, chosen once before main: the portable
+// loop everywhere, replaced in dot_amd64.go's init by the AVX2 routine
+// when the CPU and the OS support it. Both compute the same bits, so
+// the choice is invisible above this package.
+var dot = dotPortable
+
 // Dot returns Σ a[i]·b[i] over len(a) elements (len(b) must be at
-// least len(a)). The loop is 8-way unrolled over four independent
-// accumulators, which both feeds the CPU's FMA ports and — by
-// splitting the sum into four interleaved sub-sums — already tightens
-// the worst-case rounding error versus a single running sum.
+// least len(a)) in ONE defined summation order, the same on every
+// route and every architecture:
+//
+//   - Lanes. Eight sub-sums s0…s7 start at +0. Each full block of 16
+//     elements at index i adds to lane j (0 ≤ j < 8) the pair sum
+//     a[i+j]·b[i+j] + a[i+8+j]·b[i+8+j]: every product is rounded to
+//     float64, the two are added and rounded, then the pair joins the
+//     lane. No multiply is ever fused with an add.
+//   - Tail. The n mod 16 trailing elements accumulate sequentially
+//     into a ninth sum t, also from +0.
+//   - Reduction tree. ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)), then + t.
+//
+// The order is what a vector unit executes naturally — two 4-lane
+// accumulators, a pair-add that halves each accumulator's dependency
+// chain, a halving reduction — and what dotPortable spells out in
+// plain Go, so results are == across routes (every NaN counts as
+// equal: which payload survives is the hardware's choice). Because the
+// answer does not depend on the route, neither do the search
+// selections, the goldens or the wire replies.
 func Dot(a, b []float64) float64 {
-	n := len(a)
-	b = b[:n]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		s0 += a[i]*b[i] + a[i+4]*b[i+4]
-		s1 += a[i+1]*b[i+1] + a[i+5]*b[i+5]
-		s2 += a[i+2]*b[i+2] + a[i+6]*b[i+6]
-		s3 += a[i+3]*b[i+3] + a[i+7]*b[i+7]
+	// Cutting b here is the length check for both routes: a short b
+	// panics before any route runs.
+	return dot(a, b[:len(a)])
+}
+
+// dotPortable is Dot's order in plain Go: the route of every platform
+// without the vector routine and the reference the vector routine is
+// tested == against. Each product is wrapped in float64(…): the Go
+// spec lets a compiler fuse x*y + z into one rounding (arm64, ppc64le,
+// s390x and riscv64 do) unless an explicit conversion rounds the
+// product first, so without it the "defined order" would silently
+// differ across GOARCH. len(b) must equal len(a).
+func dotPortable(a, b []float64) float64 {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	for len(a) >= 16 && len(b) >= 16 {
+		s0 += float64(a[0]*b[0]) + float64(a[8]*b[8])
+		s1 += float64(a[1]*b[1]) + float64(a[9]*b[9])
+		s2 += float64(a[2]*b[2]) + float64(a[10]*b[10])
+		s3 += float64(a[3]*b[3]) + float64(a[11]*b[11])
+		s4 += float64(a[4]*b[4]) + float64(a[12]*b[12])
+		s5 += float64(a[5]*b[5]) + float64(a[13]*b[13])
+		s6 += float64(a[6]*b[6]) + float64(a[14]*b[14])
+		s7 += float64(a[7]*b[7]) + float64(a[15]*b[15])
+		a, b = a[16:], b[16:]
 	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[i]
+	var t float64
+	b = b[:len(a)]
+	for i, x := range a {
+		t += float64(x * b[i])
 	}
-	return (s0 + s1) + (s2 + s3)
+	return (((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7))) + t
 }

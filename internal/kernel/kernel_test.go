@@ -2,8 +2,10 @@ package kernel
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"emap/internal/rng"
 )
@@ -37,19 +39,109 @@ func randVec(r *rng.Source, n int) []float64 {
 	return out
 }
 
-// TestDotKernelsMatchNaive sweeps lengths across every unroll tail,
-// then windows far longer than the scan's.
-func TestDotKernelsMatchNaive(t *testing.T) {
-	r := rng.New(3)
-	lengths := []int{1000, 4096}
-	for n := 0; n <= 70; n++ {
+// sameFloat is the kernel's route equality: == as float64 values, with
+// every NaN equal to every other (which payload survives a sum is the
+// hardware's choice, not part of the summation order) and −0 ≠ +0.
+func sameFloat(x, y float64) bool {
+	if math.IsNaN(x) || math.IsNaN(y) {
+		return math.IsNaN(x) && math.IsNaN(y)
+	}
+	return math.Float64bits(x) == math.Float64bits(y)
+}
+
+// misalign cuts len(buf)−4 elements out of buf so that the first sits
+// mis (0…3) elements past a 32-byte boundary — every 8-byte
+// misalignment a 256-bit load can see.
+func misalign(buf []float64, mis int) []float64 {
+	at := int(uintptr(unsafe.Pointer(&buf[0])) / 8 % 4)
+	off, n := (mis-at+4)%4, len(buf)-4
+	return buf[off : off+n : off+n]
+}
+
+// dotLengths is every n across the 16-element block and its tail,
+// the scan's own window (256) with a neighbour either side, and
+// windows far longer than the scan's.
+func dotLengths() []int {
+	lengths := []int{255, 256, 257, 1000, 4096}
+	for n := 0; n <= 80; n++ {
 		lengths = append(lengths, n)
 	}
-	for _, n := range lengths {
-		a, b := randVec(r, n), randVec(r, n)
-		want := naiveDot(a, b)
-		if got, tol := Dot(a, b), dotTol(a, b); math.Abs(got-want) > tol {
-			t.Fatalf("Dot(n=%d) = %g, naive = %g (tol %g)", n, got, want, tol)
+	return lengths
+}
+
+// TestDotKernelsMatchNaive: at every length and every misalignment of
+// either operand, with b longer than a, the route Dot runs on this
+// machine (the AVX2 routine on an amd64 that has it) returns the
+// portable loop's bits, and both agree with the single-accumulator
+// loop within the summation-order bound.
+func TestDotKernelsMatchNaive(t *testing.T) {
+	r := rng.New(3)
+	for _, n := range dotLengths() {
+		for offA := 0; offA < 4; offA++ {
+			for offB := 0; offB < 4; offB++ {
+				a, b := misalign(randVec(r, n+4), offA), misalign(randVec(r, n+9), offB)
+				want := dotPortable(a, b[:n])
+				if got := Dot(a, b); !sameFloat(got, want) {
+					t.Fatalf("Dot(n=%d, a+%d, b+%d) = %x, portable = %x", n, offA, offB, math.Float64bits(got), math.Float64bits(want))
+				}
+				if naive, tol := naiveDot(a, b), dotTol(a, b[:n]); math.Abs(want-naive) > tol {
+					t.Fatalf("portable(n=%d) = %g, naive = %g (tol %g)", n, want, naive, tol)
+				}
+			}
+		}
+	}
+}
+
+// TestDotSpecialValues plants ±Inf, NaN, denormals, ±0 and products
+// that overflow or cancel in every position of the block and the tail:
+// the routes must still agree, and DotQF — same order — must match Dot
+// over the widened counts.
+func TestDotSpecialValues(t *testing.T) {
+	specials := []float64{
+		math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
+		math.MaxFloat64, -math.MaxFloat64, 1e200, -1e200,
+	}
+	r := rng.New(11)
+	for _, n := range []int{1, 15, 16, 17, 33, 50} {
+		for pos := 0; pos < n; pos++ {
+			for si, sv := range specials {
+				a, b := randVec(r, n), randVec(r, n)
+				a[pos] = sv
+				b[(pos+7)%n] = specials[(si+pos)%len(specials)]
+				want := dotPortable(a, b)
+				if got := Dot(a, b); !sameFloat(got, want) {
+					t.Fatalf("n=%d pos=%d special=%g: Dot = %x, portable = %x", n, pos, sv, math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+		}
+	}
+	// All-negative-zero products: every lane and the tail stay +0.
+	neg, pos := make([]float64, 40), make([]float64, 40)
+	for i := range neg {
+		neg[i] = math.Copysign(0, -1)
+		pos[i] = 1
+	}
+	for n := 0; n <= 40; n++ {
+		if got := Dot(neg[:n], pos[:n]); !sameFloat(got, 0) || !sameFloat(dotPortable(neg[:n], pos[:n]), 0) {
+			t.Fatalf("Dot over %d negative zeros = %x, want +0", n, math.Float64bits(got))
+		}
+	}
+}
+
+// TestDotQFFollowsDotOrder: the quantized oracle equals Dot over the
+// widened counts, bit for bit, at every length.
+func TestDotQFFollowsDotOrder(t *testing.T) {
+	r := rng.New(13)
+	for _, n := range dotLengths() {
+		q := randVec(r, n)
+		c, w := make([]int16, n+3), make([]float64, n+3)
+		for i := range c {
+			c[i] = int16(r.Intn(1<<16) - 1<<15)
+			w[i] = float64(c[i])
+		}
+		if got, want := DotQF(q, c), Dot(q, w); !sameFloat(got, want) {
+			t.Fatalf("DotQF(n=%d) = %x, Dot over widened counts = %x", n, math.Float64bits(got), math.Float64bits(want))
 		}
 	}
 }
@@ -64,10 +156,41 @@ func TestDotUsesPrefixOfB(t *testing.T) {
 	}
 }
 
-// FuzzDot feeds arbitrary float pairs through the kernel and
-// requires agreement with the naive loop within the summation-order
-// error bound. NaN/Inf inputs are skipped — ω is computed over
-// bandpass-filtered finite samples by construction.
+// panicOf returns what f panics with, as text ("" if it returns).
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestDotShortBPanics: a b shorter than a is refused by the slice
+// expression in Dot, before any route runs — so the panic is the same
+// whichever route the machine selected, and no route reads past b.
+func TestDotShortBPanics(t *testing.T) {
+	a, b := make([]float64, 40), make([]float64, 39)
+	want := panicOf(func() { _ = b[:len(a)] })
+	if want == "" {
+		t.Fatal("reference slice expression did not panic")
+	}
+	selected := dot
+	defer func() { dot = selected }()
+	for _, route := range []func(a, b []float64) float64{selected, dotPortable} {
+		dot = route
+		if got := panicOf(func() { Dot(a, b) }); got != want {
+			t.Fatalf("Dot with a short b panicked with %q, want %q", got, want)
+		}
+	}
+}
+
+// FuzzDot feeds arbitrary float pairs — NaN, ±Inf and denormals
+// included — through the kernel at a fuzzed misalignment and requires
+// the selected route to return the portable loop's bits; finite
+// in-domain inputs must also agree with the naive loop within the
+// summation-order error bound.
 func FuzzDot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -76,25 +199,39 @@ func FuzzDot(f *testing.F) {
 		seed[i] = byte(i * 37)
 	}
 	f.Add(seed)
+	special := make([]byte, 16*35+1)
+	for i := 0; i < 35; i++ {
+		binary.LittleEndian.PutUint64(special[16*i:], [...]uint64{0x7ff0000000000000, 0xfff8000000000001, 1, 0x8000000000000000, 0x3ff0000000000000}[i%5])
+		binary.LittleEndian.PutUint64(special[16*i+8:], [...]uint64{0, 0xfff0000000000000, 0x000fffffffffffff}[i%3])
+	}
+	special[len(special)-1] = 0x27
+	f.Add(special)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := len(data) / 16
-		a, b := make([]float64, n), make([]float64, n)
+		// The spare trailing byte, when there is one, picks the two
+		// misalignments.
+		var offA, offB int
+		if len(data)%16 != 0 {
+			offA, offB = int(data[len(data)-1]&3), int(data[len(data)-1]>>4&3)
+		}
+		a, b := misalign(make([]float64, n+4), offA), misalign(make([]float64, n+6), offB)
+		inDomain := true
 		for i := 0; i < n; i++ {
 			a[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[16*i:]))
 			b[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:]))
-			if math.IsNaN(a[i]) || math.IsInf(a[i], 0) || math.IsNaN(b[i]) || math.IsInf(b[i], 0) {
-				t.Skip("non-finite input")
-			}
-			// Extreme magnitudes overflow the product; the scan's
-			// inputs are µV-scale by construction.
-			if math.Abs(a[i]) > 1e150 || math.Abs(b[i]) > 1e150 {
-				t.Skip("out-of-domain magnitude")
+			// Non-finite values and magnitudes whose product overflows
+			// have no meaningful naive bound; the scan's inputs are
+			// finite and µV-scale by construction.
+			if !(math.Abs(a[i]) <= 1e150 && math.Abs(b[i]) <= 1e150) {
+				inDomain = false
 			}
 		}
-		want := naiveDot(a, b)
-		tol := dotTol(a, b)
-		if got := Dot(a, b); math.Abs(got-want) > tol {
-			t.Fatalf("Dot = %g, naive = %g (n=%d)", got, want, n)
+		got, want := Dot(a, b), dotPortable(a, b[:n])
+		if !sameFloat(got, want) {
+			t.Fatalf("Dot = %x, portable = %x (n=%d, a+%d, b+%d)", math.Float64bits(got), math.Float64bits(want), n, offA, offB)
+		}
+		if naive := naiveDot(a, b); inDomain && math.Abs(got-naive) > dotTol(a, b[:n]) {
+			t.Fatalf("Dot = %g, naive = %g (n=%d)", got, naive, n)
 		}
 	})
 }
@@ -144,14 +281,19 @@ func TestEngineCachesPlans(t *testing.T) {
 	}
 }
 
-func BenchmarkDot(b *testing.B) {
+// BenchmarkKernelDot reports the scan's innermost operation — the
+// 256-sample dot behind every ω of the skip walk — on the naive
+// single-accumulator loop, the portable route and the route this
+// machine selected ("vector" is the AVX2 routine where init chose it;
+// elsewhere it repeats portable).
+func BenchmarkKernelDot(b *testing.B) {
 	r := rng.New(1)
 	x, y := randVec(r, 256), randVec(r, 256)
 	var sink float64
 	for _, bc := range []struct {
 		name string
 		k    func(a, b []float64) float64
-	}{{"naive", naiveDot}, {"unroll8", Dot}} {
+	}{{"naive", naiveDot}, {"portable", dotPortable}, {"vector", Dot}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sink += bc.k(x, y)

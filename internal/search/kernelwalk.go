@@ -249,9 +249,8 @@ func (s *Searcher) walkSparse(cs []cursor, g *segment, accs []queryAccum, scr *w
 		}
 		return
 	}
-	// The floor envelope gives the longest skip any cursor can take.
-	if maxAdv := s.skipFor(0); maxAdv+1 <= maxWheelSpan {
-		s.walkSparseWheel(cs, g, accs, maxAdv, scr)
+	if s.maxAdv+1 <= maxWheelSpan {
+		s.walkSparseWheel(cs, g, accs, scr)
 		return
 	}
 	s.walkSparseScan(cs, g, accs)
@@ -283,7 +282,11 @@ func (s *Searcher) stepSparse(c *cursor, acc *queryAccum, g *segment, den float6
 	}
 	adv := s.skipFor(c.env)
 	c.beta += adv
-	c.env *= decayPow(p.EnvDecay, adv)
+	if adv < len(s.decay) {
+		c.env *= s.decay[adv]
+	} else {
+		c.env *= decayPow(p.EnvDecay, adv)
+	}
 	return c.beta <= g.maxOff
 }
 
@@ -292,10 +295,10 @@ func (s *Searcher) stepSparse(c *cursor, acc *queryAccum, g *segment, den float6
 // standing there, and one sweep visits every occupied offset in
 // ascending order. Finding the next frontier offset is O(1) amortized
 // instead of the O(cursors) min-scan per offset — the batched-walk
-// win at cloud batch sizes. Skips are bounded by maxAdv, so a wheel
-// of maxAdv+1 buckets can never collide.
-func (s *Searcher) walkSparseWheel(cs []cursor, g *segment, accs []queryAccum, maxAdv int, scr *walkScratch) {
-	w := maxAdv + 1
+// win at cloud batch sizes. Skips are bounded by s.maxAdv, so a wheel
+// of s.maxAdv+1 buckets can never collide.
+func (s *Searcher) walkSparseWheel(cs []cursor, g *segment, accs []queryAccum, scr *walkScratch) {
+	w := s.maxAdv + 1
 	if cap(scr.buckets) < w {
 		scr.buckets = make([][]int32, w)
 	}

@@ -33,7 +33,6 @@ package search
 
 import (
 	"errors"
-	"math"
 	"time"
 
 	"emap/internal/kernel"
@@ -184,9 +183,15 @@ type Searcher struct {
 	store  *mdb.Store
 	params Params
 	engine *kernel.Engine
-	// skipNum is α·SkipScale, the numerator of the skip rule, hoisted
-	// out of the per-evaluation path.
+	// Hoisted out of the per-evaluation path: skipNum is α·SkipScale,
+	// the numerator of the skip rule; maxAdv is skipFor(0), the longest
+	// skip any cursor can take (the floor envelope); decay[adv] is
+	// decayPow(EnvDecay, adv) for every adv ≤ maxAdv — built BY decayPow,
+	// so a lookup is the call's bits — and nil when maxAdv would need
+	// more than maxWheelSpan entries (stepSparse then calls decayPow).
 	skipNum float64
+	maxAdv  int
+	decay   []float64
 }
 
 // NewSearcher returns a Searcher over store with the given parameters
@@ -205,7 +210,15 @@ func NewSearcherWithEngine(store *mdb.Store, params Params, engine *kernel.Engin
 		engine = kernel.NewEngine()
 	}
 	params = params.withDefaults()
-	return &Searcher{store: store, params: params, engine: engine, skipNum: params.Alpha * params.SkipScale}
+	s := &Searcher{store: store, params: params, engine: engine, skipNum: params.Alpha * params.SkipScale}
+	s.maxAdv = s.skipFor(0)
+	if s.maxAdv+1 <= maxWheelSpan {
+		s.decay = make([]float64, s.maxAdv+1)
+		for adv := range s.decay {
+			s.decay[adv] = decayPow(params.EnvDecay, adv)
+		}
+	}
+	return s
 }
 
 // Engine returns the searcher's kernel-engine plan cache.
@@ -257,7 +270,12 @@ func (s *Searcher) run(input []float64, exhaustive bool) (*Result, error) {
 // has been seen recently, which is the behaviour Fig. 6 describes.
 //
 // It runs once per ω evaluation, so it reads the parameters through
-// the Searcher instead of taking a Params copy.
+// the Searcher instead of taking a Params copy, and rounds the quotient
+// x = α·SkipScale/env as int(x+0.5) rather than math.Round(x): x is
+// positive, and for 0.5 ≤ x < 2⁵¹ the sum is exact or rounds within an
+// integer's interval, so the two agree (TestSkipRoundingMatchesRound).
+// Below 0.5 both give 0 — except the float just under 0.5, where x+0.5
+// rounds up to 1 — and every such advance is clamped to 1 anyway.
 func (s *Searcher) skipFor(env float64) int {
 	if env < 0 {
 		env = -env
@@ -265,7 +283,7 @@ func (s *Searcher) skipFor(env float64) int {
 	if env < s.params.OmegaFloor {
 		env = s.params.OmegaFloor
 	}
-	adv := int(math.Round(s.skipNum / env))
+	adv := int(s.skipNum/env + 0.5)
 	if adv < 1 {
 		adv = 1
 	}

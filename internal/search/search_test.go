@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"emap/internal/dsp"
@@ -259,6 +260,112 @@ func TestSkipForBehaviour(t *testing.T) {
 			t.Fatalf("skip not monotone at ω=%g: %d < %d", w, cur, prev)
 		}
 		prev = cur
+	}
+}
+
+// TestSkipRoundingMatchesRound: skipFor rounds its quotient
+// x = α·SkipScale/env as int(x+0.5) where it used to call math.Round.
+// Over the reachable domain — x > 0, the result clamped to ≥ 1 — the
+// two agree: at every integer and half-integer a wheel-sized skip can
+// reach and the floats either side, at the binade edges where x+0.5
+// stops being exact, and through real searchers at envelopes that put
+// the quotient on a rounding boundary. The one input where the
+// unclamped values differ is the float just below 0.5.
+func TestSkipRoundingMatchesRound(t *testing.T) {
+	clamp := func(adv int) int {
+		if adv < 1 {
+			return 1
+		}
+		return adv
+	}
+	check := func(x float64) {
+		t.Helper()
+		if got, want := clamp(int(x+0.5)), clamp(int(math.Round(x))); got != want {
+			t.Fatalf("x = %v (%x): int(x+0.5) clamps to %d, math.Round to %d", x, math.Float64bits(x), got, want)
+		}
+	}
+	around := func(x float64) {
+		t.Helper()
+		check(x)
+		check(math.Nextafter(x, math.Inf(1)))
+		if x > 0 {
+			check(math.Nextafter(x, 0))
+		}
+	}
+	for m := 0; m <= 2*maxWheelSpan; m++ {
+		around(float64(m))
+		around(float64(m) + 0.5)
+	}
+	for k := -1074; k <= 50; k++ {
+		x := math.Ldexp(1, k)
+		around(x)
+		around(x + 0.5)
+		if x > 0.5 {
+			around(x - 0.5)
+		}
+	}
+	below := math.Nextafter(0.5, 0)
+	if int(below+0.5) != 1 || int(math.Round(below)) != 0 {
+		t.Fatalf("expected the float below 0.5 to be the one unclamped difference, got %d and %d", int(below+0.5), int(math.Round(below)))
+	}
+	for _, p := range []Params{{}, {Alpha: 0.001}, {Alpha: 0.02, SkipScale: 333}, {OmegaFloor: 1e-3}, {Alpha: 0.9, SkipScale: 1}} {
+		s := NewSearcher(nil, p)
+		ref := func(env float64) int {
+			env = math.Max(math.Abs(env), s.params.OmegaFloor)
+			return clamp(int(math.Round(s.skipNum / env)))
+		}
+		for m := 0; m <= s.maxAdv+1; m++ {
+			// env that lands the quotient on m+½, then its neighbours.
+			env := s.skipNum / (float64(m) + 0.5)
+			for i, e := 0, math.Nextafter(env, 0); i < 3; i, e = i+1, math.Nextafter(e, 2) {
+				if got, want := s.skipFor(e), ref(e); got != want {
+					t.Fatalf("%+v: skipFor(%v) = %d, math.Round form = %d", p, e, got, want)
+				}
+			}
+		}
+		for env := 0.0; env <= 1; env += 1.0 / 4096 {
+			if got, want := s.skipFor(env), ref(env); got != want {
+				t.Fatalf("%+v: skipFor(%v) = %d, math.Round form = %d", p, env, got, want)
+			}
+		}
+	}
+}
+
+// TestDecayTableIsDecayPow: the per-Searcher envelope-decay table holds
+// decayPow's own bits for every advance a cursor can take, and a
+// parameterization whose longest skip outgrows the wheel keeps no table
+// — its batched walk (the linear-frontier fallback, decayPow called per
+// step) still answers every query as the solo walk does.
+func TestDecayTableIsDecayPow(t *testing.T) {
+	for _, p := range []Params{{}, {EnvDecay: 0.5}, {Alpha: 0.02, EnvDecay: 0.99}, {OmegaFloor: 0.8 / (maxWheelSpan - 1)}} {
+		s := NewSearcher(nil, p)
+		if s.maxAdv != s.skipFor(0) || len(s.decay) != s.maxAdv+1 {
+			t.Fatalf("%+v: maxAdv %d (skipFor(0) = %d), %d table entries", p, s.maxAdv, s.skipFor(0), len(s.decay))
+		}
+		for adv, d := range s.decay {
+			if d != decayPow(s.params.EnvDecay, adv) {
+				t.Fatalf("%+v: decay[%d] = %x, decayPow = %x", p, adv, math.Float64bits(d), math.Float64bits(decayPow(s.params.EnvDecay, adv)))
+			}
+		}
+	}
+	f := newFixture(t, 2)
+	s := NewSearcher(f.store, Params{OmegaFloor: 1e-4})
+	if s.maxAdv < maxWheelSpan || s.decay != nil {
+		t.Fatalf("maxAdv %d should outgrow the wheel and leave no table (%d entries)", s.maxAdv, len(s.decay))
+	}
+	inputs := batchInputs(f, 3)
+	br, err := s.AlgorithmN(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, input := range inputs {
+		solo, err := s.Algorithm1(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := br.Results[i]; !reflect.DeepEqual(got.Matches, solo.Matches) || got.Evaluated != solo.Evaluated {
+			t.Fatalf("query %d: batch over the linear frontier diverges from the solo walk", i)
+		}
 	}
 }
 

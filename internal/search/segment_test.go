@@ -149,8 +149,8 @@ func coldCopy(t *testing.T, store *mdb.Store) *mdb.Store {
 // heap store and a cold mapped one, for the skip walk and the exhaustive walk,
 // with the paper's slice bound on and off. The batch mixes two length
 // groups (sharing one scratch), a window shorter than a checkpoint
-// block and lengths that are not multiples of the kernel's 8-way
-// unroll; under full coverage every record's last set has its trailing
+// block and lengths that are not multiples of the kernel's 16-element
+// block; under full coverage every record's last set has its trailing
 // windows clipped at the record end.
 func TestSegmentWalkBitIdentical(t *testing.T) {
 	f := newFixture(t, 1)

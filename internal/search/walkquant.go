@@ -23,10 +23,11 @@ import (
 //     the float path computes from its prefix sums — and the record
 //     scale cancels between numerator and denominator:
 //     ω = Σ zq·c / √(Σc² − (Σc)²/n). Widening a count is exact too, so
-//     the dot over the scratch has the same products in the same four
-//     accumulators as kernel.DotQF over the counts, and the sums are
-//     the integers QuantView.WindowSums returns (segment_test.go pins
-//     both with ==).
+//     the dot over the scratch has the same products in the same
+//     defined summation order (kernel.Dot's contract, on whichever
+//     route the platform runs) as kernel.DotQF over the counts, and the
+//     sums are the integers QuantView.WindowSums returns
+//     (segment_test.go pins both with ==).
 //
 //  2. The exhaustive walk's FFT numerator profile (one cached-plan
 //     transform of the same scratch per pass, O(L log L) instead of
