@@ -10,15 +10,18 @@ import (
 
 // pending is one upload waiting for a batch search pass. The
 // dispatching request goroutine blocks on its group's done channel;
-// the batch leader fills entries (or err) for every member before
+// the batch leader fills encoded (or err) for every member before
 // closing it.
 type pending struct {
 	window []float64
 	key    string // cache fingerprint, "" when uncacheable or caching is off
 	// gen is the tenant cache generation observed at lookup time; the
 	// result is cached only if no ingest reset the cache in between.
-	gen     int64
-	entries []proto.CorrEntry
+	gen int64
+	// encoded is the correlation set's CorrSet payload with Seq zero,
+	// shared with the cache and with every pending the batch
+	// deduplicated onto the same result: read-only.
+	encoded []byte
 	err     error
 }
 
@@ -92,7 +95,7 @@ func (e *Engine) dispatch(t *tenant, p *pending) {
 				e.Metrics.Panics.Add(1)
 				err := fmt.Errorf("internal error: batch search panicked: %v", r)
 				for _, p := range batch {
-					if p.err == nil && p.entries == nil {
+					if p.err == nil && p.encoded == nil {
 						p.err = err
 					}
 				}
@@ -124,19 +127,20 @@ func (e *Engine) searchBatch(t *tenant, batch []*pending) {
 	e.Metrics.Evaluations.Add(int64(br.Evaluated))
 	t.metrics.Evaluations.Add(int64(br.Evaluated))
 	// Deduplicated queries share one *Result (pointer equality, see
-	// search.BatchResult); assemble each distinct result's
-	// continuations once and fan the shared, read-only slice out.
-	assembled := make(map[*search.Result][]proto.CorrEntry, len(batch))
+	// search.BatchResult); assemble and encode each distinct result's
+	// correlation set once — at exact capacity, since the cache keeps
+	// it — and fan the shared, read-only encoding out.
+	encoded := make(map[*search.Result][]byte, len(batch))
 	for i, p := range batch {
 		res := br.Results[i]
-		entries, ok := assembled[res]
+		enc, ok := encoded[res]
 		if !ok {
-			entries = e.assembleEntries(t, res, len(p.window))
-			assembled[res] = entries
+			enc = proto.EncodeCorrSet(&proto.CorrSet{Entries: e.assembleEntries(t, res, len(p.window))})
+			encoded[res] = enc
 		}
-		p.entries = entries
+		p.encoded = enc
 		if t.cache != nil && p.key != "" {
-			t.cache.putAt(p.gen, p.key, p.entries)
+			t.cache.putAt(p.gen, p.key, enc)
 		}
 	}
 }

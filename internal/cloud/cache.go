@@ -7,11 +7,14 @@ import (
 	"sync"
 
 	"emap/internal/dsp"
-	"emap/internal/proto"
 )
 
-// corrCache is a bounded LRU of assembled correlation-set entries
-// keyed by a quantized fingerprint of the uploaded window. In the
+// corrCache is a bounded LRU of encoded correlation sets — the CorrSet
+// wire payload itself, Seq zero, at exactly its size — keyed by a
+// quantized fingerprint of the uploaded window. A hit is answered by
+// copying the cached bytes into a reply buffer and patching the Seq
+// (see Engine.serveUpload); the cached bytes are shared by every
+// concurrent hit and are never written after putAt. In the
 // tracking-loop steady state (paper §V: one upload every fifth
 // iteration) consecutive uploads from a stable signal are
 // near-identical; the fingerprint quantization folds them onto one key
@@ -35,7 +38,7 @@ type corrCache struct {
 
 type cacheEntry struct {
 	key     string
-	entries []proto.CorrEntry
+	payload []byte
 }
 
 func newCorrCache(capacity int) *corrCache {
@@ -46,26 +49,29 @@ func newCorrCache(capacity int) *corrCache {
 	}
 }
 
-// get returns the cached correlation-set entries for key, refreshing
-// its recency, plus the cache generation for a later putAt. The
-// returned slice is shared and read-only.
-func (c *corrCache) get(key string) ([]proto.CorrEntry, int64, bool) {
+// get returns the cached encoded correlation set for key, refreshing
+// its recency, plus the cache generation for a later putAt. The key is
+// looked up in place (no string is built for it). The returned slice is
+// shared and read-only.
+func (c *corrCache) get(key []byte) ([]byte, int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
+	el, ok := c.byKey[string(key)]
 	if !ok {
 		return nil, c.gen, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).entries, c.gen, true
+	return el.Value.(*cacheEntry).payload, c.gen, true
 }
 
-// putAt stores entries under key — unless the cache has been reset
-// since generation gen was observed, in which case the entries were
-// computed against a stale store epoch and are dropped. Evicts the
-// least recently used entry past capacity. The caller must not mutate
-// entries afterwards.
-func (c *corrCache) putAt(gen int64, key string, entries []proto.CorrEntry) {
+// putAt stores an encoded correlation set under key — unless the cache
+// has been reset since generation gen was observed, in which case it
+// was computed against a stale store epoch and is dropped. Evicts the
+// least recently used entry past capacity. The cache keeps payload
+// itself: the caller must not write to it afterwards, and should pass
+// it at exact capacity (proto.EncodeCorrSet's), since slack is held as
+// long as the entry lives.
+func (c *corrCache) putAt(gen int64, key string, payload []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.gen != gen {
@@ -73,10 +79,10 @@ func (c *corrCache) putAt(gen int64, key string, entries []proto.CorrEntry) {
 	}
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).entries = entries
+		el.Value.(*cacheEntry).payload = payload
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, entries: entries})
+	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, payload: payload})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
@@ -110,26 +116,43 @@ func (c *corrCache) reset() {
 // falling in a different bucket separates the keys).
 const fingerprintSteps = 32
 
-// windowFingerprint derives the cache key from an uploaded window:
-// z-normalize (amplitude invariance, matching what the search itself
-// sees), scale each sample back to O(1) by √n, quantize to
-// fingerprintSteps buckets, and pack. ok is false for flat windows,
-// which the search answers with an empty set anyway.
-func windowFingerprint(window []float64) (string, bool) {
-	zq := make([]float64, len(window))
-	if dsp.ZNormalizeTo(zq, window) == 0 {
-		return "", false
+// fingerprintWindow is the window length a lookup's stack scratch is
+// sized for — one second at the default base rate, the upload the edge
+// sends. A longer window spills to the heap through append and works
+// the same.
+const fingerprintWindow = 256
+
+// appendFingerprint appends to key the cache key of the uploaded window
+// counts·scale: z-normalize (amplitude invariance, matching what the
+// search itself sees), scale each sample back to O(1) by √n, quantize to
+// fingerprintSteps buckets, and pack. z is working memory for the µV
+// window. With fingerprintWindow-sized arrays behind key and z a lookup
+// — the whole cost of a cache hit before the reply is copied —
+// allocates nothing. The result is false for flat windows, which the
+// search answers with an empty set anyway.
+func appendFingerprint(key []byte, z []float64, counts []int16, scale float32) ([]byte, bool) {
+	s := float64(scale)
+	for _, v := range counts {
+		z = append(z, float64(v)*s) // proto.Dequantize, into scratch
 	}
-	scale := fingerprintSteps * math.Sqrt(float64(len(zq)))
-	b := make([]byte, 2*len(zq))
-	for i, v := range zq {
+	return appendWindowKey(key, z)
+}
+
+// appendWindowKey is appendFingerprint's second half, from the µV
+// window, which it normalizes in place.
+func appendWindowKey(key []byte, window []float64) ([]byte, bool) {
+	if dsp.ZNormalizeTo(window, window) == 0 {
+		return key, false
+	}
+	scale := fingerprintSteps * math.Sqrt(float64(len(window)))
+	for _, v := range window {
 		q := math.Round(v * scale)
 		if q > math.MaxInt16 {
 			q = math.MaxInt16
 		} else if q < math.MinInt16 {
 			q = math.MinInt16
 		}
-		binary.LittleEndian.PutUint16(b[2*i:], uint16(int16(q)))
+		key = binary.LittleEndian.AppendUint16(key, uint16(int16(q)))
 	}
-	return string(b), true
+	return key, true
 }

@@ -244,7 +244,9 @@ func (e *Engine) ServeFrame(f proto.Frame) (proto.MsgType, []byte) {
 
 // serveUpload answers one upload. Cache hits reply immediately;
 // everything else goes through the tenant's batching collector, which
-// bounds concurrent shard scans by the shared worker pool.
+// bounds concurrent shard scans by the shared worker pool. Either way
+// the correlation set was encoded once, by the batch that scanned for
+// it; what a request adds is one copy and its Seq.
 func (e *Engine) serveUpload(frame proto.Frame) (proto.MsgType, []byte) {
 	start := time.Now()
 	// Errored requests count toward the latency sum too, so
@@ -269,24 +271,28 @@ func (e *Engine) serveUpload(frame proto.Frame) (proto.MsgType, []byte) {
 		return proto.TypeError, errorPayload(CodeRateLimited,
 			fmt.Sprintf("tenant %q over its admission rate; retry later", t.id))
 	}
-	p := &pending{window: proto.Dequantize(upload.Samples, upload.Scale)}
-	hit := false
+	// enc is the encoded correlation set with Seq zero — the tenant
+	// cache's copy on a hit, the batch's on a miss — shared with other
+	// requests and read-only here.
+	var enc []byte
+	var key string
+	var gen int64
 	if t.cache != nil {
-		if key, ok := windowFingerprint(p.window); ok {
-			p.key = key
-			entries, gen, cached := t.cache.get(key)
-			p.gen = gen
-			if cached {
+		var kbuf [2 * fingerprintWindow]byte
+		var zbuf [fingerprintWindow]float64
+		if k, ok := appendFingerprint(kbuf[:0], zbuf[:0], upload.Samples, upload.Scale); ok {
+			var cached bool
+			if enc, gen, cached = t.cache.get(k); cached {
 				e.Metrics.CacheHits.Add(1)
 				t.metrics.CacheHits.Add(1)
-				p.entries, hit = entries, true
 			} else {
 				e.Metrics.CacheMisses.Add(1)
 				t.metrics.CacheMisses.Add(1)
+				key = string(k)
 			}
 		}
 	}
-	if !hit {
+	if enc == nil {
 		// The backlog gauge covers the whole queued-or-scanning
 		// stretch; admission sheds routine uploads against it before
 		// they join the queue, so a saturated pool stays a bounded
@@ -300,15 +306,24 @@ func (e *Engine) serveUpload(frame proto.Frame) (proto.MsgType, []byte) {
 		if e.backlogHook != nil {
 			e.backlogHook(upload)
 		}
+		// Only a miss needs the window as floats.
+		p := &pending{window: proto.Dequantize(upload.Samples, upload.Scale), key: key, gen: gen}
 		e.dispatch(t, p)
 		e.Metrics.SearchBacklog.Add(-1)
+		if p.err != nil {
+			e.Metrics.Errors.Add(1)
+			t.metrics.Errors.Add(1)
+			return proto.TypeError, errorPayload(500, p.err.Error())
+		}
+		enc = p.encoded
 	}
-	if p.err != nil {
-		e.Metrics.Errors.Add(1)
-		t.metrics.Errors.Add(1)
-		return proto.TypeError, errorPayload(500, p.err.Error())
-	}
-	return proto.TypeCorrSet, proto.EncodeCorrSet(&proto.CorrSet{Seq: upload.Seq, Entries: p.entries})
+	// The reply is this request's own copy, with its own Seq, in a
+	// pooled buffer whoever finishes with it releases (the transport's
+	// writer, after the write).
+	reply := proto.GetBuffer(len(enc))
+	copy(reply, enc)
+	proto.SetCorrSetSeq(reply, upload.Seq)
+	return proto.TypeCorrSet, reply
 }
 
 // serveIngest inserts one pushed recording into its tenant's store and

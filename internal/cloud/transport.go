@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -21,6 +22,11 @@ import (
 // mirrors the request's version, ID and tenant onto the reply frame, so
 // handlers deal purely in message semantics. Handlers must be safe for
 // concurrent use — pipelined connections serve frames in parallel.
+//
+// The returned payload is handed off: the caller owns it outright (the
+// transport releases it to the reply buffer pool once written), so a
+// handler never returns a slice it keeps or shares. The request
+// frame's payload, in turn, is the handler's to keep.
 //
 // The tenant-engine layer (Engine) is the canonical handler; the
 // cluster tier adds others (a node wrapping an Engine with ownership
@@ -241,11 +247,16 @@ func (t *Transport) HandleConn(conn net.Conn) {
 	var writeFailed atomic.Bool
 	go func() {
 		defer close(writerDone)
+		fw := proto.NewFrameWriter(conn)
 		for f := range out {
 			if writeFailed.Load() {
 				continue // drain abandoned replies
 			}
-			if err := proto.WriteFrameTenant(conn, f.version, f.typ, f.id, f.tenant, f.payload); err != nil {
+			err := fw.WriteFrame(f.version, f.typ, f.id, f.tenant, f.payload)
+			// The handler handed the payload off and the write was its
+			// last use: this writer is the reply buffer's final owner.
+			proto.PutBuffer(f.payload)
+			if err != nil {
 				// A dead write means a dead peer: tear the
 				// connection down so the reader unblocks and
 				// the handler exits, instead of looping on a
@@ -260,6 +271,10 @@ func (t *Transport) HandleConn(conn net.Conn) {
 
 	var jobs sync.WaitGroup
 	connSem := make(chan struct{}, t.cfg.MaxInFlight)
+	// Request payloads are fresh slices, never pool buffers (only a
+	// correlation set is read into one): a handler may keep its frame's
+	// payload (a parked replica snapshot aliases it).
+	fr := proto.NewFrameReader(bufio.NewReader(conn))
 	for {
 		if t.cfg.IdleTimeout > 0 {
 			// Arm the idle deadline per read — but never overwrite the
@@ -271,7 +286,7 @@ func (t *Transport) HandleConn(conn net.Conn) {
 				conn.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
 			}
 		}
-		frame, err := proto.ReadFrameAny(conn)
+		frame, err := fr.ReadFrame()
 		if err != nil {
 			if t.isIdleErr(err) {
 				m.IdleReaped.Add(1)

@@ -5,6 +5,7 @@
 package edge
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -26,6 +27,11 @@ var errVersionTooOld = errors.New("edge: connection protocol version too old")
 
 // handshakeTimeout bounds the Hello exchange on a fresh connection.
 const handshakeTimeout = 10 * time.Second
+
+// maxEncodeScratch bounds the request encode buffer a client keeps
+// between calls: uploads and ordinary ingest chunks fit, a whole
+// multi-megabyte recording does not stay resident.
+const maxEncodeScratch = 64 << 10
 
 // result is one completed exchange, delivered to the waiting caller.
 type result struct {
@@ -169,11 +175,13 @@ type Client struct {
 	lastUsed atomic.Int64  // UnixNano of the last completed exchange
 
 	wmu    sync.Mutex // serialises frame writes
+	wbuf   []byte     // request encode scratch; used under wmu only
 	dialMu sync.Mutex // serialises reconnection attempts
 
 	mu      sync.Mutex // guards everything below
 	tenant  string
 	conn    net.Conn
+	fw      *proto.FrameWriter // conn's frame writer; used under wmu only
 	version uint8
 	seq     uint32
 	pending map[uint32]*waiter // v2+: keyed by request ID
@@ -332,6 +340,7 @@ func (c *Client) install(ctx context.Context, conn net.Conn) error {
 		return ErrClosed
 	}
 	c.conn = conn
+	c.fw = proto.NewFrameWriter(conn)
 	c.version = version
 	c.connErr = nil
 	c.mu.Unlock()
@@ -462,10 +471,15 @@ func (c *Client) Connected() bool {
 
 // readLoop is the connection's demultiplexer: it reads frames until
 // the connection dies and routes each reply to its waiter — by frame
-// ID on v2, FIFO on v1.
+// ID on v2, FIFO on v1. A correlation-set payload comes from proto's
+// buffer pool and changes hands with the result: the waiter that
+// receives it releases it when it has decoded it. A reply whose waiter
+// is gone is released here; one parked in an abandoned waiter's channel
+// is left to the collector.
 func (c *Client) readLoop(conn net.Conn) {
+	fr := proto.NewFrameReader(bufio.NewReader(conn))
 	for {
-		f, err := proto.ReadFrameAny(conn)
+		f, err := fr.ReadFrame()
 		if err != nil {
 			c.failAll(conn, fmt.Errorf("edge: connection lost: %w", err))
 			return
@@ -482,6 +496,8 @@ func (c *Client) readLoop(conn net.Conn) {
 		c.mu.Unlock()
 		if w != nil {
 			w.ch <- result{typ: f.Type, payload: f.Payload}
+		} else {
+			proto.PutBuffer(f.Payload)
 		}
 	}
 }
@@ -592,7 +608,7 @@ func (c *Client) ensure(ctx context.Context) (net.Conn, uint8, error) {
 // will actually use negotiated below it — checked on ensure's result,
 // which is the same conn the registration re-verifies under the lock,
 // so a silent reconnect at a lower version cannot slip through.
-func (c *Client) roundTrip(ctx context.Context, t proto.MsgType, minVersion uint8, encode func(id uint32) []byte) (proto.MsgType, []byte, error) {
+func (c *Client) roundTrip(ctx context.Context, t proto.MsgType, minVersion uint8, encode func(b []byte, id uint32) []byte) (proto.MsgType, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
@@ -624,6 +640,7 @@ func (c *Client) roundTrip(ctx context.Context, t proto.MsgType, minVersion uint
 	c.seq++
 	id := c.seq
 	tenant := c.tenant
+	fw := c.fw
 	if version >= proto.Version2 {
 		c.pending[id] = w
 	} else {
@@ -633,7 +650,13 @@ func (c *Client) roundTrip(ctx context.Context, t proto.MsgType, minVersion uint
 
 	var payload []byte
 	if encode != nil {
-		payload = encode(id)
+		// Requests are encoded into the client's scratch: the write
+		// below is the payload's only use. A rare oversize request (a
+		// long ingest) is not kept.
+		payload = encode(c.wbuf[:0], id)
+		if cap(payload) <= maxEncodeScratch {
+			c.wbuf = payload[:0]
+		}
 	}
 	// A stalled peer must not wedge the write lock past the caller's
 	// deadline: a tripped write deadline poisons the connection,
@@ -643,7 +666,7 @@ func (c *Client) roundTrip(ctx context.Context, t proto.MsgType, minVersion uint
 	} else {
 		conn.SetWriteDeadline(time.Time{})
 	}
-	err = proto.WriteFrameTenant(conn, version, t, id, tenant, payload)
+	err = fw.WriteFrame(version, t, id, tenant, payload)
 	c.wmu.Unlock()
 	if err != nil {
 		c.failAll(conn, fmt.Errorf("edge: write: %w", err))
@@ -708,9 +731,9 @@ func (c *Client) Ingest(ctx context.Context, ing *proto.Ingest) (*proto.IngestAc
 		minVersion = proto.Version3
 	}
 	for hop := 0; ; hop++ {
-		typ, resp, err := c.roundTrip(ctx, proto.TypeIngest, minVersion, func(id uint32) []byte {
+		typ, resp, err := c.roundTrip(ctx, proto.TypeIngest, minVersion, func(b []byte, id uint32) []byte {
 			ing.Seq = id
-			return proto.EncodeIngest(ing)
+			return proto.AppendIngest(b, ing)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("edge: ingest: %w", err)
@@ -769,15 +792,19 @@ func (c *Client) Search(ctx context.Context, window []float64) (*proto.CorrSet, 
 func (c *Client) SearchPri(ctx context.Context, window []float64, priority uint8) (*proto.CorrSet, error) {
 	counts, scale := proto.Quantize(window)
 	for hop := 0; ; hop++ {
-		typ, resp, err := c.roundTrip(ctx, proto.TypeUpload, 0, func(id uint32) []byte {
-			return proto.EncodeUpload(&proto.Upload{Seq: id, Scale: scale, Samples: counts, Priority: priority})
+		typ, resp, err := c.roundTrip(ctx, proto.TypeUpload, 0, func(b []byte, id uint32) []byte {
+			return proto.AppendUpload(b, &proto.Upload{Seq: id, Scale: scale, Samples: counts, Priority: priority})
 		})
 		if err != nil {
 			return nil, fmt.Errorf("edge: search: %w", err)
 		}
 		switch typ {
 		case proto.TypeCorrSet:
-			return proto.DecodeCorrSet(resp)
+			// The decoded set owns its samples outright, so the reply
+			// buffer's last use is the decode.
+			cs, err := proto.DecodeCorrSet(resp)
+			proto.PutBuffer(resp)
+			return cs, err
 		case proto.TypeMoved:
 			if err := c.followMoved(resp, hop); err != nil {
 				return nil, fmt.Errorf("edge: search: %w", err)

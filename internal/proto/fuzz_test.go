@@ -77,3 +77,57 @@ func FuzzParseFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeCorrSet drives DecodeCorrSet with arbitrary payloads. The
+// invariants: no panic; what an accepted payload makes the decoder
+// allocate is bounded by the payload's own size (its samples can be no
+// more than the bytes that carried them, plus 48 bytes of CorrEntry per
+// entry, and an entry takes at least corrEntryFixed bytes on the wire)
+// — so no count field can ask for memory the sender did not pay for in
+// bytes; and every accepted payload re-encodes to identical bytes.
+func FuzzDecodeCorrSet(f *testing.F) {
+	reply := EncodeCorrSet(&CorrSet{Seq: 7, Entries: []CorrEntry{
+		{SetID: 3, Omega: 0.91, Beta: 724, Anomalous: true, Class: 1, Archetype: 5, Scale: 0.01, Samples: []int16{5, -5, 100}},
+		{SetID: -1, Omega: 0.85, Scale: 0.02},
+		{SetID: 9, Omega: 0.5, Beta: 3, Scale: 1, Samples: make([]int16, 300)},
+	}})
+	f.Add(reply)
+	f.Add(EncodeCorrSet(&CorrSet{Seq: 1}))
+	f.Add(EncodeCorrSet(bigCorrSet()))
+	for _, cut := range []int{0, 7, 8, 20, 8 + corrEntryFixed, len(reply) - 1} {
+		f.Add(reply[:cut])
+	}
+	// A sample count that promises 2³¹ samples, an entry count that
+	// promises 2³² − 1 entries, a flag that is neither 0 nor 1, and a
+	// byte past the end.
+	lying := append([]byte(nil), reply...)
+	lying[8+20+3] = 0x80
+	f.Add(lying)
+	many := append([]byte(nil), reply...)
+	copy(many[4:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(many)
+	flagged := append([]byte(nil), reply...)
+	flagged[8+12] = 7
+	f.Add(flagged)
+	f.Add(append(append([]byte(nil), reply...), 0))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeCorrSet(data)
+		if err != nil {
+			return // rejected input: the only requirement is no panic
+		}
+		if cap(c.Entries) > (len(data)-8)/corrEntryFixed {
+			t.Fatalf("%d-byte payload produced %d entries", len(data), cap(c.Entries))
+		}
+		samples := 0
+		for i := range c.Entries {
+			samples += cap(c.Entries[i].Samples)
+		}
+		if 2*samples > len(data) {
+			t.Fatalf("%d-byte payload produced %d samples", len(data), samples)
+		}
+		if again := EncodeCorrSet(c); !bytes.Equal(again, data) {
+			t.Fatalf("accepted payload does not re-encode to itself (%d bytes in, %d out)", len(data), len(again))
+		}
+	})
+}

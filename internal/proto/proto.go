@@ -56,9 +56,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Protocol constants.
@@ -241,191 +241,20 @@ type Frame struct {
 	Payload []byte
 }
 
-// writeFrame writes a pre-built header, the payload, and the CRC
-// trailer — the tail shared by both frame versions.
-func writeFrame(w io.Writer, hdr, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return ErrTooLarge
-	}
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(crc[:])
-	return err
-}
-
-// WriteFrame writes one version-1 frame with the given type and
-// payload.
-func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint16(hdr[0:], Magic)
-	hdr[2] = Version1
-	hdr[3] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	return writeFrame(w, hdr, payload)
-}
-
-// ReadFrame reads one frame, validating magic, version, size and CRC.
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
-	}
-	if binary.LittleEndian.Uint16(hdr[0:]) != Magic {
-		return 0, nil, ErrBadMagic
-	}
-	if hdr[2] != Version {
-		return 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[2])
-	}
-	t := MsgType(hdr[3])
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	if n > MaxPayload {
-		return 0, nil, ErrTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("proto: truncated payload: %w", err)
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return 0, nil, fmt.Errorf("proto: truncated CRC: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(payload) {
-		return 0, nil, ErrBadCRC
-	}
-	return t, payload, nil
-}
-
-// WriteFrameV2 writes one version-2 frame carrying a request ID.
-func WriteFrameV2(w io.Writer, t MsgType, id uint32, payload []byte) error {
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint16(hdr[0:], Magic)
-	hdr[2] = Version2
-	hdr[3] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[4:], id)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	return writeFrame(w, hdr, payload)
-}
-
-// WriteFrameV3 writes one version-3 frame carrying a request ID and a
-// tenant/store identifier (empty = default tenant).
-func WriteFrameV3(w io.Writer, t MsgType, id uint32, tenant string, payload []byte) error {
-	if len(tenant) > MaxTenantLen {
-		return ErrTenantLong
-	}
-	hdr := make([]byte, 0, 13+len(tenant))
-	hdr = appendU16(hdr, Magic)
-	hdr = append(hdr, Version3, byte(t))
-	hdr = appendU32(hdr, id)
-	hdr = append(hdr, byte(len(tenant)))
-	hdr = append(hdr, tenant...)
-	hdr = appendU32(hdr, uint32(len(payload)))
-	return writeFrame(w, hdr, payload)
-}
-
-// WriteFrameVersion writes a frame in the given negotiated version;
-// the ID is dropped on the v1 wire (v1 replies match by order). It is
-// the tenant-less form of WriteFrameTenant.
-func WriteFrameVersion(w io.Writer, version uint8, t MsgType, id uint32, payload []byte) error {
-	return WriteFrameTenant(w, version, t, id, "", payload)
-}
-
-// WriteFrameTenant writes a frame in the given negotiated version,
-// dropping whatever fields that version's layout cannot carry: v1
-// loses the ID and the tenant (replies match by order, requests land
-// on the default tenant), v2 loses the tenant only.
-func WriteFrameTenant(w io.Writer, version uint8, t MsgType, id uint32, tenant string, payload []byte) error {
-	switch version {
-	case Version1:
-		return WriteFrame(w, t, payload)
-	case Version2:
-		return WriteFrameV2(w, t, id, payload)
-	case Version3:
-		return WriteFrameV3(w, t, id, tenant, payload)
-	default:
-		return fmt.Errorf("%w: %d", ErrBadVersion, version)
-	}
-}
-
-// ReadFrameAny reads one frame of either version, validating magic,
-// version, size and CRC. The returned Frame self-describes which
-// layout arrived.
-func ReadFrameAny(r io.Reader) (Frame, error) {
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return Frame{}, err
-	}
-	if binary.LittleEndian.Uint16(hdr[0:]) != Magic {
-		return Frame{}, ErrBadMagic
-	}
-	f := Frame{Version: hdr[2], Type: MsgType(hdr[3])}
-	var n uint32
-	switch f.Version {
-	case Version1:
-		n = binary.LittleEndian.Uint32(hdr[4:])
-	case Version2:
-		f.ID = binary.LittleEndian.Uint32(hdr[4:])
-		var ext [4]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return Frame{}, fmt.Errorf("proto: truncated v2 header: %w", err)
-		}
-		n = binary.LittleEndian.Uint32(ext[:])
-	case Version3:
-		f.ID = binary.LittleEndian.Uint32(hdr[4:])
-		var tl [1]byte
-		if _, err := io.ReadFull(r, tl[:]); err != nil {
-			return Frame{}, fmt.Errorf("proto: truncated v3 header: %w", err)
-		}
-		if tl[0] > 0 {
-			tenant := make([]byte, tl[0])
-			if _, err := io.ReadFull(r, tenant); err != nil {
-				return Frame{}, fmt.Errorf("proto: truncated v3 tenant: %w", err)
-			}
-			f.Tenant = string(tenant)
-		}
-		var ext [4]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return Frame{}, fmt.Errorf("proto: truncated v3 header: %w", err)
-		}
-		n = binary.LittleEndian.Uint32(ext[:])
-	default:
-		return Frame{}, fmt.Errorf("%w: %d", ErrBadVersion, f.Version)
-	}
-	if n > MaxPayload {
-		return Frame{}, ErrTooLarge
-	}
-	f.Payload = make([]byte, n)
-	if _, err := io.ReadFull(r, f.Payload); err != nil {
-		return Frame{}, fmt.Errorf("proto: truncated payload: %w", err)
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return Frame{}, fmt.Errorf("proto: truncated CRC: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(f.Payload) {
-		return Frame{}, ErrBadCRC
-	}
-	return f, nil
-}
-
 // appendUint helpers keep the encoders readable.
 func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendF32(b []byte, v float32) []byte {
 	return binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 }
+
+// appendSamples appends a sample block: a 32-bit count, then the counts
+// moved in bulk (see putSamples).
 func appendSamples(b []byte, s []int16) []byte {
 	b = appendU32(b, uint32(len(s)))
-	for _, v := range s {
-		b = appendU16(b, uint16(v))
-	}
+	n := len(b)
+	b = slices.Grow(b, 2*len(s))[:n+2*len(s)]
+	putSamples(b[n:], s)
 	return b
 }
 
@@ -485,10 +314,8 @@ func (r *reader) samples() []int16 {
 		return nil
 	}
 	out := make([]int16, n)
-	for i := range out {
-		out[i] = int16(binary.LittleEndian.Uint16(r.b[r.off:]))
-		r.off += 2
-	}
+	getSamples(out, r.b[r.off:])
+	r.off += 2 * n
 	return out
 }
 
@@ -496,7 +323,12 @@ func (r *reader) samples() []int16 {
 // appended only when it is not PriRoutine, so routine uploads are
 // byte-identical to pre-priority encoders.
 func EncodeUpload(u *Upload) []byte {
-	b := make([]byte, 0, 13+2*len(u.Samples))
+	return AppendUpload(make([]byte, 0, 13+2*len(u.Samples)), u)
+}
+
+// AppendUpload appends u's Upload payload to b, for callers that keep
+// an encode buffer.
+func AppendUpload(b []byte, u *Upload) []byte {
 	b = appendU32(b, u.Seq)
 	b = appendF32(b, u.Scale)
 	b = appendSamples(b, u.Samples)
@@ -521,16 +353,34 @@ func DecodeUpload(payload []byte) (*Upload, error) {
 	return u, nil
 }
 
-// EncodeCorrSet serialises a CorrSet payload.
-func EncodeCorrSet(c *CorrSet) []byte {
+// corrEntryFixed is the encoded size of a CorrEntry apart from its
+// samples: 20 bytes of fields and the 4-byte sample count.
+const corrEntryFixed = 24
+
+// CorrSetSize returns the exact encoded size of c's payload — what
+// EncodeCorrSet allocates, so an encoding a cache keeps carries no
+// slack.
+func CorrSetSize(c *CorrSet) int {
 	size := 8
-	for _, e := range c.Entries {
-		size += 20 + 2*len(e.Samples)
+	for i := range c.Entries {
+		size += corrEntryFixed + 2*len(c.Entries[i].Samples)
 	}
-	b := make([]byte, 0, size)
+	return size
+}
+
+// EncodeCorrSet serialises a CorrSet payload into a buffer of exactly
+// its size.
+func EncodeCorrSet(c *CorrSet) []byte {
+	return AppendCorrSet(make([]byte, 0, CorrSetSize(c)), c)
+}
+
+// AppendCorrSet appends c's CorrSet payload to b; with CorrSetSize(c)
+// bytes of spare capacity it allocates nothing.
+func AppendCorrSet(b []byte, c *CorrSet) []byte {
 	b = appendU32(b, c.Seq)
 	b = appendU32(b, uint32(len(c.Entries)))
-	for _, e := range c.Entries {
+	for i := range c.Entries {
+		e := &c.Entries[i]
 		b = appendU32(b, uint32(e.SetID))
 		b = appendF32(b, e.Omega)
 		b = appendU32(b, uint32(e.Beta))
@@ -546,31 +396,75 @@ func EncodeCorrSet(c *CorrSet) []byte {
 	return b
 }
 
-// DecodeCorrSet parses a CorrSet payload.
+// SetCorrSetSeq overwrites the Seq field of an encoded CorrSet payload
+// in place — how one encoding of a correlation set answers uploads
+// with different sequence numbers. The payload must be the caller's
+// own copy.
+func SetCorrSetSeq(payload []byte, seq uint32) {
+	binary.LittleEndian.PutUint32(payload, seq)
+}
+
+// DecodeCorrSet parses a CorrSet payload. The shape is validated in
+// full before anything is sized from it — the entry count against the
+// bytes an entry needs at least, every sample count against the bytes
+// actually left — and only then are the entries and one backing array
+// for all their samples allocated: three allocations, bounded by
+// len(payload) + 48 bytes per entry, whatever the counts claim. Only
+// the canonical encoding is accepted: an anomaly flag of 0 or 1 and no
+// bytes past the last entry, so an accepted payload re-encodes to
+// itself.
 func DecodeCorrSet(payload []byte) (*CorrSet, error) {
-	r := &reader{b: payload}
-	c := &CorrSet{Seq: r.u32()}
-	n := int(r.u32())
-	if r.err == nil && (n < 0 || n > 1<<20) {
-		return nil, fmt.Errorf("proto: implausible entry count %d", n)
+	if len(payload) < 8 {
+		return nil, fmt.Errorf("proto: decoding CorrSet: %w", io.ErrUnexpectedEOF)
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		e := CorrEntry{
-			SetID: int32(r.u32()),
-			Omega: r.f32(),
-			Beta:  int32(r.u32()),
-		}
-		e.Anomalous = r.u8() != 0
-		e.Class = r.u8()
-		e.Archetype = r.u16()
-		e.Scale = r.f32()
-		e.Samples = r.samples()
-		if r.err == nil {
-			c.Entries = append(c.Entries, e)
-		}
+	n := int(binary.LittleEndian.Uint32(payload[4:]))
+	if n < 0 || n > (len(payload)-8)/corrEntryFixed {
+		return nil, fmt.Errorf("proto: implausible entry count %d in a %d-byte CorrSet", n, len(payload))
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("proto: decoding CorrSet: %w", r.err)
+	off, total := 8, 0
+	for i := 0; i < n; i++ {
+		if len(payload)-off < corrEntryFixed {
+			return nil, fmt.Errorf("proto: decoding CorrSet: %w", io.ErrUnexpectedEOF)
+		}
+		if payload[off+12] > 1 {
+			return nil, fmt.Errorf("proto: decoding CorrSet: anomaly flag %d", payload[off+12])
+		}
+		ns := int(binary.LittleEndian.Uint32(payload[off+20:]))
+		off += corrEntryFixed
+		if ns < 0 || ns > (len(payload)-off)/2 {
+			return nil, fmt.Errorf("proto: decoding CorrSet: %w", io.ErrUnexpectedEOF)
+		}
+		off += 2 * ns
+		total += ns
+	}
+	if off != len(payload) {
+		return nil, fmt.Errorf("proto: decoding CorrSet: %d bytes past the last entry", len(payload)-off)
+	}
+	c := &CorrSet{Seq: binary.LittleEndian.Uint32(payload)}
+	if n == 0 {
+		return c, nil
+	}
+	c.Entries = make([]CorrEntry, n)
+	samples := make([]int16, total)
+	off = 8
+	for i := range c.Entries {
+		p := payload[off : off+corrEntryFixed]
+		ns := int(binary.LittleEndian.Uint32(p[20:]))
+		off += corrEntryFixed
+		e := &c.Entries[i]
+		e.SetID = int32(binary.LittleEndian.Uint32(p))
+		e.Omega = math.Float32frombits(binary.LittleEndian.Uint32(p[4:]))
+		e.Beta = int32(binary.LittleEndian.Uint32(p[8:]))
+		e.Anomalous = p[12] != 0
+		e.Class = p[13]
+		e.Archetype = binary.LittleEndian.Uint16(p[14:])
+		e.Scale = math.Float32frombits(binary.LittleEndian.Uint32(p[16:]))
+		// Capacity is clipped so an append to one entry's samples can
+		// never run into its neighbour's.
+		e.Samples = samples[:ns:ns]
+		samples = samples[ns:]
+		getSamples(e.Samples, payload[off:])
+		off += 2 * ns
 	}
 	return c, nil
 }
@@ -617,7 +511,12 @@ func DecodeHello(payload []byte) (*Hello, error) {
 
 // EncodeIngest serialises an Ingest payload.
 func EncodeIngest(g *Ingest) []byte {
-	b := make([]byte, 0, 19+len(g.RecordID)+2*len(g.Samples))
+	return AppendIngest(make([]byte, 0, 23+len(g.RecordID)+2*len(g.Samples)), g)
+}
+
+// AppendIngest appends g's Ingest payload to b, for callers that keep
+// an encode buffer.
+func AppendIngest(b []byte, g *Ingest) []byte {
 	b = appendU32(b, g.Seq)
 	b = appendU32(b, uint32(len(g.RecordID)))
 	b = append(b, g.RecordID...)

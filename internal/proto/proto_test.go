@@ -315,6 +315,7 @@ func BenchmarkEncodeCorrSet100(b *testing.B) {
 		entries[i] = CorrEntry{SetID: int32(i), Omega: 0.9, Samples: make([]int16, 2048)}
 	}
 	c := &CorrSet{Entries: entries}
+	b.SetBytes(int64(CorrSetSize(c)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -328,6 +329,7 @@ func BenchmarkDecodeCorrSet100(b *testing.B) {
 		entries[i] = CorrEntry{SetID: int32(i), Omega: 0.9, Samples: make([]int16, 2048)}
 	}
 	raw := EncodeCorrSet(&CorrSet{Entries: entries})
+	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
