@@ -6,21 +6,31 @@
 // two ways to compute it fast:
 //
 //   - a dot product with one defined summation order (Dot) for the
-//     skip walk, where Algorithm 1 touches only a fraction of offsets;
+//     skip walk, where Algorithm 1 touches only a fraction of offsets —
+//     and Dot4, the same order four windows at a time, for the scan
+//     that walks four signal-sets in lockstep;
 //   - an FFT profiler (Engine, Profiler) that computes a signal-set's
 //     FULL ω numerator profile in O(L log L) — one cached-plan real
 //     transform of the stored region, one per unique query, one
 //     multiply + inverse per pair — for the exhaustive baseline.
 //
+// Beside them sits Widen, the one dequantization of a compressed-domain
+// pass: int16 counts to float64 plus their exact running Σc and Σc².
+//
 // The search layer (internal/search) gives each scan its one kernel;
 // this package only does arithmetic and caches FFT plans per size.
 package kernel
 
-// dot is the route Dot runs, chosen once before main: the portable
-// loop everywhere, replaced in dot_amd64.go's init by the AVX2 routine
-// when the CPU and the OS support it. Both compute the same bits, so
-// the choice is invisible above this package.
-var dot = dotPortable
+// dot, dot4 and widen are the routes Dot, Dot4 and Widen run, chosen
+// once before main: the portable loops everywhere, replaced together in
+// dot_amd64.go's init by the AVX2 routines when the CPU and the OS
+// support them. Each pair computes the same bits, so the choice is
+// invisible above this package.
+var (
+	dot   = dotPortable
+	dot4  = dot4Portable
+	widen = widenPortable
+)
 
 // Dot returns Σ a[i]·b[i] over len(a) elements (len(b) must be at
 // least len(a)) in ONE defined summation order, the same on every
@@ -74,4 +84,27 @@ func dotPortable(a, b []float64) float64 {
 		t += float64(x * b[i])
 	}
 	return (((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7))) + t
+}
+
+// Dot4 sets out[k] = Dot(q, xk) for four windows at once (each xk must
+// hold at least len(q) elements). It is Dot's order four times over,
+// not a new one: every window keeps its own eight lanes, its own
+// sequential tail and its own reduction tree, and no sum ever mixes two
+// windows, so out[k] == Dot(q, xk) on every input and every route. What
+// the fusion buys is around the arithmetic — the query is loaded once
+// per 16-element block instead of four times, eight independent
+// accumulators hide the add latency a single Dot's two cannot, and one
+// call replaces four. The windows may alias or overlap (adjacent
+// offsets of one record do).
+func Dot4(q, x0, x1, x2, x3 []float64, out *[4]float64) {
+	// As in Dot, the cuts are the length checks: a short window panics
+	// here, before any route reads past it.
+	n := len(q)
+	dot4(q, x0[:n], x1[:n], x2[:n], x3[:n], out)
+}
+
+// dot4Portable is Dot4 where there is no vector routine, and the
+// reference the vector routine is tested == against.
+func dot4Portable(q, x0, x1, x2, x3 []float64, out *[4]float64) {
+	out[0], out[1], out[2], out[3] = dotPortable(q, x0), dotPortable(q, x1), dotPortable(q, x2), dotPortable(q, x3)
 }

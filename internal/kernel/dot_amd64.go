@@ -1,14 +1,39 @@
 package kernel
 
-// The AVX2 route of Dot and the init-time check that selects it. The
-// repository has no golang.org/x/sys, so CPUID and XGETBV are issued
-// from dot_amd64.s.
+// The AVX2 routes of Dot, Dot4 and Widen and the init-time check that
+// selects them. The repository has no golang.org/x/sys, so CPUID and
+// XGETBV are issued from dot_amd64.s.
 
 // dotAVX2 computes Dot's defined order with 256-bit VMULPD/VADDPD (no
 // FMA). len(b) must equal len(a); it reads nothing past either.
 //
 //go:noescape
 func dotAVX2(a, b []float64) float64
+
+// dot4AVX2 computes Dot's defined order for four windows against one
+// query: dotAVX2's instruction sequence per window, eight accumulators,
+// the query loaded once per block. Every window's length must equal
+// len(q); it reads nothing past any of them.
+//
+//go:noescape
+func dot4AVX2(q, x0, x1, x2, x3 []float64, out *[4]float64)
+
+// widenAVX2 is widenPortable over n counts, n a multiple of 4: it reads
+// the running totals at sums[0], writes x[0:n] and sums[1:n+1].
+//
+//go:noescape
+func widenAVX2(x *float64, sums *[2]int64, c *int16, n int)
+
+// widenVector runs the whole fours of c through the vector routine and
+// the last len(c) mod 4 counts through the portable loop, which picks
+// the running totals up where the routine left them.
+func widenVector(x []float64, sums [][2]int64, c []int16) {
+	n4 := len(c) &^ 3
+	if n4 > 0 {
+		widenAVX2(&x[0], &sums[0], &c[0], n4)
+	}
+	widenPortable(x[n4:], sums[n4:], c[n4:])
+}
 
 // cpuid executes CPUID with the given leaf (EAX) and subleaf (ECX).
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -51,6 +76,6 @@ func detectAVX2() bool {
 
 func init() {
 	if detectAVX2() {
-		dot = dotAVX2
+		dot, dot4, widen = dotAVX2, dot4AVX2, widenVector
 	}
 }

@@ -66,6 +66,177 @@ done:
 	VMOVSD X0, ret+48(FP)
 	RET
 
+// WINDOW4 is dotAVX2's block16 body for one window of dot4AVX2: the
+// query block sits in Y8…Y11, x points at the window's block, lo and hi
+// are the window's two accumulators. Same instructions, same operand
+// order as dotAVX2, so the same bits.
+#define WINDOW4(x, lo, hi) \
+	VMULPD (x), Y8, Y12;    \
+	VMULPD 32(x), Y9, Y13;  \
+	VMULPD 64(x), Y10, Y14; \
+	VMULPD 96(x), Y11, Y15; \
+	VADDPD Y14, Y12, Y12;   \
+	VADDPD Y15, Y13, Y13;   \
+	VADDPD Y12, lo, lo;     \
+	VADDPD Y13, hi, hi
+
+// REDUCE4 is dotAVX2's reduction tree for one window: the sum of the
+// eight lanes is left in the low element of xlo.
+#define REDUCE4(lo, hi, xlo, xhi) \
+	VADDPD       hi, lo, lo;    \
+	VEXTRACTF128 $1, lo, xhi;   \
+	VADDPD       xhi, xlo, xlo; \
+	VUNPCKHPD    xlo, xlo, xhi; \
+	VADDSD       xhi, xlo, xlo
+
+// func dot4AVX2(q, x0, x1, x2, x3 []float64, out *[4]float64)
+//
+// Four windows against one query, each in Dot's defined order: window k
+// accumulates lanes s0…s3 in Y(2k) and s4…s7 in Y(2k+1), exactly as
+// dotAVX2 does in Y0/Y1, and nothing is ever added across windows. The
+// query block is loaded once (Y8…Y11) and multiplied into all four
+// windows; eight independent accumulator chains keep both FP ports busy
+// where dotAVX2's two wait out the add latency.
+TEXT ·dot4AVX2(SB), NOSPLIT, $0-128
+	MOVQ q_base+0(FP), SI
+	MOVQ q_len+8(FP), CX
+	MOVQ x0_base+24(FP), R8
+	MOVQ x1_base+48(FP), R9
+	MOVQ x2_base+72(FP), R10
+	MOVQ x3_base+96(FP), R11
+	MOVQ out+120(FP), DI
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ CX, DX
+	SHRQ $4, DX
+	JZ   reduce4
+
+block16x4:
+	VMOVUPD (SI), Y8
+	VMOVUPD 32(SI), Y9
+	VMOVUPD 64(SI), Y10
+	VMOVUPD 96(SI), Y11
+	WINDOW4(R8, Y0, Y1)
+	WINDOW4(R9, Y2, Y3)
+	WINDOW4(R10, Y4, Y5)
+	WINDOW4(R11, Y6, Y7)
+	ADDQ $128, SI
+	ADDQ $128, R8
+	ADDQ $128, R9
+	ADDQ $128, R10
+	ADDQ $128, R11
+	DECQ DX
+	JNZ  block16x4
+
+reduce4:
+	REDUCE4(Y0, Y1, X0, X1)
+	REDUCE4(Y2, Y3, X2, X3)
+	REDUCE4(Y4, Y5, X4, X5)
+	REDUCE4(Y6, Y7, X6, X7)
+	VZEROUPPER
+
+	// Four sequential tails t0…t3 (X1, X3, X5, X7) from +0, added even
+	// when empty, as in dotAVX2.
+	VXORPD X1, X1, X1
+	VXORPD X3, X3, X3
+	VXORPD X5, X5, X5
+	VXORPD X7, X7, X7
+	ANDQ   $15, CX
+	JZ     done4
+
+tail4:
+	VMOVSD (SI), X8
+	VMULSD (R8), X8, X12
+	VMULSD (R9), X8, X13
+	VMULSD (R10), X8, X14
+	VMULSD (R11), X8, X15
+	VADDSD X12, X1, X1
+	VADDSD X13, X3, X3
+	VADDSD X14, X5, X5
+	VADDSD X15, X7, X7
+	ADDQ   $8, SI
+	ADDQ   $8, R8
+	ADDQ   $8, R9
+	ADDQ   $8, R10
+	ADDQ   $8, R11
+	DECQ   CX
+	JNZ    tail4
+
+done4:
+	VADDSD X1, X0, X0
+	VADDSD X3, X2, X2
+	VADDSD X5, X4, X4
+	VADDSD X7, X6, X6
+	VMOVSD X0, (DI)
+	VMOVSD X2, 8(DI)
+	VMOVSD X4, 16(DI)
+	VMOVSD X6, 24(DI)
+	RET
+
+// widenMagic is 2⁵² + 2⁵¹ as a float64 and, read as an int64, the bit
+// pattern that value has: adding a small integer c to the pattern gives
+// the bits of the float 2⁵² + 2⁵¹ + c, and subtracting the float leaves
+// float64(c) exactly — an int64→float64 convert AVX2 does not have,
+// from one integer add and one float subtract.
+DATA widenMagic<>+0(SB)/8, $0x4338000000000000
+GLOBL widenMagic<>(SB), RODATA|NOPTR, $8
+
+// func widenAVX2(x *float64, sums *[2]int64, c *int16, n int)
+//
+// Four counts per iteration. With pairs Pi = (ci, ci²) and the running
+// totals run = sums[i], the four outputs are R0 = run+P0, R1 = R0+P1,
+// R2 = R1+P2, R3 = R2+P3. Y5 = (P0 | P2) and Y6 = (P1 | P3) come from
+// two unpacks; W = Y5+Y6 = (P0+P1 | P2+P3); the next iteration's totals
+// RUN' = RUN + (W + swap W) are the only loop-carried value, one add
+// deep; (R1 | R3) is RUN+W in the low half and RUN' in the high half,
+// and (R0 | R2) = (R1 | R3) − Y6. All of it is integer arithmetic, so
+// there is no order to get wrong.
+TEXT ·widenAVX2(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), DI
+	MOVQ sums+8(FP), BX
+	MOVQ c+16(FP), SI
+	MOVQ n+24(FP), CX
+	SHRQ $2, CX
+	JZ   widened
+	VBROADCASTI128 (BX), Y0          // RUN = (run | run)
+	VPBROADCASTQ   widenMagic<>(SB), Y1
+	ADDQ $16, BX
+
+widen4:
+	VPMOVSXWQ   (SI), Y2             // c0…c3 as int64
+	VPADDQ      Y1, Y2, Y3
+	VSUBPD      Y1, Y3, Y3           // float64(c0…c3)
+	VMOVUPD     Y3, (DI)
+	VPMULDQ     Y2, Y2, Y4           // c0²…c3²
+	VPUNPCKLQDQ Y4, Y2, Y5           // (P0 | P2)
+	VPUNPCKHQDQ Y4, Y2, Y6           // (P1 | P3)
+	VPADDQ      Y6, Y5, Y7           // W
+	VPERM2I128  $0x01, Y7, Y7, Y8    // swap W
+	VPADDQ      Y8, Y7, Y8           // (P0+P1+P2+P3 | the same)
+	VPADDQ      Y7, Y0, Y9           // RUN + W = (R1 | …)
+	VPADDQ      Y8, Y0, Y0           // RUN' = (R3 | R3)
+	VPBLENDD    $0xF0, Y0, Y9, Y9    // (R1 | R3)
+	VPSUBQ      Y6, Y9, Y10          // (R0 | R2)
+	VMOVDQU      X10, (BX)
+	VMOVDQU      X9, 16(BX)
+	VEXTRACTI128 $1, Y10, 32(BX)
+	VEXTRACTI128 $1, Y9, 48(BX)
+	ADDQ $8, SI
+	ADDQ $32, DI
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  widen4
+	VZEROUPPER
+
+widened:
+	RET
+
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -32,14 +32,20 @@ func TestAVX2UsableDecision(t *testing.T) {
 	}
 }
 
-// TestRouteFollowsDetector: init installed the vector routine exactly
-// when this machine's own words say it may — so the == sweeps in
-// kernel_test.go compared AVX2 against portable wherever that is
-// possible, and say so in the log.
+// TestRouteFollowsDetector: init installed the three vector routines
+// together, exactly when this machine's own words say it may — so the
+// == sweeps in kernel_test.go compared AVX2 against portable wherever
+// that is possible, and say so in the log.
 func TestRouteFollowsDetector(t *testing.T) {
-	vector := reflect.ValueOf(dot).Pointer() == reflect.ValueOf(dotAVX2).Pointer()
-	if usable := detectAVX2(); vector != usable {
-		t.Fatalf("vector route installed = %v, detector says usable = %v", vector, usable)
+	usable := detectAVX2()
+	for _, route := range []struct {
+		name             string
+		selected, vector any
+	}{{"Dot", dot, dotAVX2}, {"Dot4", dot4, dot4AVX2}, {"Widen", widen, widenVector}} {
+		vector := reflect.ValueOf(route.selected).Pointer() == reflect.ValueOf(route.vector).Pointer()
+		if vector != usable {
+			t.Fatalf("%s: vector route installed = %v, detector says usable = %v", route.name, vector, usable)
+		}
 	}
-	t.Logf("Dot runs the AVX2 route: %v", vector)
+	t.Logf("Dot, Dot4 and Widen run the AVX2 routes: %v", usable)
 }

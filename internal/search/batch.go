@@ -50,11 +50,11 @@ type BatchResult struct {
 
 // AlgorithmN runs the paper's signal cross-correlation search for a
 // batch of (already bandpass-filtered) input windows in one pass over
-// the mega-database: every signal-set's sliding statistics are walked
-// once per distinct query length, all queries evaluate against the
-// window data while it is hot, and queries that z-normalize
-// identically are deduplicated into a single scan. Each query's
-// matches are exactly what Algorithm1 would return for it alone.
+// the mega-database: every signal-set's pass segment is built once per
+// distinct query length, all queries walk it while it is resident, and
+// queries that z-normalize identically are deduplicated into a single
+// scan. Each query's matches are exactly what Algorithm1 would return
+// for it alone.
 func (s *Searcher) AlgorithmN(inputs [][]float64) (*BatchResult, error) {
 	return s.runBatch(inputs, false)
 }
@@ -190,8 +190,8 @@ type queryAccum struct {
 }
 
 // lenGroup is the set of unique-query indexes sharing one window
-// length; queries in one group share offsets, window loads and the
-// O(1) normalization denominator during a signal-set pass.
+// length; queries in one group share a signal-set's pass segment — one
+// dequantization, however many of them walk it.
 type lenGroup struct {
 	n  int
 	qs []int
@@ -210,21 +210,6 @@ func groupByLen(uniques [][]float64) []lenGroup {
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].n < groups[j].n })
 	return groups
-}
-
-// cursor is one query's scan position within the current signal-set.
-// Each query keeps its own exponential-sliding-window trajectory (β,
-// |ω| envelope, per-set best), so batch results are bit-identical to
-// separate single-query scans; only the window data and its
-// normalization denominator are shared.
-type cursor struct {
-	q         int // unique-query index
-	zq        []float64
-	beta      int
-	env       float64
-	bestOmega float64
-	bestBeta  int
-	found     bool
 }
 
 // zqKey is the 128-bit FNV-style fingerprint of a z-normalized query:

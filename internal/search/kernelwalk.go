@@ -9,33 +9,72 @@ import (
 	"emap/internal/mdb"
 )
 
-// maxWheelSpan bounds the bucket-queue wheel; parameter settings whose
-// maximum skip exceeds it (pathologically small OmegaFloor) fall back
-// to the linear frontier scan.
-const maxWheelSpan = 4096
+// lanes is how many signal-sets the skip walk keeps in flight at once.
+// Algorithm 1 is one serial chain per set — ω at β decides the skip, the
+// skip decides the next β — whose two divisions, square root and
+// float→int convert each wait for the one before; four sets are four
+// independent chains for the core to overlap. Eight measured no better
+// than four (EXPERIMENTS.md), and four windows are what kernel.Dot4's
+// eight accumulators fill the vector registers with.
+const lanes = 4
 
-// walkScratch is one shard worker's reusable kernel state: the pass
-// segment, FFT spectra, the profile buffer and the wheel buckets live
-// across every set the worker scans — and, through scratchPool, across
-// scans — so the walk allocates nothing per set. Query spectra are
-// cached per (query, transform size) — one forward transform per
-// unique query however many sets its group scans.
+// lane is one signal-set in flight: the set as the scan found its
+// record when it took it, the pass over that set at the current window
+// length (built, for a quantized record, in buffers the lane owns), and
+// the trajectory of the query now walking it — its own β, |ω| envelope
+// and per-set best, so what a query does in a set depends on (set,
+// query) alone, whichever lane holds the set and whatever the other
+// lanes hold.
+type lane struct {
+	set    *mdb.SignalSet
+	recLen int
+	// A record that is hot when the scan takes the set is read through
+	// its float64 signal (stats); any other through its counts (qv).
+	stats *dsp.SlidingStats
+	qv    mdb.QuantView
+
+	// opened: seg is a pass of the current length group.
+	opened bool
+	seg    segment
+	qx     []float64 // loadQuant's buffers
+	qsums  [][2]int64
+
+	beta      int
+	env       float64
+	bestOmega float64
+	bestBeta  int
+	found     bool
+}
+
+// walkScratch is one shard worker's reusable kernel state: the lanes
+// with their segment buffers, the shard position the lanes are filled
+// from, FFT spectra and the profile buffer live across every set the
+// worker scans — and, through scratchPool, across scans — so the walk
+// allocates nothing per set. Query spectra are cached per (query,
+// transform size) — one forward transform per unique query however many
+// sets its group scans.
 type walkScratch struct {
 	engine *kernel.Engine
-	// seg is the current (set, length-group) pass; qx/psum/psumSq are
-	// the buffers its quantized form is built into (walkquant.go).
-	seg          segment
-	qx           []float64
-	psum, psumSq []int64
-	segSpec      []complex128
-	work         []complex128
-	profile      []float64
+	// The shard being scanned: take hands shard[next] to a lane; passes
+	// counts the (set, length-group) passes opened.
+	snap   mdb.Snapshot
+	shard  []*mdb.SignalSet
+	next   int
+	passes int
+	lane   [lanes]lane
+	// dots receives kernel.Dot4's results. It lives here because the
+	// kernel is called through a route variable, which makes a local
+	// escape — one allocation per walk.
+	dots [lanes]float64
+
+	segSpec []complex128
+	work    []complex128
+	profile []float64
 	// dens[β] holds the centred window norm at every offset of the
 	// current pass — O(1) each from prefix sums, but shared by every
-	// exhaustive cursor instead of recomputed per (cursor, offset).
-	dens    []float64
-	qSpec   map[qspecKey][]complex128
-	buckets [][]int32
+	// exhaustive query instead of recomputed per (query, offset).
+	dens  []float64
+	qSpec map[qspecKey][]complex128
 }
 
 type qspecKey struct {
@@ -48,20 +87,24 @@ type qspecKey struct {
 // purpose: a sync.Pool FIELD on Searcher keeps a finished Searcher —
 // and through it a whole float store — reachable from the runtime's
 // pool list for two GC cycles. A pooled scratch references only its
-// own buffers: putScratch drops the engine, the hot-tier signal alias
-// and the per-scan query spectra.
+// own buffers: putScratch drops the engine, the snapshot, every lane's
+// set and hot-tier signal alias, and the per-scan query spectra.
 var scratchPool = sync.Pool{New: func() any {
 	return &walkScratch{qSpec: make(map[qspecKey][]complex128)}
 }}
 
-func getScratch(engine *kernel.Engine) *walkScratch {
+func getScratch(engine *kernel.Engine, snap mdb.Snapshot, shard []*mdb.SignalSet) *walkScratch {
 	scr := scratchPool.Get().(*walkScratch)
-	scr.engine = engine
+	scr.engine, scr.snap, scr.shard, scr.next, scr.passes = engine, snap, shard, 0, 0
 	return scr
 }
 
 func putScratch(scr *walkScratch) {
-	scr.engine, scr.seg = nil, segment{}
+	scr.engine, scr.snap, scr.shard = nil, mdb.Snapshot{}, nil
+	for k := range scr.lane {
+		l := &scr.lane[k]
+		l.set, l.stats, l.qv, l.seg = nil, nil, mdb.QuantView{}, segment{}
+	}
 	clear(scr.qSpec)
 	scratchPool.Put(scr)
 }
@@ -94,94 +137,143 @@ func (scr *walkScratch) querySpectrum(p kernel.Profiler, q int, zq []float64) []
 }
 
 // scanShardBatch scans a contiguous run of signal-sets for all unique
-// queries at once. Per signal-set and per length group it builds the
-// pass segment once and walks it by the scan's one route: the skip walk
-// is the sparse merged walk (B queries cost one pass of memory traffic,
-// not B), the exhaustive scan is the dense FFT profile (O(L log L) per
-// pass instead of O(n·L)).
+// queries at once, by the scan's one route: the skip walk is the lane
+// walk over the pass segments (a batch costs one dequantization per
+// pass, not one per query), the exhaustive scan is the dense FFT
+// profile (O(L log L) per pass instead of O(n·L)).
 func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uniques [][]float64, groups []lenGroup, exhaustive bool) ([]queryAccum, int) {
-	p := &s.params
 	accs := make([]queryAccum, len(uniques))
 	for i := range accs {
-		accs[i].top = NewTopK(p.TopK)
+		accs[i].top = NewTopK(s.params.TopK)
 	}
-	passes := 0
-	scr := getScratch(s.engine)
+	scr := getScratch(s.engine, snap, shard)
 	defer putScratch(scr)
-	// One reusable cursor slice per group, reset for every set.
-	cursors := make([][]cursor, len(groups))
-	for gi, g := range groups {
-		cursors[gi] = make([]cursor, len(g.qs))
-		for ci, q := range g.qs {
-			cursors[gi][ci] = cursor{q: q, zq: uniques[q]}
+	switch {
+	case exhaustive:
+		l := &scr.lane[0]
+		for scr.take(l) {
+			for gi := range groups {
+				if s.open(scr, l, groups[gi].n) {
+					s.walkDense(groups[gi].qs, uniques, &l.seg, accs, scr)
+				}
+			}
 		}
-	}
-	for _, set := range shard {
-		rec, ok := snap.Record(set.RecordID)
-		if !ok {
-			continue
+	case len(uniques) == 1:
+		// One query: a lane that runs off its set takes the next set of
+		// the shard, so four sets are in flight until the shard runs
+		// out.
+		for k := range scr.lane {
+			s.refill(scr, &scr.lane[k], len(uniques[0]))
 		}
-		// Tier residency: count the scan access (LRU stamp, possible
-		// opportunistic promotion under a byte budget).
-		rec.Touch()
-		// A record that is hot right now is scanned through its float64
-		// signal; any other is scanned in the compressed domain —
-		// promoting a warm/cold record just to scan it would defeat the
-		// tier budget.
-		var stats *dsp.SlidingStats
-		var qv mdb.QuantView
-		if rec.Tier() == mdb.TierHot {
-			stats = rec.Stats()
-		} else {
-			qv, _ = rec.Quant()
-		}
-		recLen := rec.Len()
-		for gi := range groups {
-			n := groups[gi].n
-			var maxOff int
-			if p.PaperSliceScan {
-				maxOff = set.Length - n // paper: while β < Length(S) − Length(I_N)
-			} else {
-				maxOff = set.Length - 1 // full coverage; window may cross into the parent recording
+		s.walkLanes(scr, uniques[0], &accs[0], true)
+	default:
+		// Several queries: lanes must share a query (that is what lets
+		// one kernel call serve four of them), so a run of sets is held
+		// resident — dequantized once per length group — and walked
+		// query by query.
+		for {
+			held := 0
+			for held < lanes && scr.take(&scr.lane[held]) {
+				held++
 			}
-			if set.Start+maxOff+n > recLen {
-				maxOff = recLen - n - set.Start
+			if held == 0 {
+				break
 			}
-			if maxOff < 0 {
-				continue
-			}
-			passes++
-			cs := cursors[gi]
-			for ci := range cs {
-				c := &cs[ci]
-				c.beta, c.env, c.found = 0, 0, false
-			}
-			g := &scr.seg
-			if stats != nil {
-				*g = segment{x: stats.Signal()[set.Start : set.Start+maxOff+n], scale: 1, stats: stats, start: set.Start}
-			} else {
-				scr.loadQuant(qv, set.Start, maxOff+n)
-			}
-			g.setID, g.n, g.maxOff = set.ID, n, maxOff
-			if exhaustive {
-				s.walkDense(cs, g, accs, scr)
-			} else {
-				s.walkSparse(cs, g, accs, scr)
-			}
-			for ci := range cs {
-				if c := &cs[ci]; c.found && !p.AllOffsets {
-					accs[c.q].top.Push(Match{SetID: set.ID, Omega: c.bestOmega, Beta: c.bestBeta})
+			for gi := range groups {
+				for k := range scr.lane {
+					l := &scr.lane[k]
+					l.opened = k < held && s.open(scr, l, groups[gi].n)
+				}
+				for _, q := range groups[gi].qs {
+					s.walkLanes(scr, uniques[q], &accs[q], false)
 				}
 			}
 		}
 	}
-	return accs, passes
+	return accs, scr.passes
 }
+
+// take makes the next signal-set of the shard lane l's. Tier residency:
+// it counts the scan access (LRU stamp, possible opportunistic promotion
+// under a byte budget) once per set, in shard order, and decides there
+// how the set is read — a record that is hot right now through its
+// float64 signal, any other in the compressed domain; promoting a
+// warm/cold record just to scan it would defeat the tier budget.
+func (scr *walkScratch) take(l *lane) bool {
+	l.opened = false
+	for scr.next < len(scr.shard) {
+		set := scr.shard[scr.next]
+		scr.next++
+		rec, ok := scr.snap.Record(set.RecordID)
+		if !ok {
+			continue
+		}
+		rec.Touch()
+		l.set, l.recLen, l.stats, l.qv = set, rec.Len(), nil, mdb.QuantView{}
+		if rec.Tier() == mdb.TierHot {
+			l.stats = rec.Stats()
+		} else {
+			l.qv, _ = rec.Quant()
+		}
+		return true
+	}
+	return false
+}
+
+// open builds l.seg, the pass over the lane's set for windows of n
+// samples, and reports whether the set has any offset for them.
+func (s *Searcher) open(scr *walkScratch, l *lane, n int) bool {
+	set := l.set
+	var maxOff int
+	if s.params.PaperSliceScan {
+		maxOff = set.Length - n // paper: while β < Length(S) − Length(I_N)
+	} else {
+		maxOff = set.Length - 1 // full coverage; window may cross into the parent recording
+	}
+	if set.Start+maxOff+n > l.recLen {
+		maxOff = l.recLen - n - set.Start
+	}
+	if maxOff < 0 {
+		return false
+	}
+	scr.passes++
+	if l.stats != nil {
+		l.seg = segment{x: l.stats.Signal()[set.Start : set.Start+maxOff+n], scale: 1, stats: l.stats, start: set.Start}
+	} else {
+		l.loadQuant(l.qv, set.Start, maxOff+n)
+	}
+	l.seg.setID, l.seg.n, l.seg.maxOff = set.ID, n, maxOff
+	return true
+}
+
+// refill gives lane l the next set of the shard that has offsets for
+// windows of n samples, ready to walk.
+func (s *Searcher) refill(scr *walkScratch, l *lane, n int) bool {
+	for scr.take(l) {
+		if l.opened = s.open(scr, l, n); l.opened {
+			l.start()
+			return true
+		}
+	}
+	return false
+}
+
+// start puts the lane's trajectory at the head of its pass.
+func (l *lane) start() { l.beta, l.env, l.found = 0, 0, false }
+
+// live reports whether the query walking the lane has offsets of its
+// pass left to visit.
+func (l *lane) live() bool { return l.opened && l.beta <= l.seg.maxOff }
+
+// window is the stored window at the lane's offset; den its scaled
+// norm.
+func (l *lane) window() []float64 { return l.seg.x[l.beta : l.beta+l.seg.n] }
+func (l *lane) den() float64      { return l.seg.scale * l.seg.norm(l.beta) }
 
 // walkDense is the exhaustive scan of one pass: the sliding-dot
 // numerators for EVERY offset come from one multiply+inverse against the
 // segment spectrum (one transform per pass) and the cached query
-// spectrum, O(L log L) per cursor, and each offset then reads ω as
+// spectrum, O(L log L) per query, and each offset then reads ω as
 // profile[β]/‖window‖ in O(1). ω only matters where it clears δ, so most
 // offsets get a multiply-compare against δ·‖window‖ (with a margin far
 // wider than the rounding gap between the two forms) instead of a
@@ -191,7 +283,7 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 // PREFILTER, never a score: every offset inside the margin is rescored
 // by the exact dot over the segment scratch, so candidate decisions and
 // reported ω come from the same arithmetic as the skip walk.
-func (s *Searcher) walkDense(cs []cursor, g *segment, accs []queryAccum, scr *walkScratch) {
+func (s *Searcher) walkDense(qs []int, uniques [][]float64, g *segment, accs []queryAccum, scr *walkScratch) {
 	p := &s.params
 	maxOff, setID := g.maxOff, g.setID
 	prof := scr.engine.Profiler(len(g.x))
@@ -204,12 +296,13 @@ func (s *Searcher) walkDense(cs []cursor, g *segment, accs []queryAccum, scr *wa
 	g.norms(scr.dens)
 	profile, dens := scr.profile, scr.dens
 	rescore := g.stats == nil
-	for ci := range cs {
-		c := &cs[ci]
-		prof.Correlate(profile, scr.segSpec, scr.querySpectrum(prof, c.q, c.zq), scr.work)
-		acc := &accs[c.q]
+	for _, q := range qs {
+		zq := uniques[q]
+		prof.Correlate(profile, scr.segSpec, scr.querySpectrum(prof, q, zq), scr.work)
+		acc := &accs[q]
 		acc.profiled++
 		acc.evaluated += maxOff + 1
+		found, bestOmega, bestBeta := false, 0.0, 0
 		for beta, den := range dens {
 			// Degenerate (constant) stored windows correlate as 0,
 			// matching dsp.SlidingStats.CorrAt.
@@ -221,7 +314,7 @@ func (s *Searcher) walkDense(cs []cursor, g *segment, accs []queryAccum, scr *wa
 				}
 				num := profile[beta]
 				if rescore {
-					num = kernel.Dot(c.zq, g.x[beta:beta+g.n])
+					num = kernel.Dot(zq, g.x[beta:beta+g.n])
 				}
 				omega = num / den
 			}
@@ -229,127 +322,114 @@ func (s *Searcher) walkDense(cs []cursor, g *segment, accs []queryAccum, scr *wa
 				acc.candidates++
 				if p.AllOffsets {
 					acc.top.Push(Match{SetID: setID, Omega: omega, Beta: beta})
-				} else if !c.found || omega > c.bestOmega {
-					c.bestOmega, c.bestBeta, c.found = omega, beta, true
+				} else if !found || omega > bestOmega {
+					bestOmega, bestBeta, found = omega, beta, true
 				}
 			}
 		}
-	}
-}
-
-// walkSparse is the skip walk of one pass: every cursor advances along
-// its own exponential-sliding-window trajectory. Offsets are visited in
-// ascending order; cursors whose trajectories coincide at an offset
-// share the window load and the normalization denominator.
-func (s *Searcher) walkSparse(cs []cursor, g *segment, accs []queryAccum, scr *walkScratch) {
-	if len(cs) == 1 {
-		// One cursor needs no frontier structure at all.
-		c := &cs[0]
-		for s.stepSparse(c, &accs[c.q], g, g.scale*g.norm(c.beta)) {
+		if found {
+			acc.top.Push(Match{SetID: setID, Omega: bestOmega, Beta: bestBeta})
 		}
-		return
 	}
-	if s.maxAdv+1 <= maxWheelSpan {
-		s.walkSparseWheel(cs, g, accs, scr)
-		return
-	}
-	s.walkSparseScan(cs, g, accs)
 }
 
-// stepSparse evaluates cursor c at its current offset — den is the
-// pass's scaled window norm there, shared by every cursor standing at
-// the offset — and advances it by the skip rule, returning false once
-// the cursor is past the end of the pass.
-func (s *Searcher) stepSparse(c *cursor, acc *queryAccum, g *segment, den float64) bool {
+// walkLanes is the skip walk: query zq walks every opened lane's pass
+// from its head. While all four lanes are live they step in lockstep —
+// four O(1) norms, one kernel.Dot4 for the four windows, four visits
+// finished — so the four sets' serial chains overlap in the core; with
+// refill, a lane that runs off its set takes the next set of the shard
+// and the other three keep going. Fewer than four live lanes drain one
+// at a time through the same visit, with kernel.Dot.
+//
+// Lanes never exchange anything but the query: out[k] == Dot(zq,
+// window k) bit for bit (Dot4's contract), so every lane's trajectory,
+// its candidates and its best match are what a lone walk of that set
+// gives. What lanes do change is the order matches reach the top-K,
+// which is why TopK ranks by a total order.
+func (s *Searcher) walkLanes(scr *walkScratch, zq []float64, acc *queryAccum, refill bool) {
+	L := &scr.lane
+	live := 0
+	for k := range L {
+		if L[k].start(); L[k].live() {
+			live++
+		}
+	}
+	var dens [lanes]float64
+	dots := &scr.dots
+	for live == lanes {
+		for k := range L {
+			dens[k] = L[k].den()
+		}
+		kernel.Dot4(zq, L[0].window(), L[1].window(), L[2].window(), L[3].window(), dots)
+		for k := range L {
+			l := &L[k]
+			if s.visit(l, acc, dots[k], dens[k]) {
+				continue
+			}
+			s.finish(l, acc)
+			if !refill || !s.refill(scr, l, len(zq)) {
+				live--
+			}
+		}
+	}
+	for k := range L {
+		l := &L[k]
+		if !l.live() {
+			continue
+		}
+		for s.visit(l, acc, kernel.Dot(zq, l.window()), l.den()) {
+		}
+		s.finish(l, acc)
+	}
+}
+
+// visit finishes lane l's evaluation at its current offset — dot is
+// Σzq·x over the window there, den the pass's scaled window norm — and
+// advances it by the skip rule, returning false once the lane is past
+// the end of its pass. The two data-dependent decisions of a visit, the
+// envelope's running maximum and the skip rule's floor, are max()
+// selects, not branches: they go either way about as often, and a
+// mispredicted branch would flush the other lanes' work along with this
+// one's.
+func (s *Searcher) visit(l *lane, acc *queryAccum, dot, den float64) bool {
 	p := &s.params
-	beta := c.beta
+	g := &l.seg
 	// Degenerate (constant) stored windows correlate as 0.
 	omega := 0.0
 	if den >= 1e-12 {
-		omega = g.scale * kernel.Dot(c.zq, g.x[beta:beta+g.n]) / den
+		omega = g.scale * dot / den
 	}
 	acc.evaluated++
 	if omega > p.Delta {
 		acc.candidates++
 		if p.AllOffsets {
-			acc.top.Push(Match{SetID: g.setID, Omega: omega, Beta: beta})
-		} else if !c.found || omega > c.bestOmega {
-			c.bestOmega, c.bestBeta, c.found = omega, beta, true
+			acc.top.Push(Match{SetID: g.setID, Omega: omega, Beta: l.beta})
+		} else if !l.found || omega > l.bestOmega {
+			l.bestOmega, l.bestBeta, l.found = omega, l.beta, true
 		}
 	}
-	if a := math.Abs(omega); a > c.env {
-		c.env = a
+	// A NaN ω (a non-finite stored sample) leaves the envelope as it
+	// is, as the comparison |ω| > env always has; max alone would
+	// poison it.
+	a := math.Abs(omega)
+	if a != a {
+		a = 0
 	}
-	adv := s.skipFor(c.env)
-	c.beta += adv
+	env := max(l.env, a)
+	adv := s.skipFor(env)
+	l.beta += adv
 	if adv < len(s.decay) {
-		c.env *= s.decay[adv]
+		env *= s.decay[adv]
 	} else {
-		c.env *= decayPow(p.EnvDecay, adv)
+		env *= decayPow(p.EnvDecay, adv)
 	}
-	return c.beta <= g.maxOff
+	l.env = env
+	return l.beta <= g.maxOff
 }
 
-// walkSparseWheel drives many cursors with a bucket-queue frontier:
-// offsets are the wheel positions, each bucket holds the cursors
-// standing there, and one sweep visits every occupied offset in
-// ascending order. Finding the next frontier offset is O(1) amortized
-// instead of the O(cursors) min-scan per offset — the batched-walk
-// win at cloud batch sizes. Skips are bounded by s.maxAdv, so a wheel
-// of s.maxAdv+1 buckets can never collide.
-func (s *Searcher) walkSparseWheel(cs []cursor, g *segment, accs []queryAccum, scr *walkScratch) {
-	w := s.maxAdv + 1
-	if cap(scr.buckets) < w {
-		scr.buckets = make([][]int32, w)
-	}
-	buckets := scr.buckets[:w]
-	for i := range buckets {
-		buckets[i] = buckets[i][:0]
-	}
-	// Every cursor starts the pass at offset 0.
-	for ci := range cs {
-		buckets[0] = append(buckets[0], int32(ci))
-	}
-	for beta, active := 0, len(cs); active > 0; beta++ {
-		slot := buckets[beta%w]
-		if len(slot) == 0 {
-			continue
-		}
-		// Shared across all cursors at this offset: the centred norm
-		// (O(1) from prefix sums); the window data is hot in cache
-		// after the first cursor's dot.
-		den := g.scale * g.norm(beta)
-		for _, ci := range slot {
-			c := &cs[ci]
-			if s.stepSparse(c, &accs[c.q], g, den) {
-				buckets[c.beta%w] = append(buckets[c.beta%w], ci)
-			} else {
-				active--
-			}
-		}
-		buckets[beta%w] = slot[:0]
-	}
-}
-
-// walkSparseScan is the linear-frontier fallback for parameterizations
-// whose maximum skip exceeds the wheel span: the smallest pending
-// offset is found by scanning every cursor (the pre-wheel behaviour).
-func (s *Searcher) walkSparseScan(cs []cursor, g *segment, accs []queryAccum) {
-	for {
-		beta := -1
-		for i := range cs {
-			if c := &cs[i]; c.beta <= g.maxOff && (beta < 0 || c.beta < beta) {
-				beta = c.beta
-			}
-		}
-		if beta < 0 {
-			return
-		}
-		den := g.scale * g.norm(beta)
-		for i := range cs {
-			if c := &cs[i]; c.beta == beta {
-				s.stepSparse(c, &accs[c.q], g, den)
-			}
-		}
+// finish hands the lane's best match in its set to the query's top-K.
+func (s *Searcher) finish(l *lane, acc *queryAccum) {
+	if l.found && !s.params.AllOffsets {
+		acc.top.Push(Match{SetID: l.seg.setID, Omega: l.bestOmega, Beta: l.bestBeta})
 	}
 }

@@ -21,18 +21,22 @@
 //
 // Algorithm1 answers one query; AlgorithmN answers a whole batch in a
 // single pass over the mega-database. Both run through the same core
-// (batch.go): per signal-set, every query walks its own
-// exponential-sliding-window trajectory, but the stored window data
-// and the O(1) normalization denominators are materialized once per
-// offset and shared by every query standing there, and queries that
-// z-normalize bit-identically are deduplicated into one scan. N
-// concurrent queries therefore cost one pass of memory bandwidth per
-// signal-set, not N — the cloud tier's scan-once-serve-many lever
-// (see internal/cloud's batching collector).
+// (batch.go) and the same walker (kernelwalk.go): four signal-sets are
+// in flight at a time, each in its own lane, and a query walks the four
+// in lockstep — its own exponential-sliding-window trajectory in every
+// set, one fused kernel call per step. A batch holds a run of sets
+// resident and walks it query by query, so the stored side of a pass
+// (for a compressed record: its dequantized segment and prefix sums) is
+// built once however many queries walk it, and queries that z-normalize
+// bit-identically are deduplicated into one scan. N concurrent queries
+// therefore cost one pass of memory bandwidth per signal-set, not N —
+// the cloud tier's scan-once-serve-many lever (see internal/cloud's
+// batching collector).
 package search
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"emap/internal/kernel"
@@ -185,14 +189,19 @@ type Searcher struct {
 	engine *kernel.Engine
 	// Hoisted out of the per-evaluation path: skipNum is α·SkipScale,
 	// the numerator of the skip rule; maxAdv is skipFor(0), the longest
-	// skip any cursor can take (the floor envelope); decay[adv] is
+	// skip any lane can take (the floor envelope); decay[adv] is
 	// decayPow(EnvDecay, adv) for every adv ≤ maxAdv — built BY decayPow,
 	// so a lookup is the call's bits — and nil when maxAdv would need
-	// more than maxWheelSpan entries (stepSparse then calls decayPow).
+	// more than maxDecayTable entries (visit then calls decayPow).
 	skipNum float64
 	maxAdv  int
 	decay   []float64
 }
+
+// maxDecayTable bounds the envelope-decay table; parameter settings
+// whose maximum skip exceeds it (pathologically small OmegaFloor) get no
+// table.
+const maxDecayTable = 4096
 
 // NewSearcher returns a Searcher over store with the given parameters
 // (zero-valued fields take paper defaults) and a private kernel-engine
@@ -212,7 +221,7 @@ func NewSearcherWithEngine(store *mdb.Store, params Params, engine *kernel.Engin
 	params = params.withDefaults()
 	s := &Searcher{store: store, params: params, engine: engine, skipNum: params.Alpha * params.SkipScale}
 	s.maxAdv = s.skipFor(0)
-	if s.maxAdv+1 <= maxWheelSpan {
+	if s.maxAdv+1 <= maxDecayTable {
 		s.decay = make([]float64, s.maxAdv+1)
 		for adv := range s.decay {
 			s.decay[adv] = decayPow(params.EnvDecay, adv)
@@ -276,18 +285,12 @@ func (s *Searcher) run(input []float64, exhaustive bool) (*Result, error) {
 // integer's interval, so the two agree (TestSkipRoundingMatchesRound).
 // Below 0.5 both give 0 — except the float just under 0.5, where x+0.5
 // rounds up to 1 — and every such advance is clamped to 1 anyway.
+//
+// The floor and the clamp are max() selects: whether the envelope sits
+// under the floor is close to a coin toss per visit, and the lane walk
+// cannot afford a branch that mispredicts that often (see visit).
 func (s *Searcher) skipFor(env float64) int {
-	if env < 0 {
-		env = -env
-	}
-	if env < s.params.OmegaFloor {
-		env = s.params.OmegaFloor
-	}
-	adv := int(s.skipNum/env + 0.5)
-	if adv < 1 {
-		adv = 1
-	}
-	return adv
+	return max(int(s.skipNum/max(math.Abs(env), s.params.OmegaFloor)+0.5), 1)
 }
 
 // decayPow returns decay^n for small integer n without calling

@@ -169,8 +169,8 @@ func TestSearchDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("worker count changed match count: %d vs %d", len(r1.Matches), len(r8.Matches))
 	}
 	for i := range r1.Matches {
-		if r1.Matches[i].Omega != r8.Matches[i].Omega {
-			t.Fatalf("match %d ω differs across worker counts", i)
+		if r1.Matches[i] != r8.Matches[i] {
+			t.Fatalf("match %d differs across worker counts: %+v vs %+v", i, r1.Matches[i], r8.Matches[i])
 		}
 	}
 }
@@ -266,7 +266,7 @@ func TestSkipForBehaviour(t *testing.T) {
 // TestSkipRoundingMatchesRound: skipFor rounds its quotient
 // x = α·SkipScale/env as int(x+0.5) where it used to call math.Round.
 // Over the reachable domain — x > 0, the result clamped to ≥ 1 — the
-// two agree: at every integer and half-integer a wheel-sized skip can
+// two agree: at every integer and half-integer a table-sized skip can
 // reach and the floats either side, at the binade edges where x+0.5
 // stops being exact, and through real searchers at envelopes that put
 // the quotient on a rounding boundary. The one input where the
@@ -292,7 +292,7 @@ func TestSkipRoundingMatchesRound(t *testing.T) {
 			check(math.Nextafter(x, 0))
 		}
 	}
-	for m := 0; m <= 2*maxWheelSpan; m++ {
+	for m := 0; m <= 2*maxDecayTable; m++ {
 		around(float64(m))
 		around(float64(m) + 0.5)
 	}
@@ -332,12 +332,12 @@ func TestSkipRoundingMatchesRound(t *testing.T) {
 }
 
 // TestDecayTableIsDecayPow: the per-Searcher envelope-decay table holds
-// decayPow's own bits for every advance a cursor can take, and a
-// parameterization whose longest skip outgrows the wheel keeps no table
-// — its batched walk (the linear-frontier fallback, decayPow called per
-// step) still answers every query as the solo walk does.
+// decayPow's own bits for every advance a lane can take, and a
+// parameterization whose longest skip outgrows the table keeps none —
+// its batched walk (decayPow called per visit) still answers every query
+// as the solo walk does.
 func TestDecayTableIsDecayPow(t *testing.T) {
-	for _, p := range []Params{{}, {EnvDecay: 0.5}, {Alpha: 0.02, EnvDecay: 0.99}, {OmegaFloor: 0.8 / (maxWheelSpan - 1)}} {
+	for _, p := range []Params{{}, {EnvDecay: 0.5}, {Alpha: 0.02, EnvDecay: 0.99}, {OmegaFloor: 0.8 / (maxDecayTable - 1)}} {
 		s := NewSearcher(nil, p)
 		if s.maxAdv != s.skipFor(0) || len(s.decay) != s.maxAdv+1 {
 			t.Fatalf("%+v: maxAdv %d (skipFor(0) = %d), %d table entries", p, s.maxAdv, s.skipFor(0), len(s.decay))
@@ -350,8 +350,8 @@ func TestDecayTableIsDecayPow(t *testing.T) {
 	}
 	f := newFixture(t, 2)
 	s := NewSearcher(f.store, Params{OmegaFloor: 1e-4})
-	if s.maxAdv < maxWheelSpan || s.decay != nil {
-		t.Fatalf("maxAdv %d should outgrow the wheel and leave no table (%d entries)", s.maxAdv, len(s.decay))
+	if s.maxAdv < maxDecayTable || s.decay != nil {
+		t.Fatalf("maxAdv %d should outgrow the table bound and leave no table (%d entries)", s.maxAdv, len(s.decay))
 	}
 	inputs := batchInputs(f, 3)
 	br, err := s.AlgorithmN(inputs)
@@ -364,7 +364,7 @@ func TestDecayTableIsDecayPow(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := br.Results[i]; !reflect.DeepEqual(got.Matches, solo.Matches) || got.Evaluated != solo.Evaluated {
-			t.Fatalf("query %d: batch over the linear frontier diverges from the solo walk", i)
+			t.Fatalf("query %d: the batched walk diverges from the solo walk", i)
 		}
 	}
 }

@@ -22,9 +22,10 @@ import (
 // code under test. A float record is correlated by dsp.Pearson (two
 // passes: means, then centred sums); a quantized one from exact integer
 // window sums over its counts and kernel.DotQF, the arithmetic the
-// segment walk must reproduce with ==. Each Result's ProfileSets is the number of set
-// passes the reference walked for that input: what an exhaustive scan
-// must profile.
+// segment walk must reproduce with ==. Each Result's ProfileSets is the
+// number of set passes the reference walked for that input: what an
+// exhaustive scan must profile, and what a same-length batch must count
+// as SetPasses.
 func refSearch(t *testing.T, store *mdb.Store, params Params, inputs [][]float64, exhaustive bool) []*Result {
 	t.Helper()
 	s := NewSearcher(store, params)
@@ -85,7 +86,9 @@ func refSearch(t *testing.T, store *mdb.Store, params Params, inputs [][]float64
 				res.Evaluated++
 				if omega > p.Delta {
 					res.Candidates++
-					if !found || omega > bestOmega {
+					if p.AllOffsets {
+						top.Push(Match{SetID: set.ID, Omega: omega, Beta: beta})
+					} else if !found || omega > bestOmega {
 						found, bestOmega, bestBeta = true, omega, beta
 					}
 				}
@@ -186,8 +189,9 @@ func TestSegmentWalkBitIdentical(t *testing.T) {
 				for i := range inputs {
 					matched += len(ref[i].Matches)
 					assertBitIdentical(t, fmt.Sprintf("%s/query %d", label, i), ref[i], got.Results[i])
-					// A batch of one takes the no-frontier fast path
-					// instead of the wheel: same answer.
+					// A batch of one refills its lanes from the whole
+					// shard instead of walking resident runs of four
+					// sets query by query: same answer.
 					solo, err := NewSearcher(qs, params).run(inputs[i], exhaustive)
 					if err != nil {
 						t.Fatal(err)
@@ -219,12 +223,12 @@ func TestSegmentPrefixSumsMatchWindowSums(t *testing.T) {
 	}
 	rec, _ := store.Record("r")
 	qv, _ := rec.Quant()
-	scr := &walkScratch{}
+	l := &lane{}
 	for trial := 0; trial < 200; trial++ {
 		start := rng.Intn(len(counts) - 1)
 		segLen := 1 + rng.Intn(len(counts)-start)
-		scr.loadQuant(qv, start, segLen) // reuses (and regrows) one scratch
-		g := &scr.seg
+		l.loadQuant(qv, start, segLen) // reuses (and regrows) one lane's buffers
+		g := &l.seg
 		for i, x := range g.x {
 			if x != float64(counts[start+i]) {
 				t.Fatalf("segment [%d,+%d): x[%d] = %g, count %d", start, segLen, i, x, counts[start+i])
@@ -234,7 +238,7 @@ func TestSegmentPrefixSumsMatchWindowSums(t *testing.T) {
 			beta := rng.Intn(segLen)
 			n := 1 + rng.Intn(segLen-beta)
 			sum, sumSq := qv.WindowSums(start+beta, n)
-			if gs, gq := g.psum[beta+n]-g.psum[beta], g.psumSq[beta+n]-g.psumSq[beta]; gs != sum || gq != sumSq {
+			if gs, gq := g.sums[beta+n][0]-g.sums[beta][0], g.sums[beta+n][1]-g.sums[beta][1]; gs != sum || gq != sumSq {
 				t.Fatalf("segment [%d,+%d) window (%d,%d): prefix sums (%d,%d), WindowSums (%d,%d)",
 					start, segLen, beta, n, gs, gq, sum, sumSq)
 			}

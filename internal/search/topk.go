@@ -12,13 +12,31 @@ type Match struct {
 	Beta int
 }
 
-// TopK is a bounded collection keeping the K matches with the largest
-// ω, implemented as a min-heap so insertion is O(log K) and the
-// smallest retained match is evicted first. Algorithm 1 keeps the
-// top-100 (paper: T = top-100 of SignalArray).
+// TopK is a bounded collection keeping the K best matches, implemented
+// as a min-heap so insertion is O(log K) and the worst retained match is
+// evicted first. Algorithm 1 keeps the top-100 (paper: T = top-100 of
+// SignalArray).
+//
+// "Best" is one total order — ω descending, then SetID ascending, then
+// Beta ascending (ranksBelow) — so what is retained, and the order
+// SortedDesc returns it in, depend on the set of matches pushed and not
+// on the order they arrived in: which of two equal-ω matches survives at
+// the K boundary does not change with the shard partition or with the
+// order the scan's lanes finish their sets.
 type TopK struct {
 	k     int
-	items []Match // min-heap on Omega
+	items []Match // min-heap under ranksBelow: items[0] is the worst
+}
+
+// ranksBelow reports whether a is a worse match than b.
+func ranksBelow(a, b Match) bool {
+	if a.Omega != b.Omega {
+		return a.Omega < b.Omega
+	}
+	if a.SetID != b.SetID {
+		return a.SetID > b.SetID
+	}
+	return a.Beta > b.Beta
 }
 
 // NewTopK returns a collector retaining at most k matches (k ≥ 1).
@@ -45,14 +63,14 @@ func (t *TopK) Min() (float64, bool) {
 }
 
 // Push offers a match; it is retained if the collector is not full or
-// if it beats the current minimum.
+// if it ranks above the worst retained match.
 func (t *TopK) Push(m Match) {
 	if len(t.items) < t.k {
 		t.items = append(t.items, m)
 		t.up(len(t.items) - 1)
 		return
 	}
-	if m.Omega <= t.items[0].Omega {
+	if !ranksBelow(t.items[0], m) {
 		return
 	}
 	t.items[0] = m
@@ -66,8 +84,8 @@ func (t *TopK) Merge(other *TopK) {
 	}
 }
 
-// SortedDesc returns the retained matches ordered by descending ω.
-// The collector is unchanged.
+// SortedDesc returns the retained matches best first: descending ω,
+// ties by ascending SetID, then Beta. The collector is unchanged.
 func (t *TopK) SortedDesc() []Match {
 	out := make([]Match, len(t.items))
 	copy(out, t.items)
@@ -92,7 +110,7 @@ func (t *TopK) SortedDesc() []Match {
 func (t *TopK) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if t.items[parent].Omega <= t.items[i].Omega {
+		if !ranksBelow(t.items[i], t.items[parent]) {
 			break
 		}
 		t.items[parent], t.items[i] = t.items[i], t.items[parent]
@@ -105,10 +123,10 @@ func (t *TopK) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && t.items[l].Omega < t.items[small].Omega {
+		if l < n && ranksBelow(t.items[l], t.items[small]) {
 			small = l
 		}
-		if r < n && t.items[r].Omega < t.items[small].Omega {
+		if r < n && ranksBelow(t.items[r], t.items[small]) {
 			small = r
 		}
 		if small == i {

@@ -119,6 +119,55 @@ func TestTopKMatchesSortProperty(t *testing.T) {
 	}
 }
 
+// TestTopKPushOrderIndependent: the collector ranks by one total order
+// (ω descending, SetID ascending, Beta ascending), so any permutation of
+// the same pushes — with ω values duplicated across sets and within a
+// set, and K cutting through a run of equal ω — retains the same matches
+// and returns them in the same order, directly or through Merge.
+func TestTopKPushOrderIndependent(t *testing.T) {
+	r := rng.New(29)
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + r.Intn(12)
+		pushes := make([]Match, r.Intn(40))
+		for i := range pushes {
+			// Five distinct ω values over up to forty matches.
+			pushes[i] = Match{Omega: 0.8 + 0.04*float64(r.Intn(5)), SetID: r.Intn(8), Beta: i}
+		}
+		want := append([]Match(nil), pushes...)
+		sort.Slice(want, func(i, j int) bool { return ranksBelow(want[j], want[i]) })
+		if len(want) > k {
+			want = want[:k]
+		}
+		for perm := 0; perm < 6; perm++ {
+			for i := len(pushes) - 1; i > 0; i-- {
+				j := r.Intn(i + 1)
+				pushes[i], pushes[j] = pushes[j], pushes[i]
+			}
+			whole, left, right := NewTopK(k), NewTopK(k), NewTopK(k)
+			for i, m := range pushes {
+				whole.Push(m)
+				if i%2 == 0 {
+					left.Push(m)
+				} else {
+					right.Push(m)
+				}
+			}
+			left.Merge(right)
+			for name, top := range map[string]*TopK{"pushed": whole, "merged": left} {
+				got := top.SortedDesc()
+				if len(got) != len(want) {
+					t.Fatalf("trial %d %s: retained %d, want %d", trial, name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d %s permutation %d: position %d is %+v, want %+v", trial, name, perm, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkTopKPush(b *testing.B) {
 	r := rng.New(1)
 	top := NewTopK(100)

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"emap/internal/dsp"
+	"emap/internal/kernel"
 	"emap/internal/mdb"
 )
 
@@ -13,7 +14,8 @@ import (
 // dequantizes ONCE: loadQuant widens the pass's counts into the
 // worker's scratch as float64 (raw counts — transient, reused, never
 // resident in the store) and fills int64 prefix sums of Σc and Σc²
-// beside them. Every visited offset is then the float path's own work
+// beside them (kernel.Widen, in vector registers where the platform has
+// them). Every visited offset is then the float path's own work
 // — kernel.Dot over the scratch plus two subtractions — where a dot
 // taken directly over the counts would widen each stored sample once
 // per evaluation, ≈50 times per query. Correctness rests on two facts:
@@ -49,33 +51,24 @@ type segment struct {
 	// sample start.
 	stats *dsp.SlidingStats
 	start int
-	// Quantized: psum[i] = Σ x[:i] and psumSq[i] = Σ x[:i]², exactly.
-	psum, psumSq []int64
+	// Quantized: sums[i] = {Σ x[:i], Σ x[:i]²}, exactly.
+	sums [][2]int64
 }
 
-// loadQuant makes scr.seg the pass over qv.Counts[start:start+segLen]:
-// one loop widens the counts and accumulates both prefix sums. It is
-// the only dequantization a compressed-domain scan performs, shared by
-// every cursor of the batch and by the exhaustive walk's spectrum and
+// loadQuant makes l.seg the pass over qv.Counts[start:start+segLen],
+// built in the lane's own buffers: kernel.Widen widens the counts and
+// accumulates both prefix sums in one sweep. It is the only
+// dequantization a compressed-domain scan performs, shared by every
+// query of the batch and by the exhaustive walk's spectrum and
 // denominator table.
-func (scr *walkScratch) loadQuant(qv mdb.QuantView, start, segLen int) {
-	if cap(scr.qx) < segLen {
-		scr.qx = make([]float64, segLen)
-		scr.psum = make([]int64, segLen+1)
-		scr.psumSq = make([]int64, segLen+1)
+func (l *lane) loadQuant(qv mdb.QuantView, start, segLen int) {
+	if cap(l.qx) < segLen {
+		l.qx = make([]float64, segLen)
+		l.qsums = make([][2]int64, segLen+1)
 	}
-	src := qv.Counts[start : start+segLen]
-	// Slices cut to len(src) so the loop carries no bounds checks;
-	// psum[0] = psumSq[0] = 0 is never overwritten.
-	x, ps, pq := scr.qx[:len(src)], scr.psum[1:len(src)+1], scr.psumSq[1:len(src)+1]
-	var sum, sumSq int64
-	for i, c := range src {
-		v := int64(c)
-		sum += v
-		sumSq += v * v
-		x[i], ps[i], pq[i] = float64(c), sum, sumSq
-	}
-	scr.seg = segment{x: x, scale: qv.Scale, psum: scr.psum[:segLen+1], psumSq: scr.psumSq[:segLen+1]}
+	x, sums := l.qx[:segLen], l.qsums[:segLen+1]
+	kernel.Widen(x, sums, qv.Counts[start:start+segLen])
+	l.seg = segment{x: x, scale: qv.Scale, sums: sums}
 }
 
 // norm returns the centred Euclidean norm √(Σ(x−μ)²) of the window at
@@ -84,7 +77,8 @@ func (g *segment) norm(beta int) float64 {
 	if g.stats != nil {
 		return g.stats.WindowNorm(g.start+beta, g.n)
 	}
-	return intNorm(g.psum[beta+g.n]-g.psum[beta], g.psumSq[beta+g.n]-g.psumSq[beta], float64(g.n))
+	lo, hi := &g.sums[beta], &g.sums[beta+g.n]
+	return intNorm(hi[0]-lo[0], hi[1]-lo[1], float64(g.n))
 }
 
 // norms fills dst[β] = norm(β) — the dense walk's denominator table,
@@ -96,10 +90,10 @@ func (g *segment) norms(dst []float64) {
 		}
 		return
 	}
-	fn, n, end := float64(g.n), g.n, g.n+len(dst)
-	lo, loSq, hi, hiSq := g.psum[:len(dst)], g.psumSq[:len(dst)], g.psum[n:end], g.psumSq[n:end]
+	fn := float64(g.n)
+	lo, hi := g.sums[:len(dst)], g.sums[g.n:g.n+len(dst)]
 	for beta := range dst {
-		dst[beta] = intNorm(hi[beta]-lo[beta], hiSq[beta]-loSq[beta], fn)
+		dst[beta] = intNorm(hi[beta][0]-lo[beta][0], hi[beta][1]-lo[beta][1], fn)
 	}
 }
 
