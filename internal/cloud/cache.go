@@ -98,13 +98,19 @@ func (c *corrCache) len() int {
 }
 
 // reset drops every cached correlation set (the store grew; cached
-// sets are stale) and invalidates in-flight putAt generations.
+// sets are stale) and invalidates in-flight putAt generations — the
+// latter even when nothing is cached: a scan of the pre-ingest epoch
+// may still be running. An ingest-only tenant resets an empty cache on
+// every insert, so that case touches nothing else.
 func (c *corrCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen++
+	if c.ll.Len() == 0 {
+		return
+	}
 	c.ll.Init()
-	c.byKey = make(map[string]*list.Element, c.cap)
+	clear(c.byKey)
 }
 
 // fingerprintSteps is the quantization resolution of the cache key:

@@ -305,6 +305,23 @@ func TestCacheResetRejectsStalePut(t *testing.T) {
 	if c.len() != 1 {
 		t.Fatal("fresh put rejected")
 	}
+	c.reset()
+	if _, _, ok := c.get([]byte("k")); ok || c.len() != 0 {
+		t.Fatal("entry survived a reset")
+	}
+}
+
+// TestCacheResetEmptyAllocatesNothing: an ingest-only tenant resets an
+// empty cache after every insert. That reset must still advance the
+// generation (the test above, which resets an empty cache) and must
+// not rebuild the key map to do it.
+func TestCacheResetEmptyAllocatesNothing(t *testing.T) {
+	c := newCorrCache(256)
+	c.putAt(0, "k", nil)
+	c.reset() // an emptied cache, not only a never-filled one
+	if n := testing.AllocsPerRun(100, c.reset); n != 0 {
+		t.Fatalf("reset of an empty cache allocates %v times", n)
+	}
 }
 
 // windowFingerprint keys a µV window the way serveUpload keys an

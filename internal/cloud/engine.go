@@ -350,10 +350,10 @@ func (e *Engine) serveIngest(frame proto.Frame) (proto.MsgType, []byte) {
 		return proto.TypeError, errorPayload(CodeRateLimited,
 			fmt.Sprintf("tenant %q over its admission rate; retry later", t.id))
 	}
-	// Inserts share the search worker pool: the copy-on-write view
-	// rebuild and the SlidingStats construction are CPU/memory work
-	// just like a scan, and must stay bounded however many
-	// connections pipeline ingests.
+	// Inserts share the search worker pool: the pass over the
+	// recording that builds its block sums (or SlidingStats) is
+	// CPU/memory work just like a scan, and must stay bounded however
+	// many connections pipeline ingests.
 	e.sem <- struct{}{}
 	ack, err := e.ingestInto(t, ing, frame.Payload)
 	<-e.sem

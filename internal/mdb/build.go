@@ -80,9 +80,11 @@ func Build(recs []*synth.Recording, cfg BuildConfig) (*Store, error) {
 		return nil, fmt.Errorf("mdb: designing bandpass: %w", err)
 	}
 	store := NewStore()
-	// One batched insert publishes the whole corpus as a single
-	// copy-on-write epoch — per-recording Insert calls would copy the
-	// growing spine once per recording (quadratic construction).
+	// One batched insert publishes the whole corpus as a single epoch
+	// and validates it whole: a duplicate ID anywhere rejects the
+	// corpus before any recording is touched. (Per-recording Insert
+	// calls would cost the same — an insert does not depend on the
+	// store's size — but publish len(recs) epochs.)
 	items := make([]insertion, 0, len(recs))
 	for _, raw := range recs {
 		rec, err := Preprocess(raw, cfg, fir)

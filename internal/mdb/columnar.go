@@ -115,14 +115,14 @@ func columnsOf(rec *Record) recordColumns {
 
 // encodeColumnar serialises one epoch into the columnar v2 byte image.
 func encodeColumnar(v *view) ([]byte, error) {
-	cols := make([]recordColumns, len(v.order))
-	countsOff := make([]uint64, len(v.order))
-	bsumOff := make([]uint64, len(v.order))
-	idOff := make([]uint64, len(v.order))
+	cols := make([]recordColumns, len(v.recs))
+	countsOff := make([]uint64, len(v.recs))
+	bsumOff := make([]uint64, len(v.recs))
+	idOff := make([]uint64, len(v.recs))
 
 	cur := uint64(headerSize)
-	for i, id := range v.order {
-		rec := v.records[id]
+	for i, rec := range v.recs {
+		id := rec.ID
 		if len(id) == 0 || len(id) > math.MaxUint16 {
 			return nil, fmt.Errorf("mdb: record ID %q not encodable", id)
 		}
@@ -138,22 +138,18 @@ func encodeColumnar(v *view) ([]byte, error) {
 		cur += uint64(len(id))
 	}
 	indexOff := align8(cur)
-	setsOff := indexOff + uint64(indexEntrySize*len(v.order))
+	setsOff := indexOff + uint64(indexEntrySize*len(v.recs))
 	fileSize := setsOff + uint64(setEntrySize*len(v.sets)) + 4
 
 	buf := make([]byte, fileSize)
 	le := binary.LittleEndian
 
-	recIdx := make(map[string]uint32, len(v.order))
-	for i, id := range v.order {
-		rec := v.records[id]
+	for i, rec := range v.recs {
+		id := rec.ID
 		c := cols[i]
-		recIdx[id] = uint32(i)
 
 		dataStart := countsOff[i]
-		for j, cnt := range c.counts {
-			le.PutUint16(buf[countsOff[i]+uint64(2*j):], uint16(cnt))
-		}
+		putCounts(buf[countsOff[i]:], c.counts)
 		for j, s := range c.bsum {
 			le.PutUint64(buf[bsumOff[i]+uint64(8*j):], uint64(s))
 		}
@@ -178,7 +174,7 @@ func encodeColumnar(v *view) ([]byte, error) {
 	}
 
 	for i, set := range v.sets {
-		ri, ok := recIdx[set.RecordID]
+		rec, ok := v.record(set.RecordID)
 		if !ok {
 			return nil, fmt.Errorf("mdb: signal-set %d references missing record %q", set.ID, set.RecordID)
 		}
@@ -187,7 +183,7 @@ func encodeColumnar(v *view) ([]byte, error) {
 		}
 		e := buf[setsOff+uint64(setEntrySize*i):]
 		le.PutUint32(e[0:], uint32(set.ID))
-		le.PutUint32(e[4:], ri)
+		le.PutUint32(e[4:], uint32(rec.ord))
 		le.PutUint32(e[8:], uint32(set.Start))
 		le.PutUint32(e[12:], uint32(set.Length))
 		if set.Anomalous {
@@ -200,7 +196,7 @@ func encodeColumnar(v *view) ([]byte, error) {
 	copy(buf[0:8], columnarMagic)
 	le.PutUint32(buf[8:], columnarVersion)
 	le.PutUint32(buf[12:], qBlockLen)
-	le.PutUint32(buf[16:], uint32(len(v.order)))
+	le.PutUint32(buf[16:], uint32(len(v.recs)))
 	le.PutUint32(buf[20:], uint32(len(v.sets)))
 	le.PutUint64(buf[24:], indexOff)
 	le.PutUint64(buf[32:], setsOff)
@@ -289,7 +285,8 @@ func parseColumnar(data []byte, mref *mmapRef) (*Store, error) {
 	}
 	le := binary.LittleEndian
 	s := NewQuantizedStore()
-	v := &view{records: make(map[string]*Record, h.nRecords)}
+	s.recs = make([]*Record, 0, h.nRecords)
+	s.sets = make([]*SignalSet, 0, h.nSets)
 
 	for i := uint64(0); i < uint64(h.nRecords); i++ {
 		e := data[h.indexOff+i*indexEntrySize:]
@@ -319,7 +316,7 @@ func parseColumnar(data []byte, mref *mmapRef) (*Store, error) {
 			return nil, fmt.Errorf("mdb: columnar record %d scale %v invalid", i, scale)
 		}
 		id := string(data[idOff : idOff+idLen])
-		if _, dup := v.records[id]; dup {
+		if _, dup := s.ix.m.Load(id); dup {
 			return nil, fmt.Errorf("mdb: columnar snapshot has duplicate record %q", id)
 		}
 
@@ -362,9 +359,7 @@ func parseColumnar(data []byte, mref *mmapRef) (*Store, error) {
 		}
 		rec.res.Store(q.baseResident())
 		s.tiers.register(rec)
-		v.records[id] = rec
-		v.order = append(v.order, id)
-		v.totalSamples += int(nSamples)
+		s.add(rec)
 	}
 
 	for i := uint64(0); i < uint64(h.nSets); i++ {
@@ -373,13 +368,13 @@ func parseColumnar(data []byte, mref *mmapRef) (*Store, error) {
 		if uint64(recordIdx) >= uint64(h.nRecords) {
 			return nil, fmt.Errorf("mdb: columnar signal-set %d references record index %d of %d", i, recordIdx, h.nRecords)
 		}
-		rec := v.records[v.order[recordIdx]]
+		rec := s.recs[recordIdx]
 		start := uint64(le.Uint32(e[8:]))
 		length := uint64(le.Uint32(e[12:]))
 		if start+length > uint64(rec.Len()) {
 			return nil, fmt.Errorf("mdb: columnar signal-set %d exceeds record %q", i, rec.ID)
 		}
-		v.sets = append(v.sets, &SignalSet{
+		s.sets = append(s.sets, &SignalSet{
 			ID:        int(le.Uint32(e[0:])),
 			RecordID:  rec.ID,
 			Start:     int(start),
@@ -390,8 +385,28 @@ func parseColumnar(data []byte, mref *mmapRef) (*Store, error) {
 		})
 	}
 
-	s.v.Store(v)
+	s.publish()
 	return s, nil
+}
+
+// putCounts writes counts as the little-endian int16 column at the
+// head of dst, which starts 2-aligned (columns are 8-aligned in the
+// image) and holds at least 2·len(counts) bytes. On a little-endian
+// host the column is the counts' memory, so it moves with one copy
+// through the view the mmap loader reads it back with.
+func putCounts(dst []byte, counts []int16) {
+	if hostLittleEndian {
+		copy(aliasInt16(dst[:2*len(counts)]), counts)
+	} else {
+		putCountsPortable(dst, counts)
+	}
+}
+
+// putCountsPortable is correct on every host and defines the column.
+func putCountsPortable(dst []byte, counts []int16) {
+	for j, cnt := range counts {
+		binary.LittleEndian.PutUint16(dst[2*j:], uint16(cnt))
+	}
 }
 
 // aliasInt16 reinterprets little-endian bytes as []int16 without

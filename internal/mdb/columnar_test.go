@@ -2,7 +2,9 @@ package mdb
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -354,5 +356,86 @@ func TestParseFormat(t *testing.T) {
 	}
 	if FormatGob.String() != "gob" || FormatColumnar.String() != "columnar" || Format(0).String() != "unset" {
 		t.Fatal("Format.String vocabulary changed")
+	}
+}
+
+// TestCountsColumnRoutesAgree: the one-copy route a little-endian host
+// writes the counts column with and the per-sample loop every other
+// host runs are one encoder. The loop is held to the format's
+// definition everywhere; the host's route is held to the loop, and a
+// whole image is held to what the per-sample eager loader reads back.
+func TestCountsColumnRoutesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, n := range []int{0, 1, 2, 3, 63, 64, 65, 999, 1024, 2049} {
+		counts := make([]int16, n)
+		for i := range counts {
+			counts[i] = int16(rng.Intn(1 << 16))
+		}
+		if n > 2 {
+			counts[0], counts[n/2], counts[n-1] = math.MinInt16, math.MaxInt16, -1
+		}
+		want := make([]byte, 2*n)
+		for i, c := range counts {
+			want[2*i], want[2*i+1] = byte(uint16(c)), byte(uint16(c)>>8)
+		}
+		// Columns sit 8-aligned inside a larger image: write at offset
+		// 8 with guard bytes after, as encodeColumnar does.
+		for name, put := range map[string]func([]byte, []int16){"portable": putCountsPortable, "host": putCounts} {
+			img := make([]byte, 8+2*n+8)
+			for i := range img {
+				img[i] = 0xA5
+			}
+			put(img[8:], counts)
+			if !bytes.Equal(img[8:8+2*n], want) {
+				t.Fatalf("n=%d: %s route diverges from the little-endian definition", n, name)
+			}
+			for i, b := range img {
+				if (i < 8 || i >= 8+2*n) && b != 0xA5 {
+					t.Fatalf("n=%d: %s route wrote outside its column (byte %d)", n, name, i)
+				}
+			}
+		}
+	}
+
+	lengths := []int{1, 63, 999, 1281}
+	s := NewQuantizedStore()
+	for i, n := range lengths {
+		counts := sineCounts(n, 30000, float64(i))
+		counts[0] = math.MinInt16
+		if _, err := s.InsertQuantized(&Record{ID: fmt.Sprint("odd", i)}, counts, 0.5, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := LoadColumnar(bytes.NewReader(encodeStore(t, s))) // eager: le.Uint16 per sample, CRC checked
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range s.RecordIDs() {
+		wr, _ := s.Record(id)
+		gr, _ := got.Record(id)
+		wq, _ := wr.Quant()
+		gq, _ := gr.Quant()
+		if len(wq.Counts) != len(gq.Counts) {
+			t.Fatalf("record %q: %d counts read back, wrote %d", id, len(gq.Counts), len(wq.Counts))
+		}
+		for i := range wq.Counts {
+			if wq.Counts[i] != gq.Counts[i] {
+				t.Fatalf("record %q count %d: read %d, wrote %d", id, i, gq.Counts[i], wq.Counts[i])
+			}
+		}
+	}
+}
+
+// BenchmarkEncodeColumnar prices the in-memory half of an eviction
+// persist: one 1 100-record tenant of 1 024-sample recordings encoded to
+// its columnar image (the other half is the file write and fsync).
+func BenchmarkEncodeColumnar(b *testing.B) {
+	v := quantStoreOf(b, 1100, sineCounts(1024, 9000, 0)).v.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := encodeColumnar(v); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -25,14 +25,23 @@
 //
 // # Epoch snapshots
 //
-// The store keeps all of its state in one immutable view published
-// through an atomic pointer. Insert builds a fresh view (copy-on-write
-// of the record map and the signal-set spine; the records and sets
-// themselves are never mutated after publication) and swaps it in, so
-// a reader that captured a Snapshot — or called any accessor, each of
-// which reads one coherent view — walks a stable epoch for as long as
-// it likes, completely undisturbed by concurrent inserts. Readers
-// never lock; writers serialise among themselves only.
+// The store's records and signal-sets live on two append-only spines
+// that only a writer (under the writer lock) extends. An epoch is a
+// view: a prefix of each spine with its capacity clipped to its length
+// (recs[:n:n]), published through an atomic pointer. A view never
+// indexes past its own length and cannot be appended into, so the
+// writer filling slot n and beyond never touches what a view can
+// reach, and when a spine outgrows its array the older views simply
+// keep the old one. A reader that captured a Snapshot — or called any
+// accessor, each of which reads one coherent view — therefore walks a
+// stable epoch for as long as it likes, undisturbed by concurrent
+// inserts, and an insert costs O(the recording inserted), not O(the
+// store). Readers never lock; writers serialise among themselves only.
+//
+// Record IDs resolve through one index shared by every epoch (see
+// recIndex). It runs ahead of older epochs, so a hit counts only if
+// the record sits at its own ordinal inside the view asking: a
+// snapshot of epoch k never sees record k+1.
 package mdb
 
 import (
@@ -86,6 +95,9 @@ type Record struct {
 	Samples []float64
 
 	stats *dsp.SlidingStats
+	// ord is the record's position on its store's record spine, set
+	// once by the insert (or load) that adds it.
+	ord int
 
 	// Quantized records only: the immutable canonical payload, the
 	// current resident representation, the owning store's residency
@@ -169,27 +181,55 @@ func (r *Record) floatSamples() []float64 {
 	return r.q.dequantizeAll()
 }
 
-// view is one immutable epoch of a store. Once published via
-// Store.v, a view and everything reachable from it is never mutated.
+// view is one immutable epoch of a store: capacity-clipped prefixes of
+// the store's spines. Once published via Store.v, a view and everything
+// reachable from it is never mutated.
 type view struct {
-	records map[string]*Record
-	order   []string // insertion order of record IDs
-	sets    []*SignalSet
+	recs []*Record // insertion order
+	sets []*SignalSet
+	ix   *recIndex
 	// totalSamples is Σ len(Samples) over records, computed at view
 	// construction: TotalSamples sits on status/metrics paths, which
 	// must not re-sum every record per call.
 	totalSamples int
 }
 
-var emptyView = &view{records: map[string]*Record{}}
+var emptyView = &view{ix: new(recIndex)}
+
+// record resolves id within this epoch. The shared index may already
+// hold records newer than the view (or, between a store and its
+// SubsetSets, a sibling's); only a record found at its own ordinal on
+// this view's spine belongs to the epoch.
+func (v *view) record(id string) (*Record, bool) {
+	if x, ok := v.ix.m.Load(id); ok {
+		if rec := x.(*Record); rec.ord < len(v.recs) && v.recs[rec.ord] == rec {
+			return rec, true
+		}
+	}
+	return nil, false
+}
+
+// recIndex is the record ID → *Record index shared by all epochs of a
+// store and by the stores derived from it (SubsetSets). Reads are
+// lock-free; an ID enters once, under wmu, and never leaves.
+type recIndex struct {
+	wmu sync.Mutex // serialises the writers of every store sharing the index
+	m   sync.Map
+}
 
 // Store is the mega-database. All readers are lock-free and see a
 // coherent epoch per call; Insert may run concurrently with any number
 // of readers, including in-flight shard scans (see the package
 // comment).
 type Store struct {
-	wmu sync.Mutex // serialises writers
-	v   atomic.Pointer[view]
+	ix *recIndex
+	// recs and sets are the append-only spines at full capacity and
+	// total is Σ Len over recs, all guarded by ix.wmu; readers only
+	// ever see the clipped prefixes publish hands out.
+	recs  []*Record
+	sets  []*SignalSet
+	total int
+	v     atomic.Pointer[view]
 
 	// tiers manages quantized-record residency; shared with derived
 	// stores (SubsetSets) because they share records.
@@ -205,8 +245,8 @@ type Store struct {
 // NewStore returns an empty mega-database with float64-canonical
 // records and gob snapshots — the legacy configuration.
 func NewStore() *Store {
-	s := &Store{tiers: newTierState(), format: FormatGob}
-	s.v.Store(emptyView)
+	s := &Store{ix: new(recIndex), tiers: newTierState(), format: FormatGob}
+	s.publish()
 	return s
 }
 
@@ -220,11 +260,24 @@ func NewQuantizedStore() *Store {
 	return s
 }
 
-// newStoreView returns a store publishing the given initial epoch.
-func newStoreView(v *view) *Store {
-	s := &Store{tiers: newTierState(), format: FormatGob}
-	s.v.Store(v)
-	return s
+// publish makes the spines' current extent the store's epoch. Caller
+// holds ix.wmu (or owns a store nobody else can reach yet).
+func (s *Store) publish() {
+	s.v.Store(&view{
+		recs:         s.recs[:len(s.recs):len(s.recs)],
+		sets:         s.sets[:len(s.sets):len(s.sets)],
+		ix:           s.ix,
+		totalSamples: s.total,
+	})
+}
+
+// add appends rec to the record spine and enters it in the index.
+// Caller holds ix.wmu and has checked the ID is new.
+func (s *Store) add(rec *Record) {
+	rec.ord = len(s.recs)
+	s.recs = append(s.recs, rec)
+	s.total += rec.Len()
+	s.ix.m.Store(rec.ID, rec)
 }
 
 // Quantized reports whether the store keeps ingested records in int16
@@ -259,10 +312,10 @@ func (s *Store) Snapshot() Snapshot {
 // Slicing"). labelFn decides A(S_P) for a slice given its start
 // offset. Insert returns the number of signal-sets created. It is safe
 // to call while searches are scanning: in-flight readers keep their
-// epoch, later readers see the grown database. Each Insert copies the
-// store's spine (O(existing records + sets)) — the price of the
-// immutable epochs; bulk construction goes through insertBatch so a
-// whole corpus costs one copy, not one per recording.
+// epoch, later readers see the grown database. An Insert appends to the
+// store's spines and publishes a new view of them: its cost is that of
+// the recording (statistics, slicing), whatever the store already
+// holds. A Record belongs to the one store it was inserted into.
 func (s *Store) Insert(rec *Record, sliceLen int, labelFn func(start int) bool) (int, error) {
 	return s.insertBatch([]insertion{{rec: rec, sliceLen: sliceLen, labelFn: labelFn}})
 }
@@ -291,10 +344,18 @@ type insertion struct {
 	labelFn  func(start int) bool
 }
 
-// insertBatch adds many recordings in ONE copy-on-write epoch. On any
-// validation error nothing is published. Returns the total number of
+// insertBatch adds many recordings as ONE epoch. The whole batch is
+// validated — IDs, slice lengths, duplicates against the store and
+// within the batch — before anything is touched: on an error nothing
+// is published, registered or mutated. Returns the total number of
 // signal-sets created.
 func (s *Store) insertBatch(items []insertion) (int, error) {
+	s.ix.wmu.Lock()
+	defer s.ix.wmu.Unlock()
+	var batch map[string]struct{}
+	if len(items) > 1 {
+		batch = make(map[string]struct{}, len(items))
+	}
 	for _, it := range items {
 		if it.rec == nil || it.rec.ID == "" {
 			return 0, fmt.Errorf("mdb: record must have an ID")
@@ -302,27 +363,20 @@ func (s *Store) insertBatch(items []insertion) (int, error) {
 		if it.sliceLen < 1 {
 			return 0, fmt.Errorf("mdb: slice length %d invalid", it.sliceLen)
 		}
+		// Under wmu the index holds exactly the IDs ever inserted.
+		_, dup := s.ix.m.Load(it.rec.ID)
+		if !dup && batch != nil {
+			_, dup = batch[it.rec.ID]
+			batch[it.rec.ID] = struct{}{}
+		}
+		if dup {
+			return 0, fmt.Errorf("mdb: duplicate record ID %q", it.rec.ID)
+		}
 	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	cur := s.v.Load()
-	next := &view{
-		records:      make(map[string]*Record, len(cur.records)+len(items)),
-		order:        make([]string, len(cur.order), len(cur.order)+len(items)),
-		sets:         append([]*SignalSet(nil), cur.sets...),
-		totalSamples: cur.totalSamples,
-	}
-	for id, r := range cur.records {
-		next.records[id] = r
-	}
-	copy(next.order, cur.order)
 
 	created := 0
 	for _, it := range items {
 		rec := it.rec
-		if _, dup := next.records[rec.ID]; dup {
-			return 0, fmt.Errorf("mdb: duplicate record ID %q", rec.ID)
-		}
 		if it.counts != nil {
 			rec.q = newQuantPayload(it.counts, it.scale)
 			rec.res.Store(rec.q.baseResident())
@@ -331,16 +385,14 @@ func (s *Store) insertBatch(items []insertion) (int, error) {
 		} else {
 			rec.stats = dsp.NewSlidingStats(rec.Samples)
 		}
-		next.records[rec.ID] = rec
-		next.order = append(next.order, rec.ID)
-		next.totalSamples += rec.Len()
+		s.add(rec)
 		for start := 0; start+it.sliceLen <= rec.Len(); start += it.sliceLen {
 			anomalous := false
 			if it.labelFn != nil {
 				anomalous = it.labelFn(start)
 			}
-			next.sets = append(next.sets, &SignalSet{
-				ID:        len(next.sets),
+			s.sets = append(s.sets, &SignalSet{
+				ID:        len(s.sets),
 				RecordID:  rec.ID,
 				Start:     start,
 				Length:    it.sliceLen,
@@ -351,7 +403,7 @@ func (s *Store) insertBatch(items []insertion) (int, error) {
 			created++
 		}
 	}
-	s.v.Store(next)
+	s.publish()
 	return created, nil
 }
 
@@ -405,21 +457,22 @@ func (s *Store) SubsetSets(n int) *Store {
 	if n < 0 {
 		n = 0
 	}
-	sub := newStoreView(&view{records: cur.records, order: cur.order, sets: cur.sets[:n],
-		totalSamples: cur.totalSamples})
-	// Shared records stay under the parent's residency manager.
-	sub.tiers = s.tiers
-	sub.quantized = s.quantized
-	sub.format = s.format
+	// Shared records stay under the parent's index and residency
+	// manager. The spines start as the epoch's clipped prefixes, so an
+	// insert into either store reallocates rather than writing where
+	// the other can see.
+	sub := &Store{ix: s.ix, recs: cur.recs, sets: cur.sets[:n:n], total: cur.totalSamples,
+		tiers: s.tiers, quantized: s.quantized, format: s.format}
+	sub.publish()
 	return sub
 }
 
 // RecordIDs returns the stored recording IDs in insertion order.
 func (s *Store) RecordIDs() []string { return s.Snapshot().RecordIDs() }
 
-// Snapshot is an immutable point-in-time view of a Store: the set
-// slice, the record map and everything they reach belong to one epoch
-// and never change. A shard scan that captures a snapshot is therefore
+// Snapshot is an immutable point-in-time view of a Store: the set and
+// record slices and everything they reach belong to one epoch and
+// never change. A shard scan that captures a snapshot is therefore
 // unaffected by concurrent Inserts, however long it runs.
 type Snapshot struct {
 	v *view
@@ -436,19 +489,18 @@ func (sn Snapshot) ensure() *view {
 
 // Record returns the recording with the given ID in this epoch.
 func (sn Snapshot) Record(id string) (*Record, bool) {
-	r, ok := sn.ensure().records[id]
-	return r, ok
+	return sn.ensure().record(id)
 }
 
 // Sets returns this epoch's signal-sets in insertion order. The slice
-// is immutable.
+// is immutable and at full capacity: appending to it copies.
 func (sn Snapshot) Sets() []*SignalSet { return sn.ensure().sets }
 
 // NumSets returns the number of signal-sets in this epoch.
 func (sn Snapshot) NumSets() int { return len(sn.ensure().sets) }
 
 // NumRecords returns the number of recordings in this epoch.
-func (sn Snapshot) NumRecords() int { return len(sn.ensure().records) }
+func (sn Snapshot) NumRecords() int { return len(sn.ensure().recs) }
 
 // LabelCounts returns the number of normal and anomalous signal-sets.
 func (sn Snapshot) LabelCounts() (normal, anomalous int) {
@@ -506,7 +558,7 @@ func (sn Snapshot) Shards(k int) [][]*SignalSet {
 // record; hot and float-canonical records return a view into the
 // resident waveform.
 func (sn Snapshot) Window(set *SignalSet, offset, n int) ([]float64, bool) {
-	rec, exists := sn.ensure().records[set.RecordID]
+	rec, exists := sn.ensure().record(set.RecordID)
 	if !exists {
 		return nil, false
 	}
@@ -535,8 +587,10 @@ func (sn Snapshot) TotalSamples() int {
 
 // RecordIDs returns this epoch's recording IDs in insertion order.
 func (sn Snapshot) RecordIDs() []string {
-	order := sn.ensure().order
-	out := make([]string, len(order))
-	copy(out, order)
+	recs := sn.ensure().recs
+	out := make([]string, len(recs))
+	for i, rec := range recs {
+		out[i] = rec.ID
+	}
 	return out
 }

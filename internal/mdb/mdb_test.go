@@ -152,7 +152,7 @@ func TestRecordLookup(t *testing.T) {
 }
 
 // TestTotalSamplesCachedAcrossEpochs: the per-view cached total must
-// track inserts, survive SubsetSets (which shares the record map) and
+// track inserts, survive SubsetSets (which shares the record spine) and
 // the persistence round trip.
 func TestTotalSamplesCachedAcrossEpochs(t *testing.T) {
 	s := NewStore()

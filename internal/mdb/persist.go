@@ -51,8 +51,7 @@ func (s *Store) Save(w io.Writer) error {
 func (sn Snapshot) Save(w io.Writer) error {
 	v := sn.ensure()
 	snap := snapshot{Version: snapshotVersion}
-	for _, id := range v.order {
-		r := v.records[id]
+	for _, r := range v.recs {
 		snap.Records = append(snap.Records, recordSnap{
 			ID:        r.ID,
 			Class:     int(r.Class),
@@ -96,7 +95,9 @@ func loadGob(r io.Reader) (*Store, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("mdb: snapshot version %d unsupported (want %d)", snap.Version, snapshotVersion)
 	}
-	v := &view{records: make(map[string]*Record, len(snap.Records))}
+	s := NewStore()
+	s.recs = make([]*Record, 0, len(snap.Records))
+	s.sets = make([]*SignalSet, 0, len(snap.Sets))
 	for _, rs := range snap.Records {
 		rec := &Record{
 			ID:        rs.ID,
@@ -106,21 +107,20 @@ func loadGob(r io.Reader) (*Store, error) {
 			Samples:   rs.Samples,
 		}
 		rec.stats = dsp.NewSlidingStats(rec.Samples)
-		if _, dup := v.records[rec.ID]; dup {
+		if _, dup := s.ix.m.Load(rec.ID); dup {
 			return nil, fmt.Errorf("mdb: snapshot has duplicate record %q", rec.ID)
 		}
-		v.records[rec.ID] = rec
-		v.order = append(v.order, rec.ID)
-		v.totalSamples += len(rec.Samples)
+		s.add(rec)
 	}
 	for i := range snap.Sets {
 		set := snap.Sets[i]
-		if _, ok := v.records[set.RecordID]; !ok {
+		if _, ok := s.ix.m.Load(set.RecordID); !ok {
 			return nil, fmt.Errorf("mdb: signal-set %d references missing record %q", set.ID, set.RecordID)
 		}
-		v.sets = append(v.sets, &set)
+		s.sets = append(s.sets, &set)
 	}
-	return newStoreView(v), nil
+	s.publish()
+	return s, nil
 }
 
 // SaveFile writes the store snapshot to the named file in the store's

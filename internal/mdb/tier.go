@@ -249,8 +249,7 @@ func (t *tierState) enforceLocked(except *Record) {
 // stats sums the per-tier footprint over the given epoch's records.
 func (t *tierState) stats(v *view) TierStats {
 	var ts TierStats
-	for _, id := range v.order {
-		rec := v.records[id]
+	for _, rec := range v.recs {
 		n := rec.Len()
 		if rec.q == nil {
 			ts.HotBytes += hotChargeBytes(n)
