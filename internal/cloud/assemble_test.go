@@ -1,0 +1,89 @@
+package cloud
+
+import (
+	"reflect"
+	"testing"
+
+	"emap/internal/mdb"
+	"emap/internal/proto"
+	"emap/internal/search"
+)
+
+// windowPerMatch is assembleEntries as it was before it reused its
+// dequantization buffer: a fresh Snapshot.Window for every match.
+func windowPerMatch(e *Engine, t *tenant, res *search.Result, windowLen int) []proto.CorrEntry {
+	horizon := int(e.cfg.HorizonSeconds * e.cfg.BaseRate)
+	snap := t.store.Snapshot()
+	sets := snap.Sets()
+	var entries []proto.CorrEntry
+	for _, m := range res.Matches {
+		set := sets[m.SetID]
+		rec, _ := snap.Record(set.RecordID)
+		n := min(horizon, rec.Len()-(set.Start+m.Beta))
+		if n < windowLen {
+			continue
+		}
+		samples, _ := snap.Window(set, m.Beta, n)
+		counts, scale := proto.Quantize(samples)
+		entries = append(entries, proto.CorrEntry{SetID: int32(m.SetID), Omega: float32(m.Omega), Beta: int32(m.Beta),
+			Anomalous: set.Anomalous, Class: uint8(set.Class), Archetype: uint16(set.Archetype), Scale: scale, Samples: counts})
+	}
+	return entries
+}
+
+// TestAssembleEntriesReusesOneWindow: for a float tenant (continuations
+// are views) and a warm quantized one (continuations are dequantized),
+// assembleEntries returns entry for entry what a fresh window per match
+// gives — full horizons and horizons clipped at the record end — and on
+// the warm tenant a 20-match assembly allocates matches − 1 times less:
+// one dequantization buffer instead of twenty.
+func TestAssembleEntriesReusesOneWindow(t *testing.T) {
+	float, _ := testStore(t)
+	warm := mdb.NewQuantizedStore()
+	for _, id := range float.RecordIDs() {
+		rec, _ := float.Record(id)
+		counts, scale := proto.Quantize(rec.Float())
+		if _, err := warm.InsertQuantized(&mdb.Record{ID: id, Class: rec.Class, Archetype: rec.Archetype}, counts, scale, 1000, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const windowLen, matches = 256, 20
+	for name, store := range map[string]*mdb.Store{"float": float, "warm": warm} {
+		srv, err := NewServer(store, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn, err := srv.tenantFor("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Matches spread over the sets, the last offsets deep enough into
+		// each record's final set that the horizon is clipped, one so
+		// deep that the entry is dropped.
+		sets := store.Sets()
+		res := &search.Result{}
+		for i := 0; i < matches; i++ {
+			set := sets[(i*7)%len(sets)]
+			res.Matches = append(res.Matches, search.Match{SetID: set.ID, Omega: 0.9 - float64(i)/100, Beta: (i * 53) % set.Length})
+		}
+		last := sets[len(sets)-1]
+		res.Matches[3] = search.Match{SetID: last.ID, Omega: 0.95, Beta: last.Length - 300}
+		res.Matches[4] = search.Match{SetID: last.ID, Omega: 0.94, Beta: last.Length - 100}
+		got, want := srv.assembleEntries(tn, res, windowLen), windowPerMatch(srv.Engine, tn, res, windowLen)
+		if len(got) < matches-3 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: assembly of %d matches gave %d entries, a window per match %d; equal = %v", name, matches, len(got), len(want), reflect.DeepEqual(got, want))
+		}
+		if rec, _ := store.Record(last.RecordID); rec.Tier() == mdb.TierHot && name == "warm" {
+			t.Fatalf("%s: the assembly promoted a record", name)
+		}
+		reused := testing.AllocsPerRun(10, func() { srv.assembleEntries(tn, res, windowLen) })
+		fresh := testing.AllocsPerRun(10, func() { windowPerMatch(srv.Engine, tn, res, windowLen) })
+		saved := 0.0
+		if name == "warm" {
+			saved = float64(len(got) - 1)
+		}
+		if reused != fresh-saved {
+			t.Fatalf("%s: %d entries cost %.0f allocations, a window per match %.0f: want %.0f fewer", name, len(got), reused, fresh, saved)
+		}
+	}
+}

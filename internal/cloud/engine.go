@@ -487,12 +487,15 @@ func (e *Engine) Ingest(tenantID string, ing *proto.Ingest) (*proto.IngestAck, e
 // cannot track them even one iteration. One store snapshot serves the
 // whole assembly; signal-set IDs are stable across epochs (the set
 // list is append-only), so matches from a slightly older scan epoch
-// always resolve.
+// always resolve. A quantized record's continuation is dequantized only
+// to be requantized on the wire scale and dropped, so one buffer serves
+// every match of the assembly.
 func (e *Engine) assembleEntries(t *tenant, res *search.Result, windowLen int) []proto.CorrEntry {
 	horizon := int(e.cfg.HorizonSeconds * e.cfg.BaseRate)
 	snap := t.store.Snapshot()
 	sets := snap.Sets()
 	var entries []proto.CorrEntry
+	var window []float64
 	for _, m := range res.Matches {
 		if m.SetID < 0 || m.SetID >= len(sets) {
 			continue
@@ -509,7 +512,7 @@ func (e *Engine) assembleEntries(t *tenant, res *search.Result, windowLen int) [
 		if n < windowLen {
 			continue
 		}
-		samples, ok := snap.Window(set, m.Beta, n)
+		samples, ok := snap.WindowInto(&window, set, m.Beta, n)
 		if !ok {
 			continue
 		}

@@ -56,21 +56,23 @@ func Pearson(a, b []float64) float64 {
 // β reduces to a single dot product plus an O(1) normalisation.
 type SlidingStats struct {
 	signal []float64
-	sum    []float64 // sum[i] = Σ signal[0:i]
-	sumSq  []float64 // sumSq[i] = Σ signal[0:i]²
+	// sums[i] = {Σ signal[0:i], Σ signal[0:i]²}. The two totals sit side
+	// by side because a window norm always reads both: one 16-byte load
+	// per end of the window, the layout the search's step kernel walks
+	// (kernel.Widen builds the same for a quantized record).
+	sums [][2]float64
 }
 
 // NewSlidingStats precomputes prefix sums over signal. The signal slice
 // is retained (not copied); callers must not mutate it afterwards.
 func NewSlidingStats(signal []float64) *SlidingStats {
-	s := &SlidingStats{
-		signal: signal,
-		sum:    make([]float64, len(signal)+1),
-		sumSq:  make([]float64, len(signal)+1),
-	}
+	s := &SlidingStats{signal: signal, sums: make([][2]float64, len(signal)+1)}
+	var sum, sumSq float64
+	tail := s.sums[1:]
 	for i, x := range signal {
-		s.sum[i+1] = s.sum[i] + x
-		s.sumSq[i+1] = s.sumSq[i] + x*x
+		sum += x
+		sumSq += x * x
+		tail[i] = [2]float64{sum, sumSq}
 	}
 	return s
 }
@@ -82,11 +84,16 @@ func (s *SlidingStats) Len() int { return len(s.signal) }
 // convention).
 func (s *SlidingStats) Signal() []float64 { return s.signal }
 
+// Sums returns the prefix sums, Sums()[i] = {Σ signal[:i], Σ signal[:i]²}
+// (shared, read-only): Len()+1 entries.
+func (s *SlidingStats) Sums() [][2]float64 { return s.sums }
+
 // WindowNorm returns the centred Euclidean norm √(Σ(x−μ)²) of the
 // window [start, start+n).
 func (s *SlidingStats) WindowNorm(start, n int) float64 {
-	sum := s.sum[start+n] - s.sum[start]
-	sumSq := s.sumSq[start+n] - s.sumSq[start]
+	lo, hi := &s.sums[start], &s.sums[start+n]
+	sum := hi[0] - lo[0]
+	sumSq := hi[1] - lo[1]
 	v := sumSq - sum*sum/float64(n)
 	if v < 0 {
 		v = 0 // numerical guard

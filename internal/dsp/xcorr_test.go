@@ -124,6 +124,48 @@ func TestSlidingStatsProperty(t *testing.T) {
 	}
 }
 
+// TestSlidingStatsInterleavedSumsBitEqual: keeping Σx and Σx² side by
+// side changed where the running totals are stored, not how they are
+// accumulated — every prefix sum, and so every WindowNorm, has the bits
+// the two-array form had, on short random signals and on a 10⁶-sample
+// one whose totals have long since stopped being exact.
+func TestSlidingStatsInterleavedSumsBitEqual(t *testing.T) {
+	r := rng.New(41)
+	for _, sigLen := range []int{1, 2, 257, 1000, 1_000_000} {
+		signal := randSignal(r, sigLen)
+		for i := range signal {
+			signal[i] = signal[i]*40 + 3 // µV-scale, off-centre: the sums drift
+		}
+		stats := NewSlidingStats(signal)
+		sum, sumSq := make([]float64, sigLen+1), make([]float64, sigLen+1)
+		for i, x := range signal {
+			sum[i+1] = sum[i] + x
+			sumSq[i+1] = sumSq[i] + x*x
+		}
+		sums := stats.Sums()
+		if len(sums) != sigLen+1 {
+			t.Fatalf("%d samples: %d prefix sums", sigLen, len(sums))
+		}
+		for i := range sums {
+			if math.Float64bits(sums[i][0]) != math.Float64bits(sum[i]) || math.Float64bits(sums[i][1]) != math.Float64bits(sumSq[i]) {
+				t.Fatalf("%d samples: Sums()[%d] = %v, two arrays (%g, %g)", sigLen, i, sums[i], sum[i], sumSq[i])
+			}
+		}
+		for trial := 0; trial < 2000; trial++ {
+			start := r.Intn(sigLen)
+			n := 1 + r.Intn(min(sigLen-start, 2000))
+			s, sq := sum[start+n]-sum[start], sumSq[start+n]-sumSq[start]
+			v := sq - s*s/float64(n)
+			if v < 0 {
+				v = 0
+			}
+			if got, want := stats.WindowNorm(start, n), math.Sqrt(v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%d samples: WindowNorm(%d, %d) = %x, two arrays %x", sigLen, start, n, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestSlidingStatsDegenerateWindow(t *testing.T) {
 	signal := make([]float64, 300) // all zeros: every window constant
 	stats := NewSlidingStats(signal)

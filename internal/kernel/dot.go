@@ -7,25 +7,29 @@
 //
 //   - a dot product with one defined summation order (Dot) for the
 //     skip walk, where Algorithm 1 touches only a fraction of offsets —
-//     and Dot4, the same order four windows at a time, for the scan
-//     that walks four signal-sets in lockstep;
+//     Dot4, the same order four windows at a time, and Walk (step.go),
+//     the whole step of the scan that walks signal-sets in lockstep:
+//     window norms, the four dots, ω, the |ω| envelope and the skip, in
+//     one defined sequence of operations for four lanes at once;
 //   - an FFT profiler (Engine, Profiler) that computes a signal-set's
 //     FULL ω numerator profile in O(L log L) — one cached-plan real
 //     transform of the stored region, one per unique query, one
 //     multiply + inverse per pair — for the exhaustive baseline.
 //
 // Beside them sits Widen, the one dequantization of a compressed-domain
-// pass: int16 counts to float64 plus their exact running Σc and Σc².
+// pass: int16 counts to float64 plus their exact running Σc and Σc², in
+// the form Walk reads.
 //
 // The search layer (internal/search) gives each scan its one kernel;
 // this package only does arithmetic and caches FFT plans per size.
 package kernel
 
-// dot, dot4 and widen are the routes Dot, Dot4 and Widen run, chosen
-// once before main: the portable loops everywhere, replaced together in
-// dot_amd64.go's init by the AVX2 routines when the CPU and the OS
-// support them. Each pair computes the same bits, so the choice is
-// invisible above this package.
+// dot, dot4 and widen are the routes Dot, Dot4 and Widen run — and step
+// (step.go) the route of a walk's step — chosen once before main: the
+// portable loops everywhere, replaced together in dot_amd64.go's init by
+// the AVX2 routines when the CPU and the OS support them. Each pair
+// computes the same bits, so the choice is invisible above this
+// package.
 var (
 	dot   = dotPortable
 	dot4  = dot4Portable

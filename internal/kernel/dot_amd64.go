@@ -1,8 +1,8 @@
 package kernel
 
-// The AVX2 routes of Dot, Dot4 and Widen and the init-time check that
-// selects them. The repository has no golang.org/x/sys, so CPUID and
-// XGETBV are issued from dot_amd64.s.
+// The AVX2 routes of Dot, Dot4, Widen and the walk's step, and the
+// init-time check that selects them. The repository has no
+// golang.org/x/sys, so CPUID and XGETBV are issued from dot_amd64.s.
 
 // dotAVX2 computes Dot's defined order with 256-bit VMULPD/VADDPD (no
 // FMA). len(b) must equal len(a); it reads nothing past either.
@@ -22,18 +22,25 @@ func dot4AVX2(q, x0, x1, x2, x3 []float64, out *[4]float64)
 // the running totals at sums[0], writes x[0:n] and sums[1:n+1].
 //
 //go:noescape
-func widenAVX2(x *float64, sums *[2]int64, c *int16, n int)
+func widenAVX2(x *float64, sums *[2]float64, c *int16, n int)
 
 // widenVector runs the whole fours of c through the vector routine and
 // the last len(c) mod 4 counts through the portable loop, which picks
 // the running totals up where the routine left them.
-func widenVector(x []float64, sums [][2]int64, c []int16) {
+func widenVector(x []float64, sums [][2]float64, c []int16) {
 	n4 := len(c) &^ 3
 	if n4 > 0 {
 		widenAVX2(&x[0], &sums[0], &c[0], n4)
 	}
 	widenPortable(x[n4:], sums[n4:], c[n4:])
 }
+
+// stepAVX2 is stepPortable for a walk whose rule is tabled
+// (step_amd64.s): same fields, same bits, after every call. It reads the
+// lanes' passes through raw pointers and checks nothing — Walk.Run has.
+//
+//go:noescape
+func stepAVX2(w *Walk, a, b *group) (which int, events uint32)
 
 // cpuid executes CPUID with the given leaf (EAX) and subleaf (ECX).
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -76,6 +83,6 @@ func detectAVX2() bool {
 
 func init() {
 	if detectAVX2() {
-		dot, dot4, widen = dotAVX2, dot4AVX2, widenVector
+		dot, dot4, widen, step = dotAVX2, dot4AVX2, widenVector, stepAVX2
 	}
 }

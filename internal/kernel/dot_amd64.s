@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "dot4_amd64.h"
 
 // func dotAVX2(a, b []float64) float64
 //
@@ -65,29 +66,6 @@ done:
 	VADDSD X2, X0, X0
 	VMOVSD X0, ret+48(FP)
 	RET
-
-// WINDOW4 is dotAVX2's block16 body for one window of dot4AVX2: the
-// query block sits in Y8…Y11, x points at the window's block, lo and hi
-// are the window's two accumulators. Same instructions, same operand
-// order as dotAVX2, so the same bits.
-#define WINDOW4(x, lo, hi) \
-	VMULPD (x), Y8, Y12;    \
-	VMULPD 32(x), Y9, Y13;  \
-	VMULPD 64(x), Y10, Y14; \
-	VMULPD 96(x), Y11, Y15; \
-	VADDPD Y14, Y12, Y12;   \
-	VADDPD Y15, Y13, Y13;   \
-	VADDPD Y12, lo, lo;     \
-	VADDPD Y13, hi, hi
-
-// REDUCE4 is dotAVX2's reduction tree for one window: the sum of the
-// eight lanes is left in the low element of xlo.
-#define REDUCE4(lo, hi, xlo, xhi) \
-	VADDPD       hi, lo, lo;    \
-	VEXTRACTF128 $1, lo, xhi;   \
-	VADDPD       xhi, xlo, xlo; \
-	VUNPCKHPD    xlo, xlo, xhi; \
-	VADDSD       xhi, xlo, xlo
 
 // func dot4AVX2(q, x0, x1, x2, x3 []float64, out *[4]float64)
 //
@@ -179,15 +157,7 @@ done4:
 	VMOVSD X6, 24(DI)
 	RET
 
-// widenMagic is 2⁵² + 2⁵¹ as a float64 and, read as an int64, the bit
-// pattern that value has: adding a small integer c to the pattern gives
-// the bits of the float 2⁵² + 2⁵¹ + c, and subtracting the float leaves
-// float64(c) exactly — an int64→float64 convert AVX2 does not have,
-// from one integer add and one float subtract.
-DATA widenMagic<>+0(SB)/8, $0x4338000000000000
-GLOBL widenMagic<>(SB), RODATA|NOPTR, $8
-
-// func widenAVX2(x *float64, sums *[2]int64, c *int16, n int)
+// func widenAVX2(x *float64, sums *[2]float64, c *int16, n int)
 //
 // Four counts per iteration. With pairs Pi = (ci, ci²) and the running
 // totals run = sums[i], the four outputs are R0 = run+P0, R1 = R0+P1,
@@ -195,8 +165,10 @@ GLOBL widenMagic<>(SB), RODATA|NOPTR, $8
 // two unpacks; W = Y5+Y6 = (P0+P1 | P2+P3); the next iteration's totals
 // RUN' = RUN + (W + swap W) are the only loop-carried value, one add
 // deep; (R1 | R3) is RUN+W in the low half and RUN' in the high half,
-// and (R0 | R2) = (R1 | R3) − Y6. All of it is integer arithmetic, so
-// there is no order to get wrong.
+// and (R0 | R2) = (R1 | R3) − Y6. It is float64 arithmetic on integers
+// that MaxWidenLen keeps below 2⁵³: every product, sum and difference
+// is exact, so there is no order to get wrong and the portable loop's
+// integer totals, converted, are the same values.
 TEXT ·widenAVX2(SB), NOSPLIT, $0-32
 	MOVQ x+0(FP), DI
 	MOVQ sums+8(FP), BX
@@ -204,29 +176,27 @@ TEXT ·widenAVX2(SB), NOSPLIT, $0-32
 	MOVQ n+24(FP), CX
 	SHRQ $2, CX
 	JZ   widened
-	VBROADCASTI128 (BX), Y0          // RUN = (run | run)
-	VPBROADCASTQ   widenMagic<>(SB), Y1
+	VBROADCASTF128 (BX), Y0          // RUN = (run | run)
 	ADDQ $16, BX
 
 widen4:
-	VPMOVSXWQ   (SI), Y2             // c0…c3 as int64
-	VPADDQ      Y1, Y2, Y3
-	VSUBPD      Y1, Y3, Y3           // float64(c0…c3)
-	VMOVUPD     Y3, (DI)
-	VPMULDQ     Y2, Y2, Y4           // c0²…c3²
-	VPUNPCKLQDQ Y4, Y2, Y5           // (P0 | P2)
-	VPUNPCKHQDQ Y4, Y2, Y6           // (P1 | P3)
-	VPADDQ      Y6, Y5, Y7           // W
-	VPERM2I128  $0x01, Y7, Y7, Y8    // swap W
-	VPADDQ      Y8, Y7, Y8           // (P0+P1+P2+P3 | the same)
-	VPADDQ      Y7, Y0, Y9           // RUN + W = (R1 | …)
-	VPADDQ      Y8, Y0, Y0           // RUN' = (R3 | R3)
-	VPBLENDD    $0xF0, Y0, Y9, Y9    // (R1 | R3)
-	VPSUBQ      Y6, Y9, Y10          // (R0 | R2)
-	VMOVDQU      X10, (BX)
-	VMOVDQU      X9, 16(BX)
-	VEXTRACTI128 $1, Y10, 32(BX)
-	VEXTRACTI128 $1, Y9, 48(BX)
+	VPMOVSXWD  (SI), X2              // c0…c3 as int32
+	VCVTDQ2PD  X2, Y3                // float64(c0…c3)
+	VMOVUPD    Y3, (DI)
+	VMULPD     Y3, Y3, Y4            // c0²…c3²
+	VUNPCKLPD  Y4, Y3, Y5            // (P0 | P2)
+	VUNPCKHPD  Y4, Y3, Y6            // (P1 | P3)
+	VADDPD     Y6, Y5, Y7            // W
+	VPERM2F128 $0x01, Y7, Y7, Y8     // swap W
+	VADDPD     Y8, Y7, Y8            // (P0+P1+P2+P3 | the same)
+	VADDPD     Y7, Y0, Y9            // RUN + W = (R1 | …)
+	VADDPD     Y8, Y0, Y0            // RUN' = (R3 | R3)
+	VBLENDPD   $0x0C, Y0, Y9, Y9     // (R1 | R3)
+	VSUBPD     Y6, Y9, Y10           // (R0 | R2)
+	VMOVUPD      X10, (BX)
+	VMOVUPD      X9, 16(BX)
+	VEXTRACTF128 $1, Y10, 32(BX)
+	VEXTRACTF128 $1, Y9, 48(BX)
 	ADDQ $8, SI
 	ADDQ $32, DI
 	ADDQ $64, BX

@@ -319,17 +319,17 @@ func TestWidenRoutesAgree(t *testing.T) {
 			}
 			// One spare element either side of what Widen may write,
 			// poisoned, proves it writes nothing else.
-			x, sums := make([]float64, n+1), make([][2]int64, n+2)
-			wx, wsums := make([]float64, n+1), make([][2]int64, n+2)
-			x[n], sums[n+1], sums[0] = -1, [2]int64{-1, -1}, [2]int64{5, 5}
-			wx[n], wsums[n+1] = -1, [2]int64{-1, -1}
+			x, sums := make([]float64, n+1), make([][2]float64, n+2)
+			wx, wsums := make([]float64, n+1), make([][2]float64, n+2)
+			x[n], sums[n+1], sums[0] = -1, [2]float64{-1, -1}, [2]float64{5, 5}
+			wx[n], wsums[n+1] = -1, [2]float64{-1, -1}
 			Widen(x, sums, c)
 			widenPortable(wx, wsums, c)
 			var sum, sumSq int64
 			for i, v := range c {
 				sum += int64(v)
 				sumSq += int64(v) * int64(v)
-				if wx[i] != float64(v) || wsums[i+1] != [2]int64{sum, sumSq} {
+				if wx[i] != float64(v) || wsums[i+1] != [2]float64{float64(sum), float64(sumSq)} {
 					t.Fatalf("%s n=%d: portable x[%d], sums[%d] = %g, %v, want %d, (%d, %d)", fill, n, i, i+1, wx[i], wsums[i+1], v, sum, sumSq)
 				}
 			}
@@ -344,6 +344,39 @@ func TestWidenRoutesAgree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWidenExactAtMaxLen: at the largest length Widen admits, with every
+// count MinInt16 — the largest square a count has, so the largest totals
+// any pass can reach — both routes still write the integer sums exactly,
+// entry by entry; one count more is refused. The run is fed in chunks,
+// each continuing from the last entry of the one before (what the routes
+// do between the vector fours and the portable tail), so the test holds
+// 64 Ki counts at a time, not 8 Mi.
+func TestWidenExactAtMaxLen(t *testing.T) {
+	const chunk = 1 << 16
+	c := make([]int16, chunk)
+	for i := range c {
+		c[i] = math.MinInt16
+	}
+	x, sums := make([]float64, chunk), make([][2]float64, chunk+1)
+	for name, route := range map[string]func(x []float64, sums [][2]float64, c []int16){"selected": widen, "portable": widenPortable} {
+		sums[0] = [2]float64{}
+		for done := 0; done < MaxWidenLen; {
+			m := min(chunk, MaxWidenLen-done)
+			route(x[:m], sums[:m+1], c[:m])
+			for i := 1; i <= m; i++ {
+				count := int64(done + i)
+				if got := sums[i]; int64(got[0]) != count*math.MinInt16 || int64(got[1]) != count<<30 || got[0] != float64(count*math.MinInt16) || got[1] != float64(count<<30) {
+					t.Fatalf("%s: sums[%d] = %v, want (%d, %d)", name, done+i, got, count*math.MinInt16, count<<30)
+				}
+			}
+			sums[0], done = sums[m], done+m
+		}
+	}
+	if msg := panicOf(func() { Widen(nil, nil, make([]int16, MaxWidenLen+1)) }); msg == "" {
+		t.Fatal("Widen accepted more counts than MaxWidenLen")
 	}
 }
 
@@ -494,10 +527,10 @@ func BenchmarkWiden(b *testing.B) {
 	for i := range c {
 		c[i] = int16(r.Intn(1<<16) - 1<<15)
 	}
-	x, sums := make([]float64, len(c)), make([][2]int64, len(c)+1)
+	x, sums := make([]float64, len(c)), make([][2]float64, len(c)+1)
 	for _, bc := range []struct {
 		name string
-		k    func(x []float64, sums [][2]int64, c []int16)
+		k    func(x []float64, sums [][2]float64, c []int16)
 	}{{"portable", widenPortable}, {"vector", Widen}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

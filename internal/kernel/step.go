@@ -1,0 +1,324 @@
+package kernel
+
+import (
+	"math"
+	"math/bits"
+)
+
+// Lanes is the width of a step group: four signal-sets walked in
+// lockstep, the four windows whose eight accumulators fill the vector
+// registers (see Dot4).
+const Lanes = 4
+
+// A step's events, as Run reports them: bit k says the group's lane k
+// took an ω that cleared δ (a candidate: see Taken), bit Lanes+k that its
+// offset has moved past the last one of its pass.
+const (
+	EventCandidate = 1
+	EventDone      = 1 << Lanes
+)
+
+// SkipRule is the part of a walk every lane shares besides the query:
+// the candidate threshold δ and Algorithm 1's skip rule — the advance
+// round(SkipNum/max(envelope, Floor)), at least 1, and the envelope's
+// decay over it. Decay[adv] must be DecayPow(DecayBase, adv); it may be
+// short, or nil.
+type SkipRule struct {
+	Delta     float64
+	Floor     float64
+	SkipNum   float64
+	DecayBase float64
+	Decay     []float64
+}
+
+// DecayPow returns decay^n for small integer n without calling
+// math.Pow, in one defined order of multiplications — the skip rule's
+// envelope decay, and what SkipRule.Decay tabulates.
+func DecayPow(decay float64, n int) float64 {
+	out := 1.0
+	for ; n >= 4; n -= 4 {
+		d2 := decay * decay
+		out *= d2 * d2
+	}
+	for ; n > 0; n-- {
+		out *= decay
+	}
+	return out
+}
+
+// WindowNorm is the centred Euclidean norm √(Σ(x−μ)²) of an n-sample
+// window from its Σx and Σx², fn = float64(n): the step's own
+// expression, for callers that tabulate norms (the dense walk). A
+// window whose sums cancel below zero has norm 0; a NaN stays NaN.
+func WindowNorm(sum, sumSq, fn float64) float64 {
+	v := sumSq - sum*sum/fn
+	if v < 0 {
+		v = 0
+	}
+	return math.Sqrt(v)
+}
+
+// group is four lanes of a walk as a struct of arrays, the shape the
+// vector step loads whole. Lane k reads the pass x[k] (its window at
+// offset β is x[k][β:β+n]) through the pass's prefix sums sums[k]
+// (sums[k][i] = {Σ x[k][:i], Σ x[k][:i]²}) and carries the trajectory of
+// the query walking it: the offset beta[k] and the |ω| envelope env[k]
+// (never negative, never NaN; +Inf is fine). Each step leaves the ω it
+// took in omega[k] and the offset it took it at in at[k]. Walk.Seat and
+// Walk.Mask fill a lane; the step moves it.
+type group struct {
+	x      [Lanes][]float64
+	sums   [Lanes][][2]float64
+	scale  [Lanes]float64
+	maxOff [Lanes]int64
+	beta   [Lanes]int64
+	env    [Lanes]float64
+	omega  [Lanes]float64
+	at     [Lanes]int64
+	// evals counts the ω evaluations the group's live lanes have had.
+	evals int64
+
+	// live[k] is all ones for a lane that walks and zero for a masked
+	// one; nlive counts the former and liveBits holds both their event
+	// bits.
+	live     [Lanes]uint64
+	nlive    int64
+	liveBits uint32
+	// spill is the step's own: the four dots on the portable route, the
+	// four scaled norms on the vector route (computed before the dot,
+	// which needs every register).
+	spill [Lanes]float64
+}
+
+func (g *group) setLive(k int, on bool) {
+	bit := uint32(EventCandidate|EventDone) << k
+	if on == (g.liveBits&bit != 0) {
+		return
+	}
+	if on {
+		g.live[k], g.liveBits, g.nlive = ^uint64(0), g.liveBits|bit, g.nlive+1
+	} else {
+		g.live[k], g.liveBits, g.nlive = 0, g.liveBits&^bit, g.nlive-1
+	}
+}
+
+// Walk is one query's lockstep skip walk over up to eight signal-sets:
+// two groups of four lanes, stepped alternately. It is the whole inner
+// loop of Algorithm 1 — per lane and per step, in this order and with
+// every operation rounded on its own:
+//
+//	Σ, Σ²  = sums[β+n] − sums[β]              (both components)
+//	v      = Σ² − Σ·Σ/n;  v < 0 → +0          (NaN stays NaN, −0 stays −0)
+//	den    = scale · √v
+//	dot    = Dot(q, x[β:β+n])                 (Dot's defined order)
+//	ω      = scale·dot / den;  +0 unless den ≥ 1e-12
+//	candidate when ω > δ
+//	a      = |ω|;  NaN → +0
+//	env    = a if a > env, else env
+//	e      = env if env > Floor, else Floor
+//	adv    = int(SkipNum/e + 0.5), truncated;  at least 1
+//	at, β  = β, β + adv
+//	env    = env · Decay[adv]
+//	done when β > maxOff
+//
+// stepPortable is that sequence in Go and is the definition; the AVX2
+// routine does it for the four lanes of a group at once and is == to it
+// on every field after every call. A masked lane does not take part:
+// its offset and envelope stay, it reports ω = +0 and no event — the
+// vector route still computes over it (which is why Run parks it on
+// valid memory), the portable route skips it.
+//
+// Two groups, not one, because a step ends in a serial chain — dot → ω
+// → envelope → advance → the next window's address: two divisions, a
+// convert, a table load — during which the multipliers would idle; the
+// other group's dot follows in program order, depends on none of it and
+// fills that time. A third group would have nothing left to hide.
+type Walk struct {
+	group [2]group
+
+	rule SkipRule
+	q    []float64
+	nf   float64
+	// tabled: Decay covers every advance the rule can produce, which is
+	// what the vector route needs (a gather with no bounds check, and
+	// an advance that fits the 32-bit convert).
+	tabled bool
+	// turn is the group that steps first in the next Run.
+	turn int
+}
+
+// Reset readies the walk for query q (z-normalized, non-empty) under
+// rule: every lane masked, counters zero. Lanes seated by an earlier
+// walk are forgotten but their slices stay referenced until Release.
+func (w *Walk) Reset(q []float64, rule *SkipRule) {
+	w.rule, w.q, w.nf, w.turn = *rule, q, float64(len(q)), 0
+	x := rule.SkipNum/rule.Floor + 0.5
+	w.tabled = rule.Floor > 0 && len(rule.Decay) >= 2 && x < float64(len(rule.Decay))
+	for i := range w.group {
+		g := &w.group[i]
+		g.evals, g.live, g.nlive, g.liveBits = 0, [Lanes]uint64{}, 0, 0
+	}
+}
+
+// Release drops every slice the walk references — the query, the rule's
+// table, the lanes' passes — so a pooled Walk pins nothing.
+func (w *Walk) Release() { *w = Walk{} }
+
+// Seat puts a pass in lane (0 ≤ lane < 2·Lanes; lane/Lanes is its
+// group) with the trajectory at its head: offset 0, envelope 0. The
+// lane's window at offset β ∈ [0, maxOff] is x[β:β+len(q)], with
+// sums[i] = {Σ x[:i], Σ x[:i]²}: x must hold maxOff+len(q) samples and
+// sums one entry more.
+func (w *Walk) Seat(lane int, x []float64, sums [][2]float64, scale float64, maxOff int) {
+	g, k := &w.group[lane/Lanes], lane%Lanes
+	g.x[k], g.sums[k], g.scale[k], g.maxOff[k] = x, sums, scale, int64(maxOff)
+	g.beta[k], g.env[k] = 0, 0
+	g.setLive(k, true)
+}
+
+// Mask takes lane out of the walk.
+func (w *Walk) Mask(lane int) { w.group[lane/Lanes].setLive(lane%Lanes, false) }
+
+// Taken returns the ω lane took in its group's last step and the offset
+// it took it at — the candidate, when the step reported one for it.
+func (w *Walk) Taken(lane int) (omega float64, beta int) {
+	g, k := &w.group[lane/Lanes], lane%Lanes
+	return g.omega[k], int(g.at[k])
+}
+
+// Evals is the number of ω evaluations since Reset.
+func (w *Walk) Evals() int { return int(w.group[0].evals + w.group[1].evals) }
+
+// Run steps the groups alternately until a step has an event, and
+// returns the step's event bits and the group's first lane (0 or Lanes:
+// bit k is about lane first+k); the next Run starts at the other group.
+// A group with no live lane is left out; with no live lane at all Run
+// returns events == 0 at once, and that is the only way it does.
+//
+// Run panics if a live lane's pass does not hold every window from its
+// offset to its last: the vector route reads through raw pointers, so the
+// extents are checked here, once per call, on both routes alike.
+func (w *Walk) Run() (first int, events uint32) {
+	turn := w.turn
+	a, b := &w.group[turn], &w.group[turn^1]
+	if a.nlive == 0 {
+		a, b, turn = b, a, turn^1
+	}
+	if a.nlive == 0 {
+		return 0, 0
+	}
+	w.admit(a)
+	if b.nlive == 0 {
+		b = nil
+	} else {
+		w.admit(b)
+	}
+	route := stepPortable
+	if w.tabled {
+		route = step
+	}
+	which, events := route(w, a, b)
+	turn ^= which
+	w.turn = turn ^ 1
+	return turn * Lanes, events
+}
+
+// admit checks the extents of g's live lanes and parks its masked lanes
+// at the head of a live lane's pass, where the vector route's loads are
+// harmless.
+func (w *Walk) admit(g *group) {
+	n := int64(len(w.q))
+	donor := bits.TrailingZeros32(g.liveBits)
+	for k := range g.x {
+		if g.live[k] == 0 {
+			g.x[k], g.sums[k], g.beta[k] = g.x[donor], g.sums[donor], 0
+			continue
+		}
+		end := max(g.beta[k], g.maxOff[k]) + n
+		if g.beta[k] < 0 || end > int64(len(g.x[k])) || end >= int64(len(g.sums[k])) {
+			panic("kernel: a lane's pass does not hold the windows up to its last offset")
+		}
+	}
+}
+
+// step is the route a tabled walk runs: stepPortable everywhere,
+// replaced in dot_amd64.go's init by the AVX2 routine together with the
+// other three. A walk whose rule has no full decay table always runs
+// stepPortable.
+var step = stepPortable
+
+// stepPortable steps a, then b, then a … (b may be nil) until a step
+// reports events; which is 0 when that step was a's.
+func stepPortable(w *Walk, a, b *group) (which int, events uint32) {
+	for {
+		if events = a.stepPortable(w); events != 0 {
+			return which, events
+		}
+		if b != nil {
+			a, b, which = b, a, which^1
+		}
+	}
+}
+
+// stepPortable is one step of the group's live lanes: the sequence in
+// Walk's comment, spelled out. The dots come from the Dot/Dot4 routes —
+// bit-identical on every route, so the step is too. The two selects on
+// the envelope are max(), not branches: each goes either way about as
+// often, and on env's domain (≥ +0, not NaN) max is the comparison.
+func (g *group) stepPortable(w *Walk) (events uint32) {
+	q, r := w.q, &w.rule
+	n := len(q)
+	if g.nlive == Lanes {
+		b0, b1, b2, b3 := int(g.beta[0]), int(g.beta[1]), int(g.beta[2]), int(g.beta[3])
+		dot4(q, g.x[0][b0:b0+n], g.x[1][b1:b1+n], g.x[2][b2:b2+n], g.x[3][b3:b3+n], &g.spill)
+	} else {
+		for k := range g.x {
+			if g.live[k] != 0 {
+				beta := int(g.beta[k])
+				g.spill[k] = dot(q, g.x[k][beta:beta+n])
+			}
+		}
+	}
+	g.evals += g.nlive
+	for k := range g.x {
+		beta := int(g.beta[k])
+		g.at[k] = g.beta[k]
+		if g.live[k] == 0 {
+			g.omega[k] = 0
+			continue
+		}
+		sums := g.sums[k]
+		lo, hi := &sums[beta], &sums[beta+n]
+		scale := g.scale[k]
+		den := scale * WindowNorm(hi[0]-lo[0], hi[1]-lo[1], w.nf)
+		// Degenerate (constant) stored windows, and windows whose norm
+		// a non-finite sample poisoned, correlate as 0.
+		omega := 0.0
+		if den >= 1e-12 {
+			omega = scale * g.spill[k] / den
+		}
+		g.omega[k] = omega
+		if omega > r.Delta {
+			events |= EventCandidate << k
+		}
+		// A NaN ω leaves the envelope as it is; max alone would poison
+		// it.
+		a := math.Abs(omega)
+		if a != a {
+			a = 0
+		}
+		env := max(g.env[k], a)
+		adv := max(int(r.SkipNum/max(env, r.Floor)+0.5), 1)
+		beta += adv
+		if adv < len(r.Decay) {
+			env *= r.Decay[adv]
+		} else {
+			env *= DecayPow(r.DecayBase, adv)
+		}
+		g.beta[k], g.env[k] = int64(beta), env
+		if beta > int(g.maxOff[k]) {
+			events |= EventDone << k
+		}
+	}
+	return events
+}

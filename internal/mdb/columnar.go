@@ -374,6 +374,9 @@ func parseColumnar(data []byte, mref *mmapRef) (*Store, error) {
 		if start+length > uint64(rec.Len()) {
 			return nil, fmt.Errorf("mdb: columnar signal-set %d exceeds record %q", i, rec.ID)
 		}
+		if length > MaxSliceLen {
+			return nil, fmt.Errorf("mdb: columnar signal-set %d is %d samples long (at most %d)", i, length, MaxSliceLen)
+		}
 		s.sets = append(s.sets, &SignalSet{
 			ID:        int(le.Uint32(e[0:])),
 			RecordID:  rec.ID,

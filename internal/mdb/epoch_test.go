@@ -382,6 +382,8 @@ func TestRejectedBatchTouchesNothing(t *testing.T) {
 		"duplicate within the batch": batch("x", "y", "x"),
 		"duplicate of a stored ID":   batch("x", "y", "qa"),
 		"invalid slice length":       append(batch("x", "y"), insertion{rec: &Record{ID: "z"}, counts: []int16{1}, scale: 1}),
+		// One sample past what keeps a scan's prefix sums exact.
+		"oversize slice length": append(batch("x", "y"), insertion{rec: &Record{ID: "z"}, counts: []int16{1}, scale: 1, sliceLen: MaxSliceLen + 1}),
 	} {
 		if _, err := s.insertBatch(items); err == nil {
 			t.Fatalf("%s: batch accepted", name)

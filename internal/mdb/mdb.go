@@ -334,6 +334,15 @@ func (s *Store) InsertQuantized(rec *Record, counts []int16, scale float32, slic
 	return s.insertBatch([]insertion{{rec: rec, counts: counts, scale: float64(scale), sliceLen: sliceLen, labelFn: labelFn}})
 }
 
+// MaxSliceLen is the longest signal-set a store admits. A compressed-
+// domain scan keeps a pass's running Σc and Σc² as float64, which is
+// exact only while a pass — one slice plus one query, less a sample —
+// stays within kernel.MaxWidenLen = 2²³ counts; Insert, InsertQuantized
+// and the columnar loader refuse longer slices, and the search refuses
+// longer queries, which keeps a pass under 2²¹. (The paper's slices are
+// 1 000 samples.)
+const MaxSliceLen = 1 << 20
+
 // insertion is one recording queued for insertBatch plus its slicing
 // and labelling rule. counts non-nil marks a quantized insertion.
 type insertion struct {
@@ -360,8 +369,8 @@ func (s *Store) insertBatch(items []insertion) (int, error) {
 		if it.rec == nil || it.rec.ID == "" {
 			return 0, fmt.Errorf("mdb: record must have an ID")
 		}
-		if it.sliceLen < 1 {
-			return 0, fmt.Errorf("mdb: slice length %d invalid", it.sliceLen)
+		if it.sliceLen < 1 || it.sliceLen > MaxSliceLen {
+			return 0, fmt.Errorf("mdb: slice length %d invalid (want 1 to %d)", it.sliceLen, MaxSliceLen)
 		}
 		// Under wmu the index holds exactly the IDs ever inserted.
 		_, dup := s.ix.m.Load(it.rec.ID)
@@ -558,6 +567,18 @@ func (sn Snapshot) Shards(k int) [][]*SignalSet {
 // record; hot and float-canonical records return a view into the
 // resident waveform.
 func (sn Snapshot) Window(set *SignalSet, offset, n int) ([]float64, bool) {
+	var buf []float64
+	return sn.WindowInto(&buf, set, offset, n)
+}
+
+// WindowInto is Window with the dequantization buffer the caller's: a
+// window that has to be dequantized is written to (*buf)[:n] — *buf is
+// grown first when it is short — so a caller that reads many windows and
+// keeps none (the cloud's reply assembly) allocates once, not once per
+// window. Hot and float-canonical records still return a view into the
+// resident waveform and leave *buf alone; either way the result is valid
+// only until the next WindowInto with the same buffer.
+func (sn Snapshot) WindowInto(buf *[]float64, set *SignalSet, offset, n int) ([]float64, bool) {
 	rec, exists := sn.ensure().record(set.RecordID)
 	if !exists {
 		return nil, false
@@ -571,7 +592,10 @@ func (sn Snapshot) Window(set *SignalSet, offset, n int) ([]float64, bool) {
 		if res.tier == TierHot {
 			return res.f[abs : abs+n], true
 		}
-		out := make([]float64, n)
+		if cap(*buf) < n {
+			*buf = make([]float64, n)
+		}
+		out := (*buf)[:n]
 		QuantView{Counts: res.counts, Scale: rec.q.scale}.Dequantize(out, abs, n)
 		return out, true
 	}

@@ -51,6 +51,15 @@ func TestInsertErrors(t *testing.T) {
 	if _, err := s.Insert(makeRecord("x", 100), 0, nil); err == nil {
 		t.Fatal("zero slice length should error")
 	}
+	if _, err := s.Insert(makeRecord("x", 100), MaxSliceLen+1, nil); err == nil || s.NumRecords() != 0 {
+		t.Fatalf("slice length above MaxSliceLen: err = %v, %d records published", err, s.NumRecords())
+	}
+	if _, err := NewQuantizedStore().InsertQuantized(&Record{ID: "q"}, make([]int16, 100), 1, MaxSliceLen+1, nil); err == nil {
+		t.Fatal("quantized insert with a slice length above MaxSliceLen should error")
+	}
+	if created, err := s.Insert(makeRecord("max", 100), MaxSliceLen, nil); err != nil || created != 0 {
+		t.Fatalf("slice length MaxSliceLen: %d sets, %v", created, err)
+	}
 	if _, err := s.Insert(makeRecord("dup", 2000), 1000, nil); err != nil {
 		t.Fatal(err)
 	}

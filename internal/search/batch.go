@@ -92,7 +92,10 @@ func (s *Searcher) runBatch(inputs [][]float64, exhaustive bool) (*BatchResult, 
 	slot := make([]int, len(inputs))
 	seen := make(map[zqKey][]int, len(inputs))
 	for i, input := range inputs {
-		if len(input) == 0 {
+		// No signal-set is longer than mdb.MaxSliceLen, and bounding the
+		// query with it bounds a pass, whose prefix sums must stay exact
+		// (kernel.MaxWidenLen).
+		if len(input) == 0 || len(input) > mdb.MaxSliceLen {
 			return nil, ErrShortInput
 		}
 		zq := make([]float64, len(input))

@@ -9,22 +9,24 @@ import (
 	"emap/internal/mdb"
 )
 
-// lanes is how many signal-sets the skip walk keeps in flight at once.
-// Algorithm 1 is one serial chain per set — ω at β decides the skip, the
-// skip decides the next β — whose two divisions, square root and
-// float→int convert each wait for the one before; four sets are four
-// independent chains for the core to overlap. Eight measured no better
-// than four (EXPERIMENTS.md), and four windows are what kernel.Dot4's
-// eight accumulators fill the vector registers with.
-const lanes = 4
+// lanes is how many signal-sets the skip walk keeps in flight at once:
+// the two groups of four a kernel.Walk steps alternately. Algorithm 1 is
+// one serial chain per set — ω at β decides the skip, the skip decides
+// the next β — whose two divisions, square root and float→int convert
+// each wait for the one before. Four sets are four such chains computed
+// in the four elements of one vector register; the second group is
+// there so that one group's chain resolves under the other's dot
+// product (see kernel.Walk).
+const lanes = 2 * kernel.Lanes
 
 // lane is one signal-set in flight: the set as the scan found its
 // record when it took it, the pass over that set at the current window
 // length (built, for a quantized record, in buffers the lane owns), and
-// the trajectory of the query now walking it — its own β, |ω| envelope
-// and per-set best, so what a query does in a set depends on (set,
-// query) alone, whichever lane holds the set and whatever the other
-// lanes hold.
+// the best match of the query now walking it. The walk itself — the
+// query's β and |ω| envelope in this set — lives in the lane's slot of
+// the scratch's kernel.Walk; what a query does in a set depends on
+// (set, query) alone, whichever lane holds the set and whatever the
+// other lanes hold.
 type lane struct {
 	set    *mdb.SignalSet
 	recLen int
@@ -37,22 +39,20 @@ type lane struct {
 	opened bool
 	seg    segment
 	qx     []float64 // loadQuant's buffers
-	qsums  [][2]int64
+	qsums  [][2]float64
 
-	beta      int
-	env       float64
 	bestOmega float64
 	bestBeta  int
 	found     bool
 }
 
 // walkScratch is one shard worker's reusable kernel state: the lanes
-// with their segment buffers, the shard position the lanes are filled
-// from, FFT spectra and the profile buffer live across every set the
-// worker scans — and, through scratchPool, across scans — so the walk
-// allocates nothing per set. Query spectra are cached per (query,
-// transform size) — one forward transform per unique query however many
-// sets its group scans.
+// with their segment buffers, the walk that steps them, the shard
+// position the lanes are filled from, FFT spectra and the profile
+// buffer live across every set the worker scans — and, through
+// scratchPool, across scans — so the walk allocates nothing per set.
+// Query spectra are cached per (query, transform size) — one forward
+// transform per unique query however many sets its group scans.
 type walkScratch struct {
 	engine *kernel.Engine
 	// The shard being scanned: take hands shard[next] to a lane; passes
@@ -62,10 +62,11 @@ type walkScratch struct {
 	next   int
 	passes int
 	lane   [lanes]lane
-	// dots receives kernel.Dot4's results. It lives here because the
-	// kernel is called through a route variable, which makes a local
-	// escape — one allocation per walk.
-	dots [lanes]float64
+	// walk holds the lanes' trajectories as the step kernel wants them.
+	// It lives here, not on walkLanes' stack, because the kernel is
+	// called through a route variable, which would make a local escape —
+	// one allocation per walk.
+	walk kernel.Walk
 
 	segSpec []complex128
 	work    []complex128
@@ -88,7 +89,8 @@ type qspecKey struct {
 // and through it a whole float store — reachable from the runtime's
 // pool list for two GC cycles. A pooled scratch references only its
 // own buffers: putScratch drops the engine, the snapshot, every lane's
-// set and hot-tier signal alias, and the per-scan query spectra.
+// set and hot-tier signal alias, what the walk still points at, and the
+// per-scan query spectra.
 var scratchPool = sync.Pool{New: func() any {
 	return &walkScratch{qSpec: make(map[qspecKey][]complex128)}
 }}
@@ -105,6 +107,7 @@ func putScratch(scr *walkScratch) {
 		l := &scr.lane[k]
 		l.set, l.stats, l.qv, l.seg = nil, nil, mdb.QuantView{}, segment{}
 	}
+	scr.walk.Release()
 	clear(scr.qSpec)
 	scratchPool.Put(scr)
 }
@@ -154,13 +157,13 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 		for scr.take(l) {
 			for gi := range groups {
 				if s.open(scr, l, groups[gi].n) {
-					s.walkDense(groups[gi].qs, uniques, &l.seg, accs, scr)
+					s.walkDense(groups[gi].qs, uniques, l, accs, scr)
 				}
 			}
 		}
 	case len(uniques) == 1:
 		// One query: a lane that runs off its set takes the next set of
-		// the shard, so four sets are in flight until the shard runs
+		// the shard, so eight sets are in flight until the shard runs
 		// out.
 		for k := range scr.lane {
 			s.refill(scr, &scr.lane[k], len(uniques[0]))
@@ -168,7 +171,7 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 		s.walkLanes(scr, uniques[0], &accs[0], true)
 	default:
 		// Several queries: lanes must share a query (that is what lets
-		// one kernel call serve four of them), so a run of sets is held
+		// one kernel step serve four of them), so a run of sets is held
 		// resident — dequantized once per length group — and walked
 		// query by query.
 		for {
@@ -238,7 +241,8 @@ func (s *Searcher) open(scr *walkScratch, l *lane, n int) bool {
 	}
 	scr.passes++
 	if l.stats != nil {
-		l.seg = segment{x: l.stats.Signal()[set.Start : set.Start+maxOff+n], scale: 1, stats: l.stats, start: set.Start}
+		lo, hi := set.Start, set.Start+maxOff+n
+		l.seg = segment{x: l.stats.Signal()[lo:hi], sums: l.stats.Sums()[lo : hi+1], scale: 1}
 	} else {
 		l.loadQuant(l.qv, set.Start, maxOff+n)
 	}
@@ -247,28 +251,15 @@ func (s *Searcher) open(scr *walkScratch, l *lane, n int) bool {
 }
 
 // refill gives lane l the next set of the shard that has offsets for
-// windows of n samples, ready to walk.
+// windows of n samples.
 func (s *Searcher) refill(scr *walkScratch, l *lane, n int) bool {
 	for scr.take(l) {
 		if l.opened = s.open(scr, l, n); l.opened {
-			l.start()
 			return true
 		}
 	}
 	return false
 }
-
-// start puts the lane's trajectory at the head of its pass.
-func (l *lane) start() { l.beta, l.env, l.found = 0, 0, false }
-
-// live reports whether the query walking the lane has offsets of its
-// pass left to visit.
-func (l *lane) live() bool { return l.opened && l.beta <= l.seg.maxOff }
-
-// window is the stored window at the lane's offset; den its scaled
-// norm.
-func (l *lane) window() []float64 { return l.seg.x[l.beta : l.beta+l.seg.n] }
-func (l *lane) den() float64      { return l.seg.scale * l.seg.norm(l.beta) }
 
 // walkDense is the exhaustive scan of one pass: the sliding-dot
 // numerators for EVERY offset come from one multiply+inverse against the
@@ -283,8 +274,9 @@ func (l *lane) den() float64      { return l.seg.scale * l.seg.norm(l.beta) }
 // PREFILTER, never a score: every offset inside the margin is rescored
 // by the exact dot over the segment scratch, so candidate decisions and
 // reported ω come from the same arithmetic as the skip walk.
-func (s *Searcher) walkDense(qs []int, uniques [][]float64, g *segment, accs []queryAccum, scr *walkScratch) {
+func (s *Searcher) walkDense(qs []int, uniques [][]float64, l *lane, accs []queryAccum, scr *walkScratch) {
 	p := &s.params
+	g := &l.seg
 	maxOff, setID := g.maxOff, g.setID
 	prof := scr.engine.Profiler(len(g.x))
 	scr.grow(prof.Bins(), prof.M())
@@ -295,7 +287,7 @@ func (s *Searcher) walkDense(qs []int, uniques [][]float64, g *segment, accs []q
 	scr.dens = scr.dens[:maxOff+1]
 	g.norms(scr.dens)
 	profile, dens := scr.profile, scr.dens
-	rescore := g.stats == nil
+	rescore := l.stats == nil
 	for _, q := range qs {
 		zq := uniques[q]
 		prof.Correlate(profile, scr.segSpec, scr.querySpectrum(prof, q, zq), scr.work)
@@ -334,102 +326,64 @@ func (s *Searcher) walkDense(qs []int, uniques [][]float64, g *segment, accs []q
 }
 
 // walkLanes is the skip walk: query zq walks every opened lane's pass
-// from its head. While all four lanes are live they step in lockstep —
-// four O(1) norms, one kernel.Dot4 for the four windows, four visits
-// finished — so the four sets' serial chains overlap in the core; with
-// refill, a lane that runs off its set takes the next set of the shard
-// and the other three keep going. Fewer than four live lanes drain one
-// at a time through the same visit, with kernel.Dot.
+// from its head. The lanes' trajectories are seated in the scratch's
+// kernel.Walk, which steps them four at a time — norms, dots, ω,
+// envelope, skip, all in the kernel — and comes back here only when a
+// step has an event: a candidate to weigh, or a lane past the end of
+// its pass, whose best match goes to the top-K and which, with refill,
+// takes the next set of the shard. A lane with nothing left to take is
+// masked: the walk ends when every lane is.
 //
-// Lanes never exchange anything but the query: out[k] == Dot(zq,
-// window k) bit for bit (Dot4's contract), so every lane's trajectory,
-// its candidates and its best match are what a lone walk of that set
-// gives. What lanes do change is the order matches reach the top-K,
-// which is why TopK ranks by a total order.
+// Lanes never exchange anything but the query: each lane's ω is
+// Dot(zq, its window) over its own norm bit for bit (the kernel's
+// contract), so every lane's trajectory, its candidates and its best
+// match are what a lone walk of that set gives. What lanes do change is
+// the order matches reach the top-K, which is why TopK ranks by a total
+// order.
 func (s *Searcher) walkLanes(scr *walkScratch, zq []float64, acc *queryAccum, refill bool) {
-	L := &scr.lane
-	live := 0
-	for k := range L {
-		if L[k].start(); L[k].live() {
-			live++
+	w := &scr.walk
+	w.Reset(zq, &s.rule)
+	for k := range scr.lane {
+		if l := &scr.lane[k]; l.opened {
+			seat(w, k, l)
 		}
 	}
-	var dens [lanes]float64
-	dots := &scr.dots
-	for live == lanes {
-		for k := range L {
-			dens[k] = L[k].den()
+	for {
+		first, events := w.Run()
+		if events == 0 {
+			break
 		}
-		kernel.Dot4(zq, L[0].window(), L[1].window(), L[2].window(), L[3].window(), dots)
-		for k := range L {
-			l := &L[k]
-			if s.visit(l, acc, dots[k], dens[k]) {
-				continue
+		for k := 0; k < kernel.Lanes; k++ {
+			ev := events >> k
+			at := first + k
+			l := &scr.lane[at]
+			if ev&kernel.EventCandidate != 0 {
+				omega, beta := w.Taken(at)
+				acc.candidates++
+				if s.params.AllOffsets {
+					acc.top.Push(Match{SetID: l.seg.setID, Omega: omega, Beta: beta})
+				} else if !l.found || omega > l.bestOmega {
+					l.bestOmega, l.bestBeta, l.found = omega, beta, true
+				}
 			}
-			s.finish(l, acc)
-			if !refill || !s.refill(scr, l, len(zq)) {
-				live--
+			if ev&kernel.EventDone != 0 {
+				if l.found {
+					acc.top.Push(Match{SetID: l.seg.setID, Omega: l.bestOmega, Beta: l.bestBeta})
+				}
+				if refill && s.refill(scr, l, len(zq)) {
+					seat(w, at, l)
+				} else {
+					w.Mask(at)
+				}
 			}
 		}
 	}
-	for k := range L {
-		l := &L[k]
-		if !l.live() {
-			continue
-		}
-		for s.visit(l, acc, kernel.Dot(zq, l.window()), l.den()) {
-		}
-		s.finish(l, acc)
-	}
+	acc.evaluated += w.Evals()
 }
 
-// visit finishes lane l's evaluation at its current offset — dot is
-// Σzq·x over the window there, den the pass's scaled window norm — and
-// advances it by the skip rule, returning false once the lane is past
-// the end of its pass. The two data-dependent decisions of a visit, the
-// envelope's running maximum and the skip rule's floor, are max()
-// selects, not branches: they go either way about as often, and a
-// mispredicted branch would flush the other lanes' work along with this
-// one's.
-func (s *Searcher) visit(l *lane, acc *queryAccum, dot, den float64) bool {
-	p := &s.params
-	g := &l.seg
-	// Degenerate (constant) stored windows correlate as 0.
-	omega := 0.0
-	if den >= 1e-12 {
-		omega = g.scale * dot / den
-	}
-	acc.evaluated++
-	if omega > p.Delta {
-		acc.candidates++
-		if p.AllOffsets {
-			acc.top.Push(Match{SetID: g.setID, Omega: omega, Beta: l.beta})
-		} else if !l.found || omega > l.bestOmega {
-			l.bestOmega, l.bestBeta, l.found = omega, l.beta, true
-		}
-	}
-	// A NaN ω (a non-finite stored sample) leaves the envelope as it
-	// is, as the comparison |ω| > env always has; max alone would
-	// poison it.
-	a := math.Abs(omega)
-	if a != a {
-		a = 0
-	}
-	env := max(l.env, a)
-	adv := s.skipFor(env)
-	l.beta += adv
-	if adv < len(s.decay) {
-		env *= s.decay[adv]
-	} else {
-		env *= decayPow(p.EnvDecay, adv)
-	}
-	l.env = env
-	return l.beta <= g.maxOff
-}
-
-// finish hands the lane's best match in its set to the query's top-K.
-func (s *Searcher) finish(l *lane, acc *queryAccum) {
-	if l.found && !s.params.AllOffsets {
-		acc.top.Push(Match{SetID: l.seg.setID, Omega: l.bestOmega, Beta: l.bestBeta})
-	}
+// seat puts lane l's pass in slot at of the walk, the query at its
+// head.
+func seat(w *kernel.Walk, at int, l *lane) {
+	l.found = false
+	w.Seat(at, l.seg.x, l.seg.sums, l.seg.scale, l.seg.maxOff)
 }

@@ -45,49 +45,59 @@ func laneStore(t *testing.T, f *fixture, sets int) *mdb.Store {
 
 // TestLaneWalkSetCounts: the lane walk against the naive reference with
 // == on SetID, Beta and Omega and equal Evaluated, Candidates and
-// SetPasses, over stores with 1, 2, 3, 4, 5 and 9 (paper bound) or one
-// more (full coverage) searchable sets — fewer sets than lanes, an
-// exact multiple, and a remainder that leaves through the drain — with
-// unsearchable sets between two long records, with every candidate
-// offset retained (AllOffsets) and only the best per set, for a lone
-// query (lanes refilled from the shard) and for a batch of two length
-// groups (resident runs walked query by query).
+// SetPasses, over stores with 1, 3, 4, 7, 8, 9 and 17 (paper bound) or
+// one more (full coverage) searchable sets — every shape the two groups
+// of four can take: one group part-filled and the other never stepped,
+// one full, two with a lane masked from the start, two full, and
+// remainders that arrive by refill and leave lanes masked one by one —
+// with unsearchable sets between two long records, with every candidate
+// offset retained (AllOffsets) and only the best per set, with the
+// default skip rule (tabled: the kernel's vector step where the machine
+// has one) and with a floor so low that the rule has no decay table (the
+// portable step, whatever the machine), for a lone query (lanes refilled
+// from the shard) and for a batch of two length groups (resident runs
+// walked query by query).
 func TestLaneWalkSetCounts(t *testing.T) {
 	f := newFixture(t, 1)
 	long := f.input(synth.Normal, 0)
 	inputs := [][]float64{long, f.input(synth.Seizure, 1), long[:203]}
 	candidates := 0
-	for _, sets := range []int{1, 2, 3, 4, 5, 9} {
+	for _, sets := range []int{1, 3, 4, 7, 8, 9, 17} {
 		store := laneStore(t, f, sets)
 		for _, slice := range []bool{false, true} {
 			for _, all := range []bool{false, true} {
-				params := Params{PaperSliceScan: slice, AllOffsets: all, Delta: 0.3, Workers: 1}
-				label := fmt.Sprintf("%d sets/slice=%v/all=%v", sets, slice, all)
-				ref := refSearch(t, store, params, inputs, false)
-				if want := map[bool]int{true: sets, false: sets + 1}[slice]; ref[0].ProfileSets != want {
-					t.Fatalf("%s: the reference walks %d sets for a one-second query, want %d", label, ref[0].ProfileSets, want)
-				}
-				s := NewSearcher(store, params)
-				batch, err := s.AlgorithmN(inputs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Two length groups: the 203-sample query has a pass
-				// wherever the reference walked one for it.
-				if want := ref[0].ProfileSets + ref[2].ProfileSets; batch.SetPasses != want {
-					t.Fatalf("%s: batch made %d set passes, reference %d", label, batch.SetPasses, want)
-				}
-				for i, input := range inputs {
-					assertBitIdentical(t, fmt.Sprintf("%s/query %d", label, i), ref[i], batch.Results[i])
-					solo, err := s.AlgorithmN([][]float64{input})
+				for _, floor := range []float64{0, 1e-4} {
+					params := Params{PaperSliceScan: slice, AllOffsets: all, OmegaFloor: floor, Delta: 0.3, Workers: 1}
+					label := fmt.Sprintf("%d sets/slice=%v/all=%v/floor=%g", sets, slice, all, floor)
+					ref := refSearch(t, store, params, inputs, false)
+					if want := map[bool]int{true: sets, false: sets + 1}[slice]; ref[0].ProfileSets != want {
+						t.Fatalf("%s: the reference walks %d sets for a one-second query, want %d", label, ref[0].ProfileSets, want)
+					}
+					s := NewSearcher(store, params)
+					if tabled := s.rule.Decay != nil; tabled != (floor == 0) {
+						t.Fatalf("%s: decay table present = %v", label, tabled)
+					}
+					batch, err := s.AlgorithmN(inputs)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if solo.SetPasses != ref[i].ProfileSets {
-						t.Fatalf("%s/query %d alone: %d set passes, reference %d", label, i, solo.SetPasses, ref[i].ProfileSets)
+					// Two length groups: the 203-sample query has a pass
+					// wherever the reference walked one for it.
+					if want := ref[0].ProfileSets + ref[2].ProfileSets; batch.SetPasses != want {
+						t.Fatalf("%s: batch made %d set passes, reference %d", label, batch.SetPasses, want)
 					}
-					assertBitIdentical(t, fmt.Sprintf("%s/query %d alone", label, i), ref[i], solo.Results[0])
-					candidates += ref[i].Candidates
+					for i, input := range inputs {
+						assertBitIdentical(t, fmt.Sprintf("%s/query %d", label, i), ref[i], batch.Results[i])
+						solo, err := s.AlgorithmN([][]float64{input})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if solo.SetPasses != ref[i].ProfileSets {
+							t.Fatalf("%s/query %d alone: %d set passes, reference %d", label, i, solo.SetPasses, ref[i].ProfileSets)
+						}
+						assertBitIdentical(t, fmt.Sprintf("%s/query %d alone", label, i), ref[i], solo.Results[0])
+						candidates += ref[i].Candidates
+					}
 				}
 			}
 		}
@@ -97,9 +107,9 @@ func TestLaneWalkSetCounts(t *testing.T) {
 	}
 }
 
-// aloneAndInLanes scans inputs twice — one worker, so four sets are in
+// aloneAndInLanes scans inputs twice — one worker, so eight sets are in
 // flight in lockstep, and one worker per set, so every set is walked
-// alone through the scalar drain — and requires the two to agree with ==
+// alone, seven lanes masked — and requires the two to agree with ==
 // on every match field, every counter and SetPasses: lanes exchange
 // nothing but the query. It returns the one-worker batch.
 func aloneAndInLanes(t *testing.T, label string, store *mdb.Store, params Params, inputs [][]float64) *BatchResult {
@@ -126,7 +136,7 @@ func aloneAndInLanes(t *testing.T, label string, store *mdb.Store, params Params
 
 // TestLaneWalkMixedTiers: one shard holding hot, warm and cold records
 // at once — lanes reading float64 signals beside lanes reading
-// dequantized scratch, in one Dot4 call — answers exactly as each set
+// dequantized scratch, in one kernel step — answers exactly as each set
 // walked alone does, and selects what the naive reference selects.
 func TestLaneWalkMixedTiers(t *testing.T) {
 	f := newFixture(t, 1)
@@ -182,77 +192,56 @@ func TestLaneWalkMixedTiers(t *testing.T) {
 	}
 }
 
-// branchVisit is a visit as the single-cursor loop spelled it before
-// the lanes: the envelope's running maximum and the skip rule's floor
-// are comparisons and branches. It is the reference visit's selects are
-// pinned to.
-func branchVisit(s *Searcher, l *lane, acc *queryAccum, dot, den float64) bool {
+// branchWalk walks one pass from its head as the single-cursor loop
+// spelled it before the lanes and before the step kernel: one offset at
+// a time, the envelope's running maximum and the skip rule's floor as
+// comparisons and branches, the decay by DecayPow. It returns how many
+// visited windows had a NaN norm.
+func branchWalk(s *Searcher, g *segment, zq []float64, acc *queryAccum) (poisoned int) {
 	p := &s.params
-	omega := 0.0
-	if den >= 1e-12 {
-		omega = l.seg.scale * dot / den
-	}
-	acc.evaluated++
-	if omega > p.Delta {
-		acc.candidates++
-		if !l.found || omega > l.bestOmega {
-			l.bestOmega, l.bestBeta, l.found = omega, l.beta, true
+	found, bestOmega, bestBeta, env := false, 0.0, 0, 0.0
+	for beta := 0; beta <= g.maxOff; {
+		lo, hi := g.sums[beta], g.sums[beta+g.n]
+		den := g.scale * kernel.WindowNorm(hi[0]-lo[0], hi[1]-lo[1], float64(g.n))
+		if math.IsNaN(den) {
+			poisoned++
 		}
-	}
-	if a := math.Abs(omega); a > l.env {
-		l.env = a
-	}
-	env := l.env
-	if env < p.OmegaFloor {
-		env = p.OmegaFloor
-	}
-	adv := int(s.skipNum/env + 0.5)
-	if adv < 1 {
-		adv = 1
-	}
-	l.beta += adv
-	l.env *= decayPow(p.EnvDecay, adv)
-	return l.beta <= l.seg.maxOff
-}
-
-// TestVisitSelectsMatchBranches: visit's max() selects leave a lane
-// exactly where the comparisons they replaced would — for ordinary ω on
-// either side of the envelope and of the floor, for ω = ±0, and for the
-// non-finite ω a corrupt sample could produce: +Inf and −Inf saturate the
-// envelope, NaN leaves it unchanged.
-func TestVisitSelectsMatchBranches(t *testing.T) {
-	for _, p := range []Params{{}, {OmegaFloor: 0.3}, {OmegaFloor: 1e-4}} {
-		s := NewSearcher(nil, p)
-		dots := []float64{0, math.Copysign(0, -1), 1e-9, 0.01, 0.049, 0.05, 0.051, 0.3, 0.79, 0.81, 1, -0.02, -0.6, -1,
-			math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
-		envs := []float64{0, 1e-12, 0.01, 0.05, 0.2, 0.6, 1, math.Inf(1)}
-		for _, dot := range dots {
-			for _, env := range envs {
-				for _, den := range []float64{1, 0, 1e-13, math.NaN(), math.Inf(1)} {
-					got := lane{seg: segment{scale: 0.5, maxOff: 40}, beta: 30, env: env, found: true, bestOmega: 0.85}
-					want := got
-					var gotAcc, wantAcc queryAccum
-					gotOK, wantOK := s.visit(&got, &gotAcc, dot, den), branchVisit(s, &want, &wantAcc, dot, den)
-					same := gotOK == wantOK && got.beta == want.beta && got.found == want.found && got.bestBeta == want.bestBeta &&
-						math.Float64bits(got.env) == math.Float64bits(want.env) &&
-						math.Float64bits(got.bestOmega) == math.Float64bits(want.bestOmega) &&
-						gotAcc == wantAcc
-					if !same {
-						t.Fatalf("%+v dot=%g den=%g env=%g: visit left β=%d env=%x best=(%g, %d) %+v, branches β=%d env=%x best=(%g, %d) %+v",
-							p, dot, den, env, got.beta, math.Float64bits(got.env), got.bestOmega, got.bestBeta, gotAcc,
-							want.beta, math.Float64bits(want.env), want.bestOmega, want.bestBeta, wantAcc)
-					}
-				}
+		omega := 0.0
+		if den >= 1e-12 {
+			omega = g.scale * kernel.Dot(zq, g.x[beta:beta+g.n]) / den
+		}
+		acc.evaluated++
+		if omega > p.Delta {
+			acc.candidates++
+			if !found || omega > bestOmega {
+				bestOmega, bestBeta, found = omega, beta, true
 			}
 		}
+		if a := math.Abs(omega); a > env {
+			env = a
+		}
+		floored := env
+		if floored < p.OmegaFloor {
+			floored = p.OmegaFloor
+		}
+		adv := int(s.rule.SkipNum/floored + 0.5)
+		if adv < 1 {
+			adv = 1
+		}
+		beta += adv
+		env *= kernel.DecayPow(p.EnvDecay, adv)
 	}
+	if found {
+		acc.top.Push(Match{SetID: g.setID, Omega: bestOmega, Beta: bestBeta})
+	}
+	return poisoned
 }
 
 // TestLaneWalkNonFiniteSamples: a float store carrying a NaN sample in
 // one record and ±Inf samples in another. The poisoned prefix sums make
 // every window norm at or after the bad sample NaN, which correlates as
-// 0 — the trajectory the branch-spelled walk takes — and the lanes must
-// take it too, holding the poisoned sets beside clean ones.
+// 0 — the trajectory the branch-spelled walk takes — and the step kernel
+// must take it too, holding the poisoned sets beside clean ones.
 func TestLaneWalkNonFiniteSamples(t *testing.T) {
 	g := synth.NewGenerator(synth.Config{Seed: 9, ArchetypesPerClass: 1})
 	store := mdb.NewStore()
@@ -282,20 +271,9 @@ func TestLaneWalkNonFiniteSamples(t *testing.T) {
 		for _, set := range snap.Sets() {
 			rec, _ := snap.Record(set.RecordID)
 			l := lane{set: set, recLen: rec.Len(), stats: rec.Stats()}
-			if !s.open(scr, &l, len(zq)) {
-				continue
+			if s.open(scr, &l, len(zq)) {
+				poisoned += branchWalk(s, &l.seg, zq, &acc)
 			}
-			l.start()
-			for {
-				den := l.den()
-				if math.IsNaN(den) {
-					poisoned++
-				}
-				if !branchVisit(s, &l, &acc, kernel.Dot(zq, l.window()), den) {
-					break
-				}
-			}
-			s.finish(&l, &acc)
 		}
 		if poisoned == 0 {
 			t.Fatalf("query %d: no visited window has a poisoned norm", i)
@@ -308,8 +286,8 @@ func TestLaneWalkNonFiniteSamples(t *testing.T) {
 // TestAlgorithm1WarmAllocs pins the per-scan allocation count of a warm
 // single-query skip scan at what the single-cursor walk cost before the
 // lanes (28 on one shard: the batch bookkeeping, the result, the top-K,
-// the shard goroutine): four lanes of segment buffers, the refills and
-// the Dot4 results all live in the pooled scratch. The best of several
+// the shard goroutine): eight lanes of segment buffers, the refills and
+// the kernel walk all live in the pooled scratch. The best of several
 // runs is taken because a collection between runs empties the pool and
 // the race detector makes it drop a quarter of its Puts; either costs
 // that run the scratch's own buffers again.

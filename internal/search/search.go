@@ -21,10 +21,13 @@
 //
 // Algorithm1 answers one query; AlgorithmN answers a whole batch in a
 // single pass over the mega-database. Both run through the same core
-// (batch.go) and the same walker (kernelwalk.go): four signal-sets are
-// in flight at a time, each in its own lane, and a query walks the four
-// in lockstep — its own exponential-sliding-window trajectory in every
-// set, one fused kernel call per step. A batch holds a run of sets
+// (batch.go) and the same walker (kernelwalk.go): eight signal-sets are
+// in flight at a time, each in its own lane, and a query walks them in
+// lockstep — its own exponential-sliding-window trajectory in every
+// set, stepped four lanes at a time by internal/kernel's Walk (norm,
+// dot, ω, envelope and skip in one routine, in vector registers where
+// the platform has them), which hands back only candidates and finished
+// sets. A batch holds a run of sets
 // resident and walks it query by query, so the stored side of a pass
 // (for a compressed record: its dequantized segment and prefix sums) is
 // built once however many queries walk it, and queries that z-normalize
@@ -187,15 +190,16 @@ type Searcher struct {
 	store  *mdb.Store
 	params Params
 	engine *kernel.Engine
-	// Hoisted out of the per-evaluation path: skipNum is α·SkipScale,
-	// the numerator of the skip rule; maxAdv is skipFor(0), the longest
-	// skip any lane can take (the floor envelope); decay[adv] is
-	// decayPow(EnvDecay, adv) for every adv ≤ maxAdv — built BY decayPow,
-	// so a lookup is the call's bits — and nil when maxAdv would need
-	// more than maxDecayTable entries (visit then calls decayPow).
-	skipNum float64
-	maxAdv  int
-	decay   []float64
+	// Hoisted out of the per-evaluation path, in the form the step kernel
+	// takes them: rule.SkipNum is α·SkipScale, the numerator of the skip
+	// rule; maxAdv is skipFor(0), the longest skip any lane can take (the
+	// floor envelope); rule.Decay[adv] is kernel.DecayPow(EnvDecay, adv)
+	// for every adv ≤ maxAdv — built BY DecayPow, so a lookup is the
+	// call's bits — and nil when maxAdv would need more than
+	// maxDecayTable entries (the kernel's portable step then calls
+	// DecayPow, and its vector step stands aside).
+	rule   kernel.SkipRule
+	maxAdv int
 }
 
 // maxDecayTable bounds the envelope-decay table; parameter settings
@@ -219,12 +223,17 @@ func NewSearcherWithEngine(store *mdb.Store, params Params, engine *kernel.Engin
 		engine = kernel.NewEngine()
 	}
 	params = params.withDefaults()
-	s := &Searcher{store: store, params: params, engine: engine, skipNum: params.Alpha * params.SkipScale}
+	s := &Searcher{store: store, params: params, engine: engine, rule: kernel.SkipRule{
+		Delta:     params.Delta,
+		Floor:     params.OmegaFloor,
+		SkipNum:   params.Alpha * params.SkipScale,
+		DecayBase: params.EnvDecay,
+	}}
 	s.maxAdv = s.skipFor(0)
 	if s.maxAdv+1 <= maxDecayTable {
-		s.decay = make([]float64, s.maxAdv+1)
-		for adv := range s.decay {
-			s.decay[adv] = decayPow(params.EnvDecay, adv)
+		s.rule.Decay = make([]float64, s.maxAdv+1)
+		for adv := range s.rule.Decay {
+			s.rule.Decay[adv] = kernel.DecayPow(params.EnvDecay, adv)
 		}
 	}
 	return s
@@ -278,31 +287,15 @@ func (s *Searcher) run(input []float64, exhaustive bool) (*Result, error) {
 // decaying envelope keeps the scan fine anywhere evidence of alignment
 // has been seen recently, which is the behaviour Fig. 6 describes.
 //
-// It runs once per ω evaluation, so it reads the parameters through
-// the Searcher instead of taking a Params copy, and rounds the quotient
+// The scan's own copy of the rule is the step kernel's (kernel.Walk:
+// the same expression, four lanes at a time); this one states it,
+// sizes the decay table and serves the reference walks of the tests. It
+// rounds the quotient
 // x = α·SkipScale/env as int(x+0.5) rather than math.Round(x): x is
 // positive, and for 0.5 ≤ x < 2⁵¹ the sum is exact or rounds within an
 // integer's interval, so the two agree (TestSkipRoundingMatchesRound).
 // Below 0.5 both give 0 — except the float just under 0.5, where x+0.5
 // rounds up to 1 — and every such advance is clamped to 1 anyway.
-//
-// The floor and the clamp are max() selects: whether the envelope sits
-// under the floor is close to a coin toss per visit, and the lane walk
-// cannot afford a branch that mispredicts that often (see visit).
 func (s *Searcher) skipFor(env float64) int {
-	return max(int(s.skipNum/max(math.Abs(env), s.params.OmegaFloor)+0.5), 1)
-}
-
-// decayPow returns decay^n for small integer n without calling
-// math.Pow in the scan's hot loop.
-func decayPow(decay float64, n int) float64 {
-	out := 1.0
-	for ; n >= 4; n -= 4 {
-		d2 := decay * decay
-		out *= d2 * d2
-	}
-	for ; n > 0; n-- {
-		out *= decay
-	}
-	return out
+	return max(int(s.rule.SkipNum/max(math.Abs(env), s.params.OmegaFloor)+0.5), 1)
 }

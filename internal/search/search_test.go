@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"emap/internal/dsp"
+	"emap/internal/kernel"
 	"emap/internal/mdb"
 	"emap/internal/synth"
 )
@@ -312,11 +313,11 @@ func TestSkipRoundingMatchesRound(t *testing.T) {
 		s := NewSearcher(nil, p)
 		ref := func(env float64) int {
 			env = math.Max(math.Abs(env), s.params.OmegaFloor)
-			return clamp(int(math.Round(s.skipNum / env)))
+			return clamp(int(math.Round(s.rule.SkipNum / env)))
 		}
 		for m := 0; m <= s.maxAdv+1; m++ {
 			// env that lands the quotient on m+½, then its neighbours.
-			env := s.skipNum / (float64(m) + 0.5)
+			env := s.rule.SkipNum / (float64(m) + 0.5)
 			for i, e := 0, math.Nextafter(env, 0); i < 3; i, e = i+1, math.Nextafter(e, 2) {
 				if got, want := s.skipFor(e), ref(e); got != want {
 					t.Fatalf("%+v: skipFor(%v) = %d, math.Round form = %d", p, e, got, want)
@@ -332,26 +333,26 @@ func TestSkipRoundingMatchesRound(t *testing.T) {
 }
 
 // TestDecayTableIsDecayPow: the per-Searcher envelope-decay table holds
-// decayPow's own bits for every advance a lane can take, and a
+// DecayPow's own bits for every advance a lane can take, and a
 // parameterization whose longest skip outgrows the table keeps none —
-// its batched walk (decayPow called per visit) still answers every query
+// its batched walk (DecayPow called per visit) still answers every query
 // as the solo walk does.
 func TestDecayTableIsDecayPow(t *testing.T) {
 	for _, p := range []Params{{}, {EnvDecay: 0.5}, {Alpha: 0.02, EnvDecay: 0.99}, {OmegaFloor: 0.8 / (maxDecayTable - 1)}} {
 		s := NewSearcher(nil, p)
-		if s.maxAdv != s.skipFor(0) || len(s.decay) != s.maxAdv+1 {
-			t.Fatalf("%+v: maxAdv %d (skipFor(0) = %d), %d table entries", p, s.maxAdv, s.skipFor(0), len(s.decay))
+		if s.maxAdv != s.skipFor(0) || len(s.rule.Decay) != s.maxAdv+1 {
+			t.Fatalf("%+v: maxAdv %d (skipFor(0) = %d), %d table entries", p, s.maxAdv, s.skipFor(0), len(s.rule.Decay))
 		}
-		for adv, d := range s.decay {
-			if d != decayPow(s.params.EnvDecay, adv) {
-				t.Fatalf("%+v: decay[%d] = %x, decayPow = %x", p, adv, math.Float64bits(d), math.Float64bits(decayPow(s.params.EnvDecay, adv)))
+		for adv, d := range s.rule.Decay {
+			if d != kernel.DecayPow(s.params.EnvDecay, adv) {
+				t.Fatalf("%+v: decay[%d] = %x, DecayPow = %x", p, adv, math.Float64bits(d), math.Float64bits(kernel.DecayPow(s.params.EnvDecay, adv)))
 			}
 		}
 	}
 	f := newFixture(t, 2)
 	s := NewSearcher(f.store, Params{OmegaFloor: 1e-4})
-	if s.maxAdv < maxDecayTable || s.decay != nil {
-		t.Fatalf("maxAdv %d should outgrow the table bound and leave no table (%d entries)", s.maxAdv, len(s.decay))
+	if s.maxAdv < maxDecayTable || s.rule.Decay != nil {
+		t.Fatalf("maxAdv %d should outgrow the table bound and leave no table (%d entries)", s.maxAdv, len(s.rule.Decay))
 	}
 	inputs := batchInputs(f, 3)
 	br, err := s.AlgorithmN(inputs)

@@ -18,7 +18,7 @@ import (
 // refSearch is the one oracle the search is tested against: it answers
 // every input naively — per signal-set, per query, per visited offset a
 // plain-loop Pearson correlation over the record's stored samples — and
-// shares only the trajectory rule (skipFor, decayPow) and TopK with the
+// shares only the trajectory rule (skipFor, DecayPow) and TopK with the
 // code under test. A float record is correlated by dsp.Pearson (two
 // passes: means, then centred sums); a quantized one from exact integer
 // window sums over its counts and kernel.DotQF, the arithmetic the
@@ -101,7 +101,7 @@ func refSearch(t *testing.T, store *mdb.Store, params Params, inputs [][]float64
 				}
 				adv := s.skipFor(env)
 				beta += adv
-				env *= decayPow(p.EnvDecay, adv)
+				env *= kernel.DecayPow(p.EnvDecay, adv)
 			}
 			if found {
 				top.Push(Match{SetID: set.ID, Omega: bestOmega, Beta: bestBeta})
@@ -238,8 +238,8 @@ func TestSegmentPrefixSumsMatchWindowSums(t *testing.T) {
 			beta := rng.Intn(segLen)
 			n := 1 + rng.Intn(segLen-beta)
 			sum, sumSq := qv.WindowSums(start+beta, n)
-			if gs, gq := g.sums[beta+n][0]-g.sums[beta][0], g.sums[beta+n][1]-g.sums[beta][1]; gs != sum || gq != sumSq {
-				t.Fatalf("segment [%d,+%d) window (%d,%d): prefix sums (%d,%d), WindowSums (%d,%d)",
+			if gs, gq := g.sums[beta+n][0]-g.sums[beta][0], g.sums[beta+n][1]-g.sums[beta][1]; gs != float64(sum) || gq != float64(sumSq) {
+				t.Fatalf("segment [%d,+%d) window (%d,%d): prefix sums (%g,%g), WindowSums (%d,%d)",
 					start, segLen, beta, n, gs, gq, sum, sumSq)
 			}
 		}

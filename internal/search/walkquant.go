@@ -1,9 +1,6 @@
 package search
 
 import (
-	"math"
-
-	"emap/internal/dsp"
 	"emap/internal/kernel"
 	"emap/internal/mdb"
 )
@@ -13,23 +10,27 @@ import (
 // tier, at the hot tier's speed. Each (signal-set, length-group) pass
 // dequantizes ONCE: loadQuant widens the pass's counts into the
 // worker's scratch as float64 (raw counts — transient, reused, never
-// resident in the store) and fills int64 prefix sums of Σc and Σc²
-// beside them (kernel.Widen, in vector registers where the platform has
-// them). Every visited offset is then the float path's own work
-// — kernel.Dot over the scratch plus two subtractions — where a dot
+// resident in the store) and fills prefix sums of Σc and Σc² beside
+// them — exact integers held as float64, the form a hot record's
+// sliding statistics have, so the step kernel reads both tiers by one
+// formula (kernel.Widen, in vector registers where the platform has
+// them). Every visited offset is then the float path's own work — the
+// kernel's dot over the scratch plus two subtractions — where a dot
 // taken directly over the counts would widen each stored sample once
 // per evaluation, ≈50 times per query. Correctness rests on two facts:
 //
-//  1. The integer window sums are exact, so the normalization
-//     denominator √(Σc² − (Σc)²/n) is the same mathematical quantity
-//     the float path computes from its prefix sums — and the record
-//     scale cancels between numerator and denominator:
-//     ω = Σ zq·c / √(Σc² − (Σc)²/n). Widening a count is exact too, so
-//     the dot over the scratch has the same products in the same
-//     defined summation order (kernel.Dot's contract, on whichever
-//     route the platform runs) as kernel.DotQF over the counts, and the
-//     sums are the integers QuantView.WindowSums returns
-//     (segment_test.go pins both with ==).
+//  1. The window sums are exact — integers within 2⁵³, which
+//     kernel.MaxWidenLen guarantees and mdb.MaxSliceLen enforces — so
+//     the normalization denominator √(Σc² − (Σc)²/n) is the same
+//     mathematical quantity the float path computes from its prefix
+//     sums, and the very bits integer arithmetic followed by one
+//     convert gives — and the record scale cancels between numerator
+//     and denominator: ω = Σ zq·c / √(Σc² − (Σc)²/n). Widening a count
+//     is exact too, so the dot over the scratch has the same products
+//     in the same defined summation order (kernel.Dot's contract, on
+//     whichever route the platform runs) as kernel.DotQF over the
+//     counts, and the sums are the integers QuantView.WindowSums
+//     returns (segment_test.go pins both with ==).
 //
 //  2. The exhaustive walk's FFT numerator profile (one cached-plan
 //     transform of the same scratch per pass, O(L log L) instead of
@@ -38,21 +39,17 @@ import (
 
 // segment is the stored side of one (signal-set, length-group) pass in
 // the one shape every walker reads: x[β:β+n] is the window at offset
-// β ∈ [0, maxOff], norm(β) its centred norm, and
-// ω = scale·Σzq·x / (scale·norm). A hot record aliases its float64
-// signal and takes norms from the float prefix sums (scale 1); a
-// quantized record is the scratch loadQuant built, with exact integer
-// norms and the record's µV-per-count step as scale.
+// β ∈ [0, maxOff], sums[i] = {Σ x[:i], Σ x[:i]²} the prefix sums its
+// centred norm comes from in O(1), and ω = scale·Σzq·x / (scale·norm).
+// A hot record aliases its float64 signal and its sliding statistics
+// (scale 1); a quantized record is the scratch loadQuant built, whose
+// sums are exact integers, with the record's µV-per-count step as
+// scale. Nothing below this struct knows which it is.
 type segment struct {
 	setID, n, maxOff int
 	x                []float64
+	sums             [][2]float64
 	scale            float64
-	// Hot tier: the record's sliding stats; the segment starts at
-	// sample start.
-	stats *dsp.SlidingStats
-	start int
-	// Quantized: sums[i] = {Σ x[:i], Σ x[:i]²}, exactly.
-	sums [][2]int64
 }
 
 // loadQuant makes l.seg the pass over qv.Counts[start:start+segLen],
@@ -62,49 +59,27 @@ type segment struct {
 // query of the batch and by the exhaustive walk's spectrum and
 // denominator table.
 func (l *lane) loadQuant(qv mdb.QuantView, start, segLen int) {
+	// One slice and one query less a sample, each at most
+	// mdb.MaxSliceLen: well inside what keeps the sums exact.
+	if segLen >= 2*mdb.MaxSliceLen {
+		panic("search: pass longer than a slice and a query can make it")
+	}
 	if cap(l.qx) < segLen {
 		l.qx = make([]float64, segLen)
-		l.qsums = make([][2]int64, segLen+1)
+		l.qsums = make([][2]float64, segLen+1)
 	}
 	x, sums := l.qx[:segLen], l.qsums[:segLen+1]
 	kernel.Widen(x, sums, qv.Counts[start:start+segLen])
 	l.seg = segment{x: x, scale: qv.Scale, sums: sums}
 }
 
-// norm returns the centred Euclidean norm √(Σ(x−μ)²) of the window at
-// offset beta, in O(1), in x's own units (callers multiply by scale).
-func (g *segment) norm(beta int) float64 {
-	if g.stats != nil {
-		return g.stats.WindowNorm(g.start+beta, g.n)
-	}
-	lo, hi := &g.sums[beta], &g.sums[beta+g.n]
-	return intNorm(hi[0]-lo[0], hi[1]-lo[1], float64(g.n))
-}
-
-// norms fills dst[β] = norm(β) — the dense walk's denominator table,
-// one call-free loop per representation.
+// norms fills dst[β] with the centred norm of the window at offset β,
+// in x's own units (callers multiply by scale) — the dense walk's
+// denominator table, by the step kernel's own expression.
 func (g *segment) norms(dst []float64) {
-	if g.stats != nil {
-		for beta := range dst {
-			dst[beta] = g.stats.WindowNorm(g.start+beta, g.n)
-		}
-		return
-	}
 	fn := float64(g.n)
 	lo, hi := g.sums[:len(dst)], g.sums[g.n:g.n+len(dst)]
 	for beta := range dst {
-		dst[beta] = intNorm(hi[beta][0]-lo[beta][0], hi[beta][1]-lo[beta][1], fn)
+		dst[beta] = kernel.WindowNorm(hi[beta][0]-lo[beta][0], hi[beta][1]-lo[beta][1], fn)
 	}
-}
-
-// intNorm is the centred norm from exact integer window sums. A
-// constant window gives exactly 0 (the subtraction cancels bit-for-bit
-// because the true quotient is representable), matching the float
-// path's degenerate handling.
-func intNorm(sum, sumSq int64, fn float64) float64 {
-	v := float64(sumSq) - float64(sum)*float64(sum)/fn
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
 }
