@@ -331,9 +331,11 @@ func BenchmarkCloudSearchMultiTenant(b *testing.B) {
 }
 
 // BenchmarkKernelProfile compares one signal-set's FULL ω-numerator
-// profile computed the two ways the engine can: scalar dot products at
-// every offset (O(n·L)) vs one cached-plan FFT multiply+inverse
-// (O(L log L)) — the per-set arithmetic behind BenchmarkExhaustiveFFT.
+// profile computed two ways: scalar dot products at every offset
+// (O(n·L)) vs one cached-plan FFT multiply+inverse (O(L log L)). No
+// search runs on the FFT profile any more — the exhaustive baseline is
+// the lane walk at unit advance — and kernel.Engine stays only for the
+// benchmark harness's probe of it.
 func BenchmarkKernelProfile(b *testing.B) {
 	gen := emap.NewGenerator(3)
 	rec := gen.SeizureInput(0, 30, 10)
@@ -362,35 +364,6 @@ func BenchmarkKernelProfile(b *testing.B) {
 			p.Correlate(profile, segSpec, qSpec, work)
 		}
 	})
-}
-
-// BenchmarkExhaustiveFFT is the kernel engine's headline number: a
-// batched exhaustive search over the default synthetic store on the
-// scan's one route, the FFT profile (the per-set arithmetic against
-// scalar dots is BenchmarkKernelProfile).
-func BenchmarkExhaustiveFFT(b *testing.B) {
-	gen := emap.NewGenerator(1)
-	store, err := emap.BuildMDB(gen.TrainingRecordings(3, 2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := gen.SeizureInput(0, 30, 10)
-	windows := make([][]float64, 8)
-	for i := range windows {
-		windows[i] = input.Samples[i*256 : i*256+256]
-	}
-	// One long-lived searcher, as the cloud tier holds one per tenant:
-	// FFT plans amortize across scans.
-	s := emap.NewSearcher(store, emap.SearchParams{})
-	for i := 0; i < b.N; i++ {
-		r, err := s.ExhaustiveN(windows)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.ProfileSets != r.Unique*r.SetPasses {
-			b.Fatalf("exhaustive scan profiled %d of %d (set pass, query) pairs", r.ProfileSets, r.Unique*r.SetPasses)
-		}
-	}
 }
 
 // BenchmarkQuantizedScan is the tiered store's headline number: the

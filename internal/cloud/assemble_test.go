@@ -10,7 +10,8 @@ import (
 )
 
 // windowPerMatch is assembleEntries as it was before it reused its
-// dequantization buffer: a fresh Snapshot.Window for every match.
+// dequantization buffer and sized its reply once: a fresh
+// Snapshot.Window for every match, the entries grown by append.
 func windowPerMatch(e *Engine, t *tenant, res *search.Result, windowLen int) []proto.CorrEntry {
 	horizon := int(e.cfg.HorizonSeconds * e.cfg.BaseRate)
 	snap := t.store.Snapshot()
@@ -34,9 +35,12 @@ func windowPerMatch(e *Engine, t *tenant, res *search.Result, windowLen int) []p
 // TestAssembleEntriesReusesOneWindow: for a float tenant (continuations
 // are views) and a warm quantized one (continuations are dequantized),
 // assembleEntries returns entry for entry what a fresh window per match
-// gives — full horizons and horizons clipped at the record end — and on
-// the warm tenant a 20-match assembly allocates matches − 1 times less:
-// one dequantization buffer instead of twenty.
+// gives — full horizons and horizons clipped at the record end — and a
+// 20-match assembly allocates once per entry (its counts), once for the
+// entries, sized from the matches, and on the warm tenant once more for
+// the one dequantization buffer: where a window per match and a reply
+// grown by doubling cost five allocations more, and on the warm tenant
+// another entries − 1.
 func TestAssembleEntriesReusesOneWindow(t *testing.T) {
 	float, _ := testStore(t)
 	warm := mdb.NewQuantizedStore()
@@ -78,12 +82,12 @@ func TestAssembleEntriesReusesOneWindow(t *testing.T) {
 		}
 		reused := testing.AllocsPerRun(10, func() { srv.assembleEntries(tn, res, windowLen) })
 		fresh := testing.AllocsPerRun(10, func() { windowPerMatch(srv.Engine, tn, res, windowLen) })
-		saved := 0.0
+		pinned, saved := float64(len(got)+1), 5.0 // 19 entries by doubling: 1, 2, 4, 8, 16, 32
 		if name == "warm" {
-			saved = float64(len(got) - 1)
+			pinned, saved = pinned+1, saved+float64(len(got)-1)
 		}
-		if reused != fresh-saved {
-			t.Fatalf("%s: %d entries cost %.0f allocations, a window per match %.0f: want %.0f fewer", name, len(got), reused, fresh, saved)
+		if reused != pinned || reused != fresh-saved {
+			t.Fatalf("%s: %d entries cost %.0f allocations (want %.0f), a window per match %.0f (want %.0f more)", name, len(got), reused, pinned, fresh, saved)
 		}
 	}
 }

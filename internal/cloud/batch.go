@@ -13,7 +13,9 @@ import (
 // the batch leader fills encoded (or err) for every member before
 // closing it.
 type pending struct {
-	window []float64
+	// window is the upload's counts and step as they arrived: the search
+	// reads records that have counts against them as sent.
+	window search.Counts
 	key    string // cache fingerprint, "" when uncacheable or caching is off
 	// gen is the tenant cache generation observed at lookup time; the
 	// result is cached only if no ingest reset the cache in between.
@@ -113,11 +115,11 @@ func (e *Engine) searchBatch(t *tenant, batch []*pending) {
 	e.Metrics.BatchedRequests.Add(int64(len(batch)))
 	t.metrics.Batches.Add(1)
 	t.metrics.BatchedRequests.Add(int64(len(batch)))
-	windows := make([][]float64, len(batch))
+	windows := make([]search.Counts, len(batch))
 	for i, p := range batch {
 		windows[i] = p.window
 	}
-	br, err := t.searcher.AlgorithmN(windows)
+	br, err := t.searcher.AlgorithmNCounts(windows)
 	if err != nil {
 		for _, p := range batch {
 			p.err = err
@@ -135,7 +137,7 @@ func (e *Engine) searchBatch(t *tenant, batch []*pending) {
 		res := br.Results[i]
 		enc, ok := encoded[res]
 		if !ok {
-			enc = proto.EncodeCorrSet(&proto.CorrSet{Entries: e.assembleEntries(t, res, len(p.window))})
+			enc = proto.EncodeCorrSet(&proto.CorrSet{Entries: e.assembleEntries(t, res, len(p.window.Samples))})
 			encoded[res] = enc
 		}
 		p.encoded = enc

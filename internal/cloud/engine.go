@@ -306,8 +306,7 @@ func (e *Engine) serveUpload(frame proto.Frame) (proto.MsgType, []byte) {
 		if e.backlogHook != nil {
 			e.backlogHook(upload)
 		}
-		// Only a miss needs the window as floats.
-		p := &pending{window: proto.Dequantize(upload.Samples, upload.Scale), key: key, gen: gen}
+		p := &pending{window: search.Counts{Samples: upload.Samples, Scale: upload.Scale}, key: key, gen: gen}
 		e.dispatch(t, p)
 		e.Metrics.SearchBacklog.Add(-1)
 		if p.err != nil {
@@ -459,14 +458,13 @@ func (e *Engine) SearchTenant(tenantID string, upload *proto.Upload) (*proto.Cor
 	if err != nil {
 		return nil, err
 	}
-	window := proto.Dequantize(upload.Samples, upload.Scale)
-	res, err := t.searcher.Algorithm1(window)
+	res, err := t.searcher.Algorithm1Counts(search.Counts{Samples: upload.Samples, Scale: upload.Scale})
 	if err != nil {
 		return nil, err
 	}
 	e.Metrics.Evaluations.Add(int64(res.Evaluated))
 	t.metrics.Evaluations.Add(int64(res.Evaluated))
-	return &proto.CorrSet{Seq: upload.Seq, Entries: e.assembleEntries(t, res, len(window))}, nil
+	return &proto.CorrSet{Seq: upload.Seq, Entries: e.assembleEntries(t, res, len(upload.Samples))}, nil
 }
 
 // Ingest inserts one preprocessed recording into the named tenant's
@@ -494,7 +492,7 @@ func (e *Engine) assembleEntries(t *tenant, res *search.Result, windowLen int) [
 	horizon := int(e.cfg.HorizonSeconds * e.cfg.BaseRate)
 	snap := t.store.Snapshot()
 	sets := snap.Sets()
-	var entries []proto.CorrEntry
+	entries := make([]proto.CorrEntry, 0, len(res.Matches))
 	var window []float64
 	for _, m := range res.Matches {
 		if m.SetID < 0 || m.SetID >= len(sets) {

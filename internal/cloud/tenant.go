@@ -3,7 +3,6 @@ package cloud
 import (
 	"sync"
 
-	"emap/internal/kernel"
 	"emap/internal/mdb"
 	"emap/internal/proto"
 	"emap/internal/search"
@@ -25,7 +24,6 @@ type tenant struct {
 	id       string
 	store    *mdb.Store
 	searcher *search.Searcher
-	engine   *kernel.Engine
 	cache    *corrCache   // nil when caching is disabled
 	limiter  *tokenBucket // nil when rate limiting is disabled
 
@@ -35,22 +33,9 @@ type tenant struct {
 	metrics Metrics
 }
 
-// newTenant assembles the serving state for one tenant store. Each
-// tenant owns a kernel-engine plan cache prewarmed for the transform
-// sizes its slice length implies: a full-coverage scan profiles
-// segments of SliceLen−1+len(query) samples and a paper-literal scan
-// at most SliceLen, so the two prewarmed powers of two cover every
-// query shorter than a slice — the steady state. Odd sizes (trailing
-// slices, oversize queries) still build lazily.
+// newTenant assembles the serving state for one tenant store.
 func newTenant(id string, store *mdb.Store, cfg Config) *tenant {
-	eng := kernel.NewEngine()
-	eng.Prewarm(cfg.SliceLen, 2*cfg.SliceLen)
-	t := &tenant{
-		id:       id,
-		store:    store,
-		searcher: search.NewSearcherWithEngine(store, cfg.Search, eng),
-		engine:   eng,
-	}
+	t := &tenant{id: id, store: store, searcher: search.NewSearcher(store, cfg.Search)}
 	if cfg.CacheSize > 0 {
 		t.cache = newCorrCache(cfg.CacheSize)
 	}

@@ -1,35 +1,32 @@
-// Package kernel is the correlation kernel engine under the cloud
-// search: the innermost arithmetic of the whole system. The paper's
-// cloud tier is one operation repeated billions of times — the
-// normalized cross-correlation ω of a z-normalized query against every
-// offset of every stored signal-set — and this package supplies the
-// two ways to compute it fast:
+// Package kernel is the correlation kernel under the cloud search: the
+// innermost arithmetic of the whole system. The paper's cloud tier is
+// one operation repeated billions of times — the normalized
+// cross-correlation ω of a query window against every visited offset of
+// every stored signal-set — and this package is that operation:
 //
-//   - a dot product with one defined summation order (Dot) for the
-//     skip walk, where Algorithm 1 touches only a fraction of offsets —
-//     Dot4, the same order four windows at a time, and Walk (step.go),
-//     the whole step of the scan that walks signal-sets in lockstep:
-//     window norms, the four dots, ω, the |ω| envelope and the skip, in
-//     one defined sequence of operations for four lanes at once;
-//   - an FFT profiler (Engine, Profiler) that computes a signal-set's
-//     FULL ω numerator profile in O(L log L) — one cached-plan real
-//     transform of the stored region, one per unique query, one
-//     multiply + inverse per pair — for the exhaustive baseline.
+//   - Walk (step.go), the whole step of the scan that walks signal-sets
+//     in lockstep — window sums, the dots, ω, the |ω| envelope and the
+//     skip, in one defined sequence of operations for four lanes at
+//     once — over either of two element types;
+//   - over int16 counts, every record that has them: DotQ, an exact
+//     integer dot (no summation order, so no route can change a bit),
+//     and Widen, the exact running Σc and Σc² of a pass;
+//   - over float64 samples, float-canonical records: Dot, a dot product
+//     with one defined summation order, and Dot4, the same order four
+//     windows at a time.
 //
-// Beside them sits Widen, the one dequantization of a compressed-domain
-// pass: int16 counts to float64 plus their exact running Σc and Σc², in
-// the form Walk reads.
-//
-// The search layer (internal/search) gives each scan its one kernel;
-// this package only does arithmetic and caches FFT plans per size.
+// Engine and Profiler (engine.go), the FFT numerator profile the
+// exhaustive baseline once ran on, have no caller in the serving tree:
+// the baseline is Walk under a unit-advance rule. They stay until the
+// benchmark harness's probes of them go (ROADMAP item 1).
 package kernel
 
-// dot, dot4 and widen are the routes Dot, Dot4 and Widen run — and step
-// (step.go) the route of a walk's step — chosen once before main: the
-// portable loops everywhere, replaced together in dot_amd64.go's init by
-// the AVX2 routines when the CPU and the OS support them. Each pair
-// computes the same bits, so the choice is invisible above this
-// package.
+// dot, dot4 and widen are the routes Dot, Dot4 and Widen run — and dotq
+// (dotq.go), step and stepQ (step.go) those of DotQ and a walk's step —
+// chosen once before main: the portable loops everywhere, replaced
+// together in dot_amd64.go's init by the AVX2 routines when the CPU and
+// the OS support them. Each pair computes the same bits, so the choice
+// is invisible above this package.
 var (
 	dot   = dotPortable
 	dot4  = dot4Portable

@@ -1,7 +1,7 @@
 package kernel
 
-// The AVX2 routes of Dot, Dot4, Widen and the walk's step, and the
-// init-time check that selects them. The repository has no
+// The AVX2 routes of Dot, Dot4, DotQ, Widen and the walk's two steps, and
+// the init-time check that selects them. The repository has no
 // golang.org/x/sys, so CPUID and XGETBV are issued from dot_amd64.s.
 
 // dotAVX2 computes Dot's defined order with 256-bit VMULPD/VADDPD (no
@@ -19,20 +19,37 @@ func dotAVX2(a, b []float64) float64
 func dot4AVX2(q, x0, x1, x2, x3 []float64, out *[4]float64)
 
 // widenAVX2 is widenPortable over n counts, n a multiple of 4: it reads
-// the running totals at sums[0], writes x[0:n] and sums[1:n+1].
+// the running totals at sums[0] and writes sums[1:n+1].
 //
 //go:noescape
-func widenAVX2(x *float64, sums *[2]float64, c *int16, n int)
+func widenAVX2(sums *[2]float64, c *int16, n int)
 
 // widenVector runs the whole fours of c through the vector routine and
 // the last len(c) mod 4 counts through the portable loop, which picks
 // the running totals up where the routine left them.
-func widenVector(x []float64, sums [][2]float64, c []int16) {
+func widenVector(sums [][2]float64, c []int16) {
 	n4 := len(c) &^ 3
 	if n4 > 0 {
-		widenAVX2(&x[0], &sums[0], &c[0], n4)
+		widenAVX2(&sums[0], &c[0], n4)
 	}
-	widenPortable(x[n4:], sums[n4:], c[n4:])
+	widenPortable(sums[n4:], c[n4:])
+}
+
+// dotqAVX2 is dotqPortable over blocks·16 counts (dotq_amd64.s).
+//
+//go:noescape
+func dotqAVX2(a, b *int16, blocks int) int64
+
+// dotqVector runs the whole sixteens of a and b through the vector
+// routine and the rest through the portable loop: the sum has no order,
+// so where it is cut does not matter.
+func dotqVector(a, b []int16) int64 {
+	n16 := len(a) &^ (splitBlock - 1)
+	var s int64
+	if n16 > 0 {
+		s = dotqAVX2(&a[0], &b[0], n16/splitBlock)
+	}
+	return s + dotqPortable(a[n16:], b[n16:])
 }
 
 // stepAVX2 is stepPortable for a walk whose rule is tabled
@@ -41,6 +58,13 @@ func widenVector(x []float64, sums [][2]float64, c []int16) {
 //
 //go:noescape
 func stepAVX2(w *Walk, a, b *group) (which int, events uint32)
+
+// stepQAVX2 is stepQPortable for a walk over counts whose rule is tabled
+// and whose query fills at least one block (stepq_amd64.s), on the same
+// terms.
+//
+//go:noescape
+func stepQAVX2(w *Walk, a, b *group) (which int, events uint32)
 
 // cpuid executes CPUID with the given leaf (EAX) and subleaf (ECX).
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -83,6 +107,6 @@ func detectAVX2() bool {
 
 func init() {
 	if detectAVX2() {
-		dot, dot4, widen, step = dotAVX2, dot4AVX2, widenVector, stepAVX2
+		dot, dot4, dotq, widen, step, stepQ = dotAVX2, dot4AVX2, dotqVector, widenVector, stepAVX2, stepQAVX2
 	}
 }

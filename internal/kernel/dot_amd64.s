@@ -157,7 +157,7 @@ done4:
 	VMOVSD X6, 24(DI)
 	RET
 
-// func widenAVX2(x *float64, sums *[2]float64, c *int16, n int)
+// func widenAVX2(sums *[2]float64, c *int16, n int)
 //
 // Four counts per iteration. With pairs Pi = (ci, ci²) and the running
 // totals run = sums[i], the four outputs are R0 = run+P0, R1 = R0+P1,
@@ -169,11 +169,10 @@ done4:
 // that MaxWidenLen keeps below 2⁵³: every product, sum and difference
 // is exact, so there is no order to get wrong and the portable loop's
 // integer totals, converted, are the same values.
-TEXT ·widenAVX2(SB), NOSPLIT, $0-32
-	MOVQ x+0(FP), DI
-	MOVQ sums+8(FP), BX
-	MOVQ c+16(FP), SI
-	MOVQ n+24(FP), CX
+TEXT ·widenAVX2(SB), NOSPLIT, $0-24
+	MOVQ sums+0(FP), BX
+	MOVQ c+8(FP), SI
+	MOVQ n+16(FP), CX
 	SHRQ $2, CX
 	JZ   widened
 	VBROADCASTF128 (BX), Y0          // RUN = (run | run)
@@ -182,7 +181,6 @@ TEXT ·widenAVX2(SB), NOSPLIT, $0-32
 widen4:
 	VPMOVSXWD  (SI), X2              // c0…c3 as int32
 	VCVTDQ2PD  X2, Y3                // float64(c0…c3)
-	VMOVUPD    Y3, (DI)
 	VMULPD     Y3, Y3, Y4            // c0²…c3²
 	VUNPCKLPD  Y4, Y3, Y5            // (P0 | P2)
 	VUNPCKHPD  Y4, Y3, Y6            // (P1 | P3)
@@ -198,7 +196,6 @@ widen4:
 	VEXTRACTF128 $1, Y10, 32(BX)
 	VEXTRACTF128 $1, Y9, 48(BX)
 	ADDQ $8, SI
-	ADDQ $32, DI
 	ADDQ $64, BX
 	DECQ CX
 	JNZ  widen4

@@ -1,39 +1,49 @@
 package kernel
 
-// Quantized kernels: dot products taken directly over the int16 counts
-// of the tiered MDB store (internal/mdb). Warm/cold records hold int16
-// counts on a per-record scale; the ω numerator over a window is then
+// Kernels over the int16 counts of the tiered MDB store (internal/mdb),
+// whose records hold counts on a per-record scale.
 //
-//	Σ q[i]·x[i] = qscale·xscale · Σ qc[i]·xc[i]
-//
-// Neither kernel has a production caller: the scan is compute-bound,
-// not memory-traffic bound (bench/baseline.json: DotQF's per-element
-// int16→float64 widening makes it 165 ns against Dot's 90 ns over 256
-// samples), so the compressed-domain walk widens each signal-set once
-// into a scratch segment and runs Dot over it (internal/search/
-// walkquant.go). DotQ and DotQF are exported for the benchmark
-// harness's kernel probes and as the reference the segment walk is
-// tested bit-identical against. int64 cannot overflow in DotQ:
-// |count| ≤ 2^15, so each product is < 2^30 and 2^33 terms would be
-// needed to reach 2^63; windows are a few thousand samples.
+// DotQ is the dot of a walk over counts (Walk.ResetQ): the query arrives
+// as counts, the record is counts, and Pearson's r is invariant to
+// either side's scale and offset, so Σqc is taken over the integers as
+// they are — exactly, in int64, sixteen multiply-adds per instruction
+// where the platform has them — and the step that follows needs nothing
+// but Σqc and the windows' integer sums. The portable step calls DotQ's
+// route once per lane; the AVX2 step runs the same instructions inline
+// for four windows at once. DotQF, the float query against stored
+// counts, has no production caller: it is kept for the benchmark
+// harness's kernel probes and as a reference in tests.
+
+// dotq is the route DotQ runs: the portable loop, replaced in
+// dot_amd64.go's init by the AVX2 routine. Integer sums have no order,
+// so the two cannot differ.
+var dotq = dotqPortable
 
 // DotQ returns Σ a[i]·b[i] over len(a) int16 elements (len(b) must be
-// at least len(a)), accumulated in int64. Integer addition is
-// associative, so unlike the float kernels the split accumulators
-// change nothing but speed.
+// at least len(a)), exactly: |count| ≤ 2¹⁵ puts a product at most 2³⁰,
+// so int64 holds 2³³ of them, and no window is longer than 2²⁰ samples.
+// Integer addition is associative — the result does not depend on how
+// the sum is split or in what order it is taken.
 func DotQ(a, b []int16) int64 {
-	n := len(a)
-	b = b[:n]
+	// As in Dot, the cut is the length check for both routes.
+	return dotq(a, b[:len(a)])
+}
+
+// dotqPortable is DotQ in plain Go; the split accumulators change
+// nothing but speed, and the slices are advanced rather than indexed so
+// the loop carries no bounds checks. len(b) must equal len(a).
+func dotqPortable(a, b []int16) int64 {
 	var s0, s1, s2, s3 int64
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		s0 += int64(a[i])*int64(b[i]) + int64(a[i+4])*int64(b[i+4])
-		s1 += int64(a[i+1])*int64(b[i+1]) + int64(a[i+5])*int64(b[i+5])
-		s2 += int64(a[i+2])*int64(b[i+2]) + int64(a[i+6])*int64(b[i+6])
-		s3 += int64(a[i+3])*int64(b[i+3]) + int64(a[i+7])*int64(b[i+7])
+	for len(a) >= 8 && len(b) >= 8 {
+		s0 += int64(a[0])*int64(b[0]) + int64(a[4])*int64(b[4])
+		s1 += int64(a[1])*int64(b[1]) + int64(a[5])*int64(b[5])
+		s2 += int64(a[2])*int64(b[2]) + int64(a[6])*int64(b[6])
+		s3 += int64(a[3])*int64(b[3]) + int64(a[7])*int64(b[7])
+		a, b = a[8:], b[8:]
 	}
-	for ; i < n; i++ {
-		s0 += int64(a[i]) * int64(b[i])
+	b = b[:len(a)]
+	for i, x := range a {
+		s0 += int64(x) * int64(b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -44,8 +54,7 @@ func DotQ(a, b []int16) int64 {
 // follows Dot's defined summation order (lanes, pair-add, sequential
 // tail, reduction tree, every product rounded before it is added), and
 // widening a count is exact, so it is bit-identical to Dot(q, w) for
-// w[i] = float64(c[i]) on every route — which is what lets the search
-// widen once per signal-set instead of once per evaluation.
+// w[i] = float64(c[i]) on every route.
 func DotQF(q []float64, c []int16) float64 {
 	c = c[:len(q)]
 	var s0, s1, s2, s3, s4, s5, s6, s7 float64

@@ -296,7 +296,7 @@ func TestDot4ShortWindowPanics(t *testing.T) {
 
 // TestWidenRoutesAgree: the route Widen runs on this machine (the AVX2
 // routine on an amd64 that has it) writes exactly the portable loop's
-// floats and running sums — lengths 0…40 (every n mod 4 tail), the
+// running sums — lengths 0…40 (every n mod 4 tail), the
 // scan's own segment length and its neighbours, random counts and runs
 // of MinInt16, whose square is the largest a count has — and both are
 // the sums a plain loop gets.
@@ -319,23 +319,17 @@ func TestWidenRoutesAgree(t *testing.T) {
 			}
 			// One spare element either side of what Widen may write,
 			// poisoned, proves it writes nothing else.
-			x, sums := make([]float64, n+1), make([][2]float64, n+2)
-			wx, wsums := make([]float64, n+1), make([][2]float64, n+2)
-			x[n], sums[n+1], sums[0] = -1, [2]float64{-1, -1}, [2]float64{5, 5}
-			wx[n], wsums[n+1] = -1, [2]float64{-1, -1}
-			Widen(x, sums, c)
-			widenPortable(wx, wsums, c)
+			sums, wsums := make([][2]float64, n+2), make([][2]float64, n+2)
+			sums[n+1], sums[0] = [2]float64{-1, -1}, [2]float64{5, 5}
+			wsums[n+1] = [2]float64{-1, -1}
+			Widen(sums, c)
+			widenPortable(wsums, c)
 			var sum, sumSq int64
 			for i, v := range c {
 				sum += int64(v)
 				sumSq += int64(v) * int64(v)
-				if wx[i] != float64(v) || wsums[i+1] != [2]float64{float64(sum), float64(sumSq)} {
-					t.Fatalf("%s n=%d: portable x[%d], sums[%d] = %g, %v, want %d, (%d, %d)", fill, n, i, i+1, wx[i], wsums[i+1], v, sum, sumSq)
-				}
-			}
-			for i := range wx {
-				if !sameFloat(x[i], wx[i]) {
-					t.Fatalf("%s n=%d: x[%d] = %g, portable %g", fill, n, i, x[i], wx[i])
+				if wsums[i+1] != [2]float64{float64(sum), float64(sumSq)} {
+					t.Fatalf("%s n=%d: portable sums[%d] = %v, want (%d, %d)", fill, n, i+1, wsums[i+1], sum, sumSq)
 				}
 			}
 			for i := range wsums {
@@ -360,12 +354,12 @@ func TestWidenExactAtMaxLen(t *testing.T) {
 	for i := range c {
 		c[i] = math.MinInt16
 	}
-	x, sums := make([]float64, chunk), make([][2]float64, chunk+1)
-	for name, route := range map[string]func(x []float64, sums [][2]float64, c []int16){"selected": widen, "portable": widenPortable} {
+	sums := make([][2]float64, chunk+1)
+	for name, route := range map[string]func(sums [][2]float64, c []int16){"selected": widen, "portable": widenPortable} {
 		sums[0] = [2]float64{}
 		for done := 0; done < MaxWidenLen; {
 			m := min(chunk, MaxWidenLen-done)
-			route(x[:m], sums[:m+1], c[:m])
+			route(sums[:m+1], c[:m])
 			for i := 1; i <= m; i++ {
 				count := int64(done + i)
 				if got := sums[i]; int64(got[0]) != count*math.MinInt16 || int64(got[1]) != count<<30 || got[0] != float64(count*math.MinInt16) || got[1] != float64(count<<30) {
@@ -375,7 +369,7 @@ func TestWidenExactAtMaxLen(t *testing.T) {
 			sums[0], done = sums[m], done+m
 		}
 	}
-	if msg := panicOf(func() { Widen(nil, nil, make([]int16, MaxWidenLen+1)) }); msg == "" {
+	if msg := panicOf(func() { Widen(nil, make([]int16, MaxWidenLen+1)) }); msg == "" {
 		t.Fatal("Widen accepted more counts than MaxWidenLen")
 	}
 }
@@ -491,7 +485,8 @@ func TestEngineCachesPlans(t *testing.T) {
 // machine selected ("vector" is the AVX2 routine where init chose it;
 // elsewhere it repeats portable) — and Dot4 over four adjacent windows
 // of one segment, reported per window so the row reads against
-// "vector".
+// "vector" — then DotQ, the exact integer dot of a walk over counts, on
+// its two routes.
 func BenchmarkKernelDot(b *testing.B) {
 	r := rng.New(1)
 	x, y := randVec(r, 256), randVec(r, 256)
@@ -515,27 +510,17 @@ func BenchmarkKernelDot(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4, "ns/window")
 	})
-	_ = sink
-}
-
-// BenchmarkWiden reports the dequantization of one scan segment (1 000
-// set samples + 255 of window overhang) on the portable loop and on the
-// route this machine selected.
-func BenchmarkWiden(b *testing.B) {
-	r := rng.New(1)
-	c := make([]int16, 1255)
-	for i := range c {
-		c[i] = int16(r.Intn(1<<16) - 1<<15)
-	}
-	x, sums := make([]float64, len(c)), make([][2]float64, len(c)+1)
+	c, d := randCounts(r, 256), randCounts(r, 256)
+	var sinkQ int64
 	for _, bc := range []struct {
 		name string
-		k    func(x []float64, sums [][2]float64, c []int16)
-	}{{"portable", widenPortable}, {"vector", Widen}} {
+		k    func(a, b []int16) int64
+	}{{"portable-int16", dotqPortable}, {"vector-int16", DotQ}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				bc.k(x, sums, c)
+				sinkQ += bc.k(c, d)
 			}
 		})
 	}
+	_, _ = sink, sinkQ
 }

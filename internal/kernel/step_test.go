@@ -33,31 +33,36 @@ func tabledRule(delta, floor, skipNum, base float64) *SkipRule {
 	return r
 }
 
-// runOn is w.Run with the tabled step forced to route.
-func runOn(w *Walk, route func(*Walk, *group, *group) (int, uint32)) (int, uint32) {
-	selected := step
-	defer func() { step = selected }()
-	step = route
+// runPortable is w.Run with both tabled steps forced onto the portable
+// route.
+func runPortable(w *Walk) (int, uint32) {
+	defer StepPortable()()
 	return w.Run()
 }
 
-// spillIsDen is set where the selected route is the vector routine,
-// which leaves each lane's scaled norm in Group.spill: the one
-// intermediate runBoth can hold it to as well.
+// spillIsDen is set where the selected routes are the vector routines,
+// which leave each lane's denominator (over counts: its reciprocal) in
+// group.spill: the one intermediate runBoth can hold them to as well.
 var spillIsDen bool
+
+// vectorServes reports whether w's Run goes to a route init may have
+// replaced: a tabled rule and, over counts, a query of at least a block.
+func vectorServes(w *Walk) bool {
+	return w.tabled && (!w.quant || len(w.qc) >= splitBlock)
+}
 
 // runBoth is one Run of w on the route this machine selected and one of
 // a copy of w on the portable step. The two must report the same group
 // and events and leave == state: every lane's offset, envelope, ω and
 // the offset it was taken at, both evaluation counts, the live masks and
-// whose turn it is. The vector routine's spilled norms must be the
+// whose turn it is. The vector routines' spilled denominators must be the
 // portable expression's too — NaN where it is NaN, −0 where it is −0 —
-// though ω hides the difference (both fail den ≥ 1e-12).
+// though ω hides the difference (both fail the gate).
 func runBoth(t *testing.T, label string, w *Walk) (int, uint32) {
 	t.Helper()
 	ref := *w // the lanes' slices are shared, and only read
-	wantFirst, wantEvents := runOn(&ref, stepPortable)
-	first, events := runOn(w, step)
+	wantFirst, wantEvents := runPortable(&ref)
+	first, events := w.Run()
 	if first != wantFirst || events != wantEvents {
 		t.Fatalf("%s: Run reported lanes %d… events %#x, portable lanes %d… events %#x", label, first, events, wantFirst, wantEvents)
 	}
@@ -77,12 +82,23 @@ func runBoth(t *testing.T, label string, w *Walk) (int, uint32) {
 			}
 			// Only the group that reported has just stepped every lane
 			// it holds.
-			if !spillIsDen || !w.tabled || gi != first/Lanes || g.live[k] == 0 {
+			if !spillIsDen || !vectorServes(w) || gi != first/Lanes || g.live[k] == 0 {
 				continue
 			}
-			lo, hi := g.sums[k][g.at[k]], g.sums[k][g.at[k]+int64(len(w.q))]
-			if den := g.scale[k] * WindowNorm(hi[0]-lo[0], hi[1]-lo[1], w.nf); !sameFloat(g.spill[k], den) {
-				t.Fatalf("%s: group %d lane %d: spilled norm %x, portable expression %x", label, gi, k, math.Float64bits(g.spill[k]), math.Float64bits(den))
+			lo, hi := g.sums[k][g.at[k]], g.sums[k][g.at[k]+int64(w.nf)]
+			sum, sumSq := hi[0]-lo[0], hi[1]-lo[1]
+			den := g.scale[k] * windowNorm(sum, sumSq, w.nf)
+			if w.quant {
+				// Over counts the spill is the reciprocal, +0 unless
+				// den > 0.
+				if d := w.rq * math.Sqrt(float64(w.nf*sumSq)-float64(sum*sum)); d > 0 {
+					den = 1 / d
+				} else {
+					den = 0
+				}
+			}
+			if !sameFloat(g.spill[k], den) {
+				t.Fatalf("%s: group %d lane %d: spilled denominator %x, portable expression %x", label, gi, k, math.Float64bits(g.spill[k]), math.Float64bits(den))
 			}
 		}
 	}
@@ -389,12 +405,12 @@ func TestStepEnvelopeBoundaries(t *testing.T) {
 // its gather has no bounds check — and the portable step serves it with
 // DecayPow.
 func TestStepUntabledRunsPortable(t *testing.T) {
-	selected := step
-	defer func() { step = selected }()
+	defer func(s, sq func(*Walk, *group, *group) (int, uint32)) { step, stepQ = s, sq }(step, stepQ)
 	step = func(*Walk, *group, *group) (int, uint32) {
 		t.Fatal("an untabled walk reached the tabled route")
 		return 0, 0
 	}
+	stepQ = step
 	r := rng.New(31)
 	buf := randVec(r, 900)
 	sums := prefixSums(buf)
@@ -514,36 +530,60 @@ func FuzzStep(f *testing.F) {
 }
 
 // BenchmarkKernelStep reports the scan's unit of work — one ω
-// evaluation of the skip walk, norms, dot, envelope and skip included —
-// on the portable step (Go around the Dot4 route) and on the route this
-// machine selected ("vector" is the AVX2 routine where init chose it;
-// elsewhere it repeats portable): eight lanes over 1 255-sample passes
-// of a one-second query, every finished lane reseated, as a lone query's
-// scan keeps them. (White noise, so short envelopes and long skips: the
-// row prices the step, not a scan — BenchmarkWalkRoutes does that.)
+// evaluation of the skip walk, sums, dot, envelope and skip included —
+// over float64 samples and over int16 counts, each on the portable step
+// and on the route this machine selected ("vector" is the AVX2 routine
+// where init chose it; elsewhere it repeats portable): eight lanes over
+// 1 255-sample passes of a one-second query, every finished lane
+// reseated, as a lone query's scan keeps them. (White noise, so short
+// envelopes and long skips: the rows price the step, not a scan —
+// BenchmarkWalkRoutes does that.)
 func BenchmarkKernelStep(b *testing.B) {
 	r := rng.New(1)
 	const n, maxOff, passes = 256, 999, 64
 	buf := randVec(r, 8*(maxOff+n))
 	sums := prefixSums(buf)
+	// The float query is z-normalized, as the search's is: ω is then a
+	// correlation, and both element types walk white noise alike.
 	q := randVec(r, n)
-	rule := tabledRule(0.8, 0.05, 0.8, 0.86)
-	seat := func(w *Walk, lane, pass int) {
-		start := pass % 8 * (maxOff + n) / 2
-		w.Seat(lane, buf[start:start+maxOff+n], sums[start:start+maxOff+n+1], 1, maxOff)
+	var mean, norm float64
+	for _, v := range q {
+		mean += v / n
 	}
+	for _, v := range q {
+		norm += (v - mean) * (v - mean)
+	}
+	for i := range q {
+		q[i] = (q[i] - mean) / math.Sqrt(norm)
+	}
+	counts, qc := randCounts(r, len(buf)), randCounts(r, n)
+	csums := make([][2]float64, len(counts)+1)
+	Widen(csums, counts)
+	rule := tabledRule(0.8, 0.05, 0.8, 0.86)
 	for _, bc := range []struct {
-		name  string
-		route func(*Walk, *group, *group) (int, uint32)
-	}{{"portable", stepPortable}, {"vector", step}} {
+		name            string
+		quant, portable bool
+	}{{"portable", false, true}, {"vector", false, false}, {"portable-int16", true, true}, {"vector-int16", true, false}} {
 		b.Run(bc.name, func(b *testing.B) {
-			selected := step
-			defer func() { step = selected }()
-			step = bc.route
+			if bc.portable {
+				defer StepPortable()()
+			}
+			seat := func(w *Walk, lane, pass int) {
+				start := pass % 8 * (maxOff + n) / 2
+				if bc.quant {
+					w.SeatQ(lane, counts[start:start+maxOff+n], csums[start:start+maxOff+n+1], maxOff)
+				} else {
+					w.Seat(lane, buf[start:start+maxOff+n], sums[start:start+maxOff+n+1], 1, maxOff)
+				}
+			}
 			w := new(Walk)
 			evals := 0
 			for i := 0; i < b.N; i++ {
-				w.Reset(q, rule)
+				if bc.quant {
+					w.ResetQ(qc, rule)
+				} else {
+					w.Reset(q, rule)
+				}
 				next := 0
 				for ; next < 2*Lanes; next++ {
 					seat(w, next, next)

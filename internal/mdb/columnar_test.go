@@ -2,7 +2,9 @@ package mdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"emap/internal/kernel"
 	"emap/internal/synth"
 )
 
@@ -437,5 +440,80 @@ func BenchmarkEncodeColumnar(b *testing.B) {
 		if _, err := encodeColumnar(v); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestColumnarRefusesOversizeSlice: the exact window sums a scan over
+// counts rests on hold only while no signal-set is longer than
+// MaxSliceLen, and a snapshot file is the one way a longer one could get
+// past Insert's check. A snapshot whose one set is exactly MaxSliceLen
+// long loads, eagerly and memory-mapped; the same image with that set's
+// length raised by one — the table checksum re-made, so nothing but the
+// length is wrong — is refused by both loaders with no store to show for
+// it.
+func TestColumnarRefusesOversizeSlice(t *testing.T) {
+	counts := make([]int16, MaxSliceLen+1) // a 2 MiB record: room for the longer set
+	for i := range counts {
+		counts[i] = int16(i%251 - 125)
+	}
+	s := NewQuantizedStore()
+	if created, err := s.InsertQuantized(&Record{ID: "long"}, counts, 0.5, MaxSliceLen, nil); err != nil || created != 1 {
+		t.Fatalf("insert at MaxSliceLen: %d sets, %v", created, err)
+	}
+	img := encodeStore(t, s)
+	load := func(name string, img []byte) (eager, mapped *Store, errs [2]error) {
+		eager, errs[0] = LoadColumnar(bytes.NewReader(img))
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, img, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		mapped, errs[1] = LoadFile(path)
+		return eager, mapped, errs
+	}
+	eager, mapped, errs := load("admitted.col", img)
+	if errs[0] != nil || errs[1] != nil || eager.NumSets() != 1 || mapped.NumSets() != 1 || mapped.Sets()[0].Length != MaxSliceLen {
+		t.Fatalf("a set of MaxSliceLen samples: eager %v, mapped %v", errs[0], errs[1])
+	}
+
+	h, err := parseColumnarHeader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	le.PutUint32(img[h.setsOff+12:], MaxSliceLen+1)
+	tablesEnd := h.fileSize - 4
+	le.PutUint32(img[tablesEnd:], crc32.Checksum(img[h.indexOff:tablesEnd], castagnoli))
+	eager, mapped, errs = load("oversize.col", img)
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "samples long") {
+			t.Fatalf("loader %d: a set of MaxSliceLen+1 samples: %v", i, err)
+		}
+	}
+	if eager != nil || mapped != nil {
+		t.Fatal("a refused snapshot still produced a store")
+	}
+}
+
+// TestLargestPassSumsExact: the longest pass a scan can build — one
+// slice of MaxSliceLen and one query of MaxSliceLen less a sample —
+// with every count MinInt16, whose square is the largest a count has:
+// the running Σc and Σc² kernel.Widen hands the step are still the
+// integers, entry by entry, so every window's D_c is formed from exact
+// sums.
+func TestLargestPassSumsExact(t *testing.T) {
+	const pass = 2*MaxSliceLen - 1
+	c := make([]int16, pass)
+	for i := range c {
+		c[i] = math.MinInt16
+	}
+	sums := make([][2]float64, pass+1)
+	kernel.Widen(sums, c)
+	for i, got := range sums {
+		if sum, sumSq := int64(i)*math.MinInt16, int64(i)<<30; int64(got[0]) != sum || int64(got[1]) != sumSq || got[0] != float64(sum) || got[1] != float64(sumSq) {
+			t.Fatalf("sums[%d] = %v, want (%d, %d)", i, got, sum, sumSq)
+		}
+	}
+	if last := int64(pass) << 30; last >= 1<<53 || pass > kernel.MaxWidenLen {
+		t.Fatalf("the largest pass's Σc² = %d does not fit float64's integers", last)
 	}
 }

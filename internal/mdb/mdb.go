@@ -192,6 +192,9 @@ type view struct {
 	// construction: TotalSamples sits on status/metrics paths, which
 	// must not re-sum every record per call.
 	totalSamples int
+	// quantRecs counts the records that carry int16 counts: what tells a
+	// scan which forms of a query this epoch needs.
+	quantRecs int
 }
 
 var emptyView = &view{ix: new(recIndex)}
@@ -229,6 +232,7 @@ type Store struct {
 	recs  []*Record
 	sets  []*SignalSet
 	total int
+	quant int // records among recs that carry int16 counts
 	v     atomic.Pointer[view]
 
 	// tiers manages quantized-record residency; shared with derived
@@ -268,6 +272,7 @@ func (s *Store) publish() {
 		sets:         s.sets[:len(s.sets):len(s.sets)],
 		ix:           s.ix,
 		totalSamples: s.total,
+		quantRecs:    s.quant,
 	})
 }
 
@@ -277,6 +282,9 @@ func (s *Store) add(rec *Record) {
 	rec.ord = len(s.recs)
 	s.recs = append(s.recs, rec)
 	s.total += rec.Len()
+	if rec.q != nil {
+		s.quant++
+	}
 	s.ix.m.Store(rec.ID, rec)
 }
 
@@ -470,7 +478,7 @@ func (s *Store) SubsetSets(n int) *Store {
 	// manager. The spines start as the epoch's clipped prefixes, so an
 	// insert into either store reallocates rather than writing where
 	// the other can see.
-	sub := &Store{ix: s.ix, recs: cur.recs, sets: cur.sets[:n:n], total: cur.totalSamples,
+	sub := &Store{ix: s.ix, recs: cur.recs, sets: cur.sets[:n:n], total: cur.totalSamples, quant: cur.quantRecs,
 		tiers: s.tiers, quantized: s.quantized, format: s.format}
 	sub.publish()
 	return sub
@@ -510,6 +518,10 @@ func (sn Snapshot) NumSets() int { return len(sn.ensure().sets) }
 
 // NumRecords returns the number of recordings in this epoch.
 func (sn Snapshot) NumRecords() int { return len(sn.ensure().recs) }
+
+// NumQuantized returns how many of this epoch's recordings carry int16
+// counts (Record.Quant reports ok); the rest are float-canonical.
+func (sn Snapshot) NumQuantized() int { return sn.ensure().quantRecs }
 
 // LabelCounts returns the number of normal and anomalous signal-sets.
 func (sn Snapshot) LabelCounts() (normal, anomalous int) {

@@ -11,6 +11,7 @@ import (
 
 	"emap/internal/dsp"
 	"emap/internal/mdb"
+	"emap/internal/proto"
 )
 
 // BatchResult is the outcome of one multi-query cloud search: the
@@ -18,20 +19,19 @@ import (
 // scan-amortization claims are stated in.
 type BatchResult struct {
 	// Results holds one Result per input query, in input order.
-	// Queries that z-normalize identically share one scan and point
-	// at ONE shared (read-only) Result — callers can rely on pointer
-	// equality to spot deduplicated queries and reuse downstream
-	// work.
+	// Queries that are bit-identical in the forms the store reads
+	// (see query) share one scan and point at ONE shared (read-only)
+	// Result — callers can rely on pointer equality to spot
+	// deduplicated queries and reuse downstream work.
 	Results []*Result
-	// Unique is the number of distinct z-normalized queries actually
-	// scanned after deduplication.
+	// Unique is the number of distinct queries actually scanned after
+	// deduplication.
 	Unique int
 	// Evaluated is the total number of ω evaluations performed for
 	// the whole batch. With B identical queries it equals the cost of
 	// a single-query search; it never exceeds the sum of B separate
-	// searches. Offsets an exhaustive scan reads off its FFT profile
-	// count exactly like the skip walk's dot products: Evaluated is the
-	// algorithmic exploration metric of Fig. 7.
+	// searches. Evaluated is the algorithmic exploration metric of
+	// Fig. 7.
 	Evaluated int
 	// SetPasses counts signal-set visits: one per signal-set per
 	// query-length group, however many queries ride on the pass. For
@@ -40,34 +40,118 @@ type BatchResult struct {
 	// is the memory-bandwidth amortization the batched path exists
 	// for.
 	SetPasses int
-	// ProfileSets counts (signal-set pass × unique query) ω profiles
-	// computed by the FFT kernel engine: every pair of an exhaustive
-	// scan, none of a skip walk.
-	ProfileSets int
 	// Elapsed is the wall-clock duration of the whole batch search.
 	Elapsed time.Duration
 }
 
 // AlgorithmN runs the paper's signal cross-correlation search for a
 // batch of (already bandpass-filtered) input windows in one pass over
-// the mega-database: every signal-set's pass segment is built once per
-// distinct query length, all queries walk it while it is resident, and
-// queries that z-normalize identically are deduplicated into a single
-// scan. Each query's matches are exactly what Algorithm1 would return
-// for it alone.
+// the mega-database: every signal-set's pass is built once per distinct
+// query length, all queries walk it while it is resident, and queries
+// that are bit-identical in the forms the store reads are deduplicated
+// into a single scan. Each query's matches are exactly what Algorithm1
+// would return for it alone.
 func (s *Searcher) AlgorithmN(inputs [][]float64) (*BatchResult, error) {
-	return s.runBatch(inputs, false)
+	return s.runBatch(floatWindows(inputs), false)
+}
+
+// AlgorithmNCounts is AlgorithmN for uploaded windows (see
+// Algorithm1Counts).
+func (s *Searcher) AlgorithmNCounts(inputs []Counts) (*BatchResult, error) {
+	ws := make([]window, len(inputs))
+	for i, c := range inputs {
+		ws[i] = window{counts: c.Samples, scale: c.Scale}
+	}
+	return s.runBatch(ws, false)
 }
 
 // ExhaustiveN is the stride-1 exhaustive baseline over a batch of
 // input windows, sharing one pass per signal-set like AlgorithmN.
 func (s *Searcher) ExhaustiveN(inputs [][]float64) (*BatchResult, error) {
-	return s.runBatch(inputs, true)
+	return s.runBatch(floatWindows(inputs), true)
+}
+
+func floatWindows(inputs [][]float64) []window {
+	ws := make([]window, len(inputs))
+	for i, input := range inputs {
+		ws[i] = window{samples: input}
+	}
+	return ws
+}
+
+// window is one input of a batch in the form the caller has it: µV
+// samples, or the counts an edge uploaded and their µV-per-count step.
+type window struct {
+	samples []float64
+	counts  []int16
+	scale   float32
+}
+
+func (w window) len() int { return max(len(w.samples), len(w.counts)) }
+
+// query is one unique query in the forms the epoch's records read it
+// in, each built at most once per scan: zq, z-normalized float64, when
+// the epoch holds float-canonical records; qc, int16 counts, when it
+// holds records that have counts. An epoch of one kind never builds the
+// other form.
+type query struct {
+	zq []float64
+	qc []int16
+}
+
+func (q *query) len() int { return max(len(q.zq), len(q.qc)) }
+
+func (q *query) equal(o *query) bool {
+	return slices.Equal(q.zq, o.zq) && slices.Equal(q.qc, o.qc)
+}
+
+// build makes w's query in the forms asked for. ok is false for a flat
+// window — one with no variance in a form the store reads, which
+// correlates with nothing. An upload's counts are the query's as sent;
+// its float form is proto.Dequantize's expression. A float window's
+// counts are the wire quantizer's (proto.Quantize), so a caller holding
+// µV samples and an edge uploading them search by the same integers; a
+// window with a non-finite sample has no counts and is flat.
+func (w window) build(needFloat, needCounts bool) (q query, ok bool) {
+	n := w.len()
+	if needFloat {
+		q.zq = make([]float64, n)
+		src := w.samples
+		if src == nil {
+			step := float64(w.scale)
+			for i, c := range w.counts {
+				q.zq[i] = float64(c) * step
+			}
+			src = q.zq
+		}
+		if dsp.ZNormalizeTo(q.zq, src) == 0 {
+			return q, false
+		}
+	}
+	if needCounts {
+		q.qc = w.counts
+		if q.qc == nil {
+			for _, v := range w.samples {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return q, false
+				}
+			}
+			q.qc, _ = proto.Quantize(w.samples)
+		}
+		flat := true
+		for _, c := range q.qc[1:] {
+			flat = flat && c == q.qc[0]
+		}
+		if flat {
+			return q, false
+		}
+	}
+	return q, true
 }
 
 // runBatch is the shared core behind Algorithm1/Exhaustive (batch size
 // one) and AlgorithmN/ExhaustiveN.
-func (s *Searcher) runBatch(inputs [][]float64, exhaustive bool) (*BatchResult, error) {
+func (s *Searcher) runBatch(inputs []window, exhaustive bool) (*BatchResult, error) {
 	start := time.Now()
 	br := &BatchResult{Results: make([]*Result, len(inputs))}
 	if len(inputs) == 0 {
@@ -80,35 +164,40 @@ func (s *Searcher) runBatch(inputs [][]float64, exhaustive bool) (*BatchResult, 
 	// neither tears the scan nor shifts its results mid-flight.
 	snap := s.store.Snapshot()
 	sets := snap.Sets()
+	// Which forms of a query this epoch reads. An empty store reads
+	// neither; it gets the float form so that flat inputs are still
+	// told apart.
+	needCounts := snap.NumQuantized() > 0
+	needFloat := !needCounts || snap.NumQuantized() < snap.NumRecords()
 
-	// Z-normalize every query once and deduplicate bit-identical
-	// normalized queries: repeated windows (the tracking-loop steady
-	// state) collapse to one scan slot. slot[i] is the unique-query
-	// index serving input i, or -1 for a flat (uncorrelatable) input.
-	// The dedup probe is a 128-bit hash of the float bits — one map
-	// lookup, no per-query byte-string garbage — confirmed by an
-	// exact element compare on every hash hit.
-	var uniques [][]float64
+	// Build every query once and deduplicate bit-identical ones:
+	// repeated windows (the tracking-loop steady state) collapse to one
+	// scan slot. slot[i] is the unique-query index serving input i, or
+	// -1 for a flat (uncorrelatable) input. The dedup probe is a
+	// 128-bit hash of one form's bits — one map lookup, no per-query
+	// byte-string garbage — confirmed by an exact element compare of
+	// both forms on every hash hit.
+	var uniques []query
 	slot := make([]int, len(inputs))
-	seen := make(map[zqKey][]int, len(inputs))
+	seen := make(map[queryKey][]int, len(inputs))
 	for i, input := range inputs {
 		// No signal-set is longer than mdb.MaxSliceLen, and bounding the
 		// query with it bounds a pass, whose prefix sums must stay exact
-		// (kernel.MaxWidenLen).
-		if len(input) == 0 || len(input) > mdb.MaxSliceLen {
+		// (kernel.MaxWidenLen), and the integer dot.
+		if n := input.len(); n == 0 || n > mdb.MaxSliceLen {
 			return nil, ErrShortInput
 		}
-		zq := make([]float64, len(input))
-		if dsp.ZNormalizeTo(zq, input) == 0 {
+		q, ok := input.build(needFloat, needCounts)
+		if !ok {
 			slot[i] = -1
 			continue
 		}
-		key := zqHash(zq)
+		key := q.hash()
 		dup := -1
 		for _, j := range seen[key] {
 			// The collision-confirm compare behind the dedup hash: a
-			// hash hit only merges bit-equal windows.
-			if slices.Equal(uniques[j], zq) {
+			// hash hit only merges bit-equal queries.
+			if uniques[j].equal(&q) {
 				dup = j
 				break
 			}
@@ -119,7 +208,7 @@ func (s *Searcher) runBatch(inputs [][]float64, exhaustive bool) (*BatchResult, 
 		}
 		seen[key] = append(seen[key], len(uniques))
 		slot[i] = len(uniques)
-		uniques = append(uniques, zq)
+		uniques = append(uniques, q)
 	}
 	br.Unique = len(uniques)
 
@@ -151,13 +240,11 @@ func (s *Searcher) runBatch(inputs [][]float64, exhaustive bool) (*BatchResult, 
 				accs[q].top.Merge(shardAccs[i][q].top)
 				accs[q].evaluated += shardAccs[i][q].evaluated
 				accs[q].candidates += shardAccs[i][q].candidates
-				accs[q].profiled += shardAccs[i][q].profiled
 			}
 		}
 	}
 	for q := range accs {
 		br.Evaluated += accs[q].evaluated
-		br.ProfileSets += accs[q].profiled
 	}
 	br.Elapsed = time.Since(start)
 
@@ -167,7 +254,6 @@ func (s *Searcher) runBatch(inputs [][]float64, exhaustive bool) (*BatchResult, 
 			Matches:     accs[q].top.SortedDesc(),
 			Evaluated:   accs[q].evaluated,
 			Candidates:  accs[q].candidates,
-			ProfileSets: accs[q].profiled,
 			SetsScanned: len(sets),
 			Elapsed:     br.Elapsed,
 		}
@@ -189,12 +275,11 @@ type queryAccum struct {
 	top        *TopK
 	evaluated  int
 	candidates int
-	profiled   int
 }
 
 // lenGroup is the set of unique-query indexes sharing one window
-// length; queries in one group share a signal-set's pass segment — one
-// dequantization, however many of them walk it.
+// length; queries in one group share a signal-set's pass — one sweep
+// for its prefix sums, however many of them walk it.
 type lenGroup struct {
 	n  int
 	qs []int
@@ -202,10 +287,11 @@ type lenGroup struct {
 
 // groupByLen buckets unique queries by window length, in ascending
 // length order so the scan is deterministic.
-func groupByLen(uniques [][]float64) []lenGroup {
+func groupByLen(uniques []query) []lenGroup {
 	byLen := make(map[int][]int)
-	for q, zq := range uniques {
-		byLen[len(zq)] = append(byLen[len(zq)], q)
+	for q := range uniques {
+		n := uniques[q].len()
+		byLen[n] = append(byLen[n], q)
 	}
 	groups := make([]lenGroup, 0, len(byLen))
 	for n, qs := range byLen {
@@ -215,26 +301,35 @@ func groupByLen(uniques [][]float64) []lenGroup {
 	return groups
 }
 
-// zqKey is the 128-bit FNV-style fingerprint of a z-normalized query:
-// two 64-bit lanes folded word-at-a-time over the float bits, with the
-// length mixed into the bases. Map probes cost one 16-byte compare
-// instead of an 8·n-byte string allocation per query; hash hits are
-// confirmed by an exact element compare, so a collision can never
-// merge two distinct queries.
-type zqKey struct{ hi, lo uint64 }
+// queryKey is the 128-bit FNV-style fingerprint of a query: two 64-bit
+// lanes folded word-at-a-time over the bits of one of its forms — the
+// float form when it has one, else the counts — with the length mixed
+// into the bases. Map probes cost one 16-byte compare instead of a
+// byte-string allocation per query; hash hits are confirmed by an exact
+// element compare of both forms, so a collision can never merge two
+// distinct queries.
+type queryKey struct{ hi, lo uint64 }
 
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-func zqHash(zq []float64) zqKey {
-	hi := (uint64(fnvOffset64) ^ uint64(len(zq))) * fnvPrime64
+func (q *query) hash() queryKey {
+	hi := (uint64(fnvOffset64) ^ uint64(q.len())) * fnvPrime64
 	lo := (hi ^ 0x9e3779b97f4a7c15) * fnvPrime64
-	for _, v := range zq {
-		b := math.Float64bits(v)
+	fold := func(b uint64) {
 		hi = (hi ^ b) * fnvPrime64
 		lo = (lo ^ bits.RotateLeft64(b, 31)) * fnvPrime64
 	}
-	return zqKey{hi, lo}
+	if q.zq != nil {
+		for _, v := range q.zq {
+			fold(math.Float64bits(v))
+		}
+	} else {
+		for _, c := range q.qc {
+			fold(uint64(uint16(c)))
+		}
+	}
+	return queryKey{hi, lo}
 }

@@ -3,11 +3,14 @@ package search
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"emap/internal/dsp"
 	"emap/internal/kernel"
 	"emap/internal/mdb"
+	"emap/internal/proto"
 	"emap/internal/synth"
 )
 
@@ -45,7 +48,8 @@ func laneStore(t *testing.T, f *fixture, sets int) *mdb.Store {
 
 // TestLaneWalkSetCounts: the lane walk against the naive reference with
 // == on SetID, Beta and Omega and equal Evaluated, Candidates and
-// SetPasses, over stores with 1, 3, 4, 7, 8, 9 and 17 (paper bound) or
+// SetPasses, for Algorithm 1 and (under the default floor) for the
+// exhaustive baseline, over stores with 1, 3, 4, 7, 8, 9 and 17 (paper bound) or
 // one more (full coverage) searchable sets — every shape the two groups
 // of four can take: one group part-filled and the other never stepped,
 // one full, two with a lane masked from the start, two full, and
@@ -69,9 +73,9 @@ func TestLaneWalkSetCounts(t *testing.T) {
 				for _, floor := range []float64{0, 1e-4} {
 					params := Params{PaperSliceScan: slice, AllOffsets: all, OmegaFloor: floor, Delta: 0.3, Workers: 1}
 					label := fmt.Sprintf("%d sets/slice=%v/all=%v/floor=%g", sets, slice, all, floor)
-					ref := refSearch(t, store, params, inputs, false)
-					if want := map[bool]int{true: sets, false: sets + 1}[slice]; ref[0].ProfileSets != want {
-						t.Fatalf("%s: the reference walks %d sets for a one-second query, want %d", label, ref[0].ProfileSets, want)
+					ref := refSearch(t, store, params, floatWindows(inputs), false)
+					if want := map[bool]int{true: sets, false: sets + 1}[slice]; ref[0].passes != want {
+						t.Fatalf("%s: the reference walks %d sets for a one-second query, want %d", label, ref[0].passes, want)
 					}
 					s := NewSearcher(store, params)
 					if tabled := s.rule.Decay != nil; tabled != (floor == 0) {
@@ -83,20 +87,40 @@ func TestLaneWalkSetCounts(t *testing.T) {
 					}
 					// Two length groups: the 203-sample query has a pass
 					// wherever the reference walked one for it.
-					if want := ref[0].ProfileSets + ref[2].ProfileSets; batch.SetPasses != want {
+					if want := ref[0].passes + ref[2].passes; batch.SetPasses != want {
 						t.Fatalf("%s: batch made %d set passes, reference %d", label, batch.SetPasses, want)
 					}
 					for i, input := range inputs {
-						assertBitIdentical(t, fmt.Sprintf("%s/query %d", label, i), ref[i], batch.Results[i])
+						assertBitIdentical(t, fmt.Sprintf("%s/query %d", label, i), ref[i].Result, batch.Results[i])
 						solo, err := s.AlgorithmN([][]float64{input})
 						if err != nil {
 							t.Fatal(err)
 						}
-						if solo.SetPasses != ref[i].ProfileSets {
-							t.Fatalf("%s/query %d alone: %d set passes, reference %d", label, i, solo.SetPasses, ref[i].ProfileSets)
+						if solo.SetPasses != ref[i].passes {
+							t.Fatalf("%s/query %d alone: %d set passes, reference %d", label, i, solo.SetPasses, ref[i].passes)
 						}
-						assertBitIdentical(t, fmt.Sprintf("%s/query %d alone", label, i), ref[i], solo.Results[0])
+						assertBitIdentical(t, fmt.Sprintf("%s/query %d alone", label, i), ref[i].Result, solo.Results[0])
 						candidates += ref[i].Candidates
+					}
+					if floor != 0 {
+						continue
+					}
+					// The baseline is the same walk at unit advance.
+					ref = refSearch(t, store, params, floatWindows(inputs), true)
+					dense, err := s.ExhaustiveN(inputs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dense.SetPasses != batch.SetPasses {
+						t.Fatalf("%s: exhaustive batch made %d set passes, the skip walk %d", label, dense.SetPasses, batch.SetPasses)
+					}
+					for i, input := range inputs {
+						assertBitIdentical(t, fmt.Sprintf("%s/exhaustive query %d", label, i), ref[i].Result, dense.Results[i])
+						solo, err := s.Exhaustive(input)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertBitIdentical(t, fmt.Sprintf("%s/exhaustive query %d alone", label, i), ref[i].Result, solo)
 					}
 				}
 			}
@@ -135,9 +159,9 @@ func aloneAndInLanes(t *testing.T, label string, store *mdb.Store, params Params
 }
 
 // TestLaneWalkMixedTiers: one shard holding hot, warm and cold records
-// at once — lanes reading float64 signals beside lanes reading
-// dequantized scratch, in one kernel step — answers exactly as each set
-// walked alone does, and selects what the naive reference selects.
+// at once — every one read through its counts, whatever else is
+// resident — answers exactly as each set walked alone does and exactly
+// as the naive reference over the counts does.
 func TestLaneWalkMixedTiers(t *testing.T) {
 	f := newFixture(t, 1)
 	store := coldCopy(t, f.store)
@@ -167,7 +191,7 @@ func TestLaneWalkMixedTiers(t *testing.T) {
 		params := Params{PaperSliceScan: slice, Delta: 0.3}
 		label := fmt.Sprintf("mixed tiers/slice=%v", slice)
 		got := aloneAndInLanes(t, label, store, params, inputs)
-		ref := refSearch(t, store, params, inputs, false)
+		ref := refSearch(t, store, params, floatWindows(inputs), false)
 		matched := 0
 		for i := range inputs {
 			solo, err := NewSearcher(store, params).Algorithm1(inputs[i])
@@ -175,10 +199,7 @@ func TestLaneWalkMixedTiers(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertBitIdentical(t, fmt.Sprintf("%s/query %d alone", label, i), got.Results[i], solo)
-			// The reference correlates a hot record's counts where the
-			// scan reads its dequantized floats: same selection, ω
-			// within the float contract.
-			assertSelectionEquivalent(t, label, ref[i], got.Results[i])
+			assertBitIdentical(t, fmt.Sprintf("%s/query %d vs reference", label, i), ref[i].Result, got.Results[i])
 			matched += len(ref[i].Matches)
 		}
 		if matched < len(inputs) {
@@ -192,7 +213,81 @@ func TestLaneWalkMixedTiers(t *testing.T) {
 	}
 }
 
-// branchWalk walks one pass from its head as the single-cursor loop
+// TestLaneWalkMixedKinds: one store holding float-canonical records and
+// records that have counts, interleaved — every shard is walked once per
+// kind, each query in both forms, and each set exactly once: SetPasses
+// and Evaluated are the reference's, sets of records with counts answer
+// with the reference's bits, float-canonical sets within the float
+// contract, whether the windows come as floats or as uploaded counts,
+// under Algorithm 1 and under the exhaustive baseline, on one shard and
+// on three.
+func TestLaneWalkMixedKinds(t *testing.T) {
+	f := newFixture(t, 1)
+	store := mdb.NewStore()
+	quantized := map[int]bool{}
+	for i, id := range f.store.RecordIDs() {
+		rec, _ := f.store.Record(id)
+		before := store.NumSets()
+		if i%2 == 0 {
+			counts, scale := proto.Quantize(rec.Samples)
+			if _, err := store.InsertQuantized(&mdb.Record{ID: id}, counts, scale, 1000, nil); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := store.Insert(&mdb.Record{ID: id, Samples: rec.Samples}, 1000, nil); err != nil {
+			t.Fatal(err)
+		}
+		for set := before; set < store.NumSets(); set++ {
+			quantized[set] = i%2 == 0
+		}
+	}
+	if snap := store.Snapshot(); snap.NumQuantized() == 0 || snap.NumQuantized() == snap.NumRecords() {
+		t.Fatalf("%d of %d records have counts: no mix", snap.NumQuantized(), snap.NumRecords())
+	}
+	first, long := f.input(synth.Normal, 0), f.input(synth.Seizure, 0)
+	inputs := [][]float64{first, long, long[:128], first}
+	exact, within := 0, 0
+	for form, ws := range map[string][]window{"float": floatWindows(inputs), "counts": uploads(inputs)} {
+		for _, exhaustive := range []bool{false, true} {
+			for _, workers := range []int{1, 3} {
+				params := Params{Delta: 0.3, Workers: workers}
+				label := fmt.Sprintf("%s/exhaustive=%v/%d workers", form, exhaustive, workers)
+				ref := refSearch(t, store, params, ws, exhaustive)
+				got, err := NewSearcher(store, params).runBatch(ws, exhaustive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// inputs[3] repeats inputs[0]: one scan serves both.
+				if got.Unique != 3 || got.Results[3] != got.Results[0] || got.SetPasses != ref[0].passes+ref[2].passes {
+					t.Fatalf("%s: %d unique queries, %d set passes; the reference walks %d", label, got.Unique, got.SetPasses, ref[0].passes+ref[2].passes)
+				}
+				for i := range ws {
+					solo, err := NewSearcher(store, params).run(ws[i], exhaustive)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, res := range []*Result{got.Results[i], solo} {
+						assertSelectionEquivalent(t, label, ref[i].Result, res)
+						if exhaustive {
+							assertCountersEqual(t, label, ref[i].Result, res)
+						}
+						for k, m := range res.Matches {
+							if !quantized[m.SetID] {
+								within++
+							} else if exact++; m != ref[i].Matches[k] {
+								t.Fatalf("%s/query %d: match %d over counts is %+v, reference %+v", label, i, k, m, ref[i].Matches[k])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if exact < 50 || within < 50 {
+		t.Fatalf("%d matches over counts and %d over floats — one kind is near-unsearched", exact, within)
+	}
+}
+
+// branchWalk walks one float pass from its head as the single-cursor loop
 // spelled it before the lanes and before the step kernel: one offset at
 // a time, the envelope's running maximum and the skip rule's floor as
 // comparisons and branches, the decay by DecayPow. It returns how many
@@ -202,13 +297,18 @@ func branchWalk(s *Searcher, g *segment, zq []float64, acc *queryAccum) (poisone
 	found, bestOmega, bestBeta, env := false, 0.0, 0, 0.0
 	for beta := 0; beta <= g.maxOff; {
 		lo, hi := g.sums[beta], g.sums[beta+g.n]
-		den := g.scale * kernel.WindowNorm(hi[0]-lo[0], hi[1]-lo[1], float64(g.n))
+		sum, sumSq := hi[0]-lo[0], hi[1]-lo[1]
+		v := sumSq - sum*sum/float64(g.n)
+		if v < 0 {
+			v = 0
+		}
+		den := math.Sqrt(v)
 		if math.IsNaN(den) {
 			poisoned++
 		}
 		omega := 0.0
 		if den >= 1e-12 {
-			omega = g.scale * kernel.Dot(zq, g.x[beta:beta+g.n]) / den
+			omega = kernel.Dot(zq, g.x[beta:beta+g.n]) / den
 		}
 		acc.evaluated++
 		if omega > p.Delta {
@@ -281,6 +381,27 @@ func TestLaneWalkNonFiniteSamples(t *testing.T) {
 		want := &Result{Matches: acc.top.SortedDesc(), Evaluated: acc.evaluated, Candidates: acc.candidates}
 		assertBitIdentical(t, fmt.Sprintf("non-finite/query %d vs branch walk", i), want, got.Results[i])
 	}
+}
+
+// TestWalkStartsOnCacheLine: the step kernel loads and stores 32-byte
+// fields of its groups, laid out so that none straddles two cache lines
+// when the walk starts on one. Where a pooled scratch puts its walk is
+// the allocator's doing, so this is a pin, not a guarantee: if it fails
+// after a toolchain change, move walkScratch.walk — a misplaced walk
+// costs a float scan about a tenth of its speed, nothing else.
+func TestWalkStartsOnCacheLine(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("laid out for 64-bit platforms")
+	}
+	var held []*walkScratch
+	for i := 0; i < 4; i++ {
+		scr := scratchPool.New().(*walkScratch)
+		if at := uintptr(unsafe.Pointer(&scr.walk)) % 64; at != 0 {
+			t.Fatalf("scratch %d: the walk starts %d bytes into a cache line", i, at)
+		}
+		held = append(held, scr)
+	}
+	runtime.KeepAlive(held)
 }
 
 // TestAlgorithm1WarmAllocs pins the per-scan allocation count of a warm

@@ -13,7 +13,7 @@ import (
 // quantizedCopy round-trips a store through the columnar v2 format and
 // loads it eagerly: the result is a warm, heap-resident quantized store
 // holding the int16 counts the float records quantize to.
-func quantizedCopy(t *testing.T, store *mdb.Store) *mdb.Store {
+func quantizedCopy(t testing.TB, store *mdb.Store) *mdb.Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "q.col")
 	if err := store.Snapshot().SaveFileFormat(path, mdb.FormatColumnar); err != nil {
@@ -31,38 +31,62 @@ func quantizedCopy(t *testing.T, store *mdb.Store) *mdb.Store {
 	return qs
 }
 
-// eachQuantizedForm runs fn over the two quantized forms of a
-// float-built store — a warm heap load and a cold memory map of its
-// columnar snapshot — and fails if the scans in fn moved any record off
-// the tier it loaded on: they did not scan compressed.
+// eachQuantizedForm runs fn over the three resident forms of a
+// float-built store's quantization — a warm heap load, a cold memory map
+// of its columnar snapshot, and a warm load with every other record
+// promoted hot under a byte budget that is exactly what those promotions
+// cost — and fails if the scans in fn moved any record off the tier it
+// started on or caused a single promotion or demotion: they scanned the
+// counts in place and asked for no float copy, a hot record's included.
 func eachQuantizedForm(t *testing.T, store *mdb.Store, fn func(name string, qs *mdb.Store)) {
 	t.Helper()
+	hot := quantizedCopy(t, store)
+	var budget int64
+	for i, id := range hot.RecordIDs() {
+		if i%2 == 0 {
+			rec, _ := hot.Record(id)
+			rec.Float()
+			budget += int64(rec.Len())*24 + 32 // mdb's charge for a hot copy
+		}
+	}
+	// Tight: no headroom for a scan access to promote into, nothing over
+	// it to demote.
+	hot.SetTierBudget(budget)
 	for _, st := range []struct {
 		name  string
 		store *mdb.Store
 		tier  mdb.Tier
-	}{{"warm", quantizedCopy(t, store), mdb.TierWarm}, {"cold", coldCopy(t, store), mdb.TierCold}} {
-		if rec, _ := st.store.Record(st.store.RecordIDs()[0]); rec.Tier() != st.tier {
+	}{{"warm", quantizedCopy(t, store), mdb.TierWarm}, {"cold", coldCopy(t, store), mdb.TierCold}, {"hot", hot, mdb.TierHot}} {
+		ids := st.store.RecordIDs()
+		if rec, _ := st.store.Record(ids[0]); rec.Tier() != st.tier {
 			if st.tier == mdb.TierCold {
 				t.Logf("mmap unavailable; %s store loaded %v", st.name, rec.Tier())
 				continue
 			}
-			t.Fatalf("%s store loaded %v", st.name, rec.Tier())
+			t.Fatalf("%s store starts %v", st.name, rec.Tier())
 		}
+		tiers := make([]mdb.Tier, len(ids))
+		for i, id := range ids {
+			rec, _ := st.store.Record(id)
+			tiers[i] = rec.Tier()
+		}
+		before := st.store.TierStats()
 		fn(st.name, st.store)
-		for _, id := range st.store.RecordIDs() {
-			if rec, _ := st.store.Record(id); rec.Tier() != st.tier {
-				t.Fatalf("%s scan moved record %q to %v", st.name, id, rec.Tier())
+		for i, id := range ids {
+			if rec, _ := st.store.Record(id); rec.Tier() != tiers[i] {
+				t.Fatalf("%s scan moved record %q from %v to %v", st.name, id, tiers[i], rec.Tier())
 			}
+		}
+		if after := st.store.TierStats(); after.Promotions != before.Promotions || after.Demotions != before.Demotions {
+			t.Fatalf("%s scan caused %d promotions and %d demotions", st.name, after.Promotions-before.Promotions, after.Demotions-before.Demotions)
 		}
 	}
 }
 
-// goldenQuantCompare runs the equivalence battery over both quantized
+// goldenQuantCompare runs the equivalence battery over the quantized
 // forms of one float-built store. The reference is the naive Pearson
-// over the SAME int16 counts, and the compressed-domain walk must
-// reproduce it with == (ω bits, offsets, counters: proof the exhaustive
-// scan's profile prefilter never dropped a candidate).
+// over the SAME int16 counts, and the walk over counts must reproduce it
+// with == (ω bits, offsets, counters), skip and exhaustive alike.
 func goldenQuantCompare(t *testing.T, store *mdb.Store, inputs [][]float64) {
 	t.Helper()
 	eachQuantizedForm(t, store, func(name string, qs *mdb.Store) {
@@ -129,11 +153,9 @@ func TestQuantOmegaWithinDocumentedTolerance(t *testing.T) {
 // TestBeyondRAMQuantSearch: over a memory-mapped columnar store whose
 // file exceeds the promotion budget, float reads page records through
 // the hot tier (promotions AND demotions) and leave them on mixed
-// tiers. The scan dispatches per record on the tier it observes — hot
-// records through their dequantized float64 samples, the rest
-// compressed — and must answer like the naive reference over a fully
-// resident load of the same snapshot: selection and exhaustive counters
-// identical, ω within 1e-9.
+// tiers. The scan reads every record's counts whatever tier it
+// observes, so it must answer exactly — ==, counters included — like
+// the naive reference over a fully resident load of the same snapshot.
 func TestBeyondRAMQuantSearch(t *testing.T) {
 	f := newFixture(t, 2)
 	path := filepath.Join(t.TempDir(), "big.col")
@@ -179,16 +201,13 @@ func TestBeyondRAMQuantSearch(t *testing.T) {
 	inputs := [][]float64{f.input(synth.Normal, 0), f.input(synth.Seizure, 1)}
 	s := NewSearcher(cold, Params{})
 	for _, exhaustive := range []bool{true, false} {
-		ref := refSearch(t, eager, Params{}, inputs, exhaustive)
-		got, err := s.runBatch(inputs, exhaustive)
+		ref := refSearch(t, eager, Params{}, floatWindows(inputs), exhaustive)
+		got, err := s.runBatch(floatWindows(inputs), exhaustive)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range inputs {
-			assertSelectionEquivalent(t, "beyond-ram", ref[i], got.Results[i])
-			if exhaustive {
-				assertCountersEqual(t, "beyond-ram", ref[i], got.Results[i])
-			}
+			assertBitIdentical(t, "beyond-ram", ref[i].Result, got.Results[i])
 		}
 	}
 }

@@ -20,21 +20,35 @@
 // # Batched multi-query search
 //
 // Algorithm1 answers one query; AlgorithmN answers a whole batch in a
-// single pass over the mega-database. Both run through the same core
-// (batch.go) and the same walker (kernelwalk.go): eight signal-sets are
-// in flight at a time, each in its own lane, and a query walks them in
-// lockstep — its own exponential-sliding-window trajectory in every
-// set, stepped four lanes at a time by internal/kernel's Walk (norm,
-// dot, ω, envelope and skip in one routine, in vector registers where
-// the platform has them), which hands back only candidates and finished
-// sets. A batch holds a run of sets
-// resident and walks it query by query, so the stored side of a pass
-// (for a compressed record: its dequantized segment and prefix sums) is
-// built once however many queries walk it, and queries that z-normalize
-// bit-identically are deduplicated into one scan. N concurrent queries
-// therefore cost one pass of memory bandwidth per signal-set, not N —
-// the cloud tier's scan-once-serve-many lever (see internal/cloud's
-// batching collector).
+// single pass over the mega-database. Both — and Exhaustive, the
+// baseline — run through the same core (batch.go) and the same walker
+// (kernelwalk.go): eight signal-sets are in flight at a time, each in
+// its own lane, and a query walks them in lockstep — its own
+// exponential-sliding-window trajectory in every set, stepped four lanes
+// at a time by internal/kernel's Walk (window sums, dot, ω, envelope and
+// skip in one routine, in vector registers where the platform has them),
+// which hands back only candidates and finished sets. The baseline is
+// the same walk under a rule that always advances by one. A batch holds
+// a run of sets resident and walks it query by query, so the stored side
+// of a pass (for a record with counts: the prefix sums of its window
+// sums) is built once however many queries walk it, and queries that are
+// bit-identical in the form the store needs are deduplicated into one
+// scan. N concurrent queries therefore cost one pass of memory bandwidth
+// per signal-set, not N — the cloud tier's scan-once-serve-many lever
+// (see internal/cloud's batching collector).
+//
+// # One ω per record kind
+//
+// A record that has int16 counts — warm, cold or promoted hot — is
+// correlated over the counts, read in place, against the query's own
+// counts: an upload's as the edge sent them, a float caller's quantized
+// once per scan by the wire's quantizer. Every sum is an exact integer
+// and ω is four rounded float operations after them (kernel.Walk), with
+// the record's scale cancelled out, so it does not depend on the
+// platform, the tier or the walk that asked. A float-canonical record is
+// correlated over its float64 samples against the z-normalized query by
+// kernel.Dot's defined order. A shard holding both kinds is walked once
+// per kind.
 package search
 
 import (
@@ -148,9 +162,7 @@ type Result struct {
 	// Candidates counts offsets that cleared δ before top-K
 	// truncation (the "number of matches" of Fig. 7a / Fig. 8a).
 	Candidates int
-	// ProfileSets counts the signal-set passes this query profiled on
-	// the FFT kernel engine: all of them for an exhaustive scan, none
-	// for the skip walk (see BatchResult.ProfileSets).
+	// ProfileSets is always 0: bench/layers.go, frozen, still reads it.
 	ProfileSets int
 	// SetsScanned is the number of signal-sets visited.
 	SetsScanned int
@@ -189,7 +201,6 @@ func (r *Result) MinOmega() float64 {
 type Searcher struct {
 	store  *mdb.Store
 	params Params
-	engine *kernel.Engine
 	// Hoisted out of the per-evaluation path, in the form the step kernel
 	// takes them: rule.SkipNum is α·SkipScale, the numerator of the skip
 	// rule; maxAdv is skipFor(0), the longest skip any lane can take (the
@@ -197,9 +208,11 @@ type Searcher struct {
 	// for every adv ≤ maxAdv — built BY DecayPow, so a lookup is the
 	// call's bits — and nil when maxAdv would need more than
 	// maxDecayTable entries (the kernel's portable step then calls
-	// DecayPow, and its vector step stands aside).
-	rule   kernel.SkipRule
-	maxAdv int
+	// DecayPow, and its vector step stands aside). unit is the exhaustive
+	// baseline's rule: the same δ with a zero numerator, which advances
+	// every lane by one sample whatever its envelope.
+	rule, unit kernel.SkipRule
+	maxAdv     int
 }
 
 // maxDecayTable bounds the envelope-decay table; parameter settings
@@ -208,22 +221,10 @@ type Searcher struct {
 const maxDecayTable = 4096
 
 // NewSearcher returns a Searcher over store with the given parameters
-// (zero-valued fields take paper defaults) and a private kernel-engine
-// plan cache.
+// (zero-valued fields take paper defaults).
 func NewSearcher(store *mdb.Store, params Params) *Searcher {
-	return NewSearcherWithEngine(store, params, kernel.NewEngine())
-}
-
-// NewSearcherWithEngine returns a Searcher sharing the given kernel
-// engine — the cloud tier hands every tenant's searcher a per-tenant
-// engine prewarmed for its slice length, so FFT plans are built once
-// per tenant, not once per searcher or scan.
-func NewSearcherWithEngine(store *mdb.Store, params Params, engine *kernel.Engine) *Searcher {
-	if engine == nil {
-		engine = kernel.NewEngine()
-	}
 	params = params.withDefaults()
-	s := &Searcher{store: store, params: params, engine: engine, rule: kernel.SkipRule{
+	s := &Searcher{store: store, params: params, rule: kernel.SkipRule{
 		Delta:     params.Delta,
 		Floor:     params.OmegaFloor,
 		SkipNum:   params.Alpha * params.SkipScale,
@@ -236,11 +237,10 @@ func NewSearcherWithEngine(store *mdb.Store, params Params, engine *kernel.Engin
 			s.rule.Decay[adv] = kernel.DecayPow(params.EnvDecay, adv)
 		}
 	}
+	s.unit = kernel.SkipRule{Delta: params.Delta, Floor: params.OmegaFloor, DecayBase: params.EnvDecay,
+		Decay: []float64{1, params.EnvDecay}}
 	return s
 }
-
-// Engine returns the searcher's kernel-engine plan cache.
-func (s *Searcher) Engine() *kernel.Engine { return s.engine }
 
 // Params returns the effective search parameters.
 func (s *Searcher) Params() Params { return s.params }
@@ -252,23 +252,37 @@ func (s *Searcher) Store() *mdb.Store { return s.store }
 // signal-sets being searched.
 var ErrShortInput = errors.New("search: input window empty or longer than signal-sets")
 
+// Counts is an input window as an edge uploads it: 16-bit counts and
+// the µV one count stands for (proto.Upload's Samples and Scale).
+type Counts struct {
+	Samples []int16
+	Scale   float32
+}
+
 // Algorithm1 runs the paper's signal cross-correlation search for the
 // (already bandpass-filtered) one-second input window.
 func (s *Searcher) Algorithm1(input []float64) (*Result, error) {
-	return s.run(input, false)
+	return s.run(window{samples: input}, false)
+}
+
+// Algorithm1Counts is Algorithm1 for an uploaded window. Records that
+// have counts are correlated against c.Samples as sent; only a store
+// holding float-canonical records dequantizes it.
+func (s *Searcher) Algorithm1Counts(c Counts) (*Result, error) {
+	return s.run(window{counts: c.Samples, scale: c.Scale}, false)
 }
 
 // Exhaustive runs the stride-1 exhaustive search baseline over every
 // offset of every signal-set (Fig. 5).
 func (s *Searcher) Exhaustive(input []float64) (*Result, error) {
-	return s.run(input, true)
+	return s.run(window{samples: input}, true)
 }
 
 // run serves the single-query entry points through the shared batch
 // core (see batch.go): a one-element batch degenerates to exactly the
 // pre-batch scan — same trajectories, same counters, same matches.
-func (s *Searcher) run(input []float64, exhaustive bool) (*Result, error) {
-	br, err := s.runBatch([][]float64{input}, exhaustive)
+func (s *Searcher) run(input window, exhaustive bool) (*Result, error) {
+	br, err := s.runBatch([]window{input}, exhaustive)
 	if err != nil {
 		return nil, err
 	}

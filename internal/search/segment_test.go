@@ -12,40 +12,72 @@ import (
 	"emap/internal/dsp"
 	"emap/internal/kernel"
 	"emap/internal/mdb"
+	"emap/internal/proto"
 	"emap/internal/synth"
 )
 
-// refSearch is the one oracle the search is tested against: it answers
+// refResult is the reference's answer for one input, with the number of
+// set passes it walked: what a same-length batch must count as
+// SetPasses.
+type refResult struct {
+	*Result
+	passes int
+}
+
+// refOmegaQ is ω over counts as internal/kernel's Walk documents it,
+// written out: plain int64 loops for the five sums, then the float
+// sequence — A = n·Σqc − Σq·Σc, D = n·Σx² − (Σx)² on either side,
+// ω = A·(1/(√D_q·√D_c)), +0 unless the denominator is positive — every
+// product rounded before it is subtracted.
+func refOmegaQ(q, c []int16) float64 {
+	var sq, sqq, sc, scc, sqc int64
+	for i, v := range q {
+		x, y := int64(v), int64(c[i])
+		sq += x
+		sqq += x * x
+		sc += y
+		scc += y * y
+		sqc += x * y
+	}
+	n, fq, fc := float64(len(q)), float64(sq), float64(sc)
+	dq := float64(n*float64(sqq)) - float64(fq*fq)
+	dc := float64(n*float64(scc)) - float64(fc*fc)
+	den := math.Sqrt(dq) * math.Sqrt(dc)
+	if !(den > 0) {
+		return 0
+	}
+	return (float64(n*float64(sqc)) - float64(fq*fc)) * (1 / den)
+}
+
+// refSearch is the in-package reference the search is tested against
+// (the independent one, sharing no code, is oracle_test.go): it answers
 // every input naively — per signal-set, per query, per visited offset a
-// plain-loop Pearson correlation over the record's stored samples — and
-// shares only the trajectory rule (skipFor, DecayPow) and TopK with the
-// code under test. A float record is correlated by dsp.Pearson (two
-// passes: means, then centred sums); a quantized one from exact integer
-// window sums over its counts and kernel.DotQF, the arithmetic the
-// segment walk must reproduce with ==. Each Result's ProfileSets is the
-// number of set passes the reference walked for that input: what an
-// exhaustive scan must profile, and what a same-length batch must count
-// as SetPasses.
-func refSearch(t *testing.T, store *mdb.Store, params Params, inputs [][]float64, exhaustive bool) []*Result {
+// plain-loop Pearson correlation over the record's stored data — and
+// shares only the trajectory rule (skipFor, DecayPow), the wire
+// quantizer and TopK with the code under test. A record that has counts
+// is correlated by refOmegaQ against the query's counts — an upload's as
+// sent, a float window's as the wire quantizer makes them — which the
+// walk must reproduce with ==; a float-canonical record by dsp.Pearson
+// (two passes: means, then centred sums) against the float window, which
+// the walk matches in selection and within 1e-9.
+func refSearch(t *testing.T, store *mdb.Store, params Params, inputs []window, exhaustive bool) []refResult {
 	t.Helper()
 	s := NewSearcher(store, params)
 	p := s.Params()
 	snap := store.Snapshot()
-	out := make([]*Result, len(inputs))
+	out := make([]refResult, len(inputs))
 	for i, input := range inputs {
-		zq := make([]float64, len(input))
-		if dsp.ZNormalizeTo(zq, input) == 0 {
-			t.Fatalf("reference input %d is flat", i)
+		n := input.len()
+		samples, qc := input.samples, input.counts
+		if samples == nil {
+			samples = proto.Dequantize(qc, input.scale)
+		} else {
+			qc, _ = proto.Quantize(samples)
 		}
-		n, fn := len(zq), float64(len(zq))
-		res, top := &Result{}, NewTopK(p.TopK)
+		res, top := refResult{Result: &Result{}}, NewTopK(p.TopK)
 		for _, set := range snap.Sets() {
 			rec, _ := snap.Record(set.RecordID)
 			qv, quantized := rec.Quant()
-			var samples []float64
-			if !quantized {
-				samples = rec.Float()
-			}
 			maxOff := set.Length - 1
 			if p.PaperSliceScan {
 				maxOff = set.Length - n
@@ -56,32 +88,15 @@ func refSearch(t *testing.T, store *mdb.Store, params Params, inputs [][]float64
 			if maxOff < 0 {
 				continue
 			}
-			res.ProfileSets++
+			res.passes++
 			found, bestOmega, bestBeta, env := false, 0.0, 0, 0.0
 			for beta := 0; beta <= maxOff; {
 				abs := set.Start + beta
-				omega := 0.0
+				var omega float64
 				if quantized {
-					var sum, sumSq int64
-					for _, c := range qv.Counts[abs : abs+n] {
-						sum += int64(c)
-						sumSq += int64(c) * int64(c)
-					}
-					v := float64(sumSq) - float64(sum)*float64(sum)/fn
-					if v < 0 {
-						v = 0
-					}
-					// The two walks spell the cancelling record scale
-					// differently; both spellings are pinned.
-					if exhaustive {
-						if den := math.Sqrt(v); den >= 1e-12 {
-							omega = kernel.DotQF(zq, qv.Counts[abs:abs+n]) / den
-						}
-					} else if den := qv.Scale * math.Sqrt(v); den >= 1e-12 {
-						omega = qv.Scale * kernel.DotQF(zq, qv.Counts[abs:abs+n]) / den
-					}
+					omega = refOmegaQ(qc, qv.Counts[abs:abs+n])
 				} else {
-					omega = dsp.Pearson(zq, samples[abs:abs+n])
+					omega = dsp.Pearson(samples, rec.Samples[abs:abs+n])
 				}
 				res.Evaluated++
 				if omega > p.Delta {
@@ -111,6 +126,17 @@ func refSearch(t *testing.T, store *mdb.Store, params Params, inputs [][]float64
 		out[i] = res
 	}
 	return out
+}
+
+// uploads returns the windows as an edge would upload them: quantized by
+// the wire quantizer.
+func uploads(inputs [][]float64) []window {
+	ws := make([]window, len(inputs))
+	for i, input := range inputs {
+		counts, scale := proto.Quantize(input)
+		ws[i] = window{counts: counts, scale: scale}
+	}
+	return ws
 }
 
 // assertBitIdentical pins got to the reference with == on every match
@@ -146,11 +172,13 @@ func coldCopy(t *testing.T, store *mdb.Store) *mdb.Store {
 	return cold
 }
 
-// TestSegmentWalkBitIdentical: the segment-scratch walk must return
-// exactly — == on SetID, Beta and Omega, equal counters — what the
-// naive reference's per-visit window sums + DotQF return, on a warm
-// heap store and a cold mapped one, for the skip walk and the exhaustive walk,
-// with the paper's slice bound on and off. The batch mixes two length
+// TestSegmentWalkBitIdentical: the walk over counts must return exactly
+// — == on SetID, Beta and Omega, equal counters — what the naive
+// reference's per-visit integer sums and float sequence return, on a
+// warm heap store, a cold mapped one and one with records promoted hot,
+// for the skip walk and the exhaustive walk, for float windows and for
+// the same windows as uploaded counts, with the paper's slice bound on
+// and off. The batch mixes two length
 // groups (sharing one scratch), a window shorter than a checkpoint
 // block and lengths that are not multiples of the kernel's 16-element
 // block; under full coverage every record's last set has its trailing
@@ -179,27 +207,29 @@ func TestSegmentWalkBitIdentical(t *testing.T) {
 			// δ is covered by the golden suites.
 			params := Params{PaperSliceScan: slice, Delta: 0.3}
 			for _, exhaustive := range []bool{false, true} {
-				label := fmt.Sprintf("%s/slice=%v/exhaustive=%v", name, slice, exhaustive)
-				ref := refSearch(t, qs, params, inputs, exhaustive)
-				got, err := NewSearcher(qs, params).runBatch(inputs, exhaustive)
-				if err != nil {
-					t.Fatal(err)
-				}
-				matched := 0
-				for i := range inputs {
-					matched += len(ref[i].Matches)
-					assertBitIdentical(t, fmt.Sprintf("%s/query %d", label, i), ref[i], got.Results[i])
-					// A batch of one refills its lanes from the whole
-					// shard instead of walking resident runs of four
-					// sets query by query: same answer.
-					solo, err := NewSearcher(qs, params).run(inputs[i], exhaustive)
+				for form, ws := range map[string][]window{"float": floatWindows(inputs), "counts": uploads(inputs)} {
+					label := fmt.Sprintf("%s/%s/slice=%v/exhaustive=%v", name, form, slice, exhaustive)
+					ref := refSearch(t, qs, params, ws, exhaustive)
+					got, err := NewSearcher(qs, params).runBatch(ws, exhaustive)
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertBitIdentical(t, fmt.Sprintf("%s/query %d alone", label, i), ref[i], solo)
-				}
-				if matched < len(inputs) {
-					t.Fatalf("%s: only %d reference matches — the comparison is near-vacuous", label, matched)
+					matched := 0
+					for i := range ws {
+						matched += len(ref[i].Matches)
+						assertBitIdentical(t, fmt.Sprintf("%s/query %d", label, i), ref[i].Result, got.Results[i])
+						// A batch of one refills its lanes from the whole
+						// shard instead of walking resident runs of eight
+						// sets query by query: same answer.
+						solo, err := NewSearcher(qs, params).run(ws[i], exhaustive)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertBitIdentical(t, fmt.Sprintf("%s/query %d alone", label, i), ref[i].Result, solo)
+					}
+					if matched < len(inputs) {
+						t.Fatalf("%s: only %d reference matches — the comparison is near-vacuous", label, matched)
+					}
 				}
 			}
 		}
@@ -208,9 +238,9 @@ func TestSegmentWalkBitIdentical(t *testing.T) {
 
 // TestSegmentPrefixSumsMatchWindowSums: for random segments of a
 // random-count record and random windows inside them — straddling
-// block checkpoints, inside one block, whole-segment — the scratch's
-// prefix-sum differences are the record's exact WindowSums and its
-// widened samples are the counts.
+// block checkpoints, inside one block, whole-segment — the lane's
+// prefix-sum differences are the record's exact WindowSums, and the
+// pass's counts are the record's own memory, not a copy.
 func TestSegmentPrefixSumsMatchWindowSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	counts := make([]int16, 3000)
@@ -227,12 +257,10 @@ func TestSegmentPrefixSumsMatchWindowSums(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		start := rng.Intn(len(counts) - 1)
 		segLen := 1 + rng.Intn(len(counts)-start)
-		l.loadQuant(qv, start, segLen) // reuses (and regrows) one lane's buffers
+		l.loadQuant(qv.Counts[start : start+segLen]) // reuses (and regrows) one lane's buffer
 		g := &l.seg
-		for i, x := range g.x {
-			if x != float64(counts[start+i]) {
-				t.Fatalf("segment [%d,+%d): x[%d] = %g, count %d", start, segLen, i, x, counts[start+i])
-			}
+		if len(g.c) != segLen || &g.c[0] != &qv.Counts[start] || g.x != nil {
+			t.Fatalf("segment [%d,+%d): the pass does not alias the record's counts", start, segLen)
 		}
 		for w := 0; w < 50; w++ {
 			beta := rng.Intn(segLen)
@@ -249,8 +277,7 @@ func TestSegmentPrefixSumsMatchWindowSums(t *testing.T) {
 // TestPooledScratchConcurrent: scans draw their scratch from one
 // package-level pool, so concurrent Algorithm1/AlgorithmN/ExhaustiveN
 // calls — against one Searcher, and against two Searchers over
-// different stores (one quantized, one float) with different engines —
-// must each return what the same call returns serially. Run under
+// different stores (one quantized, one float) — must each return what the same call returns serially. Run under
 // -race -count=10.
 func TestPooledScratchConcurrent(t *testing.T) {
 	f := newFixture(t, 1)
@@ -258,7 +285,7 @@ func TestPooledScratchConcurrent(t *testing.T) {
 	inputs := [][]float64{f.input(synth.Normal, 0), long, long[:128], f.input(synth.Normal, 2)}
 	searchers := []*Searcher{
 		NewSearcher(quantizedCopy(t, f.store), Params{Workers: 2}),
-		NewSearcherWithEngine(f.store, Params{Workers: 3}, kernel.NewEngine()),
+		NewSearcher(f.store, Params{Workers: 3}),
 	}
 	type call func(s *Searcher) (any, error)
 	strip := func(rs ...*Result) any {
