@@ -51,11 +51,13 @@
 // period. -idle-timeout reaps connections that deliver no frame for
 // that long (slow-loris guard; 0 keeps them forever).
 //
-// -store-format columnar persists tenant snapshots in the quantized
-// columnar v2 layout (memory-mapped and scanned compressed on load)
-// and makes fresh tenants ingest into quantized stores; -hot-bytes
-// caps the bytes each tenant may spend promoting records to hotter
-// tiers, demoting the least recently used back when exceeded. Tier
+// -store-format columnar persists tenant snapshots in the columnar v2
+// layout, which loads memory-mapped: records are scanned in place, out
+// of the page cache. Every store keeps its records as int16 counts
+// whatever the format. -hot-bytes caps the one thing a tenant can still
+// spend bytes promoting — heap copies of memory-mapped counts, made as
+// scans touch them while the budget has headroom and dropped, least
+// recently scanned first, when it shrinks; 0 makes no copies. Tier
 // residency appears on /metrics as emap_tenant_store_bytes.
 //
 // The default tenant's store comes from, in order of precedence: an
@@ -147,7 +149,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.nodeID, "node", "", "cluster node ID: serve as a member of an emap-router cluster instead of a standalone cloud")
 	fs.StringVar(&o.advertise, "advertise", "", "address peers and the router dial to reach this node (default: the listen address)")
 	fs.BoolVar(&o.empty, "empty", false, "build no synthetic default store; the default tenant lazy-loads its -store-dir snapshot if one exists, else starts empty")
-	fs.Int64Var(&o.hotBytes, "hot-bytes", 0, "per-tenant budget for tier promotions in bytes (0: unbounded)")
+	fs.Int64Var(&o.hotBytes, "hot-bytes", 0, "per-tenant budget, in bytes, for heap copies of memory-mapped records (0: none are made)")
 	fs.StringVar(&o.storeFormat, "store-format", "", "tenant snapshot format: gob|columnar (empty: keep each store's format)")
 	fs.StringVar(&o.walDir, "wal-dir", "", "per-tenant write-ahead log directory; ingests are journaled before acknowledgement (empty: no journal)")
 	fs.StringVar(&o.walSync, "wal-sync", "always", "WAL fsync policy: always|interval|never")

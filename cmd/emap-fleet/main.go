@@ -93,7 +93,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.workers, "workers", 0, "in-process server search workers (netsim mode; 0: GOMAXPROCS)")
 	fs.IntVar(&o.shedQueue, "shed-queue", 0, "in-process server shed threshold (netsim mode; 0: never shed)")
 	fs.StringVar(&o.storeFormat, "store-format", "", "in-process server tenant store format: gob or columnar (netsim mode; empty: gob)")
-	fs.Int64Var(&o.hotBytes, "hot-bytes", 0, "in-process server per-store promoted-byte budget (netsim mode; 0: unlimited)")
+	fs.Int64Var(&o.hotBytes, "hot-bytes", 0, "in-process server per-store budget for heap copies of memory-mapped records (netsim mode; 0: none are made)")
 	fs.Float64Var(&o.tenantRate, "rate", 0, "in-process server per-tenant admission rate [req/s] (0: unlimited)")
 	fs.IntVar(&o.tenantBurst, "burst", 0, "in-process server per-tenant admission burst (0: max(8, rate))")
 	fs.StringVar(&o.out, "out", "", "write the JSON report to this file (empty: stdout)")

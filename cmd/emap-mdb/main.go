@@ -11,8 +11,8 @@
 // their native rates, runs the full construction pipeline (resample →
 // bandpass → slice → label) and writes a snapshot the cloud server can
 // load. convert rewrites a snapshot between the v1 gob format and the
-// v2 quantized columnar format (DESIGN.md §14); converting a columnar
-// snapshot to columnar again is bit-stable. info reports the format
+// v2 columnar format (DESIGN.md §14); both hold the records' int16
+// counts, so converting either way and back is bit-stable. info reports the format
 // and resident footprint alongside the label counts.
 package main
 

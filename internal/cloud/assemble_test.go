@@ -32,27 +32,27 @@ func windowPerMatch(e *Engine, t *tenant, res *search.Result, windowLen int) []p
 	return entries
 }
 
-// TestAssembleEntriesReusesOneWindow: for a float tenant (continuations
-// are views) and a warm quantized one (continuations are dequantized),
-// assembleEntries returns entry for entry what a fresh window per match
-// gives — full horizons and horizons clipped at the record end — and a
-// 20-match assembly allocates once per entry (its counts), once for the
-// entries, sized from the matches, and on the warm tenant once more for
+// TestAssembleEntriesReusesOneWindow: for a tenant built from
+// recordings and one ingested as counts (continuations are dequantized
+// either way), assembleEntries returns entry for entry what a fresh
+// window per match gives — full horizons and horizons clipped at the
+// record end — and a 20-match assembly allocates once per entry (its
+// counts), once for the entries, sized from the matches, and once for
 // the one dequantization buffer: where a window per match and a reply
-// grown by doubling cost five allocations more, and on the warm tenant
-// another entries − 1.
+// grown by doubling cost five allocations more and another entries − 1.
 func TestAssembleEntriesReusesOneWindow(t *testing.T) {
-	float, _ := testStore(t)
-	warm := mdb.NewQuantizedStore()
-	for _, id := range float.RecordIDs() {
-		rec, _ := float.Record(id)
-		counts, scale := proto.Quantize(rec.Float())
-		if _, err := warm.InsertQuantized(&mdb.Record{ID: id, Class: rec.Class, Archetype: rec.Archetype}, counts, scale, 1000, nil); err != nil {
+	built, _ := testStore(t)
+	ingested := mdb.NewQuantizedStore()
+	for _, id := range built.RecordIDs() {
+		rec, _ := built.Record(id)
+		qv := rec.Quant()
+		if _, err := ingested.InsertQuantized(&mdb.Record{ID: id, Class: rec.Class, Archetype: rec.Archetype},
+			append([]int16(nil), qv.Counts...), float32(qv.Scale), 1000, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const windowLen, matches = 256, 20
-	for name, store := range map[string]*mdb.Store{"float": float, "warm": warm} {
+	for name, store := range map[string]*mdb.Store{"built": built, "ingested": ingested} {
 		srv, err := NewServer(store, Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -77,15 +77,10 @@ func TestAssembleEntriesReusesOneWindow(t *testing.T) {
 		if len(got) < matches-3 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: assembly of %d matches gave %d entries, a window per match %d; equal = %v", name, matches, len(got), len(want), reflect.DeepEqual(got, want))
 		}
-		if rec, _ := store.Record(last.RecordID); rec.Tier() == mdb.TierHot && name == "warm" {
-			t.Fatalf("%s: the assembly promoted a record", name)
-		}
 		reused := testing.AllocsPerRun(10, func() { srv.assembleEntries(tn, res, windowLen) })
 		fresh := testing.AllocsPerRun(10, func() { windowPerMatch(srv.Engine, tn, res, windowLen) })
-		pinned, saved := float64(len(got)+1), 5.0 // 19 entries by doubling: 1, 2, 4, 8, 16, 32
-		if name == "warm" {
-			pinned, saved = pinned+1, saved+float64(len(got)-1)
-		}
+		// 19 entries by doubling — 1, 2, 4, 8, 16, 32 — and a window each.
+		pinned, saved := float64(len(got)+2), 5+float64(len(got)-1)
 		if reused != pinned || reused != fresh-saved {
 			t.Fatalf("%s: %d entries cost %.0f allocations (want %.0f), a window per match %.0f (want %.0f more)", name, len(got), reused, pinned, fresh, saved)
 		}

@@ -111,16 +111,14 @@ type Config struct {
 	// proto.PriAnomaly) and cache hits are always served. 0 disables
 	// shedding.
 	ShedQueue int
-	// HotBytes caps, per tenant, the bytes quantized store records may
-	// hold promoted above their canonical int16 payload (hot float64
-	// materialisations, warm heap copies of mmapped data) — the knob
-	// that keeps a many-tenant process under RAM while stores exceed
-	// it. 0 disables the cap. See mdb.Store.SetTierBudget.
+	// HotBytes caps, per tenant, the bytes store records may hold
+	// promoted above their int16 payload: heap copies of memory-mapped
+	// counts, which is all there is to promote since no record has a
+	// float64 form. 0 makes no copies — a mapped tenant is scanned out
+	// of the page cache. See mdb.Store.SetTierBudget.
 	HotBytes int64
 	// StoreFormat selects the snapshot format tenant stores persist
-	// in; mdb.FormatColumnar additionally makes freshly created tenant
-	// stores quantized (int16-canonical ingest). Zero keeps each
-	// store's own format (gob for new stores).
+	// in. Zero keeps each store's own format (gob for new stores).
 	StoreFormat mdb.Format
 	// WALDir, when set, makes ingest crash-safe: every accepted
 	// TypeIngest is journaled to a per-tenant write-ahead log in this

@@ -485,9 +485,9 @@ func (e *Engine) Ingest(tenantID string, ing *proto.Ingest) (*proto.IngestAck, e
 // cannot track them even one iteration. One store snapshot serves the
 // whole assembly; signal-set IDs are stable across epochs (the set
 // list is append-only), so matches from a slightly older scan epoch
-// always resolve. A quantized record's continuation is dequantized only
-// to be requantized on the wire scale and dropped, so one buffer serves
-// every match of the assembly.
+// always resolve. A record's continuation is dequantized only to be
+// requantized on the wire scale and dropped, so one buffer serves every
+// match of the assembly.
 func (e *Engine) assembleEntries(t *tenant, res *search.Result, windowLen int) []proto.CorrEntry {
 	horizon := int(e.cfg.HorizonSeconds * e.cfg.BaseRate)
 	snap := t.store.Snapshot()

@@ -82,15 +82,8 @@ func insertIngest(store *mdb.Store, g *proto.Ingest, cfg Config) (int, error) {
 		Onset:     int(g.Onset),
 	}
 	labelFn := mdb.LabelFor(rec, mdb.BuildConfig{BaseRate: cfg.BaseRate})
-	if store.Quantized() {
-		// The wire counts ARE the canonical payload: no dequantize, no
-		// float copy — and the record still dequantizes to exactly the
-		// samples the float path below would have stored, because both
-		// reconstruct count·scale on the same float32 grid.
-		return store.InsertQuantized(rec, g.Samples, g.Scale, cfg.SliceLen, labelFn)
-	}
-	rec.Samples = proto.Dequantize(g.Samples, g.Scale)
-	return store.Insert(rec, cfg.SliceLen, labelFn)
+	// The wire counts ARE the record: no dequantize, no float copy.
+	return store.InsertQuantized(rec, g.Samples, g.Scale, cfg.SliceLen, labelFn)
 }
 
 // ingest inserts one preprocessed recording into the tenant's store,

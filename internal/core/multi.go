@@ -10,6 +10,7 @@ import (
 	"emap/internal/clock"
 	"emap/internal/pipeline"
 	"emap/internal/proto"
+	"emap/internal/search"
 	"emap/internal/track"
 )
 
@@ -96,7 +97,7 @@ type searchReq struct {
 	pri    pipeline.Priority
 	ch     int
 	window int
-	input  []float64
+	input  search.Counts
 }
 
 // Multi-channel stage payloads.
@@ -112,6 +113,7 @@ type (
 	chanQuant struct {
 		k, ch  int
 		warmup bool
+		upload search.Counts
 		window []float64
 	}
 )
@@ -216,7 +218,10 @@ func (mst *MultiStream) build() *pipeline.Pipe {
 			case <-ctx.Done():
 				return ctx.Err()
 			case <-mst.closing:
-				return nil
+				// nil — unless the context was cancelled as well and
+				// the select happened to pick this case: a cancelled
+				// stream ends with the context's error, not a report.
+				return ctx.Err()
 			case row := <-mst.in:
 				if !emit(multiRaw{k: k, row: row}) {
 					return ctx.Err()
@@ -252,7 +257,7 @@ func (mst *MultiStream) build() *pipeline.Pipe {
 					return chanQuant{k: w.k, ch: w.ch, warmup: true}, nil
 				}
 				counts, scale := proto.Quantize(w.raw)
-				return chanQuant{k: w.k, ch: w.ch, window: proto.Dequantize(counts, scale)}, nil
+				return chanQuant{k: w.k, ch: w.ch, upload: search.Counts{Samples: counts, Scale: scale}, window: proto.Dequantize(counts, scale)}, nil
 			})
 	}
 
@@ -389,7 +394,7 @@ func (mst *MultiStream) agree(row []chanQuant) (MultiStepReport, error) {
 		mst.adoptPendingCh(c, k)
 
 		if c.tracker == nil && c.pending == nil {
-			queue.Push(pipeline.Routine, searchReq{pri: pipeline.Routine, ch: i, window: k, input: q.window})
+			queue.Push(pipeline.Routine, searchReq{pri: pipeline.Routine, ch: i, window: k, input: q.upload})
 			stat.CloudCallIssued = true
 			stat.Anomalous = c.predictor.Anomalous()
 			continue
@@ -415,7 +420,7 @@ func (mst *MultiStream) agree(row []chanQuant) (MultiStepReport, error) {
 				if c.predictor.Anomalous() {
 					pri = pipeline.Anomaly
 				}
-				queue.Push(pri, searchReq{pri: pri, ch: i, window: k, input: q.window})
+				queue.Push(pri, searchReq{pri: pri, ch: i, window: k, input: q.upload})
 				stat.CloudCallIssued = true
 			}
 		}
@@ -477,11 +482,11 @@ func (mst *MultiStream) adoptPendingCh(c *chanState, window int) {
 func (mst *MultiStream) launchSearchCh(req searchReq) error {
 	s := mst.sess
 	c := mst.ch[req.ch]
-	res, err := s.searcher.Algorithm1(req.input)
+	res, err := s.searcher.Algorithm1Counts(req.input)
 	if err != nil {
 		return fmt.Errorf("core: cloud search (ch%d): %w", req.ch, err)
 	}
-	upload := s.cfg.Link.UploadSamplesTime(len(req.input))
+	upload := s.cfg.Link.UploadSamplesTime(len(req.input.Samples))
 	searchCost := time.Duration(res.Evaluated) * s.cfg.Costs.CloudEval
 	download := s.cfg.Link.DownloadSignalsTime(len(res.Matches), int(s.cfg.HorizonSeconds*s.cfg.BaseRate))
 
@@ -492,7 +497,7 @@ func (mst *MultiStream) launchSearchCh(req searchReq) error {
 		lane = "anomaly"
 	}
 	s.cloud.WaitUntil(c.edge.Now())
-	s.cloud.Do(upload, "upload", fmt.Sprintf("ch%d window %d (%d samples) pri=%s(%d)", req.ch, req.window, len(req.input), lane, wirePri))
+	s.cloud.Do(upload, "upload", fmt.Sprintf("ch%d window %d (%d samples) pri=%s(%d)", req.ch, req.window, len(req.input.Samples), lane, wirePri))
 	s.cloud.Do(searchCost, "search", fmt.Sprintf("ch%d: %d evaluations, %d matches", req.ch, res.Evaluated, len(res.Matches)))
 	ready := s.cloud.Do(download, "download", fmt.Sprintf("ch%d: %d signals", req.ch, len(res.Matches)))
 

@@ -9,6 +9,7 @@ import (
 
 	"emap/internal/pipeline"
 	"emap/internal/proto"
+	"emap/internal/search"
 	"emap/internal/track"
 )
 
@@ -58,12 +59,14 @@ type (
 		k        int
 		filtered []float64
 	}
-	// quantWindow is ready for tracking: the dequantised 16-bit view
-	// the cloud and the tracker both see. warmup windows skip
-	// quantisation entirely.
+	// quantWindow is ready for tracking: the 16-bit counts the edge
+	// uploads — what the cloud searches by, as sent — and the
+	// dequantised view of them the tracker compares. warmup windows
+	// skip quantisation entirely.
 	quantWindow struct {
 		k      int
 		warmup bool
+		upload search.Counts
 		window []float64
 	}
 )
@@ -159,7 +162,10 @@ func (st *Stream) build() *pipeline.Pipe {
 			case <-ctx.Done():
 				return ctx.Err()
 			case <-st.closing:
-				return nil
+				// nil — unless the context was cancelled as well and
+				// the select happened to pick this case: a cancelled
+				// stream ends with the context's error, not a report.
+				return ctx.Err()
 			case w := <-st.in:
 				if !emit(rawWindow{k: k, raw: w}) {
 					return ctx.Err()
@@ -179,8 +185,8 @@ func (st *Stream) build() *pipeline.Pipe {
 		})
 
 	// quantize: model the 16-bit wire the edge uploads over — the
-	// tracker must see the same dequantised view the cloud searched.
-	// Warmup windows are never uploaded and skip it.
+	// tracker must see the dequantised view of the counts the cloud
+	// searches by. Warmup windows are never uploaded and skip it.
 	warmup := s.cfg.WarmupWindows
 	quantized := pipeline.Map(p, "quantize", filtered, pipeline.Opts{Buffer: 1},
 		func(_ context.Context, w filteredWindow) (quantWindow, error) {
@@ -188,7 +194,7 @@ func (st *Stream) build() *pipeline.Pipe {
 				return quantWindow{k: w.k, warmup: true}, nil
 			}
 			counts, scale := proto.Quantize(w.filtered)
-			return quantWindow{k: w.k, window: proto.Dequantize(counts, scale)}, nil
+			return quantWindow{k: w.k, upload: search.Counts{Samples: counts, Scale: scale}, window: proto.Dequantize(counts, scale)}, nil
 		})
 
 	// track: everything that touches the simulated clock — the
@@ -333,7 +339,6 @@ func (st *Stream) track(q quantWindow) (StepReport, error) {
 		rep.At = s.edge.Now()
 		return rep, nil // let the filter transient settle
 	}
-	window := q.window
 
 	// Deliver a completed background search, if its set has arrived
 	// by now.
@@ -341,7 +346,7 @@ func (st *Stream) track(q quantWindow) (StepReport, error) {
 
 	// First call: nothing tracked and nothing in flight.
 	if st.tracker == nil && st.pending == nil {
-		if err := st.launchSearch(k, window); err != nil {
+		if err := st.launchSearch(k, q.upload); err != nil {
 			return rep, err
 		}
 		st.report.InitialOverhead = st.pending.readyAt - s.edge.Now()
@@ -353,7 +358,7 @@ func (st *Stream) track(q quantWindow) (StepReport, error) {
 
 	stat := IterStat{Window: k, At: s.edge.Now()}
 	if st.tracker != nil {
-		tr := st.tracker.Step(window)
+		tr := st.tracker.Step(q.window)
 		cost := s.trackCost(tr)
 		s.edge.Do(cost, "track", fmt.Sprintf("%d signals", tr.Remaining))
 		// An empty set (refresh in flight) is absence of data, not
@@ -371,7 +376,7 @@ func (st *Stream) track(q quantWindow) (StepReport, error) {
 		needRecall := tr.NeedsCloud ||
 			(st.tracker.HorizonLeft() >= 0 && st.tracker.HorizonLeft() <= s.cfg.RecallMargin)
 		if needRecall && st.pending == nil {
-			if err := st.launchSearch(k, window); err != nil {
+			if err := st.launchSearch(k, q.upload); err != nil {
 				return rep, err
 			}
 			stat.CloudCallIssued = true
@@ -404,23 +409,23 @@ func (st *Stream) adoptPending(window int) {
 	st.report.CloudCalls++
 }
 
-// launchSearch runs the cloud search against the given window and
-// schedules its arrival on the simulated clock. The search itself
+// launchSearch runs the cloud search against the given window's counts,
+// as the edge would upload them, and schedules its arrival on the simulated clock. The search itself
 // executes synchronously here (the result is deterministic), but its
 // simulated cost occupies the cloud actor, overlapping edge tracking
 // exactly as in Fig. 9.
-func (st *Stream) launchSearch(window int, input []float64) error {
+func (st *Stream) launchSearch(window int, input search.Counts) error {
 	s := st.sess
-	res, err := s.searcher.Algorithm1(input)
+	res, err := s.searcher.Algorithm1Counts(input)
 	if err != nil {
 		return fmt.Errorf("core: cloud search: %w", err)
 	}
-	upload := s.cfg.Link.UploadSamplesTime(len(input))
+	upload := s.cfg.Link.UploadSamplesTime(len(input.Samples))
 	searchCost := time.Duration(res.Evaluated) * s.cfg.Costs.CloudEval
 	download := s.cfg.Link.DownloadSignalsTime(len(res.Matches), int(s.cfg.HorizonSeconds*s.cfg.BaseRate))
 
 	s.cloud.WaitUntil(s.edge.Now())
-	s.cloud.Do(upload, "upload", fmt.Sprintf("window %d (%d samples)", window, len(input)))
+	s.cloud.Do(upload, "upload", fmt.Sprintf("window %d (%d samples)", window, len(input.Samples)))
 	s.cloud.Do(searchCost, "search", fmt.Sprintf("%d evaluations, %d matches", res.Evaluated, len(res.Matches)))
 	ready := s.cloud.Do(download, "download", fmt.Sprintf("%d signals", len(res.Matches)))
 

@@ -50,16 +50,16 @@ func Pearson(a, b []float64) float64 {
 }
 
 // SlidingStats holds prefix sums over a signal so that the mean and
-// centred energy of any window can be computed in O(1). The cloud
-// search uses one SlidingStats per stored recording: with the input
+// centred energy of any window can be computed in O(1): with the input
 // window z-normalised once, the normalized cross-correlation at offset
-// β reduces to a single dot product plus an O(1) normalisation.
+// β reduces to a single dot product plus an O(1) normalisation. It is
+// the float64 form of what the cloud search does over a record's counts
+// (kernel.Widen, kernel.Walk), and serves what correlates a float span:
+// XCorrSeries, the Fig. 8 re-correlation tracker and experiment.
 type SlidingStats struct {
 	signal []float64
 	// sums[i] = {Σ signal[0:i], Σ signal[0:i]²}. The two totals sit side
-	// by side because a window norm always reads both: one 16-byte load
-	// per end of the window, the layout the search's step kernel walks
-	// (kernel.Widen builds the same for a quantized record).
+	// by side because a window norm always reads both.
 	sums [][2]float64
 }
 
@@ -79,10 +79,6 @@ func NewSlidingStats(signal []float64) *SlidingStats {
 
 // Len returns the length of the underlying signal.
 func (s *SlidingStats) Len() int { return len(s.signal) }
-
-// Signal returns the underlying signal (shared, read-only by
-// convention).
-func (s *SlidingStats) Signal() []float64 { return s.signal }
 
 // Sums returns the prefix sums, Sums()[i] = {Σ signal[:i], Σ signal[:i]²}
 // (shared, read-only): Len()+1 entries.

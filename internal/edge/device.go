@@ -575,8 +575,7 @@ func (d *Device) fetch(ctx context.Context, window []float64, priority uint8) (*
 	store := mdb.NewStore()
 	matches := make([]search.Match, 0, len(corrSet.Entries))
 	for i, e := range corrSet.Entries {
-		samples := proto.Dequantize(e.Samples, e.Scale)
-		if len(samples) < d.cfg.WindowLen {
+		if len(e.Samples) < d.cfg.WindowLen {
 			continue
 		}
 		rec := &mdb.Record{
@@ -584,10 +583,11 @@ func (d *Device) fetch(ctx context.Context, window []float64, priority uint8) (*
 			Class:     synth.ClassFromCode(e.Class),
 			Archetype: int(e.Archetype),
 			Onset:     -1,
-			Samples:   samples,
 		}
 		anomalous := e.Anomalous
-		n, err := store.Insert(rec, len(samples), func(int) bool { return anomalous })
+		// The counts that arrived are the record: the tracker
+		// dequantizes the window it compares, nothing else.
+		n, err := store.InsertQuantized(rec, e.Samples, e.Scale, len(e.Samples), func(int) bool { return anomalous })
 		if err != nil || n == 0 {
 			continue
 		}

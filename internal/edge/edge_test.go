@@ -3,14 +3,18 @@ package edge
 import (
 	"context"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"emap/internal/cloud"
+	"emap/internal/dsp"
 	"emap/internal/mdb"
 	"emap/internal/proto"
+	"emap/internal/search"
 	"emap/internal/synth"
+	"emap/internal/track"
 )
 
 // buildStore assembles the shared test MDB.
@@ -288,5 +292,76 @@ func TestCorrSetEntriesCarryContinuations(t *testing.T) {
 		if len(e.Samples) < 256 {
 			t.Fatalf("entry %d carries only %d samples", e.SetID, len(e.Samples))
 		}
+	}
+}
+
+// TestFetchedSetTracksAsCountsOrAsFloats: a device's mini-MDB holds a
+// downloaded set's counts as they arrived. A mini-MDB built the way it
+// was before records were counts — every entry dequantized to float64
+// and inserted — holds the same counts on the same scale (the cloud
+// quantizes each continuation itself, so its largest count is the
+// quantizer's own 32 000) and so tracks the same input identically, step
+// for step: same eliminations, same areas, same P_A.
+func TestFetchedSetTracksAsCountsOrAsFloats(t *testing.T) {
+	store, g := buildStore(t)
+	// A low δ, so that the set holds signals that track and signals that
+	// are eliminated along the way.
+	srv, err := cloud.NewServer(store, cloud.Config{Search: search.Params{Delta: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := NewDevice(pipeClient(t, srv), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := g.Instance(synth.Normal, 0, synth.InstanceOpts{OffsetSamples: 2500, DurSeconds: 12, NoArtifacts: true})
+	fir, err := dsp.DesignBandpass(100, 11, 40, 256, dsp.Hamming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filtered := fir.Apply(input.Samples)
+	window := filtered[512:768]
+	mini, matches, err := dev.fetch(context.Background(), window, proto.PriRoutine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) < 5 {
+		t.Fatalf("only %d signals downloaded", len(matches))
+	}
+	floats := mdb.NewStore()
+	for _, id := range mini.RecordIDs() {
+		rec, _ := mini.Record(id)
+		if rec.Samples != nil {
+			t.Fatalf("downloaded record %q holds float samples", id)
+		}
+		qv := rec.Quant()
+		old := &mdb.Record{ID: id, Class: rec.Class, Archetype: rec.Archetype, Onset: -1,
+			Samples: proto.Dequantize(qv.Counts, float32(qv.Scale))}
+		anomalous := mini.Sets()[floats.NumSets()].Anomalous
+		if _, err := floats.Insert(old, rec.Len(), func(int) bool { return anomalous }); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := floats.Record(id); got.Quant().Scale != qv.Scale || !slices.Equal(got.Quant().Counts, qv.Counts) {
+			t.Fatalf("record %q: inserting its dequantized samples stores other counts (scale %v, arrived on %v)", id, got.Quant().Scale, qv.Scale)
+		}
+	}
+	params := dev.trackParams(mini, len(matches))
+	asCounts, asFloats := track.NewTracker(mini, matches, params), track.NewTracker(floats, matches, params)
+	for k := 3; (k+1)*256 <= len(filtered); k++ {
+		counts, scale := proto.Quantize(filtered[k*256 : (k+1)*256])
+		next := proto.Dequantize(counts, scale)
+		a, b := asCounts.Step(next), asFloats.Step(next)
+		a.Elapsed, b.Elapsed = 0, 0
+		if a != b {
+			t.Fatalf("window %d: tracking the counts gives %+v, the floats %+v", k, a, b)
+		}
+		for i, w := range asCounts.Tracked() {
+			if o := asFloats.Tracked()[i]; w.Alive != o.Alive || w.LastArea != o.LastArea {
+				t.Fatalf("window %d signal %d: area %g alive %v as counts, %g %v as floats", k, i, w.LastArea, w.Alive, o.LastArea, o.Alive)
+			}
+		}
+	}
+	if asCounts.Iteration() < 5 {
+		t.Fatalf("only %d tracking steps compared", asCounts.Iteration())
 	}
 }

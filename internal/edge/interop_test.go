@@ -22,11 +22,11 @@ func TestProtocolInteropMatrix(t *testing.T) {
 	store, _ := buildStore(t)
 	// A window excised from a stored recording retrieves its own
 	// signal-set at ω ≈ 1 in every pairing — no luck involved.
-	rec, ok := store.Record(store.RecordIDs()[0])
+	var buf []float64
+	window, ok := store.Snapshot().WindowInto(&buf, store.Sets()[0], 2048, 256)
 	if !ok {
-		t.Fatal("store lost its first record")
+		t.Fatal("the first record has no window at 2048")
 	}
-	window := rec.Samples[2048:2304]
 
 	for sv := proto.Version1; sv <= proto.Version3; sv++ {
 		for cv := proto.Version1; cv <= proto.Version3; cv++ {

@@ -80,25 +80,32 @@ func Fig8a(opts Fig8Opts) (*Fig8aResult, error) {
 		CorrCounts: make([]int, len(opts.Deltas)),
 		AreaCounts: make([]int, len(opts.Areas)),
 	}
-	// One exhaustive pass computing both similarities per offset.
-	for _, set := range store.Sets() {
-		rec, ok := store.Record(set.RecordID)
+	// One exhaustive pass computing both similarities per offset, over
+	// each set's stretch of its recording dequantized into one buffer.
+	snap := store.Snapshot()
+	var buf []float64
+	for _, set := range snap.Sets() {
+		rec, ok := snap.Record(set.RecordID)
 		if !ok {
 			continue
 		}
-		stats := rec.Stats()
 		maxOff := set.Length - 1
-		if set.Start+maxOff+len(input) > stats.Len() {
-			maxOff = stats.Len() - len(input) - set.Start
+		if set.Start+maxOff+len(input) > rec.Len() {
+			maxOff = rec.Len() - len(input) - set.Start
 		}
+		if maxOff < 0 {
+			continue
+		}
+		span, _ := snap.WindowInto(&buf, set, 0, maxOff+len(input))
+		stats := dsp.NewSlidingStats(span)
 		for beta := 0; beta <= maxOff; beta++ {
-			omega := stats.CorrAt(zq, set.Start+beta)
+			omega := stats.CorrAt(zq, beta)
 			for i, d := range opts.Deltas {
 				if omega > d {
 					result.CorrCounts[i]++
 				}
 			}
-			win := rec.Samples[set.Start+beta : set.Start+beta+len(input)]
+			win := span[beta : beta+len(input)]
 			area := dsp.AreaBetween(input, win)
 			for i, a := range opts.Areas {
 				if area < a {

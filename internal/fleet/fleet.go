@@ -113,10 +113,10 @@ type Config struct {
 	TenantRate  float64
 	TenantBurst int
 	// StoreFormat and HotBytes configure the in-process server's
-	// tenant stores (netsim mode only): FormatColumnar makes them
-	// quantized, and a positive HotBytes caps the bytes promoted
-	// above the compressed tier — together they run the fleet against
-	// tiered stores instead of fully-resident float ones.
+	// tenant stores (netsim mode only): FormatColumnar persists them in
+	// the format that loads memory-mapped, and a positive HotBytes
+	// budgets heap copies of mapped records — together they run the
+	// fleet against tiered stores instead of fully heap-resident ones.
 	StoreFormat mdb.Format
 	HotBytes    int64
 	// Logger receives run narration; nil disables it.

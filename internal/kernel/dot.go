@@ -2,34 +2,31 @@
 // innermost arithmetic of the whole system. The paper's cloud tier is
 // one operation repeated billions of times — the normalized
 // cross-correlation ω of a query window against every visited offset of
-// every stored signal-set — and this package is that operation:
+// every stored signal-set — and this package is that operation, over the
+// one form a record is stored in, int16 counts:
 //
 //   - Walk (step.go), the whole step of the scan that walks signal-sets
 //     in lockstep — window sums, the dots, ω, the |ω| envelope and the
 //     skip, in one defined sequence of operations for four lanes at
-//     once — over either of two element types;
-//   - over int16 counts, every record that has them: DotQ, an exact
-//     integer dot (no summation order, so no route can change a bit),
-//     and Widen, the exact running Σc and Σc² of a pass;
-//   - over float64 samples, float-canonical records: Dot, a dot product
-//     with one defined summation order, and Dot4, the same order four
-//     windows at a time.
+//     once;
+//   - DotQ, an exact integer dot (no summation order, so no route can
+//     change a bit), and Widen, the exact running Σc and Σc² of a pass.
 //
-// Engine and Profiler (engine.go), the FFT numerator profile the
-// exhaustive baseline once ran on, have no caller in the serving tree:
-// the baseline is Walk under a unit-advance rule. They stay until the
-// benchmark harness's probes of them go (ROADMAP item 1).
+// Three things here have no caller in the serving tree and stay until
+// the benchmark harness's probes of them go (ROADMAP item 1): Dot, the
+// float64 dot with one defined summation order; DotQF; and Engine and
+// Profiler (engine.go), the FFT numerator profile the exhaustive
+// baseline once ran on — the baseline is Walk under a unit-advance rule.
 package kernel
 
-// dot, dot4 and widen are the routes Dot, Dot4 and Widen run — and dotq
-// (dotq.go), step and stepQ (step.go) those of DotQ and a walk's step —
-// chosen once before main: the portable loops everywhere, replaced
-// together in dot_amd64.go's init by the AVX2 routines when the CPU and
-// the OS support them. Each pair computes the same bits, so the choice
-// is invisible above this package.
+// dot and widen are the routes Dot and Widen run — and dotq (dotq.go)
+// and stepQ (step.go) those of DotQ and a walk's step — chosen once
+// before main: the portable loops everywhere, replaced together in
+// dot_amd64.go's init by the AVX2 routines when the CPU and the OS
+// support them. Each pair computes the same bits, so the choice is
+// invisible above this package.
 var (
 	dot   = dotPortable
-	dot4  = dot4Portable
 	widen = widenPortable
 )
 
@@ -50,9 +47,10 @@ var (
 // accumulators, a pair-add that halves each accumulator's dependency
 // chain, a halving reduction — and what dotPortable spells out in
 // plain Go, so results are == across routes (every NaN counts as
-// equal: which payload survives is the hardware's choice). Because the
-// answer does not depend on the route, neither do the search
-// selections, the goldens or the wire replies.
+// equal: which payload survives is the hardware's choice). The scan no
+// longer calls it — no stored record is float64 — and it stays, with its
+// vector routine, only because bench/layers.go's kernel.dot_ns probe
+// times it and bench/ is frozen.
 func Dot(a, b []float64) float64 {
 	// Cutting b here is the length check for both routes: a short b
 	// panics before any route runs.
@@ -85,27 +83,4 @@ func dotPortable(a, b []float64) float64 {
 		t += float64(x * b[i])
 	}
 	return (((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7))) + t
-}
-
-// Dot4 sets out[k] = Dot(q, xk) for four windows at once (each xk must
-// hold at least len(q) elements). It is Dot's order four times over,
-// not a new one: every window keeps its own eight lanes, its own
-// sequential tail and its own reduction tree, and no sum ever mixes two
-// windows, so out[k] == Dot(q, xk) on every input and every route. What
-// the fusion buys is around the arithmetic — the query is loaded once
-// per 16-element block instead of four times, eight independent
-// accumulators hide the add latency a single Dot's two cannot, and one
-// call replaces four. The windows may alias or overlap (adjacent
-// offsets of one record do).
-func Dot4(q, x0, x1, x2, x3 []float64, out *[4]float64) {
-	// As in Dot, the cuts are the length checks: a short window panics
-	// here, before any route reads past it.
-	n := len(q)
-	dot4(q, x0[:n], x1[:n], x2[:n], x3[:n], out)
-}
-
-// dot4Portable is Dot4 where there is no vector routine, and the
-// reference the vector routine is tested == against.
-func dot4Portable(q, x0, x1, x2, x3 []float64, out *[4]float64) {
-	out[0], out[1], out[2], out[3] = dotPortable(q, x0), dotPortable(q, x1), dotPortable(q, x2), dotPortable(q, x3)
 }

@@ -1,7 +1,7 @@
 package kernel
 
-// The AVX2 routes of Dot, Dot4, DotQ, Widen and the walk's two steps, and
-// the init-time check that selects them. The repository has no
+// The AVX2 routes of Dot, DotQ, Widen and the walk's step, and the
+// init-time check that selects them. The repository has no
 // golang.org/x/sys, so CPUID and XGETBV are issued from dot_amd64.s.
 
 // dotAVX2 computes Dot's defined order with 256-bit VMULPD/VADDPD (no
@@ -9,14 +9,6 @@ package kernel
 //
 //go:noescape
 func dotAVX2(a, b []float64) float64
-
-// dot4AVX2 computes Dot's defined order for four windows against one
-// query: dotAVX2's instruction sequence per window, eight accumulators,
-// the query loaded once per block. Every window's length must equal
-// len(q); it reads nothing past any of them.
-//
-//go:noescape
-func dot4AVX2(q, x0, x1, x2, x3 []float64, out *[4]float64)
 
 // widenAVX2 is widenPortable over n counts, n a multiple of 4: it reads
 // the running totals at sums[0] and writes sums[1:n+1].
@@ -52,16 +44,10 @@ func dotqVector(a, b []int16) int64 {
 	return s + dotqPortable(a[n16:], b[n16:])
 }
 
-// stepAVX2 is stepPortable for a walk whose rule is tabled
-// (step_amd64.s): same fields, same bits, after every call. It reads the
-// lanes' passes through raw pointers and checks nothing — Walk.Run has.
-//
-//go:noescape
-func stepAVX2(w *Walk, a, b *group) (which int, events uint32)
-
-// stepQAVX2 is stepQPortable for a walk over counts whose rule is tabled
-// and whose query fills at least one block (stepq_amd64.s), on the same
-// terms.
+// stepQAVX2 is stepQPortable for a walk whose rule is tabled and whose
+// query fills at least one block (step_amd64.s): same fields, same bits,
+// after every call. It reads the lanes' passes through raw pointers and
+// checks nothing — Walk.Run has.
 //
 //go:noescape
 func stepQAVX2(w *Walk, a, b *group) (which int, events uint32)
@@ -107,6 +93,6 @@ func detectAVX2() bool {
 
 func init() {
 	if detectAVX2() {
-		dot, dot4, dotq, widen, step, stepQ = dotAVX2, dot4AVX2, dotqVector, widenVector, stepAVX2, stepQAVX2
+		dot, dotq, widen, stepQ = dotAVX2, dotqVector, widenVector, stepQAVX2
 	}
 }

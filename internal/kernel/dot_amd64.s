@@ -1,5 +1,4 @@
 #include "textflag.h"
-#include "dot4_amd64.h"
 
 // func dotAVX2(a, b []float64) float64
 //
@@ -65,96 +64,6 @@ tail:
 done:
 	VADDSD X2, X0, X0
 	VMOVSD X0, ret+48(FP)
-	RET
-
-// func dot4AVX2(q, x0, x1, x2, x3 []float64, out *[4]float64)
-//
-// Four windows against one query, each in Dot's defined order: window k
-// accumulates lanes s0…s3 in Y(2k) and s4…s7 in Y(2k+1), exactly as
-// dotAVX2 does in Y0/Y1, and nothing is ever added across windows. The
-// query block is loaded once (Y8…Y11) and multiplied into all four
-// windows; eight independent accumulator chains keep both FP ports busy
-// where dotAVX2's two wait out the add latency.
-TEXT ·dot4AVX2(SB), NOSPLIT, $0-128
-	MOVQ q_base+0(FP), SI
-	MOVQ q_len+8(FP), CX
-	MOVQ x0_base+24(FP), R8
-	MOVQ x1_base+48(FP), R9
-	MOVQ x2_base+72(FP), R10
-	MOVQ x3_base+96(FP), R11
-	MOVQ out+120(FP), DI
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ CX, DX
-	SHRQ $4, DX
-	JZ   reduce4
-
-block16x4:
-	VMOVUPD (SI), Y8
-	VMOVUPD 32(SI), Y9
-	VMOVUPD 64(SI), Y10
-	VMOVUPD 96(SI), Y11
-	WINDOW4(R8, Y0, Y1)
-	WINDOW4(R9, Y2, Y3)
-	WINDOW4(R10, Y4, Y5)
-	WINDOW4(R11, Y6, Y7)
-	ADDQ $128, SI
-	ADDQ $128, R8
-	ADDQ $128, R9
-	ADDQ $128, R10
-	ADDQ $128, R11
-	DECQ DX
-	JNZ  block16x4
-
-reduce4:
-	REDUCE4(Y0, Y1, X0, X1)
-	REDUCE4(Y2, Y3, X2, X3)
-	REDUCE4(Y4, Y5, X4, X5)
-	REDUCE4(Y6, Y7, X6, X7)
-	VZEROUPPER
-
-	// Four sequential tails t0…t3 (X1, X3, X5, X7) from +0, added even
-	// when empty, as in dotAVX2.
-	VXORPD X1, X1, X1
-	VXORPD X3, X3, X3
-	VXORPD X5, X5, X5
-	VXORPD X7, X7, X7
-	ANDQ   $15, CX
-	JZ     done4
-
-tail4:
-	VMOVSD (SI), X8
-	VMULSD (R8), X8, X12
-	VMULSD (R9), X8, X13
-	VMULSD (R10), X8, X14
-	VMULSD (R11), X8, X15
-	VADDSD X12, X1, X1
-	VADDSD X13, X3, X3
-	VADDSD X14, X5, X5
-	VADDSD X15, X7, X7
-	ADDQ   $8, SI
-	ADDQ   $8, R8
-	ADDQ   $8, R9
-	ADDQ   $8, R10
-	ADDQ   $8, R11
-	DECQ   CX
-	JNZ    tail4
-
-done4:
-	VADDSD X1, X0, X0
-	VADDSD X3, X2, X2
-	VADDSD X5, X4, X4
-	VADDSD X7, X6, X6
-	VMOVSD X0, (DI)
-	VMOVSD X2, 8(DI)
-	VMOVSD X4, 16(DI)
-	VMOVSD X6, 24(DI)
 	RET
 
 // func widenAVX2(sums *[2]float64, c *int16, n int)

@@ -34,7 +34,7 @@ func TestAVX2UsableDecision(t *testing.T) {
 	}
 }
 
-// TestRouteFollowsDetector: init installed the six vector routines
+// TestRouteFollowsDetector: init installed the four vector routines
 // together, exactly when this machine's own words say it may — so the
 // == sweeps in kernel_test.go compared AVX2 against portable wherever
 // that is possible, and say so in the log.
@@ -43,12 +43,11 @@ func TestRouteFollowsDetector(t *testing.T) {
 	for _, route := range []struct {
 		name             string
 		selected, vector any
-	}{{"Dot", dot, dotAVX2}, {"Dot4", dot4, dot4AVX2}, {"DotQ", dotq, dotqVector}, {"Widen", widen, widenVector},
-		{"step", step, stepAVX2}, {"stepQ", stepQ, stepQAVX2}} {
+	}{{"Dot", dot, dotAVX2}, {"DotQ", dotq, dotqVector}, {"Widen", widen, widenVector}, {"stepQ", stepQ, stepQAVX2}} {
 		vector := reflect.ValueOf(route.selected).Pointer() == reflect.ValueOf(route.vector).Pointer()
 		if vector != usable {
 			t.Fatalf("%s: vector route installed = %v, detector says usable = %v", route.name, vector, usable)
 		}
 	}
-	t.Logf("Dot, Dot4, DotQ, Widen and the walk's two steps run the AVX2 routes: %v", usable)
+	t.Logf("Dot, DotQ, Widen and the walk's step run the AVX2 routes: %v", usable)
 }

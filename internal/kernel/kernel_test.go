@@ -190,110 +190,6 @@ func TestDotShortBPanics(t *testing.T) {
 	}
 }
 
-// dot4Windows cuts four windows of n elements out of one backing array
-// at element offsets that leave every 8-byte misalignment against a
-// 32-byte boundary and make the windows overlap — adjacent offsets of
-// one record, which is what the lanes of a scan hold.
-func dot4Windows(buf []float64, n int) [4][]float64 {
-	return [4][]float64{buf[0:n], buf[1 : 1+n], buf[3 : 3+n], buf[n/2+2 : n/2+2+n]}
-}
-
-// assertDot4 requires Dot4's four results to be Dot's, and the portable
-// loop's, for the same windows.
-func assertDot4(t *testing.T, label string, q []float64, x [4][]float64) {
-	t.Helper()
-	var out [4]float64
-	Dot4(q, x[0], x[1], x[2], x[3], &out)
-	for k, xk := range x {
-		if dot, portable := Dot(q, xk), dotPortable(q, xk[:len(q)]); !sameFloat(out[k], dot) || !sameFloat(out[k], portable) {
-			t.Fatalf("%s: Dot4 window %d = %x, Dot = %x, portable = %x", label, k,
-				math.Float64bits(out[k]), math.Float64bits(dot), math.Float64bits(portable))
-		}
-	}
-}
-
-// TestDot4MatchesDot: for every n in 0…300 — every n mod 16 tail, with
-// and without full blocks — Dot4 returns Dot's bits for each of its
-// four windows, on normal-distributed data and on int16-valued data
-// (what a quantized segment holds), with the windows unaligned,
-// overlapping and longer than the query.
-func TestDot4MatchesDot(t *testing.T) {
-	r := rng.New(17)
-	for n := 0; n <= 300; n++ {
-		for mis := 0; mis < 4; mis++ {
-			q := misalign(randVec(r, n+4), mis)
-			normal := misalign(randVec(r, 2*n+12), (mis+1)%4)
-			counts := make([]float64, 2*n+8)
-			for i := range counts {
-				counts[i] = float64(int16(r.Intn(1<<16) - 1<<15))
-			}
-			assertDot4(t, fmt.Sprintf("normal n=%d q+%d", n, mis), q, dot4Windows(normal, n))
-			assertDot4(t, fmt.Sprintf("counts n=%d q+%d", n, mis), q, dot4Windows(counts, n))
-		}
-	}
-	// Windows longer than the query: only the prefix counts.
-	q, buf := randVec(r, 37), randVec(r, 200)
-	assertDot4(t, "long windows", q, [4][]float64{buf, buf[5:], buf[50:90], buf[100:]})
-}
-
-// TestDot4SpecialValues plants TestDotSpecialValues' non-finite,
-// denormal, signed-zero and overflowing inputs in the query and in the
-// shared backing array of the windows, at every position of a block and
-// a tail: each window must still come out as Dot computes it alone.
-func TestDot4SpecialValues(t *testing.T) {
-	r := rng.New(19)
-	for _, n := range []int{1, 15, 16, 17, 33, 50} {
-		for pos := 0; pos < n; pos++ {
-			for si, sv := range specials {
-				q, buf := randVec(r, n), randVec(r, 2*n+8)
-				q[pos] = sv
-				buf[(pos+7)%len(buf)] = specials[(si+pos)%len(specials)]
-				assertDot4(t, fmt.Sprintf("n=%d pos=%d special=%g", n, pos, sv), q, dot4Windows(buf, n))
-			}
-		}
-	}
-	neg, pos := make([]float64, 44), make([]float64, 40)
-	for i := range neg {
-		neg[i] = math.Copysign(0, -1)
-	}
-	for i := range pos {
-		pos[i] = 1
-	}
-	for n := 0; n <= 40; n++ {
-		var out [4]float64
-		Dot4(pos[:n], neg, neg[1:], neg[2:], neg[3:], &out)
-		for k, v := range out {
-			if !sameFloat(v, 0) {
-				t.Fatalf("Dot4 window %d over %d negative zeros = %x, want +0", k, n, math.Float64bits(v))
-			}
-		}
-	}
-}
-
-// TestDot4ShortWindowPanics: a window shorter than the query is refused
-// by Dot4's own slice expressions — whichever of the four it is — before
-// any route runs, so the vector routine never reads past a window.
-func TestDot4ShortWindowPanics(t *testing.T) {
-	q, full, short := make([]float64, 40), make([]float64, 40), make([]float64, 39)
-	want := panicOf(func() { _ = short[:len(q)] })
-	if want == "" {
-		t.Fatal("reference slice expression did not panic")
-	}
-	selected := dot4
-	defer func() { dot4 = selected }()
-	for _, route := range []func(q, x0, x1, x2, x3 []float64, out *[4]float64){selected, dot4Portable} {
-		dot4 = route
-		for k := 0; k < 4; k++ {
-			x := [4][]float64{full, full, full, full}
-			x[k] = short
-			var out [4]float64
-			if got := panicOf(func() { Dot4(q, x[0], x[1], x[2], x[3], &out) }); got != want {
-				t.Fatalf("Dot4 with window %d short panicked with %q, want %q", k, got, want)
-			}
-		}
-	}
-}
-
 // TestWidenRoutesAgree: the route Widen runs on this machine (the AVX2
 // routine on an amd64 that has it) writes exactly the portable loop's
 // running sums — lengths 0…40 (every n mod 4 tail), the
@@ -376,8 +272,7 @@ func TestWidenExactAtMaxLen(t *testing.T) {
 
 // FuzzDot feeds arbitrary float pairs — NaN, ±Inf and denormals
 // included — through the kernel at a fuzzed misalignment and requires
-// the selected route to return the portable loop's bits, from Dot and,
-// for four overlapping windows of the same data, from Dot4; finite
+// the selected route to return the portable loop's bits; finite
 // in-domain inputs must also agree with the naive loop within the
 // summation-order error bound.
 func FuzzDot(f *testing.F) {
@@ -421,15 +316,6 @@ func FuzzDot(f *testing.F) {
 		}
 		if naive := naiveDot(a, b); inDomain && math.Abs(got-naive) > dotTol(a, b[:n]) {
 			t.Fatalf("Dot = %g, naive = %g (n=%d)", got, naive, n)
-		}
-		// b carries two spare elements, so b[1:] and b[2:] are windows
-		// too; a against itself is the fourth.
-		var out [4]float64
-		Dot4(a, b, b[1:], b[2:], a, &out)
-		for k, x := range [4][]float64{b, b[1:], b[2:], a} {
-			if want := dotPortable(a, x[:n]); !sameFloat(out[k], want) {
-				t.Fatalf("Dot4 window %d = %x, portable = %x (n=%d, a+%d, b+%d)", k, math.Float64bits(out[k]), math.Float64bits(want), n, offA, offB)
-			}
 		}
 	})
 }
@@ -483,10 +369,9 @@ func TestEngineCachesPlans(t *testing.T) {
 // 256-sample dot behind every ω of the skip walk — on the naive
 // single-accumulator loop, the portable route and the route this
 // machine selected ("vector" is the AVX2 routine where init chose it;
-// elsewhere it repeats portable) — and Dot4 over four adjacent windows
-// of one segment, reported per window so the row reads against
-// "vector" — then DotQ, the exact integer dot of a walk over counts, on
-// its two routes.
+// elsewhere it repeats portable) — then DotQ, the exact integer dot of
+// the walk, on its two routes. (The float rows price Dot, which only the
+// benchmark harness's probe still calls.)
 func BenchmarkKernelDot(b *testing.B) {
 	r := rng.New(1)
 	x, y := randVec(r, 256), randVec(r, 256)
@@ -501,15 +386,6 @@ func BenchmarkKernelDot(b *testing.B) {
 			}
 		})
 	}
-	seg := randVec(r, 256+3)
-	b.Run("dot4", func(b *testing.B) {
-		var out [4]float64
-		for i := 0; i < b.N; i++ {
-			Dot4(x, seg, seg[1:], seg[2:], seg[3:], &out)
-			sink += out[0]
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4, "ns/window")
-	})
 	c, d := randCounts(r, 256), randCounts(r, 256)
 	var sinkQ int64
 	for _, bc := range []struct {

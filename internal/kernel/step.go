@@ -7,7 +7,7 @@ import (
 
 // Lanes is the width of a step group: four signal-sets walked in
 // lockstep, the four windows whose eight accumulators fill the vector
-// registers (see Dot4).
+// registers.
 const Lanes = 4
 
 // A step's events, as Run reports them: bit k says the group's lane k
@@ -46,33 +46,19 @@ func DecayPow(decay float64, n int) float64 {
 	return out
 }
 
-// windowNorm is the centred Euclidean norm √(Σ(x−μ)²) of an n-sample
-// float window from its Σx and Σx², fn = float64(n). A window whose sums
-// cancel below zero has norm 0; a NaN stays NaN.
-func windowNorm(sum, sumSq, fn float64) float64 {
-	v := sumSq - sum*sum/fn
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
 // group is four lanes of a walk as a struct of arrays, the shape the
-// vector step loads whole. Lane k reads one pass — float64 samples x[k]
-// or int16 counts c[k], whichever the walk's query is (its window at
-// offset β is the n elements from β) — through the pass's prefix sums
-// sums[k] (sums[k][i] = {Σ pass[:i], Σ pass[:i]²}) and carries the
-// trajectory of the query walking it: the offset beta[k] and the |ω|
-// envelope env[k] (never negative, never NaN; +Inf is fine). Each step
-// leaves the ω it took in omega[k] and the offset it took it at in
-// at[k]. Walk.Seat, Walk.SeatQ and Walk.Mask fill a lane; the step moves
-// it.
+// vector step loads whole. Lane k reads one pass of int16 counts c[k] —
+// its window at offset β is the n counts from β — through the pass's
+// prefix sums sums[k] (sums[k][i] = {Σ c[k][:i], Σ c[k][:i]²}) and
+// carries the trajectory of the query walking it: the offset beta[k]
+// and the |ω| envelope env[k] (never negative, never NaN; +Inf is fine).
+// Each step leaves the ω it took in omega[k] and the offset it took it
+// at in at[k]. Walk.SeatQ and Walk.Mask fill a lane; the step moves it.
 type group struct {
 	// The fields the vector step loads and stores whole come first, each
 	// at a multiple of its 32 bytes, and the struct is padded to a
 	// multiple of 64: in a walk that starts on a cache line (where the
 	// search's pooled scratch puts it) none of them straddles two.
-	scale  [Lanes]float64
 	maxOff [Lanes]int64
 	beta   [Lanes]int64
 	env    [Lanes]float64
@@ -82,16 +68,13 @@ type group struct {
 	// one; nlive counts the former and liveBits holds both their event
 	// bits.
 	live [Lanes]uint64
-	// spill and spill2 are the step's own. The vector routes compute what
-	// does not depend on the dot before it — the dot needs every register
-	// — and park it here: over samples the four denominators in spill,
-	// over counts their reciprocals (+0 for a constant window) and, in
-	// spill2, the four Σq·Σc. The portable float step keeps its four dots
-	// in spill.
+	// spill and spill2 are the vector step's own. It computes what does
+	// not depend on the dot before it — the dot needs every register —
+	// and parks it here: the reciprocals of the four denominators (+0 for
+	// a constant window) in spill, the four Σq·Σc in spill2.
 	spill  [Lanes]float64
 	spill2 [Lanes]float64
 
-	x    [Lanes][]float64
 	c    [Lanes][]int16
 	sums [Lanes][][2]float64
 	// evals counts the ω evaluations the group's live lanes have had.
@@ -116,13 +99,10 @@ func (g *group) setLive(k int, on bool) {
 // Walk is one query's lockstep skip walk over up to eight signal-sets:
 // two groups of four lanes, stepped alternately. It is the whole inner
 // loop of Algorithm 1 — per lane and per step, in this order and with
-// every operation rounded on its own. A walk has one of two element
-// types, fixed by how it was reset, and they differ only in how ω is
-// taken.
-//
-// Over int16 counts (ResetQ, SeatQ) — every record that has counts —
-// both operands are integers and so is every sum: with n the window
-// length, Σq and D_q = n·Σq² − (Σq)² of the query (once per ResetQ),
+// every operation rounded on its own. Both operands are int16 counts —
+// the query's (ResetQ) and the record's, read in place (SeatQ) — and so
+// is every sum: with n the window length, Σq and D_q = n·Σq² − (Σq)² of
+// the query (once per ResetQ),
 //
 //	Σc, Σc² = sums[β+n] − sums[β]             (exact integers, see Widen)
 //	Σqc     = DotQ(q, c[β:β+n])               (exact int64: no order)
@@ -142,18 +122,7 @@ func (g *group) setLive(k int, on bool) {
 // neither window is constant (a rounded D_c below zero makes den NaN,
 // which fails it too). Integer sums have no order to disagree about, so
 // no route, block size or instruction set can change a bit of A or D,
-// and the float tail is the same operations everywhere.
-//
-// Over float64 samples (Reset, Seat) — float-canonical records — the
-// dot has Dot's one defined summation order:
-//
-//	Σ, Σ²   = sums[β+n] − sums[β]             (both components)
-//	v       = Σ² − Σ·Σ/n;  v < 0 → +0         (NaN stays NaN, −0 stays −0)
-//	den     = scale · √v
-//	dot     = Dot(q, x[β:β+n])                (q z-normalized)
-//	ω       = scale·dot / den;  +0 unless den ≥ 1e-12
-//
-// Then, whichever way ω came:
+// and the float tail is the same operations everywhere. Then:
 //
 //	candidate when ω > δ
 //	a       = |ω|;  NaN → +0
@@ -164,16 +133,16 @@ func (g *group) setLive(k int, on bool) {
 //	env     = env · Decay[adv]
 //	done when β > maxOff
 //
-// The portable steps are that sequence in Go and are the definition; the
-// AVX2 routines do it for the four lanes of a group at once and are ==
-// to them on every field after every call. A masked lane does not take
+// The portable step is that sequence in Go and is the definition; the
+// AVX2 routine does it for the four lanes of a group at once and is ==
+// to it on every field after every call. A masked lane does not take
 // part: its offset and envelope stay, it reports ω = +0 and no event —
-// the vector routes still compute over it (which is why Run parks it on
-// valid memory), the portable routes skip it. A rule with SkipNum = 0
+// the vector route still computes over it (which is why Run parks it on
+// valid memory), the portable route skips it. A rule with SkipNum = 0
 // advances by one at every step: the exhaustive scan is this walk too.
 //
 // Two groups, not one, because a step ends in a serial chain — dot → ω
-// → envelope → advance → the next window's address: divisions, a
+// → envelope → advance → the next window's address: a division, a
 // convert, a table load — during which the multipliers would idle; the
 // other group's dot follows in program order, depends on none of it and
 // fills that time.
@@ -181,61 +150,25 @@ type Walk struct {
 	group [2]group
 
 	rule SkipRule
-	q    []float64
 	nf   float64
-	// A walk over counts: the query as given, Σq, √D_q, and the query
-	// split for the vector route (see splitQuery), which the walk owns
-	// and keeps across Release.
-	quant  bool
+	// The query as given, Σq, √D_q, and the query split for the vector
+	// route (see splitQuery), which the walk owns and keeps across
+	// Release.
 	qc     []int16
 	sq, rq float64
 	qsplit []int16
 	// tabled: Decay covers every advance the rule can produce, which is
-	// what the vector routes need (a gather with no bounds check, and
-	// an advance that fits the 32-bit convert).
+	// what the vector route needs (a gather with no bounds check, and an
+	// advance that fits the 32-bit convert).
 	tabled bool
 	// turn is the group that steps first in the next Run.
 	turn int
-}
-
-// Reset readies the walk for the float query q (z-normalized, non-empty)
-// under rule: every lane masked, counters zero. Lanes seated by an
-// earlier walk are forgotten but their slices stay referenced until
-// Release.
-func (w *Walk) Reset(q []float64, rule *SkipRule) {
-	w.q, w.qc, w.quant = q, nil, false
-	w.reset(len(q), rule)
-}
-
-func (w *Walk) reset(n int, rule *SkipRule) {
-	w.rule, w.nf, w.turn = *rule, float64(n), 0
-	x := rule.SkipNum/rule.Floor + 0.5
-	w.tabled = rule.Floor > 0 && len(rule.Decay) >= 2 && x < float64(len(rule.Decay))
-	for i := range w.group {
-		g := &w.group[i]
-		g.evals, g.live, g.nlive, g.liveBits = 0, [Lanes]uint64{}, 0, 0
-	}
 }
 
 // Release drops every slice the walk references — the query, the rule's
 // table, the lanes' passes — so a pooled Walk pins nothing but its own
 // split buffer.
 func (w *Walk) Release() { *w = Walk{qsplit: w.qsplit[:0]} }
-
-// Seat puts a float pass in lane (0 ≤ lane < 2·Lanes; lane/Lanes is its
-// group) with the trajectory at its head: offset 0, envelope 0. The
-// lane's window at offset β ∈ [0, maxOff] is x[β:β+len(q)], with
-// sums[i] = {Σ x[:i], Σ x[:i]²}: x must hold maxOff+len(q) samples and
-// sums one entry more.
-func (w *Walk) Seat(lane int, x []float64, sums [][2]float64, scale float64, maxOff int) {
-	if w.quant {
-		panic("kernel: a float pass seated in a walk over counts")
-	}
-	g, k := &w.group[lane/Lanes], lane%Lanes
-	g.x[k], g.sums[k], g.scale[k], g.maxOff[k] = x, sums, scale, int64(maxOff)
-	g.beta[k], g.env[k] = 0, 0
-	g.setLive(k, true)
-}
 
 // Mask takes lane out of the walk.
 func (w *Walk) Mask(lane int) { w.group[lane/Lanes].setLive(lane%Lanes, false) }
@@ -247,7 +180,7 @@ func (w *Walk) Taken(lane int) (omega float64, beta int) {
 	return g.omega[k], int(g.at[k])
 }
 
-// Evals is the number of ω evaluations since Reset.
+// Evals is the number of ω evaluations since ResetQ.
 func (w *Walk) Evals() int { return int(w.group[0].evals + w.group[1].evals) }
 
 // Run steps the groups alternately until a step has an event, and
@@ -257,7 +190,7 @@ func (w *Walk) Evals() int { return int(w.group[0].evals + w.group[1].evals) }
 // returns events == 0 at once, and that is the only way it does.
 //
 // Run panics if a live lane's pass does not hold every window from its
-// offset to its last: the vector routes read through raw pointers, so
+// offset to its last: the vector route reads through raw pointers, so
 // the extents are checked here, once per call, on every route alike.
 func (w *Walk) Run() (first int, events uint32) {
 	turn := w.turn
@@ -274,14 +207,9 @@ func (w *Walk) Run() (first int, events uint32) {
 	} else {
 		w.admit(b)
 	}
-	route := stepPortable
-	switch {
-	case w.quant && w.tabled && len(w.qc) >= splitBlock:
+	route := stepQPortable
+	if w.tabled && len(w.qc) >= splitBlock {
 		route = stepQ
-	case w.quant:
-		route = stepQPortable
-	case w.tabled:
-		route = step
 	}
 	which, events := route(w, a, b)
 	turn ^= which
@@ -290,97 +218,35 @@ func (w *Walk) Run() (first int, events uint32) {
 }
 
 // admit checks the extents of g's live lanes and parks its masked lanes
-// at the head of a live lane's pass, where the vector routes' loads are
+// at the head of a live lane's pass, where the vector route's loads are
 // harmless.
 func (w *Walk) admit(g *group) {
 	n := int64(w.nf)
 	donor := bits.TrailingZeros32(g.liveBits)
-	for k := range g.x {
+	for k := range g.c {
 		if g.live[k] == 0 {
-			g.x[k], g.c[k], g.sums[k], g.beta[k] = g.x[donor], g.c[donor], g.sums[donor], 0
+			g.c[k], g.sums[k], g.beta[k] = g.c[donor], g.sums[donor], 0
 			continue
 		}
 		end := max(g.beta[k], g.maxOff[k]) + n
-		held := int64(len(g.x[k]))
-		if w.quant {
-			held = int64(len(g.c[k]))
-		}
-		if g.beta[k] < 0 || end > held || end >= int64(len(g.sums[k])) {
+		if g.beta[k] < 0 || end > int64(len(g.c[k])) || end >= int64(len(g.sums[k])) {
 			panic("kernel: a lane's pass does not hold the windows up to its last offset")
 		}
 	}
 }
 
-// step and stepQ are the routes a tabled walk runs over float64 samples
-// and over int16 counts: the portable steps everywhere, replaced in
-// dot_amd64.go's init by the AVX2 routines together with the other
-// routes. A walk whose rule has no full decay table always runs a
-// portable step, and so does a walk over counts whose query is shorter
-// than one block of the vector dot.
-var (
-	step  = stepPortable
-	stepQ = stepQPortable
-)
+// stepQ is the route a tabled walk runs: the portable step everywhere,
+// replaced in dot_amd64.go's init by the AVX2 routine together with the
+// other routes. A walk whose rule has no full decay table always runs
+// the portable step, and so does one whose query is shorter than one
+// block of the vector dot.
+var stepQ = stepQPortable
 
-// stepPortable steps a, then b, then a … (b may be nil) until a step
-// reports events; which is 0 when that step was a's.
-func stepPortable(w *Walk, a, b *group) (which int, events uint32) {
-	for {
-		if events = a.stepPortable(w); events != 0 {
-			return which, events
-		}
-		if b != nil {
-			a, b, which = b, a, which^1
-		}
-	}
-}
-
-// stepPortable is one step of the group's live lanes over float64
-// samples: the sequence in Walk's comment, spelled out. The dots come
-// from the Dot/Dot4 routes — bit-identical on every route, so the step is
-// too.
-func (g *group) stepPortable(w *Walk) (events uint32) {
-	q := w.q
-	n := len(q)
-	if g.nlive == Lanes {
-		b0, b1, b2, b3 := int(g.beta[0]), int(g.beta[1]), int(g.beta[2]), int(g.beta[3])
-		dot4(q, g.x[0][b0:b0+n], g.x[1][b1:b1+n], g.x[2][b2:b2+n], g.x[3][b3:b3+n], &g.spill)
-	} else {
-		for k := range g.x {
-			if g.live[k] != 0 {
-				beta := int(g.beta[k])
-				g.spill[k] = dot(q, g.x[k][beta:beta+n])
-			}
-		}
-	}
-	g.evals += g.nlive
-	for k := range g.x {
-		if g.live[k] == 0 {
-			g.at[k], g.omega[k] = g.beta[k], 0
-			continue
-		}
-		beta := int(g.beta[k])
-		sums := g.sums[k]
-		lo, hi := &sums[beta], &sums[beta+n]
-		scale := g.scale[k]
-		den := scale * windowNorm(hi[0]-lo[0], hi[1]-lo[1], w.nf)
-		// Degenerate (constant) stored windows, and windows whose norm
-		// a non-finite sample poisoned, correlate as 0.
-		omega := 0.0
-		if den >= 1e-12 {
-			omega = scale * g.spill[k] / den
-		}
-		events |= g.move(k, omega, &w.rule)
-	}
-	return events
-}
-
-// move is what follows ω in a step of live lane k, the same for both
-// element types: the candidate test, the envelope, the advance, the
-// decay and the done test, in Walk's order. It returns the lane's event
-// bits. The two selects on the envelope are max(), not branches: each
-// goes either way about as often, and on env's domain (≥ +0, not NaN)
-// max is the comparison.
+// move is what follows ω in a step of live lane k: the candidate test,
+// the envelope, the advance, the decay and the done test, in Walk's
+// order. It returns the lane's event bits. The two selects on the
+// envelope are max(), not branches: each goes either way about as often,
+// and on env's domain (≥ +0, not NaN) max is the comparison.
 func (g *group) move(k int, omega float64, r *SkipRule) (events uint32) {
 	g.at[k], g.omega[k] = g.beta[k], omega
 	if omega > r.Delta {

@@ -9,19 +9,6 @@ import (
 	"emap/internal/rng"
 )
 
-// prefixSums builds sums[i] = {Σ x[:i], Σ x[:i]²} the way
-// dsp.SlidingStats does (and, for integer-valued x, Widen).
-func prefixSums(x []float64) [][2]float64 {
-	sums := make([][2]float64, len(x)+1)
-	var sum, sumSq float64
-	for i, v := range x {
-		sum += v
-		sumSq += v * v
-		sums[i+1] = [2]float64{sum, sumSq}
-	}
-	return sums
-}
-
 // tabledRule is a rule as internal/search builds it: the decay table
 // covers every advance the floor allows.
 func tabledRule(delta, floor, skipNum, base float64) *SkipRule {
@@ -33,31 +20,31 @@ func tabledRule(delta, floor, skipNum, base float64) *SkipRule {
 	return r
 }
 
-// runPortable is w.Run with both tabled steps forced onto the portable
+// runPortable is w.Run with the tabled step forced onto the portable
 // route.
 func runPortable(w *Walk) (int, uint32) {
 	defer StepPortable()()
 	return w.Run()
 }
 
-// spillIsDen is set where the selected routes are the vector routines,
-// which leave each lane's denominator (over counts: its reciprocal) in
-// group.spill: the one intermediate runBoth can hold them to as well.
+// spillIsDen is set where the selected route is the vector routine,
+// which leaves the reciprocal of each lane's denominator in group.spill:
+// the one intermediate runBoth can hold it to as well.
 var spillIsDen bool
 
-// vectorServes reports whether w's Run goes to a route init may have
-// replaced: a tabled rule and, over counts, a query of at least a block.
+// vectorServes reports whether w's Run goes to the route init may have
+// replaced: a tabled rule and a query of at least a block.
 func vectorServes(w *Walk) bool {
-	return w.tabled && (!w.quant || len(w.qc) >= splitBlock)
+	return w.tabled && len(w.qc) >= splitBlock
 }
 
 // runBoth is one Run of w on the route this machine selected and one of
 // a copy of w on the portable step. The two must report the same group
 // and events and leave == state: every lane's offset, envelope, ω and
 // the offset it was taken at, both evaluation counts, the live masks and
-// whose turn it is. The vector routines' spilled denominators must be the
-// portable expression's too — NaN where it is NaN, −0 where it is −0 —
-// though ω hides the difference (both fail the gate).
+// whose turn it is. The vector routine's spilled reciprocals must be the
+// portable expression's too — +0 where the denominator is not above
+// zero.
 func runBoth(t *testing.T, label string, w *Walk) (int, uint32) {
 	t.Helper()
 	ref := *w // the lanes' slices are shared, and only read
@@ -74,7 +61,7 @@ func runBoth(t *testing.T, label string, w *Walk) (int, uint32) {
 		if g.evals != p.evals || g.live != p.live || g.nlive != p.nlive || g.liveBits != p.liveBits {
 			t.Fatalf("%s: group %d counts %d evals, live %v; portable %d, %v", label, gi, g.evals, g.live, p.evals, p.live)
 		}
-		for k := range g.x {
+		for k := range g.c {
 			if g.beta[k] != p.beta[k] || g.at[k] != p.at[k] || !sameFloat(g.env[k], p.env[k]) || !sameFloat(g.omega[k], p.omega[k]) {
 				t.Fatalf("%s: group %d lane %d: β=%d env=%x ω=%x at %d; portable β=%d env=%x ω=%x at %d", label, gi, k,
 					g.beta[k], math.Float64bits(g.env[k]), math.Float64bits(g.omega[k]), g.at[k],
@@ -87,140 +74,44 @@ func runBoth(t *testing.T, label string, w *Walk) (int, uint32) {
 			}
 			lo, hi := g.sums[k][g.at[k]], g.sums[k][g.at[k]+int64(w.nf)]
 			sum, sumSq := hi[0]-lo[0], hi[1]-lo[1]
-			den := g.scale[k] * windowNorm(sum, sumSq, w.nf)
-			if w.quant {
-				// Over counts the spill is the reciprocal, +0 unless
-				// den > 0.
-				if d := w.rq * math.Sqrt(float64(w.nf*sumSq)-float64(sum*sum)); d > 0 {
-					den = 1 / d
-				} else {
-					den = 0
-				}
+			rden := 0.0
+			if d := w.rq * math.Sqrt(float64(w.nf*sumSq)-float64(sum*sum)); d > 0 {
+				rden = 1 / d
 			}
-			if !sameFloat(g.spill[k], den) {
-				t.Fatalf("%s: group %d lane %d: spilled denominator %x, portable expression %x", label, gi, k, math.Float64bits(g.spill[k]), math.Float64bits(den))
+			if !sameFloat(g.spill[k], rden) {
+				t.Fatalf("%s: group %d lane %d: spilled reciprocal %x, portable expression %x", label, gi, k, math.Float64bits(g.spill[k]), math.Float64bits(rden))
 			}
 		}
 	}
 	return first, events
 }
 
-// driveBoth runs w to its end under both routes, call by call. A lane
-// that finishes its pass is handed to done, which seats something new in
-// it or does not (the lane is then masked). It returns every candidate ω
-// in the order reported and the number of evaluations.
-func driveBoth(t *testing.T, label string, w *Walk, done func(lane int) bool) (omegas []float64, evals int) {
-	t.Helper()
-	for calls := 0; ; calls++ {
-		if calls > 1<<20 {
-			t.Fatalf("%s: the walk does not end", label)
-		}
-		first, events := runBoth(t, fmt.Sprintf("%s/call %d", label, calls), w)
-		if events == 0 {
-			return omegas, w.Evals()
-		}
-		for k := 0; k < Lanes; k++ {
-			if events>>k&EventCandidate != 0 {
-				omega, _ := w.Taken(first + k)
-				omegas = append(omegas, omega)
-			}
-			if lane := first + k; events>>k&EventDone != 0 && !done(lane) {
-				w.Mask(lane)
-			}
-		}
-	}
-}
-
-// stepLengths are the window lengths the step is swept over: no full
-// block, one short of a block, exactly one, one over, and the scan's own
-// 256 with a neighbour either side.
+// stepLengths are the short window lengths the step is swept over: no
+// full block, one short of a block, exactly one, one over, and the
+// scan's own 256 with a neighbour either side. (stepQLengths are the
+// long ones, at and past the vector dot's flushes.)
 var stepLengths = []int{1, 15, 16, 17, 255, 256, 257}
 
-// scenario is one randomly drawn walk: a shared sample buffer whose
-// prefix sums every lane reads (so windows of different lanes overlap,
-// as adjacent sets of one record do), and the means to seat a random
-// pass of it.
-type scenario struct {
-	r    *rng.Source
-	n    int
-	buf  []float64
-	sums [][2]float64
-}
-
-func newScenario(r *rng.Source, n int, buf []float64) *scenario {
-	return &scenario{r: r, n: n, buf: buf, sums: prefixSums(buf)}
-}
-
-// seat puts a random pass in lane: up to 300 offsets, any scale, and one
-// time in eight an offset already past the last one — the step still
-// evaluates where it stands, then reports the lane done.
-func (sc *scenario) seat(w *Walk, lane int) {
-	r := sc.r
-	room := len(sc.buf) - sc.n
-	start := r.Intn(room/2 + 1)
-	maxOff := r.Intn(min(300, room-start) + 1)
-	slack := 0
-	if r.Intn(8) == 0 {
-		slack = 1 + r.Intn(min(20, room-start-maxOff+1))
-		slack = min(slack, room-start-maxOff)
-	}
-	end := start + maxOff + slack + sc.n
-	scale := [...]float64{1, 0.02, 0.25, 3}[r.Intn(4)]
-	w.Seat(lane, sc.buf[start:end], sc.sums[start:end+1], scale, maxOff)
-	if slack > 0 {
-		w.group[lane/Lanes].beta[lane%Lanes] = int64(maxOff + slack)
-	}
-}
-
-// sampleBuffer draws a buffer of the given kind: µV-scale noise, the
-// integer counts of a quantized pass, noise with non-finite samples
-// planted in it (every window norm at or after one is NaN), or noise
-// with constant stretches longer than a window (den < 1e-12).
-func sampleBuffer(r *rng.Source, kind, size, n int) []float64 {
-	buf := make([]float64, size)
-	for i := range buf {
-		if kind == 1 {
-			buf[i] = float64(int16(r.Intn(1<<16) - 1<<15))
-		} else {
-			buf[i] = r.NormFloat64() * 100
-		}
-	}
-	switch kind {
-	case 2:
-		for range 3 {
-			buf[size/3+r.Intn(size/2)] = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.Intn(3)]
-		}
-	case 3:
-		for range 3 {
-			at, v := r.Intn(size-n-40), float64(r.Intn(9)-4)
-			for i := at; i < at+n+40; i++ {
-				buf[i] = v
-			}
-		}
-	}
-	return buf
-}
-
-// TestStepRoutesAgree: the route this machine runs (the AVX2 routine on
-// an amd64 that has it) is the portable step — == on every output field
-// after every call — over random walks at every window length of
-// stepLengths: noise, counts, NaN and ±Inf samples, constant windows,
-// overlapping windows, any δ (so every mix of candidate and done bits is
-// reported), lanes masked from the start, lanes that start past their
-// last offset, lanes reseated mid-walk and lanes left masked while the
-// others go on, down to one live lane and one live group.
-func TestStepRoutesAgree(t *testing.T) {
+// sweepRoutes is the body of TestStepRoutesAgree and TestStepQRoutesAgree
+// over the given window lengths: random walks with every kind of pass
+// buffer and of query, any δ, lanes masked from the start, lanes that
+// start past their last offset, lanes reseated mid-walk.
+func sweepRoutes(t *testing.T, lengths []int, seeds uint64) {
 	candidates, evals := 0, 0
-	for seed := uint64(0); seed < 160; seed++ {
+	for seed := uint64(0); seed < seeds; seed++ {
 		r := rng.New(seed)
-		n := stepLengths[int(seed)%len(stepLengths)]
-		kind := int(seed/7) % 4
-		sc := newScenario(r, n, sampleBuffer(r, kind, 2*n+700, n))
+		n := lengths[int(seed)%len(lengths)]
+		kind, qkind := int(seed/uint64(len(lengths)))%4, int(seed/uint64(4*len(lengths)))%4
+		buf := countsBuffer(r, kind, 2*n+700, n)
+		sc := newScenarioQ(r, n, buf)
 		rule := tabledRule([...]float64{0.8, 0.3, 0, -0.5}[r.Intn(4)], [...]float64{0.05, 0.3, 0.011}[r.Intn(3)], 0.8, 0.86)
 		var w Walk
-		w.Reset(randVec(r, n), rule)
+		w.ResetQ(countsQuery(r, qkind, n, buf), rule)
 		if !w.tabled {
 			t.Fatalf("seed %d: rule %+v is not tabled", seed, rule)
+		}
+		if qkind == 3 && w.rq != 0 {
+			t.Fatalf("seed %d: a constant query has √D_q = %g", seed, w.rq)
 		}
 		seated := 0
 		for lane := 0; lane < 2*Lanes; lane++ {
@@ -230,7 +121,7 @@ func TestStepRoutesAgree(t *testing.T) {
 			}
 		}
 		refills := r.Intn(12)
-		omegas, e := driveBoth(t, fmt.Sprintf("seed %d n=%d kind %d", seed, n, kind), &w, func(lane int) bool {
+		c, e := driveBothQ(t, fmt.Sprintf("seed %d n=%d kind %d query %d", seed, n, kind, qkind), &w, func(lane int) bool {
 			if refills == 0 {
 				return false
 			}
@@ -238,7 +129,7 @@ func TestStepRoutesAgree(t *testing.T) {
 			sc.seat(&w, lane)
 			return true
 		})
-		candidates += len(omegas)
+		candidates += c
 		evals += e
 	}
 	t.Logf("%d candidates in %d evaluations", candidates, evals)
@@ -247,59 +138,108 @@ func TestStepRoutesAgree(t *testing.T) {
 	}
 }
 
-// TestStepSpecialValues plants TestDotSpecialValues' non-finite,
-// denormal, signed-zero and overflowing inputs in the query and in the
-// shared buffer of the lanes, at every position of a block and a tail,
-// and walks eight overlapping passes over them on both routes.
-func TestStepSpecialValues(t *testing.T) {
-	r := rng.New(29)
-	rule := tabledRule(0.3, 0.05, 0.8, 0.86)
-	for _, n := range []int{1, 15, 16, 17, 33, 50} {
-		for pos := 0; pos < n; pos++ {
-			for si, sv := range specials {
-				q, buf := randVec(r, n), randVec(r, 2*n+40)
-				q[pos] = sv
-				buf[(pos+7)%len(buf)] = specials[(si+pos)%len(specials)]
-				sums := prefixSums(buf)
-				var w Walk
-				w.Reset(q, rule)
-				for lane := 0; lane < 2*Lanes; lane++ {
-					start, maxOff := lane*n/8, 12+lane
-					w.Seat(lane, buf[start:start+maxOff+n], sums[start:start+maxOff+n+1], 1, maxOff)
-				}
-				driveBoth(t, fmt.Sprintf("n=%d pos=%d special=%g", n, pos, sv), &w, func(int) bool { return false })
+// TestStepRoutesAgree: the route this machine runs (the AVX2 routine on
+// an amd64 that has it) is the portable step — == on every output field
+// after every call — and every candidate's ω is the written-out
+// sequence's, over random walks at every short window length
+// (stepLengths; a query under one block never reaches the vector
+// routine, which the sweep shows by agreeing): uniform counts, rails in
+// both operands, constant windows (D_c = 0) and constant queries
+// (D_q = 0), DC-offset queries that correlate, any δ (so every mix of
+// candidate and done bits is reported), lanes masked from the start,
+// lanes that start past their last offset, lanes reseated mid-walk and
+// lanes left masked while the others go on, down to one live lane and
+// one live group. TestStepQRoutesAgree is the same sweep over the long
+// lengths.
+func TestStepRoutesAgree(t *testing.T) { sweepRoutes(t, stepLengths, 224) }
+
+// walkWindows seats four lanes of group 0 on four windows of buf that
+// overlap and sit at every 2-byte misalignment against a 32-byte
+// boundary — adjacent offsets of one record, which is what the lanes of
+// a scan hold — and the other group on the same windows shifted by one
+// count, and walks them on both routes with every ω a candidate, so
+// each lane's dot is held to the written-out sequence.
+func walkWindows(t *testing.T, label string, q, buf []int16) {
+	t.Helper()
+	n := len(q)
+	sums := make([][2]float64, len(buf)+1)
+	Widen(sums, buf)
+	var w Walk
+	w.ResetQ(q, tabledRule(-2, 0.05, 0.8, 0.86))
+	for lane, start := range [...]int{0, 1, 3, n/2 + 2, 1, 2, 4, n/2 + 3} {
+		w.SeatQ(lane, buf[start:start+n+2], sums[start:start+n+3], 2)
+	}
+	if c, e := driveBothQ(t, label, &w, func(int) bool { return false }); c != e || e < 2*Lanes {
+		t.Fatalf("%s: %d candidates in %d evaluations", label, c, e)
+	}
+}
+
+// TestDot4MatchesDot: for every n in 1…300 — every n mod 16 leftover,
+// with and without whole blocks — the step's four-window dot gives each
+// of its windows the ω of the written-out sequence, and DotQ gives the
+// plain loop's sum, with the query at every misalignment and the
+// windows unaligned and overlapping. (TestStepRoutesAgree sweeps seven
+// lengths at random; this is the leftover block at every length.)
+func TestDot4MatchesDot(t *testing.T) {
+	r := rng.New(17)
+	for n := 1; n <= 300; n++ {
+		for mis := 0; mis < 4; mis++ {
+			q, buf := randCounts(r, n+4)[mis:mis+n], randCounts(r, 2*n+12)[(mis+1)%4:]
+			walkWindows(t, fmt.Sprintf("n=%d q+%d", n, mis), q, buf)
+			var want int64
+			for i, v := range q {
+				want += int64(v) * int64(buf[i])
+			}
+			if got := DotQ(q, buf); got != want {
+				t.Fatalf("n=%d q+%d: DotQ = %d, plain loop %d", n, mis, got, want)
 			}
 		}
 	}
 }
 
-// oneStep seats up to four single-window lanes in group 0 — lane k's
-// window is the one sample dots[k], its norm² d2s[k] (planted straight
-// into the prefix sums), its envelope envs[k] — with MaxOff = β, so the
-// walk's first step reports every lane done and Run returns after
-// exactly that step.
-func oneStep(w *Walk, rule *SkipRule, scale float64, dots, d2s, envs []float64) {
-	const beta = 30
-	w.Reset([]float64{1}, rule)
-	for k := range dots {
-		x, sums := make([]float64, beta+1), make([][2]float64, beta+2)
-		x[beta], sums[beta+1] = dots[k], [2]float64{0, d2s[k]}
-		w.Seat(k, x, sums, scale, beta)
-		w.group[0].beta[k], w.group[0].env[k] = beta, envs[k]
+// TestDot4SpecialValues plants the counts the integer dot can trip over
+// (rails: both rails, and every value whose high or low byte is at its
+// own extreme) in the shared buffer of the four windows, at every
+// position of a block and of a leftover: each window's ω must still be
+// the written-out sequence's.
+func TestDot4SpecialValues(t *testing.T) {
+	r := rng.New(19)
+	for _, n := range []int{1, 15, 16, 17, 33, 50} {
+		for pos := 0; pos < n; pos++ {
+			for _, sv := range rails {
+				buf := randCounts(r, 2*n+12)
+				buf[pos], buf[(pos+n/2+7)%len(buf)] = sv, sv
+				walkWindows(t, fmt.Sprintf("n=%d pos=%d special=%d", n, pos, sv), randCounts(r, n), buf)
+			}
+		}
 	}
 }
 
-// branchStep is one lane's step as the single-cursor loop spelled it
-// before the lanes and before the kernel: the envelope's running maximum
-// and the skip rule's floor are comparisons and branches, the decay is
-// DecayPow. It is the reference the step's selects are pinned to.
-func branchStep(r *SkipRule, scale, dot, d2, env float64, beta int) (omega float64, candidate bool, nextBeta int, nextEnv float64) {
-	if d2 < 0 {
-		d2 = 0
+// TestStepSpecialValues plants the rails in the QUERY, at every position
+// of a block and of a leftover — splitQuery cuts each count into a high
+// and a low byte, and the leftover counts into a block of their own read
+// against the window's last sixteen, so where a rail sits decides which
+// partial sums it joins — and walks eight overlapping passes under it on
+// both routes.
+func TestStepSpecialValues(t *testing.T) {
+	r := rng.New(29)
+	for _, n := range []int{1, 15, 16, 17, 33, 50} {
+		for pos := 0; pos < n; pos++ {
+			for si, sv := range rails {
+				q := randCounts(r, n)
+				q[pos], q[(pos+5)%n] = sv, rails[(si+pos)%len(rails)]
+				walkWindows(t, fmt.Sprintf("n=%d pos=%d special=%d", n, pos, sv), q, randCounts(r, 2*n+12))
+			}
+		}
 	}
-	if den := scale * math.Sqrt(d2); den >= 1e-12 {
-		omega = scale * dot / den
-	}
+}
+
+// branchMove is what follows ω in one lane's step as the single-cursor
+// loop spelled it before the lanes and before the kernel: the envelope's
+// running maximum and the skip rule's floor are comparisons and
+// branches, the decay is DecayPow. It is the reference the step's
+// selects are pinned to.
+func branchMove(r *SkipRule, omega, env float64, beta int) (candidate bool, nextBeta int, nextEnv float64) {
 	if a := math.Abs(omega); a > env {
 		env = a
 	}
@@ -311,53 +251,85 @@ func branchStep(r *SkipRule, scale, dot, d2, env float64, beta int) (omega float
 	if adv < 1 {
 		adv = 1
 	}
-	return omega, omega > r.Delta, beta + adv, env * DecayPow(r.DecayBase, adv)
+	return omega > r.Delta, beta + adv, env * DecayPow(r.DecayBase, adv)
 }
 
 // TestStepSelectsMatchBranches: the portable step's max() selects, and
 // the vector step's masks and VMAXPDs, leave a lane exactly where the
-// comparisons they replaced would — for ordinary ω on either side of the
-// envelope and of the floor, for ω = ±0, for the non-finite ω a corrupt
-// sample could produce (+Inf and −Inf saturate the envelope, NaN leaves
-// it unchanged), and for every norm the clamp and the 1e-12 gate see:
-// zero, tiny, negative (cancellation), −0, NaN, +Inf.
+// comparisons they replaced would — for every ω counts can produce on
+// either side of the envelope, of the floor and of δ: +1 (the window is
+// the query), −1 (its negation), +0 (a constant window, and a constant
+// query), small and middling correlations of either sign — against
+// envelopes from +0 to +Inf, under tabled rules and one with no table.
 func TestStepSelectsMatchBranches(t *testing.T) {
-	dots := []float64{0, math.Copysign(0, -1), 1e-9, 0.01, 0.049, 0.05, 0.051, 0.3, 0.79, 0.81, 1, -0.02, -0.6, -1,
-		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	r := rng.New(61)
+	const n = 16
+	q := make([]int16, n)
+	for i := range q {
+		q[i] = int16(r.Intn(40000) - 20000)
+	}
+	neg, flat := make([]int16, n), make([]int16, n)
+	for i, v := range q {
+		neg[i], flat[i] = -v, 77
+	}
+	wins := [][]int16{q, neg, flat}
+	for _, mix := range []int{1, 4, 20, 200} { // the query under ever more noise
+		for _, sign := range []int16{1, -1} {
+			win := make([]int16, n)
+			for i, v := range q {
+				win[i] = sign*(v/int16(mix)) + int16(r.Intn(3000)-1500)
+			}
+			wins = append(wins, win)
+		}
+	}
 	envs := []float64{0, 1e-12, 0.01, 0.05, 0.2, 0.6, 1, math.Inf(1)}
-	d2s := []float64{1, 0, 1e-26, 4e-24, -1, math.Copysign(0, -1), math.NaN(), math.Inf(1)}
-	const scale = 0.5
+	seen := map[string]bool{}
 	for _, rule := range []*SkipRule{tabledRule(0.8, 0.05, 0.8, 0.86), tabledRule(0.8, 0.3, 0.8, 0.86), tabledRule(0.3, 0.011, 0.8, 0.5),
 		{Delta: 0.8, Floor: 1e-4, SkipNum: 0.8, DecayBase: 0.86}} {
-		for _, dot := range dots {
+		for wi, win := range wins {
+			omega := omegaQ(q, win)
 			for _, env := range envs {
-				for _, d2 := range d2s {
+				for _, query := range [][]int16{q, flat} {
+					want := omega
+					if &query[0] == &flat[0] {
+						want = 0 // D_q = 0
+					}
 					var w Walk
-					oneStep(&w, rule, scale, []float64{dot}, []float64{d2}, []float64{env})
-					label := fmt.Sprintf("floor=%g dot=%g norm²=%g env=%g", rule.Floor, dot, d2, env)
+					oneStepQ(&w, rule, query, [][]int16{win}, []float64{env})
+					label := fmt.Sprintf("floor=%g window %d ω=%g env=%g", rule.Floor, wi, want, env)
 					_, events := runBoth(t, label, &w)
 					g := &w.group[0]
-					// One sample against the query {1}: the dot is the
-					// sample, through Dot's +0 tail.
-					omega, candidate, beta, nextEnv := branchStep(rule, scale, 0+dot, d2, env, 30)
-					if !sameFloat(g.omega[0], omega) || (events&EventCandidate != 0) != candidate || events&EventDone == 0 ||
+					candidate, beta, nextEnv := branchMove(rule, want, env, 30)
+					if !sameFloat(g.omega[0], want) || (events&EventCandidate != 0) != candidate || events&EventDone == 0 ||
 						g.at[0] != 30 || g.beta[0] != int64(beta) || !sameFloat(g.env[0], nextEnv) || g.evals != 1 {
 						t.Fatalf("%s: step left ω=%x events=%#x β=%d env=%x after %d evaluations, branches ω=%x candidate=%v β=%d env=%x",
 							label, math.Float64bits(g.omega[0]), events, g.beta[0], math.Float64bits(g.env[0]), g.evals,
-							math.Float64bits(omega), candidate, beta, math.Float64bits(nextEnv))
+							math.Float64bits(want), candidate, beta, math.Float64bits(nextEnv))
 					}
+					a := math.Abs(want)
+					seen[fmt.Sprint(a > env, max(a, env) > rule.Floor, candidate)] = true
 				}
 			}
 		}
 	}
+	// δ ≥ Floor in every rule above, so a candidate is always over the
+	// floor: six of the eight ways the three comparisons can fall exist.
+	if len(seen) != 6 {
+		t.Fatalf("the table reaches %d of the 6 ways the three comparisons can fall: %v", len(seen), seen)
+	}
 }
 
-// TestStepEnvelopeBoundaries walks the skip rule's rounding boundaries:
-// for every advance m the table holds, the envelope at which SkipNum/env
-// + 0.5 reaches m+1, and its neighbours either side; the floor and its
-// neighbours; and ω within an ulp of δ and of the envelope. Constant
-// windows (ω = 0) leave the envelope to decide the advance alone.
+// TestStepEnvelopeBoundaries walks the skip rule's rounding boundaries
+// on both routes, against the comparisons spelled as branches. Constant
+// windows (ω = +0) leave the envelope to decide the advance alone: for
+// every advance m the table holds, the envelope at which SkipNum/env +
+// 0.5 reaches m+1 and its neighbours either side; the floor and its
+// neighbours; +0 and +Inf. (TestStepQBoundaries does the same around a
+// real ω.)
 func TestStepEnvelopeBoundaries(t *testing.T) {
+	r := rng.New(43)
+	const n = 16
+	q, flat := randCounts(r, n), make([]int16, n)
 	for _, rule := range []*SkipRule{tabledRule(0.8, 0.05, 0.8, 0.86), tabledRule(0.8, 0.0002, 0.8, 0.99), tabledRule(0.5, 0.3, 4, 0.5)} {
 		var envs []float64
 		for m := 1; m < len(rule.Decay); m++ {
@@ -370,30 +342,13 @@ func TestStepEnvelopeBoundaries(t *testing.T) {
 		}
 		for i := 0; i < len(envs); i += Lanes {
 			var w Walk
-			oneStep(&w, rule, 1, make([]float64, Lanes), make([]float64, Lanes), envs[i:i+Lanes])
+			oneStepQ(&w, rule, q, [][]int16{flat, flat, flat, flat}, envs[i:i+Lanes])
 			label := fmt.Sprintf("floor=%g envs=%v", rule.Floor, envs[i:i+Lanes])
 			runBoth(t, label, &w)
 			for k := 0; k < Lanes; k++ {
-				_, _, beta, nextEnv := branchStep(rule, 1, 0, 0, envs[i+k], 30)
-				if g := &w.group[0]; g.beta[k] != int64(beta) || !sameFloat(g.env[k], nextEnv) {
-					t.Fatalf("%s lane %d: β=%d env=%x, branches β=%d env=%x", label, k, g.beta[k], math.Float64bits(g.env[k]), beta, math.Float64bits(nextEnv))
-				}
-			}
-		}
-		// ω = dot exactly (norm 1, scale 1): δ and the envelope one ulp
-		// either side of it.
-		for _, omega := range []float64{rule.Delta, 0.123456789, 0.9999999} {
-			near := []float64{math.Nextafter(omega, 0), omega, math.Nextafter(omega, 1)}
-			for _, dot := range near {
-				for _, env := range near {
-					var w Walk
-					oneStep(&w, rule, 1, []float64{dot}, []float64{1}, []float64{env})
-					label := fmt.Sprintf("floor=%g δ=%g ω=%x env=%x", rule.Floor, rule.Delta, math.Float64bits(dot), math.Float64bits(env))
-					_, events := runBoth(t, label, &w)
-					_, candidate, beta, nextEnv := branchStep(rule, 1, dot, 1, env, 30)
-					if g := &w.group[0]; (events&EventCandidate != 0) != candidate || g.beta[0] != int64(beta) || !sameFloat(g.env[0], nextEnv) {
-						t.Fatalf("%s: events=%#x β=%d env=%x, branches candidate=%v β=%d env=%x", label, events, g.beta[0], math.Float64bits(g.env[0]), candidate, beta, math.Float64bits(nextEnv))
-					}
+				_, beta, nextEnv := branchMove(rule, 0, envs[i+k], 30)
+				if g := &w.group[0]; g.beta[k] != int64(beta) || !sameFloat(g.env[k], nextEnv) || !sameFloat(g.omega[k], 0) {
+					t.Fatalf("%s lane %d: ω=%x β=%d env=%x, branches β=%d env=%x", label, k, math.Float64bits(g.omega[k]), g.beta[k], math.Float64bits(g.env[k]), beta, math.Float64bits(nextEnv))
 				}
 			}
 		}
@@ -405,26 +360,24 @@ func TestStepEnvelopeBoundaries(t *testing.T) {
 // its gather has no bounds check — and the portable step serves it with
 // DecayPow.
 func TestStepUntabledRunsPortable(t *testing.T) {
-	defer func(s, sq func(*Walk, *group, *group) (int, uint32)) { step, stepQ = s, sq }(step, stepQ)
-	step = func(*Walk, *group, *group) (int, uint32) {
+	defer func(sq func(*Walk, *group, *group) (int, uint32)) { stepQ = sq }(stepQ)
+	stepQ = func(*Walk, *group, *group) (int, uint32) {
 		t.Fatal("an untabled walk reached the tabled route")
 		return 0, 0
 	}
-	stepQ = step
 	r := rng.New(31)
-	buf := randVec(r, 900)
-	sums := prefixSums(buf)
+	sc := newScenarioQ(r, 64, randCounts(r, 900))
 	short := tabledRule(0.3, 0.05, 0.8, 0.86)
 	short.Decay = short.Decay[:len(short.Decay)-1]
 	for _, rule := range []*SkipRule{{Delta: 0.3, Floor: 1e-4, SkipNum: 0.8, DecayBase: 0.86}, short,
 		{Delta: 0.3, Floor: 0, SkipNum: 0.8, DecayBase: 0.86, Decay: short.Decay}} {
 		var w Walk
-		w.Reset(randVec(r, 64), rule)
+		w.ResetQ(randCounts(r, 64), rule)
 		if w.tabled {
 			t.Fatalf("rule %+v counts as tabled", rule)
 		}
 		for lane := 0; lane < 2*Lanes; lane++ {
-			w.Seat(lane, buf[lane:lane+800], sums[lane:lane+801], 1, 700)
+			w.SeatQ(lane, sc.buf[lane:lane+800], sc.sums[lane:lane+801], 700)
 		}
 		for {
 			first, events := w.Run()
@@ -444,28 +397,28 @@ func TestStepUntabledRunsPortable(t *testing.T) {
 }
 
 // TestRunRefusesShortPass: a live lane whose pass does not reach its
-// last offset's window — in samples or in prefix sums — or whose offset
+// last offset's window — in counts or in prefix sums — or whose offset
 // is negative is refused by Run before any route reads through it; a
 // masked lane is never looked at.
 func TestRunRefusesShortPass(t *testing.T) {
 	rule := tabledRule(0.8, 0.05, 0.8, 0.86)
-	x := make([]float64, 100)
-	sums := prefixSums(x)
+	c := make([]int16, 100)
+	sums := make([][2]float64, 101)
 	for name, seat := range map[string]func(w *Walk){
-		"short samples": func(w *Walk) { w.Seat(5, x[:99], sums, 1, 84) },
-		"short sums":    func(w *Walk) { w.Seat(5, x, sums[:100], 1, 84) },
+		"short counts": func(w *Walk) { w.SeatQ(5, c[:99], sums, 84) },
+		"short sums":   func(w *Walk) { w.SeatQ(5, c, sums[:100], 84) },
 		"offset past the pass": func(w *Walk) {
-			w.Seat(5, x, sums, 1, 10)
+			w.SeatQ(5, c, sums, 10)
 			w.group[1].beta[1] = 85
 		},
 		"negative offset": func(w *Walk) {
-			w.Seat(5, x, sums, 1, 10)
+			w.SeatQ(5, c, sums, 10)
 			w.group[1].beta[1] = -1
 		},
 	} {
 		var w Walk
-		w.Reset(make([]float64, 16), rule)
-		w.Seat(0, x, sums, 1, 84)
+		w.ResetQ(make([]int16, 16), rule)
+		w.SeatQ(0, c, sums, 84)
 		seat(&w)
 		if msg := panicOf(func() { w.Run() }); msg == "" {
 			t.Fatalf("%s: Run accepted the lane", name)
@@ -477,48 +430,56 @@ func TestRunRefusesShortPass(t *testing.T) {
 	}
 }
 
-// FuzzStep drives one walk from fuzzed bytes: the bytes are the sample
-// buffer's float64 bits (NaN, ±Inf, denormals, anything), the seed draws
-// the window length, the query, the rule and the lanes. The selected
-// route must stay == to the portable step through the whole walk.
+// FuzzStep drives one walk from fuzzed bytes taken as the QUERY's
+// counts — what splitQuery cuts into high and low bytes, whole blocks
+// and a leftover block — over a pass the seed draws along with the rule
+// and the lanes (FuzzStepQ fuzzes the pass under a drawn query). The
+// selected route must stay == to the portable step through the whole
+// walk, and every candidate's ω must be the written-out sequence's.
 func FuzzStep(f *testing.F) {
 	f.Add(uint64(1), []byte{})
-	ramp := make([]byte, 8*300)
+	ramp := make([]byte, 2*300)
 	for i := 0; i < 300; i++ {
-		binary.LittleEndian.PutUint64(ramp[8*i:], math.Float64bits(float64(i%17)-8))
+		binary.LittleEndian.PutUint16(ramp[2*i:], uint16(i%17*900-8000))
 	}
 	f.Add(uint64(2), ramp)
-	special := make([]byte, 8*400)
-	for i := 0; i < 400; i++ {
-		bits := math.Float64bits(float64(i*i%29) - 14)
-		if i%37 == 5 {
-			bits = [...]uint64{0x7ff0000000000000, 0xfff8000000000001, 1, 0x8000000000000000, 0xfff0000000000000}[i%5]
-		}
-		binary.LittleEndian.PutUint64(special[8*i:], bits)
+	railed := make([]byte, 2*1100)
+	for i := 0; i < 1100; i++ {
+		binary.LittleEndian.PutUint16(railed[2*i:], uint16(rails[i*i%len(rails)]))
 	}
-	f.Add(uint64(3), special)
-	f.Add(uint64(17), special[:8*90])
+	f.Add(uint64(3), railed)
+	f.Add(uint64(17), railed[:2*21])
 	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
 		r := rng.New(seed)
-		n := stepLengths[r.Intn(len(stepLengths))]
-		// The fuzzed samples, repeated to fill at least two windows.
-		buf := make([]float64, max(len(data)/8, 2*n+8))
-		for i := range buf {
-			if len(data) >= 8 {
-				buf[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*(i%(len(data)/8)):]))
+		// The fuzzed counts are the query, up to 4 117 of them (past
+		// eight flushes of the vector dot, with a leftover); with fewer
+		// than one the seed draws a length and the query is all zero.
+		n := min(len(data)/2, 4096+21)
+		if n == 0 {
+			n = stepLengths[r.Intn(len(stepLengths))]
+		}
+		q := make([]int16, n)
+		for i := range q {
+			if len(data) >= 2*n {
+				q[i] = int16(binary.LittleEndian.Uint16(data[2*i:]))
 			}
 		}
-		sc := newScenario(r, n, buf)
+		buf := countsBuffer(r, r.Intn(4), 2*n+700, n)
+		if r.Intn(2) == 0 {
+			// Plant the query in the pass, so that some ω is near 1.
+			copy(buf[r.Intn(len(buf)-n):], q)
+		}
+		sc := newScenarioQ(r, n, buf)
 		rule := tabledRule(r.Range(-1, 1), r.Range(0.01, 0.5), r.Range(0.1, 2), r.Range(0.1, 0.99))
 		var w Walk
-		w.Reset(randVec(r, n), rule)
+		w.ResetQ(q, rule)
 		for lane := 0; lane < 2*Lanes; lane++ {
 			if lane == 0 || r.Intn(5) != 0 {
 				sc.seat(&w, lane)
 			}
 		}
 		refills := r.Intn(6)
-		driveBoth(t, fmt.Sprintf("seed %d n=%d", seed, n), &w, func(lane int) bool {
+		driveBothQ(t, fmt.Sprintf("seed %d n=%d", seed, n), &w, func(lane int) bool {
 			if refills == 0 {
 				return false
 			}
@@ -531,59 +492,35 @@ func FuzzStep(f *testing.F) {
 
 // BenchmarkKernelStep reports the scan's unit of work — one ω
 // evaluation of the skip walk, sums, dot, envelope and skip included —
-// over float64 samples and over int16 counts, each on the portable step
-// and on the route this machine selected ("vector" is the AVX2 routine
-// where init chose it; elsewhere it repeats portable): eight lanes over
-// 1 255-sample passes of a one-second query, every finished lane
-// reseated, as a lone query's scan keeps them. (White noise, so short
-// envelopes and long skips: the rows price the step, not a scan —
-// BenchmarkWalkRoutes does that.)
+// on the portable step and on the route this machine selected ("vector"
+// is the AVX2 routine where init chose it; elsewhere it repeats
+// portable): eight lanes over 1 255-count passes of a one-second query,
+// every finished lane reseated, as a lone query's scan keeps them.
+// (Uniform counts, so short envelopes and long skips: the rows price the
+// step, not a scan — BenchmarkWalkRoutes does that.)
 func BenchmarkKernelStep(b *testing.B) {
 	r := rng.New(1)
 	const n, maxOff, passes = 256, 999, 64
-	buf := randVec(r, 8*(maxOff+n))
-	sums := prefixSums(buf)
-	// The float query is z-normalized, as the search's is: ω is then a
-	// correlation, and both element types walk white noise alike.
-	q := randVec(r, n)
-	var mean, norm float64
-	for _, v := range q {
-		mean += v / n
-	}
-	for _, v := range q {
-		norm += (v - mean) * (v - mean)
-	}
-	for i := range q {
-		q[i] = (q[i] - mean) / math.Sqrt(norm)
-	}
-	counts, qc := randCounts(r, len(buf)), randCounts(r, n)
+	counts, qc := randCounts(r, 8*(maxOff+n)), randCounts(r, n)
 	csums := make([][2]float64, len(counts)+1)
 	Widen(csums, counts)
 	rule := tabledRule(0.8, 0.05, 0.8, 0.86)
 	for _, bc := range []struct {
-		name            string
-		quant, portable bool
-	}{{"portable", false, true}, {"vector", false, false}, {"portable-int16", true, true}, {"vector-int16", true, false}} {
+		name     string
+		portable bool
+	}{{"portable-int16", true}, {"vector-int16", false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			if bc.portable {
 				defer StepPortable()()
 			}
 			seat := func(w *Walk, lane, pass int) {
 				start := pass % 8 * (maxOff + n) / 2
-				if bc.quant {
-					w.SeatQ(lane, counts[start:start+maxOff+n], csums[start:start+maxOff+n+1], maxOff)
-				} else {
-					w.Seat(lane, buf[start:start+maxOff+n], sums[start:start+maxOff+n+1], 1, maxOff)
-				}
+				w.SeatQ(lane, counts[start:start+maxOff+n], csums[start:start+maxOff+n+1], maxOff)
 			}
 			w := new(Walk)
 			evals := 0
 			for i := 0; i < b.N; i++ {
-				if bc.quant {
-					w.ResetQ(qc, rule)
-				} else {
-					w.Reset(q, rule)
-				}
+				w.ResetQ(qc, rule)
 				next := 0
 				for ; next < 2*Lanes; next++ {
 					seat(w, next, next)

@@ -10,9 +10,16 @@ const splitBlock = 16
 // most 2²⁰ of them — mdb.MaxSliceLen, which the search enforces) under
 // rule: every lane masked, counters zero, Σq and √D_q taken. A query
 // whose counts are all equal has D_q = 0, and every ω of the walk is +0.
+// Lanes seated by an earlier walk are forgotten but their slices stay
+// referenced until Release.
 func (w *Walk) ResetQ(q []int16, rule *SkipRule) {
-	w.q, w.qc, w.quant = nil, q, true
-	w.reset(len(q), rule)
+	w.qc, w.rule, w.nf, w.turn = q, *rule, float64(len(q)), 0
+	x := rule.SkipNum/rule.Floor + 0.5
+	w.tabled = rule.Floor > 0 && len(rule.Decay) >= 2 && x < float64(len(rule.Decay))
+	for i := range w.group {
+		g := &w.group[i]
+		g.evals, g.live, g.nlive, g.liveBits = 0, [Lanes]uint64{}, 0, 0
+	}
 	var sum, sumSq int64
 	for _, v := range q {
 		sum += int64(v)
@@ -59,22 +66,21 @@ func splitQuery(dst, q []int16) []int16 {
 	return dst
 }
 
-// SeatQ puts a pass of int16 counts in lane with the trajectory at its
-// head, as Seat does a float pass: the lane's window at offset
-// β ∈ [0, maxOff] is c[β:β+len(q)], read in place — a record's resident
-// counts or its mapped file — with sums[i] = {Σ c[:i], Σ c[:i]²} as
-// Widen fills them.
+// SeatQ puts a pass of int16 counts in lane (0 ≤ lane < 2·Lanes;
+// lane/Lanes is its group) with the trajectory at its head: offset 0,
+// envelope 0. The lane's window at offset β ∈ [0, maxOff] is
+// c[β:β+len(q)], read in place — a record's resident counts or its
+// mapped file — with sums[i] = {Σ c[:i], Σ c[:i]²} as Widen fills them:
+// c must hold maxOff+len(q) counts and sums one entry more.
 func (w *Walk) SeatQ(lane int, c []int16, sums [][2]float64, maxOff int) {
-	if !w.quant {
-		panic("kernel: a pass of counts seated in a float walk")
-	}
 	g, k := &w.group[lane/Lanes], lane%Lanes
 	g.c[k], g.sums[k], g.maxOff[k] = c, sums, int64(maxOff)
 	g.beta[k], g.env[k] = 0, 0
 	g.setLive(k, true)
 }
 
-// stepQPortable is stepPortable for a walk over counts.
+// stepQPortable steps a, then b, then a … (b may be nil) until a step
+// reports events; which is 0 when that step was a's.
 func stepQPortable(w *Walk, a, b *group) (which int, events uint32) {
 	for {
 		if events = a.stepQPortable(w); events != 0 {
@@ -86,10 +92,10 @@ func stepQPortable(w *Walk, a, b *group) (which int, events uint32) {
 	}
 }
 
-// stepQPortable is one step of the group's live lanes over int16
-// counts: the sequence in Walk's comment, spelled out. Every product is
-// wrapped in float64(…) so that no compiler fuses it into the
-// subtraction that follows (see dotPortable).
+// stepQPortable is one step of the group's live lanes: the sequence in
+// Walk's comment, spelled out. Every product is wrapped in float64(…) so
+// that no compiler fuses it into the subtraction that follows (the Go
+// spec lets arm64, ppc64le, s390x and riscv64 round x*y − z once).
 func (g *group) stepQPortable(w *Walk) (events uint32) {
 	q, nf := w.qc, w.nf
 	n := len(q)

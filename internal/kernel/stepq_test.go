@@ -92,7 +92,10 @@ func omegaQ(q, c []int16) float64 {
 	return (float64(n*float64(sqc)) - float64(fq*fc)) * (1 / den)
 }
 
-// scenarioQ is scenario over counts.
+// scenarioQ is one randomly drawn walk: a shared buffer of counts whose
+// prefix sums every lane reads (so windows of different lanes overlap,
+// as adjacent sets of one record do), and the means to seat a random
+// pass of it.
 type scenarioQ struct {
 	r    *rng.Source
 	n    int
@@ -106,7 +109,9 @@ func newScenarioQ(r *rng.Source, n int, buf []int16) *scenarioQ {
 	return &scenarioQ{r: r, n: n, buf: buf, sums: sums}
 }
 
-// seat puts a random pass in lane, as scenario.seat does.
+// seat puts a random pass in lane: up to 300 offsets and, one time in
+// eight, an offset already past the last one — the step still evaluates
+// where it stands, then reports the lane done.
 func (sc *scenarioQ) seat(w *Walk, lane int) {
 	r := sc.r
 	room := len(sc.buf) - sc.n
@@ -124,8 +129,11 @@ func (sc *scenarioQ) seat(w *Walk, lane int) {
 	}
 }
 
-// driveBothQ is driveBoth for a walk over counts that also holds every
-// candidate's ω to omegaQ over the window it was taken at.
+// driveBothQ runs w to its end under both routes, call by call, and
+// holds every candidate's ω to omegaQ over the window it was taken at. A
+// lane that finishes its pass is handed to done, which seats something
+// new in it or does not (the lane is then masked). It returns the number
+// of candidates and of evaluations.
 func driveBothQ(t *testing.T, label string, w *Walk, done func(lane int) bool) (candidates, evals int) {
 	t.Helper()
 	for calls := 0; ; calls++ {
@@ -152,57 +160,15 @@ func driveBothQ(t *testing.T, label string, w *Walk, done func(lane int) bool) (
 	}
 }
 
-// stepQLengths adds to stepLengths windows at and past one and several
-// flushes of the vector dot's int32 lanes (32 blocks = 512 counts), with
-// and without a leftover block.
-var stepQLengths = append([]int{512, 513, 1000, 2048, 2049, 3000, 4096 + 16, 4096 + 21}, stepLengths...)
+// stepQLengths are windows at and past one and several flushes of the
+// vector dot's int32 lanes (32 blocks = 512 counts), with and without a
+// leftover block.
+var stepQLengths = []int{512, 513, 1000, 2048, 2049, 3000, 4096 + 16, 4096 + 21}
 
-// TestStepQRoutesAgree is TestStepRoutesAgree over int16 lanes: the
-// route this machine runs is the portable step — == on every output
-// field after every call — and every candidate's ω is the written-out
-// sequence's, over random walks at every length of stepQLengths:
-// uniform counts, rails in both operands, constant windows (D_c = 0) and
-// constant queries (D_q = 0), DC-offset queries that correlate, any δ,
-// lanes masked from the start, lanes that start past their last offset,
-// lanes reseated mid-walk.
-func TestStepQRoutesAgree(t *testing.T) {
-	candidates, evals := 0, 0
-	for seed := uint64(0); seed < 240; seed++ {
-		r := rng.New(seed)
-		n := stepQLengths[int(seed)%len(stepQLengths)]
-		kind, qkind := int(seed/15)%4, int(seed/60)%4
-		buf := countsBuffer(r, kind, 2*n+700, n)
-		sc := newScenarioQ(r, n, buf)
-		rule := tabledRule([...]float64{0.8, 0.3, 0, -0.5}[r.Intn(4)], [...]float64{0.05, 0.3, 0.011}[r.Intn(3)], 0.8, 0.86)
-		var w Walk
-		w.ResetQ(countsQuery(r, qkind, n, buf), rule)
-		if qkind == 3 && w.rq != 0 {
-			t.Fatalf("seed %d: a constant query has √D_q = %g", seed, w.rq)
-		}
-		seated := 0
-		for lane := 0; lane < 2*Lanes; lane++ {
-			if seed%5 != 4 || r.Intn(4) != 0 || seated == 0 && lane == 2*Lanes-1 {
-				sc.seat(&w, lane)
-				seated++
-			}
-		}
-		refills := r.Intn(12)
-		c, e := driveBothQ(t, fmt.Sprintf("seed %d n=%d kind %d query %d", seed, n, kind, qkind), &w, func(lane int) bool {
-			if refills == 0 {
-				return false
-			}
-			refills--
-			sc.seat(&w, lane)
-			return true
-		})
-		candidates += c
-		evals += e
-	}
-	t.Logf("%d candidates in %d evaluations", candidates, evals)
-	if candidates < 1000 {
-		t.Fatalf("only %d candidates over the whole sweep — the comparison is near-vacuous", candidates)
-	}
-}
+// TestStepQRoutesAgree is TestStepRoutesAgree's sweep over the long
+// window lengths, where the vector dot flushes its int32 lanes once or
+// several times within a window.
+func TestStepQRoutesAgree(t *testing.T) { sweepRoutes(t, stepQLengths, 128) }
 
 // TestStepQRailsDoNotOverflow aims at the vector dot's int32 lanes: the
 // query is all 0x7fff or all −1 (low byte 255, the largest, with either
@@ -260,41 +226,16 @@ func oneStepQ(w *Walk, rule *SkipRule, q []int16, wins [][]int16, envs []float64
 	}
 }
 
-// TestStepQBoundaries walks the rounding boundaries of a step over
-// counts on both routes, against the comparisons spelled as branches.
-// Constant windows (ω = +0) leave the envelope to decide the advance
-// alone: for every advance m the table holds, the envelope at which
-// SkipNum/env + 0.5 reaches m+1 and its neighbours, the floor and its
-// neighbours. Then a window with a real ω: δ one ulp either side of it,
-// and a skip numerator that puts SkipNum/|ω| + 0.5 on every advance
-// boundary and one ulp either side.
+// TestStepQBoundaries walks the rounding boundaries of a step around a
+// real ω on both routes, against the comparisons spelled as branches: δ
+// one ulp either side of ω, the envelope one ulp either side of |ω|, and
+// a skip numerator that puts SkipNum/|ω| + 0.5 on every advance boundary
+// and one ulp either side. (TestStepEnvelopeBoundaries does the
+// envelope's own boundaries, under constant windows.)
 func TestStepQBoundaries(t *testing.T) {
 	r := rng.New(43)
 	const n = 16
-	q, flat := randCounts(r, n), make([]int16, n)
-	for _, rule := range []*SkipRule{tabledRule(0.8, 0.05, 0.8, 0.86), tabledRule(0.8, 0.0002, 0.8, 0.99), tabledRule(0.5, 0.3, 4, 0.5)} {
-		var envs []float64
-		for m := 1; m < len(rule.Decay); m++ {
-			e := rule.SkipNum / (float64(m) + 0.5)
-			envs = append(envs, math.Nextafter(e, 0), e, math.Nextafter(e, 1))
-		}
-		envs = append(envs, math.Nextafter(rule.Floor, 0), rule.Floor, math.Nextafter(rule.Floor, 1), 0, math.Inf(1))
-		for len(envs)%Lanes != 0 {
-			envs = append(envs, 0)
-		}
-		for i := 0; i < len(envs); i += Lanes {
-			var w Walk
-			oneStepQ(&w, rule, q, [][]int16{flat, flat, flat, flat}, envs[i:i+Lanes])
-			label := fmt.Sprintf("floor=%g envs=%v", rule.Floor, envs[i:i+Lanes])
-			runBoth(t, label, &w)
-			for k := 0; k < Lanes; k++ {
-				_, _, beta, nextEnv := branchStep(rule, 1, 0, 0, envs[i+k], 30)
-				if g := &w.group[0]; g.beta[k] != int64(beta) || !sameFloat(g.env[k], nextEnv) || !sameFloat(g.omega[k], 0) {
-					t.Fatalf("%s lane %d: ω=%x β=%d env=%x, branches β=%d env=%x", label, k, math.Float64bits(g.omega[k]), g.beta[k], math.Float64bits(g.env[k]), beta, math.Float64bits(nextEnv))
-				}
-			}
-		}
-	}
+	q := randCounts(r, n)
 	for trial := 0; trial < 40; trial++ {
 		win := randCounts(r, n)
 		if trial%2 == 0 { // a window that correlates
@@ -306,13 +247,12 @@ func TestStepQBoundaries(t *testing.T) {
 		if omega == 0 {
 			t.Fatalf("trial %d: ω = 0", trial)
 		}
-		// branchStep with norm 1 and scale 1 takes its dot as ω.
 		check := func(label string, rule *SkipRule, env float64) {
 			t.Helper()
 			var w Walk
 			oneStepQ(&w, rule, q, [][]int16{win}, []float64{env})
 			_, events := runBoth(t, label, &w)
-			_, candidate, beta, nextEnv := branchStep(rule, 1, omega, 1, env, 30)
+			candidate, beta, nextEnv := branchMove(rule, omega, env, 30)
 			if g := &w.group[0]; !sameFloat(g.omega[0], omega) || (events&EventCandidate != 0) != candidate || g.beta[0] != int64(beta) || !sameFloat(g.env[0], nextEnv) {
 				t.Fatalf("%s: ω=%x events=%#x β=%d env=%x, branches ω=%x candidate=%v β=%d env=%x", label,
 					math.Float64bits(g.omega[0]), events, g.beta[0], math.Float64bits(g.env[0]), math.Float64bits(omega), candidate, beta, math.Float64bits(nextEnv))
@@ -332,26 +272,6 @@ func TestStepQBoundaries(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSeatKindsDoNotMix: a walk is over samples or over counts, and a
-// pass of the other kind is refused at the seat.
-func TestSeatKindsDoNotMix(t *testing.T) {
-	rule := tabledRule(0.8, 0.05, 0.8, 0.86)
-	var w Walk
-	w.Reset(make([]float64, 16), rule)
-	if msg := panicOf(func() { w.SeatQ(0, make([]int16, 40), make([][2]float64, 41), 3) }); msg == "" {
-		t.Fatal("a float walk seated a pass of counts")
-	}
-	w.ResetQ(make([]int16, 16), rule)
-	if msg := panicOf(func() { w.Seat(0, make([]float64, 40), make([][2]float64, 41), 1, 3) }); msg == "" {
-		t.Fatal("a walk over counts seated a float pass")
-	}
-	// Short counts are refused like short samples.
-	w.SeatQ(1, make([]int16, 40), make([][2]float64, 42), 25)
-	if msg := panicOf(func() { w.Run() }); msg == "" {
-		t.Fatal("Run accepted a pass of counts shorter than its last window")
 	}
 }
 
@@ -434,9 +354,9 @@ func FuzzDotQ(f *testing.F) {
 	})
 }
 
-// FuzzStepQ drives one walk over counts from fuzzed bytes: the bytes
-// are the pass buffer's counts, the seed draws the window length, the
-// query, the rule and the lanes. The selected route must stay == to the
+// FuzzStepQ drives one walk from fuzzed bytes: the bytes are the pass
+// buffer's counts, the seed draws the window length, the query, the rule
+// and the lanes (FuzzStep fuzzes the query). The selected route must stay == to the
 // portable step through the whole walk, and every candidate's ω must be
 // the written-out sequence's.
 func FuzzStepQ(f *testing.F) {
@@ -454,7 +374,8 @@ func FuzzStepQ(f *testing.F) {
 	f.Add(uint64(9), railed[:2*90])
 	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
 		r := rng.New(seed)
-		n := stepQLengths[r.Intn(len(stepQLengths))]
+		lengths := append(stepQLengths, stepLengths...)
+		n := lengths[r.Intn(len(lengths))]
 		// The fuzzed counts, repeated to fill at least two windows.
 		buf := make([]int16, max(len(data)/2, 2*n+8))
 		for i := range buf {

@@ -1,7 +1,6 @@
 package kernel_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -16,9 +15,7 @@ import (
 // same store, the same query — once with the walk's step forced onto the
 // portable route and once on the route this machine selected, in ns per
 // ω evaluation: what the step costs inside a real scan (refills, prefix
-// sums, top-K and all). The first two rows walk the float-built store
-// (float-canonical records, the float step), the int16 rows its columnar
-// snapshot loaded back (records with counts, the integer step). It lives
+// sums, top-K and all) over a store as mdb.Build leaves it. It lives
 // here because only this package can force the route.
 func BenchmarkWalkRoutes(b *testing.B) {
 	g := synth.NewGenerator(synth.Config{Seed: 11, ArchetypesPerClass: 3})
@@ -40,20 +37,9 @@ func BenchmarkWalkRoutes(b *testing.B) {
 	}
 	rec := g.Instance(synth.Normal, 0, synth.InstanceOpts{OffsetSamples: 1800, DurSeconds: 10, NoArtifacts: true})
 	input := fir.Apply(rec.Samples)[1024:1280]
-	var snapshot bytes.Buffer
-	if err := store.Snapshot().SaveColumnar(&snapshot); err != nil {
-		b.Fatal(err)
-	}
-	counts, err := mdb.LoadColumnar(&snapshot)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, route := range []string{"portable", "vector", "portable-int16", "vector-int16"} {
+	for _, route := range []string{"portable-int16", "vector-int16"} {
 		b.Run(route, func(b *testing.B) {
 			s := search.NewSearcher(store, search.Params{})
-			if strings.HasSuffix(route, "-int16") {
-				s = search.NewSearcher(counts, search.Params{})
-			}
 			if strings.HasPrefix(route, "portable") {
 				defer kernel.StepPortable()()
 			}

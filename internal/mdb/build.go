@@ -62,8 +62,8 @@ func (c BuildConfig) withDefaults() BuildConfig {
 }
 
 // Build constructs a mega-database from raw recordings: each recording
-// is resampled to the base rate, bandpass filtered, inserted, sliced
-// into signal-sets and labelled:
+// is resampled to the base rate, bandpass filtered, quantized to int16
+// counts (as Insert does), sliced into signal-sets and labelled:
 //
 //   - normal recordings → all slices normal;
 //   - seizure recordings with an annotated onset → slices beginning
@@ -82,17 +82,23 @@ func Build(recs []*synth.Recording, cfg BuildConfig) (*Store, error) {
 	store := NewStore()
 	// One batched insert publishes the whole corpus as a single epoch
 	// and validates it whole: a duplicate ID anywhere rejects the
-	// corpus before any recording is touched. (Per-recording Insert
+	// corpus before any recording is stored. (Per-recording Insert
 	// calls would cost the same — an insert does not depend on the
-	// store's size — but publish len(recs) epochs.)
+	// store's size — but publish len(recs) epochs.) Each recording is
+	// quantized as soon as it is processed — the record is Build's own
+	// until it is stored — so the corpus is never held as float64.
 	items := make([]insertion, 0, len(recs))
 	for _, raw := range recs {
 		rec, err := Preprocess(raw, cfg, fir)
 		if err != nil {
 			return nil, err
 		}
+		counts, scale := quantizeSamples(rec.Samples)
+		rec.Samples = nil
 		items = append(items, insertion{
 			rec:      rec,
+			counts:   counts,
+			scale:    scale,
 			sliceLen: cfg.SliceLen,
 			labelFn:  LabelFor(rec, cfg),
 		})

@@ -11,8 +11,8 @@ import (
 	"emap/internal/synth"
 )
 
-// Columnar snapshot format (version 2, little-endian), the quantized
-// on-disk twin of the gob v1 snapshot. The layout is designed to be
+// Columnar snapshot format (version 2, little-endian), the on-disk twin
+// of the gob v1 snapshot. The layout is designed to be
 // served straight out of an mmap region: fixed-size tables, 8-byte
 // aligned per-record columns, and derived data (block sums) stored
 // next to the counts so a cold scan touches only the pages it reads.
@@ -55,9 +55,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Format int
 
 const (
-	// FormatGob is the v1 float64 gob snapshot (legacy default).
+	// FormatGob is the v1 gob snapshot (legacy default).
 	FormatGob Format = iota + 1
-	// FormatColumnar is the v2 quantized columnar snapshot.
+	// FormatColumnar is the v2 columnar snapshot, which can be served
+	// from a memory map.
 	FormatColumnar
 )
 
@@ -92,30 +93,15 @@ var hostLittleEndian = func() bool {
 
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
-// recordColumns is one record's quantized columns as encoded: either
-// taken verbatim from a quantized payload or produced by deterministic
-// quantization of a float-canonical record (which is what makes
-// gob→columnar conversion bit-stable: same input bytes, same output
-// bytes).
-type recordColumns struct {
-	counts []int16
-	bsum   []int64
-	bsumSq []int64
-	scale  float64
-}
-
-func columnsOf(rec *Record) recordColumns {
-	if rec.q != nil {
-		return recordColumns{counts: rec.q.counts, bsum: rec.q.bsum, bsumSq: rec.q.bsumSq, scale: rec.q.scale}
-	}
-	counts, scale := quantizeSamples(rec.Samples)
-	bsum, bsumSq := blockSums(counts)
-	return recordColumns{counts: counts, bsum: bsum, bsumSq: bsumSq, scale: scale}
+// validScale reports whether scale can be a stored record's µV per
+// count: positive, finite, and on the float32 grid the wire carries it
+// on — what both loaders demand of an image.
+func validScale(scale float64) bool {
+	return scale > 0 && !math.IsInf(scale, 0) && scale == float64(float32(scale))
 }
 
 // encodeColumnar serialises one epoch into the columnar v2 byte image.
 func encodeColumnar(v *view) ([]byte, error) {
-	cols := make([]recordColumns, len(v.recs))
 	countsOff := make([]uint64, len(v.recs))
 	bsumOff := make([]uint64, len(v.recs))
 	idOff := make([]uint64, len(v.recs))
@@ -126,8 +112,7 @@ func encodeColumnar(v *view) ([]byte, error) {
 		if len(id) == 0 || len(id) > math.MaxUint16 {
 			return nil, fmt.Errorf("mdb: record ID %q not encodable", id)
 		}
-		c := columnsOf(rec)
-		cols[i] = c
+		c := rec.q
 		cur = align8(cur)
 		countsOff[i] = cur
 		cur += uint64(2 * len(c.counts))
@@ -146,7 +131,7 @@ func encodeColumnar(v *view) ([]byte, error) {
 
 	for i, rec := range v.recs {
 		id := rec.ID
-		c := cols[i]
+		c := rec.q
 
 		dataStart := countsOff[i]
 		putCounts(buf[countsOff[i]:], c.counts)
@@ -209,7 +194,7 @@ func encodeColumnar(v *view) ([]byte, error) {
 }
 
 // SaveColumnar writes the snapshot's epoch to w in the columnar v2
-// format, quantizing float-canonical records deterministically.
+// format: every record's counts, block sums and scale as held.
 func (sn Snapshot) SaveColumnar(w io.Writer) error {
 	buf, err := encodeColumnar(sn.ensure())
 	if err != nil {
@@ -271,8 +256,8 @@ func parseColumnarHeader(data []byte) (columnarHeader, error) {
 	return h, nil
 }
 
-// parseColumnar decodes a columnar image into a quantized store. With
-// mref nil the loader runs eagerly: columns are copied into the heap,
+// parseColumnar decodes a columnar image into a store that saves
+// columnar. With mref nil the loader runs eagerly: columns are copied into the heap,
 // block sums are recomputed from the counts, and every record's
 // dataCRC is verified — the portable, fully-checked path (fuzzing
 // targets it). With mref set, the column slices alias the mapped
@@ -312,7 +297,7 @@ func parseColumnar(data []byte, mref *mmapRef) (*Store, error) {
 			idOff+idLen > h.dataSize {
 			return nil, fmt.Errorf("mdb: columnar record %d columns out of bounds", i)
 		}
-		if !(scale > 0) || math.IsInf(scale, 0) || scale != float64(float32(scale)) {
+		if !validScale(scale) {
 			return nil, fmt.Errorf("mdb: columnar record %d scale %v invalid", i, scale)
 		}
 		id := string(data[idOff : idOff+idLen])
@@ -354,12 +339,8 @@ func parseColumnar(data []byte, mref *mmapRef) (*Store, error) {
 			Class:     synth.Class(class),
 			Archetype: int(archetype),
 			Onset:     int(onset),
-			q:         q,
-			tiers:     s.tiers,
 		}
-		rec.res.Store(q.baseResident())
-		s.tiers.register(rec)
-		s.add(rec)
+		s.add(rec, q)
 	}
 
 	for i := uint64(0); i < uint64(h.nSets); i++ {

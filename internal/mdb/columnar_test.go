@@ -3,6 +3,7 @@ package mdb
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -27,7 +28,7 @@ func sineCounts(n int, amp float64, phase float64) []int16 {
 	return out
 }
 
-// buildQuantStore assembles a quantized store with records of the
+// buildQuantStore assembles a columnar-saving store with records of the
 // given lengths (deliberately including non-multiple-of-qBlockLen
 // lengths) and one labelled slicing per record.
 func buildQuantStore(t testing.TB, lengths []int) *Store {
@@ -104,8 +105,8 @@ func TestColumnarRoundTripEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Quantized() || got.Format() != FormatColumnar {
-		t.Fatalf("eager columnar load: quantized=%v format=%v", got.Quantized(), got.Format())
+	if got.Format() != FormatColumnar {
+		t.Fatalf("eager columnar load saves %v", got.Format())
 	}
 	assertStoresEqual(t, "eager", s, got)
 	// The counts and scales must survive verbatim, not merely the
@@ -113,9 +114,8 @@ func TestColumnarRoundTripEager(t *testing.T) {
 	for _, id := range s.RecordIDs() {
 		wr, _ := s.Record(id)
 		gr, _ := got.Record(id)
-		wq, _ := wr.Quant()
-		gq, ok := gr.Quant()
-		if !ok || gq.Scale != wq.Scale {
+		wq, gq := wr.Quant(), gr.Quant()
+		if gq.Scale != wq.Scale {
 			t.Fatalf("record %q scale %v, want %v", id, gq.Scale, wq.Scale)
 		}
 		for i := range wq.Counts {
@@ -134,7 +134,7 @@ func TestColumnarFormatDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Quantized() {
+	if got.Format() != FormatColumnar {
 		t.Fatal("Load did not detect the columnar magic")
 	}
 
@@ -147,15 +147,14 @@ func TestColumnarFormatDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Quantized() || got.Format() != FormatGob {
+	if got.Format() != FormatGob {
 		t.Fatal("Load mis-detected a gob snapshot")
 	}
 }
 
 // TestColumnarConvertBitStable: decode→re-encode of a columnar image
-// reproduces it byte for byte, and quantizing the same float store
-// twice produces identical bytes — the migration contract of
-// emap-mdb convert.
+// reproduces it byte for byte, and so does a trip through the gob
+// format and back — the migration contract of emap-mdb convert.
 func TestColumnarConvertBitStable(t *testing.T) {
 	qs := buildQuantStore(t, []int{1280, 777})
 	raw := encodeStore(t, qs)
@@ -167,24 +166,55 @@ func TestColumnarConvertBitStable(t *testing.T) {
 		t.Fatal("columnar→load→save is not bit-stable")
 	}
 
-	fs := buildTestStore(t)
-	a, b := encodeStore(t, fs), encodeStore(t, fs)
-	if !bytes.Equal(a, b) {
-		t.Fatal("float-store quantization is not deterministic")
+	// An ingested store's largest count is whatever the edge sent, not
+	// the 32 000 the quantizer aims a peak at: re-quantizing its
+	// dequantized samples would move every count, so the gob image must
+	// carry the counts themselves.
+	var gob bytes.Buffer
+	if err := loaded.Save(&gob); err != nil {
+		t.Fatal(err)
 	}
-	// And the full gob→columnar→load→save cycle must be stable too.
-	back, err := LoadColumnar(bytes.NewReader(a))
+	back, err := Load(&gob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := encodeStore(t, back); !bytes.Equal(a, c) {
-		t.Fatal("gob→columnar→load→save is not bit-stable")
+	if c := encodeStore(t, back); !bytes.Equal(raw, c) {
+		t.Fatal("columnar→gob→load→columnar is not bit-stable")
+	}
+	// A gob image from before records were counts holds float samples:
+	// loading it quantizes them as Build does.
+	var legacy bytes.Buffer
+	old := snapshot{Version: snapshotVersion}
+	cfg := DefaultBuildConfig()
+	for _, raw := range testCorpus() {
+		proc, err := Preprocess(raw, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.Records = append(old.Records, recordSnap{ID: proc.ID, Class: int(proc.Class), Archetype: proc.Archetype, Onset: proc.Onset, Samples: proc.Samples})
+	}
+	fs := buildTestStore(t)
+	for _, set := range fs.Sets() {
+		old.Sets = append(old.Sets, *set)
+	}
+	if err := gobEncode(&legacy, &old); err != nil {
+		t.Fatal(err)
+	}
+	fromLegacy, err := Load(&legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertOneRepresentation(t, "legacy gob", fromLegacy)
+	if !bytes.Equal(encodeStore(t, fs), encodeStore(t, fromLegacy)) {
+		t.Fatal("a float gob image loads to different counts than Build of the same recordings")
 	}
 }
 
-// TestColumnarToGobLossless: a quantized record dequantizes onto the
-// float32 grid; widening it to float64 for a gob snapshot and loading
-// that back must reproduce the exact same float64 values.
+func gobEncode(w *bytes.Buffer, snap *snapshot) error { return gob.NewEncoder(w).Encode(snap) }
+
+// TestColumnarToGobLossless: a gob snapshot of a store holds its
+// records' counts and scales, and loading it back reproduces them
+// exactly — so every window reads the same float64 values.
 func TestColumnarToGobLossless(t *testing.T) {
 	qs := buildQuantStore(t, []int{1500})
 	path := filepath.Join(t.TempDir(), "back.snap")
@@ -195,30 +225,33 @@ func TestColumnarToGobLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Quantized() {
-		t.Fatal("gob conversion produced a quantized store")
+	if got.Format() != FormatGob {
+		t.Fatalf("a gob file loaded as a store that saves %v", got.Format())
 	}
+	assertOneRepresentation(t, "columnar→gob", got)
 	assertStoresEqual(t, "columnar→gob", qs, got)
 }
 
-// TestColumnarQuantizationErrorBound: converting a float store to
-// columnar perturbs each sample by at most half a quantization step.
+// TestColumnarQuantizationErrorBound: storing processed samples — and
+// saving and loading them — perturbs each by at most half a
+// quantization step.
 func TestColumnarQuantizationErrorBound(t *testing.T) {
-	fs := buildTestStore(t)
-	got, err := LoadColumnar(bytes.NewReader(encodeStore(t, fs)))
+	got, err := LoadColumnar(bytes.NewReader(encodeStore(t, buildTestStore(t))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range fs.RecordIDs() {
-		wr, _ := fs.Record(id)
-		gr, _ := got.Record(id)
-		qv, ok := gr.Quant()
-		if !ok {
-			t.Fatalf("record %q not quantized after conversion", id)
+	cfg := DefaultBuildConfig()
+	for _, raw := range testCorpus() {
+		proc, err := Preprocess(raw, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		id := raw.ID
+		gr, _ := got.Record(id)
+		qv := gr.Quant()
 		deq := make([]float64, gr.Len())
 		qv.Dequantize(deq, 0, gr.Len())
-		for i, v := range wr.Samples {
+		for i, v := range proc.Samples {
 			if d := math.Abs(v - deq[i]); d > qv.Scale/2+1e-12 {
 				t.Fatalf("record %q sample %d off by %g (> step/2 = %g)", id, i, d, qv.Scale/2)
 			}
@@ -416,8 +449,7 @@ func TestCountsColumnRoutesAgree(t *testing.T) {
 	for _, id := range s.RecordIDs() {
 		wr, _ := s.Record(id)
 		gr, _ := got.Record(id)
-		wq, _ := wr.Quant()
-		gq, _ := gr.Quant()
+		wq, gq := wr.Quant(), gr.Quant()
 		if len(wq.Counts) != len(gq.Counts) {
 			t.Fatalf("record %q: %d counts read back, wrote %d", id, len(gq.Counts), len(wq.Counts))
 		}

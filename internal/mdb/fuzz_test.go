@@ -44,10 +44,7 @@ func FuzzLoadColumnar(f *testing.F) {
 			if !ok {
 				t.Fatalf("listed record %q not retrievable", id)
 			}
-			qv, ok := rec.Quant()
-			if !ok {
-				t.Fatalf("columnar record %q not quantized", id)
-			}
+			qv := rec.Quant()
 			if sum, sumSq := qv.WindowSums(0, rec.Len()); sumSq < 0 {
 				t.Fatalf("record %q has negative Σc² (%d, %d)", id, sum, sumSq)
 			}

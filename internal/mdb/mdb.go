@@ -49,7 +49,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"emap/internal/dsp"
 	"emap/internal/synth"
 )
 
@@ -78,108 +77,60 @@ type SignalSet struct {
 // Record is a stored recording after MDB pre-processing: bandpass
 // filtered and resampled to the 256 Hz base rate.
 //
-// A record's canonical payload is either float64 (legacy stores, gob
-// snapshots) or quantized int16 + scale (quantized ingest, columnar
-// snapshots). Float-canonical records are permanently hot; quantized
-// records move between the hot/warm/cold tiers (see Tier) and serve
-// samples through Len/Float/Stats/Quant rather than the Samples field.
+// A stored record is int16 counts and the µV one count stands for — the
+// form the wire carries, the columnar snapshot holds and the search
+// correlates over — resident in the heap (warm) or read in place from a
+// memory-mapped snapshot (cold, see Tier). Whatever hands a record to a
+// store ends there: Insert and Build quantize float samples as they
+// enter, InsertQuantized takes counts as they arrived, both loaders
+// produce counts. Readers go through Len, Quant and Snapshot.WindowInto.
 type Record struct {
 	ID        string
 	Class     synth.Class
 	Archetype int
 	// Onset is the ictal onset sample at the base rate, or -1.
 	Onset int
-	// Samples is the processed waveform (µV, 256 Hz) of a
-	// float-canonical record; nil when the record is quantized. Callers
-	// that must work across both kinds use Len/Float/Stats.
+	// Samples is the processed waveform (µV, 256 Hz) as Preprocess
+	// returns it: the input of Insert, which quantizes it and clears the
+	// field. No stored record has it.
 	Samples []float64
 
-	stats *dsp.SlidingStats
 	// ord is the record's position on its store's record spine, set
 	// once by the insert (or load) that adds it.
 	ord int
 
-	// Quantized records only: the immutable canonical payload, the
-	// current resident representation, the owning store's residency
-	// manager, and the LRU stamp of the last scan access.
+	// The immutable payload, the current resident representation, the
+	// owning store's residency manager, and the LRU stamp of the last
+	// scan access: all set by the insert or load that stores the record.
 	q       *quantPayload
 	res     atomic.Pointer[resident]
 	tiers   *tierState
 	lastUse atomic.Int64
 }
 
-// Len returns the recording length in samples, whatever the canonical
-// payload.
+// Len returns the recording length in samples.
 func (r *Record) Len() int {
 	if r.q != nil {
 		return len(r.q.counts)
 	}
-	return len(r.Samples)
+	return len(r.Samples) // not stored yet
 }
 
-// Tier reports the record's current resident tier. Float-canonical
-// records are permanently hot.
-func (r *Record) Tier() Tier {
-	if r.q == nil {
-		return TierHot
-	}
-	return r.res.Load().tier
-}
+// Tier reports a stored record's current resident tier.
+func (r *Record) Tier() Tier { return r.res.Load().tier }
 
-// Quant returns the compressed-domain scan view of a quantized record.
-// ok is false for float-canonical records, which have no quantized
-// payload.
-func (r *Record) Quant() (QuantView, bool) {
-	if r.q == nil {
-		return QuantView{}, false
-	}
+// Quant returns the scan view of a stored record: its counts where they
+// currently reside, and its scale.
+func (r *Record) Quant() QuantView {
 	res := r.res.Load()
-	return QuantView{Counts: res.counts, Scale: r.q.scale, bsum: res.bsum, bsumSq: res.bsumSq}, true
-}
-
-// Stats returns the recording's sliding-window statistics, used by the
-// search to normalise windows in O(1). For a quantized record this
-// forces promotion to the hot tier (the stats are float-domain derived
-// data); compressed-domain scans use Quant instead.
-func (r *Record) Stats() *dsp.SlidingStats {
-	if r.q == nil {
-		return r.stats
-	}
-	return r.tiers.ensureHot(r).stats
-}
-
-// Float returns the float64 waveform, promoting a quantized record to
-// the hot tier.
-func (r *Record) Float() []float64 {
-	if r.q == nil {
-		return r.Samples
-	}
-	return r.tiers.ensureHot(r).f
+	return QuantView{Counts: res.counts, Scale: r.q.scale, bsum: res.bsum, bsumSq: res.bsumSq}
 }
 
 // Touch records a scan access for tier-residency purposes: it bumps
-// the record's LRU stamp and may opportunistically promote it one tier
-// when the store's byte budget has headroom. Scans call it once per
-// (record, batch) visit.
-func (r *Record) Touch() {
-	if r.tiers != nil {
-		r.tiers.touch(r)
-	}
-}
-
-// floatSamples returns the float64 waveform without caching a
-// promotion: the hot representation if one exists, otherwise a fresh
-// dequantized copy. Persistence uses it so saving a cold store does
-// not blow the tier budget.
-func (r *Record) floatSamples() []float64 {
-	if r.q == nil {
-		return r.Samples
-	}
-	if res := r.res.Load(); res.tier == TierHot {
-		return res.f
-	}
-	return r.q.dequantizeAll()
-}
+// the record's LRU stamp and may opportunistically promote a mapped
+// record to a heap copy when the store's byte budget has headroom.
+// Scans call it once per (record, batch) visit.
+func (r *Record) Touch() { r.tiers.touch(r) }
 
 // view is one immutable epoch of a store: capacity-clipped prefixes of
 // the store's spines. Once published via Store.v, a view and everything
@@ -188,13 +139,10 @@ type view struct {
 	recs []*Record // insertion order
 	sets []*SignalSet
 	ix   *recIndex
-	// totalSamples is Σ len(Samples) over records, computed at view
+	// totalSamples is Σ Len over records, computed at view
 	// construction: TotalSamples sits on status/metrics paths, which
 	// must not re-sum every record per call.
 	totalSamples int
-	// quantRecs counts the records that carry int16 counts: what tells a
-	// scan which forms of a query this epoch needs.
-	quantRecs int
 }
 
 var emptyView = &view{ix: new(recIndex)}
@@ -232,34 +180,29 @@ type Store struct {
 	recs  []*Record
 	sets  []*SignalSet
 	total int
-	quant int // records among recs that carry int16 counts
 	v     atomic.Pointer[view]
 
-	// tiers manages quantized-record residency; shared with derived
-	// stores (SubsetSets) because they share records.
+	// tiers manages record residency; shared with derived stores
+	// (SubsetSets) because they share records.
 	tiers *tierState
-	// quantized marks stores whose ingested records are stored in
-	// int16 canonical form (columnar loads, NewQuantizedStore).
-	quantized bool
 	// format is the snapshot format SaveFile writes; set at
 	// construction/load, immutable afterwards.
 	format Format
 }
 
-// NewStore returns an empty mega-database with float64-canonical
-// records and gob snapshots — the legacy configuration.
+// NewStore returns an empty mega-database whose SaveFile writes gob
+// snapshots.
 func NewStore() *Store {
 	s := &Store{ix: new(recIndex), tiers: newTierState(), format: FormatGob}
 	s.publish()
 	return s
 }
 
-// NewQuantizedStore returns an empty mega-database that keeps ingested
-// records in int16 canonical form (see InsertQuantized) and persists
-// columnar snapshots.
+// NewQuantizedStore returns an empty mega-database whose SaveFile
+// writes columnar snapshots — the one way it differs from NewStore:
+// every store keeps its records as int16 counts.
 func NewQuantizedStore() *Store {
 	s := NewStore()
-	s.quantized = true
 	s.format = FormatColumnar
 	return s
 }
@@ -272,35 +215,30 @@ func (s *Store) publish() {
 		sets:         s.sets[:len(s.sets):len(s.sets)],
 		ix:           s.ix,
 		totalSamples: s.total,
-		quantRecs:    s.quant,
 	})
 }
 
-// add appends rec to the record spine and enters it in the index.
-// Caller holds ix.wmu and has checked the ID is new.
-func (s *Store) add(rec *Record) {
+// add makes q the payload of rec, hands rec to the residency manager,
+// appends it to the record spine and enters it in the index. Caller
+// holds ix.wmu and has checked the ID is new.
+func (s *Store) add(rec *Record, q *quantPayload) {
+	rec.q, rec.tiers = q, s.tiers
+	rec.res.Store(q.baseResident())
+	s.tiers.register(rec)
 	rec.ord = len(s.recs)
 	s.recs = append(s.recs, rec)
 	s.total += rec.Len()
-	if rec.q != nil {
-		s.quant++
-	}
 	s.ix.m.Store(rec.ID, rec)
 }
-
-// Quantized reports whether the store keeps ingested records in int16
-// canonical form.
-func (s *Store) Quantized() bool { return s.quantized }
 
 // Format returns the snapshot format SaveFile writes for this store.
 func (s *Store) Format() Format { return s.format }
 
-// SetTierBudget caps the bytes quantized records may hold PROMOTED
-// above their canonical payload (hot float materialisations, warm heap
-// copies of mapped data). 0 removes the cap and disables opportunistic
-// promotion. Exceeding the budget demotes the least-recently-scanned
-// records; a forced promotion (float access to a cold record) may
-// overshoot by at most that one record.
+// SetTierBudget caps the bytes records may hold PROMOTED above their
+// payload: warm heap copies of memory-mapped counts. 0 removes the cap
+// and disables promotion. Lowering the budget below what is promoted
+// demotes the least-recently-scanned records; a scan access promotes
+// only into headroom, so the budget is never overshot.
 func (s *Store) SetTierBudget(bytes int64) { s.tiers.setBudget(bytes) }
 
 // TierStats reports the current epoch's per-tier resident footprint
@@ -322,19 +260,19 @@ func (s *Store) Snapshot() Snapshot {
 // to call while searches are scanning: in-flight readers keep their
 // epoch, later readers see the grown database. An Insert appends to the
 // store's spines and publishes a new view of them: its cost is that of
-// the recording (statistics, slicing), whatever the store already
-// holds. A Record belongs to the one store it was inserted into.
+// the recording (quantizing, slicing), whatever the store already
+// holds. rec.Samples is quantized onto the shared grid (quantizeSamples,
+// what SaveFileFormat(columnar) has always applied) and cleared: the
+// counts are the record from then on, and it belongs to the one store it
+// was inserted into.
 func (s *Store) Insert(rec *Record, sliceLen int, labelFn func(start int) bool) (int, error) {
 	return s.insertBatch([]insertion{{rec: rec, sliceLen: sliceLen, labelFn: labelFn}})
 }
 
-// InsertQuantized adds a recording whose canonical payload is the
-// given int16 counts on the float32 wire scale (see proto.Quantize) —
-// the zero-copy ingest path for quantized stores: the counts that
-// arrived on the wire ARE the stored data, so the record dequantizes
-// to exactly what the legacy dequantize-then-Insert path would have
-// stored, at a quarter of the resident bytes. rec.Samples must be nil;
-// counts ownership passes to the store.
+// InsertQuantized adds a recording that is already int16 counts on the
+// float32 wire scale (see proto.Quantize) — the zero-copy ingest path:
+// the counts that arrived on the wire ARE the stored data. rec.Samples
+// must be nil; counts ownership passes to the store.
 func (s *Store) InsertQuantized(rec *Record, counts []int16, scale float32, sliceLen int, labelFn func(start int) bool) (int, error) {
 	if rec != nil && rec.Samples != nil {
 		return 0, fmt.Errorf("mdb: InsertQuantized record must not carry float samples")
@@ -342,17 +280,18 @@ func (s *Store) InsertQuantized(rec *Record, counts []int16, scale float32, slic
 	return s.insertBatch([]insertion{{rec: rec, counts: counts, scale: float64(scale), sliceLen: sliceLen, labelFn: labelFn}})
 }
 
-// MaxSliceLen is the longest signal-set a store admits. A compressed-
-// domain scan keeps a pass's running Σc and Σc² as float64, which is
-// exact only while a pass — one slice plus one query, less a sample —
-// stays within kernel.MaxWidenLen = 2²³ counts; Insert, InsertQuantized
-// and the columnar loader refuse longer slices, and the search refuses
+// MaxSliceLen is the longest signal-set a store admits. A scan keeps a
+// pass's running Σc and Σc² as float64, which is exact only while a
+// pass — one slice plus one query, less a sample — stays within
+// kernel.MaxWidenLen = 2²³ counts; Insert, InsertQuantized and both
+// loaders refuse longer slices, and the search refuses
 // longer queries, which keeps a pass under 2²¹. (The paper's slices are
 // 1 000 samples.)
 const MaxSliceLen = 1 << 20
 
 // insertion is one recording queued for insertBatch plus its slicing
-// and labelling rule. counts non-nil marks a quantized insertion.
+// and labelling rule. With counts nil the record's Samples are quantized
+// once the batch is known to be valid.
 type insertion struct {
 	rec      *Record
 	counts   []int16
@@ -394,15 +333,11 @@ func (s *Store) insertBatch(items []insertion) (int, error) {
 	created := 0
 	for _, it := range items {
 		rec := it.rec
-		if it.counts != nil {
-			rec.q = newQuantPayload(it.counts, it.scale)
-			rec.res.Store(rec.q.baseResident())
-			rec.tiers = s.tiers
-			s.tiers.register(rec)
-		} else {
-			rec.stats = dsp.NewSlidingStats(rec.Samples)
+		if it.counts == nil {
+			it.counts, it.scale = quantizeSamples(rec.Samples)
+			rec.Samples = nil
 		}
-		s.add(rec)
+		s.add(rec, newQuantPayload(it.counts, it.scale))
 		for start := 0; start+it.sliceLen <= rec.Len(); start += it.sliceLen {
 			anomalous := false
 			if it.labelFn != nil {
@@ -478,8 +413,8 @@ func (s *Store) SubsetSets(n int) *Store {
 	// manager. The spines start as the epoch's clipped prefixes, so an
 	// insert into either store reallocates rather than writing where
 	// the other can see.
-	sub := &Store{ix: s.ix, recs: cur.recs, sets: cur.sets[:n:n], total: cur.totalSamples, quant: cur.quantRecs,
-		tiers: s.tiers, quantized: s.quantized, format: s.format}
+	sub := &Store{ix: s.ix, recs: cur.recs, sets: cur.sets[:n:n], total: cur.totalSamples,
+		tiers: s.tiers, format: s.format}
 	sub.publish()
 	return sub
 }
@@ -518,10 +453,6 @@ func (sn Snapshot) NumSets() int { return len(sn.ensure().sets) }
 
 // NumRecords returns the number of recordings in this epoch.
 func (sn Snapshot) NumRecords() int { return len(sn.ensure().recs) }
-
-// NumQuantized returns how many of this epoch's recordings carry int16
-// counts (Record.Quant reports ok); the rest are float-canonical.
-func (sn Snapshot) NumQuantized() int { return sn.ensure().quantRecs }
 
 // LabelCounts returns the number of normal and anomalous signal-sets.
 func (sn Snapshot) LabelCounts() (normal, anomalous int) {
@@ -574,44 +505,33 @@ func (sn Snapshot) Shards(k int) [][]*SignalSet {
 
 // Window reads n samples of the signal-set's parent recording starting
 // at the given offset relative to the slice start (view semantics; see
-// the package comment). For a quantized record that is not hot, the
-// window is dequantized into a fresh slice without promoting the
-// record; hot and float-canonical records return a view into the
-// resident waveform.
+// the package comment), dequantized into a fresh slice.
 func (sn Snapshot) Window(set *SignalSet, offset, n int) ([]float64, bool) {
 	var buf []float64
 	return sn.WindowInto(&buf, set, offset, n)
 }
 
-// WindowInto is Window with the dequantization buffer the caller's: a
-// window that has to be dequantized is written to (*buf)[:n] — *buf is
-// grown first when it is short — so a caller that reads many windows and
-// keeps none (the cloud's reply assembly) allocates once, not once per
-// window. Hot and float-canonical records still return a view into the
-// resident waveform and leave *buf alone; either way the result is valid
-// only until the next WindowInto with the same buffer.
+// WindowInto is Window with the dequantization buffer the caller's: the
+// window is written to (*buf)[:n] — *buf is grown first when it is
+// short — so a caller that reads many windows and keeps none (the
+// cloud's reply assembly, the edge tracker) allocates once, not once per
+// window. The result is valid only until the next WindowInto with the
+// same buffer.
 func (sn Snapshot) WindowInto(buf *[]float64, set *SignalSet, offset, n int) ([]float64, bool) {
 	rec, exists := sn.ensure().record(set.RecordID)
 	if !exists {
 		return nil, false
 	}
 	abs := set.Start + offset
-	if abs < 0 || abs+n > rec.Len() {
+	if abs < 0 || n < 0 || abs+n > rec.Len() {
 		return nil, false
 	}
-	if rec.q != nil {
-		res := rec.res.Load()
-		if res.tier == TierHot {
-			return res.f[abs : abs+n], true
-		}
-		if cap(*buf) < n {
-			*buf = make([]float64, n)
-		}
-		out := (*buf)[:n]
-		QuantView{Counts: res.counts, Scale: rec.q.scale}.Dequantize(out, abs, n)
-		return out, true
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
 	}
-	return rec.Samples[abs : abs+n], true
+	out := (*buf)[:n]
+	QuantView{Counts: rec.res.Load().counts, Scale: rec.q.scale}.Dequantize(out, abs, n)
+	return out, true
 }
 
 // TotalSamples returns the total number of stored samples across all

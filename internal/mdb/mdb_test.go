@@ -2,7 +2,10 @@ package mdb
 
 import (
 	"bytes"
+	"hash/crc32"
+	"math"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -94,8 +97,11 @@ func TestWindowViewSemantics(t *testing.T) {
 	if !ok || len(win) != 256 {
 		t.Fatalf("window past slice end: ok=%v len=%d", ok, len(win))
 	}
-	if win[0] != float64(900%17) {
-		t.Fatalf("window content wrong: %g", win[0])
+	// The record is held as counts: a sample reads back within half a
+	// quantization step.
+	rec, _ := s.Record("r")
+	if step := rec.Quant().Scale; math.Abs(win[0]-float64(900%17)) > step/2 {
+		t.Fatalf("window content wrong: %g (step %g)", win[0], step)
 	}
 	// ...but not beyond the recording.
 	if _, ok := s.Window(set, 2800, 256); ok {
@@ -149,8 +155,8 @@ func TestRecordLookup(t *testing.T) {
 	if _, ok := s.Record("missing"); ok {
 		t.Fatal("missing record lookup should fail")
 	}
-	if r, _ := s.Record("abc"); r.Stats() == nil {
-		t.Fatal("inserted record must have sliding stats")
+	if r, _ := s.Record("abc"); r.Samples != nil || len(r.Quant().Counts) != 1500 || r.Len() != 1500 {
+		t.Fatalf("inserted record keeps %d float samples beside %d counts", len(r.Samples), len(r.Quant().Counts))
 	}
 	if ids := s.RecordIDs(); len(ids) != 1 || ids[0] != "abc" {
 		t.Fatalf("RecordIDs = %v", ids)
@@ -218,20 +224,80 @@ func TestConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
-func buildTestStore(t *testing.T) *Store {
-	t.Helper()
+// testCorpus is the fixed four-recording corpus of buildTestStore.
+func testCorpus() []*synth.Recording {
 	g := synth.NewGenerator(synth.Config{Seed: 3, ArchetypesPerClass: 2})
-	recs := []*synth.Recording{
+	return []*synth.Recording{
 		g.Instance(synth.Normal, 0, synth.InstanceOpts{DurSeconds: 30}),
 		g.Instance(synth.Seizure, 0, synth.InstanceOpts{OffsetSamples: (synth.OnsetAt - 60) * 256, DurSeconds: 90}),
 		g.Instance(synth.Encephalopathy, 0, synth.InstanceOpts{DurSeconds: 30}),
 		g.Instance(synth.Stroke, 0, synth.InstanceOpts{DurSeconds: 30, Rate: 128}),
 	}
-	store, err := Build(recs, DefaultBuildConfig())
+}
+
+func buildTestStore(t *testing.T) *Store {
+	t.Helper()
+	store, err := Build(testCorpus(), DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return store
+}
+
+// assertOneRepresentation: every record of the store is int16 counts on
+// a valid scale and holds no float samples — whatever built, inserted or
+// loaded it.
+func assertOneRepresentation(t *testing.T, label string, s *Store) {
+	t.Helper()
+	for _, id := range s.RecordIDs() {
+		rec, _ := s.Record(id)
+		qv := rec.Quant()
+		if rec.Samples != nil || rec.q == nil || len(qv.Counts) != rec.Len() || !validScale(qv.Scale) {
+			t.Fatalf("%s: record %q holds %d float samples, %d counts of %d, scale %v", label, id, len(rec.Samples), len(qv.Counts), rec.Len(), qv.Scale)
+		}
+	}
+}
+
+// TestBuildQuantizesAtBuild: Build holds, per recording, exactly
+// quantizeSamples(Preprocess(raw).Samples) — the quantizer
+// SaveFileFormat(columnar) applied to a float store before records were
+// counts — so the columnar image of the fixed test corpus is, byte for
+// byte, the one a float Insert store of the same recordings saved then
+// (the CRC was taken at the last commit that held float records).
+// Insert of the same processed samples stores the same counts.
+func TestBuildQuantizesAtBuild(t *testing.T) {
+	raws, cfg := testCorpus(), DefaultBuildConfig()
+	store, err := Build(raws, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertOneRepresentation(t, "Build", store)
+	inserted := NewStore()
+	for _, raw := range raws {
+		proc, err := Preprocess(raw, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts, scale := quantizeSamples(proc.Samples)
+		rec, _ := store.Record(raw.ID)
+		if qv := rec.Quant(); qv.Scale != scale || !slices.Equal(qv.Counts, counts) {
+			t.Fatalf("record %q: Build holds scale %v and counts that are not quantizeSamples(Preprocess) (scale %v)", raw.ID, qv.Scale, scale)
+		}
+		if _, err := inserted.Insert(proc, cfg.SliceLen, LabelFor(proc, cfg)); err != nil {
+			t.Fatal(err)
+		}
+		if proc.Samples != nil {
+			t.Fatalf("record %q keeps its float samples after Insert", raw.ID)
+		}
+	}
+	assertOneRepresentation(t, "Insert", inserted)
+	raw := encodeStore(t, store)
+	if got := crc32.ChecksumIEEE(raw); len(raw) != 104104 || got != 0x07e3c92a {
+		t.Fatalf("columnar image of the fixed corpus: %d bytes, CRC %#08x; the float store's was 104104 bytes, 0x07e3c92a", len(raw), got)
+	}
+	if !bytes.Equal(raw, encodeStore(t, inserted)) {
+		t.Fatal("Build and per-recording Insert of the same recordings save different images")
+	}
 }
 
 func TestBuildPipeline(t *testing.T) {
@@ -275,7 +341,7 @@ func TestBuildResamples(t *testing.T) {
 		if rec.Class == synth.Stroke {
 			// 30 s at 128 Hz → resampled to 256 Hz ≈ 7680 samples
 			// minus the 100-tap warmup trim.
-			got := len(rec.Samples)
+			got := rec.Len()
 			if got < 7000 || got > 7700 {
 				t.Fatalf("resampled stroke recording has %d samples", got)
 			}
@@ -327,11 +393,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if n1 != n2 || a1 != a2 {
 		t.Fatalf("labels differ: %d/%d vs %d/%d", n1, a1, n2, a2)
 	}
-	// Stats must be rebuilt and usable.
+	// gob save → load preserves every record's (counts, scale).
+	assertOneRepresentation(t, "gob round trip", got)
 	for _, id := range got.RecordIDs() {
+		want, _ := store.Record(id)
 		rec, _ := got.Record(id)
-		if rec.Stats() == nil || rec.Stats().Len() != len(rec.Samples) {
-			t.Fatalf("record %s stats not rebuilt", id)
+		if w, g := want.Quant(), rec.Quant(); g.Scale != w.Scale || !slices.Equal(g.Counts, w.Counts) {
+			t.Fatalf("record %s: counts or scale (%v, was %v) changed across the gob round trip", id, g.Scale, w.Scale)
 		}
 	}
 	// Windows must read identically.

@@ -8,24 +8,32 @@ import (
 	"os"
 	"path/filepath"
 
-	"emap/internal/dsp"
 	"emap/internal/synth"
 )
 
-// snapshot is the gob wire form of a Store (format v1). SlidingStats
-// are derived data and rebuilt on load.
+// snapshot is the gob wire form of a Store (format v1).
 type snapshot struct {
 	Version int
 	Records []recordSnap
 	Sets    []SignalSet
 }
 
+// recordSnap is one record of a gob image. An image written since
+// records became counts carries Counts and Scale and no Samples; an
+// older one carries Samples only, which the loader quantizes — it cannot
+// be the other way round, because re-quantizing count·scale reproduces
+// (counts, scale) only when the largest count is the 32 000 the quantizer
+// itself aims the peak at, and an ingested recording's need not be. gob
+// matches fields by name and skips what either side lacks, so the two
+// kinds of image share one version.
 type recordSnap struct {
 	ID        string
 	Class     int
 	Archetype int
 	Onset     int
 	Samples   []float64
+	Counts    []int16
+	Scale     float64
 }
 
 const snapshotVersion = 1
@@ -45,9 +53,9 @@ func (s *Store) Save(w io.Writer) error {
 // form as Store.Save, but pinned to the epoch the caller captured, so
 // the caller can afterwards compare the store's current Snapshot
 // against this one (snapshots are comparable) and find out whether an
-// insert advanced the store while the write ran. Quantized records are
-// dequantized into float64 — a lossless widening, so columnar→gob
-// conversion preserves values exactly.
+// insert advanced the store while the write ran. Records go out as they
+// are held — counts and scale — so gob↔columnar conversion in either
+// direction preserves them exactly.
 func (sn Snapshot) Save(w io.Writer) error {
 	v := sn.ensure()
 	snap := snapshot{Version: snapshotVersion}
@@ -57,7 +65,8 @@ func (sn Snapshot) Save(w io.Writer) error {
 			Class:     int(r.Class),
 			Archetype: r.Archetype,
 			Onset:     r.Onset,
-			Samples:   r.floatSamples(),
+			Counts:    r.q.counts,
+			Scale:     r.q.scale,
 		})
 	}
 	for _, set := range v.sets {
@@ -76,8 +85,8 @@ func (sn Snapshot) SaveFormat(w io.Writer, f Format) error {
 
 // Load deserialises a store previously written by Save, SaveColumnar,
 // or SaveFile in either format; the format is detected from the
-// leading bytes. Columnar snapshots load eagerly here (heap-resident
-// warm tier) — only LoadFile can establish the mmap cold tier.
+// leading bytes. Either way the records load into the heap (warm tier) —
+// only LoadFile can establish the mmap cold tier.
 func Load(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(len(columnarMagic)); err == nil && string(magic) == columnarMagic {
@@ -86,7 +95,8 @@ func Load(r io.Reader) (*Store, error) {
 	return loadGob(br)
 }
 
-// loadGob deserialises a v1 gob snapshot.
+// loadGob deserialises a v1 gob snapshot, quantizing the records of an
+// image that holds float samples (see recordSnap).
 func loadGob(r io.Reader) (*Store, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -104,18 +114,28 @@ func loadGob(r io.Reader) (*Store, error) {
 			Class:     synth.Class(rs.Class),
 			Archetype: rs.Archetype,
 			Onset:     rs.Onset,
-			Samples:   rs.Samples,
 		}
-		rec.stats = dsp.NewSlidingStats(rec.Samples)
 		if _, dup := s.ix.m.Load(rec.ID); dup {
 			return nil, fmt.Errorf("mdb: snapshot has duplicate record %q", rec.ID)
 		}
-		s.add(rec)
+		counts, scale := rs.Counts, rs.Scale
+		if counts == nil && scale == 0 {
+			counts, scale = quantizeSamples(rs.Samples)
+		} else if rs.Samples != nil || !validScale(scale) {
+			return nil, fmt.Errorf("mdb: snapshot record %q holds samples beside counts, or scale %v is invalid", rec.ID, scale)
+		}
+		s.add(rec, newQuantPayload(counts, scale))
 	}
 	for i := range snap.Sets {
 		set := snap.Sets[i]
-		if _, ok := s.ix.m.Load(set.RecordID); !ok {
+		x, ok := s.ix.m.Load(set.RecordID)
+		if !ok {
 			return nil, fmt.Errorf("mdb: signal-set %d references missing record %q", set.ID, set.RecordID)
+		}
+		// What Insert and the columnar loader hold a set to: the scan
+		// reads the record's counts through these bounds.
+		if set.Start < 0 || set.Length < 0 || set.Length > MaxSliceLen || set.Start+set.Length > x.(*Record).Len() {
+			return nil, fmt.Errorf("mdb: signal-set %d does not fit record %q (or is over %d samples)", set.ID, set.RecordID, MaxSliceLen)
 		}
 		s.sets = append(s.sets, &set)
 	}
@@ -184,7 +204,7 @@ func (sn Snapshot) SaveFileFormat(path string, f Format) error {
 // format. Columnar snapshots are opened via mmap where the platform
 // supports it — records start in the cold tier and are served straight
 // from the page cache — falling back to an eager, fully-checksummed
-// heap load otherwise.
+// heap load otherwise; a gob snapshot always loads into the heap.
 func LoadFile(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,9 +1,6 @@
 package mdb
 
-import (
-	"emap/internal/dsp"
-	"emap/internal/proto"
-)
+import "emap/internal/proto"
 
 // qBlockLen is the checkpoint interval of the quantized block prefix
 // sums: one (Σc, Σc²) int64 pair is stored every qBlockLen counts, so
@@ -17,22 +14,18 @@ import (
 // longer depends on qBlockLen.
 const qBlockLen = 64
 
-// Tier is a record's resident representation: hot records serve the
-// float64 scan path (their signal read in place, O(1) float norms),
-// warm records hold their int16 counts in the heap and are scanned in
-// the compressed domain, cold records serve their counts straight out
-// of a memory-mapped columnar snapshot (the page cache is the only
-// copy). See DESIGN.md §14 for the transition diagram.
+// Tier is where a record's counts currently reside: warm records hold
+// them in the heap, cold records serve them straight out of a
+// memory-mapped columnar snapshot (the page cache is the only copy).
+// Either way a scan reads the counts in place. See DESIGN.md §14 for the
+// transition diagram.
 type Tier int
 
 const (
-	// TierHot: dequantized float64 samples + sliding float stats are
-	// resident (24 bytes/sample). Legacy float-canonical records are
-	// permanently hot.
-	TierHot Tier = iota
 	// TierWarm: int16 counts + block sums resident in the heap
-	// (2.25 bytes/sample).
-	TierWarm
+	// (2.25 bytes/sample) — where an inserted or eagerly loaded record
+	// lives, and where a mapped one is copied to under a byte budget.
+	TierWarm Tier = iota
 	// TierCold: counts + block sums read from the mmap region of a
 	// columnar snapshot (0 heap bytes/sample).
 	TierCold
@@ -40,8 +33,6 @@ const (
 
 func (t Tier) String() string {
 	switch t {
-	case TierHot:
-		return "hot"
 	case TierWarm:
 		return "warm"
 	case TierCold:
@@ -50,7 +41,7 @@ func (t Tier) String() string {
 	return "unknown"
 }
 
-// quantPayload is a record's canonical quantized payload: the int16
+// quantPayload is a record's payload: the int16
 // counts, the float32-narrowed µV-per-count step, and the block
 // checkpoint sums. It is immutable after construction. The slices
 // point either into the heap (ingest-born records) or into an mmap
@@ -79,9 +70,6 @@ type resident struct {
 	// heapCopy marks counts/bsum/bsumSq as a promoted heap copy of a
 	// mapped payload — bytes the tier budget must account for.
 	heapCopy bool
-	// Hot-only: the dequantized waveform and its float sliding stats.
-	f     []float64
-	stats *dsp.SlidingStats
 }
 
 // newQuantPayload builds a heap-canonical payload from counts (which
@@ -178,21 +166,12 @@ func (qv QuantView) Dequantize(dst []float64, start, n int) {
 	}
 }
 
-// dequantizeAll materializes the payload's full float64 waveform.
-func (q *quantPayload) dequantizeAll() []float64 {
-	out := make([]float64, len(q.counts))
-	s := q.scale
-	for i, c := range q.counts {
-		out[i] = float64(c) * s
-	}
-	return out
-}
-
 // quantizeSamples quantizes a float64 waveform onto the shared
 // float32-narrowed grid (see proto.NarrowScale), returning the counts
-// and the step. Deterministic: the same samples always produce the
-// same (counts, scale), which is what makes columnar conversion
-// bit-stable.
+// and the step: how float samples become a record, at Insert, at Build
+// and when a gob image that predates stored counts is loaded.
+// Deterministic: the same samples always produce the same (counts,
+// scale).
 func quantizeSamples(samples []float64) ([]int16, float64) {
 	var peak float64
 	for _, v := range samples {

@@ -91,8 +91,8 @@ type Registry struct {
 	max   int    // ≤0 = unbounded
 	clock int64
 	// format, when set, overrides the per-store snapshot format on
-	// persist and makes freshly created tenant stores quantized
-	// (FormatColumnar). Set before the first Open.
+	// persist and is the format freshly created tenant stores save in.
+	// Set before the first Open.
 	format Format
 	// budget is the per-tenant tier byte budget applied to every store
 	// the registry opens or adopts (0: unlimited). Set before the
@@ -243,7 +243,6 @@ func (r *Registry) AppendWAL(tenant string, payload []byte) error {
 
 // SetSaveFormat selects the snapshot format the registry persists
 // tenants in, overriding each store's own preference; FormatColumnar
-// additionally makes freshly created tenant stores quantized, and
 // migrates gob-loaded tenants to columnar on their next eviction. Call
 // before the first Open.
 func (r *Registry) SetSaveFormat(f Format) {

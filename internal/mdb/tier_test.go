@@ -6,122 +6,14 @@ import (
 	"testing"
 )
 
-// TestQuantizedInsertStartsWarm: ingest-born quantized records rest at
-// the warm tier (heap-canonical counts) and never hold promoted bytes
-// until a float access forces them hot.
-func TestQuantizedInsertStartsWarm(t *testing.T) {
-	s := buildQuantStore(t, []int{1280, 1000})
-	for _, id := range s.RecordIDs() {
-		rec, _ := s.Record(id)
-		if rec.Tier() != TierWarm {
-			t.Fatalf("record %q starts %v, want warm", id, rec.Tier())
-		}
-	}
-	ts := s.TierStats()
-	if ts.HotBytes != 0 || ts.ColdBytes != 0 || ts.WarmBytes == 0 {
-		t.Fatalf("fresh quantized store tier stats = %+v", ts)
-	}
-	if ts.Promotions != 0 || ts.Demotions != 0 {
-		t.Fatalf("fresh store already counted transitions: %+v", ts)
-	}
-}
-
-// TestStatsPromotesToHot: the float-domain accessors force a quantized
-// record hot, and the promotion shows in the stats and counters.
-func TestStatsPromotesToHot(t *testing.T) {
-	s := buildQuantStore(t, []int{1280})
-	rec, _ := s.Record(s.RecordIDs()[0])
-	stats := rec.Stats()
-	if stats == nil || stats.Len() != 1280 {
-		t.Fatalf("promoted stats wrong: %v", stats)
-	}
-	if rec.Tier() != TierHot {
-		t.Fatalf("record is %v after Stats(), want hot", rec.Tier())
-	}
-	ts := s.TierStats()
-	if ts.HotBytes != hotChargeBytes(1280) || ts.Promotions != 1 {
-		t.Fatalf("tier stats after promotion = %+v", ts)
-	}
-	// The hot representation must be the exact dequantization.
-	qv, _ := rec.Quant()
-	f := rec.Float()
-	for i, c := range qv.Counts {
-		if f[i] != float64(c)*qv.Scale {
-			t.Fatalf("hot sample %d is %g, want %g", i, f[i], float64(c)*qv.Scale)
-		}
-	}
-}
-
-// TestBudgetDemotesLRU: shrinking the budget below the promoted bytes
-// demotes the least recently used records first, down to the warm
-// floor for heap-canonical payloads.
-func TestBudgetDemotesLRU(t *testing.T) {
-	s := buildQuantStore(t, []int{1000, 1000, 1000, 1000})
-	ids := s.RecordIDs()
-	for _, id := range ids {
-		rec, _ := s.Record(id)
-		rec.Stats() // force hot, LRU order = insertion order
-	}
-	if got := s.TierStats().HotBytes; got != 4*hotChargeBytes(1000) {
-		t.Fatalf("hot bytes before budget = %d", got)
-	}
-	// Budget for exactly one hot record: the three least recently used
-	// must fall back to warm; the most recent survives.
-	s.SetTierBudget(hotChargeBytes(1000))
-	ts := s.TierStats()
-	if ts.HotBytes != hotChargeBytes(1000) || ts.Demotions != 3 {
-		t.Fatalf("tier stats after budget = %+v", ts)
-	}
-	for i, id := range ids {
-		rec, _ := s.Record(id)
-		want := TierWarm
-		if i == len(ids)-1 {
-			want = TierHot
-		}
-		if rec.Tier() != want {
-			t.Fatalf("record %q is %v, want %v", id, rec.Tier(), want)
-		}
-	}
-	// Heap-canonical records must never demote below warm, however
-	// small the budget.
-	s.SetTierBudget(1)
-	for _, id := range ids {
-		rec, _ := s.Record(id)
-		if rec.Tier() == TierCold {
-			t.Fatalf("heap-canonical record %q demoted to cold", id)
-		}
-	}
-}
-
-// TestForcedPromotionOvershootsByOneRecord: with a budget smaller than
-// a single hot record, each Stats() call may overshoot by that one
-// record but must demote the previous one — the beyond-RAM steady
-// state.
-func TestForcedPromotionOvershootsByOneRecord(t *testing.T) {
-	s := buildQuantStore(t, []int{1000, 1000, 1000})
-	s.SetTierBudget(100) // far below hotChargeBytes(1000)
-	ids := s.RecordIDs()
-	for _, id := range ids {
-		rec, _ := s.Record(id)
-		rec.Stats()
-		if got := s.TierStats().HotBytes; got > hotChargeBytes(1000) {
-			t.Fatalf("more than one record hot under a sub-record budget: %d bytes", got)
-		}
-	}
-	ts := s.TierStats()
-	if ts.Promotions != 3 || ts.Demotions != 2 {
-		t.Fatalf("transition counters = %+v, want 3 promotions / 2 demotions", ts)
-	}
-}
-
-// TestOpportunisticPromotionNeedsBudget: scan touches climb a cold
-// record one tier only when a budget grants headroom; without a budget
-// the record stays compressed (that being the format's point), and
-// with headroom a touch promotes exactly one step.
-func TestOpportunisticPromotionNeedsBudget(t *testing.T) {
-	s := buildQuantStore(t, []int{1280})
-	path := filepath.Join(t.TempDir(), "mdb.col")
-	if err := s.Snapshot().SaveFileFormat(path, FormatColumnar); err != nil {
+// coldStoreOf saves a store of records of the given lengths as a
+// columnar file and opens it memory-mapped: every record cold. It skips
+// the test where mmap is unavailable.
+func coldStoreOf(t *testing.T, lengths []int) (cold, origin *Store, path string) {
+	t.Helper()
+	origin = buildQuantStore(t, lengths)
+	path = filepath.Join(t.TempDir(), "mdb.col")
+	if err := origin.Snapshot().SaveFileFormat(path, FormatColumnar); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mapFile(path); err != nil {
@@ -131,10 +23,81 @@ func TestOpportunisticPromotionNeedsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cold, origin, path
+}
+
+// TestQuantizedInsertStartsWarm: inserted records rest at the warm tier
+// (their counts live in the heap to begin with), hold no promoted bytes
+// and never move, whatever the budget and however often they are
+// scanned.
+func TestQuantizedInsertStartsWarm(t *testing.T) {
+	s := buildQuantStore(t, []int{1280, 1000})
+	s.SetTierBudget(1 << 20)
+	for _, id := range s.RecordIDs() {
+		rec, _ := s.Record(id)
+		rec.Touch()
+		if rec.Tier() != TierWarm {
+			t.Fatalf("record %q is %v, want warm", id, rec.Tier())
+		}
+	}
+	s.SetTierBudget(1)
+	ts := s.TierStats()
+	if ts.HotBytes != 0 || ts.ColdBytes != 0 || ts.WarmBytes == 0 {
+		t.Fatalf("inserted store tier stats = %+v", ts)
+	}
+	if ts.Promotions != 0 || ts.Demotions != 0 {
+		t.Fatalf("heap records counted transitions: %+v", ts)
+	}
+}
+
+// TestBudgetDemotesLRU: shrinking the budget below the promoted bytes
+// drops the heap copies of the least recently scanned records first,
+// back to the mapped file.
+func TestBudgetDemotesLRU(t *testing.T) {
+	s, _, _ := coldStoreOf(t, []int{1000, 1000, 1000, 1000})
+	ids := s.RecordIDs()
+	s.SetTierBudget(1 << 20)
+	for _, id := range ids {
+		rec, _ := s.Record(id)
+		rec.Touch() // cold→warm, LRU order = insertion order
+	}
+	if ts := s.TierStats(); ts.WarmBytes != 4*warmChargeBytes(1000) || ts.Promotions != 4 {
+		t.Fatalf("tier stats before the budget shrinks = %+v", ts)
+	}
+	// Budget for exactly one heap copy: the three least recently used
+	// must fall back to cold; the most recent survives.
+	s.SetTierBudget(warmChargeBytes(1000))
+	ts := s.TierStats()
+	if ts.WarmBytes != warmChargeBytes(1000) || ts.ColdBytes != 3*warmChargeBytes(1000) || ts.Demotions != 3 {
+		t.Fatalf("tier stats after budget = %+v", ts)
+	}
+	for i, id := range ids {
+		rec, _ := s.Record(id)
+		want := TierCold
+		if i == len(ids)-1 {
+			want = TierWarm
+		}
+		if rec.Tier() != want {
+			t.Fatalf("record %q is %v, want %v", id, rec.Tier(), want)
+		}
+	}
+}
+
+// TestOpportunisticPromotionNeedsBudget: a scan touch copies a cold
+// record into the heap only when a budget grants headroom; without a
+// budget the record stays mapped (that being the format's point), and a
+// warm record has nowhere further to go.
+func TestOpportunisticPromotionNeedsBudget(t *testing.T) {
+	cold, _, _ := coldStoreOf(t, []int{1280})
 	rec, _ := cold.Record(cold.RecordIDs()[0])
 	rec.Touch()
 	if rec.Tier() != TierCold {
 		t.Fatalf("budget-less touch moved the record to %v", rec.Tier())
+	}
+	cold.SetTierBudget(warmChargeBytes(1280) - 1)
+	rec.Touch()
+	if rec.Tier() != TierCold {
+		t.Fatalf("a touch promoted past the budget, to %v", rec.Tier())
 	}
 	cold.SetTierBudget(1 << 20)
 	rec.Touch()
@@ -142,73 +105,58 @@ func TestOpportunisticPromotionNeedsBudget(t *testing.T) {
 		t.Fatalf("touch with headroom left the record %v, want warm", rec.Tier())
 	}
 	rec.Touch()
-	if rec.Tier() != TierHot {
-		t.Fatalf("second touch left the record %v, want hot", rec.Tier())
-	}
-	ts := cold.TierStats()
-	if ts.Promotions != 2 {
-		t.Fatalf("promotions = %d, want 2", ts.Promotions)
+	if ts := cold.TierStats(); rec.Tier() != TierWarm || ts.Promotions != 1 || ts.HotBytes != 0 {
+		t.Fatalf("second touch: record %v, stats %+v, want warm after one promotion", rec.Tier(), ts)
 	}
 }
 
-// TestBeyondRAMBudget: a memory-mapped store whose full hot footprint
-// exceeds the budget many times over still serves every float read
-// correctly while the promoted bytes stay pinned near the budget —
-// the paging steady state, with both counters advancing.
+// TestBeyondRAMBudget: a memory-mapped store whose counts exceed the
+// budget many times over serves every read correctly while the promoted
+// bytes stay within the budget: scan accesses under a tight budget cause
+// cold→warm promotions only — into headroom, never past it, so nothing
+// is demoted — and the rest of the store is read out of the mapping.
 func TestBeyondRAMBudget(t *testing.T) {
 	lengths := make([]int, 24)
 	for i := range lengths {
 		lengths[i] = 4096
 	}
-	s := buildQuantStore(t, lengths)
-	path := filepath.Join(t.TempDir(), "mdb.col")
-	if err := s.Snapshot().SaveFileFormat(path, FormatColumnar); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mapFile(path); err != nil {
-		t.Skipf("mmap unavailable: %v", err)
-	}
-	cold, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Budget: two hot records out of 24. The mapped file itself is
+	cold, s, path := coldStoreOf(t, lengths)
+	// Budget: two heap copies out of 24. The mapped file itself is
 	// bigger than the budget — the store genuinely exceeds its RAM
 	// allowance.
-	budget := 2 * hotChargeBytes(4096)
+	budget := 2 * warmChargeBytes(4096)
 	if st, err := os.Stat(path); err != nil || st.Size() <= budget {
 		t.Fatalf("fixture too small to exceed the budget: %v bytes vs %d", st.Size(), budget)
 	}
 	cold.SetTierBudget(budget)
 
-	// Sweep float reads over every record twice; each read must be the
-	// exact dequantization of the original counts whatever tier the
-	// record was in when asked.
+	// Sweep scan accesses and reads over every record twice; each read
+	// must be the exact dequantization of the original counts whatever
+	// tier the record was in when asked.
+	var buf []float64
 	for pass := 0; pass < 2; pass++ {
-		for _, id := range cold.RecordIDs() {
-			ref, _ := s.Record(id)
-			qv, _ := ref.Quant()
-			rec, _ := cold.Record(id)
-			f := rec.Float()
-			if len(f) != len(qv.Counts) {
-				t.Fatalf("record %q served %d samples, want %d", id, len(f), len(qv.Counts))
+		for _, set := range cold.Sets() {
+			ref, _ := s.Record(set.RecordID)
+			qv := ref.Quant()
+			rec, _ := cold.Record(set.RecordID)
+			rec.Touch()
+			f, ok := cold.Snapshot().WindowInto(&buf, set, 0, set.Length)
+			if !ok || len(f) != set.Length {
+				t.Fatalf("set %d served %d samples, want %d", set.ID, len(f), set.Length)
 			}
-			for i, c := range qv.Counts {
+			for i, c := range qv.Counts[set.Start : set.Start+set.Length] {
 				if f[i] != float64(c)*qv.Scale {
-					t.Fatalf("pass %d record %q sample %d = %g, want %g", pass, id, i, f[i], float64(c)*qv.Scale)
+					t.Fatalf("pass %d set %d sample %d = %g, want %g", pass, set.ID, i, f[i], float64(c)*qv.Scale)
 				}
 			}
 		}
 	}
 	ts := cold.TierStats()
-	if ts.Promotions == 0 || ts.Demotions == 0 {
-		t.Fatalf("beyond-RAM sweep moved nothing: %+v", ts)
+	if ts.Promotions != 2 || ts.Demotions != 0 || ts.HotBytes != 0 {
+		t.Fatalf("beyond-RAM sweep: %+v, want two cold→warm promotions and nothing else", ts)
 	}
-	if ts.HotBytes > budget+hotChargeBytes(4096) {
-		t.Fatalf("hot bytes %d exceed budget %d by more than one record", ts.HotBytes, budget)
-	}
-	if ts.ColdBytes == 0 {
-		t.Fatalf("no records left cold under a 2-of-6 budget: %+v", ts)
+	if ts.WarmBytes != budget || ts.ColdBytes != 22*warmChargeBytes(4096) {
+		t.Fatalf("resident bytes %+v under a 2-of-24 budget of %d", ts, budget)
 	}
 }
 
@@ -237,13 +185,14 @@ func TestWindowSumsExact(t *testing.T) {
 }
 
 // TestSubsetSharesTierState: a SubsetSets view shares the parent's
-// records, so a budget set on the parent governs accesses through the
-// subset too.
+// records, so a promotion through the subset is the parent's too and a
+// budget set on the parent governs both.
 func TestSubsetSharesTierState(t *testing.T) {
-	s := buildQuantStore(t, []int{1000, 1000})
+	s, _, _ := coldStoreOf(t, []int{1000, 1000})
+	s.SetTierBudget(1 << 20)
 	sub := s.SubsetSets(1)
 	rec, _ := sub.Record(sub.RecordIDs()[0])
-	rec.Stats()
+	rec.Touch()
 	if got := s.TierStats().Promotions; got != 1 {
 		t.Fatalf("promotion through subset invisible to parent: %d", got)
 	}

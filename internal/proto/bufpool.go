@@ -3,8 +3,6 @@ package proto
 import (
 	"math/bits"
 	"sync"
-	"unsafe"
-	"weak"
 )
 
 // Reply payloads — a correlation set runs from a few kB to a few
@@ -12,14 +10,15 @@ import (
 // pool instead of being allocated and dropped per request. Pool buffers
 // have power-of-two capacities between minPooledBuf and maxPooledBuf and
 // a request is served by the smallest free buffer that holds it. The
-// pool is bounded in the strongest sense: it has poolSlots slots, and it
-// holds its free buffers by weak pointer only, so it never keeps alive a
-// byte the collector could otherwise reclaim — a free buffer lasts until
-// the next collection, which at a reply's worth of garbage per request
-// is hundreds of requests away, and an idle process's pool costs
-// nothing. A request below the smallest size is an ordinary allocation
-// (cheaper than the bookkeeping); one above the largest — a hostile
-// 16 MiB frame — is allocated, used and never entered.
+// pool is bounded by construction: it has poolSlots slots, so it never
+// holds more than poolSlots × maxPooledBuf = 4 MiB and in practice about
+// one — the handful of buffers a connection's hops have in flight — and
+// it holds them outright, so how often a released buffer is found again
+// does not depend on how often the collector runs (which is a function
+// of the live heap: a process with a small store collects often). A
+// request below the smallest size is an ordinary allocation (cheaper
+// than the bookkeeping); one above the largest — a hostile 16 MiB
+// frame — is allocated, used and never entered.
 //
 // Ownership is single and explicit: whoever holds a buffer from
 // GetBuffer either hands it to exactly one next owner or releases it
@@ -33,16 +32,9 @@ const (
 	poolSlots    = 8
 )
 
-// freeBuf is one released buffer: its backing array, weakly, and the
-// capacity to rebuild the slice with (0 marks an empty slot).
-type freeBuf struct {
-	array weak.Pointer[byte]
-	cap   int
-}
-
 var bufPool struct {
 	mu   sync.Mutex
-	free [poolSlots]freeBuf
+	free [poolSlots][]byte // released buffers at full capacity; nil marks an empty slot
 }
 
 // GetBuffer returns a buffer of length n whose contents are arbitrary.
@@ -53,23 +45,17 @@ func GetBuffer(n int) []byte {
 	}
 	p := &bufPool
 	p.mu.Lock()
-	for {
-		best := -1
-		for i := range p.free {
-			if c := p.free[i].cap; c >= n && (best < 0 || c < p.free[best].cap) {
-				best = i
-			}
+	best := -1
+	for i, f := range p.free {
+		if cap(f) >= n && (best < 0 || cap(f) < cap(p.free[best])) {
+			best = i
 		}
-		if best < 0 {
-			break
-		}
-		f := p.free[best]
-		p.free[best] = freeBuf{}
-		if array := f.array.Value(); array != nil {
-			p.mu.Unlock()
-			return unsafe.Slice(array, f.cap)[:n]
-		}
-		// The collector got there first; try the next best.
+	}
+	if best >= 0 {
+		b := p.free[best]
+		p.free[best] = nil
+		p.mu.Unlock()
+		return b[:n]
 	}
 	p.mu.Unlock()
 	return make([]byte, n, 1<<bits.Len(uint(n-1)))
@@ -90,13 +76,13 @@ func PutBuffer(b []byte) {
 	p := &bufPool
 	p.mu.Lock()
 	slot := 0
-	for i := range p.free {
-		if p.free[i].cap < p.free[slot].cap {
+	for i, f := range p.free {
+		if cap(f) < cap(p.free[slot]) {
 			slot = i
 		}
 	}
-	if p.free[slot].cap <= c {
-		p.free[slot] = freeBuf{array: weak.Make(unsafe.SliceData(b)), cap: c}
+	if cap(p.free[slot]) <= c {
+		p.free[slot] = b[:c]
 	}
 	p.mu.Unlock()
 }

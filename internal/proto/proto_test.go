@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -280,6 +281,44 @@ func TestQuantizeDegenerate(t *testing.T) {
 	if got := Dequantize(nil, 1); len(got) != 0 {
 		t.Fatal("empty dequantize should be empty")
 	}
+}
+
+// TestQuantizeIdempotentOnItsOwnGrid: re-quantizing what a quantized
+// window dequantizes to gives the same counts and the same scale — the
+// largest count of a finite window is always ±32 000, so the second pass
+// finds the step it was made with. It is what lets a stream hand the
+// search the counts it already has, where the search used to quantize
+// the dequantized window again: the same integers either way. Random
+// µV-scale windows, windows at their own rails (±peak only), constant
+// and all-zero windows, tiny and huge magnitudes.
+func TestQuantizeIdempotentOnItsOwnGrid(t *testing.T) {
+	r := rng.New(83)
+	check := func(label string, x []float64) {
+		t.Helper()
+		counts, scale := Quantize(x)
+		again, scaleAgain := Quantize(Dequantize(counts, scale))
+		if scaleAgain != scale || !slices.Equal(again, counts) {
+			t.Fatalf("%s: counts or scale (%v → %v) moved on re-quantization", label, scale, scaleAgain)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		x := make([]float64, 256)
+		sigma := math.Pow(10, r.Range(-9, 9))
+		for i := range x {
+			x[i] = r.Norm(0, sigma)
+		}
+		check("random", x)
+		peak := math.Abs(x[0])
+		for i := range x {
+			x[i] = math.Copysign(peak, x[i]) // every sample at a rail of its own grid
+		}
+		check("rail", x)
+		for i := range x {
+			x[i] = peak
+		}
+		check("constant", x)
+	}
+	check("zero", make([]float64, 256))
 }
 
 // Quantisation must preserve correlation structure: the cloud search

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"emap/internal/dsp"
 	"emap/internal/mdb"
 	"emap/internal/proto"
 )
@@ -19,8 +18,8 @@ import (
 // scan-amortization claims are stated in.
 type BatchResult struct {
 	// Results holds one Result per input query, in input order.
-	// Queries that are bit-identical in the forms the store reads
-	// (see query) share one scan and point at ONE shared (read-only)
+	// Queries whose counts are identical (see window.counts) share one
+	// scan and point at ONE shared (read-only)
 	// Result — callers can rely on pointer equality to spot
 	// deduplicated queries and reuse downstream work.
 	Results []*Result
@@ -48,8 +47,7 @@ type BatchResult struct {
 // batch of (already bandpass-filtered) input windows in one pass over
 // the mega-database: every signal-set's pass is built once per distinct
 // query length, all queries walk it while it is resident, and queries
-// that are bit-identical in the forms the store reads are deduplicated
-// into a single scan. Each query's matches are exactly what Algorithm1
+// whose counts are identical are deduplicated into a single scan. Each query's matches are exactly what Algorithm1
 // would return for it alone.
 func (s *Searcher) AlgorithmN(inputs [][]float64) (*BatchResult, error) {
 	return s.runBatch(floatWindows(inputs), false)
@@ -89,64 +87,29 @@ type window struct {
 
 func (w window) len() int { return max(len(w.samples), len(w.counts)) }
 
-// query is one unique query in the forms the epoch's records read it
-// in, each built at most once per scan: zq, z-normalized float64, when
-// the epoch holds float-canonical records; qc, int16 counts, when it
-// holds records that have counts. An epoch of one kind never builds the
-// other form.
-type query struct {
-	zq []float64
-	qc []int16
-}
-
-func (q *query) len() int { return max(len(q.zq), len(q.qc)) }
-
-func (q *query) equal(o *query) bool {
-	return slices.Equal(q.zq, o.zq) && slices.Equal(q.qc, o.qc)
-}
-
-// build makes w's query in the forms asked for. ok is false for a flat
-// window — one with no variance in a form the store reads, which
-// correlates with nothing. An upload's counts are the query's as sent;
-// its float form is proto.Dequantize's expression. A float window's
-// counts are the wire quantizer's (proto.Quantize), so a caller holding
-// µV samples and an edge uploading them search by the same integers; a
-// window with a non-finite sample has no counts and is flat.
-func (w window) build(needFloat, needCounts bool) (q query, ok bool) {
-	n := w.len()
-	if needFloat {
-		q.zq = make([]float64, n)
-		src := w.samples
-		if src == nil {
-			step := float64(w.scale)
-			for i, c := range w.counts {
-				q.zq[i] = float64(c) * step
+// query is the one form a scan reads a window in: int16 counts, against
+// the records' own. An upload's counts are the query as sent; a float
+// window's are the wire quantizer's (proto.Quantize), made once per
+// scan, so a caller holding µV samples and an edge uploading them search
+// by the same integers. ok is false for a flat window — all counts
+// equal, or a non-finite sample, which has no counts — which correlates
+// with nothing.
+func (w window) query() (q []int16, ok bool) {
+	q = w.counts
+	if q == nil {
+		for _, v := range w.samples {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, false
 			}
-			src = q.zq
 		}
-		if dsp.ZNormalizeTo(q.zq, src) == 0 {
-			return q, false
+		q, _ = proto.Quantize(w.samples)
+	}
+	for _, c := range q[1:] {
+		if c != q[0] {
+			return q, true
 		}
 	}
-	if needCounts {
-		q.qc = w.counts
-		if q.qc == nil {
-			for _, v := range w.samples {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return q, false
-				}
-			}
-			q.qc, _ = proto.Quantize(w.samples)
-		}
-		flat := true
-		for _, c := range q.qc[1:] {
-			flat = flat && c == q.qc[0]
-		}
-		if flat {
-			return q, false
-		}
-	}
-	return q, true
+	return q, false
 }
 
 // runBatch is the shared core behind Algorithm1/Exhaustive (batch size
@@ -164,20 +127,14 @@ func (s *Searcher) runBatch(inputs []window, exhaustive bool) (*BatchResult, err
 	// neither tears the scan nor shifts its results mid-flight.
 	snap := s.store.Snapshot()
 	sets := snap.Sets()
-	// Which forms of a query this epoch reads. An empty store reads
-	// neither; it gets the float form so that flat inputs are still
-	// told apart.
-	needCounts := snap.NumQuantized() > 0
-	needFloat := !needCounts || snap.NumQuantized() < snap.NumRecords()
 
-	// Build every query once and deduplicate bit-identical ones:
-	// repeated windows (the tracking-loop steady state) collapse to one
-	// scan slot. slot[i] is the unique-query index serving input i, or
-	// -1 for a flat (uncorrelatable) input. The dedup probe is a
-	// 128-bit hash of one form's bits — one map lookup, no per-query
-	// byte-string garbage — confirmed by an exact element compare of
-	// both forms on every hash hit.
-	var uniques []query
+	// Build every query once and deduplicate identical ones: repeated
+	// windows (the tracking-loop steady state) collapse to one scan
+	// slot. slot[i] is the unique-query index serving input i, or -1 for
+	// a flat (uncorrelatable) input. The dedup probe is a 128-bit hash
+	// of the counts — one map lookup, no per-query byte-string garbage —
+	// confirmed by an exact element compare on every hash hit.
+	var uniques [][]int16
 	slot := make([]int, len(inputs))
 	seen := make(map[queryKey][]int, len(inputs))
 	for i, input := range inputs {
@@ -187,17 +144,17 @@ func (s *Searcher) runBatch(inputs []window, exhaustive bool) (*BatchResult, err
 		if n := input.len(); n == 0 || n > mdb.MaxSliceLen {
 			return nil, ErrShortInput
 		}
-		q, ok := input.build(needFloat, needCounts)
+		q, ok := input.query()
 		if !ok {
 			slot[i] = -1
 			continue
 		}
-		key := q.hash()
+		key := hashQuery(q)
 		dup := -1
 		for _, j := range seen[key] {
 			// The collision-confirm compare behind the dedup hash: a
-			// hash hit only merges bit-equal queries.
-			if uniques[j].equal(&q) {
+			// hash hit only merges equal queries.
+			if slices.Equal(uniques[j], q) {
 				dup = j
 				break
 			}
@@ -212,10 +169,7 @@ func (s *Searcher) runBatch(inputs []window, exhaustive bool) (*BatchResult, err
 	}
 	br.Unique = len(uniques)
 
-	accs := make([]queryAccum, len(uniques))
-	for i := range accs {
-		accs[i].top = NewTopK(s.params.TopK)
-	}
+	var accs []queryAccum
 	if len(uniques) > 0 {
 		groups := groupByLen(uniques)
 		workers := s.params.Workers
@@ -234,13 +188,26 @@ func (s *Searcher) runBatch(inputs []window, exhaustive bool) (*BatchResult, err
 			}(i, shard)
 		}
 		wg.Wait()
+		// The first shard's accumulators take the others': on one worker
+		// nothing is merged at all.
 		for i := range shards {
 			br.SetPasses += shardPasses[i]
+			if i == 0 {
+				accs = shardAccs[i]
+				continue
+			}
 			for q := range accs {
 				accs[q].top.Merge(shardAccs[i][q].top)
 				accs[q].evaluated += shardAccs[i][q].evaluated
 				accs[q].candidates += shardAccs[i][q].candidates
 			}
+		}
+	}
+	if accs == nil {
+		// An empty store has no shard.
+		accs = make([]queryAccum, len(uniques))
+		for q := range accs {
+			accs[q].top = NewTopK(s.params.TopK)
 		}
 	}
 	for q := range accs {
@@ -287,10 +254,10 @@ type lenGroup struct {
 
 // groupByLen buckets unique queries by window length, in ascending
 // length order so the scan is deterministic.
-func groupByLen(uniques []query) []lenGroup {
+func groupByLen(uniques [][]int16) []lenGroup {
 	byLen := make(map[int][]int)
 	for q := range uniques {
-		n := uniques[q].len()
+		n := len(uniques[q])
 		byLen[n] = append(byLen[n], q)
 	}
 	groups := make([]lenGroup, 0, len(byLen))
@@ -302,12 +269,10 @@ func groupByLen(uniques []query) []lenGroup {
 }
 
 // queryKey is the 128-bit FNV-style fingerprint of a query: two 64-bit
-// lanes folded word-at-a-time over the bits of one of its forms — the
-// float form when it has one, else the counts — with the length mixed
-// into the bases. Map probes cost one 16-byte compare instead of a
-// byte-string allocation per query; hash hits are confirmed by an exact
-// element compare of both forms, so a collision can never merge two
-// distinct queries.
+// lanes folded count by count, with the length mixed into the bases. Map
+// probes cost one 16-byte compare instead of a byte-string allocation
+// per query; hash hits are confirmed by an exact element compare, so a
+// collision can never merge two distinct queries.
 type queryKey struct{ hi, lo uint64 }
 
 const (
@@ -315,21 +280,13 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func (q *query) hash() queryKey {
-	hi := (uint64(fnvOffset64) ^ uint64(q.len())) * fnvPrime64
+func hashQuery(q []int16) queryKey {
+	hi := (uint64(fnvOffset64) ^ uint64(len(q))) * fnvPrime64
 	lo := (hi ^ 0x9e3779b97f4a7c15) * fnvPrime64
-	fold := func(b uint64) {
+	for _, c := range q {
+		b := uint64(uint16(c))
 		hi = (hi ^ b) * fnvPrime64
 		lo = (lo ^ bits.RotateLeft64(b, 31)) * fnvPrime64
-	}
-	if q.zq != nil {
-		for _, v := range q.zq {
-			fold(math.Float64bits(v))
-		}
-	} else {
-		for _, c := range q.qc {
-			fold(uint64(uint16(c)))
-		}
 	}
 	return queryKey{hi, lo}
 }

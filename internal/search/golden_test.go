@@ -1,7 +1,6 @@
 package search
 
 import (
-	"math"
 	"testing"
 
 	"emap/internal/dataset"
@@ -9,46 +8,10 @@ import (
 	"emap/internal/synth"
 )
 
-// assertSelectionEquivalent enforces the float-store correctness
-// contract: the match SELECTION (set IDs, betas, top-K membership, in
-// order) must be identical to the naive reference and every ω must agree
-// within 1e-9.
-func assertSelectionEquivalent(t *testing.T, label string, ref, got *Result) {
-	t.Helper()
-	if len(got.Matches) != len(ref.Matches) {
-		t.Fatalf("%s: %d matches, reference has %d", label, len(got.Matches), len(ref.Matches))
-	}
-	for i := range ref.Matches {
-		r, g := ref.Matches[i], got.Matches[i]
-		if g.SetID != r.SetID || g.Beta != r.Beta {
-			t.Fatalf("%s: match %d is (set %d, β %d), reference (set %d, β %d)",
-				label, i, g.SetID, g.Beta, r.SetID, r.Beta)
-		}
-		if d := math.Abs(g.Omega - r.Omega); d > 1e-9 {
-			t.Fatalf("%s: match %d ω diverges by %g (got %g, reference %g)", label, i, d, g.Omega, r.Omega)
-		}
-	}
-}
-
-// assertCountersEqual additionally pins the cost counters — valid
-// whenever the two sides visit exactly the same offsets (exhaustive
-// scans; a float skip trajectory may round differently at the 1e-9
-// scale, so only selection is pinned there).
-func assertCountersEqual(t *testing.T, label string, ref, got *Result) {
-	t.Helper()
-	if got.Evaluated != ref.Evaluated || got.Candidates != ref.Candidates {
-		t.Fatalf("%s: counters (%d eval, %d cand) diverge from the reference (%d, %d)",
-			label, got.Evaluated, got.Candidates, ref.Evaluated, ref.Candidates)
-	}
-}
-
 // goldenCompareStore runs the equivalence battery over one store
 // against the naive reference: exhaustive and skip, as a mixed-length
-// batch and query by query. Float records are held to identical
-// selection, ω within 1e-9 and (exhaustive) equal counters; with exact
-// set — a store whose records all have counts, on whatever tier —
-// everything is held to ==.
-func goldenCompareStore(t *testing.T, label string, store *mdb.Store, inputs [][]float64, exact bool) {
+// batch and query by query, everything held to ==.
+func goldenCompareStore(t *testing.T, label string, store *mdb.Store, inputs [][]float64) {
 	t.Helper()
 	s := NewSearcher(store, Params{})
 	for _, exhaustive := range []bool{true, false} {
@@ -66,17 +29,8 @@ func goldenCompareStore(t *testing.T, label string, store *mdb.Store, inputs [][
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, got := range []*Result{batch.Results[i], solo} {
-				switch {
-				case exact:
-					assertBitIdentical(t, mode, ref[i].Result, got)
-				case exhaustive:
-					assertSelectionEquivalent(t, mode, ref[i].Result, got)
-					assertCountersEqual(t, mode, ref[i].Result, got)
-				default:
-					assertSelectionEquivalent(t, mode, ref[i].Result, got)
-				}
-			}
+			assertBitIdentical(t, mode, ref[i].Result, batch.Results[i])
+			assertBitIdentical(t, mode, ref[i].Result, solo)
 		}
 	}
 }
@@ -147,26 +101,27 @@ func edfStore(t *testing.T) (*mdb.Store, [][]float64) {
 	return store, [][]float64{f.input(synth.Normal, 0), f.input(synth.Seizure, 1)}
 }
 
-// TestGoldenScalarVsFFTSynthetic: the float-store contract — the naive
-// scalar reference against the lane walk, exhaustive and skip — over the
-// standard synthetic fixture. (The three golden tests keep the names the
-// suite's floor list knows them by; the FFT side of the comparison went
-// with walkDense.)
+// TestGoldenScalarVsFFTSynthetic: the contract over a store as Build
+// leaves it — the naive scalar reference against the lane walk,
+// exhaustive and skip — on the standard synthetic fixture.
+// TestGoldenQuantVsScalar* hold its snapshot's resident forms to the
+// same. (The three golden tests keep the names the suite's floor list
+// knows them by; the FFT side of the comparison went with walkDense.)
 func TestGoldenScalarVsFFTSynthetic(t *testing.T) {
 	f := newFixture(t, 2)
-	goldenCompareStore(t, "float", f.store, syntheticInputs(f), false)
+	goldenCompareStore(t, "built", f.store, syntheticInputs(f))
 }
 
 // TestGoldenScalarVsFFTDegenerate: constant (zero-variance) stored
 // regions must correlate as 0 — never clear δ, never move a skip.
 func TestGoldenScalarVsFFTDegenerate(t *testing.T) {
 	store, inputs := plateauStore(t)
-	goldenCompareStore(t, "float", store, inputs, false)
+	goldenCompareStore(t, "inserted", store, inputs)
 }
 
 // TestGoldenScalarVsFFTEDFStore: the contract over an EDF-derived
 // store.
 func TestGoldenScalarVsFFTEDFStore(t *testing.T) {
 	store, inputs := edfStore(t)
-	goldenCompareStore(t, "float", store, inputs, false)
+	goldenCompareStore(t, "built", store, inputs)
 }

@@ -3,7 +3,6 @@ package search
 import (
 	"sync"
 
-	"emap/internal/dsp"
 	"emap/internal/kernel"
 	"emap/internal/mdb"
 )
@@ -26,13 +25,10 @@ const lanes = 2 * kernel.Lanes
 // depends on (set, query) alone, whichever lane holds the set and
 // whatever the other lanes hold.
 type lane struct {
-	set    *mdb.SignalSet
-	recLen int
-	// A record that has counts is read through them (qv), on whatever
-	// tier it sits; a float-canonical one through its float64 signal
-	// and sliding statistics (stats).
-	stats *dsp.SlidingStats
-	qv    mdb.QuantView
+	set *mdb.SignalSet
+	// counts is the record's, where they reside now — the warm heap or
+	// the page cache behind a mapped snapshot — read in place.
+	counts []int16
 
 	// opened: seg is a pass of the current length group.
 	opened bool
@@ -50,22 +46,21 @@ type lane struct {
 // scans — and, through scratchPool, across scans — so the walk allocates
 // nothing per set.
 type walkScratch struct {
-	// The shard being scanned: take hands shard[next] to a lane when its
-	// record is of the kind being walked (quant: it has counts); passes
+	// The shard being scanned: take hands shard[next] to a lane; passes
 	// counts the (set, length-group) passes opened.
 	snap   mdb.Snapshot
 	shard  []*mdb.SignalSet
 	next   int
 	passes int
-	quant  bool
 	// walk holds the lanes' trajectories as the step kernel wants them.
 	// It lives here, not on walkLanes' stack, because the kernel is
 	// called through a route variable, which would make a local escape —
-	// one allocation per walk. It sits 56 bytes into the scratch because
-	// the allocator puts an 8-byte header before an object of this size:
-	// the walk then starts on a cache line, where none of the vectors the
-	// step loads straddles two (≈ 10 % of a scan when they do;
-	// TestWalkStartsOnCacheLine).
+	// one allocation per walk. The pad puts it 56 bytes into the scratch,
+	// because the allocator puts an 8-byte header before an object of
+	// this size: the walk then starts on a cache line, where none of the
+	// vectors the step loads straddles two (≈ 10 % of a scan when they
+	// do; TestWalkStartsOnCacheLine).
+	_    [8]byte
 	walk kernel.Walk
 	lane [lanes]lane
 }
@@ -73,15 +68,15 @@ type walkScratch struct {
 // scratchPool recycles walkScratch values across scans, so the lanes'
 // buffers cost no steady-state allocation. It is package-level on
 // purpose: a sync.Pool FIELD on Searcher keeps a finished Searcher —
-// and through it a whole float store — reachable from the runtime's
-// pool list for two GC cycles. A pooled scratch references only its
-// own buffers: putScratch drops the snapshot, every lane's set, signal
-// and counts aliases, and what the walk still points at.
+// and through it a whole store — reachable from the runtime's pool list
+// for two GC cycles. A pooled scratch references only its own buffers:
+// putScratch drops the snapshot, every lane's set and counts aliases,
+// and what the walk still points at.
 var scratchPool = sync.Pool{New: func() any { return new(walkScratch) }}
 
 func getScratch(snap mdb.Snapshot, shard []*mdb.SignalSet) *walkScratch {
 	scr := scratchPool.Get().(*walkScratch)
-	scr.snap, scr.shard, scr.passes = snap, shard, 0
+	scr.snap, scr.shard, scr.next, scr.passes = snap, shard, 0, 0
 	return scr
 }
 
@@ -89,7 +84,7 @@ func putScratch(scr *walkScratch) {
 	scr.snap, scr.shard = mdb.Snapshot{}, nil
 	for k := range scr.lane {
 		l := &scr.lane[k]
-		l.set, l.stats, l.qv, l.seg = nil, nil, mdb.QuantView{}, segment{}
+		l.set, l.counts, l.seg = nil, nil, segment{}
 	}
 	scr.walk.Release()
 	scratchPool.Put(scr)
@@ -97,13 +92,10 @@ func putScratch(scr *walkScratch) {
 
 // scanShardBatch scans a contiguous run of signal-sets for all unique
 // queries at once under Algorithm 1's rule or, exhaustive, the
-// baseline's unit advance — by the scan's one route, the lane walk. All
-// lanes of a walk read one kind of record, so the shard is walked once
-// for the records that have counts and once for the float-canonical
-// ones, each time skipping the other kind; an epoch of one kind (which
-// form the queries carry says so) is walked once. The order sets reach
-// the top-K in does not matter (TopK ranks by a total order).
-func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uniques []query, groups []lenGroup, exhaustive bool) ([]queryAccum, int) {
+// baseline's unit advance — by the scan's one route, the lane walk. The
+// order sets reach the top-K in does not matter (TopK ranks by a total
+// order).
+func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uniques [][]int16, groups []lenGroup, exhaustive bool) ([]queryAccum, int) {
 	rule := &s.rule
 	if exhaustive {
 		rule = &s.unit
@@ -114,53 +106,46 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 	}
 	scr := getScratch(snap, shard)
 	defer putScratch(scr)
-	for _, quant := range [...]bool{true, false} {
-		if quant && uniques[0].qc == nil || !quant && uniques[0].zq == nil {
-			continue
+	if len(uniques) == 1 {
+		// One query: a lane that runs off its set takes the next set of
+		// the shard, so eight sets are in flight until the shard runs
+		// out.
+		for k := range scr.lane {
+			s.refill(scr, &scr.lane[k], len(uniques[0]))
 		}
-		scr.next, scr.quant = 0, quant
-		if len(uniques) == 1 {
-			// One query: a lane that runs off its set takes the next set
-			// of the shard, so eight sets are in flight until the shard
-			// runs out.
+		s.walkLanes(scr, uniques[0], &accs[0], rule, true)
+		return accs, scr.passes
+	}
+	// Several queries: lanes must share a query (that is what lets one
+	// kernel step serve four of them), so a run of sets is held resident
+	// — its prefix sums built once per length group — and walked query
+	// by query.
+	for {
+		held := 0
+		for held < lanes && scr.take(&scr.lane[held]) {
+			held++
+		}
+		if held == 0 {
+			break
+		}
+		for gi := range groups {
 			for k := range scr.lane {
-				s.refill(scr, &scr.lane[k], uniques[0].len())
+				l := &scr.lane[k]
+				l.opened = k < held && s.open(scr, l, groups[gi].n)
 			}
-			s.walkLanes(scr, &uniques[0], &accs[0], rule, true)
-			continue
-		}
-		// Several queries: lanes must share a query (that is what lets
-		// one kernel step serve four of them), so a run of sets is held
-		// resident — its prefix sums built once per length group — and
-		// walked query by query.
-		for {
-			held := 0
-			for held < lanes && scr.take(&scr.lane[held]) {
-				held++
-			}
-			if held == 0 {
-				break
-			}
-			for gi := range groups {
-				for k := range scr.lane {
-					l := &scr.lane[k]
-					l.opened = k < held && s.open(scr, l, groups[gi].n)
-				}
-				for _, q := range groups[gi].qs {
-					s.walkLanes(scr, &uniques[q], &accs[q], rule, false)
-				}
+			for _, q := range groups[gi].qs {
+				s.walkLanes(scr, uniques[q], &accs[q], rule, false)
 			}
 		}
 	}
 	return accs, scr.passes
 }
 
-// take makes lane l's the next signal-set of the shard whose record is
-// of the kind being walked. Tier residency: it counts the scan access
-// (LRU stamp, possible opportunistic promotion under a byte budget) once
-// per set, in shard order. How the set is read does not depend on the
-// tier: a record that has counts is read through them even when a float
-// copy is resident, and the scan never asks for one.
+// take makes lane l's the next signal-set of the shard. Tier residency:
+// it counts the scan access (LRU stamp, possibly a heap copy of a mapped
+// record under a byte budget) once per set, in shard order, and reads
+// the counts after it: a fresh heap copy is where the scan should read
+// from.
 func (scr *walkScratch) take(l *lane) bool {
 	l.opened = false
 	for scr.next < len(scr.shard) {
@@ -170,18 +155,8 @@ func (scr *walkScratch) take(l *lane) bool {
 		if !ok {
 			continue
 		}
-		if _, quant := rec.Quant(); quant != scr.quant {
-			continue
-		}
 		rec.Touch()
-		l.set, l.recLen, l.stats, l.qv = set, rec.Len(), nil, mdb.QuantView{}
-		if scr.quant {
-			// Read after the touch: a promotion to the warm heap copy
-			// is where the scan should read from.
-			l.qv, _ = rec.Quant()
-		} else {
-			l.stats = rec.Stats()
-		}
+		l.set, l.counts = set, rec.Quant().Counts
 		return true
 	}
 	return false
@@ -197,19 +172,14 @@ func (s *Searcher) open(scr *walkScratch, l *lane, n int) bool {
 	} else {
 		maxOff = set.Length - 1 // full coverage; window may cross into the parent recording
 	}
-	if set.Start+maxOff+n > l.recLen {
-		maxOff = l.recLen - n - set.Start
+	if set.Start+maxOff+n > len(l.counts) {
+		maxOff = len(l.counts) - n - set.Start
 	}
 	if maxOff < 0 {
 		return false
 	}
 	scr.passes++
-	lo, hi := set.Start, set.Start+maxOff+n
-	if l.stats != nil {
-		l.seg = segment{x: l.stats.Signal()[lo:hi], sums: l.stats.Sums()[lo : hi+1]}
-	} else {
-		l.loadQuant(l.qv.Counts[lo:hi])
-	}
+	l.loadQuant(l.counts[set.Start : set.Start+maxOff+n])
 	l.seg.setID, l.seg.n, l.seg.maxOff = set.ID, n, maxOff
 	return true
 }
@@ -240,13 +210,9 @@ func (s *Searcher) refill(scr *walkScratch, l *lane, n int) bool {
 // match are what a lone walk of that set gives. What lanes do change is
 // the order matches reach the top-K, which is why TopK ranks by a total
 // order.
-func (s *Searcher) walkLanes(scr *walkScratch, q *query, acc *queryAccum, rule *kernel.SkipRule, refill bool) {
+func (s *Searcher) walkLanes(scr *walkScratch, q []int16, acc *queryAccum, rule *kernel.SkipRule, refill bool) {
 	w := &scr.walk
-	if scr.quant {
-		w.ResetQ(q.qc, rule)
-	} else {
-		w.Reset(q.zq, rule)
-	}
+	w.ResetQ(q, rule)
 	for k := range scr.lane {
 		if l := &scr.lane[k]; l.opened {
 			seat(w, k, l)
@@ -274,7 +240,7 @@ func (s *Searcher) walkLanes(scr *walkScratch, q *query, acc *queryAccum, rule *
 				if l.found {
 					acc.top.Push(Match{SetID: l.seg.setID, Omega: l.bestOmega, Beta: l.bestBeta})
 				}
-				if refill && s.refill(scr, l, q.len()) {
+				if refill && s.refill(scr, l, len(q)) {
 					seat(w, at, l)
 				} else {
 					w.Mask(at)
@@ -289,9 +255,5 @@ func (s *Searcher) walkLanes(scr *walkScratch, q *query, acc *queryAccum, rule *
 // head.
 func seat(w *kernel.Walk, at int, l *lane) {
 	l.found = false
-	if l.seg.c != nil {
-		w.SeatQ(at, l.seg.c, l.seg.sums, l.seg.maxOff)
-	} else {
-		w.Seat(at, l.seg.x, l.seg.sums, 1, l.seg.maxOff)
-	}
+	w.SeatQ(at, l.seg.c, l.seg.sums, l.seg.maxOff)
 }

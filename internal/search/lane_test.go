@@ -7,14 +7,11 @@ import (
 	"testing"
 	"unsafe"
 
-	"emap/internal/dsp"
-	"emap/internal/kernel"
 	"emap/internal/mdb"
-	"emap/internal/proto"
 	"emap/internal/synth"
 )
 
-// laneStore builds a quantized store with the given number of
+// laneStore builds a store with the given number of
 // full-length (1 000-sample) signal-sets, split over two long records
 // with a short record between them: 300 samples cut into three
 // 100-sample sets, every one shorter than a one-second query. Under the
@@ -158,10 +155,10 @@ func aloneAndInLanes(t *testing.T, label string, store *mdb.Store, params Params
 	return lanesRes
 }
 
-// TestLaneWalkMixedTiers: one shard holding hot, warm and cold records
-// at once — every one read through its counts, whatever else is
-// resident — answers exactly as each set walked alone does and exactly
-// as the naive reference over the counts does.
+// TestLaneWalkMixedTiers: one shard holding warm and cold records at
+// once — every one read through its counts, wherever they reside —
+// answers exactly as each set walked alone does and exactly as the naive
+// reference over the counts does.
 func TestLaneWalkMixedTiers(t *testing.T) {
 	f := newFixture(t, 1)
 	store := coldCopy(t, f.store)
@@ -169,20 +166,20 @@ func TestLaneWalkMixedTiers(t *testing.T) {
 	if rec, _ := store.Record(ids[0]); rec.Tier() != mdb.TierCold {
 		t.Skipf("mmap unavailable; store loaded %v", rec.Tier())
 	}
-	// Scan accesses climb a record one tier at a time while the budget
-	// has headroom: two for every third record, one for the next.
-	// Budget 0 then freezes the mix — no promotion, no demotion.
+	// A scan access copies a record to the heap while the budget has
+	// headroom: two records in three get one. Budget 0 then freezes the
+	// mix — no promotion, no demotion.
 	store.SetTierBudget(1 << 30)
 	tiers := map[mdb.Tier]int{}
 	for i, id := range ids {
 		rec, _ := store.Record(id)
-		for touches := 2 - i%3; touches > 0; touches-- {
+		if i%3 != 2 {
 			rec.Touch()
 		}
 		tiers[rec.Tier()]++
 	}
 	store.SetTierBudget(0)
-	if tiers[mdb.TierHot] == 0 || tiers[mdb.TierWarm] == 0 || tiers[mdb.TierCold] == 0 {
+	if tiers[mdb.TierWarm] == 0 || tiers[mdb.TierCold] == 0 {
 		t.Fatalf("no tier mix to scan: %v", tiers)
 	}
 	long := f.input(synth.Seizure, 0)
@@ -206,142 +203,22 @@ func TestLaneWalkMixedTiers(t *testing.T) {
 			t.Fatalf("%s: only %d reference matches", label, matched)
 		}
 	}
+	after := map[mdb.Tier]int{}
 	for _, id := range ids {
-		if rec, _ := store.Record(id); tiers[rec.Tier()] == 0 {
-			t.Fatalf("scan moved record %q to %v", id, rec.Tier())
-		}
+		rec, _ := store.Record(id)
+		after[rec.Tier()]++
+	}
+	if after[mdb.TierWarm] != tiers[mdb.TierWarm] || after[mdb.TierCold] != tiers[mdb.TierCold] {
+		t.Fatalf("scans moved records: %v before, %v after", tiers, after)
 	}
 }
 
-// TestLaneWalkMixedKinds: one store holding float-canonical records and
-// records that have counts, interleaved — every shard is walked once per
-// kind, each query in both forms, and each set exactly once: SetPasses
-// and Evaluated are the reference's, sets of records with counts answer
-// with the reference's bits, float-canonical sets within the float
-// contract, whether the windows come as floats or as uploaded counts,
-// under Algorithm 1 and under the exhaustive baseline, on one shard and
-// on three.
-func TestLaneWalkMixedKinds(t *testing.T) {
-	f := newFixture(t, 1)
-	store := mdb.NewStore()
-	quantized := map[int]bool{}
-	for i, id := range f.store.RecordIDs() {
-		rec, _ := f.store.Record(id)
-		before := store.NumSets()
-		if i%2 == 0 {
-			counts, scale := proto.Quantize(rec.Samples)
-			if _, err := store.InsertQuantized(&mdb.Record{ID: id}, counts, scale, 1000, nil); err != nil {
-				t.Fatal(err)
-			}
-		} else if _, err := store.Insert(&mdb.Record{ID: id, Samples: rec.Samples}, 1000, nil); err != nil {
-			t.Fatal(err)
-		}
-		for set := before; set < store.NumSets(); set++ {
-			quantized[set] = i%2 == 0
-		}
-	}
-	if snap := store.Snapshot(); snap.NumQuantized() == 0 || snap.NumQuantized() == snap.NumRecords() {
-		t.Fatalf("%d of %d records have counts: no mix", snap.NumQuantized(), snap.NumRecords())
-	}
-	first, long := f.input(synth.Normal, 0), f.input(synth.Seizure, 0)
-	inputs := [][]float64{first, long, long[:128], first}
-	exact, within := 0, 0
-	for form, ws := range map[string][]window{"float": floatWindows(inputs), "counts": uploads(inputs)} {
-		for _, exhaustive := range []bool{false, true} {
-			for _, workers := range []int{1, 3} {
-				params := Params{Delta: 0.3, Workers: workers}
-				label := fmt.Sprintf("%s/exhaustive=%v/%d workers", form, exhaustive, workers)
-				ref := refSearch(t, store, params, ws, exhaustive)
-				got, err := NewSearcher(store, params).runBatch(ws, exhaustive)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// inputs[3] repeats inputs[0]: one scan serves both.
-				if got.Unique != 3 || got.Results[3] != got.Results[0] || got.SetPasses != ref[0].passes+ref[2].passes {
-					t.Fatalf("%s: %d unique queries, %d set passes; the reference walks %d", label, got.Unique, got.SetPasses, ref[0].passes+ref[2].passes)
-				}
-				for i := range ws {
-					solo, err := NewSearcher(store, params).run(ws[i], exhaustive)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, res := range []*Result{got.Results[i], solo} {
-						assertSelectionEquivalent(t, label, ref[i].Result, res)
-						if exhaustive {
-							assertCountersEqual(t, label, ref[i].Result, res)
-						}
-						for k, m := range res.Matches {
-							if !quantized[m.SetID] {
-								within++
-							} else if exact++; m != ref[i].Matches[k] {
-								t.Fatalf("%s/query %d: match %d over counts is %+v, reference %+v", label, i, k, m, ref[i].Matches[k])
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	if exact < 50 || within < 50 {
-		t.Fatalf("%d matches over counts and %d over floats — one kind is near-unsearched", exact, within)
-	}
-}
-
-// branchWalk walks one float pass from its head as the single-cursor loop
-// spelled it before the lanes and before the step kernel: one offset at
-// a time, the envelope's running maximum and the skip rule's floor as
-// comparisons and branches, the decay by DecayPow. It returns how many
-// visited windows had a NaN norm.
-func branchWalk(s *Searcher, g *segment, zq []float64, acc *queryAccum) (poisoned int) {
-	p := &s.params
-	found, bestOmega, bestBeta, env := false, 0.0, 0, 0.0
-	for beta := 0; beta <= g.maxOff; {
-		lo, hi := g.sums[beta], g.sums[beta+g.n]
-		sum, sumSq := hi[0]-lo[0], hi[1]-lo[1]
-		v := sumSq - sum*sum/float64(g.n)
-		if v < 0 {
-			v = 0
-		}
-		den := math.Sqrt(v)
-		if math.IsNaN(den) {
-			poisoned++
-		}
-		omega := 0.0
-		if den >= 1e-12 {
-			omega = kernel.Dot(zq, g.x[beta:beta+g.n]) / den
-		}
-		acc.evaluated++
-		if omega > p.Delta {
-			acc.candidates++
-			if !found || omega > bestOmega {
-				bestOmega, bestBeta, found = omega, beta, true
-			}
-		}
-		if a := math.Abs(omega); a > env {
-			env = a
-		}
-		floored := env
-		if floored < p.OmegaFloor {
-			floored = p.OmegaFloor
-		}
-		adv := int(s.rule.SkipNum/floored + 0.5)
-		if adv < 1 {
-			adv = 1
-		}
-		beta += adv
-		env *= kernel.DecayPow(p.EnvDecay, adv)
-	}
-	if found {
-		acc.top.Push(Match{SetID: g.setID, Omega: bestOmega, Beta: bestBeta})
-	}
-	return poisoned
-}
-
-// TestLaneWalkNonFiniteSamples: a float store carrying a NaN sample in
-// one record and ±Inf samples in another. The poisoned prefix sums make
-// every window norm at or after the bad sample NaN, which correlates as
-// 0 — the trajectory the branch-spelled walk takes — and the step kernel
-// must take it too, holding the poisoned sets beside clean ones.
+// TestLaneWalkNonFiniteSamples: recordings inserted with a NaN sample in
+// one and ±Inf samples in another. What a store keeps is counts, so
+// nothing non-finite survives the insert — an infinite peak pins the
+// scale and drives every sample of that recording to a rail — and the
+// walk over such records, held in lanes beside clean ones, is the
+// reference's: every ω finite, no lane's trajectory poisoned.
 func TestLaneWalkNonFiniteSamples(t *testing.T) {
 	g := synth.NewGenerator(synth.Config{Seed: 9, ArchetypesPerClass: 1})
 	store := mdb.NewStore()
@@ -354,32 +231,29 @@ func TestLaneWalkNonFiniteSamples(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	railed, _ := store.Record("r3")
+	if c := railed.Quant().Counts; c[1400] != math.MaxInt16 || c[2300] != math.MinInt16 {
+		t.Fatalf("±Inf samples are stored as counts %d and %d, want the rails", c[1400], c[2300])
+	}
 	f := newFixture(t, 1)
 	inputs := [][]float64{f.input(synth.Normal, 0), f.input(synth.Normal, 1)[:100]}
 	params := Params{Delta: 0.3}
 	got := aloneAndInLanes(t, "non-finite", store, params, inputs)
-
-	s := NewSearcher(store, params)
-	snap := store.Snapshot()
-	for i, input := range inputs {
-		zq := make([]float64, len(input))
-		if dsp.ZNormalizeTo(zq, input) == 0 {
-			t.Fatalf("input %d is flat", i)
-		}
-		acc := queryAccum{top: NewTopK(s.params.TopK)}
-		poisoned, scr := 0, &walkScratch{}
-		for _, set := range snap.Sets() {
-			rec, _ := snap.Record(set.RecordID)
-			l := lane{set: set, recLen: rec.Len(), stats: rec.Stats()}
-			if s.open(scr, &l, len(zq)) {
-				poisoned += branchWalk(s, &l.seg, zq, &acc)
+	ref := refSearch(t, store, params, floatWindows(inputs), false)
+	for i := range inputs {
+		assertBitIdentical(t, fmt.Sprintf("non-finite/query %d vs reference", i), ref[i].Result, got.Results[i])
+		for _, m := range got.Results[i].Matches {
+			if math.IsNaN(m.Omega) || math.IsInf(m.Omega, 0) {
+				t.Fatalf("query %d: match %+v has a non-finite ω", i, m)
 			}
 		}
-		if poisoned == 0 {
-			t.Fatalf("query %d: no visited window has a poisoned norm", i)
-		}
-		want := &Result{Matches: acc.top.SortedDesc(), Evaluated: acc.evaluated, Candidates: acc.candidates}
-		assertBitIdentical(t, fmt.Sprintf("non-finite/query %d vs branch walk", i), want, got.Results[i])
+	}
+	// A non-finite sample in the QUERY has no counts: the window is
+	// flat and matches nothing.
+	bad := append([]float64(nil), inputs[0]...)
+	bad[17] = math.NaN()
+	if res, err := NewSearcher(store, params).Algorithm1(bad); err != nil || len(res.Matches) != 0 || res.Evaluated != 0 {
+		t.Fatalf("a window with a NaN sample: %+v, %v", res, err)
 	}
 }
 
@@ -388,7 +262,7 @@ func TestLaneWalkNonFiniteSamples(t *testing.T) {
 // when the walk starts on one. Where a pooled scratch puts its walk is
 // the allocator's doing, so this is a pin, not a guarantee: if it fails
 // after a toolchain change, move walkScratch.walk — a misplaced walk
-// costs a float scan about a tenth of its speed, nothing else.
+// costs a scan some of its speed, nothing else.
 func TestWalkStartsOnCacheLine(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("laid out for 64-bit platforms")
@@ -415,7 +289,7 @@ func TestWalkStartsOnCacheLine(t *testing.T) {
 func TestAlgorithm1WarmAllocs(t *testing.T) {
 	f := newFixture(t, 1)
 	input := f.input(synth.Normal, 0)
-	for name, store := range map[string]*mdb.Store{"hot": f.store, "warm": quantizedCopy(t, f.store)} {
+	for name, store := range map[string]*mdb.Store{"built": f.store, "loaded": quantizedCopy(t, f.store)} {
 		s := NewSearcher(store, Params{Workers: 1})
 		best := math.Inf(1)
 		for try := 0; try < 10; try++ {

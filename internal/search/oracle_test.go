@@ -19,10 +19,13 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"emap/internal/dsp"
 	"emap/internal/mdb"
 	"emap/internal/search"
+	"emap/internal/synth"
 )
 
 // omegaTol is the documented tolerance of ω over counts (DESIGN.md §11):
@@ -104,7 +107,7 @@ func quantize(samples []float64) []int16 {
 	return out
 }
 
-// oracleStore is a random quantized store and the counts behind it.
+// oracleStore is a store and the counts behind it, as the oracle has them.
 type oracleStore struct {
 	store  *mdb.Store
 	counts map[string][]int16
@@ -345,6 +348,93 @@ func TestOracleOmega(t *testing.T) {
 	}
 	t.Logf("%d skip-walk matches and %d exhaustive candidates held to the exact ω; the farthest is %.3g from it", matches, candidates, worst)
 	if matches < 100 || candidates < 1000 {
+		t.Fatalf("only %d matches and %d candidates — the comparison is near-vacuous", matches, candidates)
+	}
+}
+
+// TestOracleOmegaBuildStore: the paper's own loop, held to the same
+// oracle. The store is what emap.BuildMDB leaves — mdb.Build over raw
+// recordings, which must hold exactly the counts this file's quantizer
+// makes of the processed samples — and the windows are shaped as a
+// Session makes them: raw one-second slots through the stateful
+// acquisition bandpass, handed to the search as floats and as the counts
+// a stream carries. Every reported ω, skip and exhaustive, is within
+// omegaTol of the exact rational over the counts.
+func TestOracleOmegaBuildStore(t *testing.T) {
+	const delta, n = 0.8, 256
+	g := synth.NewGenerator(synth.Config{Seed: 11, ArchetypesPerClass: 2})
+	var raws []*synth.Recording
+	for arch := 0; arch < 2; arch++ {
+		for i := 0; i < 3; i++ { // staggered crops: redundancy is what gives a window matches
+			raws = append(raws,
+				g.Instance(synth.Normal, arch, synth.InstanceOpts{OffsetSamples: i * 2000, DurSeconds: 30}),
+				g.Instance(synth.Seizure, arch, synth.InstanceOpts{OffsetSamples: (synth.OnsetAt-20)*256 + i*1500, DurSeconds: 40}))
+		}
+	}
+	cfg := mdb.DefaultBuildConfig()
+	store, err := mdb.Build(raws, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os := &oracleStore{store: store, counts: map[string][]int16{}}
+	for _, raw := range raws {
+		proc, err := mdb.Preprocess(raw, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.counts[raw.ID] = quantize(proc.Samples)
+		rec, _ := store.Record(raw.ID)
+		if rec.Samples != nil || !slices.Equal(rec.Quant().Counts, os.counts[raw.ID]) {
+			t.Fatalf("record %q: Build does not hold the quantizer's counts of the processed samples (and nothing else)", raw.ID)
+		}
+	}
+	total := 0
+	for _, set := range store.Sets() {
+		total += set.Length
+	}
+	skip := search.NewSearcher(store, search.Params{Delta: delta})
+	dense := search.NewSearcher(store, search.Params{Delta: delta, AllOffsets: true, TopK: total})
+	fir, err := dsp.DesignBandpass(cfg.FilterTaps, cfg.LowHz, cfg.HighHz, cfg.BaseRate, dsp.Hamming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches, candidates := 0, 0
+	for _, class := range []synth.Class{synth.Normal, synth.Seizure} {
+		opts := synth.InstanceOpts{OffsetSamples: 1800, DurSeconds: 8, NoArtifacts: true}
+		if class == synth.Seizure {
+			opts.OffsetSamples = (synth.OnsetAt-20)*256 + 1800
+		}
+		input := g.Instance(class, 0, opts)
+		stream := fir.NewStream()
+		for k := 0; (k+1)*n <= len(input.Samples); k++ {
+			fw := stream.NextBlock(input.Samples[k*n : (k+1)*n])
+			if k == 0 {
+				continue // the filter's transient: a Session's warm-up window
+			}
+			fq, label := quantize(fw), fmt.Sprintf("%v window %d", class, k)
+			res, err := skip.Algorithm1(fw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			os.checkMatches(t, label+"/float", fq, delta, res)
+			matches += len(res.Matches)
+			if res, err = skip.Algorithm1Counts(search.Counts{Samples: fq, Scale: 1}); err != nil {
+				t.Fatal(err)
+			}
+			os.checkMatches(t, label+"/counts", fq, delta, res)
+			if k != 2 {
+				continue
+			}
+			if res, err = dense.Exhaustive(fw); err != nil {
+				t.Fatal(err)
+			}
+			os.checkMatches(t, label+"/exhaustive", fq, delta, res)
+			os.checkExhaustive(t, label+"/exhaustive", fq, delta, res)
+			candidates += len(res.Matches)
+		}
+	}
+	t.Logf("%d skip-walk matches and %d exhaustive candidates over a Build store held to the exact ω; the farthest is %.3g from it", matches, candidates, os.worst)
+	if matches < 20 || candidates < 20 {
 		t.Fatalf("only %d matches and %d candidates — the comparison is near-vacuous", matches, candidates)
 	}
 }

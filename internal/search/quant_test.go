@@ -6,13 +6,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"emap/internal/dsp"
 	"emap/internal/mdb"
 	"emap/internal/synth"
 )
 
 // quantizedCopy round-trips a store through the columnar v2 format and
-// loads it eagerly: the result is a warm, heap-resident quantized store
-// holding the int16 counts the float records quantize to.
+// loads it eagerly: a warm, heap-resident store holding the same counts.
 func quantizedCopy(t testing.TB, store *mdb.Store) *mdb.Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "q.col")
@@ -31,44 +31,44 @@ func quantizedCopy(t testing.TB, store *mdb.Store) *mdb.Store {
 	return qs
 }
 
-// eachQuantizedForm runs fn over the three resident forms of a
-// float-built store's quantization — a warm heap load, a cold memory map
-// of its columnar snapshot, and a warm load with every other record
-// promoted hot under a byte budget that is exactly what those promotions
-// cost — and fails if the scans in fn moved any record off the tier it
-// started on or caused a single promotion or demotion: they scanned the
-// counts in place and asked for no float copy, a hot record's included.
-func eachQuantizedForm(t *testing.T, store *mdb.Store, fn func(name string, qs *mdb.Store)) {
+// eachResidentForm runs fn over the store as it was built and over the
+// three resident forms of its columnar snapshot — a warm heap load, a
+// cold memory map, and a map with every other record copied to the heap
+// under a byte budget that is exactly what those copies cost — and fails
+// if the scans in fn moved any record off the tier it started on or
+// caused a single promotion or demotion: they read the counts where they
+// were.
+func eachResidentForm(t *testing.T, store *mdb.Store, fn func(name string, qs *mdb.Store)) {
 	t.Helper()
-	hot := quantizedCopy(t, store)
-	var budget int64
-	for i, id := range hot.RecordIDs() {
+	mixed := coldCopy(t, store)
+	mixed.SetTierBudget(1 << 40)
+	for i, id := range mixed.RecordIDs() {
 		if i%2 == 0 {
-			rec, _ := hot.Record(id)
-			rec.Float()
-			budget += int64(rec.Len())*24 + 32 // mdb's charge for a hot copy
+			rec, _ := mixed.Record(id)
+			rec.Touch()
 		}
 	}
 	// Tight: no headroom for a scan access to promote into, nothing over
 	// it to demote.
-	hot.SetTierBudget(budget)
+	mixed.SetTierBudget(max(mixed.TierStats().WarmBytes, 1))
 	for _, st := range []struct {
 		name  string
 		store *mdb.Store
-		tier  mdb.Tier
-	}{{"warm", quantizedCopy(t, store), mdb.TierWarm}, {"cold", coldCopy(t, store), mdb.TierCold}, {"hot", hot, mdb.TierHot}} {
+		tier  mdb.Tier // of the first record
+	}{{"built", store, mdb.TierWarm}, {"warm", quantizedCopy(t, store), mdb.TierWarm}, {"cold", coldCopy(t, store), mdb.TierCold}, {"mixed", mixed, mdb.TierWarm}} {
 		ids := st.store.RecordIDs()
-		if rec, _ := st.store.Record(ids[0]); rec.Tier() != st.tier {
-			if st.tier == mdb.TierCold {
-				t.Logf("mmap unavailable; %s store loaded %v", st.name, rec.Tier())
-				continue
-			}
-			t.Fatalf("%s store starts %v", st.name, rec.Tier())
-		}
-		tiers := make([]mdb.Tier, len(ids))
+		tiers, mix := make([]mdb.Tier, len(ids)), map[mdb.Tier]int{}
 		for i, id := range ids {
 			rec, _ := st.store.Record(id)
 			tiers[i] = rec.Tier()
+			mix[tiers[i]]++
+		}
+		if tiers[0] != st.tier || st.name == "mixed" && len(mix) != 2 {
+			if st.name == "cold" || st.name == "mixed" {
+				t.Logf("mmap unavailable; %s store loaded %v", st.name, mix)
+				continue
+			}
+			t.Fatalf("%s store starts %v", st.name, mix)
 		}
 		before := st.store.TierStats()
 		fn(st.name, st.store)
@@ -83,14 +83,16 @@ func eachQuantizedForm(t *testing.T, store *mdb.Store, fn func(name string, qs *
 	}
 }
 
-// goldenQuantCompare runs the equivalence battery over the quantized
-// forms of one float-built store. The reference is the naive Pearson
-// over the SAME int16 counts, and the walk over counts must reproduce it
-// with == (ω bits, offsets, counters), skip and exhaustive alike.
+// goldenQuantCompare runs the equivalence battery over the resident
+// forms of one store's snapshot: whichever holds the counts, the walk
+// must reproduce the naive Pearson over them with == (ω bits, offsets,
+// counters), skip and exhaustive alike.
 func goldenQuantCompare(t *testing.T, store *mdb.Store, inputs [][]float64) {
 	t.Helper()
-	eachQuantizedForm(t, store, func(name string, qs *mdb.Store) {
-		goldenCompareStore(t, name, qs, inputs, true)
+	eachResidentForm(t, store, func(name string, qs *mdb.Store) {
+		if name != "built" { // TestGoldenScalarVsFFT*'s
+			goldenCompareStore(t, name, qs, inputs)
+		}
 	})
 }
 
@@ -111,51 +113,55 @@ func TestGoldenQuantVsScalarDegenerate(t *testing.T) {
 
 // TestGoldenQuantVsScalarEDFStore: the contract over an EDF-derived
 // store — data that already survived one 16-bit quantization before
-// the columnar conversion applies its own.
+// Build applies its own.
 func TestGoldenQuantVsScalarEDFStore(t *testing.T) {
 	store, inputs := edfStore(t)
 	goldenQuantCompare(t, store, inputs)
 }
 
-// TestQuantOmegaWithinDocumentedTolerance: against the ORIGINAL float
-// store (before quantization), the quantized store's scores differ
-// only by the payload quantization — the top match must stay the same
-// and its ω must sit within the documented tolerance.
+// TestQuantOmegaWithinDocumentedTolerance: against the float samples the
+// records were quantized FROM, a match's ω differs only by the payload
+// quantization: Pearson over the unquantized stretch of the processed
+// recording sits within the documented tolerance of the reported ω, for
+// every reported match.
 func TestQuantOmegaWithinDocumentedTolerance(t *testing.T) {
 	f := newFixture(t, 2)
 	input := f.input(synth.Seizure, 1)
-	ref, err := NewSearcher(f.store, Params{}).Exhaustive(input)
+	got, err := NewSearcher(f.store, Params{}).Exhaustive(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := quantizedCopy(t, f.store)
-	got, err := NewSearcher(qs, Params{}).Exhaustive(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Matches) == 0 || len(got.Matches) == 0 {
+	if len(got.Matches) == 0 {
 		t.Fatal("fixture produced no matches")
 	}
-	r, g := ref.Matches[0], got.Matches[0]
-	if r.SetID != g.SetID || r.Beta != g.Beta {
-		t.Fatalf("top match moved under quantization: (set %d, β %d) vs (set %d, β %d)",
-			g.SetID, g.Beta, r.SetID, r.Beta)
+	processed := map[string][]float64{}
+	for _, raw := range f.recs {
+		rec, err := mdb.Preprocess(raw, mdb.DefaultBuildConfig(), f.fir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		processed[rec.ID] = rec.Samples
 	}
-	// Payload quantization perturbs each stored sample by ≤ step/2;
-	// 2e-3 is comfortably above the resulting ω error for 256-sample
-	// windows (see DESIGN.md §14) and far below match-significant
-	// differences.
-	if d := math.Abs(r.Omega - g.Omega); d > 2e-3 {
-		t.Fatalf("top ω moved by %g under quantization (float %g, quant %g)", d, r.Omega, g.Omega)
+	sets := f.store.Sets()
+	for _, m := range got.Matches {
+		set := sets[m.SetID]
+		at := set.Start + m.Beta
+		// Payload quantization perturbs each stored sample by ≤ step/2
+		// (and the query's likewise); 2e-3 is comfortably above the
+		// resulting ω error for 256-sample windows (see DESIGN.md §14)
+		// and far below match-significant differences.
+		if float := dsp.Pearson(input, processed[set.RecordID][at:at+len(input)]); math.Abs(float-m.Omega) > 2e-3 {
+			t.Fatalf("set %d β %d: ω over counts %g, over the float samples %g", m.SetID, m.Beta, m.Omega, float)
+		}
 	}
 }
 
 // TestBeyondRAMQuantSearch: over a memory-mapped columnar store whose
-// file exceeds the promotion budget, float reads page records through
-// the hot tier (promotions AND demotions) and leave them on mixed
-// tiers. The scan reads every record's counts whatever tier it
-// observes, so it must answer exactly — ==, counters included — like
-// the naive reference over a fully resident load of the same snapshot.
+// file exceeds the promotion budget, scan accesses copy what fits into
+// the heap and leave the rest mapped. The scan reads every record's
+// counts wherever it finds them, so it must answer exactly — ==,
+// counters included — like the naive reference over a fully resident
+// load of the same snapshot.
 func TestBeyondRAMQuantSearch(t *testing.T) {
 	f := newFixture(t, 2)
 	path := filepath.Join(t.TempDir(), "big.col")
@@ -173,26 +179,11 @@ func TestBeyondRAMQuantSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := int64(200 << 10)
+	budget := int64(100 << 10)
 	if st.Size() <= budget {
 		t.Fatalf("fixture snapshot (%d bytes) does not exceed the %d-byte budget", st.Size(), budget)
 	}
 	cold.SetTierBudget(budget)
-	tiers := map[mdb.Tier]int{}
-	for _, id := range cold.RecordIDs() {
-		rec, _ := cold.Record(id)
-		rec.Float()
-	}
-	for _, id := range cold.RecordIDs() {
-		rec, _ := cold.Record(id)
-		tiers[rec.Tier()]++
-	}
-	if tiers[mdb.TierHot] == 0 || tiers[mdb.TierHot] == len(cold.RecordIDs()) {
-		t.Fatalf("float reads left no tier mix to scan: %v", tiers)
-	}
-	if ts := cold.TierStats(); ts.Promotions == 0 || ts.Demotions == 0 {
-		t.Fatalf("beyond-RAM reads moved nothing through the tiers: %+v", ts)
-	}
 
 	eager, err := mdb.LoadColumnar(mustOpen(t, path))
 	if err != nil {
@@ -209,6 +200,18 @@ func TestBeyondRAMQuantSearch(t *testing.T) {
 		for i := range inputs {
 			assertBitIdentical(t, "beyond-ram", ref[i].Result, got.Results[i])
 		}
+	}
+	// The scans' own accesses are what promoted: into the budget's
+	// headroom, never past it, so nothing was demoted and a tier mix is
+	// what the later scans read.
+	tiers := map[mdb.Tier]int{}
+	for _, id := range cold.RecordIDs() {
+		rec, _ := cold.Record(id)
+		tiers[rec.Tier()]++
+	}
+	ts := cold.TierStats()
+	if tiers[mdb.TierWarm] == 0 || tiers[mdb.TierCold] == 0 || ts.Promotions != int64(tiers[mdb.TierWarm]) || ts.Demotions != 0 || ts.WarmBytes > budget || ts.HotBytes != 0 {
+		t.Fatalf("beyond-RAM scans left tiers %v, stats %+v under a %d-byte budget", tiers, ts, budget)
 	}
 }
 

@@ -30,25 +30,21 @@
 // which hands back only candidates and finished sets. The baseline is
 // the same walk under a rule that always advances by one. A batch holds
 // a run of sets resident and walks it query by query, so the stored side
-// of a pass (for a record with counts: the prefix sums of its window
-// sums) is built once however many queries walk it, and queries that are
-// bit-identical in the form the store needs are deduplicated into one
-// scan. N concurrent queries therefore cost one pass of memory bandwidth
-// per signal-set, not N — the cloud tier's scan-once-serve-many lever
-// (see internal/cloud's batching collector).
+// of a pass (the prefix sums of its window sums) is built once however
+// many queries walk it, and queries whose counts are identical are
+// deduplicated into one scan. N concurrent queries therefore cost one
+// pass of memory bandwidth per signal-set, not N — the cloud tier's
+// scan-once-serve-many lever (see internal/cloud's batching collector).
 //
-// # One ω per record kind
+// # One ω
 //
-// A record that has int16 counts — warm, cold or promoted hot — is
-// correlated over the counts, read in place, against the query's own
-// counts: an upload's as the edge sent them, a float caller's quantized
-// once per scan by the wire's quantizer. Every sum is an exact integer
-// and ω is four rounded float operations after them (kernel.Walk), with
-// the record's scale cancelled out, so it does not depend on the
-// platform, the tier or the walk that asked. A float-canonical record is
-// correlated over its float64 samples against the z-normalized query by
-// kernel.Dot's defined order. A shard holding both kinds is walked once
-// per kind.
+// Every record is int16 counts, and is correlated over them, read in
+// place — warm heap or cold memory map — against the query's own counts:
+// an upload's as the edge sent them, a float caller's quantized once per
+// scan by the wire's quantizer. Every sum is an exact integer and ω is
+// five rounded float operations after them (kernel.Walk), with the
+// record's scale cancelled out, so it does not depend on the platform,
+// the tier or the walk that asked.
 package search
 
 import (
@@ -265,9 +261,9 @@ func (s *Searcher) Algorithm1(input []float64) (*Result, error) {
 	return s.run(window{samples: input}, false)
 }
 
-// Algorithm1Counts is Algorithm1 for an uploaded window. Records that
-// have counts are correlated against c.Samples as sent; only a store
-// holding float-canonical records dequantizes it.
+// Algorithm1Counts is Algorithm1 for a window that is already counts —
+// an edge's upload, a stream's quantized window: the records are
+// correlated against c.Samples as sent.
 func (s *Searcher) Algorithm1Counts(c Counts) (*Result, error) {
 	return s.run(window{counts: c.Samples, scale: c.Scale}, false)
 }

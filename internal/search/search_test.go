@@ -8,6 +8,7 @@ import (
 	"emap/internal/dsp"
 	"emap/internal/kernel"
 	"emap/internal/mdb"
+	"emap/internal/proto"
 	"emap/internal/synth"
 )
 
@@ -15,6 +16,7 @@ import (
 // window drawn from an archetype that is represented in the store.
 type fixture struct {
 	store *mdb.Store
+	recs  []*synth.Recording // what the store was built from
 	gen   *synth.Generator
 	fir   *dsp.FIR
 }
@@ -43,7 +45,7 @@ func newFixture(t testing.TB, instancesPerArch int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{store: store, gen: g, fir: fir}
+	return &fixture{store: store, recs: recs, gen: g, fir: fir}
 }
 
 // input returns a filtered one-second window from a fresh instance of
@@ -92,15 +94,18 @@ func TestMatchOffsetsVerifiable(t *testing.T) {
 		t.Skip("no matches to verify")
 	}
 	sets := f.store.Sets()
-	zq := dsp.ZNormalize(input)
+	// ω is Pearson's r of the counts, which no scale changes: recomputed
+	// over the stored window as WindowInto dequantizes it, against the
+	// dequantized counts the search made of the input.
+	counts, scale := proto.Quantize(input)
+	query := proto.Dequantize(counts, scale)
+	var buf []float64
 	for _, m := range res.Matches[:min(5, len(res.Matches))] {
-		set := sets[m.SetID]
-		rec, ok := f.store.Record(set.RecordID)
+		win, ok := f.store.Snapshot().WindowInto(&buf, sets[m.SetID], m.Beta, len(input))
 		if !ok {
-			t.Fatalf("match references missing record %q", set.RecordID)
+			t.Fatalf("match %+v has no window", m)
 		}
-		got := rec.Stats().CorrAt(zq, set.Start+m.Beta)
-		if math.Abs(got-m.Omega) > 1e-9 {
+		if got := dsp.Pearson(query, win); math.Abs(got-m.Omega) > 1e-9 {
 			t.Fatalf("recomputed ω=%g differs from reported %g", got, m.Omega)
 		}
 	}

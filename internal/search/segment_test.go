@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"emap/internal/dsp"
 	"emap/internal/kernel"
 	"emap/internal/mdb"
 	"emap/internal/proto"
@@ -51,15 +50,12 @@ func refOmegaQ(q, c []int16) float64 {
 
 // refSearch is the in-package reference the search is tested against
 // (the independent one, sharing no code, is oracle_test.go): it answers
-// every input naively — per signal-set, per query, per visited offset a
-// plain-loop Pearson correlation over the record's stored data — and
-// shares only the trajectory rule (skipFor, DecayPow), the wire
-// quantizer and TopK with the code under test. A record that has counts
-// is correlated by refOmegaQ against the query's counts — an upload's as
-// sent, a float window's as the wire quantizer makes them — which the
-// walk must reproduce with ==; a float-canonical record by dsp.Pearson
-// (two passes: means, then centred sums) against the float window, which
-// the walk matches in selection and within 1e-9.
+// every input naively — per signal-set, per query, per visited offset
+// refOmegaQ, a plain-loop Pearson correlation of the record's counts
+// against the query's (an upload's as sent, a float window's as the wire
+// quantizer makes them) — and shares only the trajectory rule (skipFor,
+// DecayPow), the wire quantizer and TopK with the code under test. The
+// walk must reproduce it with ==.
 func refSearch(t *testing.T, store *mdb.Store, params Params, inputs []window, exhaustive bool) []refResult {
 	t.Helper()
 	s := NewSearcher(store, params)
@@ -68,16 +64,14 @@ func refSearch(t *testing.T, store *mdb.Store, params Params, inputs []window, e
 	out := make([]refResult, len(inputs))
 	for i, input := range inputs {
 		n := input.len()
-		samples, qc := input.samples, input.counts
-		if samples == nil {
-			samples = proto.Dequantize(qc, input.scale)
-		} else {
-			qc, _ = proto.Quantize(samples)
+		qc := input.counts
+		if qc == nil {
+			qc, _ = proto.Quantize(input.samples)
 		}
 		res, top := refResult{Result: &Result{}}, NewTopK(p.TopK)
 		for _, set := range snap.Sets() {
 			rec, _ := snap.Record(set.RecordID)
-			qv, quantized := rec.Quant()
+			counts := rec.Quant().Counts
 			maxOff := set.Length - 1
 			if p.PaperSliceScan {
 				maxOff = set.Length - n
@@ -92,12 +86,7 @@ func refSearch(t *testing.T, store *mdb.Store, params Params, inputs []window, e
 			found, bestOmega, bestBeta, env := false, 0.0, 0, 0.0
 			for beta := 0; beta <= maxOff; {
 				abs := set.Start + beta
-				var omega float64
-				if quantized {
-					omega = refOmegaQ(qc, qv.Counts[abs:abs+n])
-				} else {
-					omega = dsp.Pearson(samples, rec.Samples[abs:abs+n])
-				}
+				omega := refOmegaQ(qc, counts[abs:abs+n])
 				res.Evaluated++
 				if omega > p.Delta {
 					res.Candidates++
@@ -172,17 +161,17 @@ func coldCopy(t *testing.T, store *mdb.Store) *mdb.Store {
 	return cold
 }
 
-// TestSegmentWalkBitIdentical: the walk over counts must return exactly
-// — == on SetID, Beta and Omega, equal counters — what the naive
-// reference's per-visit integer sums and float sequence return, on a
-// warm heap store, a cold mapped one and one with records promoted hot,
-// for the skip walk and the exhaustive walk, for float windows and for
-// the same windows as uploaded counts, with the paper's slice bound on
-// and off. The batch mixes two length
-// groups (sharing one scratch), a window shorter than a checkpoint
-// block and lengths that are not multiples of the kernel's 16-element
-// block; under full coverage every record's last set has its trailing
-// windows clipped at the record end.
+// TestSegmentWalkBitIdentical: the walk must return exactly — == on
+// SetID, Beta and Omega, equal counters — what the naive reference's
+// per-visit integer sums and float sequence return, on the store as
+// built, a warm heap load of its snapshot, a cold mapped one and one
+// with some records copied to the heap, for the skip walk and the
+// exhaustive walk, for float windows and for the same windows as
+// uploaded counts, with the paper's slice bound on and off. The batch
+// mixes two length groups (sharing one scratch), a window shorter than a
+// checkpoint block and lengths that are not multiples of the kernel's
+// 16-element block; under full coverage every record's last set has its
+// trailing windows clipped at the record end.
 func TestSegmentWalkBitIdentical(t *testing.T) {
 	f := newFixture(t, 1)
 	long := f.input(synth.Seizure, 0)
@@ -201,7 +190,7 @@ func TestSegmentWalkBitIdentical(t *testing.T) {
 	if !clipped {
 		t.Fatal("fixture has no set whose trailing windows are clipped at the record end")
 	}
-	eachQuantizedForm(t, f.store, func(name string, qs *mdb.Store) {
+	eachResidentForm(t, f.store, func(name string, qs *mdb.Store) {
 		for _, slice := range []bool{false, true} {
 			// Delta 0.3 keeps the candidate counters busy; the default
 			// δ is covered by the golden suites.
@@ -252,14 +241,14 @@ func TestSegmentPrefixSumsMatchWindowSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, _ := store.Record("r")
-	qv, _ := rec.Quant()
+	qv := rec.Quant()
 	l := &lane{}
 	for trial := 0; trial < 200; trial++ {
 		start := rng.Intn(len(counts) - 1)
 		segLen := 1 + rng.Intn(len(counts)-start)
 		l.loadQuant(qv.Counts[start : start+segLen]) // reuses (and regrows) one lane's buffer
 		g := &l.seg
-		if len(g.c) != segLen || &g.c[0] != &qv.Counts[start] || g.x != nil {
+		if len(g.c) != segLen || &g.c[0] != &qv.Counts[start] {
 			t.Fatalf("segment [%d,+%d): the pass does not alias the record's counts", start, segLen)
 		}
 		for w := 0; w < 50; w++ {
@@ -277,7 +266,8 @@ func TestSegmentPrefixSumsMatchWindowSums(t *testing.T) {
 // TestPooledScratchConcurrent: scans draw their scratch from one
 // package-level pool, so concurrent Algorithm1/AlgorithmN/ExhaustiveN
 // calls — against one Searcher, and against two Searchers over
-// different stores (one quantized, one float) — must each return what the same call returns serially. Run under
+// different stores (a snapshot loaded back, and the store as built) —
+// must each return what the same call returns serially. Run under
 // -race -count=10.
 func TestPooledScratchConcurrent(t *testing.T) {
 	f := newFixture(t, 1)
@@ -350,8 +340,7 @@ func TestPooledScratchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSkipScanAllocsIndependentOfSets: a warmed-up compressed-domain
-// skip scan draws its segment scratch from the pool, so its allocation
+// TestSkipScanAllocsIndependentOfSets: a warmed-up skip scan draws its segment scratch from the pool, so its allocation
 // count is a per-scan constant — scanning four times the signal-sets
 // allocates no more.
 func TestSkipScanAllocsIndependentOfSets(t *testing.T) {

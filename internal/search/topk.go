@@ -39,13 +39,19 @@ func ranksBelow(a, b Match) bool {
 	return a.Beta > b.Beta
 }
 
-// NewTopK returns a collector retaining at most k matches (k ≥ 1).
+// NewTopK returns a collector retaining at most k matches (k ≥ 1). It
+// starts empty and grows on demand: a scan makes one per unique query
+// per shard, and a typical query retains a quarter of K or nothing.
 func NewTopK(k int) *TopK {
 	if k < 1 {
 		k = 1
 	}
-	return &TopK{k: k, items: make([]Match, 0, k)}
+	return &TopK{k: k}
 }
+
+// minTopKGrow is the room the first retained match makes; from there the
+// heap doubles, never past K.
+const minTopKGrow = 16
 
 // Len returns the number of retained matches.
 func (t *TopK) Len() int { return len(t.items) }
@@ -66,6 +72,11 @@ func (t *TopK) Min() (float64, bool) {
 // if it ranks above the worst retained match.
 func (t *TopK) Push(m Match) {
 	if len(t.items) < t.k {
+		if len(t.items) == cap(t.items) {
+			grown := make([]Match, len(t.items), min(t.k, max(minTopKGrow, 2*cap(t.items))))
+			copy(grown, t.items)
+			t.items = grown
+		}
 		t.items = append(t.items, m)
 		t.up(len(t.items) - 1)
 		return

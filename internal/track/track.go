@@ -153,6 +153,9 @@ type Tracker struct {
 	params  Params
 	tracked []*Tracked
 	iter    int
+	// scratch is where a step dequantizes the stretch of a tracked
+	// signal it compares: one buffer for every signal and every step
+	// (the re-correlation baseline's first step grows it by its radius).
 	scratch []float64
 }
 
@@ -300,7 +303,7 @@ func (t *Tracker) Step(input []float64) StepResult {
 // stepArea applies Algorithm 2's area-between-curves test to one
 // tracked signal.
 func (t *Tracker) stepArea(w *Tracked, input []float64, advance int, res *StepResult) {
-	win, ok := t.store.Window(w.Set, w.Beta+advance, t.params.WindowLen)
+	win, ok := t.store.Snapshot().WindowInto(&t.scratch, w.Set, w.Beta+advance, t.params.WindowLen)
 	if !ok {
 		w.Alive = false
 		w.Expired = true
@@ -317,35 +320,32 @@ func (t *Tracker) stepArea(w *Tracked, input []float64, advance int, res *StepRe
 }
 
 // stepCorr applies the Fig. 8(b) baseline: re-evaluate ω at β±radius
-// and keep the best alignment.
+// and keep the best alignment. The stretch of the recording those
+// windows cover is dequantized once, into the tracker's buffer.
 func (t *Tracker) stepCorr(w *Tracked, zq []float64, advance int, res *StepResult) {
-	rec, ok := t.store.Record(w.Set.RecordID)
-	if !ok {
+	snap := t.store.Snapshot()
+	// The first and last offsets to try, relative to the slice start and
+	// clipped to the recording; the span runs from the first window's
+	// head to the last one's tail.
+	first, n := max(w.Beta+advance-t.params.CorrRadius, -w.Set.Start), -1
+	if rec, ok := snap.Record(w.Set.RecordID); ok {
+		last := min(w.Beta+advance+t.params.CorrRadius, rec.Len()-len(zq)-w.Set.Start)
+		n = last - first + len(zq)
+	}
+	span, ok := snap.WindowInto(&t.scratch, w.Set, first, n)
+	if !ok || len(span) < len(zq) {
 		w.Alive = false
 		w.Expired = true
 		res.Expired++
 		return
 	}
-	stats := rec.Stats()
-	best := -2.0
-	bestShift := 0
-	found := false
-	for shift := -t.params.CorrRadius; shift <= t.params.CorrRadius; shift++ {
-		off := w.Set.Start + w.Beta + advance + shift
-		if off < 0 || off+len(zq) > stats.Len() {
-			continue
-		}
+	stats := dsp.NewSlidingStats(span)
+	best, bestShift := -2.0, 0
+	for off := 0; off <= stats.MaxOffset(len(zq)); off++ {
 		res.Evaluations++
-		omega := stats.CorrAt(zq, off)
-		if omega > best {
-			best, bestShift, found = omega, shift, true
+		if omega := stats.CorrAt(zq, off); omega > best {
+			best, bestShift = omega, first+off-w.Beta-advance
 		}
-	}
-	if !found {
-		w.Alive = false
-		w.Expired = true
-		res.Expired++
-		return
 	}
 	w.LastOmega = best
 	if best <= t.params.CorrDelta {

@@ -366,3 +366,26 @@ func TestSkipShiftsContinuations(t *testing.T) {
 		t.Fatalf("negative skip changed iteration: %d", b.Iteration())
 	}
 }
+
+// TestStepReadsWindowsWithoutAllocating: a step over a Build store — its
+// records are counts — dequantizes every tracked signal's window into
+// the tracker's one buffer: no allocation per step, however many signals
+// are tracked.
+func TestStepReadsWindowsWithoutAllocating(t *testing.T) {
+	f := newFixture(t)
+	wins := f.stream(synth.Normal, 0, 3000, 20)
+	res := f.searchFirst(t, wins)
+	// A threshold nothing exceeds keeps every signal tracked, so each run
+	// reads the same number of windows.
+	tr := NewTracker(f.store, res.Matches, Params{AreaThreshold: 1e300})
+	if got := tr.Step(wins[1]); got.Evaluations < 2 {
+		t.Fatalf("only %d signals tracked", got.Evaluations)
+	}
+	next := 2
+	if allocs := testing.AllocsPerRun(10, func() {
+		tr.Step(wins[next%len(wins)])
+		next++
+	}); allocs != 0 {
+		t.Fatalf("a tracking step allocates %.0f times", allocs)
+	}
+}

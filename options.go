@@ -250,8 +250,9 @@ func WithTenant(id string) CloudOption {
 }
 
 // StoreFormat selects the on-disk snapshot encoding: FormatGob is the
-// v1 float64 gob stream, FormatColumnar the v2 quantized columnar
-// layout that memory-maps on load and scans compressed (DESIGN.md §14).
+// v1 gob stream, FormatColumnar the v2 columnar layout that memory-maps
+// on load and is scanned in place (DESIGN.md §14). Either holds the
+// records as they are stored, int16 counts.
 type StoreFormat = mdb.Format
 
 // The snapshot formats.
@@ -260,18 +261,17 @@ const (
 	FormatColumnar = mdb.FormatColumnar
 )
 
-// WithStoreBudget caps the bytes each tenant store may spend on
-// tier promotions (hot float64 materialisations and warm heap copies
-// of memory-mapped data). Once the budget is exhausted the least
-// recently used records are demoted back toward their compressed
-// resting tier; ≤0 leaves promotion unbounded. See DESIGN.md §14.
+// WithStoreBudget caps the bytes each tenant store may spend on tier
+// promotions: warm heap copies of memory-mapped records, made as scans
+// touch them while the budget has headroom. When the budget shrinks
+// the least recently scanned copies are dropped; ≤0 makes none. See
+// DESIGN.md §14.
 func WithStoreBudget(bytes int64) CloudOption {
 	return func(s *cloudSetup) { s.cfg.HotBytes = bytes }
 }
 
 // WithStoreFormat selects the snapshot format tenant stores persist
-// to and the representation fresh tenants ingest into (FormatColumnar
-// stores hold int16 counts and serve the quantized kernel directly).
+// to.
 func WithStoreFormat(f StoreFormat) CloudOption {
 	return func(s *cloudSetup) { s.cfg.StoreFormat = f }
 }
