@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"emap/internal/proto"
 	"emap/internal/search"
 )
 
 // pending is one upload waiting for a batch search pass. The
 // dispatching request goroutine blocks on its group's done channel;
-// the batch leader fills encoded (or err) for every member before
-// closing it.
+// the batch leader fills sel (or err) for every member before closing
+// it.
 type pending struct {
 	// window is the upload's counts and step as they arrived: the search
 	// reads records that have counts against them as sent.
@@ -20,11 +19,10 @@ type pending struct {
 	// gen is the tenant cache generation observed at lookup time; the
 	// result is cached only if no ingest reset the cache in between.
 	gen int64
-	// encoded is the correlation set's CorrSet payload with Seq zero,
-	// shared with the cache and with every pending the batch
-	// deduplicated onto the same result: read-only.
-	encoded []byte
-	err     error
+	// sel is the correlation set, shared with the cache and with every
+	// pending the batch deduplicated onto the same result: read-only.
+	sel *selection
+	err error
 }
 
 // batchGroup is one forming batch: the leader created it, followers
@@ -97,7 +95,7 @@ func (e *Engine) dispatch(t *tenant, p *pending) {
 				e.Metrics.Panics.Add(1)
 				err := fmt.Errorf("internal error: batch search panicked: %v", r)
 				for _, p := range batch {
-					if p.err == nil && p.encoded == nil {
+					if p.err == nil && p.sel == nil {
 						p.err = err
 					}
 				}
@@ -129,20 +127,19 @@ func (e *Engine) searchBatch(t *tenant, batch []*pending) {
 	e.Metrics.Evaluations.Add(int64(br.Evaluated))
 	t.metrics.Evaluations.Add(int64(br.Evaluated))
 	// Deduplicated queries share one *Result (pointer equality, see
-	// search.BatchResult); assemble and encode each distinct result's
-	// correlation set once — at exact capacity, since the cache keeps
-	// it — and fan the shared, read-only encoding out.
-	encoded := make(map[*search.Result][]byte, len(batch))
+	// search.BatchResult) and so one selection.
 	for i, p := range batch {
 		res := br.Results[i]
-		enc, ok := encoded[res]
-		if !ok {
-			enc = proto.EncodeCorrSet(&proto.CorrSet{Entries: e.assembleEntries(t, res, len(p.window.Samples))})
-			encoded[res] = enc
+		for j := 0; j < i && p.sel == nil; j++ {
+			if br.Results[j] == res {
+				p.sel = batch[j].sel
+			}
 		}
-		p.encoded = enc
+		if p.sel == nil {
+			p.sel = e.selectEntries(t, res, len(p.window.Samples))
+		}
 		if t.cache != nil && p.key != "" {
-			t.cache.putAt(p.gen, p.key, enc)
+			t.cache.putAt(p.gen, p.key, p.sel)
 		}
 	}
 }

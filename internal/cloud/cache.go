@@ -5,18 +5,16 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
-
-	"emap/internal/dsp"
 )
 
-// corrCache is a bounded LRU of encoded correlation sets — the CorrSet
-// wire payload itself, Seq zero, at exactly its size — keyed by a
-// quantized fingerprint of the uploaded window. A hit is answered by
-// copying the cached bytes into a reply buffer and patching the Seq
-// (see Engine.serveUpload); the cached bytes are shared by every
-// concurrent hit and are never written after putAt. In the
-// tracking-loop steady state (paper §V: one upload every fifth
-// iteration) consecutive uploads from a stable signal are
+// corrCache is a bounded LRU of correlation sets as selections over the
+// tenant's store (see selection) — ≈ 50 bytes per match, not the samples
+// — keyed by a quantized fingerprint of the uploaded window. A hit is
+// answered by encoding the cached selection into the request's own reply
+// buffer, exactly as a miss encodes the one its batch built (see
+// Engine.serveUpload); a selection is immutable, so every concurrent hit
+// shares it. In the tracking-loop steady state (paper §V: one upload
+// every fifth iteration) consecutive uploads from a stable signal are
 // near-identical; the fingerprint quantization folds them onto one key
 // so the repeat skips the shard scan entirely.
 //
@@ -37,8 +35,8 @@ type corrCache struct {
 }
 
 type cacheEntry struct {
-	key     string
-	payload []byte
+	key string
+	sel *selection
 }
 
 func newCorrCache(capacity int) *corrCache {
@@ -49,11 +47,10 @@ func newCorrCache(capacity int) *corrCache {
 	}
 }
 
-// get returns the cached encoded correlation set for key, refreshing
-// its recency, plus the cache generation for a later putAt. The key is
-// looked up in place (no string is built for it). The returned slice is
-// shared and read-only.
-func (c *corrCache) get(key []byte) ([]byte, int64, bool) {
+// get returns the cached selection for key, refreshing its recency, plus
+// the cache generation for a later putAt. The key is looked up in place
+// (no string is built for it).
+func (c *corrCache) get(key []byte) (*selection, int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[string(key)]
@@ -61,17 +58,14 @@ func (c *corrCache) get(key []byte) ([]byte, int64, bool) {
 		return nil, c.gen, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).payload, c.gen, true
+	return el.Value.(*cacheEntry).sel, c.gen, true
 }
 
-// putAt stores an encoded correlation set under key — unless the cache
-// has been reset since generation gen was observed, in which case it
-// was computed against a stale store epoch and is dropped. Evicts the
-// least recently used entry past capacity. The cache keeps payload
-// itself: the caller must not write to it afterwards, and should pass
-// it at exact capacity (proto.EncodeCorrSet's), since slack is held as
-// long as the entry lives.
-func (c *corrCache) putAt(gen int64, key string, payload []byte) {
+// putAt stores a selection under key — unless the cache has been reset
+// since generation gen was observed, in which case it was computed
+// against a stale store epoch and is dropped. Evicts the least recently
+// used entry past capacity.
+func (c *corrCache) putAt(gen int64, key string, sel *selection) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.gen != gen {
@@ -79,10 +73,10 @@ func (c *corrCache) putAt(gen int64, key string, payload []byte) {
 	}
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).payload = payload
+		el.Value.(*cacheEntry).sel = sel
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, payload: payload})
+	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, sel: sel})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
@@ -131,28 +125,40 @@ const fingerprintWindow = 256
 // appendFingerprint appends to key the cache key of the uploaded window
 // counts·scale: z-normalize (amplitude invariance, matching what the
 // search itself sees), scale each sample back to O(1) by √n, quantize to
-// fingerprintSteps buckets, and pack. z is working memory for the µV
-// window. With fingerprintWindow-sized arrays behind key and z a lookup
-// — the whole cost of a cache hit before the reply is copied —
-// allocates nothing. The result is false for flat windows, which the
-// search answers with an empty set anyway.
-func appendFingerprint(key []byte, z []float64, counts []int16, scale float32) ([]byte, bool) {
-	s := float64(scale)
-	for _, v := range counts {
-		z = append(z, float64(v)*s) // proto.Dequantize, into scratch
-	}
-	return appendWindowKey(key, z)
-}
-
-// appendWindowKey is appendFingerprint's second half, from the µV
-// window, which it normalizes in place.
-func appendWindowKey(key []byte, window []float64) ([]byte, bool) {
-	if dsp.ZNormalizeTo(window, window) == 0 {
+// fingerprintSteps buckets, and pack. The µV window is never
+// materialised: its mean, its centred norm and the buckets are three
+// passes over the counts, each forming a sample as float64(c)·scale
+// rounded on its own — the explicit conversion keeps a platform with a
+// fused multiply-add from folding the product into the subtraction that
+// follows, so every host computes the key the window's floats would
+// give. With a fingerprintWindow-sized array behind key a lookup — the
+// whole cost of a cache hit before the reply is encoded — allocates
+// nothing. The result is false for flat windows, which the search
+// answers with an empty set anyway.
+func appendFingerprint(key []byte, counts []int16, scale float32) ([]byte, bool) {
+	if len(counts) == 0 {
 		return key, false
 	}
-	scale := fingerprintSteps * math.Sqrt(float64(len(window)))
-	for _, v := range window {
-		q := math.Round(v * scale)
+	s := float64(scale)
+	var sum float64
+	for _, c := range counts {
+		sum += float64(float64(c) * s)
+	}
+	mu := sum / float64(len(counts))
+	var norm float64
+	for _, c := range counts {
+		d := float64(float64(c)*s) - mu
+		norm += d * d
+	}
+	norm = math.Sqrt(norm)
+	if norm < 1e-12 {
+		return key, false
+	}
+	inv := 1 / norm
+	steps := fingerprintSteps * math.Sqrt(float64(len(counts)))
+	for _, c := range counts {
+		z := (float64(float64(c)*s) - mu) * inv
+		q := math.Round(z * steps)
 		if q > math.MaxInt16 {
 			q = math.MaxInt16
 		} else if q < math.MinInt16 {

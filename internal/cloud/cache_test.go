@@ -3,11 +3,15 @@ package cloud
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"emap/internal/dsp"
 	"emap/internal/mdb"
 	"emap/internal/proto"
 	"emap/internal/search"
@@ -45,7 +49,7 @@ func storedUpload(t *testing.T, store *mdb.Store) (counts []int16, scale float32
 // TestCacheReplyByteIdentical: the miss that fills the cache, the hit
 // served from it and a from-scratch search of the same quantized window
 // must produce the same correlation set byte for byte — and each reply
-// must echo its own upload's Seq, since the cache holds one encoding
+// must echo its own upload's Seq, since the cache holds one selection
 // for every Seq that will ever ask for it.
 func TestCacheReplyByteIdentical(t *testing.T) {
 	store, _ := testStore(t)
@@ -98,8 +102,8 @@ func TestCacheReplyByteIdentical(t *testing.T) {
 // key at once, over two connections, each with its own Seq. Every reply
 // must arrive CRC-valid, carry exactly its request's Seq and otherwise
 // equal the cached set — which fails (and the race detector reports)
-// if a hit patches the shared cached bytes instead of its own copy, or
-// a reply buffer is released while another request still uses it.
+// if a hit writes to anything it shares with another, or a reply buffer
+// is released while another request still uses it.
 func TestConcurrentHitsOwnTheirReplies(t *testing.T) {
 	store, _ := testStore(t)
 	srv, err := NewServer(store, Config{})
@@ -177,8 +181,9 @@ func TestConcurrentHitsOwnTheirReplies(t *testing.T) {
 // here rather than assumed, since the race detector's build makes it
 // three) is all a hit allocates. The fingerprint runs in stack
 // scratch, the key is looked up without building a string, the float
-// window is never materialised, and the reply is a recycled pool buffer
-// — released here the way the transport's writer releases it.
+// window is never materialised, and the reply is encoded from the cached
+// selection into a recycled pool buffer — released here the way the
+// transport's writer releases it.
 func TestServeFrameHitAllocations(t *testing.T) {
 	store, _ := testStore(t)
 	srv, err := NewServer(store, Config{})
@@ -324,11 +329,88 @@ func TestCacheResetEmptyAllocatesNothing(t *testing.T) {
 	}
 }
 
-// windowFingerprint keys a µV window the way serveUpload keys an
-// upload's counts, as a string.
-func windowFingerprint(window []float64) (string, bool) {
-	key, ok := appendWindowKey(nil, append([]float64(nil), window...))
+// referenceKey is the cache key as it was first constructed, kept as the
+// definition the counts-only passes of appendFingerprint must reproduce:
+// dequantize the window, z-normalize the floats (dsp.ZNormalizeTo), scale
+// by √n·fingerprintSteps, round, saturate, pack.
+func referenceKey(counts []int16, scale float32) (string, bool) {
+	window := proto.Dequantize(counts, scale)
+	if dsp.ZNormalizeTo(window, window) == 0 {
+		return "", false
+	}
+	steps := fingerprintSteps * math.Sqrt(float64(len(window)))
+	var key []byte
+	for _, v := range window {
+		q := math.Round(v * steps)
+		if q > math.MaxInt16 {
+			q = math.MaxInt16
+		} else if q < math.MinInt16 {
+			q = math.MinInt16
+		}
+		key = binary.LittleEndian.AppendUint16(key, uint16(int16(q)))
+	}
+	return string(key), true
+}
+
+// fingerprint keys an upload's counts the way serveUpload does, as a
+// string.
+func fingerprint(counts []int16, scale float32) (string, bool) {
+	key, ok := appendFingerprint(nil, counts, scale)
 	return string(key), ok
+}
+
+// TestFingerprintEqualsItsFloatConstruction: the key computed from the
+// counts in three passes is, byte for byte, the key the dequantized
+// window gives — on stored windows, noise at every amplitude the wire
+// scale spans, rails, a spike that saturates the buckets, windows of
+// other lengths than the stack scratch's, and the flat and empty windows
+// both constructions refuse.
+func TestFingerprintEqualsItsFloatConstruction(t *testing.T) {
+	store, _ := testStore(t)
+	type upload struct {
+		counts []int16
+		scale  float32
+	}
+	var cases []upload
+	snap := store.Snapshot()
+	for i, set := range snap.Sets() {
+		if w, ok := snap.Window(set, (i*37)%500, 256); ok {
+			counts, scale := proto.Quantize(w)
+			cases = append(cases, upload{counts, scale})
+		}
+	}
+	r := rand.New(rand.NewSource(24))
+	for _, n := range []int{1, 2, 3, 100, 256, 257, 1000} {
+		for _, scale := range []float32{1.0 / 32000, 0.0123, 1, 3.7e4} {
+			noise := make([]int16, n)
+			for i := range noise {
+				noise[i] = int16(r.Intn(65536) - 32768)
+			}
+			rails := make([]int16, n)
+			for i := range rails {
+				rails[i] = []int16{math.MinInt16, math.MaxInt16}[r.Intn(2)]
+			}
+			spike := make([]int16, n)
+			spike[n/2] = math.MaxInt16
+			cases = append(cases, upload{noise, scale}, upload{rails, scale}, upload{spike, scale},
+				upload{make([]int16, n), scale}, upload{slices.Repeat([]int16{-7}, n), scale})
+		}
+	}
+	cases = append(cases, upload{nil, 1})
+	keyed := 0
+	for i, c := range cases {
+		got, ok := fingerprint(c.counts, c.scale)
+		want, wantOK := referenceKey(c.counts, c.scale)
+		if ok != wantOK || (ok && got != want) {
+			t.Fatalf("case %d (%d counts on %g): key from the counts differs from the key of their floats (ok %v, %v)", i, len(c.counts), c.scale, ok, wantOK)
+		}
+		if ok {
+			keyed++
+		}
+	}
+	if keyed < len(cases)/2 {
+		t.Fatalf("only %d of %d windows produced a key", keyed, len(cases))
+	}
 }
 
 // TestFingerprintToleratesRequantization: the same analogue window
@@ -341,23 +423,26 @@ func TestFingerprintToleratesRequantization(t *testing.T) {
 	window := input.Samples[1024:1280]
 
 	counts1, scale1 := proto.Quantize(window)
-	w1 := proto.Dequantize(counts1, scale1)
-	counts2, scale2 := proto.Quantize(w1) // second trip through the wire
-	w2 := proto.Dequantize(counts2, scale2)
+	counts2, scale2 := proto.Quantize(proto.Dequantize(counts1, scale1)) // second trip through the wire
+	// A coarser grid than the quantizer would pick, as an edge with its
+	// own gain would upload it.
+	counts3 := make([]int16, len(window))
+	proto.QuantizeTo(counts3, window, 3*float64(scale1))
 
-	k1, ok1 := windowFingerprint(w1)
-	k2, ok2 := windowFingerprint(w2)
-	if !ok1 || !ok2 {
+	k1, ok1 := fingerprint(counts1, scale1)
+	k2, ok2 := fingerprint(counts2, scale2)
+	k3, ok3 := fingerprint(counts3, 3*scale1)
+	if !ok1 || !ok2 || !ok3 {
 		t.Fatal("fingerprint rejected a live window")
 	}
-	if k1 != k2 {
+	if k1 != k2 || k1 != k3 {
 		t.Fatal("re-quantization noise split the cache key")
 	}
-	k3, _ := windowFingerprint(input.Samples[512:768])
-	if k3 == k1 {
+	other, otherScale := proto.Quantize(input.Samples[512:768])
+	if k4, _ := fingerprint(other, otherScale); k4 == k1 {
 		t.Fatal("distinct windows collided on one cache key")
 	}
-	if _, ok := windowFingerprint(make([]float64, 256)); ok {
+	if _, ok := fingerprint(make([]int16, 256), 1); ok {
 		t.Fatal("flat window produced a fingerprint")
 	}
 }

@@ -27,9 +27,10 @@
 // The service speaks all protocol versions (see internal/proto): v1
 // connections are served serially in request order, while v2/v3 frames
 // carry request IDs, so each connection runs a reader goroutine that
-// dispatches uploads to a bounded worker pool and a single writer
-// goroutine that drains a response queue — independent windows search
-// in parallel and replies may leave out of order.
+// hands uploads to a bounded set of worker goroutines the connection
+// keeps, and a single writer goroutine that drains a response queue —
+// independent windows search in parallel and replies may leave out of
+// order.
 //
 // Two scan-once-serve-many layers sit between an upload and the shard
 // scan, both per-tenant. A group-commit batching collector (batch.go)
@@ -43,6 +44,18 @@
 // the tracking-loop steady state — without any scan at all; each
 // tenant owns its cache, so cached sets can never cross patients'
 // stores, and an ingest flushes only its own tenant's cache.
+//
+// Behind both there is one reply route (selection.go). A correlation
+// set is a selection over the store — per match the entry's wire header
+// and which record's counts, from where, how many — built from the
+// search result without reading a sample. The batch that scanned, the
+// requests it deduplicated and the cache share that one immutable
+// value; each request encodes its own reply from it exactly once,
+// straight from the records' int16 counts wherever they reside at that
+// moment, into a pooled buffer of exactly the reply's size. What the
+// edge receives is therefore the mega-database's own counts and scales,
+// bit for bit. Engine.SearchTenant, whose caller holds no record, gets
+// the same entries copied out.
 package cloud
 
 import (
@@ -95,7 +108,10 @@ type Config struct {
 	// queues behind busy workers.
 	BatchWindow time.Duration
 	// CacheSize bounds each tenant's correlation-set cache in
-	// entries (default 256). Negative disables caching.
+	// entries (default 256). Negative disables caching. An entry is
+	// its 512 B key and a selection over the store, ≈ 50 B per match
+	// (≈ 5 kB for a top-100 set) — not the ≈ 100–400 kB of samples
+	// the reply encodes.
 	CacheSize int
 	// TenantRate admits at most this many requests per second per
 	// tenant (token bucket; refusals answer CodeRateLimited). 0

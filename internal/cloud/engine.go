@@ -245,8 +245,9 @@ func (e *Engine) ServeFrame(f proto.Frame) (proto.MsgType, []byte) {
 // serveUpload answers one upload. Cache hits reply immediately;
 // everything else goes through the tenant's batching collector, which
 // bounds concurrent shard scans by the shared worker pool. Either way
-// the correlation set was encoded once, by the batch that scanned for
-// it; what a request adds is one copy and its Seq.
+// the request ends holding a selection — the cache's on a hit, the
+// batch's on a miss — and encodes its own reply from it, once, its Seq
+// first.
 func (e *Engine) serveUpload(frame proto.Frame) (proto.MsgType, []byte) {
 	start := time.Now()
 	// Errored requests count toward the latency sum too, so
@@ -271,18 +272,16 @@ func (e *Engine) serveUpload(frame proto.Frame) (proto.MsgType, []byte) {
 		return proto.TypeError, errorPayload(CodeRateLimited,
 			fmt.Sprintf("tenant %q over its admission rate; retry later", t.id))
 	}
-	// enc is the encoded correlation set with Seq zero — the tenant
-	// cache's copy on a hit, the batch's on a miss — shared with other
-	// requests and read-only here.
-	var enc []byte
+	// sel is shared — with the cache, with every request deduplicated
+	// onto it — and read-only.
+	var sel *selection
 	var key string
 	var gen int64
 	if t.cache != nil {
 		var kbuf [2 * fingerprintWindow]byte
-		var zbuf [fingerprintWindow]float64
-		if k, ok := appendFingerprint(kbuf[:0], zbuf[:0], upload.Samples, upload.Scale); ok {
+		if k, ok := appendFingerprint(kbuf[:0], upload.Samples, upload.Scale); ok {
 			var cached bool
-			if enc, gen, cached = t.cache.get(k); cached {
+			if sel, gen, cached = t.cache.get(k); cached {
 				e.Metrics.CacheHits.Add(1)
 				t.metrics.CacheHits.Add(1)
 			} else {
@@ -292,7 +291,7 @@ func (e *Engine) serveUpload(frame proto.Frame) (proto.MsgType, []byte) {
 			}
 		}
 	}
-	if enc == nil {
+	if sel == nil {
 		// The backlog gauge covers the whole queued-or-scanning
 		// stretch; admission sheds routine uploads against it before
 		// they join the queue, so a saturated pool stays a bounded
@@ -314,15 +313,12 @@ func (e *Engine) serveUpload(frame proto.Frame) (proto.MsgType, []byte) {
 			t.metrics.Errors.Add(1)
 			return proto.TypeError, errorPayload(500, p.err.Error())
 		}
-		enc = p.encoded
+		sel = p.sel
 	}
-	// The reply is this request's own copy, with its own Seq, in a
-	// pooled buffer whoever finishes with it releases (the transport's
-	// writer, after the write).
-	reply := proto.GetBuffer(len(enc))
-	copy(reply, enc)
-	proto.SetCorrSetSeq(reply, upload.Seq)
-	return proto.TypeCorrSet, reply
+	// The reply is this request's own, in a pooled buffer whoever
+	// finishes with it releases (the transport's writer, after the
+	// write).
+	return proto.TypeCorrSet, sel.encode(upload.Seq)
 }
 
 // serveIngest inserts one pushed recording into its tenant's store and
@@ -350,9 +346,9 @@ func (e *Engine) serveIngest(frame proto.Frame) (proto.MsgType, []byte) {
 			fmt.Sprintf("tenant %q over its admission rate; retry later", t.id))
 	}
 	// Inserts share the search worker pool: the pass over the
-	// recording that builds its block sums (or SlidingStats) is
-	// CPU/memory work just like a scan, and must stay bounded however
-	// many connections pipeline ingests.
+	// recording that builds its block sums is CPU/memory work just like
+	// a scan, and must stay bounded however many connections pipeline
+	// ingests.
 	e.sem <- struct{}{}
 	ack, err := e.ingestInto(t, ing, frame.Payload)
 	<-e.sem
@@ -443,10 +439,11 @@ func (e *Engine) ingestInto(t *tenant, ing *proto.Ingest, payload []byte) (*prot
 }
 
 // Search answers one upload against the default tenant: run Algorithm
-// 1 and assemble the correlation set with continuation samples. It is
-// safe for concurrent use. It bypasses the batching collector and the
-// cache — the network path adds those; Search is the direct,
-// always-fresh surface.
+// 1 and return the correlation set with continuation samples — the
+// message a client decodes from the wire reply to the same upload, its
+// samples copied out of the store. It is safe for concurrent use. It
+// bypasses the batching collector and the cache — the network path adds
+// those; Search is the direct, always-fresh surface.
 func (e *Engine) Search(upload *proto.Upload) (*proto.CorrSet, error) {
 	return e.SearchTenant("", upload)
 }
@@ -464,7 +461,7 @@ func (e *Engine) SearchTenant(tenantID string, upload *proto.Upload) (*proto.Cor
 	}
 	e.Metrics.Evaluations.Add(int64(res.Evaluated))
 	t.metrics.Evaluations.Add(int64(res.Evaluated))
-	return &proto.CorrSet{Seq: upload.Seq, Entries: e.assembleEntries(t, res, len(upload.Samples))}, nil
+	return e.selectEntries(t, res, len(upload.Samples)).corrSet(upload.Seq), nil
 }
 
 // Ingest inserts one preprocessed recording into the named tenant's
@@ -476,55 +473,4 @@ func (e *Engine) Ingest(tenantID string, ing *proto.Ingest) (*proto.IngestAck, e
 		return nil, err
 	}
 	return e.ingestInto(t, ing, nil)
-}
-
-// assembleEntries attaches the continuation samples to every retrieved
-// match: from the matched offset forward, the configured horizon,
-// clipped exactly to the end of the parent recording. Matches with
-// less than one window of continuation left are dropped — the edge
-// cannot track them even one iteration. One store snapshot serves the
-// whole assembly; signal-set IDs are stable across epochs (the set
-// list is append-only), so matches from a slightly older scan epoch
-// always resolve. A record's continuation is dequantized only to be
-// requantized on the wire scale and dropped, so one buffer serves every
-// match of the assembly.
-func (e *Engine) assembleEntries(t *tenant, res *search.Result, windowLen int) []proto.CorrEntry {
-	horizon := int(e.cfg.HorizonSeconds * e.cfg.BaseRate)
-	snap := t.store.Snapshot()
-	sets := snap.Sets()
-	entries := make([]proto.CorrEntry, 0, len(res.Matches))
-	var window []float64
-	for _, m := range res.Matches {
-		if m.SetID < 0 || m.SetID >= len(sets) {
-			continue
-		}
-		set := sets[m.SetID]
-		rec, ok := snap.Record(set.RecordID)
-		if !ok {
-			continue
-		}
-		n := horizon
-		if avail := rec.Len() - (set.Start + m.Beta); avail < n {
-			n = avail
-		}
-		if n < windowLen {
-			continue
-		}
-		samples, ok := snap.WindowInto(&window, set, m.Beta, n)
-		if !ok {
-			continue
-		}
-		counts, scale := proto.Quantize(samples)
-		entries = append(entries, proto.CorrEntry{
-			SetID:     int32(m.SetID),
-			Omega:     float32(m.Omega),
-			Beta:      int32(m.Beta),
-			Anomalous: set.Anomalous,
-			Class:     uint8(set.Class),
-			Archetype: uint16(set.Archetype),
-			Scale:     scale,
-			Samples:   counts,
-		})
-	}
-	return entries
 }

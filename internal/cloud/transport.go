@@ -88,8 +88,9 @@ type outFrame struct {
 // listener (and vice versa — the cluster router owns a listener with no
 // engine behind it). It speaks every protocol version: v1 connections
 // are served serially in request order, v2/v3 frames carry request IDs,
-// so each connection runs a reader goroutine dispatching requests
-// concurrently and a single writer goroutine draining a response queue.
+// so each connection runs a reader goroutine handing requests to up to
+// MaxInFlight worker goroutines of its own and a single writer goroutine
+// draining a response queue.
 // Hello and Ping are answered by the transport itself; every other
 // frame goes to the FrameHandler.
 type Transport struct {
@@ -218,10 +219,13 @@ func (t *Transport) isIdleErr(err error) bool {
 
 // HandleConn serves one peer connection until it fails, the peer
 // disconnects, or the transport drains. The calling goroutine is the
-// frame reader; requests on v2+ connections are dispatched concurrently
-// (bounded by MaxInFlight) and all replies funnel through one writer
-// goroutine, so pipelined peers can keep many requests in flight on one
-// connection.
+// frame reader; requests on v2+ connections are handed to the
+// connection's workers — at most MaxInFlight of them, each started the
+// first time a frame finds every existing one busy, alive until the
+// reader ends — and all replies funnel through one writer goroutine, so
+// pipelined peers can keep many requests in flight on one connection.
+// What the reuse costs: a connection keeps as many parked goroutines as
+// its peak concurrency, for as long as it stays open.
 func (t *Transport) HandleConn(conn net.Conn) {
 	t.mu.Lock()
 	if t.closed {
@@ -269,8 +273,12 @@ func (t *Transport) HandleConn(conn net.Conn) {
 		}
 	}()
 
+	// The connection's workers park on work between requests: a request
+	// costs a channel handoff, not a goroutine and the growth of its
+	// stack.
 	var jobs sync.WaitGroup
-	connSem := make(chan struct{}, t.cfg.MaxInFlight)
+	work := make(chan proto.Frame)
+	workers := 0
 	// Request payloads are fresh slices, never pool buffers (only a
 	// correlation set is read into one): a handler may keep its frame's
 	// payload (a parked replica snapshot aliases it).
@@ -318,40 +326,58 @@ func (t *Transport) HandleConn(conn net.Conn) {
 			// flight gauges and the request counter describe them.
 			// Control frames (cluster replication, ring pushes) and
 			// unknown types still route through the handler — and
-			// still occupy a connSem slot, so one connection cannot
-			// flood the process with unbounded concurrent control
-			// work — but they are not "requests served".
-			tracked := frame.Type == proto.TypeUpload || frame.Type == proto.TypeIngest
-			if tracked {
+			// still occupy a connection worker, so one connection
+			// cannot flood the process with unbounded concurrent
+			// control work — but they are not "requests served".
+			if tracked(frame.Type) {
 				m.Requests.Add(1)
 				m.enterFlight()
 			}
 			if frame.Version >= proto.Version2 {
 				// Pipelined: independent requests run in
-				// parallel, replies matched by request ID.
-				// The per-connection cap blocks the reader
-				// when a client pipelines too far ahead.
-				connSem <- struct{}{}
-				jobs.Add(1)
-				go func(f proto.Frame) {
-					defer jobs.Done()
-					defer func() { <-connSem }()
-					t.serveFrame(f, out, tracked)
-				}(frame)
+				// parallel, replies matched by request ID. An idle
+				// worker takes the frame; with none idle one more is
+				// started, up to the per-connection cap, past which
+				// the reader blocks here — a client that pipelines
+				// too far ahead meets TCP backpressure.
+				select {
+				case work <- frame:
+				default:
+					if workers < t.cfg.MaxInFlight {
+						workers++
+						jobs.Add(1)
+						go func(f proto.Frame) {
+							defer jobs.Done()
+							t.serveFrame(f, out)
+							for f := range work {
+								t.serveFrame(f, out)
+							}
+						}(frame)
+					} else {
+						work <- frame
+					}
+				}
 			} else {
 				// v1 carries no IDs: replies must keep
 				// request order, so serve inline.
-				t.serveFrame(frame, out, tracked)
+				t.serveFrame(frame, out)
 			}
 		}
 	}
 	// Let in-flight requests finish and their replies flush before
 	// the deferred close — this is the graceful-drain half of
-	// Shutdown, and it also runs on ordinary disconnects.
+	// Shutdown, and it also runs on ordinary disconnects. Closing work
+	// is what ends the workers, each after the request it holds.
+	close(work)
 	jobs.Wait()
 	close(out)
 	<-writerDone
 }
+
+// tracked reports whether a frame of this type is request load — an
+// upload or an ingest — which the flight gauges and the request counter
+// describe; the reader enters it into flight, serveFrame takes it out.
+func tracked(t proto.MsgType) bool { return t == proto.TypeUpload || t == proto.TypeIngest }
 
 // serveFrame runs one frame through the handler and queues its reply,
 // mirroring the request's frame version, ID and tenant. A handler
@@ -359,8 +385,8 @@ func (t *Transport) HandleConn(conn net.Conn) {
 // panic is recovered, that request answers with a 5xx-class error, and
 // the connection — and every other request on the worker pool — keeps
 // serving.
-func (t *Transport) serveFrame(f proto.Frame, out chan<- outFrame, tracked bool) {
-	if tracked {
+func (t *Transport) serveFrame(f proto.Frame, out chan<- outFrame) {
+	if tracked(f.Type) {
 		defer t.cfg.Metrics.leaveFlight()
 	}
 	typ, payload := t.callHandler(f)

@@ -295,14 +295,15 @@ func TestCorrSetEntriesCarryContinuations(t *testing.T) {
 	}
 }
 
-// TestFetchedSetTracksAsCountsOrAsFloats: a device's mini-MDB holds a
-// downloaded set's counts as they arrived. A mini-MDB built the way it
-// was before records were counts — every entry dequantized to float64
-// and inserted — holds the same counts on the same scale (the cloud
-// quantizes each continuation itself, so its largest count is the
-// quantizer's own 32 000) and so tracks the same input identically, step
-// for step: same eliminations, same areas, same P_A.
-func TestFetchedSetTracksAsCountsOrAsFloats(t *testing.T) {
+// TestFetchedSetIsTheCloudRecordsWindow: a downloaded entry is a slice
+// of the cloud's record — its counts, on the record's own scale — so a
+// device's mini-MDB holds, per signal, exactly what the mega-database
+// holds from the matched offset on: the same counts, dequantizing to the
+// same µV with ==. Tracking the mini-MDB is therefore tracking the
+// cloud's store: a tracker over the cloud's records at the matched
+// offsets follows the same input step for step — same eliminations, same
+// areas, same P_A — for as long as the downloaded horizon lasts.
+func TestFetchedSetIsTheCloudRecordsWindow(t *testing.T) {
 	store, g := buildStore(t)
 	// A low δ, so that the set holds signals that track and signals that
 	// are eliminated along the way.
@@ -328,40 +329,56 @@ func TestFetchedSetTracksAsCountsOrAsFloats(t *testing.T) {
 	if len(matches) < 5 {
 		t.Fatalf("only %d signals downloaded", len(matches))
 	}
-	floats := mdb.NewStore()
-	for _, id := range mini.RecordIDs() {
-		rec, _ := mini.Record(id)
+	// The same upload answered directly names each entry's set and offset
+	// in the cloud's store.
+	counts, scale := proto.Quantize(window)
+	direct, err := srv.Search(&proto.Upload{Scale: scale, Samples: counts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(direct.Entries) != len(matches) {
+		t.Fatalf("%d signals downloaded, the direct answer has %d", len(matches), len(direct.Entries))
+	}
+	cloudSnap, miniSnap := store.Snapshot(), mini.Snapshot()
+	cloudMatches := make([]search.Match, len(matches))
+	for i, m := range matches {
+		e := direct.Entries[i]
+		cloudMatches[i] = search.Match{SetID: int(e.SetID), Omega: float64(e.Omega), Beta: int(e.Beta)}
+		set, cloudSet := miniSnap.Sets()[m.SetID], cloudSnap.Sets()[e.SetID]
+		rec, _ := miniSnap.Record(set.RecordID)
+		cloudRec, _ := cloudSnap.Record(cloudSet.RecordID)
 		if rec.Samples != nil {
-			t.Fatalf("downloaded record %q holds float samples", id)
+			t.Fatalf("downloaded record %q holds float samples", rec.ID)
 		}
-		qv := rec.Quant()
-		old := &mdb.Record{ID: id, Class: rec.Class, Archetype: rec.Archetype, Onset: -1,
-			Samples: proto.Dequantize(qv.Counts, float32(qv.Scale))}
-		anomalous := mini.Sets()[floats.NumSets()].Anomalous
-		if _, err := floats.Insert(old, rec.Len(), func(int) bool { return anomalous }); err != nil {
-			t.Fatal(err)
+		off := cloudSet.Start + int(e.Beta)
+		if rec.Quant().Scale != cloudRec.Quant().Scale || !slices.Equal(rec.Quant().Counts, cloudRec.Quant().Counts[off:off+rec.Len()]) {
+			t.Fatalf("signal %d: the downloaded record is not the cloud record's counts from %d on", i, off)
 		}
-		if got, _ := floats.Record(id); got.Quant().Scale != qv.Scale || !slices.Equal(got.Quant().Counts, qv.Counts) {
-			t.Fatalf("record %q: inserting its dequantized samples stores other counts (scale %v, arrived on %v)", id, got.Quant().Scale, qv.Scale)
+		got, _ := miniSnap.Window(set, 0, rec.Len())
+		want, ok := cloudSnap.Window(cloudSet, int(e.Beta), rec.Len())
+		if !ok || !slices.Equal(got, want) {
+			t.Fatalf("signal %d: the downloaded record dequantizes to other µV than the cloud record's window", i)
 		}
 	}
 	params := dev.trackParams(mini, len(matches))
-	asCounts, asFloats := track.NewTracker(mini, matches, params), track.NewTracker(floats, matches, params)
-	for k := 3; (k+1)*256 <= len(filtered); k++ {
+	onMini, onCloud := track.NewTracker(mini, matches, params), track.NewTracker(store, cloudMatches, params)
+	// Seven steps: the 8 s horizon holds the matched window and seven
+	// more, past which only the cloud's records go on.
+	for k := 3; k < 10; k++ {
 		counts, scale := proto.Quantize(filtered[k*256 : (k+1)*256])
 		next := proto.Dequantize(counts, scale)
-		a, b := asCounts.Step(next), asFloats.Step(next)
+		a, b := onMini.Step(next), onCloud.Step(next)
 		a.Elapsed, b.Elapsed = 0, 0
 		if a != b {
-			t.Fatalf("window %d: tracking the counts gives %+v, the floats %+v", k, a, b)
+			t.Fatalf("window %d: tracking the download gives %+v, the cloud's records %+v", k, a, b)
 		}
-		for i, w := range asCounts.Tracked() {
-			if o := asFloats.Tracked()[i]; w.Alive != o.Alive || w.LastArea != o.LastArea {
-				t.Fatalf("window %d signal %d: area %g alive %v as counts, %g %v as floats", k, i, w.LastArea, w.Alive, o.LastArea, o.Alive)
+		for i, w := range onMini.Tracked() {
+			if o := onCloud.Tracked()[i]; w.Alive != o.Alive || w.LastArea != o.LastArea {
+				t.Fatalf("window %d signal %d: area %g alive %v on the download, %g %v on the cloud's records", k, i, w.LastArea, w.Alive, o.LastArea, o.Alive)
 			}
 		}
 	}
-	if asCounts.Iteration() < 5 {
-		t.Fatalf("only %d tracking steps compared", asCounts.Iteration())
+	if onMini.Iteration() < 5 {
+		t.Fatalf("only %d tracking steps compared", onMini.Iteration())
 	}
 }

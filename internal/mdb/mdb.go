@@ -513,8 +513,8 @@ func (sn Snapshot) Window(set *SignalSet, offset, n int) ([]float64, bool) {
 
 // WindowInto is Window with the dequantization buffer the caller's: the
 // window is written to (*buf)[:n] — *buf is grown first when it is
-// short — so a caller that reads many windows and keeps none (the
-// cloud's reply assembly, the edge tracker) allocates once, not once per
+// short — so a caller that reads many windows and keeps none (the edge
+// tracker, a step per tracked signal) allocates once, not once per
 // window. The result is valid only until the next WindowInto with the
 // same buffer.
 func (sn Snapshot) WindowInto(buf *[]float64, set *SignalSet, offset, n int) ([]float64, bool) {

@@ -61,6 +61,15 @@ func TestSampleCodecRoutesAgree(t *testing.T) {
 					t.Fatalf("n=%d pattern %d: portable decode sample %d = %d, want %d", n, pi, i, dec[i], s[i])
 				}
 			}
+			// The entry primitive, by this host's route, is header, count
+			// and the portable block.
+			e := CorrEntry{SetID: int32(n), Omega: -0.5, Beta: int32(pi), Anomalous: n%2 == 1, Class: 2, Archetype: 0x0102, Scale: 0.25}
+			h := MakeCorrHeader(&e)
+			entry := AppendCorrEntry([]byte{0xA5}, &h, s)
+			wantEntry := binary.LittleEndian.AppendUint32(append([]byte{0xA5}, h[:]...), uint32(n))
+			if !bytes.Equal(entry, append(wantEntry, want...)) {
+				t.Fatalf("n=%d pattern %d: AppendCorrEntry diverges from header + count + portable block", n, pi)
+			}
 			if !hostLittleEndian {
 				continue // the bulk route is not this host's
 			}
@@ -93,27 +102,46 @@ func bigCorrSet() *CorrSet {
 }
 
 // TestEncodeCorrSetExactSize: the size function the encoder and the
-// cloud's reply cache share is exact — an entry is 20 bytes of fields,
-// a 4-byte sample count and its samples — so an encoding is allocated
-// once at its final size, and the append form into a buffer that large
-// allocates nothing.
+// cloud's selection share is exact — an entry is its 20 header bytes, a
+// 4-byte sample count and its samples — so an encoding is allocated once
+// at its final size, and the entry primitive appending into a buffer
+// that large allocates nothing and writes the same bytes.
 func TestEncodeCorrSetExactSize(t *testing.T) {
+	sizeOf := func(c *CorrSet) int {
+		samples := 0
+		for _, e := range c.Entries {
+			samples += len(e.Samples)
+		}
+		return CorrSetSize(len(c.Entries), samples)
+	}
 	for _, c := range []*CorrSet{{}, {Entries: []CorrEntry{{}}}, bigCorrSet()} {
 		enc := EncodeCorrSet(c)
-		if len(enc) != CorrSetSize(c) || cap(enc) != len(enc) {
-			t.Fatalf("%d entries: len %d cap %d, CorrSetSize %d", len(c.Entries), len(enc), cap(enc), CorrSetSize(c))
+		if len(enc) != sizeOf(c) || cap(enc) != len(enc) {
+			t.Fatalf("%d entries: len %d cap %d, CorrSetSize %d", len(c.Entries), len(enc), cap(enc), sizeOf(c))
 		}
 	}
 	c := bigCorrSet()
 	if n := testing.AllocsPerRun(20, func() { _ = EncodeCorrSet(c) }); n != 1 {
 		t.Fatalf("EncodeCorrSet: %v allocations, want 1", n)
 	}
-	buf := make([]byte, 0, CorrSetSize(c))
-	if n := testing.AllocsPerRun(20, func() { buf = AppendCorrSet(buf[:0], c) }); n != 0 {
-		t.Fatalf("AppendCorrSet into a large-enough buffer: %v allocations, want 0", n)
+	heads := make([]CorrHeader, len(c.Entries))
+	for i := range heads {
+		heads[i] = MakeCorrHeader(&c.Entries[i])
+		if got := heads[i].Entry(); got.Samples != nil || MakeCorrHeader(&got) != heads[i] {
+			t.Fatalf("entry %d: header does not decode to the fields it encodes", i)
+		}
+	}
+	buf := make([]byte, 0, sizeOf(c))
+	if n := testing.AllocsPerRun(20, func() {
+		buf = AppendCorrSetHeader(buf[:0], c.Seq, len(heads))
+		for i := range heads {
+			buf = AppendCorrEntry(buf, &heads[i], c.Entries[i].Samples)
+		}
+	}); n != 0 {
+		t.Fatalf("AppendCorrEntry into a large-enough buffer: %v allocations, want 0", n)
 	}
 	if !bytes.Equal(buf, EncodeCorrSet(c)) {
-		t.Fatal("AppendCorrSet and EncodeCorrSet disagree")
+		t.Fatal("entry by entry and EncodeCorrSet disagree")
 	}
 }
 

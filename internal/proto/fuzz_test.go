@@ -94,6 +94,12 @@ func FuzzDecodeCorrSet(f *testing.F) {
 	f.Add(reply)
 	f.Add(EncodeCorrSet(&CorrSet{Seq: 1}))
 	f.Add(EncodeCorrSet(bigCorrSet()))
+	// A reply as the cloud assembles it: continuations of one stored
+	// record, so every entry carries that record's scale.
+	f.Add(EncodeCorrSet(&CorrSet{Seq: 2, Entries: []CorrEntry{
+		{SetID: 4, Omega: 0.97, Beta: 10, Scale: 0.0625, Samples: []int16{32000, -7, 0, 12}},
+		{SetID: 5, Omega: 0.93, Beta: 510, Anomalous: true, Scale: 0.0625, Samples: []int16{-32000, 1}},
+	}}))
 	for _, cut := range []int{0, 7, 8, 20, 8 + corrEntryFixed, len(reply) - 1} {
 		f.Add(reply[:cut])
 	}

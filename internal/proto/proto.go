@@ -353,55 +353,83 @@ func DecodeUpload(payload []byte) (*Upload, error) {
 	return u, nil
 }
 
-// corrEntryFixed is the encoded size of a CorrEntry apart from its
-// samples: 20 bytes of fields and the 4-byte sample count.
-const corrEntryFixed = 24
+// A CorrSet payload is Seq and the entry count (corrSetFixed bytes),
+// then per entry its fields in wire form (a CorrHeader), a 4-byte
+// sample count and the samples.
+const (
+	corrSetFixed   = 8
+	corrHeaderLen  = 20
+	corrEntryFixed = corrHeaderLen + 4
+)
 
-// CorrSetSize returns the exact encoded size of c's payload — what
-// EncodeCorrSet allocates, so an encoding a cache keeps carries no
-// slack.
-func CorrSetSize(c *CorrSet) int {
-	size := 8
-	for i := range c.Entries {
-		size += corrEntryFixed + 2*len(c.Entries[i].Samples)
+// CorrHeader is a CorrEntry's fields — everything but its samples — in
+// wire form. Whoever assembles a correlation set out of samples that lie
+// elsewhere (the cloud's selection over its store) keeps these bytes per
+// match and encodes each entry as header + samples with AppendCorrEntry,
+// the primitive EncodeCorrSet is written in, so the layout has one
+// definition.
+type CorrHeader [corrHeaderLen]byte
+
+// MakeCorrHeader encodes e's fields; e.Samples is not read.
+func MakeCorrHeader(e *CorrEntry) (h CorrHeader) {
+	binary.LittleEndian.PutUint32(h[0:], uint32(e.SetID))
+	binary.LittleEndian.PutUint32(h[4:], math.Float32bits(e.Omega))
+	binary.LittleEndian.PutUint32(h[8:], uint32(e.Beta))
+	if e.Anomalous {
+		h[12] = 1
 	}
-	return size
+	h[13] = e.Class
+	binary.LittleEndian.PutUint16(h[14:], e.Archetype)
+	binary.LittleEndian.PutUint32(h[16:], math.Float32bits(e.Scale))
+	return h
+}
+
+// Entry decodes the fields into a CorrEntry with no samples.
+func (h *CorrHeader) Entry() CorrEntry {
+	return CorrEntry{
+		SetID:     int32(binary.LittleEndian.Uint32(h[0:])),
+		Omega:     math.Float32frombits(binary.LittleEndian.Uint32(h[4:])),
+		Beta:      int32(binary.LittleEndian.Uint32(h[8:])),
+		Anomalous: h[12] != 0,
+		Class:     h[13],
+		Archetype: binary.LittleEndian.Uint16(h[14:]),
+		Scale:     math.Float32frombits(binary.LittleEndian.Uint32(h[16:])),
+	}
+}
+
+// CorrSetSize returns the exact encoded size of a CorrSet payload of the
+// given number of entries carrying the given number of samples between
+// them — what an encoder appending into a buffer must have room for.
+func CorrSetSize(entries, samples int) int {
+	return corrSetFixed + corrEntryFixed*entries + 2*samples
+}
+
+// AppendCorrSetHeader appends the start of a CorrSet payload: its Seq
+// and the number of entries that follow, each by AppendCorrEntry.
+func AppendCorrSetHeader(b []byte, seq uint32, entries int) []byte {
+	return appendU32(appendU32(b, seq), uint32(entries))
+}
+
+// AppendCorrEntry appends one entry of a CorrSet payload: its fields,
+// then its samples as a counted block moved in bulk (see putSamples).
+func AppendCorrEntry(b []byte, h *CorrHeader, samples []int16) []byte {
+	return appendSamples(append(b, h[:]...), samples)
 }
 
 // EncodeCorrSet serialises a CorrSet payload into a buffer of exactly
 // its size.
 func EncodeCorrSet(c *CorrSet) []byte {
-	return AppendCorrSet(make([]byte, 0, CorrSetSize(c)), c)
-}
-
-// AppendCorrSet appends c's CorrSet payload to b; with CorrSetSize(c)
-// bytes of spare capacity it allocates nothing.
-func AppendCorrSet(b []byte, c *CorrSet) []byte {
-	b = appendU32(b, c.Seq)
-	b = appendU32(b, uint32(len(c.Entries)))
+	samples := 0
 	for i := range c.Entries {
-		e := &c.Entries[i]
-		b = appendU32(b, uint32(e.SetID))
-		b = appendF32(b, e.Omega)
-		b = appendU32(b, uint32(e.Beta))
-		flag := byte(0)
-		if e.Anomalous {
-			flag = 1
-		}
-		b = append(b, flag, e.Class)
-		b = appendU16(b, e.Archetype)
-		b = appendF32(b, e.Scale)
-		b = appendSamples(b, e.Samples)
+		samples += len(c.Entries[i].Samples)
+	}
+	b := make([]byte, 0, CorrSetSize(len(c.Entries), samples))
+	b = AppendCorrSetHeader(b, c.Seq, len(c.Entries))
+	for i := range c.Entries {
+		h := MakeCorrHeader(&c.Entries[i])
+		b = AppendCorrEntry(b, &h, c.Entries[i].Samples)
 	}
 	return b
-}
-
-// SetCorrSetSeq overwrites the Seq field of an encoded CorrSet payload
-// in place — how one encoding of a correlation set answers uploads
-// with different sequence numbers. The payload must be the caller's
-// own copy.
-func SetCorrSetSeq(payload []byte, seq uint32) {
-	binary.LittleEndian.PutUint32(payload, seq)
 }
 
 // DecodeCorrSet parses a CorrSet payload. The shape is validated in
@@ -414,14 +442,14 @@ func SetCorrSetSeq(payload []byte, seq uint32) {
 // bytes past the last entry, so an accepted payload re-encodes to
 // itself.
 func DecodeCorrSet(payload []byte) (*CorrSet, error) {
-	if len(payload) < 8 {
+	if len(payload) < corrSetFixed {
 		return nil, fmt.Errorf("proto: decoding CorrSet: %w", io.ErrUnexpectedEOF)
 	}
 	n := int(binary.LittleEndian.Uint32(payload[4:]))
-	if n < 0 || n > (len(payload)-8)/corrEntryFixed {
+	if n < 0 || n > (len(payload)-corrSetFixed)/corrEntryFixed {
 		return nil, fmt.Errorf("proto: implausible entry count %d in a %d-byte CorrSet", n, len(payload))
 	}
-	off, total := 8, 0
+	off, total := corrSetFixed, 0
 	for i := 0; i < n; i++ {
 		if len(payload)-off < corrEntryFixed {
 			return nil, fmt.Errorf("proto: decoding CorrSet: %w", io.ErrUnexpectedEOF)
@@ -429,7 +457,7 @@ func DecodeCorrSet(payload []byte) (*CorrSet, error) {
 		if payload[off+12] > 1 {
 			return nil, fmt.Errorf("proto: decoding CorrSet: anomaly flag %d", payload[off+12])
 		}
-		ns := int(binary.LittleEndian.Uint32(payload[off+20:]))
+		ns := int(binary.LittleEndian.Uint32(payload[off+corrHeaderLen:]))
 		off += corrEntryFixed
 		if ns < 0 || ns > (len(payload)-off)/2 {
 			return nil, fmt.Errorf("proto: decoding CorrSet: %w", io.ErrUnexpectedEOF)
@@ -446,19 +474,13 @@ func DecodeCorrSet(payload []byte) (*CorrSet, error) {
 	}
 	c.Entries = make([]CorrEntry, n)
 	samples := make([]int16, total)
-	off = 8
+	off = corrSetFixed
 	for i := range c.Entries {
 		p := payload[off : off+corrEntryFixed]
-		ns := int(binary.LittleEndian.Uint32(p[20:]))
+		ns := int(binary.LittleEndian.Uint32(p[corrHeaderLen:]))
 		off += corrEntryFixed
 		e := &c.Entries[i]
-		e.SetID = int32(binary.LittleEndian.Uint32(p))
-		e.Omega = math.Float32frombits(binary.LittleEndian.Uint32(p[4:]))
-		e.Beta = int32(binary.LittleEndian.Uint32(p[8:]))
-		e.Anomalous = p[12] != 0
-		e.Class = p[13]
-		e.Archetype = binary.LittleEndian.Uint16(p[14:])
-		e.Scale = math.Float32frombits(binary.LittleEndian.Uint32(p[16:]))
+		*e = (*CorrHeader)(p).Entry()
 		// Capacity is clipped so an append to one entry's samples can
 		// never run into its neighbour's.
 		e.Samples = samples[:ns:ns]

@@ -354,7 +354,7 @@ func BenchmarkEncodeCorrSet100(b *testing.B) {
 		entries[i] = CorrEntry{SetID: int32(i), Omega: 0.9, Samples: make([]int16, 2048)}
 	}
 	c := &CorrSet{Entries: entries}
-	b.SetBytes(int64(CorrSetSize(c)))
+	b.SetBytes(int64(CorrSetSize(100, 100*2048)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,11 +1,11 @@
 package search
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -130,13 +130,12 @@ func (s *Searcher) runBatch(inputs []window, exhaustive bool) (*BatchResult, err
 
 	// Build every query once and deduplicate identical ones: repeated
 	// windows (the tracking-loop steady state) collapse to one scan
-	// slot. slot[i] is the unique-query index serving input i, or -1 for
-	// a flat (uncorrelatable) input. The dedup probe is a 128-bit hash
-	// of the counts — one map lookup, no per-query byte-string garbage —
-	// confirmed by an exact element compare on every hash hit.
-	var uniques [][]int16
-	slot := make([]int, len(inputs))
-	seen := make(map[queryKey][]int, len(inputs))
+	// slot. Sorting the queries by length, then by a 128-bit hash of
+	// their counts, puts equal ones side by side — no map, no per-query
+	// byte-string garbage — and leaves the distinct ones in ascending
+	// length order, which is the order a shard walks its length groups
+	// in. A flat (uncorrelatable) input takes no part.
+	order := make([]batchQuery, 0, len(inputs))
 	for i, input := range inputs {
 		// No signal-set is longer than mdb.MaxSliceLen, and bounding the
 		// query with it bounds a pass, whose prefix sums must stay exact
@@ -144,62 +143,62 @@ func (s *Searcher) runBatch(inputs []window, exhaustive bool) (*BatchResult, err
 		if n := input.len(); n == 0 || n > mdb.MaxSliceLen {
 			return nil, ErrShortInput
 		}
-		q, ok := input.query()
-		if !ok {
-			slot[i] = -1
-			continue
+		if q, ok := input.query(); ok {
+			order = append(order, batchQuery{q: q, key: hashQuery(q), input: i})
 		}
-		key := hashQuery(q)
-		dup := -1
-		for _, j := range seen[key] {
-			// The collision-confirm compare behind the dedup hash: a
-			// hash hit only merges equal queries.
-			if slices.Equal(uniques[j], q) {
-				dup = j
-				break
-			}
+	}
+	slices.SortFunc(order, func(a, b batchQuery) int {
+		return cmp.Or(cmp.Compare(len(a.q), len(b.q)), cmp.Compare(a.key.hi, b.key.hi),
+			cmp.Compare(a.key.lo, b.key.lo), cmp.Compare(a.input, b.input))
+	})
+	uniques := make([][]int16, 0, len(order))
+	run := 0 // where the uniques of the current (length, hash) run begin
+	for k := range order {
+		x := &order[k]
+		if k == 0 || len(x.q) != len(order[k-1].q) || x.key != order[k-1].key {
+			run = len(uniques)
 		}
-		if dup >= 0 {
-			slot[i] = dup
-			continue
+		// The collision-confirm compare behind the dedup hash: a hash
+		// hit only merges equal queries.
+		x.slot = run
+		for x.slot < len(uniques) && !slices.Equal(uniques[x.slot], x.q) {
+			x.slot++
 		}
-		seen[key] = append(seen[key], len(uniques))
-		slot[i] = len(uniques)
-		uniques = append(uniques, q)
+		if x.slot == len(uniques) {
+			uniques = append(uniques, x.q)
+		}
 	}
 	br.Unique = len(uniques)
 
 	var accs []queryAccum
 	if len(uniques) > 0 {
-		groups := groupByLen(uniques)
 		workers := s.params.Workers
 		if workers == 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		shards := snap.Shards(workers)
-		shardAccs := make([][]queryAccum, len(shards))
-		shardPasses := make([]int, len(shards))
+		scans := make([]shardScan, len(shards))
 		var wg sync.WaitGroup
 		for i, shard := range shards {
 			wg.Add(1)
 			go func(i int, shard []*mdb.SignalSet) {
 				defer wg.Done()
-				shardAccs[i], shardPasses[i] = s.scanShardBatch(snap, shard, uniques, groups, exhaustive)
+				scans[i].accs, scans[i].passes = s.scanShardBatch(snap, shard, uniques, exhaustive)
 			}(i, shard)
 		}
 		wg.Wait()
 		// The first shard's accumulators take the others': on one worker
 		// nothing is merged at all.
-		for i := range shards {
-			br.SetPasses += shardPasses[i]
+		for i := range scans {
+			br.SetPasses += scans[i].passes
 			if i == 0 {
-				accs = shardAccs[i]
+				accs = scans[i].accs
 				continue
 			}
 			for q := range accs {
-				accs[q].top.Merge(shardAccs[i][q].top)
-				accs[q].evaluated += shardAccs[i][q].evaluated
-				accs[q].candidates += shardAccs[i][q].candidates
+				accs[q].top.Merge(scans[i].accs[q].top)
+				accs[q].evaluated += scans[i].accs[q].evaluated
+				accs[q].candidates += scans[i].accs[q].candidates
 			}
 		}
 	}
@@ -215,9 +214,12 @@ func (s *Searcher) runBatch(inputs []window, exhaustive bool) (*BatchResult, err
 	}
 	br.Elapsed = time.Since(start)
 
-	perSlot := make([]*Result, len(uniques))
+	// One Result per scanned query and a last one that every flat input
+	// shares: it correlates with nothing, and an empty result rather than
+	// an error lets the caller fall back.
+	results := make([]Result, len(uniques)+1)
 	for q := range accs {
-		perSlot[q] = &Result{
+		results[q] = Result{
 			Matches:     accs[q].top.SortedDesc(),
 			Evaluated:   accs[q].evaluated,
 			Candidates:  accs[q].candidates,
@@ -225,16 +227,30 @@ func (s *Searcher) runBatch(inputs []window, exhaustive bool) (*BatchResult, err
 			Elapsed:     br.Elapsed,
 		}
 	}
-	for i := range inputs {
-		if slot[i] < 0 {
-			// A flat input correlates with nothing; an empty result
-			// rather than an error lets the caller fall back.
-			br.Results[i] = &Result{Elapsed: br.Elapsed}
-			continue
-		}
-		br.Results[i] = perSlot[slot[i]]
+	results[len(uniques)].Elapsed = br.Elapsed
+	for i := range br.Results {
+		br.Results[i] = &results[len(uniques)]
+	}
+	for _, x := range order {
+		br.Results[x.input] = &results[x.slot]
 	}
 	return br, nil
+}
+
+// batchQuery is one non-flat input of a batch on its way through the
+// dedup: its counts, their hash, the input it answers and, once the
+// sorted batch has been walked, the unique query that serves it.
+type batchQuery struct {
+	q     []int16
+	key   queryKey
+	input int
+	slot  int
+}
+
+// shardScan is what one shard's worker hands back.
+type shardScan struct {
+	accs   []queryAccum
+	passes int
 }
 
 // queryAccum accumulates one query's retrieval state across a scan.
@@ -244,35 +260,11 @@ type queryAccum struct {
 	candidates int
 }
 
-// lenGroup is the set of unique-query indexes sharing one window
-// length; queries in one group share a signal-set's pass — one sweep
-// for its prefix sums, however many of them walk it.
-type lenGroup struct {
-	n  int
-	qs []int
-}
-
-// groupByLen buckets unique queries by window length, in ascending
-// length order so the scan is deterministic.
-func groupByLen(uniques [][]int16) []lenGroup {
-	byLen := make(map[int][]int)
-	for q := range uniques {
-		n := len(uniques[q])
-		byLen[n] = append(byLen[n], q)
-	}
-	groups := make([]lenGroup, 0, len(byLen))
-	for n, qs := range byLen {
-		groups = append(groups, lenGroup{n: n, qs: qs})
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].n < groups[j].n })
-	return groups
-}
-
 // queryKey is the 128-bit FNV-style fingerprint of a query: two 64-bit
-// lanes folded count by count, with the length mixed into the bases. Map
-// probes cost one 16-byte compare instead of a byte-string allocation
-// per query; hash hits are confirmed by an exact element compare, so a
-// collision can never merge two distinct queries.
+// lanes folded count by count, with the length mixed into the bases.
+// Ordering a batch by it costs 16-byte compares instead of a byte-string
+// allocation per query; hash hits are confirmed by an exact element
+// compare, so a collision can never merge two distinct queries.
 type queryKey struct{ hi, lo uint64 }
 
 const (

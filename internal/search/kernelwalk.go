@@ -92,10 +92,11 @@ func putScratch(scr *walkScratch) {
 
 // scanShardBatch scans a contiguous run of signal-sets for all unique
 // queries at once under Algorithm 1's rule or, exhaustive, the
-// baseline's unit advance — by the scan's one route, the lane walk. The
-// order sets reach the top-K in does not matter (TopK ranks by a total
-// order).
-func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uniques [][]int16, groups []lenGroup, exhaustive bool) ([]queryAccum, int) {
+// baseline's unit advance — by the scan's one route, the lane walk.
+// uniques must be in ascending length order (runBatch's dedup leaves
+// them so): a run of equal lengths is one length group. The order sets
+// reach the top-K in does not matter (TopK ranks by a total order).
+func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uniques [][]int16, exhaustive bool) ([]queryAccum, int) {
 	rule := &s.rule
 	if exhaustive {
 		rule = &s.unit
@@ -118,8 +119,8 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 	}
 	// Several queries: lanes must share a query (that is what lets one
 	// kernel step serve four of them), so a run of sets is held resident
-	// — its prefix sums built once per length group — and walked query
-	// by query.
+	// — its prefix sums built once per length group, the queries of one
+	// length being neighbours in uniques — and walked query by query.
 	for {
 		held := 0
 		for held < lanes && scr.take(&scr.lane[held]) {
@@ -128,14 +129,14 @@ func (s *Searcher) scanShardBatch(snap mdb.Snapshot, shard []*mdb.SignalSet, uni
 		if held == 0 {
 			break
 		}
-		for gi := range groups {
-			for k := range scr.lane {
-				l := &scr.lane[k]
-				l.opened = k < held && s.open(scr, l, groups[gi].n)
+		for q := 0; q < len(uniques); q++ {
+			if n := len(uniques[q]); q == 0 || n != len(uniques[q-1]) {
+				for k := range scr.lane {
+					l := &scr.lane[k]
+					l.opened = k < held && s.open(scr, l, n)
+				}
 			}
-			for _, q := range groups[gi].qs {
-				s.walkLanes(scr, uniques[q], &accs[q], rule, false)
-			}
+			s.walkLanes(scr, uniques[q], &accs[q], rule, false)
 		}
 	}
 	return accs, scr.passes
