@@ -20,10 +20,10 @@
 package kernel
 
 // dot and widen are the routes Dot and Widen run — and dotq (dotq.go)
-// and stepQ (step.go) those of DotQ and a walk's step — chosen once
-// before main: the portable loops everywhere, replaced together in
-// dot_amd64.go's init by the AVX2 routines when the CPU and the OS
-// support them. Each pair computes the same bits, so the choice is
+// that of DotQ — chosen once before main: the portable loops everywhere,
+// replaced together in dot_amd64.go's init by the AVX2 routines when the
+// CPU and the OS support them (a walk's step has routes of its own, see
+// route in step.go). Each pair computes the same bits, so the choice is
 // invisible above this package.
 var (
 	dot   = dotPortable

@@ -1,8 +1,8 @@
 package kernel
 
-// The AVX2 routes of Dot, DotQ, Widen and the walk's step, and the
-// init-time check that selects them. The repository has no
-// golang.org/x/sys, so CPUID and XGETBV are issued from dot_amd64.s.
+// The AVX2 routes of Dot, DotQ, Widen and the walk's step, the step's
+// AVX-512 VNNI route, and the init-time checks that select them (CPUID
+// and XGETBV are issued from dot_amd64.s: there is no golang.org/x/sys).
 
 // dotAVX2 computes Dot's defined order with 256-bit VMULPD/VADDPD (no
 // FMA). len(b) must equal len(a); it reads nothing past either.
@@ -36,21 +36,31 @@ func dotqAVX2(a, b *int16, blocks int) int64
 // routine and the rest through the portable loop: the sum has no order,
 // so where it is cut does not matter.
 func dotqVector(a, b []int16) int64 {
-	n16 := len(a) &^ (splitBlock - 1)
+	n16 := len(a) &^ 15
 	var s int64
 	if n16 > 0 {
-		s = dotqAVX2(&a[0], &b[0], n16/splitBlock)
+		s = dotqAVX2(&a[0], &b[0], n16/16)
 	}
 	return s + dotqPortable(a[n16:], b[n16:])
 }
 
-// stepQAVX2 is stepQPortable for a walk whose rule is tabled and whose
-// query fills at least one block (step_amd64.s): same fields, same bits,
-// after every call. It reads the lanes' passes through raw pointers and
-// checks nothing — Walk.Run has.
+// stepQAVX2 and stepQAVX512 are stepQPortable for a walk whose rule is
+// tabled and whose query fills at least one of the routine's blocks —
+// sixteen counts for VPMADDWD, 32 for VPDPWSSD — split at that width
+// (step_amd64.s): same fields, same bits, after every call. They read
+// the lanes' passes through raw pointers and check nothing — Walk.Run
+// has.
 //
 //go:noescape
 func stepQAVX2(w *Walk, a, b *group) (which int, events uint32)
+
+//go:noescape
+func stepQAVX512(w *Walk, a, b *group) (which int, events uint32)
+
+var (
+	avx2       = route{name: "avx2", block: 16, step: stepQAVX2}
+	avx512vnni = route{name: "avx512vnni", block: 32, step: stepQAVX512}
+)
 
 // cpuid executes CPUID with the given leaf (EAX) and subleaf (ECX).
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -60,11 +70,14 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 const (
-	cpuidOSXSAVE = 1 << 27 // leaf 1 ECX: the OS uses XSAVE, so XGETBV works
-	cpuidAVX     = 1 << 28 // leaf 1 ECX
-	cpuidAVX2    = 1 << 5  // leaf 7 subleaf 0 EBX
-	xcr0SSE      = 1 << 1  // XCR0: the OS saves XMM state
-	xcr0AVX      = 1 << 2  // XCR0: the OS saves the upper YMM halves
+	cpuidOSXSAVE = 1 << 27               // leaf 1 ECX: the OS uses XSAVE, so XGETBV works
+	cpuidAVX     = 1 << 28               // leaf 1 ECX
+	cpuidAVX2    = 1 << 5                // leaf 7 subleaf 0 EBX
+	cpuidAVX512  = 1<<16 | 1<<30 | 1<<31 // leaf 7 EBX: AVX-512 F, BW and VL
+	cpuidVNNI    = 1 << 11               // leaf 7 subleaf 0 ECX: AVX512_VNNI
+	xcr0SSE      = 1 << 1                // XCR0: the OS saves XMM state
+	xcr0AVX      = 1 << 2                // XCR0: the OS saves the upper YMM halves
+	xcr0ZMM      = 7 << 5                // XCR0: opmask, upper ZMM0–15 halves, ZMM16–31
 )
 
 // avx2Usable is the route decision as a pure function of the words the
@@ -77,22 +90,36 @@ func avx2Usable(maxLeaf, leaf1ECX, leaf7EBX, xcr0 uint32) bool {
 	return maxLeaf >= 7 && leaf1ECX&os == os && xcr0&ymm == ymm && leaf7EBX&cpuidAVX2 != 0
 }
 
-// detectAVX2 reads this machine's words and applies avx2Usable.
-func detectAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	_, _, leaf1ECX, _ := cpuid(1, 0)
-	var leaf7EBX, xcr0 uint32
+// vnniUsable is the AVX-512 VNNI route's decision from the same words
+// and leaf 7 ECX: everything avx2Usable asks (the routine's prologue and
+// tail are the AVX2 one's), AVX-512 F, BW, VL and VNNI, and an OS that
+// saves the opmask and the whole of every ZMM register. AVX-VNNI (the
+// VEX form on client parts, leaf 7 subleaf 1) is not AVX512_VNNI.
+func vnniUsable(maxLeaf, leaf1ECX, leaf7EBX, leaf7ECX, xcr0 uint32) bool {
+	return avx2Usable(maxLeaf, leaf1ECX, leaf7EBX, xcr0) && leaf7EBX&cpuidAVX512 == cpuidAVX512 &&
+		leaf7ECX&cpuidVNNI != 0 && xcr0&xcr0ZMM == xcr0ZMM
+}
+
+// cpuWords reads the words the two decisions take from this machine.
+func cpuWords() (maxLeaf, leaf1ECX, leaf7EBX, leaf7ECX, xcr0 uint32) {
+	maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, leaf1ECX, _ = cpuid(1, 0)
 	if maxLeaf >= 7 {
-		_, leaf7EBX, _, _ = cpuid(7, 0)
+		_, leaf7EBX, leaf7ECX, _ = cpuid(7, 0)
 	}
 	if leaf1ECX&cpuidOSXSAVE != 0 {
 		xcr0, _ = xgetbv()
 	}
-	return avx2Usable(maxLeaf, leaf1ECX, leaf7EBX, xcr0)
+	return maxLeaf, leaf1ECX, leaf7EBX, leaf7ECX, xcr0
 }
 
 func init() {
-	if detectAVX2() {
-		dot, dotq, widen, stepQ = dotAVX2, dotqVector, widenVector, stepQAVX2
+	maxLeaf, leaf1ECX, leaf7EBX, leaf7ECX, xcr0 := cpuWords()
+	if avx2Usable(maxLeaf, leaf1ECX, leaf7EBX, xcr0) {
+		dot, dotq, widen = dotAVX2, dotqVector, widenVector
+		vector = append(vector, &avx2)
+	}
+	if vnniUsable(maxLeaf, leaf1ECX, leaf7EBX, leaf7ECX, xcr0) {
+		vector = append(vector, &avx512vnni)
 	}
 }

@@ -133,9 +133,10 @@ func (g *group) setLive(k int, on bool) {
 //	env     = env · Decay[adv]
 //	done when β > maxOff
 //
-// The portable step is that sequence in Go and is the definition; the
-// AVX2 routine does it for the four lanes of a group at once and is ==
-// to it on every field after every call. A masked lane does not take
+// The portable step is that sequence in Go and is the definition; each
+// vector route (the AVX2 and the AVX-512 VNNI routines, see route) does
+// it for the four lanes of a group at once and is == to it on every
+// field after every call. A masked lane does not take
 // part: its offset and envelope stay, it reports ω = +0 and no event —
 // the vector route still computes over it (which is why Run parks it on
 // valid memory), the portable route skips it. A rule with SkipNum = 0
@@ -151,11 +152,12 @@ type Walk struct {
 
 	rule SkipRule
 	nf   float64
-	// The query as given, Σq, √D_q, and the query split for the vector
-	// route (see splitQuery), which the walk owns and keeps across
-	// Release.
+	// The query as given, Σq, √D_q, the route ResetQ chose, and the
+	// query split for it (see splitQuery), which the walk owns and keeps
+	// across Release.
 	qc     []int16
 	sq, rq float64
+	route  *route
 	qsplit []int16
 	// tabled: Decay covers every advance the rule can produce, which is
 	// what the vector route needs (a gather with no bounds check, and an
@@ -207,11 +209,7 @@ func (w *Walk) Run() (first int, events uint32) {
 	} else {
 		w.admit(b)
 	}
-	route := stepQPortable
-	if w.tabled && len(w.qc) >= splitBlock {
-		route = stepQ
-	}
-	which, events := route(w, a, b)
+	which, events := w.route.step(w, a, b)
 	turn ^= which
 	w.turn = turn ^ 1
 	return turn * Lanes, events
@@ -235,12 +233,47 @@ func (w *Walk) admit(g *group) {
 	}
 }
 
-// stepQ is the route a tabled walk runs: the portable step everywhere,
-// replaced in dot_amd64.go's init by the AVX2 routine together with the
-// other routes. A walk whose rule has no full decay table always runs
-// the portable step, and so does one whose query is shorter than one
-// block of the vector dot.
-var stepQ = stepQPortable
+// route is one way to take a walk's step: the routine, and the block of
+// query counts its dot reads, at which ResetQ splits the query (0: none).
+type route struct {
+	name  string
+	block int
+	step  func(w *Walk, a, b *group) (which int, events uint32)
+}
+
+var portable = route{name: "portable", step: stepQPortable}
+
+// vector lists the vector routes this machine runs, narrowest block
+// first (dot_amd64.go's init).
+var vector []*route
+
+// Routes names the routes a walk can take here: "portable", then the
+// vector routes, narrowest block first.
+func Routes() []string {
+	names := []string{portable.name}
+	for _, v := range vector {
+		names = append(names, v.name)
+	}
+	return names
+}
+
+// ForceRoute confines walks reset after it to the named route of Routes
+// (short queries and untabled rules still take the portable step) until
+// restore is called: for tests and benchmarks that hold the routes to
+// one another, never concurrently with ResetQ.
+func ForceRoute(name string) (restore func()) {
+	all := vector
+	vector = nil
+	for _, v := range all {
+		if v.name == name {
+			vector = []*route{v}
+		}
+	}
+	if vector == nil && name != portable.name {
+		panic("kernel: no route " + name)
+	}
+	return func() { vector = all }
+}
 
 // move is what follows ω in a step of live lane k: the candidate test,
 // the envelope, the advance, the decay and the done test, in Walk's

@@ -135,6 +135,118 @@ GLOBL stepMagic<>(SB), RODATA|NOPTR, $8
 	VPADDQ       Y15, Y14, Y14; \
 	VPADDQ       Y14, Y8, Y8
 
+// STEPQ is a step routine (see stepQAVX2) after its argument loads
+// (R12 = w, AX = a, BX = b, CX = n), for a query split into blocks of
+// 2^shift counts: the sums; the dot in chunks of at most chunk blocks,
+// BLOCK per block (the query's block against the four windows, DI moved
+// past it; DI counts bytes into the windows, twice that into the query)
+// and FLUSH per chunk; the n mod 2^shift leftover counts as one more
+// block, the windows backed up so that it ends where they do; the
+// finish, MOVE, and REPORT or the other group's step.
+#define STEPQ(shift, chunk, BLOCK, FLUSH) \
+stepq:                                         \
+	MOVQ         CX, DX;                   \
+	SHLQ         $4, DX;                   \
+	ENDS(0, 0, R8, X0);                    \
+	ENDS(8, 24, R9, X1);                   \
+	ENDS(16, 48, R10, X2);                 \
+	ENDS(24, 72, R11, X3);                 \
+	VUNPCKLPD    X1, X0, X4;               \
+	VUNPCKHPD    X1, X0, X5;               \
+	VUNPCKLPD    X3, X2, X6;               \
+	VUNPCKHPD    X3, X2, X7;               \
+	VINSERTF128  $1, X6, Y4, Y4;           \
+	VINSERTF128  $1, X7, Y5, Y5;           \
+	VBROADCASTSD Walk_nf(R12), Y6;         \
+	VMULPD       Y6, Y5, Y5;               \
+	VMULPD       Y4, Y4, Y7;               \
+	VSUBPD       Y7, Y5, Y5;               \
+	VSQRTPD      Y5, Y5;                   \
+	VBROADCASTSD Walk_rq(R12), Y7;         \
+	VMULPD       Y5, Y7, Y5;               \
+	VBROADCASTSD stepUnit<>(SB), Y7;       \
+	VDIVPD       Y5, Y7, Y7;               \
+	VXORPD       Y6, Y6, Y6;               \
+	VCMPPD       $0x1E, Y6, Y5, Y6;        \
+	VANDPD       Y6, Y7, Y7;               \
+	VMOVUPD      Y7, group_spill(AX);      \
+	VBROADCASTSD Walk_sq(R12), Y7;         \
+	VMULPD       Y4, Y7, Y4;               \
+	VMOVUPD      Y4, group_spill2(AX);     \
+	MOVQ         Walk_qsplit(R12), SI;     \
+	VPXOR        Y8, Y8, Y8;               \
+	XORQ         DI, DI;                   \
+	MOVQ         CX, R14;                  \
+	SHRQ         $shift, R14;              \
+	MOVQ         CX, R13;                  \
+	ANDQ         $((1<<shift)-1), R13;     \
+	JMP          moreq;                    \
+chunkq:                                        \
+	MOVQ         $chunk, DX;               \
+	CMPQ         R14, DX;                  \
+	CMOVQLT      R14, DX;                  \
+	SUBQ         DX, R14;                  \
+leftq:                                         \
+	VPXOR        Y0, Y0, Y0;               \
+	VPXOR        Y1, Y1, Y1;               \
+	VPXOR        Y2, Y2, Y2;               \
+	VPXOR        Y3, Y3, Y3;               \
+	VPXOR        Y4, Y4, Y4;               \
+	VPXOR        Y5, Y5, Y5;               \
+	VPXOR        Y6, Y6, Y6;               \
+	VPXOR        Y7, Y7, Y7;               \
+blockq:                                        \
+	BLOCK;                                 \
+	DECQ         DX;                       \
+	JNZ          blockq;                   \
+	FLUSH;                                 \
+moreq:                                         \
+	TESTQ        R14, R14;                 \
+	JNZ          chunkq;                   \
+	TESTQ        R13, R13;                 \
+	JZ           finishq;                  \
+	SUBQ         $(1<<shift), R13;         \
+	LEAQ         (R8)(R13*2), R8;          \
+	LEAQ         (R9)(R13*2), R9;          \
+	LEAQ         (R10)(R13*2), R10;        \
+	LEAQ         (R11)(R13*2), R11;        \
+	XORQ         R13, R13;                 \
+	MOVQ         $1, DX;                   \
+	JMP          leftq;                    \
+finishq:                                       \
+	VPBROADCASTQ stepMagic<>(SB), Y2;      \
+	VPADDQ       Y2, Y8, Y0;               \
+	VSUBPD       Y2, Y0, Y0;               \
+	VBROADCASTSD Walk_nf(R12), Y1;         \
+	VMULPD       Y1, Y0, Y0;               \
+	VSUBPD       group_spill2(AX), Y0, Y0; \
+	VMOVUPD      group_spill(AX), Y1;      \
+	VMULPD       Y1, Y0, Y0;               \
+	VXORPD       Y2, Y2, Y2;               \
+	VCMPPD       $0x1E, Y2, Y1, Y3;        \
+	VANDPD       group_live(AX), Y3, Y3;   \
+	VANDPD       Y3, Y0, Y0;               \
+	MOVE;                                  \
+	TESTL        DI, DI;                   \
+	JNZ          eventq;                   \
+	TESTQ        BX, BX;                   \
+	JZ           stepq;                    \
+	XCHGQ        AX, BX;                   \
+	JMP          stepq;                    \
+eventq:                                        \
+	REPORT
+
+// BLOCK16 is stepQAVX2's block: the query's sixteen high and sixteen low
+// bytes, then WINDOWQ for each window.
+#define BLOCK16 \
+	VMOVDQU (SI)(DI*2), Y12;   \
+	VMOVDQU 32(SI)(DI*2), Y13; \
+	WINDOWQ(R8, Y0, Y1);       \
+	WINDOWQ(R9, Y2, Y3);       \
+	WINDOWQ(R10, Y4, Y5);      \
+	WINDOWQ(R11, Y6, Y7);      \
+	ADDQ    $32, DI
+
 // func stepQAVX2(w *Walk, a, b *group) (which int, events uint32)
 //
 // Walk's step sequence (step.go, stepq.go) for the four lanes of a group
@@ -170,111 +282,50 @@ TEXT ·stepQAVX2(SB), NOSPLIT, $0-36
 	MOVQ a+8(FP), AX
 	MOVQ b+16(FP), BX
 	MOVQ Walk_qc+8(R12), CX // n
+	STEPQ(4, 32, BLOCK16, FLUSHQ)
 
-stepq:
-	MOVQ CX, DX
-	SHLQ $4, DX
-	ENDS(0, 0, R8, X0)
-	ENDS(8, 24, R9, X1)
-	ENDS(16, 48, R10, X2)
-	ENDS(24, 72, R11, X3)
-	VUNPCKLPD    X1, X0, X4
-	VUNPCKHPD    X1, X0, X5
-	VUNPCKLPD    X3, X2, X6
-	VUNPCKHPD    X3, X2, X7
-	VINSERTF128  $1, X6, Y4, Y4        // Σc of the four windows
-	VINSERTF128  $1, X7, Y5, Y5        // Σc²
-	VBROADCASTSD Walk_nf(R12), Y6
-	VMULPD       Y6, Y5, Y5            // n·Σc²
-	VMULPD       Y4, Y4, Y7            // Σc·Σc
-	VSUBPD       Y7, Y5, Y5            // D_c
-	VSQRTPD      Y5, Y5
-	VBROADCASTSD Walk_rq(R12), Y7
-	VMULPD       Y5, Y7, Y5            // den
-	VBROADCASTSD stepUnit<>(SB), Y7
-	VDIVPD       Y5, Y7, Y7            // 1/den
-	VXORPD       Y6, Y6, Y6
-	VCMPPD       $0x1E, Y6, Y5, Y6     // den > 0, ordered
-	VANDPD       Y6, Y7, Y7            // or +0
-	VMOVUPD      Y7, group_spill(AX)
-	VBROADCASTSD Walk_sq(R12), Y7
-	VMULPD       Y4, Y7, Y4            // Σq·Σc
-	VMOVUPD      Y4, group_spill2(AX)
+// BLOCK32 is stepQAVX512's block: the query's 32 high and 32 low bytes,
+// then per window its 32 counts and two VPDPWSSD (one pair sum per lane).
+#define BLOCK32 \
+	VMOVDQU64 (SI)(DI*2), Z12;   \
+	VMOVDQU64 64(SI)(DI*2), Z13; \
+	VMOVDQU64 (R8)(DI*1), Z14;   \
+	VPDPWSSD  Z14, Z12, Z0;      \
+	VPDPWSSD  Z14, Z13, Z1;      \
+	VMOVDQU64 (R9)(DI*1), Z14;   \
+	VPDPWSSD  Z14, Z12, Z2;      \
+	VPDPWSSD  Z14, Z13, Z3;      \
+	VMOVDQU64 (R10)(DI*1), Z14;  \
+	VPDPWSSD  Z14, Z12, Z4;      \
+	VPDPWSSD  Z14, Z13, Z5;      \
+	VMOVDQU64 (R11)(DI*1), Z14;  \
+	VPDPWSSD  Z14, Z12, Z6;      \
+	VPDPWSSD  Z14, Z13, Z7;      \
+	ADDQ      $64, DI
 
-	MOVQ  Walk_qsplit(R12), SI
-	VPXOR Y8, Y8, Y8                   // the four Σqc
-	XORQ  DI, DI                       // bytes into the windows; twice that into the query
-	MOVQ  CX, R14
-	SHRQ  $4, R14                      // whole blocks to go
-	MOVQ  CX, R13
-	ANDQ  $15, R13                     // leftover counts to go
-	JMP   moreq
-
-chunkq:
-	MOVQ  $32, DX
-	CMPQ  R14, DX
-	CMOVQLT R14, DX                    // this chunk: at most 32 blocks
-	SUBQ  DX, R14
-
-leftq:
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-
-blockq:
-	VMOVDQU (SI)(DI*2), Y12
-	VMOVDQU 32(SI)(DI*2), Y13
-	WINDOWQ(R8, Y0, Y1)
-	WINDOWQ(R9, Y2, Y3)
-	WINDOWQ(R10, Y4, Y5)
-	WINDOWQ(R11, Y6, Y7)
-	ADDQ $32, DI
-	DECQ DX
-	JNZ  blockq
+// FOLD512 adds the upper half of each accumulator Z0–Z7 into its lower
+// half, FLUSHQ's Y register, and flushes.
+#define FOLD512 \
+	VEXTRACTI64X4 $1, Z0, Y14; VPADDD Y14, Y0, Y0; \
+	VEXTRACTI64X4 $1, Z1, Y14; VPADDD Y14, Y1, Y1; \
+	VEXTRACTI64X4 $1, Z2, Y14; VPADDD Y14, Y2, Y2; \
+	VEXTRACTI64X4 $1, Z3, Y14; VPADDD Y14, Y3, Y3; \
+	VEXTRACTI64X4 $1, Z4, Y14; VPADDD Y14, Y4, Y4; \
+	VEXTRACTI64X4 $1, Z5, Y14; VPADDD Y14, Y5, Y5; \
+	VEXTRACTI64X4 $1, Z6, Y14; VPADDD Y14, Y6, Y6; \
+	VEXTRACTI64X4 $1, Z7, Y14; VPADDD Y14, Y7, Y7; \
 	FLUSHQ
 
-moreq:
-	TESTQ R14, R14
-	JNZ   chunkq
-	TESTQ R13, R13
-	JZ    finishq
-	// The leftover block, a chunk of its own: back the windows up so
-	// that it ends where they do.
-	SUBQ $16, R13
-	LEAQ (R8)(R13*2), R8
-	LEAQ (R9)(R13*2), R9
-	LEAQ (R10)(R13*2), R10
-	LEAQ (R11)(R13*2), R11
-	XORQ R13, R13
-	MOVQ $1, DX
-	JMP  leftq
-
-finishq:
-	VPBROADCASTQ stepMagic<>(SB), Y2
-	VPADDQ       Y2, Y8, Y0
-	VSUBPD       Y2, Y0, Y0            // Σqc as float64
-
-	VBROADCASTSD Walk_nf(R12), Y1
-	VMULPD       Y1, Y0, Y0            // n·Σqc
-	VSUBPD       group_spill2(AX), Y0, Y0 // A
-	VMOVUPD      group_spill(AX), Y1
-	VMULPD       Y1, Y0, Y0            // A·(1/den)
-	VXORPD       Y2, Y2, Y2
-	VCMPPD       $0x1E, Y2, Y1, Y3     // den was > 0: its reciprocal is
-	VANDPD       group_live(AX), Y3, Y3
-	VANDPD       Y3, Y0, Y0            // ω, or +0
-	MOVE
-	TESTL        DI, DI
-	JNZ          eventq
-	TESTQ        BX, BX
-	JZ           stepq
-	XCHGQ        AX, BX
-	JMP          stepq
-
-eventq:
-	REPORT
+// func stepQAVX512(w *Walk, a, b *group) (which int, events uint32)
+//
+// stepQAVX2 with the dot on AVX-512 VNNI over 32-count blocks. A chunk
+// is at most 16 blocks: an int32 lane holds 16 pair sums, FOLD512 makes
+// that 32 and FLUSHQ's VPHADDDs 128 — splitQuery's bound, where
+// stepQAVX2's 32-block chunks stand too. (STEPQ's VEX VPXORs clear the
+// accumulators' upper ZMM halves.)
+TEXT ·stepQAVX512(SB), NOSPLIT, $0-36
+	MOVQ w+0(FP), R12
+	MOVQ a+8(FP), AX
+	MOVQ b+16(FP), BX
+	MOVQ Walk_qc+8(R12), CX // n
+	STEPQ(5, 16, BLOCK32, FOLD512)

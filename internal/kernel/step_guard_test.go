@@ -51,8 +51,9 @@ func fenced(t *testing.T, size int) []byte {
 // guardedWalk lays a pass of counts out in c — whose ends the caller has
 // put against unmapped pages — with its prefix sums and the query each
 // ending at the last byte before an unmapped page too, and walks it to
-// the end on both routes, masked lanes (parked on a live lane's pass)
-// included; lanes 0, 4 and 6 start at the pass's first count.
+// the end on the route ResetQ chooses and on the portable step, masked
+// lanes (parked on a live lane's pass) included; lanes 0, 4 and 6 start
+// at the pass's first count.
 func guardedWalk(t *testing.T, label string, r *rng.Source, c []int16, n int) {
 	t.Helper()
 	rule := tabledRule(0.3, 0.05, 0.8, 0.86)
@@ -91,17 +92,23 @@ func guardedCounts(t *testing.T, n int) []int16 { return asCounts(guarded(t, 2*n
 // out where a stray read is fatal: every lane's last count
 // c[maxOff+n−1], its last prefix sum sums[maxOff+n] and the query's last
 // element are each the last thing before an unmapped page. Walked to the
-// end on both routes at lengths with and without whole blocks and
-// leftovers, past a flush. (TestStepQReadsNothingPastItsPasses guards the
-// other end.)
+// end on every route at lengths with and without whole blocks of
+// sixteen and of 32 counts and leftovers of either, past a flush.
+// (TestStepQReadsNothingPastItsPasses guards the other end.)
 func TestStepReadsNothingPastItsPasses(t *testing.T) {
-	// A fault becomes a panic naming the address, not a bare crash.
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	r := rng.New(37)
-	for _, n := range append([]int{2048 + 7}, stepLengths...) {
-		guardedWalk(t, fmt.Sprintf("against the page after, n=%d", n), r, guardedCounts(t, n+300), n)
-	}
+	eachRoute(t, func(t *testing.T, _ int) {
+		// A fault becomes a panic naming the address, not a bare crash.
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		r := rng.New(37)
+		for _, n := range guardLengths {
+			guardedWalk(t, fmt.Sprintf("against the page after, n=%d", n), r, guardedCounts(t, n+300), n)
+		}
+	})
 }
+
+// guardLengths are stepLengths, the AVX-512 route's leftovers at the
+// short lengths and past two chunks, and a length past four flushes.
+var guardLengths = append([]int{33, 47, 63, 1100, 2048 + 7}, stepLengths...)
 
 // TestStepQReadsNothingPastItsPasses: the counts are a whole page fenced
 // by unmapped pages on both sides, with the lanes' windows starting at
@@ -109,12 +116,14 @@ func TestStepReadsNothingPastItsPasses(t *testing.T) {
 // through a block that ends at the window's end, which must not begin
 // before the window does.
 func TestStepQReadsNothingPastItsPasses(t *testing.T) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	r := rng.New(59)
-	page := syscall.Getpagesize()
-	for _, n := range append([]int{2048 + 7}, stepLengths...) {
-		segLen := n + 300
-		front := asCounts(fenced(t, (2*segLen+page-1)/page*page))[:segLen]
-		guardedWalk(t, fmt.Sprintf("from the page before, n=%d", n), r, front, n)
-	}
+	eachRoute(t, func(t *testing.T, _ int) {
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		r := rng.New(59)
+		page := syscall.Getpagesize()
+		for _, n := range guardLengths {
+			segLen := n + 300
+			front := asCounts(fenced(t, (2*segLen+page-1)/page*page))[:segLen]
+			guardedWalk(t, fmt.Sprintf("from the page before, n=%d", n), r, front, n)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"emap/internal/rng"
@@ -20,35 +21,50 @@ func tabledRule(delta, floor, skipNum, base float64) *SkipRule {
 	return r
 }
 
-// runPortable is w.Run with the tabled step forced onto the portable
-// route.
-func runPortable(w *Walk) (int, uint32) {
-	defer StepPortable()()
-	return w.Run()
+// eachRoute runs body once per vector route this platform has, as a
+// subtest named for it with that route alone installed (ForceRoute), so
+// that the walks body resets on that route are held to the portable
+// step; block is the route's block. A route this CPU or OS lacks is a
+// skipped subtest that says so. Where the platform has no vector route,
+// body runs once, on the portable step, with block 16.
+func eachRoute(t *testing.T, body func(t *testing.T, block int)) {
+	t.Helper()
+	if len(platformRoutes()) == 0 {
+		t.Run(portable.name, func(t *testing.T) { body(t, 16) })
+	}
+	for _, r := range platformRoutes() {
+		t.Run(r.name, func(t *testing.T) {
+			if !slices.Contains(vector, r) {
+				t.Skipf("this CPU or OS does not support the %s route", r.name)
+			}
+			defer ForceRoute(r.name)()
+			body(t, r.block)
+		})
+	}
 }
 
-// spillIsDen is set where the selected route is the vector routine,
-// which leaves the reciprocal of each lane's denominator in group.spill:
-// the one intermediate runBoth can hold it to as well.
-var spillIsDen bool
-
-// vectorServes reports whether w's Run goes to the route init may have
-// replaced: a tabled rule and a query of at least a block.
-func vectorServes(w *Walk) bool {
-	return w.tabled && len(w.qc) >= splitBlock
+// usableRoutes names the vector routes this machine runs, or the
+// portable step where it runs none: what a fuzz target, which has no
+// subtests, loops over.
+func usableRoutes() []string {
+	if names := Routes()[1:]; len(names) > 0 {
+		return names
+	}
+	return []string{portable.name}
 }
 
-// runBoth is one Run of w on the route this machine selected and one of
-// a copy of w on the portable step. The two must report the same group
-// and events and leave == state: every lane's offset, envelope, ω and
-// the offset it was taken at, both evaluation counts, the live masks and
-// whose turn it is. The vector routine's spilled reciprocals must be the
+// runBoth is one Run of w on the route ResetQ chose for it and one of a
+// copy of w on the portable step. The two must report the same group and
+// events and leave == state: every lane's offset, envelope, ω and the
+// offset it was taken at, both evaluation counts, the live masks and
+// whose turn it is. A vector routine's spilled reciprocals must be the
 // portable expression's too — +0 where the denominator is not above
 // zero.
 func runBoth(t *testing.T, label string, w *Walk) (int, uint32) {
 	t.Helper()
 	ref := *w // the lanes' slices are shared, and only read
-	wantFirst, wantEvents := runPortable(&ref)
+	ref.route = &portable
+	wantFirst, wantEvents := ref.Run()
 	first, events := w.Run()
 	if first != wantFirst || events != wantEvents {
 		t.Fatalf("%s: Run reported lanes %d… events %#x, portable lanes %d… events %#x", label, first, events, wantFirst, wantEvents)
@@ -69,7 +85,7 @@ func runBoth(t *testing.T, label string, w *Walk) (int, uint32) {
 			}
 			// Only the group that reported has just stepped every lane
 			// it holds.
-			if !spillIsDen || !vectorServes(w) || gi != first/Lanes || g.live[k] == 0 {
+			if w.route == &portable || gi != first/Lanes || g.live[k] == 0 {
 				continue
 			}
 			lo, hi := g.sums[k][g.at[k]], g.sums[k][g.at[k]+int64(w.nf)]
@@ -89,8 +105,15 @@ func runBoth(t *testing.T, label string, w *Walk) (int, uint32) {
 // stepLengths are the short window lengths the step is swept over: no
 // full block, one short of a block, exactly one, one over, and the
 // scan's own 256 with a neighbour either side. (stepQLengths are the
-// long ones, at and past the vector dot's flushes.)
+// long ones, at and past the vector dot's flushes; blockLengths those
+// of the 32-count block.)
 var stepLengths = []int{1, 15, 16, 17, 255, 256, 257}
+
+// blockLengths are the window lengths of the 32-count block: exactly
+// one, one over, one and a half, one short of two, the scan's 256 and
+// its neighbours, one chunk of sixteen blocks and its neighbours, and
+// lengths past two chunks, with a leftover.
+var blockLengths = []int{32, 33, 47, 63, 255, 256, 257, 511, 512, 513, 1000, 1100}
 
 // sweepRoutes is the body of TestStepRoutesAgree and TestStepQRoutesAgree
 // over the given window lengths: random walks with every kind of pass
@@ -151,7 +174,16 @@ func sweepRoutes(t *testing.T, lengths []int, seeds uint64) {
 // lanes left masked while the others go on, down to one live lane and
 // one live group. TestStepQRoutesAgree is the same sweep over the long
 // lengths.
-func TestStepRoutesAgree(t *testing.T) { sweepRoutes(t, stepLengths, 224) }
+func TestStepRoutesAgree(t *testing.T) {
+	eachRoute(t, func(t *testing.T, _ int) { sweepRoutes(t, stepLengths, 224) })
+}
+
+// TestStepBlockGeometry is the same sweep over blockLengths, where the
+// AVX-512 route's 32-count blocks, its leftover block and its chunks of
+// sixteen blocks fall.
+func TestStepBlockGeometry(t *testing.T) {
+	eachRoute(t, func(t *testing.T, _ int) { sweepRoutes(t, blockLengths, 16*12) })
+}
 
 // walkWindows seats four lanes of group 0 on four windows of buf that
 // overlap and sit at every 2-byte misalignment against a 32-byte
@@ -174,13 +206,16 @@ func walkWindows(t *testing.T, label string, q, buf []int16) {
 	}
 }
 
-// TestDot4MatchesDot: for every n in 1…300 — every n mod 16 leftover,
-// with and without whole blocks — the step's four-window dot gives each
-// of its windows the ω of the written-out sequence, and DotQ gives the
-// plain loop's sum, with the query at every misalignment and the
-// windows unaligned and overlapping. (TestStepRoutesAgree sweeps seven
-// lengths at random; this is the leftover block at every length.)
-func TestDot4MatchesDot(t *testing.T) {
+// TestDot4MatchesDot: for every n in 1…300 — every leftover of a 16- or
+// 32-count block, with and without whole blocks — the step's four-window
+// dot gives each of its windows the ω of the written-out sequence on
+// every route, and DotQ gives the plain loop's sum, with the query at
+// every misalignment and the windows unaligned and overlapping.
+// (TestStepRoutesAgree sweeps seven lengths at random; this is the
+// leftover block at every length.)
+func TestDot4MatchesDot(t *testing.T) { eachRoute(t, dot4MatchesDot) }
+
+func dot4MatchesDot(t *testing.T, _ int) {
 	r := rng.New(17)
 	for n := 1; n <= 300; n++ {
 		for mis := 0; mis < 4; mis++ {
@@ -197,14 +232,20 @@ func TestDot4MatchesDot(t *testing.T) {
 	}
 }
 
+// specialLengths place a count at every position of a 16- and a 32-count
+// block and of a leftover of either.
+var specialLengths = []int{1, 15, 16, 17, 32, 33, 50, 63}
+
 // TestDot4SpecialValues plants the counts the integer dot can trip over
 // (rails: both rails, and every value whose high or low byte is at its
 // own extreme) in the shared buffer of the four windows, at every
 // position of a block and of a leftover: each window's ω must still be
-// the written-out sequence's.
-func TestDot4SpecialValues(t *testing.T) {
+// the written-out sequence's, on every route.
+func TestDot4SpecialValues(t *testing.T) { eachRoute(t, dot4SpecialValues) }
+
+func dot4SpecialValues(t *testing.T, _ int) {
 	r := rng.New(19)
-	for _, n := range []int{1, 15, 16, 17, 33, 50} {
+	for _, n := range specialLengths {
 		for pos := 0; pos < n; pos++ {
 			for _, sv := range rails {
 				buf := randCounts(r, 2*n+12)
@@ -218,12 +259,14 @@ func TestDot4SpecialValues(t *testing.T) {
 // TestStepSpecialValues plants the rails in the QUERY, at every position
 // of a block and of a leftover — splitQuery cuts each count into a high
 // and a low byte, and the leftover counts into a block of their own read
-// against the window's last sixteen, so where a rail sits decides which
-// partial sums it joins — and walks eight overlapping passes under it on
-// both routes.
-func TestStepSpecialValues(t *testing.T) {
+// against the window's last block of counts, so where a rail sits decides
+// which partial sums it joins — and walks eight overlapping passes under
+// it on every route and the portable step.
+func TestStepSpecialValues(t *testing.T) { eachRoute(t, stepSpecialValues) }
+
+func stepSpecialValues(t *testing.T, _ int) {
 	r := rng.New(29)
-	for _, n := range []int{1, 15, 16, 17, 33, 50} {
+	for _, n := range specialLengths {
 		for pos := 0; pos < n; pos++ {
 			for si, sv := range rails {
 				q := randCounts(r, n)
@@ -260,10 +303,12 @@ func branchMove(r *SkipRule, omega, env float64, beta int) (candidate bool, next
 // either side of the envelope, of the floor and of δ: +1 (the window is
 // the query), −1 (its negation), +0 (a constant window, and a constant
 // query), small and middling correlations of either sign — against
-// envelopes from +0 to +Inf, under tabled rules and one with no table.
-func TestStepSelectsMatchBranches(t *testing.T) {
+// envelopes from +0 to +Inf, under tabled rules and one with no table;
+// on every route, over one of its blocks.
+func TestStepSelectsMatchBranches(t *testing.T) { eachRoute(t, stepSelectsMatchBranches) }
+
+func stepSelectsMatchBranches(t *testing.T, n int) {
 	r := rng.New(61)
-	const n = 16
 	q := make([]int16, n)
 	for i := range q {
 		q[i] = int16(r.Intn(40000) - 20000)
@@ -325,10 +370,11 @@ func TestStepSelectsMatchBranches(t *testing.T) {
 // every advance m the table holds, the envelope at which SkipNum/env +
 // 0.5 reaches m+1 and its neighbours either side; the floor and its
 // neighbours; +0 and +Inf. (TestStepQBoundaries does the same around a
-// real ω.)
-func TestStepEnvelopeBoundaries(t *testing.T) {
+// real ω.) On every route, over one of its blocks.
+func TestStepEnvelopeBoundaries(t *testing.T) { eachRoute(t, stepEnvelopeBoundaries) }
+
+func stepEnvelopeBoundaries(t *testing.T, n int) {
 	r := rng.New(43)
-	const n = 16
 	q, flat := randCounts(r, n), make([]int16, n)
 	for _, rule := range []*SkipRule{tabledRule(0.8, 0.05, 0.8, 0.86), tabledRule(0.8, 0.0002, 0.8, 0.99), tabledRule(0.5, 0.3, 4, 0.5)} {
 		var envs []float64
@@ -356,15 +402,16 @@ func TestStepEnvelopeBoundaries(t *testing.T) {
 }
 
 // TestStepUntabledRunsPortable: a rule whose floor allows advances past
-// its table (or that has no table) never reaches the vector routine —
-// its gather has no bounds check — and the portable step serves it with
+// its table (or that has no table) never reaches a vector route — its
+// gather has no bounds check — and the portable step serves it with
 // DecayPow.
 func TestStepUntabledRunsPortable(t *testing.T) {
-	defer func(sq func(*Walk, *group, *group) (int, uint32)) { stepQ = sq }(stepQ)
-	stepQ = func(*Walk, *group, *group) (int, uint32) {
-		t.Fatal("an untabled walk reached the tabled route")
+	trap := &route{name: "trap", block: 1, step: func(*Walk, *group, *group) (int, uint32) {
+		t.Fatal("an untabled walk reached a vector route")
 		return 0, 0
-	}
+	}}
+	defer func(all []*route) { vector = all }(vector)
+	vector = []*route{trap}
 	r := rng.New(31)
 	sc := newScenarioQ(r, 64, randCounts(r, 900))
 	short := tabledRule(0.3, 0.05, 0.8, 0.86)
@@ -394,6 +441,42 @@ func TestStepUntabledRunsPortable(t *testing.T) {
 			t.Fatalf("rule %+v: %d evaluations", rule, w.Evals())
 		}
 	}
+}
+
+// TestResetQPicksRoute: ResetQ gives a tabled walk the widest route
+// whose block its query fills — on a machine with both vector routes,
+// the portable step below 16 counts, AVX2 from 16 to 31 and AVX-512 VNNI
+// from 32 — and splits the query at that route's block; an untabled walk
+// takes the portable step at any length.
+func TestResetQPicksRoute(t *testing.T) {
+	r := rng.New(67)
+	rule, untabled := tabledRule(0.8, 0.05, 0.8, 0.86), &SkipRule{Delta: 0.8, Floor: 1e-4, SkipNum: 0.8, DecayBase: 0.86}
+	for n := 1; n <= 1100; n += 1 + n/40 {
+		want := &portable
+		for _, v := range vector {
+			if n >= v.block {
+				want = v
+			}
+		}
+		if slices.Equal(Routes(), []string{"portable", "avx2", "avx512vnni"}) {
+			if name := [...]string{"portable", "avx2", "avx512vnni"}[min(n/16, 2)]; want.name != name {
+				t.Fatalf("n=%d: the widest route that fits is %s, want %s", n, want.name, name)
+			}
+		}
+		q := randCounts(r, n)
+		var w Walk
+		w.ResetQ(q, rule)
+		if w.route != want {
+			t.Fatalf("n=%d: ResetQ chose the %s route, want %s", n, w.route.name, want.name)
+		}
+		if got := splitQuery(nil, q, want.block); !slices.Equal(w.qsplit, got) || want.block > 0 && len(got) != 2*want.block*((n+want.block-1)/want.block) {
+			t.Fatalf("n=%d: split %d counts for the %s route", n, len(w.qsplit), want.name)
+		}
+		if w.ResetQ(q, untabled); w.route != &portable {
+			t.Fatalf("n=%d: an untabled walk took the %s route", n, w.route.name)
+		}
+	}
+	t.Logf("routes on this machine: %v", Routes())
 }
 
 // TestRunRefusesShortPass: a live lane whose pass does not reach its
@@ -433,9 +516,10 @@ func TestRunRefusesShortPass(t *testing.T) {
 // FuzzStep drives one walk from fuzzed bytes taken as the QUERY's
 // counts — what splitQuery cuts into high and low bytes, whole blocks
 // and a leftover block — over a pass the seed draws along with the rule
-// and the lanes (FuzzStepQ fuzzes the pass under a drawn query). The
-// selected route must stay == to the portable step through the whole
-// walk, and every candidate's ω must be the written-out sequence's.
+// and the lanes (FuzzStepQ fuzzes the pass under a drawn query). Every
+// vector route this machine runs, each alone, must stay == to the
+// portable step through the whole walk, and every candidate's ω must be
+// the written-out sequence's.
 func FuzzStep(f *testing.F) {
 	f.Add(uint64(1), []byte{})
 	ramp := make([]byte, 2*300)
@@ -450,51 +534,58 @@ func FuzzStep(f *testing.F) {
 	f.Add(uint64(3), railed)
 	f.Add(uint64(17), railed[:2*21])
 	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
-		r := rng.New(seed)
-		// The fuzzed counts are the query, up to 4 117 of them (past
-		// eight flushes of the vector dot, with a leftover); with fewer
-		// than one the seed draws a length and the query is all zero.
-		n := min(len(data)/2, 4096+21)
-		if n == 0 {
-			n = stepLengths[r.Intn(len(stepLengths))]
+		for _, name := range usableRoutes() {
+			fuzzStep(t, name, seed, data)
 		}
-		q := make([]int16, n)
-		for i := range q {
-			if len(data) >= 2*n {
-				q[i] = int16(binary.LittleEndian.Uint16(data[2*i:]))
-			}
+	})
+}
+
+// fuzzStep is FuzzStep's walk on the named route.
+func fuzzStep(t *testing.T, route string, seed uint64, data []byte) {
+	defer ForceRoute(route)()
+	r := rng.New(seed)
+	// The fuzzed counts are the query, up to 4 117 of them (past
+	// eight flushes of the vector dot, with a leftover); with fewer
+	// than one the seed draws a length and the query is all zero.
+	n := min(len(data)/2, 4096+21)
+	if n == 0 {
+		n = stepLengths[r.Intn(len(stepLengths))]
+	}
+	q := make([]int16, n)
+	for i := range q {
+		if len(data) >= 2*n {
+			q[i] = int16(binary.LittleEndian.Uint16(data[2*i:]))
 		}
-		buf := countsBuffer(r, r.Intn(4), 2*n+700, n)
-		if r.Intn(2) == 0 {
-			// Plant the query in the pass, so that some ω is near 1.
-			copy(buf[r.Intn(len(buf)-n):], q)
-		}
-		sc := newScenarioQ(r, n, buf)
-		rule := tabledRule(r.Range(-1, 1), r.Range(0.01, 0.5), r.Range(0.1, 2), r.Range(0.1, 0.99))
-		var w Walk
-		w.ResetQ(q, rule)
-		for lane := 0; lane < 2*Lanes; lane++ {
-			if lane == 0 || r.Intn(5) != 0 {
-				sc.seat(&w, lane)
-			}
-		}
-		refills := r.Intn(6)
-		driveBothQ(t, fmt.Sprintf("seed %d n=%d", seed, n), &w, func(lane int) bool {
-			if refills == 0 {
-				return false
-			}
-			refills--
+	}
+	buf := countsBuffer(r, r.Intn(4), 2*n+700, n)
+	if r.Intn(2) == 0 {
+		// Plant the query in the pass, so that some ω is near 1.
+		copy(buf[r.Intn(len(buf)-n):], q)
+	}
+	sc := newScenarioQ(r, n, buf)
+	rule := tabledRule(r.Range(-1, 1), r.Range(0.01, 0.5), r.Range(0.1, 2), r.Range(0.1, 0.99))
+	var w Walk
+	w.ResetQ(q, rule)
+	for lane := 0; lane < 2*Lanes; lane++ {
+		if lane == 0 || r.Intn(5) != 0 {
 			sc.seat(&w, lane)
-			return true
-		})
+		}
+	}
+	refills := r.Intn(6)
+	driveBothQ(t, fmt.Sprintf("%s seed %d n=%d", route, seed, n), &w, func(lane int) bool {
+		if refills == 0 {
+			return false
+		}
+		refills--
+		sc.seat(&w, lane)
+		return true
 	})
 }
 
 // BenchmarkKernelStep reports the scan's unit of work — one ω
 // evaluation of the skip walk, sums, dot, envelope and skip included —
-// on the portable step and on the route this machine selected ("vector"
-// is the AVX2 routine where init chose it; elsewhere it repeats
-// portable): eight lanes over 1 255-count passes of a one-second query,
+// on each route this machine runs (portable, avx2, avx512vnni): eight
+// lanes over 1 255-count passes of a one-second query,
 // every finished lane reseated, as a lone query's scan keeps them.
 // (Uniform counts, so short envelopes and long skips: the rows price the
 // step, not a scan — BenchmarkWalkRoutes does that.)
@@ -505,14 +596,9 @@ func BenchmarkKernelStep(b *testing.B) {
 	csums := make([][2]float64, len(counts)+1)
 	Widen(csums, counts)
 	rule := tabledRule(0.8, 0.05, 0.8, 0.86)
-	for _, bc := range []struct {
-		name     string
-		portable bool
-	}{{"portable-int16", true}, {"vector-int16", false}} {
-		b.Run(bc.name, func(b *testing.B) {
-			if bc.portable {
-				defer StepPortable()()
-			}
+	for _, name := range Routes() {
+		b.Run(name, func(b *testing.B) {
+			defer ForceRoute(name)()
 			seat := func(w *Walk, lane, pass int) {
 				start := pass % 8 * (maxOff + n) / 2
 				w.SeatQ(lane, counts[start:start+maxOff+n], csums[start:start+maxOff+n+1], maxOff)

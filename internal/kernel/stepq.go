@@ -2,16 +2,12 @@ package kernel
 
 import "math"
 
-// splitBlock is the vector dot's block: sixteen int16 counts, one
-// 256-bit register.
-const splitBlock = 16
-
 // ResetQ readies the walk for a query of int16 counts (non-empty, at
 // most 2²⁰ of them — mdb.MaxSliceLen, which the search enforces) under
-// rule: every lane masked, counters zero, Σq and √D_q taken. A query
-// whose counts are all equal has D_q = 0, and every ω of the walk is +0.
-// Lanes seated by an earlier walk are forgotten but their slices stay
-// referenced until Release.
+// rule: every lane masked, counters zero, Σq and √D_q taken, the route
+// chosen and the query split for it. A query whose counts are all equal
+// has D_q = 0, and every ω of the walk is +0. Lanes seated by an earlier
+// walk are forgotten but their slices stay referenced until Release.
 func (w *Walk) ResetQ(q []int16, rule *SkipRule) {
 	w.qc, w.rule, w.nf, w.turn = q, *rule, float64(len(q)), 0
 	x := rule.SkipNum/rule.Floor + 0.5
@@ -27,41 +23,54 @@ func (w *Walk) ResetQ(q []int16, rule *SkipRule) {
 	}
 	w.sq = float64(sum)
 	w.rq = math.Sqrt(float64(w.nf*float64(sumSq)) - float64(w.sq*w.sq))
-	w.qsplit = splitQuery(w.qsplit[:0], q)
+	// The widest vector route the query fills a block of, for a tabled
+	// rule only (a vector route gathers the decay unchecked).
+	w.route = &portable
+	for _, v := range vector {
+		if w.tabled && len(q) >= v.block {
+			w.route = v
+		}
+	}
+	w.qsplit = splitQuery(w.qsplit[:0], q, w.route.block)
 }
 
-// splitQuery appends q in the form the vector dot reads. VPMADDWD
-// multiplies sixteen pairs of int16 and adds neighbours into eight
-// int32 — which a count pair at the rail overflows ((−32 768)² twice is
-// 2³¹) and which leaves no room to accumulate. So every count is split
-// q = 256·h + l with h = q>>8 ∈ [−128, 127] and l = q&255 ∈ [0, 255]:
-// a pair sum against any two counts is below 2²⁴, so 128 of them fit an
-// int32 (255·32 768·2·128 < 2³¹) — the step sums 32 blocks into each of
-// a window's lanes, adds the lanes four and four, still in int32, and
-// only then widens to int64 — and Σqc = 256·Σhc + Σlc exactly.
+// splitQuery appends q in the form a vector route's dot reads, in blocks
+// of block counts (nothing for the portable step, block 0). VPMADDWD and
+// VPDPWSSD multiply int16 pairs and add neighbours into int32 — which a
+// count pair at the rail overflows ((−32 768)² twice is 2³¹) and which
+// leaves no room to accumulate. So every count is split q = 256·h + l
+// with h = q>>8 ∈ [−128, 127] and l = q&255 ∈ [0, 255]: a pair sum
+// against any two counts is below 2²⁴, so 128 of them fit an int32
+// (255·32 768·2·128 < 2³¹), and Σqc = 256·Σhc + Σlc exactly. Each route
+// caps its chunk — the blocks it sums in int32 before it widens — so no
+// int32 it adds ever holds more than 128 pair sums (DESIGN.md §11).
 //
-// Each block of sixteen counts becomes sixteen h then sixteen l. The
-// n mod 16 counts left over make one more block that is read against
-// the LAST sixteen counts of the window: zeros, then the leftover
-// counts — so the dot reads exactly the window whatever its length and
-// has no scalar tail. (That is why the vector route needs n ≥ 16.)
-func splitQuery(dst, q []int16) []int16 {
-	put := func(block []int16) {
-		for _, v := range block {
+// Each block becomes its block counts' h then their l. The n mod block
+// counts left over make one more block that is read against the LAST
+// block counts of the window: zeros, then the leftover counts — so the
+// dot reads exactly the window whatever its length and has no scalar
+// tail. (That is why a route needs n ≥ block.)
+func splitQuery(dst, q []int16, block int) []int16 {
+	if block == 0 {
+		return dst
+	}
+	// put appends one block: pad zeros and b's h, pad zeros and b's l.
+	put := func(pad int, b []int16) {
+		dst = append(dst, make([]int16, pad)...)
+		for _, v := range b {
 			dst = append(dst, v>>8)
 		}
-		for _, v := range block {
+		dst = append(dst, make([]int16, pad)...)
+		for _, v := range b {
 			dst = append(dst, v&255)
 		}
 	}
-	whole := len(q) &^ (splitBlock - 1)
-	for i := 0; i < whole; i += splitBlock {
-		put(q[i : i+splitBlock])
+	whole := len(q) - len(q)%block
+	for i := 0; i < whole; i += block {
+		put(0, q[i:i+block])
 	}
 	if rest := q[whole:]; len(rest) > 0 {
-		var last [splitBlock]int16
-		copy(last[splitBlock-len(rest):], rest)
-		put(last[:])
+		put(block-len(rest), rest)
 	}
 	return dst
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"emap/internal/rng"
@@ -161,26 +162,33 @@ func driveBothQ(t *testing.T, label string, w *Walk, done func(lane int) bool) (
 }
 
 // stepQLengths are windows at and past one and several flushes of the
-// vector dot's int32 lanes (32 blocks = 512 counts), with and without a
-// leftover block.
+// vector dots' int32 lanes (every 512 counts: 32 blocks of sixteen or 16
+// of 32), with and without a leftover block.
 var stepQLengths = []int{512, 513, 1000, 2048, 2049, 3000, 4096 + 16, 4096 + 21}
 
 // TestStepQRoutesAgree is TestStepRoutesAgree's sweep over the long
 // window lengths, where the vector dot flushes its int32 lanes once or
 // several times within a window.
-func TestStepQRoutesAgree(t *testing.T) { sweepRoutes(t, stepQLengths, 128) }
+func TestStepQRoutesAgree(t *testing.T) {
+	eachRoute(t, func(t *testing.T, _ int) { sweepRoutes(t, stepQLengths, 128) })
+}
 
-// TestStepQRailsDoNotOverflow aims at the vector dot's int32 lanes: the
-// query is all 0x7fff or all −1 (low byte 255, the largest, with either
-// high byte) and the windows all −32 768 or all 32 767 — every pair sum
-// of a lane has one sign, so a lane reaches its largest magnitude just
-// as it is flushed — but for a few counts that keep the windows from
-// being constant. δ = −2 makes every ω a candidate, and every one must
-// be the written-out sequence's, whose int64 sums cannot overflow.
-func TestStepQRailsDoNotOverflow(t *testing.T) {
+// TestStepQRailsDoNotOverflow aims at the vector dots' int32 lanes on
+// every route: the query is all 0x7fff or all −1 (low byte 255, the
+// largest, with either high byte) and the windows all −32 768 or all
+// 32 767 — every pair sum of a lane has one sign, so a lane reaches its
+// largest magnitude just as it is flushed, and a chunk one block longer
+// than its route allows overflows — but for a few counts that keep the
+// windows from being constant. 1 100 counts cross three chunks of
+// sixteen 32-count blocks. δ = −2 makes every ω a candidate, and every
+// one must be the written-out sequence's, whose int64 sums cannot
+// overflow.
+func TestStepQRailsDoNotOverflow(t *testing.T) { eachRoute(t, stepQRailsDoNotOverflow) }
+
+func stepQRailsDoNotOverflow(t *testing.T, _ int) {
 	r := rng.New(41)
 	rule := tabledRule(-2, 0.05, 0.8, 0.86)
-	for _, n := range []int{512, 512 + 16, 512 + 3, 2048, 3*2048 + 31} {
+	for _, n := range []int{512, 512 + 16, 512 + 3, 1100, 2048, 3*2048 + 31} {
 		for _, qv := range []int16{math.MaxInt16, -1, math.MinInt16} {
 			for _, cv := range []int16{math.MinInt16, math.MaxInt16} {
 				q, buf := make([]int16, n), make([]int16, n+40)
@@ -210,7 +218,7 @@ func TestStepQRailsDoNotOverflow(t *testing.T) {
 }
 
 // oneStepQ seats up to four single-window lanes in group 0 — lane k's
-// window is the sixteen counts wins[k], its envelope envs[k] — with
+// window is the len(q) counts wins[k], its envelope envs[k] — with
 // MaxOff = β, so the walk's first step reports every lane done and Run
 // returns after exactly that step.
 func oneStepQ(w *Walk, rule *SkipRule, q []int16, wins [][]int16, envs []float64) {
@@ -231,10 +239,12 @@ func oneStepQ(w *Walk, rule *SkipRule, q []int16, wins [][]int16, envs []float64
 // one ulp either side of ω, the envelope one ulp either side of |ω|, and
 // a skip numerator that puts SkipNum/|ω| + 0.5 on every advance boundary
 // and one ulp either side. (TestStepEnvelopeBoundaries does the
-// envelope's own boundaries, under constant windows.)
-func TestStepQBoundaries(t *testing.T) {
+// envelope's own boundaries, under constant windows.) On every route,
+// over one of its blocks.
+func TestStepQBoundaries(t *testing.T) { eachRoute(t, stepQBoundaries) }
+
+func stepQBoundaries(t *testing.T, n int) {
 	r := rng.New(43)
-	const n = 16
 	q := randCounts(r, n)
 	for trial := 0; trial < 40; trial++ {
 		win := randCounts(r, n)
@@ -356,9 +366,10 @@ func FuzzDotQ(f *testing.F) {
 
 // FuzzStepQ drives one walk from fuzzed bytes: the bytes are the pass
 // buffer's counts, the seed draws the window length, the query, the rule
-// and the lanes (FuzzStep fuzzes the query). The selected route must stay == to the
-// portable step through the whole walk, and every candidate's ω must be
-// the written-out sequence's.
+// and the lanes (FuzzStep fuzzes the query). Every vector route this
+// machine runs, each alone, must stay == to the portable step through
+// the whole walk, and every candidate's ω must be the written-out
+// sequence's.
 func FuzzStepQ(f *testing.F) {
 	f.Add(uint64(1), []byte{})
 	ramp := make([]byte, 2*600)
@@ -373,33 +384,41 @@ func FuzzStepQ(f *testing.F) {
 	f.Add(uint64(3), railed)
 	f.Add(uint64(9), railed[:2*90])
 	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
-		r := rng.New(seed)
-		lengths := append(stepQLengths, stepLengths...)
-		n := lengths[r.Intn(len(lengths))]
-		// The fuzzed counts, repeated to fill at least two windows.
-		buf := make([]int16, max(len(data)/2, 2*n+8))
-		for i := range buf {
-			if len(data) >= 2 {
-				buf[i] = int16(binary.LittleEndian.Uint16(data[2*(i%(len(data)/2)):]))
-			}
+		for _, name := range usableRoutes() {
+			fuzzStepQ(t, name, seed, data)
 		}
-		sc := newScenarioQ(r, n, buf)
-		rule := tabledRule(r.Range(-1, 1), r.Range(0.01, 0.5), r.Range(0.1, 2), r.Range(0.1, 0.99))
-		var w Walk
-		w.ResetQ(countsQuery(r, r.Intn(4), n, buf), rule)
-		for lane := 0; lane < 2*Lanes; lane++ {
-			if lane == 0 || r.Intn(5) != 0 {
-				sc.seat(&w, lane)
-			}
+	})
+}
+
+// fuzzStepQ is FuzzStepQ's walk on the named route.
+func fuzzStepQ(t *testing.T, route string, seed uint64, data []byte) {
+	defer ForceRoute(route)()
+	r := rng.New(seed)
+	lengths := slices.Concat(stepQLengths, stepLengths, blockLengths)
+	n := lengths[r.Intn(len(lengths))]
+	// The fuzzed counts, repeated to fill at least two windows.
+	buf := make([]int16, max(len(data)/2, 2*n+8))
+	for i := range buf {
+		if len(data) >= 2 {
+			buf[i] = int16(binary.LittleEndian.Uint16(data[2*(i%(len(data)/2)):]))
 		}
-		refills := r.Intn(6)
-		driveBothQ(t, fmt.Sprintf("seed %d n=%d", seed, n), &w, func(lane int) bool {
-			if refills == 0 {
-				return false
-			}
-			refills--
+	}
+	sc := newScenarioQ(r, n, buf)
+	rule := tabledRule(r.Range(-1, 1), r.Range(0.01, 0.5), r.Range(0.1, 2), r.Range(0.1, 0.99))
+	var w Walk
+	w.ResetQ(countsQuery(r, r.Intn(4), n, buf), rule)
+	for lane := 0; lane < 2*Lanes; lane++ {
+		if lane == 0 || r.Intn(5) != 0 {
 			sc.seat(&w, lane)
-			return true
-		})
+		}
+	}
+	refills := r.Intn(6)
+	driveBothQ(t, fmt.Sprintf("%s seed %d n=%d", route, seed, n), &w, func(lane int) bool {
+		if refills == 0 {
+			return false
+		}
+		refills--
+		sc.seat(&w, lane)
+		return true
 	})
 }

@@ -1,7 +1,6 @@
 package kernel_test
 
 import (
-	"strings"
 	"testing"
 
 	"emap/internal/dsp"
@@ -12,11 +11,10 @@ import (
 )
 
 // BenchmarkWalkRoutes is internal/search's BenchmarkAlgorithm1 — the
-// same store, the same query — once with the walk's step forced onto the
-// portable route and once on the route this machine selected, in ns per
-// ω evaluation: what the step costs inside a real scan (refills, prefix
-// sums, top-K and all) over a store as mdb.Build leaves it. It lives
-// here because only this package can force the route.
+// same store, the same query — once on each route of the walk's step
+// this machine runs (portable, avx2, avx512vnni), in ns per ω
+// evaluation: what the step costs inside a real scan (refills, prefix
+// sums, top-K and all) over a store as mdb.Build leaves it.
 func BenchmarkWalkRoutes(b *testing.B) {
 	g := synth.NewGenerator(synth.Config{Seed: 11, ArchetypesPerClass: 3})
 	var recs []*synth.Recording
@@ -37,12 +35,10 @@ func BenchmarkWalkRoutes(b *testing.B) {
 	}
 	rec := g.Instance(synth.Normal, 0, synth.InstanceOpts{OffsetSamples: 1800, DurSeconds: 10, NoArtifacts: true})
 	input := fir.Apply(rec.Samples)[1024:1280]
-	for _, route := range []string{"portable-int16", "vector-int16"} {
+	for _, route := range kernel.Routes() {
 		b.Run(route, func(b *testing.B) {
+			defer kernel.ForceRoute(route)()
 			s := search.NewSearcher(store, search.Params{})
-			if strings.HasPrefix(route, "portable") {
-				defer kernel.StepPortable()()
-			}
 			evals := 0
 			for i := 0; i < b.N; i++ {
 				res, err := s.Algorithm1(input)

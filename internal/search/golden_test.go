@@ -10,28 +10,33 @@ import (
 
 // goldenCompareStore runs the equivalence battery over one store
 // against the naive reference: exhaustive and skip, as a mixed-length
-// batch and query by query, everything held to ==.
+// batch and query by query, on every route of the walk's step this
+// machine runs, everything held to ==.
 func goldenCompareStore(t *testing.T, label string, store *mdb.Store, inputs [][]float64) {
 	t.Helper()
-	s := NewSearcher(store, Params{})
 	for _, exhaustive := range []bool{true, false} {
 		mode := label + "/skip"
 		if exhaustive {
 			mode = label + "/exhaustive"
 		}
 		ref := refSearch(t, store, Params{}, floatWindows(inputs), exhaustive)
-		batch, err := s.runBatch(floatWindows(inputs), exhaustive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range inputs {
-			solo, err := s.run(window{samples: inputs[i]}, exhaustive)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, mode, ref[i].Result, batch.Results[i])
-			assertBitIdentical(t, mode, ref[i].Result, solo)
-		}
+		t.Run(mode, func(t *testing.T) {
+			eachRoute(t, func(t *testing.T) {
+				s := NewSearcher(store, Params{})
+				batch, err := s.runBatch(floatWindows(inputs), exhaustive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range inputs {
+					solo, err := s.run(window{samples: inputs[i]}, exhaustive)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertBitIdentical(t, mode, ref[i].Result, batch.Results[i])
+					assertBitIdentical(t, mode, ref[i].Result, solo)
+				}
+			})
+		})
 	}
 }
 

@@ -246,8 +246,11 @@ func (os *oracleStore) checkExhaustive(t *testing.T, label string, q []int16, de
 // there are matches), the same riding a DC offset, uniform, all-rail and
 // constant. Algorithm 1, lone and batched, has every reported ω held to
 // the exact value; the exhaustive baseline has its whole candidate set
-// held to the oracle's.
-func TestOracleOmega(t *testing.T) {
+// held to the oracle's. On every route of the walk's step this machine
+// runs.
+func TestOracleOmega(t *testing.T) { search.EachRoute(t, oracleOmega) }
+
+func oracleOmega(t *testing.T) {
 	const delta = 0.3
 	matches, candidates, worst := 0, 0, 0.0
 	for _, n := range []int{1, 15, 16, 17, 255, 256, 257, 1000, 3000} {
@@ -359,8 +362,10 @@ func TestOracleOmega(t *testing.T) {
 // Session makes them: raw one-second slots through the stateful
 // acquisition bandpass, handed to the search as floats and as the counts
 // a stream carries. Every reported ω, skip and exhaustive, is within
-// omegaTol of the exact rational over the counts.
-func TestOracleOmegaBuildStore(t *testing.T) {
+// omegaTol of the exact rational over the counts. On every route.
+func TestOracleOmegaBuildStore(t *testing.T) { search.EachRoute(t, oracleOmegaBuildStore) }
+
+func oracleOmegaBuildStore(t *testing.T) {
 	const delta, n = 0.8, 256
 	g := synth.NewGenerator(synth.Config{Seed: 11, ArchetypesPerClass: 2})
 	var raws []*synth.Recording
