@@ -197,7 +197,7 @@ func BenchmarkEndToEndSession(b *testing.B) {
 
 // BenchmarkCloudSearchParallel measures pipelined cloud searches on
 // one shared connection: every parallel worker issues uploads through
-// the same v2 client, so the worker pool, the batching collector and
+// the same client, so the worker pool, the batching collector and
 // request-ID matching are all on the hot path. The sub-benchmarks
 // sweep the scan-once-serve-many layers on the same store — nobatch is
 // the PR-1 behaviour (every upload pays its own shard scan), batch

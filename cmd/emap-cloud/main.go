@@ -1,13 +1,13 @@
 // Command emap-cloud runs the cloud tier: it hosts a registry of
 // tenant mega-databases and answers edge uploads with signal
-// correlation sets over TCP. Protocol-v3 edges name a tenant per
-// request and may push recordings into their tenant's store
-// (TypeIngest) while it is being searched; v1/v2 edges land on the
-// default tenant. Uploads from pipelined edges are served by a bounded
-// worker pool; uploads that queue behind busy workers are coalesced
-// into batched searches per tenant (one shard pass serves the whole
-// batch), and repeated near-identical windows are answered from each
-// tenant's bounded correlation-set cache without scanning at all.
+// correlation sets over TCP. Edges name a tenant per request and may
+// push recordings into their tenant's store (TypeIngest) while it is
+// being searched; requests that name none land on the default tenant.
+// Uploads from pipelined edges are served by a bounded worker pool;
+// uploads that queue behind busy workers are coalesced into batched
+// searches per tenant (one shard pass serves the whole batch), and
+// repeated near-identical windows are answered from each tenant's
+// bounded correlation-set cache without scanning at all.
 // SIGINT/SIGTERM drain in-flight searches, then persist every open
 // tenant store when -store-dir is set.
 //
@@ -145,7 +145,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.shedQueue, "shed-queue", 0, "search backlog beyond which routine uploads are shed (0: never)")
 	fs.StringVar(&o.storeDir, "store-dir", "", "tenant snapshot directory (empty: in-memory registry)")
 	fs.IntVar(&o.maxTenants, "max-tenants", 0, "max open tenant stores, LRU-evicted beyond (0: unbounded)")
-	fs.StringVar(&o.defTenant, "tenant", cloud.DefaultTenant, "default tenant ID (v1/v2 peers land here)")
+	fs.StringVar(&o.defTenant, "tenant", cloud.DefaultTenant, "default tenant ID (tenant-less requests land here)")
 	fs.StringVar(&o.nodeID, "node", "", "cluster node ID: serve as a member of an emap-router cluster instead of a standalone cloud")
 	fs.StringVar(&o.advertise, "advertise", "", "address peers and the router dial to reach this node (default: the listen address)")
 	fs.BoolVar(&o.empty, "empty", false, "build no synthetic default store; the default tenant lazy-loads its -store-dir snapshot if one exists, else starts empty")

@@ -12,12 +12,13 @@
 //	          [-connect-retries 5] [-keepalive 30s] [-refresh-retries 5]
 //
 // -tenant routes every request to the named cloud tenant store
-// (protocol v3); -ingest additionally contributes the streamed
-// recording to that store afterwards, so the tenant's mega-database
-// grows with each session. -modality ecg monitors the second signal
-// kind (classes ecg-normal|arrhythmia) and lands all cloud traffic in
-// the modality-suffixed tenant namespace ("<tenant>-ecg"), keeping ECG
-// signal-sets out of the EEG mega-database.
+// (empty: the server's default tenant); -ingest additionally
+// contributes the streamed recording to that store afterwards, so the
+// tenant's mega-database grows with each session. -modality ecg
+// monitors the second signal kind (classes ecg-normal|arrhythmia) and
+// lands all cloud traffic in the modality-suffixed tenant namespace
+// ("<tenant>-ecg"), keeping ECG signal-sets out of the EEG
+// mega-database.
 //
 // The connection is resilient by default: the initial connect retries
 // with exponential backoff (-connect-retries attempts), an idle link
@@ -133,7 +134,7 @@ func main() {
 		log.Fatalf("emap-edge: %v", err)
 	}
 	defer dev.Close()
-	fmt.Printf("negotiated protocol v%d", client.Version())
+	fmt.Printf("connected to %s", *addr)
 	// The device derives the effective tenant from -tenant and
 	// -modality (e.g. ward-7 + ecg → ward-7-ecg).
 	if t := client.Tenant(); t != "" {

@@ -1,10 +1,9 @@
 // Multi-tenant cloud: one emap-cloud process serving several patients'
 // independently growing mega-databases — the paper's "recordings are
 // continuously inserted into MongoDB", scaled to many tenants. Two
-// edge devices speak the tenant-routed v3 protocol to their own
-// stores; each starts empty, ingests its patient's history, then
-// monitors live while a third, protocol-v2 device lands on the
-// default tenant unchanged. At the end every tenant store is
+// edge devices name their own stores in every frame; each starts empty,
+// ingests its patient's history, then monitors live, while a third
+// device that names no tenant lands on the default tenant. At the end every tenant store is
 // persisted to a registry directory and the per-tenant metrics show
 // the isolation.
 package main
@@ -19,7 +18,6 @@ import (
 
 	"emap"
 	"emap/internal/edge"
-	"emap/internal/proto"
 )
 
 func main() {
@@ -27,7 +25,7 @@ func main() {
 	gen := emap.NewGeneratorConfig(emap.GeneratorConfig{Seed: 99, ArchetypesPerClass: 4})
 
 	// Cloud tier: a registry-backed multi-tenant server. The default
-	// tenant gets a pre-built store (for legacy edges); the patient
+	// tenant gets a pre-built store (for tenant-less edges); the patient
 	// tenants start empty and are filled over the wire.
 	dir, err := os.MkdirTemp("", "emap-tenants-*")
 	if err != nil {
@@ -81,26 +79,23 @@ func main() {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		fmt.Printf("%s: verdict anomalous=%v (protocol v%d)\n",
-			tenant, dev.Predictor().Anomalous(), client.Version())
+		fmt.Printf("%s: verdict anomalous=%v\n", tenant, dev.Predictor().Anomalous())
 		client.Close()
 	}
 
-	// A legacy v2 edge knows nothing about tenants and lands on the
-	// default store.
-	legacy, err := edge.DialOpts(l.Addr().String(), edge.ClientOptions{
-		MaxVersion: proto.Version2, DialTimeout: 2 * time.Second})
+	// An edge that names no tenant lands on the default store.
+	plain, err := edge.Dial(l.Addr().String(), 2*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
 	win := make([]float64, 256)
 	rec := gen.Instance(emap.Normal, 0, emap.InstanceOpts{OffsetSamples: 9000, DurSeconds: 2})
 	copy(win, rec.Samples[:256])
-	if _, err := legacy.Search(ctx, win); err != nil {
+	if _, err := plain.Search(ctx, win); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("legacy edge: protocol v%d, served from tenant %q\n", legacy.Version(), emap.DefaultTenant)
-	legacy.Close()
+	fmt.Printf("tenant-less edge: served from tenant %q\n", emap.DefaultTenant)
+	plain.Close()
 
 	// Per-tenant isolation is visible in the metrics…
 	for _, tenant := range []string{"patient-a", "patient-b", emap.DefaultTenant} {

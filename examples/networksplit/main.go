@@ -65,7 +65,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	fmt.Printf("edge:  negotiated protocol v%d\n", client.Version())
 	dev, err := edge.NewDevice(client, edge.Config{
 		CloudTimeout:   2 * time.Second,
 		Refresh:        quick,

@@ -35,7 +35,7 @@ func TestBatchCoalescesQueuedUploads(t *testing.T) {
 		// Offset each window by one sample so the three queries are
 		// genuinely distinct (no dedup, no cache — pure batching).
 		w := input.Samples[1024+id : 1280+id]
-		if err := proto.WriteFrameV2(cConn, proto.TypeUpload, id, uploadFrom(t, w, id)); err != nil {
+		if err := proto.NewFrameWriter(cConn).WriteFrame(proto.TypeUpload, id, "", uploadFrom(t, w, id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestBatchServesIdenticalUploadsWithOneScan(t *testing.T) {
 	const B = 4
 	payload := proto.EncodeUpload(&proto.Upload{Seq: 1, Scale: scale, Samples: counts})
 	for id := uint32(1); id <= B; id++ {
-		if err := proto.WriteFrameV2(cConn, proto.TypeUpload, id, payload); err != nil {
+		if err := proto.NewFrameWriter(cConn).WriteFrame(proto.TypeUpload, id, "", payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestMaxBatchOneDisablesCoalescing(t *testing.T) {
 		OffsetSamples: 5200, DurSeconds: 6, NoArtifacts: true})
 	for id := uint32(1); id <= 3; id++ {
 		w := input.Samples[1024+id : 1280+id]
-		if err := proto.WriteFrameV2(cConn, proto.TypeUpload, id, uploadFrom(t, w, id)); err != nil {
+		if err := proto.NewFrameWriter(cConn).WriteFrame(proto.TypeUpload, id, "", uploadFrom(t, w, id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,7 +180,7 @@ func TestShutdownCancelsBatchWindow(t *testing.T) {
 	input := g.Instance(synth.Normal, 0, synth.InstanceOpts{
 		OffsetSamples: 5200, DurSeconds: 6, NoArtifacts: true})
 	w := input.Samples[1024:1280]
-	if err := proto.WriteFrameV2(cConn, proto.TypeUpload, 1, uploadFrom(t, w, 1)); err != nil {
+	if err := proto.NewFrameWriter(cConn).WriteFrame(proto.TypeUpload, 1, "", uploadFrom(t, w, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// The reply must arrive once Shutdown cancels the window — read it

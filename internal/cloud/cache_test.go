@@ -21,7 +21,7 @@ import (
 // roundTrip sends one upload over conn and returns the reply frame.
 func roundTrip(t *testing.T, conn net.Conn, id uint32, payload []byte) proto.Frame {
 	t.Helper()
-	if err := proto.WriteFrameV2(conn, proto.TypeUpload, id, payload); err != nil {
+	if err := proto.NewFrameWriter(conn).WriteFrame(proto.TypeUpload, id, "", payload); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -139,7 +139,7 @@ func TestConcurrentHitsOwnTheirReplies(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := uint32(0); i < perConn; i++ {
-				if err := proto.WriteFrameV2(cConn, proto.TypeUpload, base+i, encode(^(base + i))); err != nil {
+				if err := proto.NewFrameWriter(cConn).WriteFrame(proto.TypeUpload, base+i, "", encode(^(base + i))); err != nil {
 					t.Error(err)
 					return
 				}

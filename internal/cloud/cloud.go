@@ -8,29 +8,26 @@
 // One server process serves many tenants: a registry of live tenant
 // stores (internal/mdb.Registry) replaces the single frozen store, so
 // each patient cohort owns an independently growing mega-database.
-// Version-3 frames carry a tenant ID and route to that tenant's store;
-// v1/v2 peers, whose frames carry no tenant, land on the default
-// tenant, so old edges keep working unchanged. A TypeIngest message
+// Every frame carries a tenant ID and routes to that tenant's store; an
+// empty tenant field lands on the default tenant. A TypeIngest message
 // pushes a preprocessed recording into the tenant's store while that
 // same store is being searched — the store's epoch snapshots keep
 // in-flight scans stable (see internal/mdb).
 //
 // The package is layered so the cluster tier (internal/cluster) can
 // recombine the pieces: Transport (transport.go) owns the connection
-// machinery — listener, per-connection reader/writer goroutines,
-// version negotiation, pipelining — and serves frames through any
+// machinery — listener, per-connection reader/writer goroutines, the
+// Hello connect check, pipelining — and serves frames through any
 // FrameHandler; Engine (engine.go) is the canonical handler — the
 // tenant registry, per-tenant serving state, and the shared worker
 // pool — with no networking of its own. Server composes the two, and
 // is what single-process deployments use.
 //
-// The service speaks all protocol versions (see internal/proto): v1
-// connections are served serially in request order, while v2/v3 frames
-// carry request IDs, so each connection runs a reader goroutine that
-// hands uploads to a bounded set of worker goroutines the connection
-// keeps, and a single writer goroutine that drains a response queue —
-// independent windows search in parallel and replies may leave out of
-// order.
+// Every frame carries a request ID (see internal/proto), so each
+// connection runs a reader goroutine that hands uploads to a bounded
+// set of worker goroutines the connection keeps, and a single writer
+// goroutine that drains a response queue — independent windows search
+// in parallel and replies may leave out of order.
 //
 // Two scan-once-serve-many layers sit between an upload and the shard
 // scan, both per-tenant. A group-commit batching collector (batch.go)
@@ -69,7 +66,6 @@ import (
 
 	"emap/internal/iofault"
 	"emap/internal/mdb"
-	"emap/internal/proto"
 	"emap/internal/search"
 	"emap/internal/wal"
 )
@@ -91,7 +87,7 @@ type Config struct {
 	// all connections and tenants (default GOMAXPROCS).
 	Workers int
 	// MaxInFlight bounds how many uploads one connection may have
-	// queued or searching (default 4×Workers). When a v2/v3 client
+	// queued or searching (default 4×Workers). When a client
 	// pipelines past this, the reader stops consuming frames and
 	// TCP backpressure does the rest — goroutines and held payloads
 	// stay bounded.
@@ -154,13 +150,9 @@ type Config struct {
 	// frame for this long — the slow-loris guard. Disabled by default
 	// (netsim tests hold idle pipes open by design).
 	IdleTimeout time.Duration
-	// DefaultTenant is the tenant that v1/v2 peers and tenant-less
-	// v3 frames land on (default "default").
+	// DefaultTenant is the tenant that frames with an empty tenant
+	// field land on (default "default").
 	DefaultTenant string
-	// MaxVersion caps the protocol version the server negotiates
-	// (default proto.MaxVersion). Deployments mid-rollout can pin
-	// the fleet to an older version.
-	MaxVersion uint8
 	// Logger receives per-connection diagnostics; nil disables
 	// logging.
 	Logger *log.Logger
@@ -191,9 +183,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTenant == "" {
 		c.DefaultTenant = DefaultTenant
 	}
-	if c.MaxVersion == 0 || c.MaxVersion > proto.MaxVersion {
-		c.MaxVersion = proto.MaxVersion
-	}
 	return c
 }
 
@@ -201,7 +190,6 @@ func (c Config) withDefaults() Config {
 func (c Config) TransportConfig(m *Metrics) TransportConfig {
 	return TransportConfig{
 		MaxInFlight: c.MaxInFlight,
-		MaxVersion:  c.MaxVersion,
 		IdleTimeout: c.IdleTimeout,
 		Logger:      c.Logger,
 		Metrics:     m,
@@ -394,8 +382,8 @@ func NewServer(store *mdb.Store, cfg Config) (*Server, error) {
 }
 
 // NewRegistryServer returns a multi-tenant server over the given
-// tenant registry. Stores open lazily as requests name them; v1/v2
-// peers land on Config.DefaultTenant.
+// tenant registry. Stores open lazily as requests name them; requests
+// with an empty tenant field land on Config.DefaultTenant.
 func NewRegistryServer(reg *mdb.Registry, cfg Config) (*Server, error) {
 	eng, err := NewEngine(reg, cfg)
 	if err != nil {

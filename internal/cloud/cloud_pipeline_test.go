@@ -19,7 +19,7 @@ func uploadFrom(t testing.TB, samples []float64, seq uint32) []byte {
 
 // TestPipelinedUploadsOutOfOrder proves the acceptance criterion: ≥2
 // uploads in flight concurrently on one connection, completing out of
-// order, each reply matched to its request by the v2 frame ID.
+// order, each reply matched to its request by the frame ID.
 func TestPipelinedUploadsOutOfOrder(t *testing.T) {
 	store, g := testStore(t)
 	srv, err := NewServer(store, Config{Workers: 4})
@@ -42,7 +42,7 @@ func TestPipelinedUploadsOutOfOrder(t *testing.T) {
 	input := g.Instance(synth.Normal, 0, synth.InstanceOpts{OffsetSamples: 5200, DurSeconds: 6, NoArtifacts: true})
 	window := input.Samples[1024:1280]
 	for _, id := range []uint32{11, 12, 13} {
-		if err := proto.WriteFrameV2(cConn, proto.TypeUpload, id, uploadFrom(t, window, id)); err != nil {
+		if err := proto.NewFrameWriter(cConn).WriteFrame(proto.TypeUpload, id, "", uploadFrom(t, window, id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestPipelinedUploadsOutOfOrder(t *testing.T) {
 	got := map[uint32]bool{}
 	for i := 0; i < 2; i++ {
 		f := read()
-		if f.Version != proto.Version2 || f.Type != proto.TypeCorrSet {
+		if f.Version != proto.Version3 || f.Type != proto.TypeCorrSet {
 			t.Fatalf("reply %d: version %d type %d", i, f.Version, f.Type)
 		}
 		if f.ID == 11 {
@@ -108,52 +108,6 @@ func TestPipelinedUploadsOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestSerialV1KeepsOrder checks that v1 clients (no request IDs) still
-// get replies in request order even on the concurrent server.
-func TestSerialV1KeepsOrder(t *testing.T) {
-	store, g := testStore(t)
-	srv, err := NewServer(store, Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cConn, sConn := net.Pipe()
-	defer cConn.Close()
-	go srv.HandleConn(sConn)
-
-	input := g.Instance(synth.Normal, 0, synth.InstanceOpts{OffsetSamples: 5200, DurSeconds: 6, NoArtifacts: true})
-	window := input.Samples[1024:1280]
-	done := make(chan error, 1)
-	go func() {
-		for seq := uint32(1); seq <= 3; seq++ {
-			if err := proto.WriteFrame(cConn, proto.TypeUpload, uploadFrom(t, window, seq)); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	for seq := uint32(1); seq <= 3; seq++ {
-		cConn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		typ, payload, err := proto.ReadFrame(cConn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != proto.TypeCorrSet {
-			t.Fatalf("reply type %d", typ)
-		}
-		cs, err := proto.DecodeCorrSet(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cs.Seq != seq {
-			t.Fatalf("v1 reply out of order: got seq %d, want %d", cs.Seq, seq)
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestWriteErrorTearsDownConn: a failed reply write must terminate
 // the connection handler instead of looping on a dead conn.
 func TestWriteErrorTearsDownConn(t *testing.T) {
@@ -174,7 +128,7 @@ func TestWriteErrorTearsDownConn(t *testing.T) {
 	// net.Pipe is synchronous: once this write returns, the server
 	// has consumed the frame. Closing before reading the reply makes
 	// the server's write fail.
-	if err := proto.WriteFrame(cConn, proto.TypeUpload, uploadFrom(t, window, 1)); err != nil {
+	if err := proto.NewFrameWriter(cConn).WriteFrame(proto.TypeUpload, 0, "", uploadFrom(t, window, 1)); err != nil {
 		t.Fatal(err)
 	}
 	cConn.Close()
@@ -213,7 +167,7 @@ func TestShutdownDrains(t *testing.T) {
 	defer conn.Close()
 	input := g.Instance(synth.Normal, 0, synth.InstanceOpts{OffsetSamples: 5200, DurSeconds: 6, NoArtifacts: true})
 	window := input.Samples[1024:1280]
-	if err := proto.WriteFrameV2(conn, proto.TypeUpload, 42, uploadFrom(t, window, 42)); err != nil {
+	if err := proto.NewFrameWriter(conn).WriteFrame(proto.TypeUpload, 42, "", uploadFrom(t, window, 42)); err != nil {
 		t.Fatal(err)
 	}
 	<-held
@@ -265,7 +219,7 @@ func TestShutdownDeadline(t *testing.T) {
 	defer conn.Close()
 	input := g.Instance(synth.Normal, 0, synth.InstanceOpts{OffsetSamples: 5200, DurSeconds: 6, NoArtifacts: true})
 	window := input.Samples[1024:1280]
-	if err := proto.WriteFrameV2(conn, proto.TypeUpload, 1, uploadFrom(t, window, 1)); err != nil {
+	if err := proto.NewFrameWriter(conn).WriteFrame(proto.TypeUpload, 1, "", uploadFrom(t, window, 1)); err != nil {
 		t.Fatal(err)
 	}
 	<-held
@@ -276,8 +230,10 @@ func TestShutdownDeadline(t *testing.T) {
 	}
 }
 
-// TestServerHelloNegotiation: the server must answer Hello with the
-// negotiated version.
+// TestServerHelloNegotiation: the server answers every Hello — whatever
+// version the peer names — with a Hello naming Version3 under the
+// request's ID, since there is one layout and nothing to negotiate; a
+// malformed Hello is refused with a 400 and the connection stays up.
 func TestServerHelloNegotiation(t *testing.T) {
 	store, _ := testStore(t)
 	srv, err := NewServer(store, Config{})
@@ -288,13 +244,9 @@ func TestServerHelloNegotiation(t *testing.T) {
 	defer cConn.Close()
 	go srv.HandleConn(sConn)
 
-	for _, c := range []struct{ announce, want uint8 }{
-		{proto.Version2, proto.Version2},
-		{proto.Version1, proto.Version1},
-		{9, proto.MaxVersion},
-	} {
-		payload := proto.EncodeHello(&proto.Hello{MaxVersion: c.announce})
-		if err := proto.WriteFrame(cConn, proto.TypeHello, payload); err != nil {
+	exchange := func(id uint32, payload []byte) proto.Frame {
+		t.Helper()
+		if err := proto.NewFrameWriter(cConn).WriteFrame(proto.TypeHello, id, "", payload); err != nil {
 			t.Fatal(err)
 		}
 		cConn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -302,15 +254,25 @@ func TestServerHelloNegotiation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Type != proto.TypeHello {
-			t.Fatalf("hello reply type %d", f.Type)
+		return f
+	}
+	for id, announce := range []uint8{proto.Version3, 2, 1, 9} {
+		f := exchange(uint32(id), proto.EncodeHello(&proto.Hello{Version: announce}))
+		if f.Type != proto.TypeHello || f.ID != uint32(id) {
+			t.Fatalf("announced %d: reply type %d ID %d", announce, f.Type, f.ID)
 		}
 		h, err := proto.DecodeHello(f.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.MaxVersion != c.want {
-			t.Fatalf("announced %d: negotiated %d, want %d", c.announce, h.MaxVersion, c.want)
+		if h.Version != proto.Version3 {
+			t.Fatalf("announced %d: answered %d, want %d", announce, h.Version, proto.Version3)
 		}
+	}
+	if f := exchange(7, []byte{3}); f.Type != proto.TypeError || f.ID != 7 {
+		t.Fatalf("malformed hello: reply type %d ID %d, want an error", f.Type, f.ID)
+	}
+	if f := exchange(8, proto.EncodeHello(&proto.Hello{Version: proto.Version3})); f.Type != proto.TypeHello {
+		t.Fatalf("hello after a refused one: reply type %d", f.Type)
 	}
 }

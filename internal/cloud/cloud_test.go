@@ -165,10 +165,10 @@ func TestMetricsCount(t *testing.T) {
 		OffsetSamples: 5200, DurSeconds: 6, NoArtifacts: true})
 	counts, scale := proto.Quantize(input.Samples[1024:1280])
 	payload := proto.EncodeUpload(&proto.Upload{Seq: 1, Scale: scale, Samples: counts})
-	if err := proto.WriteFrame(a, proto.TypeUpload, payload); err != nil {
+	if err := proto.NewFrameWriter(a).WriteFrame(proto.TypeUpload, 0, "", payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := proto.ReadFrame(a); err != nil {
+	if _, err := proto.ReadFrameAny(a); err != nil {
 		t.Fatal(err)
 	}
 	if srv.Metrics.Requests.Load() != 1 || srv.Metrics.Connections.Load() != 1 {

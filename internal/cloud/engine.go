@@ -48,15 +48,15 @@ type Engine struct {
 }
 
 // NewEngine returns a multi-tenant serving engine over the given tenant
-// registry. Stores open lazily as requests name them; v1/v2 peers land
-// on Config.DefaultTenant.
+// registry. Stores open lazily as requests name them; requests with an
+// empty tenant field land on Config.DefaultTenant.
 func NewEngine(reg *mdb.Registry, cfg Config) (*Engine, error) {
 	if reg == nil {
 		return nil, errors.New("cloud: nil registry")
 	}
 	cfg = cfg.withDefaults()
-	// Fail at construction, not on the first v1/v2 request: every
-	// tenant-less frame routes here.
+	// Fail at construction, not on the first tenant-less request:
+	// every such frame routes here.
 	if !mdb.ValidTenantID(cfg.DefaultTenant) {
 		return nil, fmt.Errorf("cloud: invalid default tenant ID %q", cfg.DefaultTenant)
 	}

@@ -9,8 +9,8 @@ import (
 	"emap/internal/synth"
 )
 
-// DefaultTenant is the tenant that v1/v2 peers — whose frames carry no
-// tenant field — and v3 frames with an empty tenant land on.
+// DefaultTenant is the tenant that frames with an empty tenant field
+// land on.
 const DefaultTenant = "default"
 
 // tenant is one tenant's complete serving state: its live store, the

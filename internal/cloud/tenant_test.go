@@ -1,7 +1,9 @@
 package cloud
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"sync"
 	"testing"
@@ -42,10 +44,10 @@ func registryServer(t testing.TB, cfg Config) (*Server, *synth.Generator) {
 	return srv, g
 }
 
-// v3Exchange writes one v3 frame and reads one reply frame.
+// v3Exchange writes one frame and reads one reply frame.
 func v3Exchange(t *testing.T, conn net.Conn, typ proto.MsgType, id uint32, tenant string, payload []byte) proto.Frame {
 	t.Helper()
-	if err := proto.WriteFrameV3(conn, typ, id, tenant, payload); err != nil {
+	if err := proto.NewFrameWriter(conn).WriteFrame(typ, id, tenant, payload); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -182,8 +184,10 @@ func TestIngestGrowsSearchableStore(t *testing.T) {
 	}
 }
 
-// TestLegacyVersionsLandOnDefaultTenant: v1 and v2 frames carry no
-// tenant and must be served from the default tenant's store.
+// TestLegacyVersionsLandOnDefaultTenant: an upload with an empty tenant
+// field is served from the default tenant's store, and a frame in the
+// retired version-1 or version-2 layout is refused — the connection
+// closes, the handler never sees the frame and Errors counts it once.
 func TestLegacyVersionsLandOnDefaultTenant(t *testing.T) {
 	store, g := testStore(t)
 	srv, err := NewServer(store, Config{})
@@ -197,25 +201,54 @@ func TestLegacyVersionsLandOnDefaultTenant(t *testing.T) {
 	input := g.Instance(synth.Normal, 0, synth.InstanceOpts{
 		OffsetSamples: 5200, DurSeconds: 6, NoArtifacts: true})
 	window := input.Samples[1024:1280]
-
-	if err := proto.WriteFrame(cConn, proto.TypeUpload, uploadFrom(t, window, 1)); err != nil {
-		t.Fatal(err)
+	if f := v3Exchange(t, cConn, proto.TypeUpload, 1, "", uploadFrom(t, window, 1)); f.Type != proto.TypeCorrSet || f.Tenant != "" {
+		t.Fatalf("tenant-less reply: type %d tenant %q", f.Type, f.Tenant)
 	}
-	cConn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	typ, _, err := proto.ReadFrame(cConn)
-	if err != nil || typ != proto.TypeCorrSet {
-		t.Fatalf("v1 reply: %d, %v", typ, err)
-	}
-	if err := proto.WriteFrameV2(cConn, proto.TypeUpload, 2, uploadFrom(t, window, 2)); err != nil {
-		t.Fatal(err)
-	}
-	f, err := proto.ReadFrameAny(cConn)
-	if err != nil || f.Type != proto.TypeCorrSet || f.Version != proto.Version2 {
-		t.Fatalf("v2 reply: %+v, %v", f, err)
-	}
-	m := srv.MetricsFor(DefaultTenant)
-	if m == nil || m.Requests.Load() != 2 {
+	if m := srv.MetricsFor(DefaultTenant); m == nil || m.Requests.Load() != 1 {
 		t.Fatalf("default tenant requests = %v", m)
+	}
+
+	payload := uploadFrom(t, window, 2)
+	for _, version := range []uint8{1, 2} {
+		// The header as a v1 or v2 writer laid it out: the v2 request
+		// ID, then the length, payload and CRC.
+		frame := binary.LittleEndian.AppendUint16(nil, proto.Magic)
+		frame = append(frame, version, byte(proto.TypeUpload))
+		if version == 2 {
+			frame = binary.LittleEndian.AppendUint32(frame, 2)
+		}
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+		frame = append(frame, payload...)
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+
+		h := &gateHandler{}
+		m := &Metrics{}
+		tr := NewTransport(h, TransportConfig{Metrics: m})
+		cConn, sConn := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			tr.HandleConn(sConn)
+		}()
+		// The server refuses the frame on its header and closes the
+		// pipe, which may fail the rest of this write.
+		cConn.Write(frame)
+		select {
+		case <-served:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("v%d frame: connection not closed", version)
+		}
+		cConn.SetReadDeadline(time.Now().Add(time.Second))
+		if _, err := cConn.Read(make([]byte, 1)); err == nil {
+			t.Fatalf("v%d frame: connection still open", version)
+		}
+		if h.peak.Load() != 0 {
+			t.Fatalf("v%d frame reached the handler", version)
+		}
+		if e := m.Errors.Load(); e != 1 {
+			t.Fatalf("v%d frame: %d errors counted, want 1", version, e)
+		}
+		cConn.Close()
 	}
 }
 
@@ -283,7 +316,7 @@ func TestConcurrentIngestAndSearchOneTenant(t *testing.T) {
 			counts, scale := proto.Quantize(proc.Samples)
 			payload := proto.EncodeIngest(&proto.Ingest{
 				RecordID: proc.ID, Onset: -1, Scale: scale, Samples: counts})
-			if err := proto.WriteFrameV3(conn, proto.TypeIngest, uint32(i+1), "", payload); err != nil {
+			if err := proto.NewFrameWriter(conn).WriteFrame(proto.TypeIngest, uint32(i+1), "", payload); err != nil {
 				t.Error(err)
 				return
 			}
@@ -307,7 +340,7 @@ func TestConcurrentIngestAndSearchOneTenant(t *testing.T) {
 			defer conn.Close()
 			for i := 0; i < 15; i++ {
 				id := uint32(100*c + i)
-				if err := proto.WriteFrameV3(conn, proto.TypeUpload, id, "", uploadFrom(t, window, id)); err != nil {
+				if err := proto.NewFrameWriter(conn).WriteFrame(proto.TypeUpload, id, "", uploadFrom(t, window, id)); err != nil {
 					t.Error(err)
 					return
 				}

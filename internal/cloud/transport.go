@@ -19,8 +19,8 @@ import (
 
 // FrameHandler is the serving side of a Transport: it answers one
 // decoded request frame with one reply (type + payload). The transport
-// mirrors the request's version, ID and tenant onto the reply frame, so
-// handlers deal purely in message semantics. Handlers must be safe for
+// mirrors the request's ID and tenant onto the reply frame, so handlers
+// deal purely in message semantics. Handlers must be safe for
 // concurrent use — pipelined connections serve frames in parallel.
 //
 // The returned payload is handed off: the caller owns it outright (the
@@ -43,9 +43,6 @@ type TransportConfig struct {
 	// queued or serving (default 4×GOMAXPROCS); past it the reader
 	// stops consuming frames and TCP backpressure does the rest.
 	MaxInFlight int
-	// MaxVersion caps the protocol version negotiated with peers
-	// (default proto.MaxVersion).
-	MaxVersion uint8
 	// IdleTimeout, when positive, closes a connection that delivers no
 	// frame for this long — the slow-loris guard: a stalled half-open
 	// peer is reaped instead of holding its goroutines and buffers
@@ -65,9 +62,6 @@ func (c TransportConfig) withDefaults() TransportConfig {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
 	}
-	if c.MaxVersion == 0 || c.MaxVersion > proto.MaxVersion {
-		c.MaxVersion = proto.MaxVersion
-	}
 	if c.Metrics == nil {
 		c.Metrics = &Metrics{}
 	}
@@ -76,7 +70,6 @@ func (c TransportConfig) withDefaults() TransportConfig {
 
 // outFrame is one queued response awaiting the writer goroutine.
 type outFrame struct {
-	version uint8
 	typ     proto.MsgType
 	id      uint32
 	tenant  string
@@ -86,11 +79,11 @@ type outFrame struct {
 // Transport is the connection layer of the cloud tier, split out from
 // the tenant engine so a process can host engines without owning the
 // listener (and vice versa — the cluster router owns a listener with no
-// engine behind it). It speaks every protocol version: v1 connections
-// are served serially in request order, v2/v3 frames carry request IDs,
-// so each connection runs a reader goroutine handing requests to up to
+// engine behind it). Every frame carries a request ID, so each
+// connection runs a reader goroutine handing requests to up to
 // MaxInFlight worker goroutines of its own and a single writer goroutine
-// draining a response queue.
+// draining a response queue; replies leave in whatever order they
+// finish.
 // Hello and Ping are answered by the transport itself; every other
 // frame goes to the FrameHandler.
 type Transport struct {
@@ -164,7 +157,7 @@ func (t *Transport) Shutdown(ctx context.Context) error {
 	t.closed = true
 	t.draining = true
 	l := t.listener
-	// Wake blocked readers: their next ReadFrameAny fails with a
+	// Wake blocked readers: their next ReadFrame fails with a
 	// deadline error and the per-connection drain path runs.
 	past := time.Unix(1, 0)
 	for conn := range t.conns {
@@ -219,11 +212,11 @@ func (t *Transport) isIdleErr(err error) bool {
 
 // HandleConn serves one peer connection until it fails, the peer
 // disconnects, or the transport drains. The calling goroutine is the
-// frame reader; requests on v2+ connections are handed to the
-// connection's workers — at most MaxInFlight of them, each started the
-// first time a frame finds every existing one busy, alive until the
-// reader ends — and all replies funnel through one writer goroutine, so
-// pipelined peers can keep many requests in flight on one connection.
+// frame reader; requests are handed to the connection's workers — at
+// most MaxInFlight of them, each started the first time a frame finds
+// every existing one busy, alive until the reader ends — and all replies
+// funnel through one writer goroutine, so pipelined peers can keep many
+// requests in flight on one connection.
 // What the reuse costs: a connection keeps as many parked goroutines as
 // its peak concurrency, for as long as it stays open.
 func (t *Transport) HandleConn(conn net.Conn) {
@@ -256,7 +249,7 @@ func (t *Transport) HandleConn(conn net.Conn) {
 			if writeFailed.Load() {
 				continue // drain abandoned replies
 			}
-			err := fw.WriteFrame(f.version, f.typ, f.id, f.tenant, f.payload)
+			err := fw.WriteFrame(f.typ, f.id, f.tenant, f.payload)
 			// The handler handed the payload off and the write was its
 			// last use: this writer is the reply buffer's final owner.
 			proto.PutBuffer(f.payload)
@@ -307,20 +300,17 @@ func (t *Transport) HandleConn(conn net.Conn) {
 		}
 		switch frame.Type {
 		case proto.TypeHello:
-			hello, herr := proto.DecodeHello(frame.Payload)
-			if herr != nil {
+			// The connect check: there is nothing to negotiate, but a
+			// malformed Hello is refused like any malformed request.
+			if _, herr := proto.DecodeHello(frame.Payload); herr != nil {
 				m.Errors.Add(1)
 				out <- errorFrame(frame, 400, herr.Error())
 				continue
 			}
-			v := proto.Negotiate(t.cfg.MaxVersion, hello.MaxVersion)
-			// The reply travels as a v1 frame: every client
-			// understands it, whatever it announced.
-			out <- outFrame{version: proto.Version1, typ: proto.TypeHello,
-				payload: proto.EncodeHello(&proto.Hello{MaxVersion: v})}
+			out <- outFrame{typ: proto.TypeHello, id: frame.ID, tenant: frame.Tenant,
+				payload: proto.EncodeHello(&proto.Hello{Version: proto.Version3})}
 		case proto.TypePing:
-			out <- outFrame{version: frame.Version, typ: proto.TypePong,
-				id: frame.ID, tenant: frame.Tenant}
+			out <- outFrame{typ: proto.TypePong, id: frame.ID, tenant: frame.Tenant}
 		default:
 			// Uploads and ingests are the tracked request load; the
 			// flight gauges and the request counter describe them.
@@ -333,34 +323,28 @@ func (t *Transport) HandleConn(conn net.Conn) {
 				m.Requests.Add(1)
 				m.enterFlight()
 			}
-			if frame.Version >= proto.Version2 {
-				// Pipelined: independent requests run in
-				// parallel, replies matched by request ID. An idle
-				// worker takes the frame; with none idle one more is
-				// started, up to the per-connection cap, past which
-				// the reader blocks here — a client that pipelines
-				// too far ahead meets TCP backpressure.
-				select {
-				case work <- frame:
-				default:
-					if workers < t.cfg.MaxInFlight {
-						workers++
-						jobs.Add(1)
-						go func(f proto.Frame) {
-							defer jobs.Done()
+			// Pipelined: independent requests run in parallel,
+			// replies matched by request ID. An idle worker takes the
+			// frame; with none idle one more is started, up to the
+			// per-connection cap, past which the reader blocks here —
+			// a client that pipelines too far ahead meets TCP
+			// backpressure.
+			select {
+			case work <- frame:
+			default:
+				if workers < t.cfg.MaxInFlight {
+					workers++
+					jobs.Add(1)
+					go func(f proto.Frame) {
+						defer jobs.Done()
+						t.serveFrame(f, out)
+						for f := range work {
 							t.serveFrame(f, out)
-							for f := range work {
-								t.serveFrame(f, out)
-							}
-						}(frame)
-					} else {
-						work <- frame
-					}
+						}
+					}(frame)
+				} else {
+					work <- frame
 				}
-			} else {
-				// v1 carries no IDs: replies must keep
-				// request order, so serve inline.
-				t.serveFrame(frame, out)
 			}
 		}
 	}
@@ -380,17 +364,17 @@ func (t *Transport) HandleConn(conn net.Conn) {
 func tracked(t proto.MsgType) bool { return t == proto.TypeUpload || t == proto.TypeIngest }
 
 // serveFrame runs one frame through the handler and queues its reply,
-// mirroring the request's frame version, ID and tenant. A handler
-// panic is the handler's bug, but it must cost exactly one request: the
-// panic is recovered, that request answers with a 5xx-class error, and
-// the connection — and every other request on the worker pool — keeps
+// mirroring the request's ID and tenant. A handler panic is the
+// handler's bug, but it must cost exactly one request: the panic is
+// recovered, that request answers with a 5xx-class error, and the
+// connection — and every other request on the worker pool — keeps
 // serving.
 func (t *Transport) serveFrame(f proto.Frame, out chan<- outFrame) {
 	if tracked(f.Type) {
 		defer t.cfg.Metrics.leaveFlight()
 	}
 	typ, payload := t.callHandler(f)
-	out <- outFrame{version: f.Version, typ: typ, id: f.ID, tenant: f.Tenant, payload: payload}
+	out <- outFrame{typ: typ, id: f.ID, tenant: f.Tenant, payload: payload}
 }
 
 // callHandler invokes the frame handler with panic isolation.
@@ -408,10 +392,10 @@ func (t *Transport) callHandler(f proto.Frame) (typ proto.MsgType, payload []byt
 }
 
 // errorFrame builds an ErrorMsg reply mirroring the offending frame's
-// version, ID and tenant.
+// ID and tenant.
 func errorFrame(frame proto.Frame, code uint16, text string) outFrame {
-	return outFrame{version: frame.Version, typ: proto.TypeError, id: frame.ID,
-		tenant: frame.Tenant, payload: proto.EncodeError(&proto.ErrorMsg{Code: code, Text: text})}
+	return outFrame{typ: proto.TypeError, id: frame.ID, tenant: frame.Tenant,
+		payload: errorPayload(code, text)}
 }
 
 // errorPayload builds an ErrorMsg payload; handlers return it with

@@ -73,7 +73,7 @@ func TestPipelinedRequestsRunOnConnectionWorkers(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for id := uint32(1); id <= burst; id++ {
-			if err := proto.WriteFrameV2(cConn, proto.TypeIngest, id, nil); err != nil {
+			if err := proto.NewFrameWriter(cConn).WriteFrame(proto.TypeIngest, id, "", nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -112,7 +112,7 @@ func TestPipelinedRequestsRunOnConnectionWorkers(t *testing.T) {
 		t.Fatalf("%d goroutines for one connection with MaxInFlight %d", conn-before, maxInFlight)
 	}
 	for id := uint32(100); id < 200; id++ {
-		if err := proto.WriteFrameV2(cConn, proto.TypeIngest, id, nil); err != nil {
+		if err := proto.NewFrameWriter(cConn).WriteFrame(proto.TypeIngest, id, "", nil); err != nil {
 			t.Fatal(err)
 		}
 		replies(1)
@@ -142,7 +142,7 @@ func TestShutdownMidBurstEndsTheWorkers(t *testing.T) {
 		// The tail of the burst is refused by the drain: write errors
 		// are the expected end of this goroutine.
 		for id := uint32(1); id <= burst; id++ {
-			if proto.WriteFrameV2(cConn, proto.TypeIngest, id, nil) != nil {
+			if proto.NewFrameWriter(cConn).WriteFrame(proto.TypeIngest, id, "", nil) != nil {
 				return
 			}
 		}

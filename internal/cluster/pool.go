@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -18,7 +19,8 @@ var errPoolClosed = errors.New("cluster: pool closed")
 // poolDialTimeout bounds one dial + handshake to a peer node.
 const poolDialTimeout = 5 * time.Second
 
-// poolConn is one negotiated connection to a peer node. Pool
+// poolConn is one checked connection to a peer node, with the frame
+// writer and the buffered frame reader it keeps for its lifetime. Pool
 // connections run strictly serial request/reply exchanges — one
 // request owns the connection until its reply arrives — so no request
 // ID remapping is ever needed when proxying on behalf of many edges:
@@ -26,6 +28,8 @@ const poolDialTimeout = 5 * time.Second
 // pipelining one.
 type poolConn struct {
 	conn net.Conn
+	fw   *proto.FrameWriter
+	fr   *proto.FrameReader
 	seq  uint32
 }
 
@@ -47,9 +51,8 @@ func newPool(addr string, retry backoff.Policy) *pool {
 	return &pool{addr: addr, retry: retry}
 }
 
-// get checks out an idle connection or dials a fresh one. Peers are
-// cluster members, which all speak v3; a peer negotiating below v3
-// cannot carry tenant routing and is refused.
+// get checks out an idle connection or dials a fresh one, checked with
+// the same Hello round trip an edge opens with.
 func (p *pool) get(ctx context.Context) (*poolConn, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -73,32 +76,15 @@ func (p *pool) get(ctx context.Context) (*poolConn, error) {
 	if cd, ok := ctx.Deadline(); ok && cd.Before(deadline) {
 		deadline = cd
 	}
+	pc := &poolConn{conn: conn, fw: proto.NewFrameWriter(conn), fr: proto.NewFrameReader(bufio.NewReader(conn))}
 	conn.SetDeadline(deadline)
-	hello := proto.EncodeHello(&proto.Hello{MaxVersion: proto.MaxVersion})
-	if err := proto.WriteFrame(conn, proto.TypeHello, hello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: hello to %s: %w", p.addr, err)
-	}
-	reply, err := proto.ReadFrameAny(conn)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: hello reply from %s: %w", p.addr, err)
-	}
+	err = proto.Greet(pc.fw, pc.fr)
 	conn.SetDeadline(time.Time{})
-	if reply.Type != proto.TypeHello {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: peer %s answered hello with type %d", p.addr, reply.Type)
-	}
-	h, err := proto.DecodeHello(reply.Payload)
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("cluster: peer %s: %w", p.addr, err)
 	}
-	if v := proto.Negotiate(proto.MaxVersion, h.MaxVersion); v < proto.Version3 {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: peer %s speaks v%d; cluster requires v3", p.addr, v)
-	}
-	return &poolConn{conn: conn}, nil
+	return pc, nil
 }
 
 // put returns a healthy connection to the idle set.
@@ -114,7 +100,7 @@ func (p *pool) put(pc *poolConn) {
 }
 
 // roundTrip runs one serial exchange against the peer: checkout,
-// write the v3 request frame, read its reply (Pongs from crossed
+// write the request frame, read its reply (Pongs from crossed
 // keepalives are skipped), return the connection. Connection-level
 // failures discard the connection and retry on a fresh one, paced by
 // the pool's backoff policy and bounded by attempts and ctx; an
@@ -166,11 +152,11 @@ func (p *pool) exchange(ctx context.Context, pc *poolConn, t proto.MsgType, tena
 		pc.conn.SetDeadline(d)
 		defer pc.conn.SetDeadline(time.Time{})
 	}
-	if err := proto.WriteFrameV3(pc.conn, t, id, tenant, payload); err != nil {
+	if err := pc.fw.WriteFrame(t, id, tenant, payload); err != nil {
 		return 0, nil, fmt.Errorf("cluster: write to %s: %w", p.addr, err)
 	}
 	for {
-		f, err := proto.ReadFrameAny(pc.conn)
+		f, err := pc.fr.ReadFrame()
 		if err != nil {
 			return 0, nil, fmt.Errorf("cluster: read from %s: %w", p.addr, err)
 		}

@@ -1,8 +1,8 @@
 // Package cluster turns N cloud nodes into one logical cloud. A
 // consistent-hash ring with virtual nodes maps every tenant ID to an
 // owning node (and the next distinct node as its replica); a thin
-// Router the edge dials speaks the existing protocol — v3 frames
-// already carry the tenant ID, which is the routing key — and proxies
+// Router the edge dials speaks the existing protocol — every frame
+// already carries the tenant ID, which is the routing key — and proxies
 // each Search/Ingest to the owner over pooled connections with backoff
 // and retry-on-moved; membership changes migrate tenants to their new
 // owners (drain → snapshot → transfer → brief forwarding window); and

@@ -59,7 +59,7 @@ func (m *RouterMetrics) Snapshot() RouterMetricsSnapshot {
 
 // Router is the coordinator the edge dials. It speaks the same wire
 // protocol as a single cloud server — edges need no cluster awareness
-// beyond their existing v3 tenant frames — and proxies every request
+// beyond the tenant their frames already carry — and proxies every request
 // to the tenant's owning node over pooled connections. It is a
 // cloud.Transport with no engine behind it: the "handler" is pure
 // forwarding. When a node stops answering, the router removes it from

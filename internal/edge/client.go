@@ -21,10 +21,6 @@ import (
 // ErrClosed is returned by calls on a closed client.
 var ErrClosed = errors.New("edge: client closed")
 
-// errVersionTooOld marks an exchange refused because the connection
-// negotiated a protocol version below what the message needs.
-var errVersionTooOld = errors.New("edge: connection protocol version too old")
-
 // handshakeTimeout bounds the Hello exchange on a fresh connection.
 const handshakeTimeout = 10 * time.Second
 
@@ -49,15 +45,9 @@ type waiter struct {
 // ClientOptions tunes a Client beyond its connection.
 type ClientOptions struct {
 	// Tenant is the cloud-side tenant/store ID every request is
-	// routed to. It rides in each v3 frame; on connections
-	// negotiated below v3 it is dropped on the wire and the server
-	// routes to its default tenant. Empty selects the server's
+	// routed to; it rides in each frame. Empty selects the server's
 	// default tenant.
 	Tenant string
-	// MaxVersion caps the protocol version announced in the Hello
-	// exchange (0: proto.MaxVersion). Deployments mid-rollout can
-	// pin edges to an older version.
-	MaxVersion uint8
 	// DialTimeout bounds each (re)connection attempt of a dialled
 	// client.
 	DialTimeout time.Duration
@@ -154,19 +144,16 @@ func IsCloudCode(err error, code uint16) bool {
 }
 
 // Client is a pipelined, context-aware protocol client. Multiple
-// goroutines may call Search concurrently: on a v2+ connection every
-// request carries an ID and replies are matched as they arrive, in any
-// order; against a v1 peer the client transparently falls back to
-// FIFO matching (the v1 wire guarantees reply order). A client built
-// with Dial re-establishes the connection after a failure on the next
-// call. A client carries at most one tenant ID; devices for different
+// goroutines may call Search concurrently: every request carries an ID
+// and replies are matched by it as they arrive, in any order. A client
+// built with Dial re-establishes the connection after a failure on the
+// next call. A client carries at most one tenant ID; devices for different
 // patients use separate clients (connections are cheap, stores are
 // not shared).
 type Client struct {
 	addr           string // empty: reconnect unavailable (wrapped conn)
 	dialer         func(ctx context.Context) (net.Conn, error)
 	dialTimeout    time.Duration
-	maxVersion     uint8
 	redialAttempts int
 	redial         backoff.Policy
 	keepalive      time.Duration
@@ -182,10 +169,8 @@ type Client struct {
 	tenant  string
 	conn    net.Conn
 	fw      *proto.FrameWriter // conn's frame writer; used under wmu only
-	version uint8
 	seq     uint32
-	pending map[uint32]*waiter // v2+: keyed by request ID
-	fifo    []*waiter          // v1: replies arrive in request order
+	pending map[uint32]*waiter // keyed by request ID
 	connErr error              // sticky until reconnect
 	closed  bool
 
@@ -195,10 +180,6 @@ type Client struct {
 }
 
 func newClient(opts ClientOptions) *Client {
-	mv := opts.MaxVersion
-	if mv == 0 || mv > proto.MaxVersion {
-		mv = proto.MaxVersion
-	}
 	attempts := opts.RedialAttempts
 	if attempts == 0 {
 		attempts = 3
@@ -208,7 +189,6 @@ func newClient(opts ClientOptions) *Client {
 	c := &Client{
 		tenant:         opts.Tenant,
 		dialer:         opts.Dialer,
-		maxVersion:     mv,
 		dialTimeout:    opts.DialTimeout,
 		redialAttempts: attempts,
 		redial:         opts.Redial,
@@ -220,16 +200,14 @@ func newClient(opts ClientOptions) *Client {
 	return c
 }
 
-// NewClient wraps an established connection and negotiates the
-// protocol version with a Hello exchange. A peer that does not
-// understand Hello (a v1 server answers it with an error frame) pins
-// the connection to version 1.
+// NewClient wraps an established connection and checks the peer with
+// a Hello exchange; a peer that answers it with anything but a Hello is
+// refused.
 func NewClient(conn net.Conn) (*Client, error) {
 	return NewClientOpts(conn, ClientOptions{})
 }
 
-// NewClientOpts wraps an established connection with explicit options
-// (tenant routing, protocol-version cap).
+// NewClientOpts wraps an established connection with explicit options.
 func NewClientOpts(conn net.Conn, opts ClientOptions) (*Client, error) {
 	c := newClient(opts)
 	if err := c.install(context.Background(), conn); err != nil {
@@ -239,8 +217,7 @@ func NewClientOpts(conn net.Conn, opts ClientOptions) (*Client, error) {
 	return c, nil
 }
 
-// Dial connects to a cloud service address and negotiates the
-// protocol version.
+// Dial connects to a cloud service address.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	return DialOpts(addr, ClientOptions{DialTimeout: timeout})
 }
@@ -326,12 +303,21 @@ func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 	return conn, nil
 }
 
-// install negotiates on conn and starts its reader. Callers must not
-// hold c.mu.
+// install checks the peer with a Hello exchange on conn, bounded by the
+// caller's deadline when it is tighter than the default, and starts the
+// connection's reader. Callers must not hold c.mu.
 func (c *Client) install(ctx context.Context, conn net.Conn) error {
-	version, err := negotiate(ctx, conn, c.maxVersion)
+	deadline := time.Now().Add(handshakeTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	fw := proto.NewFrameWriter(conn)
+	fr := proto.NewFrameReader(bufio.NewReader(conn))
+	conn.SetDeadline(deadline)
+	err := proto.Greet(fw, fr)
+	conn.SetDeadline(time.Time{})
 	if err != nil {
-		return err
+		return fmt.Errorf("edge: %w", err)
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -340,52 +326,11 @@ func (c *Client) install(ctx context.Context, conn net.Conn) error {
 		return ErrClosed
 	}
 	c.conn = conn
-	c.fw = proto.NewFrameWriter(conn)
-	c.version = version
+	c.fw = fw
 	c.connErr = nil
 	c.mu.Unlock()
-	go c.readLoop(conn)
+	go c.readLoop(conn, fr)
 	return nil
-}
-
-// negotiate runs the client half of the Hello exchange, bounded by
-// the caller's deadline when it is tighter than the default.
-func negotiate(ctx context.Context, conn net.Conn, maxVersion uint8) (uint8, error) {
-	deadline := time.Now().Add(handshakeTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	conn.SetDeadline(deadline)
-	defer conn.SetDeadline(time.Time{})
-	hello := proto.EncodeHello(&proto.Hello{MaxVersion: maxVersion})
-	if err := proto.WriteFrame(conn, proto.TypeHello, hello); err != nil {
-		return 0, fmt.Errorf("edge: hello: %w", err)
-	}
-	f, err := proto.ReadFrameAny(conn)
-	if err != nil {
-		return 0, fmt.Errorf("edge: hello reply: %w", err)
-	}
-	switch f.Type {
-	case proto.TypeHello:
-		h, err := proto.DecodeHello(f.Payload)
-		if err != nil {
-			return 0, err
-		}
-		return proto.Negotiate(maxVersion, h.MaxVersion), nil
-	case proto.TypeError:
-		// A v1 server rejects the unknown Hello type; the
-		// connection stays usable, just serial.
-		return proto.Version1, nil
-	default:
-		return 0, fmt.Errorf("edge: unexpected hello reply type %d", f.Type)
-	}
-}
-
-// Version returns the negotiated protocol version (for diagnostics).
-func (c *Client) Version() uint8 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
 }
 
 // Tenant returns the tenant ID requests are routed to ("" = the
@@ -443,16 +388,11 @@ func (c *Client) Close() error {
 	c.closed = true
 	conn := c.conn
 	pending := c.pending
-	fifo := c.fifo
 	c.pending = make(map[uint32]*waiter)
-	c.fifo = nil
 	c.connErr = ErrClosed
 	c.mu.Unlock()
 	close(c.done)
 	for _, w := range pending {
-		w.ch <- result{err: ErrClosed}
-	}
-	for _, w := range fifo {
 		w.ch <- result{err: ErrClosed}
 	}
 	if conn != nil {
@@ -462,7 +402,7 @@ func (c *Client) Close() error {
 }
 
 // Connected reports whether the client currently holds a live,
-// negotiated connection.
+// checked connection.
 func (c *Client) Connected() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -470,29 +410,22 @@ func (c *Client) Connected() bool {
 }
 
 // readLoop is the connection's demultiplexer: it reads frames until
-// the connection dies and routes each reply to its waiter — by frame
-// ID on v2, FIFO on v1. A correlation-set payload comes from proto's
-// buffer pool and changes hands with the result: the waiter that
-// receives it releases it when it has decoded it. A reply whose waiter
+// the connection dies and routes each reply to its waiter by frame ID.
+// A correlation-set payload comes from proto's buffer pool and changes
+// hands with the result: the waiter that receives it releases it when
+// it has decoded it. A reply whose waiter
 // is gone is released here; one parked in an abandoned waiter's channel
 // is left to the collector.
-func (c *Client) readLoop(conn net.Conn) {
-	fr := proto.NewFrameReader(bufio.NewReader(conn))
+func (c *Client) readLoop(conn net.Conn, fr *proto.FrameReader) {
 	for {
 		f, err := fr.ReadFrame()
 		if err != nil {
 			c.failAll(conn, fmt.Errorf("edge: connection lost: %w", err))
 			return
 		}
-		var w *waiter
 		c.mu.Lock()
-		if f.Version >= proto.Version2 {
-			w = c.pending[f.ID]
-			delete(c.pending, f.ID)
-		} else if len(c.fifo) > 0 {
-			w = c.fifo[0]
-			c.fifo = c.fifo[1:]
-		}
+		w := c.pending[f.ID]
+		delete(c.pending, f.ID)
 		c.mu.Unlock()
 		if w != nil {
 			w.ch <- result{typ: f.Type, payload: f.Payload}
@@ -518,16 +451,11 @@ func (c *Client) failAll(conn net.Conn, err error) {
 	}
 	c.connErr = err
 	pending := c.pending
-	fifo := c.fifo
 	c.pending = make(map[uint32]*waiter)
-	c.fifo = nil
 	c.mu.Unlock()
 	c.Metrics.ConnLost.Add(1)
 	conn.Close()
 	for _, w := range pending {
-		w.ch <- result{err: err}
-	}
-	for _, w := range fifo {
 		w.ch <- result{err: err}
 	}
 }
@@ -540,18 +468,18 @@ func (c *Client) failAll(conn net.Conn, err error) {
 // sleeps between them. Up to redialAttempts connection attempts are
 // made, paced by the redial policy; the sticky connection error (or
 // the last dial failure) surfaces when they are exhausted.
-func (c *Client) ensure(ctx context.Context) (net.Conn, uint8, error) {
+func (c *Client) ensure(ctx context.Context) (net.Conn, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
-			return nil, 0, ErrClosed
+			return nil, ErrClosed
 		}
 		if c.connErr == nil && c.conn != nil {
-			conn, v := c.conn, c.version
+			conn := c.conn
 			c.mu.Unlock()
-			return conn, v, nil
+			return conn, nil
 		}
 		if lastErr == nil {
 			lastErr = c.connErr
@@ -563,14 +491,14 @@ func (c *Client) ensure(ctx context.Context) (net.Conn, uint8, error) {
 			lastErr = errors.New("edge: no connection")
 		}
 		if !canRedial || attempt >= c.redialAttempts {
-			return nil, 0, lastErr
+			return nil, lastErr
 		}
 		if attempt > 0 {
 			// Cancellation during the backoff sleep surfaces as the
 			// caller's ctx error, not as the stale network failure:
 			// an abort must be distinguishable from a flaky link.
 			if err := c.redial.Sleep(ctx, attempt-1); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 		c.dialMu.Lock()
@@ -593,7 +521,7 @@ func (c *Client) ensure(ctx context.Context) (net.Conn, uint8, error) {
 		c.dialMu.Unlock()
 		if err != nil {
 			if errors.Is(err, ErrClosed) || ctx.Err() != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			lastErr = err
 			continue
@@ -603,27 +531,19 @@ func (c *Client) ensure(ctx context.Context) (net.Conn, uint8, error) {
 }
 
 // roundTrip registers a waiter, writes the request and awaits the
-// matching reply, honouring ctx cancellation throughout. minVersion,
-// when non-zero, refuses the exchange if the connection the write
-// will actually use negotiated below it — checked on ensure's result,
-// which is the same conn the registration re-verifies under the lock,
-// so a silent reconnect at a lower version cannot slip through.
-func (c *Client) roundTrip(ctx context.Context, t proto.MsgType, minVersion uint8, encode func(b []byte, id uint32) []byte) (proto.MsgType, []byte, error) {
+// matching reply, honouring ctx cancellation throughout.
+func (c *Client) roundTrip(ctx context.Context, t proto.MsgType, encode func(b []byte, id uint32) []byte) (proto.MsgType, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
-	conn, version, err := c.ensure(ctx)
+	conn, err := c.ensure(ctx)
 	if err != nil {
 		return 0, nil, err
 	}
-	if minVersion != 0 && version < minVersion {
-		return 0, nil, fmt.Errorf("%w: negotiated v%d, need v%d", errVersionTooOld, version, minVersion)
-	}
 
-	// Registration and the wire write happen under one write lock so
-	// FIFO order always equals wire order — on a v1 connection the
-	// reply is matched purely by position, so a register/write
-	// inversion between two goroutines would swap their answers.
+	// Registration and the wire write happen under one write lock: the
+	// request encodes under its registered ID into the client's one
+	// scratch buffer.
 	w := &waiter{ch: make(chan result, 1)}
 	c.wmu.Lock()
 	c.mu.Lock()
@@ -641,11 +561,7 @@ func (c *Client) roundTrip(ctx context.Context, t proto.MsgType, minVersion uint
 	id := c.seq
 	tenant := c.tenant
 	fw := c.fw
-	if version >= proto.Version2 {
-		c.pending[id] = w
-	} else {
-		c.fifo = append(c.fifo, w)
-	}
+	c.pending[id] = w
 	c.mu.Unlock()
 
 	var payload []byte
@@ -666,7 +582,7 @@ func (c *Client) roundTrip(ctx context.Context, t proto.MsgType, minVersion uint
 	} else {
 		conn.SetWriteDeadline(time.Time{})
 	}
-	err = fw.WriteFrame(version, t, id, tenant, payload)
+	err = fw.WriteFrame(t, id, tenant, payload)
 	c.wmu.Unlock()
 	if err != nil {
 		c.failAll(conn, fmt.Errorf("edge: write: %w", err))
@@ -685,13 +601,10 @@ func (c *Client) roundTrip(ctx context.Context, t proto.MsgType, minVersion uint
 		}
 		return r.typ, r.payload, nil
 	case <-ctx.Done():
-		// Abandon the request: on v2 the waiter can be dropped;
-		// on v1 the reply still occupies a FIFO slot, so the
-		// entry stays and the buffered channel absorbs it.
+		// Abandon the request: a late reply finds no waiter and the
+		// reader releases it.
 		c.mu.Lock()
-		if version >= proto.Version2 {
-			delete(c.pending, id)
-		}
+		delete(c.pending, id)
 		c.mu.Unlock()
 		return 0, nil, ctx.Err()
 	}
@@ -699,7 +612,7 @@ func (c *Client) roundTrip(ctx context.Context, t proto.MsgType, minVersion uint
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping(ctx context.Context) error {
-	typ, _, err := c.roundTrip(ctx, proto.TypePing, 0, nil)
+	typ, _, err := c.roundTrip(ctx, proto.TypePing, nil)
 	if err != nil {
 		return err
 	}
@@ -712,26 +625,11 @@ func (c *Client) Ping(ctx context.Context) error {
 // Ingest pushes a preprocessed recording into the cloud-side store of
 // the client's tenant, where it is sliced, labelled and becomes
 // searchable immediately — the live-MDB half of the paper's design.
-// ing.Seq is overwritten with the request ID. A pre-v3 server answers
-// TypeIngest with an error frame, which surfaces here as an error.
-//
-// A tenant-pinned client refuses to ingest over a connection
-// negotiated below v3: the wire would drop the tenant and the
-// recording would land — with a success ack — in the server's shared
-// default store, a silent cross-tenant write. (Searches stay
-// permissive on old connections: they only read, and the default
-// tenant is the documented legacy behaviour.)
+// ing.Seq is overwritten with the request ID. A refusal surfaces as a
+// *CloudError.
 func (c *Client) Ingest(ctx context.Context, ing *proto.Ingest) (*proto.IngestAck, error) {
-	// The v3 floor applies only when a tenant is pinned; roundTrip
-	// enforces it on the very connection the write uses, so even a
-	// mid-call reconnect that renegotiates lower cannot leak the
-	// recording into the default store.
-	var minVersion uint8
-	if c.Tenant() != "" {
-		minVersion = proto.Version3
-	}
 	for hop := 0; ; hop++ {
-		typ, resp, err := c.roundTrip(ctx, proto.TypeIngest, minVersion, func(b []byte, id uint32) []byte {
+		typ, resp, err := c.roundTrip(ctx, proto.TypeIngest, func(b []byte, id uint32) []byte {
 			ing.Seq = id
 			return proto.AppendIngest(b, ing)
 		})
@@ -792,7 +690,7 @@ func (c *Client) Search(ctx context.Context, window []float64) (*proto.CorrSet, 
 func (c *Client) SearchPri(ctx context.Context, window []float64, priority uint8) (*proto.CorrSet, error) {
 	counts, scale := proto.Quantize(window)
 	for hop := 0; ; hop++ {
-		typ, resp, err := c.roundTrip(ctx, proto.TypeUpload, 0, func(b []byte, id uint32) []byte {
+		typ, resp, err := c.roundTrip(ctx, proto.TypeUpload, func(b []byte, id uint32) []byte {
 			return proto.AppendUpload(b, &proto.Upload{Seq: id, Scale: scale, Samples: counts, Priority: priority})
 		})
 		if err != nil {

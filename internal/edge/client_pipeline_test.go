@@ -13,16 +13,16 @@ import (
 	"emap/internal/synth"
 )
 
-// answerHello consumes the client's Hello and answers with version v.
-func answerHello(t *testing.T, conn net.Conn, v uint8) {
+// answerHello consumes the client's Hello and answers it.
+func answerHello(t *testing.T, conn net.Conn) {
 	t.Helper()
 	f, err := proto.ReadFrameAny(conn)
 	if err != nil || f.Type != proto.TypeHello {
 		t.Errorf("server: expected hello, got %+v, %v", f, err)
 		return
 	}
-	payload := proto.EncodeHello(&proto.Hello{MaxVersion: v})
-	if err := proto.WriteFrame(conn, proto.TypeHello, payload); err != nil {
+	payload := proto.EncodeHello(&proto.Hello{Version: proto.Version3})
+	if err := proto.NewFrameWriter(conn).WriteFrame(proto.TypeHello, 0, "", payload); err != nil {
 		t.Errorf("server: hello reply: %v", err)
 	}
 }
@@ -30,14 +30,14 @@ func answerHello(t *testing.T, conn net.Conn, v uint8) {
 // TestClientMatchesOutOfOrderReplies: two concurrent Searches on one
 // connection, the hand-rolled server replies in reverse order, and
 // each caller must receive the reply for its own request (matched by
-// v2 frame ID).
+// frame ID).
 func TestClientMatchesOutOfOrderReplies(t *testing.T) {
 	cConn, sConn := net.Pipe()
 	defer cConn.Close()
 	defer sConn.Close()
 
 	go func() {
-		answerHello(t, sConn, proto.Version2)
+		answerHello(t, sConn)
 		// Read both uploads first, then reply newest-first: the
 		// wire order of replies is the reverse of the requests.
 		var frames []proto.Frame
@@ -60,7 +60,7 @@ func TestClientMatchesOutOfOrderReplies(t *testing.T) {
 			// the caller can verify it got its own answer.
 			cs := &proto.CorrSet{Seq: f.ID, Entries: []proto.CorrEntry{
 				{SetID: 1, Beta: int32(len(u.Samples))}}}
-			if err := proto.WriteFrameV2(sConn, proto.TypeCorrSet, f.ID, proto.EncodeCorrSet(cs)); err != nil {
+			if err := proto.NewFrameWriter(sConn).WriteFrame(proto.TypeCorrSet, f.ID, "", proto.EncodeCorrSet(cs)); err != nil {
 				t.Errorf("server write: %v", err)
 				return
 			}
@@ -70,9 +70,6 @@ func TestClientMatchesOutOfOrderReplies(t *testing.T) {
 	client, err := NewClient(cConn)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if client.Version() != proto.Version2 {
-		t.Fatalf("negotiated version %d, want 2", client.Version())
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -99,55 +96,6 @@ func TestClientMatchesOutOfOrderReplies(t *testing.T) {
 	}
 }
 
-// TestClientV1Fallback: a v1 server answers Hello with an error frame;
-// the client must fall back to serial v1 framing and still work.
-func TestClientV1Fallback(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	defer cConn.Close()
-	defer sConn.Close()
-
-	go func() {
-		// v1 server: unknown message type → error reply.
-		if _, _, err := proto.ReadFrame(sConn); err != nil {
-			t.Errorf("server: %v", err)
-			return
-		}
-		payload := proto.EncodeError(&proto.ErrorMsg{Code: 400, Text: "unexpected message type 6"})
-		if err := proto.WriteFrame(sConn, proto.TypeError, payload); err != nil {
-			t.Errorf("server: %v", err)
-			return
-		}
-		// Then one serial v1 exchange.
-		typ, p, err := proto.ReadFrame(sConn)
-		if err != nil || typ != proto.TypeUpload {
-			t.Errorf("server: upload: %d, %v", typ, err)
-			return
-		}
-		u, err := proto.DecodeUpload(p)
-		if err != nil {
-			t.Errorf("server: %v", err)
-			return
-		}
-		cs := &proto.CorrSet{Seq: u.Seq}
-		if err := proto.WriteFrame(sConn, proto.TypeCorrSet, proto.EncodeCorrSet(cs)); err != nil {
-			t.Errorf("server: %v", err)
-		}
-	}()
-
-	client, err := NewClient(cConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if client.Version() != proto.Version1 {
-		t.Fatalf("negotiated version %d, want 1", client.Version())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := client.Search(ctx, make([]float64, 256)); err != nil {
-		t.Fatalf("v1 fallback search: %v", err)
-	}
-}
-
 // TestClientSearchHonoursContext: a server that never replies must not
 // hang a Search whose context expires.
 func TestClientSearchHonoursContext(t *testing.T) {
@@ -155,7 +103,7 @@ func TestClientSearchHonoursContext(t *testing.T) {
 	defer cConn.Close()
 	defer sConn.Close()
 	go func() {
-		answerHello(t, sConn, proto.Version2)
+		answerHello(t, sConn)
 		proto.ReadFrameAny(sConn) // swallow the upload, never reply
 	}()
 	client, err := NewClient(cConn)

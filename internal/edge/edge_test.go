@@ -166,17 +166,17 @@ func TestServerRejectsGarbageFrame(t *testing.T) {
 	go srv.HandleConn(sConn)
 	defer cConn.Close()
 	// A malformed Upload payload must produce a protocol error reply.
-	if err := proto.WriteFrame(cConn, proto.TypeUpload, []byte{1, 2, 3}); err != nil {
+	if err := proto.NewFrameWriter(cConn).WriteFrame(proto.TypeUpload, 0, "", []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := proto.ReadFrame(cConn)
+	f, err := proto.ReadFrameAny(cConn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != proto.TypeError {
-		t.Fatalf("expected error reply, got type %d", typ)
+	if f.Type != proto.TypeError {
+		t.Fatalf("expected error reply, got type %d", f.Type)
 	}
-	em, err := proto.DecodeError(payload)
+	em, err := proto.DecodeError(f.Payload)
 	if err != nil || em.Code != 400 {
 		t.Fatalf("error reply: %+v, %v", em, err)
 	}
@@ -191,12 +191,12 @@ func TestServerRejectsUnknownType(t *testing.T) {
 	cConn, sConn := net.Pipe()
 	go srv.HandleConn(sConn)
 	defer cConn.Close()
-	if err := proto.WriteFrame(cConn, proto.MsgType(99), nil); err != nil {
+	if err := proto.NewFrameWriter(cConn).WriteFrame(proto.MsgType(99), 0, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, err := proto.ReadFrame(cConn)
-	if err != nil || typ != proto.TypeError {
-		t.Fatalf("unknown type reply: %d, %v", typ, err)
+	f, err := proto.ReadFrameAny(cConn)
+	if err != nil || f.Type != proto.TypeError {
+		t.Fatalf("unknown type reply: %d, %v", f.Type, err)
 	}
 }
 

@@ -338,7 +338,7 @@ func TestClientCloseFailsInflight(t *testing.T) {
 	cConn, sConn := net.Pipe()
 	defer sConn.Close()
 	go func() {
-		answerHello(t, sConn, proto.Version2)
+		answerHello(t, sConn)
 		proto.ReadFrameAny(sConn) // swallow the upload, never reply
 	}()
 	client, err := NewClient(cConn)
@@ -364,77 +364,6 @@ func TestClientCloseFailsInflight(t *testing.T) {
 	// Calls after Close fail the same way.
 	if _, err := client.Search(context.Background(), make([]float64, 256)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Search after Close = %v, want ErrClosed", err)
-	}
-}
-
-// TestClientV1AbandonedWaiterFIFO covers the v1 FIFO abandoned-waiter
-// branch of roundTrip: a caller that gives up (ctx expired) leaves its
-// FIFO slot in place, the late reply is absorbed by the abandoned
-// waiter's buffered channel, and the next caller still gets its own
-// answer.
-func TestClientV1AbandonedWaiterFIFO(t *testing.T) {
-	cConn, sConn := net.Pipe()
-	defer cConn.Close()
-	defer sConn.Close()
-
-	release := make(chan struct{})
-	go func() {
-		// v1 server: reject the Hello so the client falls back.
-		if _, _, err := proto.ReadFrame(sConn); err != nil {
-			t.Errorf("server: hello: %v", err)
-			return
-		}
-		proto.WriteFrame(sConn, proto.TypeError,
-			proto.EncodeError(&proto.ErrorMsg{Code: 400, Text: "unexpected message type"}))
-		// Read upload 1, but only reply after the caller gave up.
-		f1, _, err := proto.ReadFrame(sConn)
-		if err != nil || f1 != proto.TypeUpload {
-			t.Errorf("server: upload1: %d, %v", f1, err)
-			return
-		}
-		<-release
-		// Late reply for request 1, then serve request 2 normally.
-		// Each reply is tagged with its request's window length.
-		proto.WriteFrame(sConn, proto.TypeCorrSet, proto.EncodeCorrSet(
-			&proto.CorrSet{Entries: []proto.CorrEntry{{Beta: 256}}}))
-		f2, p2, err := proto.ReadFrame(sConn)
-		if err != nil || f2 != proto.TypeUpload {
-			t.Errorf("server: upload2: %d, %v", f2, err)
-			return
-		}
-		u2, err := proto.DecodeUpload(p2)
-		if err != nil {
-			t.Errorf("server: %v", err)
-			return
-		}
-		proto.WriteFrame(sConn, proto.TypeCorrSet, proto.EncodeCorrSet(
-			&proto.CorrSet{Entries: []proto.CorrEntry{{Beta: int32(len(u2.Samples))}}}))
-	}()
-
-	client, err := NewClient(cConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if client.Version() != proto.Version1 {
-		t.Fatalf("negotiated v%d, want v1", client.Version())
-	}
-
-	ctx1, cancel1 := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel1()
-	if _, err := client.Search(ctx1, make([]float64, 256)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("abandoned search = %v, want deadline exceeded", err)
-	}
-	close(release)
-
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	cs, err := client.Search(ctx2, make([]float64, 300))
-	if err != nil {
-		t.Fatalf("second search after an abandoned waiter: %v", err)
-	}
-	if got := int(cs.Entries[0].Beta); got != 300 {
-		t.Fatalf("second search received the abandoned request's reply (tag %d, want 300)", got)
 	}
 }
 

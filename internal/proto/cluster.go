@@ -5,7 +5,7 @@ import (
 	"io"
 )
 
-// Cluster control messages (all v3-framed; see internal/cluster). The
+// Cluster control messages (see internal/cluster). The
 // router tier and the cloud nodes coordinate with four exchanges:
 // MOVED redirects a request for a tenant the receiving node does not
 // own, Ring pushes the membership table, Replicate ships one tenant's

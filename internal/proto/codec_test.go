@@ -350,7 +350,7 @@ func TestFrameIOAllocations(t *testing.T) {
 	fw := NewFrameWriter(&wire)
 	if n := testing.AllocsPerRun(50, func() {
 		wire.Reset()
-		if err := fw.WriteFrame(Version3, TypeUpload, 7, "ward-7", payload); err != nil {
+		if err := fw.WriteFrame(TypeUpload, 7, "ward-7", payload); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -372,7 +372,7 @@ func TestFrameIOAllocations(t *testing.T) {
 	// A correlation set is read into a pool buffer: a reader whose
 	// consumer releases it allocates nothing per frame.
 	wire.Reset()
-	if err := fw.WriteFrame(Version3, TypeCorrSet, 8, "ward-7", EncodeCorrSet(bigCorrSet())); err != nil {
+	if err := fw.WriteFrame(TypeCorrSet, 8, "ward-7", EncodeCorrSet(bigCorrSet())); err != nil {
 		t.Fatal(err)
 	}
 	frame = append([]byte(nil), wire.Bytes()...)

@@ -8,8 +8,8 @@ import (
 	"net"
 )
 
-// maxHeader is the longest frame header: a version-3 header naming a
-// MaxTenantLen tenant.
+// maxHeader is the longest frame header: one naming a MaxTenantLen
+// tenant.
 const maxHeader = 13 + MaxTenantLen
 
 // FrameWriter writes frames to one stream. A connection keeps one for
@@ -28,31 +28,21 @@ type FrameWriter struct {
 // NewFrameWriter returns a frame writer on w.
 func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 
-// WriteFrame writes one frame in the given negotiated version, dropping
-// whatever fields that version's layout cannot carry: v1 loses the ID
-// and the tenant (replies match by order, requests land on the default
-// tenant), v2 loses the tenant only. The payload is only read, and not
+// WriteFrame writes one frame carrying a request ID and a tenant (empty
+// = the server's default tenant). The payload is only read, and not
 // referenced once WriteFrame returns.
-func (fw *FrameWriter) WriteFrame(version uint8, t MsgType, id uint32, tenant string, payload []byte) error {
+func (fw *FrameWriter) WriteFrame(t MsgType, id uint32, tenant string, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return ErrTooLarge
 	}
-	hdr := appendU16(fw.head[:0], Magic)
-	hdr = append(hdr, version, byte(t))
-	switch version {
-	case Version1:
-	case Version2:
-		hdr = appendU32(hdr, id)
-	case Version3:
-		if len(tenant) > MaxTenantLen {
-			return ErrTenantLong
-		}
-		hdr = appendU32(hdr, id)
-		hdr = append(hdr, byte(len(tenant)))
-		hdr = append(hdr, tenant...)
-	default:
-		return fmt.Errorf("%w: %d", ErrBadVersion, version)
+	if len(tenant) > MaxTenantLen {
+		return ErrTenantLong
 	}
+	hdr := appendU16(fw.head[:0], Magic)
+	hdr = append(hdr, Version3, byte(t))
+	hdr = appendU32(hdr, id)
+	hdr = append(hdr, byte(len(tenant)))
+	hdr = append(hdr, tenant...)
 	hdr = appendU32(hdr, uint32(len(payload)))
 	if len(payload) == 0 {
 		// Header and trailer are adjacent in head: one plain write (a
@@ -67,35 +57,15 @@ func (fw *FrameWriter) WriteFrame(version uint8, t MsgType, id uint32, tenant st
 	return err
 }
 
-// WriteFrame writes one version-1 frame with the given type and
-// payload.
-func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	return WriteFrameTenant(w, Version1, t, 0, "", payload)
-}
-
-// WriteFrameV2 writes one version-2 frame carrying a request ID.
-func WriteFrameV2(w io.Writer, t MsgType, id uint32, payload []byte) error {
-	return WriteFrameTenant(w, Version2, t, id, "", payload)
-}
-
-// WriteFrameV3 writes one version-3 frame carrying a request ID and a
-// tenant/store identifier (empty = default tenant).
-func WriteFrameV3(w io.Writer, t MsgType, id uint32, tenant string, payload []byte) error {
-	return WriteFrameTenant(w, Version3, t, id, tenant, payload)
-}
-
-// WriteFrameVersion writes a frame in the given negotiated version;
-// the ID is dropped on the v1 wire (v1 replies match by order). It is
-// the tenant-less form of WriteFrameTenant.
-func WriteFrameVersion(w io.Writer, version uint8, t MsgType, id uint32, payload []byte) error {
-	return WriteFrameTenant(w, version, t, id, "", payload)
-}
-
 // WriteFrameTenant writes one frame to w through a FrameWriter of its
-// own — the one-shot form for handshakes and callers that write a
-// frame now and then; a connection's writer keeps a FrameWriter.
+// own — the one-shot form for callers that write a frame now and then;
+// a connection's writer keeps a FrameWriter. Version 3 is the only
+// version it writes: any other is ErrBadVersion.
 func WriteFrameTenant(w io.Writer, version uint8, t MsgType, id uint32, tenant string, payload []byte) error {
-	return NewFrameWriter(w).WriteFrame(version, t, id, tenant, payload)
+	if version != Version3 {
+		return fmt.Errorf("%w: %d", ErrBadVersion, version)
+	}
+	return NewFrameWriter(w).WriteFrame(t, id, tenant, payload)
 }
 
 // FrameReader reads frames from one stream, parsing headers in its own
@@ -114,8 +84,8 @@ type FrameReader struct {
 // NewFrameReader returns a frame reader on r.
 func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
-// ReadFrame reads one frame of any version, validating magic, version,
-// size and CRC; the returned Frame self-describes which layout arrived.
+// ReadFrame reads one frame, validating magic, version, size and CRC; a
+// version byte other than Version3 is ErrBadVersion.
 // The payload belongs to the caller. A TypeCorrSet payload — the one
 // large message, read once per upload by an edge or a relaying router —
 // is drawn from the reply buffer pool, so whoever finishes with it
@@ -123,44 +93,29 @@ func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 // other payload is a fresh slice of the frame's size, the caller's for
 // good.
 func (fr *FrameReader) ReadFrame() (Frame, error) {
-	hdr := fr.head[:8]
+	// The fixed fields and the tenant length arrive first; the tenant
+	// and the length field behind it arrive together.
+	hdr := fr.head[:9]
 	if _, err := io.ReadFull(fr.r, hdr); err != nil {
 		return Frame{}, err
 	}
 	if binary.LittleEndian.Uint16(hdr) != Magic {
 		return Frame{}, ErrBadMagic
 	}
-	f := Frame{Version: hdr[2], Type: MsgType(hdr[3])}
-	var n uint32
-	switch f.Version {
-	case Version1:
-		n = binary.LittleEndian.Uint32(hdr[4:])
-	case Version2:
-		f.ID = binary.LittleEndian.Uint32(hdr[4:])
-		ext := fr.head[8:12]
-		if _, err := io.ReadFull(fr.r, ext); err != nil {
-			return Frame{}, fmt.Errorf("proto: truncated v2 header: %w", err)
-		}
-		n = binary.LittleEndian.Uint32(ext)
-	case Version3:
-		f.ID = binary.LittleEndian.Uint32(hdr[4:])
-		if _, err := io.ReadFull(fr.r, fr.head[8:9]); err != nil {
-			return Frame{}, fmt.Errorf("proto: truncated v3 header: %w", err)
-		}
-		// The tenant and the length field behind it arrive together.
-		tl := int(fr.head[8])
-		rest := fr.head[9 : 9+tl+4]
-		if _, err := io.ReadFull(fr.r, rest); err != nil {
-			return Frame{}, fmt.Errorf("proto: truncated v3 header: %w", err)
-		}
-		if tenant := rest[:tl]; string(tenant) != fr.tenant {
-			fr.tenant = string(tenant)
-		}
-		f.Tenant = fr.tenant
-		n = binary.LittleEndian.Uint32(rest[tl:])
-	default:
-		return Frame{}, fmt.Errorf("%w: %d", ErrBadVersion, f.Version)
+	if hdr[2] != Version3 {
+		return Frame{}, fmt.Errorf("%w: %d", ErrBadVersion, hdr[2])
 	}
+	f := Frame{Version: Version3, Type: MsgType(hdr[3]), ID: binary.LittleEndian.Uint32(hdr[4:])}
+	tl := int(hdr[8])
+	rest := fr.head[9 : 9+tl+4]
+	if _, err := io.ReadFull(fr.r, rest); err != nil {
+		return Frame{}, fmt.Errorf("proto: truncated header: %w", err)
+	}
+	if tenant := rest[:tl]; string(tenant) != fr.tenant {
+		fr.tenant = string(tenant)
+	}
+	f.Tenant = fr.tenant
+	n := binary.LittleEndian.Uint32(rest[tl:])
 	if n > MaxPayload {
 		return Frame{}, ErrTooLarge
 	}
@@ -183,22 +138,29 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 	return f, nil
 }
 
-// ReadFrameAny reads one frame of any version from r through a
-// FrameReader of its own — the one-shot form, consuming exactly the
-// frame's bytes; a connection's reader keeps a FrameReader.
+// ReadFrameAny reads one frame from r through a FrameReader of its own
+// — the one-shot form, consuming exactly the frame's bytes; a
+// connection's reader keeps a FrameReader.
 func ReadFrameAny(r io.Reader) (Frame, error) {
 	return NewFrameReader(r).ReadFrame()
 }
 
-// ReadFrame reads one version-1 frame, validating magic, version, size
-// and CRC.
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	f, err := ReadFrameAny(r)
+// Greet runs the connecting side's Hello round trip on a fresh
+// connection: it announces Version3 and expects a Hello back. Nothing is
+// negotiated — there is one layout — but a peer that drops the
+// connection, answers with anything else or is not EMAP at all fails
+// here, at connect, not on the first request. The caller bounds the
+// exchange with a deadline on the connection.
+func Greet(fw *FrameWriter, fr *FrameReader) error {
+	if err := fw.WriteFrame(TypeHello, 0, "", EncodeHello(&Hello{Version: Version3})); err != nil {
+		return fmt.Errorf("proto: hello: %w", err)
+	}
+	f, err := fr.ReadFrame()
 	if err != nil {
-		return 0, nil, err
+		return fmt.Errorf("proto: hello reply: %w", err)
 	}
-	if f.Version != Version1 {
-		return 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, f.Version)
+	if f.Type != TypeHello {
+		return fmt.Errorf("proto: peer answered hello with type %d", f.Type)
 	}
-	return f.Type, f.Payload, nil
+	return nil
 }

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -21,26 +22,30 @@ func frameBytes(t testing.TB, version uint8, typ MsgType, id uint32, tenant stri
 // the same frame (the codec round-trips through its own output).
 func FuzzParseFrame(f *testing.F) {
 	upload := EncodeUpload(&Upload{Seq: 7, Scale: 0.5, Samples: []int16{1, -2, 3}})
-	// Well-formed frames of every version, so mutations explore the
-	// neighbourhood of real traffic rather than bouncing off the magic
-	// check.
-	f.Add(frameBytes(f, Version1, TypeUpload, 0, "", upload))
-	f.Add(frameBytes(f, Version2, TypeUpload, 42, "", upload))
+	// Well-formed frames, so mutations explore the neighbourhood of
+	// real traffic rather than bouncing off the magic check.
 	f.Add(frameBytes(f, Version3, TypeUpload, 42, "ward-7", upload))
 	f.Add(frameBytes(f, Version3, TypeIngest, 1, "t", EncodeIngest(&Ingest{RecordID: "r", Samples: []int16{5}})))
 	f.Add(frameBytes(f, Version3, TypeMoved, 9, "t", EncodeMoved(&Moved{Tenant: "t", Addr: "h:1"})))
-	// Truncated v3 tenant: the header promises 200 tenant bytes but
-	// the wire ends mid-identifier.
+	// Truncated tenant: the header promises 200 tenant bytes but the
+	// wire ends mid-identifier.
 	longTenant := frameBytes(f, Version3, TypePing, 1, string(bytes.Repeat([]byte{'a'}, 200)), nil)
 	f.Add(longTenant[:16])
 	// Tenant length byte itself cut off.
 	v3 := frameBytes(f, Version3, TypePing, 1, "tenant", nil)
 	f.Add(v3[:8])
-	// Mixed-version confusion: a v3 header glued onto a v1 frame's
-	// body, and a v1 frame whose version byte claims v3 (so the v1
-	// length field is misread as request ID, and payload bytes as a
-	// tenant length).
-	v1 := frameBytes(f, Version1, TypeUpload, 0, "", upload)
+	// The retired layouts, which must be refused: v1 and v2 frames, a
+	// v3 header glued onto a v1 frame's body, and a v1 frame whose
+	// version byte claims v3 (so the v1 length field is misread as
+	// request ID, and payload bytes as a tenant length).
+	v1 := legacyFrame(1, TypeUpload, 0, upload)
+	v2 := legacyFrame(2, TypeUpload, 42, upload)
+	for _, old := range [][]byte{v1, v2} {
+		if _, err := ReadFrameAny(bytes.NewReader(old)); !errors.Is(err, ErrBadVersion) {
+			f.Fatalf("retired layout v%d: error %v, want ErrBadVersion", old[2], err)
+		}
+		f.Add(old)
+	}
 	mixed := append(append([]byte{}, v3[:8]...), v1[4:]...)
 	f.Add(mixed)
 	relabeled := append([]byte{}, v1...)
@@ -55,6 +60,9 @@ func FuzzParseFrame(f *testing.F) {
 		frame, err := ReadFrameAny(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input: the only requirement is no panic
+		}
+		if frame.Version != Version3 {
+			t.Fatalf("parsed a version-%d frame", frame.Version)
 		}
 		if len(frame.Tenant) > MaxTenantLen {
 			t.Fatalf("parsed tenant longer than MaxTenantLen: %d", len(frame.Tenant))

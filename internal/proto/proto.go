@@ -7,31 +7,7 @@
 // matching the paper's 16-bit acquisition resolution and the Fig. 4
 // payload arithmetic (2 bytes per sample).
 //
-// Version 1 frame layout (little-endian):
-//
-//	magic   uint16  0xE3A7
-//	version uint8   1
-//	type    uint8   message type
-//	length  uint32  payload byte count
-//	payload [length]byte
-//	crc     uint32  IEEE CRC-32 of payload
-//
-// Version 2 inserts a per-request identifier after the type byte so
-// multiple requests can be in flight concurrently on one connection
-// and replies can arrive out of order:
-//
-//	magic   uint16  0xE3A7
-//	version uint8   2
-//	type    uint8   message type
-//	id      uint32  request identifier (echoed by the reply)
-//	length  uint32  payload byte count
-//	payload [length]byte
-//	crc     uint32  IEEE CRC-32 of payload
-//
-// Version 3 inserts a tenant/store identifier after the request ID so
-// one cloud process can route each request to the right tenant's
-// mega-database (multi-tenant serving), and adds the TypeIngest
-// message pushing a preprocessed recording into the tenant's store:
+// Frame layout (little-endian):
 //
 //	magic   uint16  0xE3A7
 //	version uint8   3
@@ -43,13 +19,14 @@
 //	payload [length]byte
 //	crc     uint32  IEEE CRC-32 of payload
 //
-// Peers negotiate the version with a TypeHello exchange carried in a
-// v1 frame: the client announces its maximum supported version, the
-// server answers with the minimum of the two. A v1 server answers
-// Hello with TypeError (unknown message type), which a newer client
-// treats as "speak v1". ReadFrameAny accepts all layouts, so each
-// frame self-describes its version; v1/v2 frames carry no tenant and
-// servers route them to the default tenant.
+// The request ID lets many requests be in flight on one connection,
+// with replies matched by ID in whatever order they arrive; the tenant
+// routes each request to one tenant's mega-database (multi-tenant
+// serving), and TypeIngest pushes a preprocessed recording into that
+// tenant's store. There is one layout: a frame whose version byte is
+// not 3 is refused with ErrBadVersion. A client opens a connection with
+// one Hello round trip (Greet), which negotiates nothing but fails fast
+// against a peer that drops the connection or is not EMAP.
 package proto
 
 import (
@@ -65,28 +42,16 @@ import (
 const (
 	Magic uint16 = 0xE3A7
 
-	// Version1 is the original serial request/reply protocol.
-	Version1 uint8 = 1
-	// Version2 adds a per-request ID to every frame, enabling
-	// pipelined uploads with out-of-order replies.
-	Version2 uint8 = 2
-	// Version3 adds a tenant/store ID after the request ID, routing
-	// each request to one tenant's mega-database, and the ingest
-	// message pair.
+	// Version3 is the version byte of the frame layout, the only one
+	// this build reads or writes.
 	Version3 uint8 = 3
-	// MaxVersion is the newest version this build speaks.
-	MaxVersion = Version3
-
-	// Version is the legacy name for Version1, kept so v1-era
-	// callers keep compiling.
-	Version = Version1
 
 	// MaxPayload bounds a frame's payload; larger frames are
 	// rejected as corrupt before allocation.
 	MaxPayload = 16 << 20
 
-	// MaxTenantLen bounds the tenant ID carried by a v3 frame (the
-	// wire field is one length byte).
+	// MaxTenantLen bounds the tenant ID a frame carries (the wire
+	// field is one length byte).
 	MaxTenantLen = 255
 )
 
@@ -100,9 +65,9 @@ const (
 	TypeError   MsgType = 3 // either direction: failure report
 	TypePing    MsgType = 4 // liveness probe
 	TypePong    MsgType = 5 // liveness reply
-	TypeHello   MsgType = 6 // version negotiation (both directions)
+	TypeHello   MsgType = 6 // connect check (both directions)
 	// TypeIngest pushes a preprocessed recording into the tenant's
-	// mega-database (edge→cloud, v3); TypeIngestAck acknowledges it
+	// mega-database (edge→cloud); TypeIngestAck acknowledges it
 	// with the number of signal-sets created.
 	TypeIngest    MsgType = 7
 	TypeIngestAck MsgType = 8
@@ -181,13 +146,13 @@ type ErrorMsg struct {
 	Text string
 }
 
-// Hello negotiates the protocol version. The initiator announces the
-// highest version it speaks; the responder echoes the version both
-// sides will use (min of the two). Features is a reserved bit-set for
-// future capability flags; peers must ignore bits they do not know.
+// Hello is the connect check (see Greet): each side names the frame
+// version it speaks, which is always Version3. Features is a reserved
+// bit-set for future capability flags; peers must ignore bits they do
+// not know.
 type Hello struct {
-	MaxVersion uint8
-	Features   uint32
+	Version  uint8
+	Features uint32
 }
 
 // Ingest is the edge→cloud message pushing one preprocessed recording
@@ -230,9 +195,9 @@ type IngestAck struct {
 	TotalRecords uint32
 }
 
-// Frame is one decoded wire frame. ID is zero for version-1 frames,
-// which carry no request identifier; Tenant is empty for version-1/-2
-// frames, which carry no tenant and route to the default tenant.
+// Frame is one decoded wire frame. Version is always Version3 on a
+// frame FrameReader returns; an empty Tenant routes to the server's
+// default tenant.
 type Frame struct {
 	Version uint8
 	Type    MsgType
@@ -517,14 +482,14 @@ func DecodeError(payload []byte) (*ErrorMsg, error) {
 // EncodeHello serialises a Hello payload.
 func EncodeHello(h *Hello) []byte {
 	b := make([]byte, 0, 5)
-	b = append(b, h.MaxVersion)
+	b = append(b, h.Version)
 	return appendU32(b, h.Features)
 }
 
 // DecodeHello parses a Hello payload.
 func DecodeHello(payload []byte) (*Hello, error) {
 	r := &reader{b: payload}
-	h := &Hello{MaxVersion: r.u8(), Features: r.u32()}
+	h := &Hello{Version: r.u8(), Features: r.u32()}
 	if r.err != nil {
 		return nil, fmt.Errorf("proto: decoding Hello: %w", r.err)
 	}
@@ -589,19 +554,6 @@ func DecodeIngestAck(payload []byte) (*IngestAck, error) {
 		return nil, fmt.Errorf("proto: decoding IngestAck: %w", r.err)
 	}
 	return a, nil
-}
-
-// Negotiate picks the version both peers speak: the lower of the two
-// announcements, floored at Version1.
-func Negotiate(ours, theirs uint8) uint8 {
-	v := ours
-	if theirs < v {
-		v = theirs
-	}
-	if v < Version1 {
-		v = Version1
-	}
-	return v
 }
 
 // NarrowScale returns the quantization step for samples peaking at the

@@ -11,13 +11,24 @@ import (
 	"emap/internal/rng"
 )
 
+// writeFrame writes one frame with no request ID or tenant.
+func writeFrame(w io.Writer, t MsgType, payload []byte) error {
+	return NewFrameWriter(w).WriteFrame(t, 0, "", payload)
+}
+
+// readFrame reads one frame's type and payload.
+func readFrame(r io.Reader) (MsgType, []byte, error) {
+	f, err := ReadFrameAny(r)
+	return f.Type, f.Payload, err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello emap")
-	if err := WriteFrame(&buf, TypePing, payload); err != nil {
+	if err := writeFrame(&buf, TypePing, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadFrame(&buf)
+	typ, got, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,10 +39,10 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypePong, nil); err != nil {
+	if err := writeFrame(&buf, TypePong, nil); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := ReadFrame(&buf)
+	typ, payload, err := readFrame(&buf)
 	if err != nil || typ != TypePong || len(payload) != 0 {
 		t.Fatalf("empty frame: %d %v %v", typ, payload, err)
 	}
@@ -39,7 +50,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 
 func TestFrameCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeUpload, []byte("data!")); err != nil {
+	if err := writeFrame(&buf, TypeUpload, []byte("data!")); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -47,38 +58,38 @@ func TestFrameCorruption(t *testing.T) {
 	// Bad magic.
 	bad := append([]byte{}, raw...)
 	bad[0] ^= 0xFF
-	if _, _, err := ReadFrame(bytes.NewReader(bad)); err != ErrBadMagic {
+	if _, _, err := readFrame(bytes.NewReader(bad)); err != ErrBadMagic {
 		t.Fatalf("bad magic error = %v", err)
 	}
 	// Bad version.
 	bad = append([]byte{}, raw...)
 	bad[2] = 99
-	if _, _, err := ReadFrame(bytes.NewReader(bad)); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad version should error")
 	}
 	// Flipped payload bit → CRC mismatch.
 	bad = append([]byte{}, raw...)
-	bad[9] ^= 0x01
-	if _, _, err := ReadFrame(bytes.NewReader(bad)); err != ErrBadCRC {
+	bad[13] ^= 0x01
+	if _, _, err := readFrame(bytes.NewReader(bad)); err != ErrBadCRC {
 		t.Fatalf("corrupt payload error = %v", err)
 	}
 	// Truncation.
-	if _, _, err := ReadFrame(bytes.NewReader(raw[:len(raw)-2])); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(raw[:len(raw)-2])); err == nil {
 		t.Fatal("truncated frame should error")
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(raw[:4])); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(raw[:4])); err == nil {
 		t.Fatal("truncated header should error")
 	}
 }
 
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeUpload, make([]byte, MaxPayload+1)); err != ErrTooLarge {
+	if err := writeFrame(&buf, TypeUpload, make([]byte, MaxPayload+1)); err != ErrTooLarge {
 		t.Fatalf("oversize write error = %v", err)
 	}
 	// An adversarial header claiming a huge payload must be rejected.
-	hdr := []byte{0xA7, 0xE3, Version, byte(TypeUpload), 0xFF, 0xFF, 0xFF, 0xFF}
-	if _, _, err := ReadFrame(bytes.NewReader(hdr)); err != ErrTooLarge {
+	hdr := []byte{0xA7, 0xE3, Version3, byte(TypeUpload), 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}
+	if _, _, err := readFrame(bytes.NewReader(hdr)); err != ErrTooLarge {
 		t.Fatalf("oversize read error = %v", err)
 	}
 }
@@ -180,10 +191,10 @@ func TestUploadProperty(t *testing.T) {
 			u.Samples[i] = int16(r.Uint64())
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, TypeUpload, EncodeUpload(u)); err != nil {
+		if err := writeFrame(&buf, TypeUpload, EncodeUpload(u)); err != nil {
 			return false
 		}
-		typ, payload, err := ReadFrame(&buf)
+		typ, payload, err := readFrame(&buf)
 		if err != nil || typ != TypeUpload {
 			return false
 		}
@@ -343,7 +354,7 @@ func TestQuantizePreservesShape(t *testing.T) {
 }
 
 func TestReadFrameEOF(t *testing.T) {
-	if _, _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
+	if _, _, err := readFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream error = %v, want io.EOF", err)
 	}
 }

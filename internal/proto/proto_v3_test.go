@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 func TestFrameV3RoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("tenant-routed emap")
-	if err := WriteFrameV3(&buf, TypeUpload, 0xCAFEF00D, "ward-7", payload); err != nil {
+	if err := NewFrameWriter(&buf).WriteFrame(TypeUpload, 0xCAFEF00D, "ward-7", payload); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadFrameAny(&buf)
@@ -24,7 +25,7 @@ func TestFrameV3RoundTrip(t *testing.T) {
 
 func TestFrameV3EmptyTenant(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrameV3(&buf, TypePing, 1, "", nil); err != nil {
+	if err := NewFrameWriter(&buf).WriteFrame(TypePing, 1, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadFrameAny(&buf)
@@ -39,14 +40,14 @@ func TestFrameV3EmptyTenant(t *testing.T) {
 func TestFrameV3TenantTooLong(t *testing.T) {
 	var buf bytes.Buffer
 	long := strings.Repeat("x", MaxTenantLen+1)
-	if err := WriteFrameV3(&buf, TypeUpload, 1, long, nil); err != ErrTenantLong {
+	if err := NewFrameWriter(&buf).WriteFrame(TypeUpload, 1, long, nil); err != ErrTenantLong {
 		t.Fatalf("oversize tenant error = %v", err)
 	}
 }
 
 func TestFrameV3Corruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrameV3(&buf, TypeCorrSet, 3, "t1", []byte("payload")); err != nil {
+	if err := NewFrameWriter(&buf).WriteFrame(TypeCorrSet, 3, "t1", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -71,31 +72,20 @@ func TestFrameV3Corruption(t *testing.T) {
 }
 
 func TestWriteFrameTenantDispatch(t *testing.T) {
-	// v1 drops ID and tenant, v2 drops the tenant, v3 carries both.
-	for _, c := range []struct {
-		version    uint8
-		wantID     uint32
-		wantTenant string
-	}{
-		{Version1, 0, ""},
-		{Version2, 7, ""},
-		{Version3, 7, "icu"},
-	} {
-		var buf bytes.Buffer
-		if err := WriteFrameTenant(&buf, c.version, TypePong, 7, "icu", nil); err != nil {
-			t.Fatal(err)
-		}
-		f, err := ReadFrameAny(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Version != c.version || f.ID != c.wantID || f.Tenant != c.wantTenant {
-			t.Fatalf("v%d dispatch: %+v", c.version, f)
-		}
-	}
+	// Version 3 carries the ID and the tenant; any other version is
+	// refused before a byte is written.
 	var buf bytes.Buffer
-	if err := WriteFrameTenant(&buf, 9, TypePong, 0, "", nil); err == nil {
-		t.Fatal("unknown version should error")
+	if err := WriteFrameTenant(&buf, Version3, TypePong, 7, "icu", nil); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadFrameAny(&buf)
+	if err != nil || f.Version != Version3 || f.ID != 7 || f.Tenant != "icu" {
+		t.Fatalf("v3 dispatch: %+v, %v", f, err)
+	}
+	for _, v := range []uint8{1, 2, 9} {
+		if err := WriteFrameTenant(&buf, v, TypePong, 7, "icu", nil); !errors.Is(err, ErrBadVersion) || buf.Len() != 0 {
+			t.Fatalf("version %d: error %v, %d bytes written", v, err, buf.Len())
+		}
 	}
 }
 
@@ -143,23 +133,5 @@ func TestIngestAckRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeIngestAck([]byte{1}); err == nil {
 		t.Fatal("short ack should error")
-	}
-}
-
-func TestNegotiateV3(t *testing.T) {
-	cases := []struct{ ours, theirs, want uint8 }{
-		{Version3, Version3, Version3},
-		{Version3, Version2, Version2},
-		{Version2, Version3, Version2},
-		{Version3, Version1, Version1},
-		{Version3, 9, Version3},
-	}
-	for _, c := range cases {
-		if got := Negotiate(c.ours, c.theirs); got != c.want {
-			t.Fatalf("Negotiate(%d,%d) = %d, want %d", c.ours, c.theirs, got, c.want)
-		}
-	}
-	if MaxVersion != Version3 {
-		t.Fatalf("MaxVersion = %d", MaxVersion)
 	}
 }

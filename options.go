@@ -155,7 +155,7 @@ func New(store *Store, opts ...Option) (*Session, error) {
 // are what let one store serve many concurrent edges at one shard
 // pass per batch — see internal/cloud and DESIGN.md §5. A server is
 // multi-tenant: a Registry of live tenant stores replaces the single
-// frozen store, protocol-v3 requests route by tenant ID, and tenants
+// frozen store, requests route by the tenant ID in each frame, and tenants
 // ingest recordings while being searched (DESIGN.md §9).
 type (
 	// CloudConfig parameterises a cloud server (zero values take
@@ -179,8 +179,8 @@ type (
 	StoreSnapshot = mdb.Snapshot
 )
 
-// DefaultTenant is the tenant that protocol-v1/v2 peers (and
-// tenant-less v3 frames) are routed to.
+// DefaultTenant is the tenant that requests with an empty tenant field
+// are routed to.
 const DefaultTenant = cloud.DefaultTenant
 
 // NewRegistry returns a tenant-store registry persisting snapshots
@@ -242,9 +242,8 @@ func WithMaxTenants(n int) CloudOption {
 	return func(s *cloudSetup) { s.max = n }
 }
 
-// WithTenant names the default tenant — where protocol-v1/v2 peers
-// and tenant-less v3 requests land, and where NewCloud installs the
-// seed store.
+// WithTenant names the default tenant — where tenant-less requests
+// land, and where NewCloud installs the seed store.
 func WithTenant(id string) CloudOption {
 	return func(s *cloudSetup) { s.cfg.DefaultTenant = id }
 }
@@ -279,8 +278,7 @@ func WithStoreFormat(f StoreFormat) CloudOption {
 // NewCloud assembles a multi-tenant cloud server: a tenant registry
 // (optionally disk-backed and bounded) serving many independently
 // growing stores from one process. A non-nil store seeds the default
-// tenant; further tenants open lazily as protocol-v3 requests name
-// them.
+// tenant; further tenants open lazily as requests name them.
 //
 //	srv, _ := emap.NewCloud(store,
 //	    emap.WithRegistryDir("/var/lib/emap/tenants"),
