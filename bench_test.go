@@ -383,7 +383,7 @@ func BenchmarkQuantizedScan(b *testing.B) {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "mdb.col")
-	if err := built.Snapshot().SaveFileFormat(path, emap.FormatColumnar); err != nil {
+	if err := built.SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
 	f, err := os.Open(path)

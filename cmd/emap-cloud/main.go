@@ -18,7 +18,7 @@
 //	           [-batch-window 0s] [-cache 256]
 //	           [-store-dir DIR] [-max-tenants N] [-tenant default]
 //	           [-empty]
-//	           [-hot-bytes N] [-store-format gob|columnar]
+//	           [-hot-bytes N]
 //	           [-rate N] [-burst N] [-shed-queue N]
 //	           [-wal-dir DIR] [-wal-sync always|interval|never]
 //	           [-wal-interval 50ms] [-idle-timeout 0s]
@@ -51,14 +51,15 @@
 // period. -idle-timeout reaps connections that deliver no frame for
 // that long (slow-loris guard; 0 keeps them forever).
 //
-// -store-format columnar persists tenant snapshots in the columnar v2
-// layout, which loads memory-mapped: records are scanned in place, out
-// of the page cache. Every store keeps its records as int16 counts
-// whatever the format. -hot-bytes caps the one thing a tenant can still
-// spend bytes promoting — heap copies of memory-mapped counts, made as
-// scans touch them while the budget has headroom and dropped, least
-// recently scanned first, when it shrinks; 0 makes no copies. Tier
-// residency appears on /metrics as emap_tenant_store_bytes.
+// Tenant snapshots are columnar images (DESIGN.md §14), which load
+// memory-mapped: records are scanned in place, out of the page cache.
+// A gob snapshot from an older build is refused, by -mdb and by the
+// registry alike, until emap-mdb convert rewrites it. -hot-bytes caps
+// the one thing a tenant can still spend bytes promoting — heap copies
+// of memory-mapped counts, made as scans touch them while the budget
+// has headroom and dropped, least recently scanned first, when it
+// shrinks; 0 makes no copies. Tier residency appears on /metrics as
+// emap_tenant_store_bytes.
 //
 // The default tenant's store comes from, in order of precedence: an
 // explicit -mdb snapshot; a persisted DIR/default.snap in -store-dir
@@ -116,7 +117,6 @@ type options struct {
 	advertise   string
 	empty       bool
 	hotBytes    int64
-	storeFormat string
 	walDir      string
 	walSync     string
 	walInterval time.Duration
@@ -150,7 +150,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.advertise, "advertise", "", "address peers and the router dial to reach this node (default: the listen address)")
 	fs.BoolVar(&o.empty, "empty", false, "build no synthetic default store; the default tenant lazy-loads its -store-dir snapshot if one exists, else starts empty")
 	fs.Int64Var(&o.hotBytes, "hot-bytes", 0, "per-tenant budget, in bytes, for heap copies of memory-mapped records (0: none are made)")
-	fs.StringVar(&o.storeFormat, "store-format", "", "tenant snapshot format: gob|columnar (empty: keep each store's format)")
 	fs.StringVar(&o.walDir, "wal-dir", "", "per-tenant write-ahead log directory; ingests are journaled before acknowledgement (empty: no journal)")
 	fs.StringVar(&o.walSync, "wal-sync", "always", "WAL fsync policy: always|interval|never")
 	fs.DurationVar(&o.walInterval, "wal-interval", 0, "group-fsync period under -wal-sync interval (0: 50ms)")
@@ -166,11 +165,6 @@ func parseFlags(args []string) (*options, error) {
 
 // validate rejects flag combinations no server should start with.
 func (o *options) validate() error {
-	if o.storeFormat != "" {
-		if _, err := mdb.ParseFormat(o.storeFormat); err != nil {
-			return err
-		}
-	}
 	if o.hotBytes < 0 {
 		return fmt.Errorf("-hot-bytes %d invalid (want ≥ 0)", o.hotBytes)
 	}
@@ -191,14 +185,9 @@ func (o *options) validate() error {
 
 // cloudConfig maps the flags onto the service configuration.
 func (o *options) cloudConfig(logger *log.Logger) cloud.Config {
-	var format mdb.Format
-	if o.storeFormat != "" {
-		format, _ = mdb.ParseFormat(o.storeFormat)
-	}
 	syncPolicy, _ := wal.ParsePolicy(o.walSync) // validated by validate
 	return cloud.Config{
 		HotBytes:        o.hotBytes,
-		StoreFormat:     format,
 		HorizonSeconds:  o.horizon,
 		Workers:         o.workers,
 		MaxBatch:        o.maxBatch,

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"emap/internal/mdb"
 	"emap/internal/wal"
 )
 
@@ -63,41 +62,22 @@ func TestParseFlagsBadFlag(t *testing.T) {
 }
 
 func TestParseFlagsStoreTier(t *testing.T) {
-	o, err := parseFlags([]string{
-		"-hot-bytes", "65536", "-store-format", "columnar",
-	})
+	o, err := parseFlags([]string{"-hot-bytes", "65536"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := o.validate(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := o.cloudConfig(nil)
-	if cfg.HotBytes != 65536 {
+	if cfg := o.cloudConfig(nil); cfg.HotBytes != 65536 {
 		t.Fatalf("HotBytes = %d, want 65536", cfg.HotBytes)
 	}
-	if cfg.StoreFormat != mdb.FormatColumnar {
-		t.Fatalf("StoreFormat = %v, want columnar", cfg.StoreFormat)
-	}
-}
-
-func TestStoreFormatDefaultUnset(t *testing.T) {
-	o, err := parseFlags(nil)
+	o, err = parseFlags(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := o.cloudConfig(nil); cfg.StoreFormat != 0 || cfg.HotBytes != 0 {
-		t.Fatalf("unset tier flags must map to zero values: %+v", cfg)
-	}
-}
-
-func TestValidateRejectsBadStoreFormat(t *testing.T) {
-	o, err := parseFlags([]string{"-store-format", "parquet"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.validate(); err == nil || !strings.Contains(err.Error(), "format") {
-		t.Fatalf("bad store format not rejected: %v", err)
+	if cfg := o.cloudConfig(nil); cfg.HotBytes != 0 {
+		t.Fatalf("unset -hot-bytes maps to %d, want 0", cfg.HotBytes)
 	}
 }
 

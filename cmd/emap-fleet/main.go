@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"emap/internal/fleet"
-	"emap/internal/mdb"
 )
 
 // options is the parsed flag set — separated from main so the
@@ -62,7 +61,6 @@ type options struct {
 	seedRecords   int
 	workers       int
 	shedQueue     int
-	storeFormat   string
 	hotBytes      int64
 	tenantRate    float64
 	tenantBurst   int
@@ -92,7 +90,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.seedRecords, "seed-records", 2, "recordings ingested per tenant store before the run (negative: none)")
 	fs.IntVar(&o.workers, "workers", 0, "in-process server search workers (netsim mode; 0: GOMAXPROCS)")
 	fs.IntVar(&o.shedQueue, "shed-queue", 0, "in-process server shed threshold (netsim mode; 0: never shed)")
-	fs.StringVar(&o.storeFormat, "store-format", "", "in-process server tenant store format: gob or columnar (netsim mode; empty: gob)")
 	fs.Int64Var(&o.hotBytes, "hot-bytes", 0, "in-process server per-store budget for heap copies of memory-mapped records (netsim mode; 0: none are made)")
 	fs.Float64Var(&o.tenantRate, "rate", 0, "in-process server per-tenant admission rate [req/s] (0: unlimited)")
 	fs.IntVar(&o.tenantBurst, "burst", 0, "in-process server per-tenant admission burst (0: max(8, rate))")
@@ -100,11 +97,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.verbose, "v", false, "narrate the run to stderr")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	if o.storeFormat != "" {
-		if _, err := mdb.ParseFormat(o.storeFormat); err != nil {
-			return nil, err
-		}
 	}
 	if o.hotBytes < 0 {
 		return nil, fmt.Errorf("-hot-bytes must be >= 0, got %d", o.hotBytes)
@@ -115,10 +107,6 @@ func parseFlags(args []string) (*options, error) {
 // fleetConfig maps the flags onto the harness configuration; fleet
 // validation (mode/addr/chaos consistency) happens inside Run.
 func (o *options) fleetConfig(logger *log.Logger) fleet.Config {
-	var storeFormat mdb.Format
-	if o.storeFormat != "" {
-		storeFormat, _ = mdb.ParseFormat(o.storeFormat) // validated by parseFlags
-	}
 	return fleet.Config{
 		Devices:        o.devices,
 		Duration:       o.duration,
@@ -140,7 +128,6 @@ func (o *options) fleetConfig(logger *log.Logger) fleet.Config {
 		ShedQueue:      o.shedQueue,
 		TenantRate:     o.tenantRate,
 		TenantBurst:    o.tenantBurst,
-		StoreFormat:    storeFormat,
 		HotBytes:       o.hotBytes,
 		Logger:         logger,
 	}

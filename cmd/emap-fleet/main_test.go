@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"emap/internal/fleet"
-	"emap/internal/mdb"
 )
 
 func TestParseFlagsDefaults(t *testing.T) {
@@ -75,16 +74,12 @@ func TestBadModeSurfacesFromRun(t *testing.T) {
 }
 
 func TestParseFlagsStoreTier(t *testing.T) {
-	o, err := parseFlags([]string{"-store-format", "columnar", "-hot-bytes", "262144"})
+	o, err := parseFlags([]string{"-hot-bytes", "262144"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := o.fleetConfig(nil)
-	if cfg.StoreFormat != mdb.FormatColumnar || cfg.HotBytes != 262144 {
-		t.Fatalf("store tier flags not mapped: %+v", cfg)
-	}
-	if _, err := parseFlags([]string{"-store-format", "parquet"}); err == nil {
-		t.Fatal("unknown store format accepted")
+	if cfg := o.fleetConfig(nil); cfg.HotBytes != 262144 {
+		t.Fatalf("-hot-bytes not mapped: %+v", cfg)
 	}
 	if _, err := parseFlags([]string{"-hot-bytes", "-1"}); err == nil {
 		t.Fatal("negative -hot-bytes accepted")

@@ -129,8 +129,9 @@ type Config struct {
 	// float64 form. 0 makes no copies — a mapped tenant is scanned out
 	// of the page cache. See mdb.Store.SetTierBudget.
 	HotBytes int64
-	// StoreFormat selects the snapshot format tenant stores persist
-	// in. Zero keeps each store's own format (gob for new stores).
+	// StoreFormat is 0 or mdb.FormatColumnar, the only snapshot format;
+	// anything else is a configuration error. The field stays because
+	// the benchmark harness (bench/) sets it.
 	StoreFormat mdb.Format
 	// WALDir, when set, makes ingest crash-safe: every accepted
 	// TypeIngest is journaled to a per-tenant write-ahead log in this
@@ -356,13 +357,7 @@ type Server struct {
 func NewServer(store *mdb.Store, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if store == nil {
-		// The adopted default store must follow the configured snapshot
-		// format, like every store the registry would create itself.
-		if cfg.StoreFormat == mdb.FormatColumnar {
-			store = mdb.NewQuantizedStore()
-		} else {
-			store = mdb.NewStore()
-		}
+		store = mdb.NewStore()
 	}
 	reg, err := mdb.NewRegistry("", 0)
 	if err != nil {

@@ -60,6 +60,9 @@ func NewEngine(reg *mdb.Registry, cfg Config) (*Engine, error) {
 	if !mdb.ValidTenantID(cfg.DefaultTenant) {
 		return nil, fmt.Errorf("cloud: invalid default tenant ID %q", cfg.DefaultTenant)
 	}
+	if cfg.StoreFormat != 0 && cfg.StoreFormat != mdb.FormatColumnar {
+		return nil, fmt.Errorf("cloud: store format %d unsupported (the columnar image is the only one)", cfg.StoreFormat)
+	}
 	e := &Engine{
 		cfg:      cfg,
 		registry: reg,
@@ -68,11 +71,7 @@ func NewEngine(reg *mdb.Registry, cfg Config) (*Engine, error) {
 		tenants:  make(map[string]*tenant),
 	}
 	// Tier policy flows through the registry so every store it opens,
-	// adopts, or reloads after eviction carries the same budget and
-	// snapshot format.
-	if cfg.StoreFormat != 0 {
-		reg.SetSaveFormat(cfg.StoreFormat)
-	}
+	// adopts, or reloads after eviction carries the same budget.
 	if cfg.HotBytes > 0 {
 		reg.SetStoreBudget(cfg.HotBytes)
 	}

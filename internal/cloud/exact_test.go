@@ -176,7 +176,7 @@ func TestRepliesAreTheStoresCounts(t *testing.T) {
 	})
 
 	// The same recordings pushed as counts over the ingest surface.
-	ingestedSrv, err := cloud.NewServer(nil, cloud.Config{StoreFormat: mdb.FormatColumnar})
+	ingestedSrv, err := cloud.NewServer(nil, cloud.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +222,14 @@ func TestRepliesAreTheStoresCounts(t *testing.T) {
 
 	// Its columnar snapshot, served from the file.
 	dir := t.TempDir()
-	if err := ingested.Snapshot().SaveFileFormat(filepath.Join(dir, "ward.snap"), mdb.FormatColumnar); err != nil {
+	if err := ingested.SaveFile(filepath.Join(dir, "ward.snap")); err != nil {
 		t.Fatal(err)
 	}
 	reg, err := mdb.NewRegistry(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSrv, err := cloud.NewRegistryServer(reg, cloud.Config{StoreFormat: mdb.FormatColumnar})
+	coldSrv, err := cloud.NewRegistryServer(reg, cloud.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // counts, the way a TypeIngest stores them.
 func ingestedCopy(t *testing.T, built *mdb.Store) *mdb.Store {
 	t.Helper()
-	ingested := mdb.NewQuantizedStore()
+	ingested := mdb.NewStore()
 	for _, id := range built.RecordIDs() {
 		rec, _ := built.Record(id)
 		qv := rec.Quant()
@@ -107,14 +107,14 @@ func TestSelectionIsBuiltFromMatchesAlone(t *testing.T) {
 func TestSelectionOutlivesItsTenant(t *testing.T) {
 	built, _ := testStore(t)
 	dir := t.TempDir()
-	if err := built.Snapshot().SaveFileFormat(filepath.Join(dir, "ward.snap"), mdb.FormatColumnar); err != nil {
+	if err := built.SaveFile(filepath.Join(dir, "ward.snap")); err != nil {
 		t.Fatal(err)
 	}
 	reg, err := mdb.NewRegistry(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewRegistryServer(reg, Config{StoreFormat: mdb.FormatColumnar})
+	srv, err := NewRegistryServer(reg, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,6 +269,24 @@ func TestInvalidTenantRejected(t *testing.T) {
 	}
 }
 
+// TestStoreFormatOnlyColumnar: Config.StoreFormat accepts the unset
+// value and the one format there is; the value the gob format had, or
+// any other, fails construction instead of being ignored.
+func TestStoreFormatOnlyColumnar(t *testing.T) {
+	for _, f := range []mdb.Format{0, mdb.FormatColumnar} {
+		srv, err := NewServer(nil, Config{StoreFormat: f})
+		if err != nil {
+			t.Fatalf("StoreFormat %d refused: %v", f, err)
+		}
+		srv.Close()
+	}
+	for _, f := range []mdb.Format{1, 3} {
+		if _, err := NewServer(nil, Config{StoreFormat: f}); err == nil {
+			t.Fatalf("StoreFormat %d accepted", f)
+		}
+	}
+}
+
 // TestConcurrentIngestAndSearchOneTenant drives the acceptance
 // criterion over the wire: one tenant store ingests live while several
 // pipelined connections search it, race-clean and error-free.

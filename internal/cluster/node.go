@@ -299,7 +299,7 @@ func (n *Node) promoteParked(tenant string) error {
 		// the live store wins.
 		return nil
 	}
-	store, err := mdb.Load(bytes.NewReader(snap))
+	store, err := mdb.LoadColumnar(bytes.NewReader(snap))
 	if err != nil {
 		return err
 	}
@@ -337,7 +337,7 @@ func (n *Node) replicateTenant(tenant string) {
 		return
 	}
 	var buf bytes.Buffer
-	if err := store.Snapshot().Save(&buf); err != nil {
+	if err := store.Snapshot().SaveColumnar(&buf); err != nil {
 		n.Metrics.ReplicationErrors.Add(1)
 		n.logf("cluster: snapshotting tenant %q for replication: %v", tenant, err)
 		return
@@ -441,7 +441,7 @@ func (n *Node) serveReplicate(f proto.Frame) (proto.MsgType, []byte) {
 			Tenant: tenant, Bytes: uint32(len(rep.Snapshot))})
 	}
 
-	store, err := mdb.Load(bytes.NewReader(rep.Snapshot))
+	store, err := mdb.LoadColumnar(bytes.NewReader(rep.Snapshot))
 	if err != nil {
 		return errReply(400, "cluster: loading transferred tenant %q: %v", tenant, err)
 	}
@@ -520,7 +520,7 @@ func (n *Node) migrateTenant(tenant, addr string) error {
 		snap = cur
 	}
 	var buf bytes.Buffer
-	if err := snap.Save(&buf); err != nil {
+	if err := snap.SaveColumnar(&buf); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -126,7 +126,7 @@ func TestNodePromoteParkedReplaysWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := base.Snapshot().Save(&buf); err != nil {
+	if err := base.Snapshot().SaveColumnar(&buf); err != nil {
 		t.Fatal(err)
 	}
 	typ, _ := node.ServeFrame(proto.Frame{Version: proto.Version3, Type: proto.TypeReplicate, ID: 1,

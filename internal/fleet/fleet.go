@@ -112,13 +112,10 @@ type Config struct {
 	ShedQueue   int
 	TenantRate  float64
 	TenantBurst int
-	// StoreFormat and HotBytes configure the in-process server's
-	// tenant stores (netsim mode only): FormatColumnar persists them in
-	// the format that loads memory-mapped, and a positive HotBytes
-	// budgets heap copies of mapped records — together they run the
-	// fleet against tiered stores instead of fully heap-resident ones.
-	StoreFormat mdb.Format
-	HotBytes    int64
+	// HotBytes budgets the in-process server's heap copies of
+	// memory-mapped tenant records (netsim mode only; see
+	// cloud.Config.HotBytes).
+	HotBytes int64
 	// Logger receives run narration; nil disables it.
 	Logger *log.Logger
 }
@@ -341,7 +338,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			ShedQueue:   cfg.ShedQueue,
 			TenantRate:  cfg.TenantRate,
 			TenantBurst: cfg.TenantBurst,
-			StoreFormat: cfg.StoreFormat,
 			HotBytes:    cfg.HotBytes,
 		}
 		if cfg.CrashAt > 0 {

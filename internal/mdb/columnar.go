@@ -2,6 +2,7 @@ package mdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -11,9 +12,9 @@ import (
 	"emap/internal/synth"
 )
 
-// Columnar snapshot format (version 2, little-endian), the on-disk twin
-// of the gob v1 snapshot. The layout is designed to be
-// served straight out of an mmap region: fixed-size tables, 8-byte
+// Columnar snapshot format (version 2, little-endian), the one image a
+// store is saved as, loaded from and shipped in. The layout is designed
+// to be served straight out of an mmap region: fixed-size tables, 8-byte
 // aligned per-record columns, and derived data (block sums) stored
 // next to the counts so a cold scan touches only the pages it reads.
 //
@@ -49,39 +50,10 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Format selects a snapshot wire format. The zero value means
-// "unset" so the Registry can distinguish an explicit choice from a
-// default.
-type Format int
-
-const (
-	// FormatGob is the v1 gob snapshot (legacy default).
-	FormatGob Format = iota + 1
-	// FormatColumnar is the v2 columnar snapshot, which can be served
-	// from a memory map.
-	FormatColumnar
-)
-
-func (f Format) String() string {
-	switch f {
-	case FormatGob:
-		return "gob"
-	case FormatColumnar:
-		return "columnar"
-	}
-	return "unset"
-}
-
-// ParseFormat parses a -store-format flag value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "gob", "v1":
-		return FormatGob, nil
-	case "columnar", "v2":
-		return FormatColumnar, nil
-	}
-	return 0, fmt.Errorf("mdb: unknown snapshot format %q (want gob or columnar)", s)
-}
+// errNotColumnar refuses an image without the columnar magic. The one
+// such image a store ever wrote is a gob snapshot, which only the
+// conversion tool still reads.
+var errNotColumnar = errors.New("mdb: not a columnar (" + columnarMagic + ") snapshot; convert a gob snapshot with `emap-mdb convert -in OLD -out NEW`")
 
 // hostLittleEndian reports whether the running machine stores integers
 // little-endian; only then may mapped bytes be aliased as
@@ -217,11 +189,11 @@ type columnarHeader struct {
 // count, so a hostile header cannot make the loader over-allocate.
 func parseColumnarHeader(data []byte) (columnarHeader, error) {
 	var h columnarHeader
+	if len(data) >= len(columnarMagic) && string(data[:len(columnarMagic)]) != columnarMagic {
+		return h, errNotColumnar
+	}
 	if len(data) < headerSize+4 {
 		return h, fmt.Errorf("mdb: columnar snapshot truncated (%d bytes)", len(data))
-	}
-	if string(data[0:8]) != columnarMagic {
-		return h, fmt.Errorf("mdb: not a columnar snapshot")
 	}
 	le := binary.LittleEndian
 	if v := le.Uint32(data[8:]); v != columnarVersion {
@@ -256,8 +228,7 @@ func parseColumnarHeader(data []byte) (columnarHeader, error) {
 	return h, nil
 }
 
-// parseColumnar decodes a columnar image into a store that saves
-// columnar. With mref nil the loader runs eagerly: columns are copied into the heap,
+// parseColumnar decodes a columnar image into a store. With mref nil the loader runs eagerly: columns are copied into the heap,
 // block sums are recomputed from the counts, and every record's
 // dataCRC is verified — the portable, fully-checked path (fuzzing
 // targets it). With mref set, the column slices alias the mapped
@@ -269,7 +240,7 @@ func parseColumnar(data []byte, mref *mmapRef) (*Store, error) {
 		return nil, err
 	}
 	le := binary.LittleEndian
-	s := NewQuantizedStore()
+	s := NewStore()
 	s.recs = make([]*Record, 0, h.nRecords)
 	s.sets = make([]*SignalSet, 0, h.nSets)
 

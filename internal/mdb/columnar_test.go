@@ -33,7 +33,7 @@ func sineCounts(n int, amp float64, phase float64) []int16 {
 // lengths) and one labelled slicing per record.
 func buildQuantStore(t testing.TB, lengths []int) *Store {
 	t.Helper()
-	s := NewQuantizedStore()
+	s := NewStore()
 	for i, n := range lengths {
 		rec := &Record{
 			ID:        "q" + string(rune('a'+i)),
@@ -105,9 +105,6 @@ func TestColumnarRoundTripEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Format() != FormatColumnar {
-		t.Fatalf("eager columnar load saves %v", got.Format())
-	}
 	assertStoresEqual(t, "eager", s, got)
 	// The counts and scales must survive verbatim, not merely the
 	// dequantized values.
@@ -126,35 +123,10 @@ func TestColumnarRoundTripEager(t *testing.T) {
 	}
 }
 
-// TestColumnarFormatDispatch: the format-agnostic Load must detect
-// both formats from the leading bytes.
-func TestColumnarFormatDispatch(t *testing.T) {
-	qs := buildQuantStore(t, []int{1024})
-	got, err := Load(bytes.NewReader(encodeStore(t, qs)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Format() != FormatColumnar {
-		t.Fatal("Load did not detect the columnar magic")
-	}
-
-	fs := buildTestStore(t)
-	var buf bytes.Buffer
-	if err := fs.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err = Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Format() != FormatGob {
-		t.Fatal("Load mis-detected a gob snapshot")
-	}
-}
-
 // TestColumnarConvertBitStable: decode→re-encode of a columnar image
-// reproduces it byte for byte, and so does a trip through the gob
-// format and back — the migration contract of emap-mdb convert.
+// reproduces it byte for byte, and a gob image of the same store —
+// encoded here, since nothing else writes one — converts through
+// LoadGob to those same bytes: the contract of emap-mdb convert.
 func TestColumnarConvertBitStable(t *testing.T) {
 	qs := buildQuantStore(t, []int{1280, 777})
 	raw := encodeStore(t, qs)
@@ -168,39 +140,31 @@ func TestColumnarConvertBitStable(t *testing.T) {
 
 	// An ingested store's largest count is whatever the edge sent, not
 	// the 32 000 the quantizer aims a peak at: re-quantizing its
-	// dequantized samples would move every count, so the gob image must
-	// carry the counts themselves.
-	var gob bytes.Buffer
-	if err := loaded.Save(&gob); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&gob)
+	// dequantized samples would move every count, so the gob image
+	// carries the counts themselves.
+	back, err := LoadGob(bytes.NewReader(gobImage(t, qs)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c := encodeStore(t, back); !bytes.Equal(raw, c) {
-		t.Fatal("columnar→gob→load→columnar is not bit-stable")
+		t.Fatal("gob→LoadGob→columnar differs from the store's own columnar image")
 	}
 	// A gob image from before records were counts holds float samples:
 	// loading it quantizes them as Build does.
-	var legacy bytes.Buffer
-	old := snapshot{Version: snapshotVersion}
+	old := gobSnapshot{Version: gobVersion}
 	cfg := DefaultBuildConfig()
 	for _, raw := range testCorpus() {
 		proc, err := Preprocess(raw, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old.Records = append(old.Records, recordSnap{ID: proc.ID, Class: int(proc.Class), Archetype: proc.Archetype, Onset: proc.Onset, Samples: proc.Samples})
+		old.Records = append(old.Records, gobRecord{ID: proc.ID, Class: int(proc.Class), Archetype: proc.Archetype, Onset: proc.Onset, Samples: proc.Samples})
 	}
 	fs := buildTestStore(t)
 	for _, set := range fs.Sets() {
 		old.Sets = append(old.Sets, *set)
 	}
-	if err := gobEncode(&legacy, &old); err != nil {
-		t.Fatal(err)
-	}
-	fromLegacy, err := Load(&legacy)
+	fromLegacy, err := LoadGob(bytes.NewReader(gobBytes(t, &old)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,26 +174,30 @@ func TestColumnarConvertBitStable(t *testing.T) {
 	}
 }
 
-func gobEncode(w *bytes.Buffer, snap *snapshot) error { return gob.NewEncoder(w).Encode(snap) }
+// gobImage encodes s as the gob snapshot stores were saved as before
+// the columnar image became the only format: each record's counts and
+// scale, and the set table.
+func gobImage(t testing.TB, s *Store) []byte {
+	t.Helper()
+	snap := gobSnapshot{Version: gobVersion}
+	for _, id := range s.RecordIDs() {
+		r, _ := s.Record(id)
+		q := r.Quant()
+		snap.Records = append(snap.Records, gobRecord{ID: r.ID, Class: int(r.Class), Archetype: r.Archetype, Onset: r.Onset, Counts: q.Counts, Scale: q.Scale})
+	}
+	for _, set := range s.Sets() {
+		snap.Sets = append(snap.Sets, *set)
+	}
+	return gobBytes(t, &snap)
+}
 
-// TestColumnarToGobLossless: a gob snapshot of a store holds its
-// records' counts and scales, and loading it back reproduces them
-// exactly — so every window reads the same float64 values.
-func TestColumnarToGobLossless(t *testing.T) {
-	qs := buildQuantStore(t, []int{1500})
-	path := filepath.Join(t.TempDir(), "back.snap")
-	if err := qs.Snapshot().SaveFileFormat(path, FormatGob); err != nil {
+func gobBytes(t testing.TB, snap *gobSnapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Format() != FormatGob {
-		t.Fatalf("a gob file loaded as a store that saves %v", got.Format())
-	}
-	assertOneRepresentation(t, "columnar→gob", got)
-	assertStoresEqual(t, "columnar→gob", qs, got)
+	return buf.Bytes()
 }
 
 // TestColumnarQuantizationErrorBound: storing processed samples — and
@@ -265,7 +233,7 @@ func TestColumnarQuantizationErrorBound(t *testing.T) {
 func TestLoadFileMmapCold(t *testing.T) {
 	s := buildQuantStore(t, []int{1280, 1000, 2049})
 	path := filepath.Join(t.TempDir(), "mdb.col")
-	if err := s.Snapshot().SaveFileFormat(path, FormatColumnar); err != nil {
+	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mapFile(path); err != nil {
@@ -288,19 +256,25 @@ func TestLoadFileMmapCold(t *testing.T) {
 	assertStoresEqual(t, "mmap", s, got)
 }
 
-// TestSaveFileAtomic: SaveFileFormat must leave exactly the target
-// file (no temp residue) and replace an existing snapshot atomically.
+// TestSaveFileAtomic: SaveFile must leave exactly the target file (no
+// temp residue) and replace an existing snapshot atomically;
+// SaveFileFormat names the one format or writes nothing.
 func TestSaveFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "mdb.col")
 	s := buildQuantStore(t, []int{1000})
-	if err := s.Snapshot().SaveFileFormat(path, FormatColumnar); err != nil {
+	if err := s.Snapshot().SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite with a different epoch: the replacement must land whole.
 	s2 := buildQuantStore(t, []int{2000, 1280})
 	if err := s2.Snapshot().SaveFileFormat(path, FormatColumnar); err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range []Format{0, 1, 3} {
+		if err := s.Snapshot().SaveFileFormat(path, f); err == nil {
+			t.Fatalf("SaveFileFormat accepted format %d", f)
+		}
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -324,28 +298,27 @@ func TestSaveFileAtomic(t *testing.T) {
 
 // TestLoadRejectsTruncatedSnapshots: every proper prefix of a snapshot
 // — the torn file a crash mid-write would leave without the atomic
-// rename — must be rejected with an error, in both formats and via
-// both Load and LoadFile.
+// rename — must be rejected with an error: a columnar image by both
+// LoadColumnar and LoadFile, a gob image by LoadGob.
 func TestLoadRejectsTruncatedSnapshots(t *testing.T) {
-	qs := buildQuantStore(t, []int{1280, 1000})
-	raw := encodeStore(t, qs)
-	var gobBuf bytes.Buffer
-	if err := buildTestStore(t).Save(&gobBuf); err != nil {
-		t.Fatal(err)
+	cuts := func(full []byte) []int { return []int{0, 4, len(full) / 4, len(full) / 2, len(full) - 1} }
+	raw := encodeStore(t, buildQuantStore(t, []int{1280, 1000}))
+	for _, cut := range cuts(raw) {
+		if _, err := LoadColumnar(bytes.NewReader(raw[:cut])); err == nil {
+			t.Fatalf("columnar truncated to %d of %d bytes loaded without error", cut, len(raw))
+		}
+		path := filepath.Join(t.TempDir(), "torn.snap")
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(path); err == nil {
+			t.Fatalf("columnar file truncated to %d bytes loaded without error", cut)
+		}
 	}
-	cases := map[string][]byte{"columnar": raw, "gob": gobBuf.Bytes()}
-	for name, full := range cases {
-		for _, cut := range []int{0, 4, len(full) / 4, len(full) / 2, len(full) - 1} {
-			if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
-				t.Fatalf("%s truncated to %d of %d bytes loaded without error", name, cut, len(full))
-			}
-			path := filepath.Join(t.TempDir(), "torn.snap")
-			if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := LoadFile(path); err == nil {
-				t.Fatalf("%s file truncated to %d bytes loaded without error", name, cut)
-			}
+	gobRaw := gobImage(t, buildTestStore(t))
+	for _, cut := range cuts(gobRaw) {
+		if _, err := LoadGob(bytes.NewReader(gobRaw[:cut])); err == nil {
+			t.Fatalf("gob truncated to %d of %d bytes loaded without error", cut, len(gobRaw))
 		}
 	}
 }
@@ -371,27 +344,12 @@ func TestColumnarRejectsCorruption(t *testing.T) {
 			t.Fatalf("flip at byte %d loaded without error", pos)
 		}
 	}
-	// Corrupting the magic turns it into (invalid) gob, still an error.
+	// An image without the magic is not columnar, and the error says
+	// what converts the one other image a store ever wrote.
 	mut := append([]byte(nil), raw...)
 	mut[0] ^= 0xff
-	if _, err := Load(bytes.NewReader(mut)); err == nil {
-		t.Fatal("corrupt magic loaded without error")
-	}
-}
-
-// TestParseFormat pins the flag-value vocabulary.
-func TestParseFormat(t *testing.T) {
-	for in, want := range map[string]Format{"gob": FormatGob, "v1": FormatGob, "columnar": FormatColumnar, "v2": FormatColumnar} {
-		got, err := ParseFormat(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseFormat(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseFormat("parquet"); err == nil || !strings.Contains(err.Error(), "parquet") {
-		t.Fatalf("bad format not rejected: %v", err)
-	}
-	if FormatGob.String() != "gob" || FormatColumnar.String() != "columnar" || Format(0).String() != "unset" {
-		t.Fatal("Format.String vocabulary changed")
+	if _, err := LoadColumnar(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "emap-mdb convert") {
+		t.Fatalf("corrupt magic: err = %v, want the convert hint", err)
 	}
 }
 
@@ -434,7 +392,7 @@ func TestCountsColumnRoutesAgree(t *testing.T) {
 	}
 
 	lengths := []int{1, 63, 999, 1281}
-	s := NewQuantizedStore()
+	s := NewStore()
 	for i, n := range lengths {
 		counts := sineCounts(n, 30000, float64(i))
 		counts[0] = math.MinInt16
@@ -488,7 +446,7 @@ func TestColumnarRefusesOversizeSlice(t *testing.T) {
 	for i := range counts {
 		counts[i] = int16(i%251 - 125)
 	}
-	s := NewQuantizedStore()
+	s := NewStore()
 	if created, err := s.InsertQuantized(&Record{ID: "long"}, counts, 0.5, MaxSliceLen, nil); err != nil || created != 1 {
 		t.Fatalf("insert at MaxSliceLen: %d sets, %v", created, err)
 	}

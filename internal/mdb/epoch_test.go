@@ -43,7 +43,7 @@ func capture(s *Store) epochCapture {
 func TestEpochsImmutableUnderAppends(t *testing.T) {
 	const inserts = 48
 	rng := rand.New(rand.NewSource(18))
-	s := NewQuantizedStore()
+	s := NewStore()
 	want := map[string][]float64{} // record ID → the samples inserted
 	caps := []epochCapture{capture(s)}
 	for i := 0; i < inserts; i++ {
@@ -267,8 +267,9 @@ func TestLoadedStoresKeepIngesting(t *testing.T) {
 		check(t, s, want)
 	})
 	t.Run("gob", func(t *testing.T) {
-		// A gob snapshot carries float64 samples, so the reference is
-		// the float store built by inserts (quantized at encode time).
+		// The reference is the store built by float inserts, quantized
+		// as they land; its gob image is encoded here, since only the
+		// conversion tool still reads one.
 		build := func() *Store {
 			s := NewStore()
 			for i, n := range lengths {
@@ -280,11 +281,7 @@ func TestLoadedStoresKeepIngesting(t *testing.T) {
 		}
 		ref := build()
 		insertExtra(t, ref)
-		var buf bytes.Buffer
-		if err := build().Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Load(&buf)
+		s, err := LoadGob(bytes.NewReader(gobImage(t, build())))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +421,7 @@ func TestRejectedBatchTouchesNothing(t *testing.T) {
 // — so a 10 000-record store costs its spines, not 20 MB of samples.
 func quantStoreOf(tb testing.TB, n int, counts []int16) *Store {
 	tb.Helper()
-	s := NewQuantizedStore()
+	s := NewStore()
 	for i := 0; i < n; i++ {
 		if _, err := s.InsertQuantized(&Record{ID: fmt.Sprint("resident-", i)}, counts, 0.5, 1000, nil); err != nil {
 			tb.Fatal(err)

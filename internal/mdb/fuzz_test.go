@@ -20,7 +20,7 @@ func FuzzLoadColumnar(f *testing.F) {
 	real := encodeStore(f, buildQuantStore(f, []int{1280, 1000, 2049}))
 	f.Add(real)
 	f.Add(encodeStore(f, buildQuantStore(f, []int{64})))
-	f.Add(encodeStore(f, NewQuantizedStore()))
+	f.Add(encodeStore(f, NewStore()))
 	for _, cut := range []int{8, headerSize, len(real) / 2, len(real) - 4} {
 		f.Add(append([]byte(nil), real[:cut]...))
 	}

@@ -185,27 +185,19 @@ type Store struct {
 	// tiers manages record residency; shared with derived stores
 	// (SubsetSets) because they share records.
 	tiers *tierState
-	// format is the snapshot format SaveFile writes; set at
-	// construction/load, immutable afterwards.
-	format Format
 }
 
-// NewStore returns an empty mega-database whose SaveFile writes gob
-// snapshots.
+// NewStore returns an empty mega-database.
 func NewStore() *Store {
-	s := &Store{ix: new(recIndex), tiers: newTierState(), format: FormatGob}
+	s := &Store{ix: new(recIndex), tiers: newTierState()}
 	s.publish()
 	return s
 }
 
-// NewQuantizedStore returns an empty mega-database whose SaveFile
-// writes columnar snapshots — the one way it differs from NewStore:
-// every store keeps its records as int16 counts.
-func NewQuantizedStore() *Store {
-	s := NewStore()
-	s.format = FormatColumnar
-	return s
-}
+// NewQuantizedStore is NewStore. It stays because the benchmark
+// harness (bench/) calls it; every store keeps its records as int16
+// counts and saves the columnar image.
+func NewQuantizedStore() *Store { return NewStore() }
 
 // publish makes the spines' current extent the store's epoch. Caller
 // holds ix.wmu (or owns a store nobody else can reach yet).
@@ -230,9 +222,6 @@ func (s *Store) add(rec *Record, q *quantPayload) {
 	s.total += rec.Len()
 	s.ix.m.Store(rec.ID, rec)
 }
-
-// Format returns the snapshot format SaveFile writes for this store.
-func (s *Store) Format() Format { return s.format }
 
 // SetTierBudget caps the bytes records may hold PROMOTED above their
 // payload: warm heap copies of memory-mapped counts. 0 removes the cap
@@ -261,10 +250,9 @@ func (s *Store) Snapshot() Snapshot {
 // epoch, later readers see the grown database. An Insert appends to the
 // store's spines and publishes a new view of them: its cost is that of
 // the recording (quantizing, slicing), whatever the store already
-// holds. rec.Samples is quantized onto the shared grid (quantizeSamples,
-// what SaveFileFormat(columnar) has always applied) and cleared: the
-// counts are the record from then on, and it belongs to the one store it
-// was inserted into.
+// holds. rec.Samples is quantized onto the shared grid (quantizeSamples)
+// and cleared: the counts are the record from then on, and it belongs to
+// the one store it was inserted into.
 func (s *Store) Insert(rec *Record, sliceLen int, labelFn func(start int) bool) (int, error) {
 	return s.insertBatch([]insertion{{rec: rec, sliceLen: sliceLen, labelFn: labelFn}})
 }
@@ -414,7 +402,7 @@ func (s *Store) SubsetSets(n int) *Store {
 	// insert into either store reallocates rather than writing where
 	// the other can see.
 	sub := &Store{ix: s.ix, recs: cur.recs, sets: cur.sets[:n:n], total: cur.totalSamples,
-		tiers: s.tiers, format: s.format}
+		tiers: s.tiers}
 	sub.publish()
 	return sub
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"hash/crc32"
 	"math"
+	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -57,7 +59,7 @@ func TestInsertErrors(t *testing.T) {
 	if _, err := s.Insert(makeRecord("x", 100), MaxSliceLen+1, nil); err == nil || s.NumRecords() != 0 {
 		t.Fatalf("slice length above MaxSliceLen: err = %v, %d records published", err, s.NumRecords())
 	}
-	if _, err := NewQuantizedStore().InsertQuantized(&Record{ID: "q"}, make([]int16, 100), 1, MaxSliceLen+1, nil); err == nil {
+	if _, err := NewStore().InsertQuantized(&Record{ID: "q"}, make([]int16, 100), 1, MaxSliceLen+1, nil); err == nil {
 		t.Fatal("quantized insert with a slice length above MaxSliceLen should error")
 	}
 	if created, err := s.Insert(makeRecord("max", 100), MaxSliceLen, nil); err != nil || created != 0 {
@@ -191,11 +193,7 @@ func TestTotalSamplesCachedAcrossEpochs(t *testing.T) {
 	if got := s.SubsetSets(1).TotalSamples(); got != 4000 {
 		t.Fatalf("SubsetSets TotalSamples = %d, want 4000", got)
 	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
+	loaded, err := LoadColumnar(bytes.NewReader(encodeStore(t, s)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +258,7 @@ func assertOneRepresentation(t *testing.T, label string, s *Store) {
 
 // TestBuildQuantizesAtBuild: Build holds, per recording, exactly
 // quantizeSamples(Preprocess(raw).Samples) — the quantizer
-// SaveFileFormat(columnar) applied to a float store before records were
+// the columnar writer applied to a float store before records were
 // counts — so the columnar image of the fixed test corpus is, byte for
 // byte, the one a float Insert store of the same recordings saved then
 // (the CRC was taken at the last commit that held float records).
@@ -377,12 +375,12 @@ func TestBuildPreictalLabelling(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	store := buildTestStore(t)
 	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := store.Snapshot().SaveColumnar(&buf); err != nil {
+		t.Fatalf("SaveColumnar: %v", err)
 	}
-	got, err := Load(&buf)
+	got, err := LoadColumnar(&buf)
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadColumnar: %v", err)
 	}
 	if got.NumRecords() != store.NumRecords() || got.NumSets() != store.NumSets() {
 		t.Fatalf("counts differ after round trip: %d/%d vs %d/%d",
@@ -393,13 +391,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if n1 != n2 || a1 != a2 {
 		t.Fatalf("labels differ: %d/%d vs %d/%d", n1, a1, n2, a2)
 	}
-	// gob save → load preserves every record's (counts, scale).
-	assertOneRepresentation(t, "gob round trip", got)
+	// Save → load preserves every record's (counts, scale).
+	assertOneRepresentation(t, "round trip", got)
 	for _, id := range got.RecordIDs() {
 		want, _ := store.Record(id)
 		rec, _ := got.Record(id)
 		if w, g := want.Quant(), rec.Quant(); g.Scale != w.Scale || !slices.Equal(g.Counts, w.Counts) {
-			t.Fatalf("record %s: counts or scale (%v, was %v) changed across the gob round trip", id, g.Scale, w.Scale)
+			t.Fatalf("record %s: counts or scale (%v, was %v) changed across the round trip", id, g.Scale, w.Scale)
 		}
 	}
 	// Windows must read identically.
@@ -432,11 +430,24 @@ func TestSaveLoadFile(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing file should error")
 	}
+	// A gob snapshot is no longer served: LoadFile names the tool
+	// that converts it.
+	gobPath := filepath.Join(t.TempDir(), "old.snap")
+	if err := os.WriteFile(gobPath, gobImage(t, store), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(gobPath); err == nil || !strings.Contains(err.Error(), "emap-mdb convert") {
+		t.Fatalf("LoadFile of a gob snapshot: err = %v, want the convert hint", err)
+	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob stream"))); err == nil {
+	garbage := []byte("neither a gob stream nor a columnar image")
+	if _, err := LoadColumnar(bytes.NewReader(garbage)); err == nil {
 		t.Fatal("garbage input should error")
+	}
+	if _, err := LoadGob(bytes.NewReader(garbage)); err == nil {
+		t.Fatal("garbage gob input should error")
 	}
 }
 

@@ -1,7 +1,6 @@
 package mdb
 
 import (
-	"bufio"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -11,14 +10,106 @@ import (
 	"emap/internal/synth"
 )
 
-// snapshot is the gob wire form of a Store (format v1).
-type snapshot struct {
+// Format names a snapshot format. The columnar image is the only one
+// a store writes, loads or ships; the type and its one constant stay
+// because the benchmark harness (bench/) passes FormatColumnar to
+// SaveFileFormat and cloud.Config.StoreFormat.
+type Format int
+
+// FormatColumnar is the EMAPCOL2 columnar image (columnar.go). It
+// keeps the value it had when a gob format sat beside it, so a
+// configuration naming that format (1) is refused, not reinterpreted.
+const FormatColumnar Format = 2
+
+// SaveFile writes the store's current epoch to the named file as a
+// columnar image (see Snapshot.SaveFile).
+func (s *Store) SaveFile(path string) error {
+	return s.Snapshot().SaveFile(path)
+}
+
+// SaveFileFormat is SaveFile for the one format there is: it exists
+// for the benchmark harness, which names the format, and refuses any
+// other.
+func (sn Snapshot) SaveFileFormat(path string, f Format) error {
+	if f != FormatColumnar {
+		return fmt.Errorf("mdb: snapshot format %d unsupported (the columnar image is the only one)", f)
+	}
+	return sn.SaveFile(path)
+}
+
+// SaveFile writes the snapshot's epoch to the named file as a columnar
+// image, atomically: the bytes go to a temp file in the same
+// directory, are fsynced, and replace the target via rename. A crash
+// mid-write (e.g. during Registry eviction — the tenant's ONLY copy)
+// leaves either the old complete snapshot or the new one, never a
+// torn file.
+func (sn Snapshot) SaveFile(path string) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if tmp != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err := sn.SaveColumnar(tmp); err != nil {
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		tmp = nil
+		return err
+	}
+	name := tmp.Name()
+	tmp = nil
+	if err := os.Rename(name, path); err != nil {
+		os.Remove(name)
+		return err
+	}
+	// Best effort: make the rename itself durable.
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
+	return nil
+}
+
+// LoadFile reads a columnar snapshot from the named file. Where the
+// platform maps files, the records are served straight out of the
+// mapping — they start in the cold tier, read from the page cache —
+// and otherwise the file goes through the eager, fully checksummed
+// LoadColumnar. A file that is not a columnar image, such as a gob
+// snapshot, is refused with an error naming emap-mdb convert.
+func LoadFile(path string) (*Store, error) {
+	if hostLittleEndian {
+		if ref, err := mapFile(path); err == nil {
+			return parseColumnar(ref.data, ref)
+		}
+		// Mapping failed (platform or resource limits, or an empty
+		// file): the eager reader below decides.
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return LoadColumnar(f)
+}
+
+// gobSnapshot is the gob form of a store, which snapshots took before
+// the columnar image became the only format. Only LoadGob reads it.
+type gobSnapshot struct {
 	Version int
-	Records []recordSnap
+	Records []gobRecord
 	Sets    []SignalSet
 }
 
-// recordSnap is one record of a gob image. An image written since
+// gobRecord is one record of a gob image. An image written since
 // records became counts carries Counts and Scale and no Samples; an
 // older one carries Samples only, which the loader quantizes — it cannot
 // be the other way round, because re-quantizing count·scale reproduces
@@ -26,7 +117,7 @@ type snapshot struct {
 // itself aims the peak at, and an ingested recording's need not be. gob
 // matches fields by name and skips what either side lacks, so the two
 // kinds of image share one version.
-type recordSnap struct {
+type gobRecord struct {
 	ID        string
 	Class     int
 	Archetype int
@@ -36,74 +127,20 @@ type recordSnap struct {
 	Scale     float64
 }
 
-const snapshotVersion = 1
+const gobVersion = 1
 
-// Save serialises the store to w (gob v1). The paper persists its MDB
-// in MongoDB; a snapshot file plays that role here so cmd/emap-mdb can
-// build once and the cloud server can load at startup. Save captures
-// one epoch: a concurrent Insert lands either wholly in the snapshot
-// or not at all. Callers that must know WHICH epoch was written (to
-// detect a concurrent insert racing the write) capture a Snapshot
-// first and use Snapshot.Save.
-func (s *Store) Save(w io.Writer) error {
-	return s.Snapshot().Save(w)
-}
-
-// Save serialises the snapshot's epoch to w (gob v1) — the same wire
-// form as Store.Save, but pinned to the epoch the caller captured, so
-// the caller can afterwards compare the store's current Snapshot
-// against this one (snapshots are comparable) and find out whether an
-// insert advanced the store while the write ran. Records go out as they
-// are held — counts and scale — so gob↔columnar conversion in either
-// direction preserves them exactly.
-func (sn Snapshot) Save(w io.Writer) error {
-	v := sn.ensure()
-	snap := snapshot{Version: snapshotVersion}
-	for _, r := range v.recs {
-		snap.Records = append(snap.Records, recordSnap{
-			ID:        r.ID,
-			Class:     int(r.Class),
-			Archetype: r.Archetype,
-			Onset:     r.Onset,
-			Counts:    r.q.counts,
-			Scale:     r.q.scale,
-		})
-	}
-	for _, set := range v.sets {
-		snap.Sets = append(snap.Sets, *set)
-	}
-	return gob.NewEncoder(w).Encode(&snap)
-}
-
-// SaveFormat serialises the snapshot's epoch to w in the given format.
-func (sn Snapshot) SaveFormat(w io.Writer, f Format) error {
-	if f == FormatColumnar {
-		return sn.SaveColumnar(w)
-	}
-	return sn.Save(w)
-}
-
-// Load deserialises a store previously written by Save, SaveColumnar,
-// or SaveFile in either format; the format is detected from the
-// leading bytes. Either way the records load into the heap (warm tier) —
-// only LoadFile can establish the mmap cold tier.
-func Load(r io.Reader) (*Store, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(len(columnarMagic)); err == nil && string(magic) == columnarMagic {
-		return LoadColumnar(br)
-	}
-	return loadGob(br)
-}
-
-// loadGob deserialises a v1 gob snapshot, quantizing the records of an
-// image that holds float samples (see recordSnap).
-func loadGob(r io.Reader) (*Store, error) {
-	var snap snapshot
+// LoadGob decodes a gob snapshot, quantizing the records of an image
+// that holds float samples (see gobRecord) and holding every set to
+// the bounds Insert and the columnar loader enforce. It is the one-way
+// input of emap-mdb convert: nothing serves a gob image, and no code
+// writes one.
+func LoadGob(r io.Reader) (*Store, error) {
+	var snap gobSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("mdb: decoding snapshot: %w", err)
+		return nil, fmt.Errorf("mdb: decoding gob snapshot: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("mdb: snapshot version %d unsupported (want %d)", snap.Version, snapshotVersion)
+	if snap.Version != gobVersion {
+		return nil, fmt.Errorf("mdb: gob snapshot version %d unsupported (want %d)", snap.Version, gobVersion)
 	}
 	s := NewStore()
 	s.recs = make([]*Record, 0, len(snap.Records))
@@ -141,96 +178,4 @@ func loadGob(r io.Reader) (*Store, error) {
 	}
 	s.publish()
 	return s, nil
-}
-
-// SaveFile writes the store snapshot to the named file in the store's
-// snapshot format.
-func (s *Store) SaveFile(path string) error {
-	return s.Snapshot().SaveFileFormat(path, s.format)
-}
-
-// SaveFile writes the snapshot's epoch to the named file (gob v1).
-func (sn Snapshot) SaveFile(path string) error {
-	return sn.SaveFileFormat(path, FormatGob)
-}
-
-// SaveFileFormat writes the snapshot's epoch to the named file in the
-// given format, atomically: the bytes go to a temp file in the same
-// directory, are fsynced, and replace the target via rename. A crash
-// mid-write (e.g. during Registry eviction — the tenant's ONLY copy)
-// leaves either the old complete snapshot or the new one, never a
-// torn file.
-func (sn Snapshot) SaveFileFormat(path string, f Format) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	bw := bufio.NewWriter(tmp)
-	if err := sn.SaveFormat(bw, f); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		return err
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	// Best effort: make the rename itself durable.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// LoadFile reads a store snapshot from the named file, detecting the
-// format. Columnar snapshots are opened via mmap where the platform
-// supports it — records start in the cold tier and are served straight
-// from the page cache — falling back to an eager, fully-checksummed
-// heap load otherwise; a gob snapshot always loads into the heap.
-func LoadFile(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	magic := make([]byte, len(columnarMagic))
-	n, _ := io.ReadFull(f, magic)
-	if n == len(columnarMagic) && string(magic) == columnarMagic && hostLittleEndian {
-		f.Close()
-		if ref, merr := mapFile(path); merr == nil {
-			s, perr := parseColumnar(ref.data, ref)
-			if perr != nil {
-				return nil, perr
-			}
-			return s, nil
-		}
-		// Mapping failed (platform or resource limits): fall through
-		// to the eager reader below.
-		f, err = os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-	} else if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

@@ -169,7 +169,7 @@ func (qv QuantView) Dequantize(dst []float64, start, n int) {
 // quantizeSamples quantizes a float64 waveform onto the shared
 // float32-narrowed grid (see proto.NarrowScale), returning the counts
 // and the step: how float samples become a record, at Insert, at Build
-// and when a gob image that predates stored counts is loaded.
+// and when LoadGob reads a gob image that predates stored counts.
 // Deterministic: the same samples always produce the same (counts,
 // scale).
 func quantizeSamples(samples []float64) ([]int16, float64) {

@@ -90,10 +90,6 @@ type Registry struct {
 	dir   string // "" = memory-only, eviction cannot persist
 	max   int    // ≤0 = unbounded
 	clock int64
-	// format, when set, overrides the per-store snapshot format on
-	// persist and is the format freshly created tenant stores save in.
-	// Set before the first Open.
-	format Format
 	// budget is the per-tenant tier byte budget applied to every store
 	// the registry opens or adopts (0: unlimited). Set before the
 	// first Open.
@@ -241,16 +237,6 @@ func (r *Registry) AppendWAL(tenant string, payload []byte) error {
 	return nil
 }
 
-// SetSaveFormat selects the snapshot format the registry persists
-// tenants in, overriding each store's own preference; FormatColumnar
-// migrates gob-loaded tenants to columnar on their next eviction. Call
-// before the first Open.
-func (r *Registry) SetSaveFormat(f Format) {
-	r.mu.Lock()
-	r.format = f
-	r.mu.Unlock()
-}
-
 // SetStoreBudget applies a tier byte budget (see Store.SetTierBudget)
 // to every store the registry opens, adopts, or already holds. 0
 // removes the cap.
@@ -270,17 +256,12 @@ func (r *Registry) SetStoreBudget(bytes int64) {
 }
 
 // newTenantStore creates the store for a tenant with no snapshot,
-// honouring the registry's configured format and budget.
+// honouring the registry's configured budget.
 func (r *Registry) newTenantStore() *Store {
 	r.mu.Lock()
-	format, budget := r.format, r.budget
+	budget := r.budget
 	r.mu.Unlock()
-	var s *Store
-	if format == FormatColumnar {
-		s = NewQuantizedStore()
-	} else {
-		s = NewStore()
-	}
+	s := NewStore()
 	if budget > 0 {
 		s.SetTierBudget(budget)
 	}
@@ -626,15 +607,9 @@ func (r *Registry) persist(tenant string, s *Store) error {
 		return nil
 	}
 	path := filepath.Join(r.dir, tenant+snapExt)
-	r.mu.Lock()
-	format := r.format
-	r.mu.Unlock()
-	if format == 0 {
-		format = s.Format()
-	}
 	for {
 		snap := s.Snapshot()
-		if err := snap.SaveFileFormat(path, format); err != nil {
+		if err := snap.SaveFile(path); err != nil {
 			return fmt.Errorf("mdb: saving tenant %q: %w", tenant, err)
 		}
 		if s.Snapshot() == snap {

@@ -1,9 +1,11 @@
 package mdb
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,6 +115,39 @@ func TestRegistryEvictPersistsAndReloads(t *testing.T) {
 	}
 	if _, anom := reloaded.LabelCounts(); anom != 3 {
 		t.Fatalf("labels lost on reload: %d anomalous", anom)
+	}
+}
+
+// TestRegistryRefusesGobSnapshot: a tenant whose snapshot file is a gob
+// image fails Open with the conversion hint. It does not come up as an
+// empty store, which would shadow the recordings on disk and, at the
+// next persist, overwrite them.
+func TestRegistryRefusesGobSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	src := NewStore()
+	if _, err := src.Insert(testRecord("r1", 3000), 1000, nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "carol.snap")
+	old := gobImage(t, src)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRegistry(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := r.Open("carol"); err == nil || !strings.Contains(err.Error(), "emap-mdb convert") {
+		t.Fatalf("Open over a gob snapshot = (%v, %v), want the convert hint", s, err)
+	}
+	if _, ok := r.Get("carol"); ok || r.Len() != 0 {
+		t.Fatal("a refused tenant is resident")
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the gob snapshot changed on disk (err %v)", err)
 	}
 }
 

@@ -245,7 +245,7 @@ func TestRegistryOnPersistErrorRetry(t *testing.T) {
 	if _, err := sa.Insert(&Record{ID: "rec-0", Samples: make([]float64, 64)}, 64, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Replace the snapshot directory with a file: SaveFileFormat's
+	// Replace the snapshot directory with a file: SaveFile's
 	// temp-file creation fails.
 	if err := os.RemoveAll(snapDir); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ func coldStoreOf(t *testing.T, lengths []int) (cold, origin *Store, path string)
 	t.Helper()
 	origin = buildQuantStore(t, lengths)
 	path = filepath.Join(t.TempDir(), "mdb.col")
-	if err := origin.Snapshot().SaveFileFormat(path, FormatColumnar); err != nil {
+	if err := origin.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mapFile(path); err != nil {

@@ -177,7 +177,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // nothing hot until a float access promotes — plus the lifetime
 // promotion/demotion counters.
 func TestStoreTierMetrics(t *testing.T) {
-	srv, err := cloud.NewServer(nil, cloud.Config{Workers: 1, StoreFormat: mdb.FormatColumnar})
+	srv, err := cloud.NewServer(nil, cloud.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // that must step over sets mid-shard either way.
 func laneStore(t *testing.T, f *fixture, sets int) *mdb.Store {
 	t.Helper()
-	store := mdb.NewQuantizedStore()
+	store := mdb.NewStore()
 	insert := func(id string, class synth.Class, samples, sliceLen int) {
 		// Band-passed like the fixture's own store, so the fixture's
 		// queries find candidates in it.

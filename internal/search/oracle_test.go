@@ -150,7 +150,7 @@ func drawCounts(r *rand.Rand, kind, length, n int) []int16 {
 
 func newOracleStore(t *testing.T, r *rand.Rand, n int) *oracleStore {
 	t.Helper()
-	os := &oracleStore{store: mdb.NewQuantizedStore(), counts: map[string][]int16{}}
+	os := &oracleStore{store: mdb.NewStore(), counts: map[string][]int16{}}
 	slice := 150 + r.Intn(250)
 	for kind := 0; kind < numKinds; kind++ {
 		id := fmt.Sprintf("r%d", kind)

@@ -16,7 +16,7 @@ import (
 func quantizedCopy(t testing.TB, store *mdb.Store) *mdb.Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "q.col")
-	if err := store.Snapshot().SaveFileFormat(path, mdb.FormatColumnar); err != nil {
+	if err := store.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -165,7 +165,7 @@ func TestQuantOmegaWithinDocumentedTolerance(t *testing.T) {
 func TestBeyondRAMQuantSearch(t *testing.T) {
 	f := newFixture(t, 2)
 	path := filepath.Join(t.TempDir(), "big.col")
-	if err := f.store.Snapshot().SaveFileFormat(path, mdb.FormatColumnar); err != nil {
+	if err := f.store.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	cold, err := mdb.LoadFile(path)

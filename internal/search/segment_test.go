@@ -151,7 +151,7 @@ func assertBitIdentical(t *testing.T, label string, ref, got *Result) {
 func coldCopy(t *testing.T, store *mdb.Store) *mdb.Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cold.col")
-	if err := store.Snapshot().SaveFileFormat(path, mdb.FormatColumnar); err != nil {
+	if err := store.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	cold, err := mdb.LoadFile(path)
@@ -236,7 +236,7 @@ func TestSegmentPrefixSumsMatchWindowSums(t *testing.T) {
 	for i := range counts {
 		counts[i] = int16(rng.Intn(1<<16) - 1<<15)
 	}
-	store := mdb.NewQuantizedStore()
+	store := mdb.NewStore()
 	if _, err := store.InsertQuantized(&mdb.Record{ID: "r"}, counts, 0.25, 700, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestSkipScanAllocsIndependentOfSets(t *testing.T) {
 		counts[i] = int16(v * 50)
 	}
 	build := func(records int) *mdb.Store {
-		store := mdb.NewQuantizedStore()
+		store := mdb.NewStore()
 		for r := 0; r < records; r++ {
 			c := append([]int16(nil), counts...)
 			if _, err := store.InsertQuantized(&mdb.Record{ID: fmt.Sprint("r", r)}, c, 0.02, 1000, nil); err != nil {

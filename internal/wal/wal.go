@@ -37,7 +37,7 @@
 //
 // Once a snapshot persist covers the log's records, Checkpoint
 // atomically replaces the log with an empty one (temp file + fsync +
-// rename, the SaveFileFormat discipline). A crash before the rename
+// rename, the SaveFile discipline). A crash before the rename
 // leaves the full log — replay then re-applies records the snapshot
 // already holds, which the apply callback treats as no-ops — and a
 // crash after it leaves the empty log next to the covering snapshot.

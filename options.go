@@ -39,16 +39,6 @@ func WithSearchParams(p SearchParams) Option {
 	return func(c *Config) { c.Search = p }
 }
 
-// WithTrackParams configures edge tracking (Algorithm 2).
-func WithTrackParams(p TrackParams) Option {
-	return func(c *Config) { c.Track = p }
-}
-
-// WithPredictorParams configures the anomaly decision rule.
-func WithPredictorParams(p PredictorParams) Option {
-	return func(c *Config) { c.Predict = p }
-}
-
 // WithLink selects the edge↔cloud communication platform.
 func WithLink(l Link) Option {
 	return func(c *Config) { c.Link = l }
@@ -60,36 +50,10 @@ func WithHorizon(seconds float64) Option {
 	return func(c *Config) { c.HorizonSeconds = seconds }
 }
 
-// WithWindowSeconds sets the acquisition slot length (paper: 1 s).
-func WithWindowSeconds(seconds float64) Option {
-	return func(c *Config) { c.WindowSeconds = seconds }
-}
-
-// WithBaseRate sets the sampling frequency (paper: 256 Hz).
-func WithBaseRate(hz float64) Option {
-	return func(c *Config) { c.BaseRate = hz }
-}
-
-// WithBandpass sets the acquisition filter (paper: 100 taps, 11–40 Hz).
-func WithBandpass(taps int, lowHz, highHz float64) Option {
-	return func(c *Config) { c.FilterTaps, c.LowHz, c.HighHz = taps, lowHz, highHz }
-}
-
 // WithRecallMargin sets how many iterations before horizon exhaustion
 // the background cloud call is issued (default 3).
 func WithRecallMargin(iters int) Option {
 	return func(c *Config) { c.RecallMargin = iters }
-}
-
-// WithWarmupWindows sets how many initial windows settle the filter
-// before the first search (default 1).
-func WithWarmupWindows(n int) Option {
-	return func(c *Config) { c.WarmupWindows = n }
-}
-
-// WithCostModel overrides the simulated compute-cost model.
-func WithCostModel(m CostModel) Option {
-	return func(c *Config) { c.Costs = m }
 }
 
 // Multi-channel & multi-modal re-exports (DESIGN.md §15): StartMulti
@@ -138,7 +102,7 @@ func WithModality(m string) Option {
 //
 //	sess, err := emap.New(store,
 //	    emap.WithHorizon(12),
-//	    emap.WithTrackParams(emap.TrackParams{TrackThreshold: 40}),
+//	    emap.WithRecallMargin(2),
 //	)
 //	stream, err := sess.Start(ctx)
 func New(store *Store, opts ...Option) (*Session, error) {
@@ -213,7 +177,6 @@ func NewCloudServer(store *Store, cfg CloudConfig) (*CloudServer, error) {
 
 // cloudSetup is the deployment NewCloud assembles from CloudOptions.
 type cloudSetup struct {
-	cfg CloudConfig
 	dir string
 	max int
 }
@@ -221,12 +184,6 @@ type cloudSetup struct {
 // CloudOption adjusts a multi-tenant cloud deployment assembled by
 // NewCloud.
 type CloudOption func(*cloudSetup)
-
-// WithCloudConfig sets the serving configuration (workers, batching,
-// caching, horizon — zero values take paper defaults).
-func WithCloudConfig(cfg CloudConfig) CloudOption {
-	return func(s *cloudSetup) { s.cfg = cfg }
-}
 
 // WithRegistryDir persists tenant stores as snapshot files under dir:
 // tenants load lazily from their snapshot on first use, evicted and
@@ -242,43 +199,12 @@ func WithMaxTenants(n int) CloudOption {
 	return func(s *cloudSetup) { s.max = n }
 }
 
-// WithTenant names the default tenant — where tenant-less requests
-// land, and where NewCloud installs the seed store.
-func WithTenant(id string) CloudOption {
-	return func(s *cloudSetup) { s.cfg.DefaultTenant = id }
-}
-
-// StoreFormat selects the on-disk snapshot encoding: FormatGob is the
-// v1 gob stream, FormatColumnar the v2 columnar layout that memory-maps
-// on load and is scanned in place (DESIGN.md §14). Either holds the
-// records as they are stored, int16 counts.
-type StoreFormat = mdb.Format
-
-// The snapshot formats.
-const (
-	FormatGob      = mdb.FormatGob
-	FormatColumnar = mdb.FormatColumnar
-)
-
-// WithStoreBudget caps the bytes each tenant store may spend on tier
-// promotions: warm heap copies of memory-mapped records, made as scans
-// touch them while the budget has headroom. When the budget shrinks
-// the least recently scanned copies are dropped; ≤0 makes none. See
-// DESIGN.md §14.
-func WithStoreBudget(bytes int64) CloudOption {
-	return func(s *cloudSetup) { s.cfg.HotBytes = bytes }
-}
-
-// WithStoreFormat selects the snapshot format tenant stores persist
-// to.
-func WithStoreFormat(f StoreFormat) CloudOption {
-	return func(s *cloudSetup) { s.cfg.StoreFormat = f }
-}
-
 // NewCloud assembles a multi-tenant cloud server: a tenant registry
 // (optionally disk-backed and bounded) serving many independently
-// growing stores from one process. A non-nil store seeds the default
-// tenant; further tenants open lazily as requests name them.
+// growing stores from one process, with the paper's serving defaults.
+// A non-nil store seeds DefaultTenant; further tenants open lazily as
+// requests name them. Deployments that tune the server assemble a
+// Registry and call NewCloudFromRegistry.
 //
 //	srv, _ := emap.NewCloud(store,
 //	    emap.WithRegistryDir("/var/lib/emap/tenants"),
@@ -294,15 +220,11 @@ func NewCloud(store *Store, opts ...CloudOption) (*CloudServer, error) {
 		return nil, err
 	}
 	if store != nil {
-		def := s.cfg.DefaultTenant
-		if def == "" {
-			def = DefaultTenant
-		}
-		if err := reg.Adopt(def, store); err != nil {
+		if err := reg.Adopt(DefaultTenant, store); err != nil {
 			return nil, err
 		}
 	}
-	return cloud.NewRegistryServer(reg, s.cfg)
+	return cloud.NewRegistryServer(reg, CloudConfig{})
 }
 
 // Monitor is a convenience wrapper for fully streaming use: it starts
