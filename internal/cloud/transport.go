@@ -368,12 +368,13 @@ func tracked(t proto.MsgType) bool { return t == proto.TypeUpload || t == proto.
 // handler's bug, but it must cost exactly one request: the panic is
 // recovered, that request answers with a 5xx-class error, and the
 // connection — and every other request on the worker pool — keeps
-// serving.
+// serving. The request leaves flight before its reply is queued, so a
+// client holding the reply never reads it as still in flight.
 func (t *Transport) serveFrame(f proto.Frame, out chan<- outFrame) {
-	if tracked(f.Type) {
-		defer t.cfg.Metrics.leaveFlight()
-	}
 	typ, payload := t.callHandler(f)
+	if tracked(f.Type) {
+		t.cfg.Metrics.leaveFlight()
+	}
 	out <- outFrame{typ: typ, id: f.ID, tenant: f.Tenant, payload: payload}
 }
 
