@@ -285,9 +285,6 @@ func (n *Node) forward(f proto.Frame, tenant, addr string) (proto.MsgType, []byt
 func (n *Node) promoteParked(tenant string) error {
 	n.mu.Lock()
 	snap, ok := n.replicas[tenant]
-	if ok {
-		delete(n.replicas, tenant)
-	}
 	n.mu.Unlock()
 	if !ok {
 		return nil
@@ -297,25 +294,37 @@ func (n *Node) promoteParked(tenant string) error {
 		// The tenant is already serving here; the parked copy is, at
 		// best, an older epoch of the same data. Dropping it is safe:
 		// the live store wins.
+		n.dropParked(tenant)
 		return nil
 	}
+	// Parse before anything is let go of: an image that does not load
+	// stays parked, so every request for the tenant fails until a newer
+	// Replicate replaces it — the tenant never comes up empty.
 	store, err := mdb.LoadColumnar(bytes.NewReader(snap))
 	if err != nil {
 		return err
 	}
 	if err := reg.Adopt(tenant, store); err != nil {
-		// A racing request may have opened (empty) or adopted the
-		// tenant between the Get and here; the live store wins, the
-		// parked bytes are already consumed. Only a still-absent
-		// tenant is a real failure.
+		// A racing request may have adopted the tenant between the Get
+		// and here; the live store wins. Only a still-absent tenant is
+		// a real failure.
 		if _, live := reg.Get(tenant); live {
+			n.dropParked(tenant)
 			return nil
 		}
 		return err
 	}
+	n.dropParked(tenant)
 	n.Metrics.Promotions.Add(1)
 	n.logf("cluster: node %s promoted replica of tenant %q (%d records)", n.id, tenant, store.NumRecords())
 	return nil
+}
+
+// dropParked forgets a tenant's parked replica.
+func (n *Node) dropParked(tenant string) {
+	n.mu.Lock()
+	delete(n.replicas, tenant)
+	n.mu.Unlock()
 }
 
 // replicateTenant ships the tenant's current snapshot to its replica

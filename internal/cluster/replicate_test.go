@@ -120,3 +120,55 @@ func TestHostileReplicasRefused(t *testing.T) {
 		t.Fatalf("Promotions = %d, want 0", got)
 	}
 }
+
+// TestFailedPromotionRefusesIngest: a parked replica that does not load
+// must keep failing its tenant's requests. An ingest after the failed
+// promotion is refused, not acked into an empty store that would stand
+// in for the replica's data; a newer, loadable image then promotes.
+func TestFailedPromotionRefusesIngest(t *testing.T) {
+	good, bad := hostileSnapshots(t)
+	reg, err := mdb.NewRegistry("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewNode(reg, NodeConfig{ID: "n1", Addr: "127.0.0.1:1",
+		Cloud: cloud.Config{SliceLen: 256, CacheSize: -1}, Retry: fastRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if typ, _ := node.ServeFrame(proto.Frame{Version: proto.Version3, Type: proto.TypeRing, ID: 1,
+		Payload: proto.EncodeRing(&proto.Ring{Epoch: 1, Nodes: []proto.RingNode{{ID: "n1", Addr: "127.0.0.1:1"}}})}); typ != proto.TypeRingAck {
+		t.Fatalf("ring push answered type %d, want ack", typ)
+	}
+
+	const tenant = "parked-ward"
+	if typ, _ := node.ServeFrame(replicateFrame(2, tenant, false, bad["flipped"])); typ != proto.TypeReplicateAck {
+		t.Fatalf("parked replica answered type %d, want ack", typ)
+	}
+	ingest := proto.Frame{Version: proto.Version3, Type: proto.TypeIngest, Tenant: tenant,
+		Payload: proto.EncodeIngest(walClusterIngest("rec-new", 1))}
+	for id := uint32(3); id < 5; id++ {
+		ingest.ID = id
+		typ, payload := node.ServeFrame(ingest)
+		em, err := proto.DecodeError(payload)
+		if typ != proto.TypeError || err != nil || em.Code != 500 {
+			t.Fatalf("ingest %d over an unloadable parked replica answered type %d (%+v, %v), want the failed promotion", id, typ, em, err)
+		}
+		if _, ok := reg.Get(tenant); ok {
+			t.Fatalf("ingest %d: tenant %q came up live over an unloadable replica", id, tenant)
+		}
+	}
+
+	// A newer image replaces the bad one and promotes on the next request.
+	if typ, _ := node.ServeFrame(replicateFrame(5, tenant, false, good)); typ != proto.TypeReplicateAck {
+		t.Fatalf("replacement replica answered type %d, want ack", typ)
+	}
+	ingest.ID = 6
+	if typ, _ := node.ServeFrame(ingest); typ != proto.TypeIngestAck {
+		t.Fatalf("ingest over the replaced replica answered type %d, want ack", typ)
+	}
+	if s, ok := reg.Get(tenant); !ok || s.NumRecords() != 2 {
+		t.Fatal("the replaced replica was not promoted under the new ingest")
+	}
+}
