@@ -460,13 +460,12 @@ func BenchmarkQuantizedScan(b *testing.B) {
 	})
 }
 
-// BenchmarkPipelineThroughput measures the stage pipeline end to end:
-// windows pushed through a live stream against the same store, single
-// channel vs an 8-channel montage (per-channel filter and quantize
-// lanes run concurrently; the agreement stage serialises tracking).
-// chan-windows/s counts per-channel windows, so perfect fan-out would
-// hold it flat as channels grow; the gap to flat is the price of the
-// ordered join and the shared cloud actor.
+// BenchmarkPipelineThroughput measures a live stream end to end:
+// windows pushed through the session's driver against the same store,
+// single channel vs an 8-channel montage (one worker steps every
+// channel's controller in turn). chan-windows/s counts per-channel
+// windows, so it shows what a montage saves over N single streams: the
+// per-stream set-up and the per-slot hand-off are paid once.
 func BenchmarkPipelineThroughput(b *testing.B) {
 	gen := emap.NewGenerator(1)
 	store, err := emap.BuildMDB(gen.TrainingRecordings(3, 2))

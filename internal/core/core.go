@@ -1,8 +1,7 @@
-// Package core implements the EMAP framework itself: the three-stage
-// pipeline of paper Fig. 3 — Signal Acquisition at the edge, Cloud
-// Search over the mega-database, and Edge Tracking with anomaly
-// prediction — orchestrated as a session over a discrete-event
-// simulated clock.
+// Package core implements the EMAP framework itself: the three stages
+// of paper Fig. 3 — Signal Acquisition at the edge, Cloud Search over
+// the mega-database, and Edge Tracking with anomaly prediction — run
+// as a session over a discrete-event simulated clock.
 //
 // A Session consumes raw EEG one second at a time exactly as the
 // deployed system would: sample → 100-tap bandpass → 16-bit quantised
@@ -18,6 +17,12 @@
 // that accepts windows via Push and emits one StepReport per window —
 // the P_A trace and decision transitions as they happen. Process runs
 // a whole recording through a stream and returns the batch Report.
+// StartMulti monitors N channels under a K-of-N agreement rule.
+//
+// Every run is one driver on one worker goroutine: per slot it
+// filters and quantises each channel's window, asks each channel's
+// track.Controller — the edge decision the distributed device runs
+// too — what to do, and plays the answers out on the simulated clock.
 package core
 
 import (
@@ -209,13 +214,6 @@ type Session struct {
 	active bool // a Stream is running
 }
 
-// pendingSearch is a background cloud call in flight.
-type pendingSearch struct {
-	seq     int           // window the search ran against
-	readyAt time.Duration // simulated arrival time of the correlation set
-	result  *search.Result
-}
-
 // NewSession prepares a session over the given mega-database.
 func NewSession(store *mdb.Store, cfg Config) (*Session, error) {
 	cfg, err := cfg.withDefaults()
@@ -300,26 +298,6 @@ func (s *Session) Process(rec *synth.Recording, maxWindows int) (*Report, error)
 	report.Input = rec.ID
 	report.Class = rec.Class
 	return report, nil
-}
-
-// adaptThreshold caps the tracking threshold H at half the retrieved
-// set size: the paper's H presumes a full top-100 download, and a
-// sparser mega-database would otherwise demand more tracked signals
-// than the cloud can ever supply, firing a cloud call on every single
-// iteration.
-func adaptThreshold(p track.Params, matches int) track.Params {
-	h := p.TrackThreshold
-	if h == 0 {
-		h = track.DefaultParams().TrackThreshold
-	}
-	if limit := matches / 2; limit < h {
-		h = limit
-	}
-	if h < 2 {
-		h = 2
-	}
-	p.TrackThreshold = h
-	return p
 }
 
 // trackCost converts a tracking step into simulated edge time.

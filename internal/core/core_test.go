@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,27 +11,40 @@ import (
 	"emap/internal/track"
 )
 
-// buildStore assembles a mid-size MDB with staggered normal and
-// seizure instances across three archetypes.
+// buildStore returns a mid-size MDB with staggered normal and seizure
+// instances across three archetypes, and a generator in the state that
+// building it left. The store is built once per process and shared —
+// no test writes to it — and every call gets its own generator, so a
+// test draws the same inputs whatever ran before it.
 func buildStore(t testing.TB) (*mdb.Store, *synth.Generator) {
 	t.Helper()
-	g := synth.NewGenerator(synth.Config{Seed: 33, ArchetypesPerClass: 3})
-	var recs []*synth.Recording
-	for arch := 0; arch < 3; arch++ {
-		for i := 0; i < 4; i++ {
-			recs = append(recs,
-				g.Instance(synth.Normal, arch, synth.InstanceOpts{
-					OffsetSamples: i * 2000, DurSeconds: 90}),
-				g.Instance(synth.Seizure, arch, synth.InstanceOpts{
-					OffsetSamples: (synth.PreictalAt)*256 + i*2000, DurSeconds: 120}),
-			)
+	fixture.once.Do(func() {
+		g := synth.NewGenerator(synth.Config{Seed: 33, ArchetypesPerClass: 3})
+		var recs []*synth.Recording
+		for arch := 0; arch < 3; arch++ {
+			for i := 0; i < 4; i++ {
+				recs = append(recs,
+					g.Instance(synth.Normal, arch, synth.InstanceOpts{
+						OffsetSamples: i * 2000, DurSeconds: 90}),
+					g.Instance(synth.Seizure, arch, synth.InstanceOpts{
+						OffsetSamples: (synth.PreictalAt)*256 + i*2000, DurSeconds: 120}),
+				)
+			}
 		}
+		fixture.store, fixture.err = mdb.Build(recs, mdb.DefaultBuildConfig())
+		fixture.gen = g
+	})
+	if fixture.err != nil {
+		t.Fatal(fixture.err)
 	}
-	store, err := mdb.Build(recs, mdb.DefaultBuildConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return store, g
+	return fixture.store, fixture.gen.Clone()
+}
+
+var fixture struct {
+	once  sync.Once
+	store *mdb.Store
+	gen   *synth.Generator
+	err   error
 }
 
 func TestSessionNormalInput(t *testing.T) {

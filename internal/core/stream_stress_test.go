@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -99,11 +100,60 @@ func TestStreamConcurrentPushCloseStart(t *testing.T) {
 			}
 		}()
 		wg.Wait()
-		// The stage counters must be consistent after shutdown.
-		for _, s := range stream.Stats() {
-			if s.Errors != 0 {
-				t.Fatalf("round %d: stage %s errored", round, s.Name)
+		// The stage counters must be readable after shutdown.
+		if stats := stream.Stats(); len(stats) != 3 || stats[2].Name != "track" || stats[2].Busy < 0 {
+			t.Fatalf("round %d: stats %+v", round, stats)
+		}
+	}
+}
+
+// TestStreamRunsOneGoroutine: a running stream, single-channel or a
+// montage, adds exactly one goroutine — its worker — and Close takes
+// it away again.
+func TestStreamRunsOneGoroutine(t *testing.T) {
+	store, _ := buildStore(t)
+	// settled reads the goroutine count once it has held still, so
+	// goroutines of earlier tests that are still exiting do not count.
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 100; i++ {
+			time.Sleep(5 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				return n
 			}
+			n = m
+		}
+		return n
+	}
+	for _, channels := range []int{1, 4} {
+		sess, err := NewSession(store, Config{Channels: channels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := settled()
+		var closeRun func() error
+		if channels == 1 {
+			st, err := sess.Start(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			closeRun = func() error { _, err := st.Close(); return err }
+		} else {
+			mst, err := sess.StartMulti(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			closeRun = func() error { _, err := mst.Close(); return err }
+		}
+		if got := settled() - before; got != 1 {
+			t.Errorf("%d channels: a running stream adds %d goroutines, want 1", channels, got)
+		}
+		if err := closeRun(); err != nil {
+			t.Fatal(err)
+		}
+		if got := settled() - before; got != 0 {
+			t.Errorf("%d channels: %d goroutines left after Close", channels, got)
 		}
 	}
 }

@@ -147,23 +147,23 @@ type Status struct {
 }
 
 // Device is the edge node: it consumes raw samples one second at a
-// time and maintains tracking state between cloud refreshes.
-//
-// Downloaded correlation sets are materialised into a local throwaway
-// mini-MDB (one record per downloaded entry) so the same track.Tracker
-// used in-process drives the distributed deployment.
+// time and asks its track.Controller — the per-window decision the
+// simulation runs too — what to do with each. The device supplies what
+// the controller leaves out: the cloud client, the refresh goroutine
+// with its backoff, the health counters and the mini-MDB each download
+// is materialised into (one record per entry), so the same
+// track.Tracker used in-process follows the distributed deployment.
 type Device struct {
 	cfg       Config
 	client    *Client
 	stream    *dsp.Stream
-	tracker   *track.Tracker
+	ctrl      *track.Controller
 	predictor *track.Predictor
 
-	window      int
-	refreshing  chan adoptable
-	pending     bool
-	forceRecall bool      // next slot must request a fresh search
-	lastGood    adoptable // last adopted download; degraded mode re-arms it
+	window     int
+	refreshing chan adoptable
+	pending    bool      // a refresh cycle is in flight
+	lastGood   adoptable // the controller's degraded-mode fallback
 
 	ctx    context.Context // cancelled by Close; bounds background refreshes
 	cancel context.CancelFunc
@@ -173,16 +173,18 @@ type Device struct {
 	// cycle writes while Push reads them into each Status.
 	hmu      sync.Mutex
 	closed   bool
-	degraded bool
+	failed   bool  // an attempt failed that the controller has not heard of
 	failures int   // consecutive failed cloud attempts
 	attempts int64 // total cloud refresh attempts (tests assert boundedness)
 	lastErr  error
 }
 
+// adoptable is what a refresh cycle hands back to Push: a download, or
+// the error the cycle gave up on.
 type adoptable struct {
 	store   *mdb.Store
 	matches []search.Match
-	seq     int // window the search ran against
+	seq     int // the controller's number for the searched window
 	err     error
 }
 
@@ -203,12 +205,18 @@ func NewDevice(client *Client, cfg Config) (*Device, error) {
 	if tenant != "" {
 		client.SetTenant(tenant)
 	}
+	params := cfg.Track
+	if params.WindowLen == 0 {
+		params.WindowLen = cfg.WindowLen
+	}
+	pred := track.NewPredictor(cfg.Predict)
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Device{
 		cfg:        cfg,
 		client:     client,
 		stream:     fir.NewStream(),
-		predictor:  track.NewPredictor(cfg.Predict),
+		ctrl:       track.NewController(pred, params, cfg.RecallMargin),
+		predictor:  pred,
 		refreshing: make(chan adoptable, 1),
 		ctx:        ctx,
 		cancel:     cancel,
@@ -242,26 +250,18 @@ func (d *Device) noteCloudFailure(err error) int {
 	defer d.hmu.Unlock()
 	d.attempts++
 	d.failures++
-	d.degraded = true
+	d.failed = true
 	d.lastErr = err
 	return d.failures
 }
 
-// noteCloudSuccess records one successful cloud exchange. The degraded
-// flag survives until the downloaded set is actually adopted by a Push.
+// noteCloudSuccess records one successful cloud exchange. The
+// controller stays degraded until the downloaded set is adopted.
 func (d *Device) noteCloudSuccess() {
 	d.hmu.Lock()
 	d.attempts++
 	d.failures = 0
 	d.lastErr = nil
-	d.hmu.Unlock()
-}
-
-// clearDegraded marks the device healthy again (a fresh set was
-// adopted).
-func (d *Device) clearDegraded() {
-	d.hmu.Lock()
-	d.degraded = false
 	d.hmu.Unlock()
 }
 
@@ -274,13 +274,27 @@ func (d *Device) Attempts() int64 {
 	return d.attempts
 }
 
+// hearFailures tells the controller of the cloud attempts that failed
+// since it last heard. It runs on the Push goroutine, the controller's
+// only caller.
+func (d *Device) hearFailures() {
+	d.hmu.Lock()
+	failed := d.failed
+	d.failed = false
+	d.hmu.Unlock()
+	if failed {
+		d.ctrl.Fail()
+	}
+}
+
 // fillHealth populates a Status with the device's outage state.
 func (d *Device) fillHealth(st *Status) {
+	d.hearFailures()
 	d.hmu.Lock()
-	st.Degraded = d.degraded
 	st.ConsecutiveFailures = d.failures
 	st.LastCloudErr = d.lastErr
 	d.hmu.Unlock()
+	st.Degraded = d.ctrl.Degraded()
 }
 
 // PushSecond consumes one acquisition slot with a background context;
@@ -290,7 +304,7 @@ func (d *Device) PushSecond(raw []float64) (Status, error) {
 }
 
 // Push consumes one acquisition slot of raw samples (WindowLen of
-// them) and advances the pipeline. ctx bounds any synchronous cloud
+// them) and advances the device by one window. ctx bounds any synchronous cloud
 // exchange this slot issues (each exchange is additionally capped by
 // Config.CloudTimeout).
 func (d *Device) Push(ctx context.Context, raw []float64) (st Status, err error) {
@@ -314,122 +328,58 @@ func (d *Device) Push(ctx context.Context, raw []float64) (st Status, err error)
 		return st, nil
 	}
 
-	// Adopt a completed background refresh. An EMPTY retrieval (the
-	// window correlated with nothing above δ) still arms the live
-	// tracker — that is the cloud's honest answer — but never
-	// replaces a non-empty lastGood: the degraded-mode fallback
-	// exists to hold the last known match DISTRIBUTION through an
-	// outage, and an empty set carries none, so clobbering the
-	// fallback with it would send the device dark exactly when the
-	// stale estimate is most needed (one no-match window right
-	// before a partition).
+	// Adopt a completed background refresh, once the controller has
+	// heard of every attempt that failed before it.
+	d.hearFailures()
 	select {
 	case a := <-d.refreshing:
 		d.pending = false
-		if a.err == nil {
-			keepGood := len(a.matches) > 0 || d.lastGood.store == nil
-			params := d.trackParams(a.store, len(a.matches))
-			skip := d.window - a.seq - 1
-			if params.HorizonWindows > 0 && skip >= params.HorizonWindows {
-				// The search succeeded but took so long to land —
-				// outage retries, typically — that its continuation
-				// horizon is already spent. It still carries the
-				// freshest cloud picture, so it replaces the
-				// degraded-mode fallback, and the next slot is forced
-				// to request a fresh set right away: the link just
-				// proved healthy, so recovery must not wait out the
-				// stale tracker's horizon.
-				if keepGood {
-					d.lastGood = a
-				}
-				d.forceRecall = true
-			} else {
-				tr := track.NewTracker(a.store, a.matches, params)
-				tr.Skip(skip)
-				d.tracker = tr
-				if keepGood {
-					d.lastGood = a
-				}
-				d.clearDegraded()
-			}
+		if a.err != nil {
+			d.ctrl.Fail()
+		} else {
+			d.adopt(a)
 		}
 	default:
 	}
 
-	if d.tracker == nil {
-		if !d.pending {
-			// First call is synchronous: nothing to track yet.
-			if err := d.refreshNow(ctx, filtered); err != nil {
-				return st, err
-			}
-			st.CloudCalled = true
+	dec := d.ctrl.Step(filtered, d.pending)
+	st.Tracking = dec.Tracked
+	st.PA = dec.PA
+	st.Remaining = dec.Remaining
+	st.Anomalous = dec.Anomalous
+	switch {
+	case dec.First:
+		// The first call is synchronous: nothing to track yet.
+		store, matches, err := d.fetch(ctx, filtered, dec.Priority)
+		if err != nil {
+			d.noteCloudFailure(err)
+			return st, err
 		}
-		return st, nil
-	}
-
-	step := d.tracker.Step(filtered)
-	if step.Remaining == 0 && d.isDegraded() && d.lastGood.store != nil && len(d.lastGood.matches) > 0 {
-		// Degraded mode: the horizon ran out (or every signal starved)
-		// with the cloud still unreachable. Rather than going dark, the
-		// device re-arms the last downloaded correlation set and holds
-		// its retrieval-time composition as the P_A estimate — the
-		// alignment to the live input was lost with the link, so
-		// re-stepping the stale set would just eliminate everything,
-		// and the last known match distribution is the best estimate
-		// the edge has. The re-arm repeats each slot until a fresh set
-		// is adopted, and the next slot's Step still eliminates
-		// whatever no longer resembles the input.
-		d.tracker = track.NewTracker(d.lastGood.store, d.lastGood.matches,
-			d.trackParams(d.lastGood.store, len(d.lastGood.matches)))
-		step.Remaining = d.tracker.Remaining()
-		step.PA = d.tracker.PA()
-		step.NeedsCloud = true
-	}
-	// P_A is only an estimate while signals are being tracked; an
-	// empty set (horizon exhausted, refresh in flight) carries no
-	// information and must not poison the predictor's trajectory.
-	if step.Remaining > 0 {
-		d.predictor.Observe(step.PA)
-	}
-	st.Tracking = true
-	st.PA = step.PA
-	st.Remaining = step.Remaining
-	st.Anomalous = d.predictor.Anomalous()
-
-	needRecall := d.forceRecall || step.NeedsCloud ||
-		(d.tracker.HorizonLeft() >= 0 && d.tracker.HorizonLeft() <= d.cfg.RecallMargin)
-	if needRecall && !d.pending {
+		d.noteCloudSuccess()
+		d.adopt(adoptable{store: store, matches: matches, seq: dec.Seq})
+		st.CloudCalled = true
+	case dec.Upload:
 		// The closed re-check and the Add share the health lock with
 		// Close's closed-set, so a racing Close either sees no cycle
 		// (and spawns are refused from here on) or waits for this one
 		// — never a 0→1 wg.Add concurrent with wg.Wait.
-		// Priority is decided here, on the Push goroutine: the
-		// predictor is not safe to read from the refresh cycle. A
-		// device currently flagging an anomaly — or running degraded —
-		// uploads at anomaly priority, so a saturated cloud shedding
-		// routine refreshes still answers it inside its latency SLO.
-		pri := proto.PriRoutine
-		if st.Anomalous || st.Degraded {
-			pri = proto.PriAnomaly
-		}
 		d.hmu.Lock()
 		if !d.closed {
 			d.pending = true
-			d.forceRecall = false
 			st.CloudCalled = true
 			d.wg.Add(1)
-			go d.refreshAsync(append([]float64(nil), filtered...), d.window, pri)
+			go d.refreshAsync(append([]float64(nil), filtered...), dec.Seq, dec.Priority)
 		}
 		d.hmu.Unlock()
 	}
 	return st, nil
 }
 
-// isDegraded reports whether cloud exchanges are currently failing.
-func (d *Device) isDegraded() bool {
-	d.hmu.Lock()
-	defer d.hmu.Unlock()
-	return d.degraded
+// adopt hands a download to the controller.
+func (d *Device) adopt(a adoptable) {
+	d.ctrl.Adopt(track.Set{Store: a.store, Matches: a.matches, Horizon: d.horizon(a.store)}, a.seq)
+	lg := d.ctrl.LastGood()
+	d.lastGood = adoptable{store: lg.Store, matches: lg.Matches}
 }
 
 // Ingest contributes a raw recording to the cloud mega-database of
@@ -479,53 +429,23 @@ func (d *Device) cloudCtx(ctx context.Context) (context.Context, context.CancelF
 	}
 }
 
-// trackParams derives local tracking parameters: the horizon matches
-// the downloaded data length so the proactive recall margin fires
-// before the set starves, and the tracking threshold H is capped at
-// half the downloaded set so sparse correlation sets do not demand a
-// cloud call every iteration.
-func (d *Device) trackParams(local *mdb.Store, matches int) track.Params {
-	p := d.cfg.Track
-	if p.WindowLen == 0 {
-		p.WindowLen = d.cfg.WindowLen
-	}
-	h := p.TrackThreshold
-	if h == 0 {
-		h = track.DefaultParams().TrackThreshold
-	}
-	if limit := matches / 2; limit < h {
-		h = limit
-	}
-	if h < 2 {
-		h = 2
-	}
-	p.TrackThreshold = h
-	if p.HorizonWindows == 0 {
-		maxLen := 0
-		for _, id := range local.RecordIDs() {
-			if rec, ok := local.Record(id); ok && rec.Len() > maxLen {
-				maxLen = rec.Len()
-			}
-		}
-		if h := maxLen/p.WindowLen - 1; h > 0 {
-			p.HorizonWindows = h
+// horizon is how many windows past the matched one a mini-MDB's
+// longest download holds: the proactive recall margin then fires
+// before the set starves.
+func (d *Device) horizon(local *mdb.Store) int {
+	maxLen := 0
+	for _, id := range local.RecordIDs() {
+		if rec, ok := local.Record(id); ok && rec.Len() > maxLen {
+			maxLen = rec.Len()
 		}
 	}
-	return p
+	return maxLen/d.cfg.WindowLen - 1
 }
 
-// refreshNow performs a synchronous search and adopts it immediately.
-func (d *Device) refreshNow(ctx context.Context, window []float64) error {
-	store, matches, err := d.fetch(ctx, window, proto.PriRoutine)
-	if err != nil {
-		d.noteCloudFailure(err)
-		return err
-	}
-	d.noteCloudSuccess()
-	d.tracker = track.NewTracker(store, matches, d.trackParams(store, len(matches)))
-	d.lastGood = adoptable{store: store, matches: matches, seq: d.window}
-	d.clearDegraded()
-	return nil
+// trackParams returns the parameters a download of the given size is
+// tracked with.
+func (d *Device) trackParams(local *mdb.Store, matches int) track.Params {
+	return d.ctrl.ParamsFor(matches, d.horizon(local))
 }
 
 // refreshAsync runs one background refresh cycle; a later Push adopts

@@ -6,7 +6,6 @@ import (
 	"emap/internal/cloud"
 	"emap/internal/cluster"
 	"emap/internal/edge"
-	"emap/internal/pipeline"
 )
 
 // counter/gauge are emission shorthands used by the adapters below.
@@ -122,24 +121,6 @@ func ClientCollector(name string, m *edge.ClientMetrics) Collector {
 		counter(emit, "emap_client_keepalives_total", "Keepalive probes sent.", float64(s.Keepalives), l)
 		counter(emit, "emap_client_keepalive_failures_total", "Keepalive probes that failed.", float64(s.KeepaliveFailures), l)
 		counter(emit, "emap_client_redirects_total", "MOVED replies followed to a new owner node.", float64(s.Redirects), l)
-	})
-}
-
-// PipelineCollector adapts a live stage pipeline (Stream.Stats or
-// MultiStream.Stats) under emap_pipeline_*: per-stage element and
-// error totals plus cumulative busy time, labelled with the stream
-// name and the stage name. The stats func is called once per scrape;
-// stage snapshots are lock-free, so scraping a running stream is safe.
-func PipelineCollector(stream string, stats func() []pipeline.StageStats) Collector {
-	sl := Label{Name: "stream", Value: stream}
-	return CollectorFunc(func(emit func(Sample)) {
-		for _, st := range stats() {
-			l := []Label{sl, {Name: "stage", Value: st.Name}}
-			counter(emit, "emap_pipeline_stage_in_total", "Elements received by the stage.", float64(st.In), l...)
-			counter(emit, "emap_pipeline_stage_out_total", "Elements emitted downstream by the stage.", float64(st.Out), l...)
-			counter(emit, "emap_pipeline_stage_errors_total", "Stage-function failures.", float64(st.Errors), l...)
-			counter(emit, "emap_pipeline_stage_busy_seconds_total", "Wall time spent inside the stage function, excluding channel waits.", st.Busy.Seconds(), l...)
-		}
 	})
 }
 

@@ -10,12 +10,9 @@ import (
 	"strings"
 	"testing"
 
-	"context"
-
 	"emap/internal/cloud"
 	"emap/internal/cluster"
 	"emap/internal/mdb"
-	"emap/internal/pipeline"
 	"emap/internal/proto"
 )
 
@@ -374,48 +371,4 @@ func TestFamilyOrderingStable(t *testing.T) {
 		t.Fatalf("samples not label-sorted:\n%s", body)
 	}
 	parseExposition(t, body)
-}
-
-// TestPipelineCollector: a finished stage pipeline's counters export
-// as per-stage series labelled with the stream and stage names.
-func TestPipelineCollector(t *testing.T) {
-	p := pipeline.New(context.Background())
-	src := pipeline.Emit(p, "acquire", 1, func(ctx context.Context, emit func(int) bool) error {
-		for i := 0; i < 5; i++ {
-			if !emit(i) {
-				return ctx.Err()
-			}
-		}
-		return nil
-	})
-	doubled := pipeline.Map(p, "double", src, pipeline.Opts{},
-		func(_ context.Context, v int) (int, error) { return 2 * v, nil })
-	pipeline.Do(p, "sink", doubled, func(_ context.Context, v int) error { return nil })
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := NewRegistry()
-	reg.Register(PipelineCollector("eeg-ch0", p.Stats))
-	var b strings.Builder
-	if err := reg.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	samples := parseExposition(t, b.String())
-	for _, stage := range []string{"acquire", "double", "sink"} {
-		key := `emap_pipeline_stage_in_total{stream="eeg-ch0",stage="` + stage + `"}`
-		v, ok := samples[key]
-		if !ok {
-			t.Fatalf("missing series %s in:\n%s", key, b.String())
-		}
-		if stage != "acquire" && v != 5 {
-			t.Fatalf("%s = %v, want 5", key, v)
-		}
-	}
-	if v := samples[`emap_pipeline_stage_out_total{stream="eeg-ch0",stage="double"}`]; v != 5 {
-		t.Fatalf("double out = %v, want 5", v)
-	}
-	if v := samples[`emap_pipeline_stage_errors_total{stream="eeg-ch0",stage="sink"}`]; v != 0 {
-		t.Fatalf("sink errors = %v, want 0", v)
-	}
 }

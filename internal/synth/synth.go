@@ -34,6 +34,7 @@ package synth
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"emap/internal/dsp"
@@ -218,6 +219,24 @@ func NewGenerator(cfg Config) *Generator {
 		scale:  make(map[archKey]float64),
 		bp:     bp,
 		nf:     nf,
+	}
+}
+
+// Clone returns an independent generator in this one's state: it
+// draws exactly the recordings this one would draw next. Tests use it
+// to build a fixture once and hand each test a fresh generator.
+func (g *Generator) Clone() *Generator {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	master := *g.master
+	return &Generator{
+		cfg:    g.cfg,
+		master: &master,
+		canon:  maps.Clone(g.canon),
+		scale:  maps.Clone(g.scale),
+		nextID: g.nextID,
+		bp:     g.bp,
+		nf:     g.nf,
 	}
 }
 

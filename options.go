@@ -6,7 +6,6 @@ import (
 	"emap/internal/cloud"
 	"emap/internal/core"
 	"emap/internal/mdb"
-	"emap/internal/pipeline"
 	"emap/internal/search"
 )
 
@@ -57,8 +56,8 @@ func WithRecallMargin(iters int) Option {
 }
 
 // Multi-channel & multi-modal re-exports (DESIGN.md §15): StartMulti
-// fans N channels out to per-channel acquisition stages and fans back
-// in to a K-of-N agreement stage gating the alarm.
+// steps N channels per slot, each through its own edge controller, and
+// gates the alarm on K-of-N agreement.
 type (
 	// MultiWindow is one acquisition slot across all channels.
 	MultiWindow = core.MultiWindow
@@ -72,9 +71,9 @@ type (
 	ChannelStat = core.ChannelStat
 	// ChannelReport summarises one channel in a MultiReport.
 	ChannelReport = core.ChannelReport
-	// StageStats is a pipeline stage's counter snapshot
+	// StageStats is one stage's busy time within a stream
 	// (Stream.Stats / MultiStream.Stats).
-	StageStats = pipeline.StageStats
+	StageStats = core.StageStats
 )
 
 // WithChannels sets how many channels a multi-channel session
